@@ -127,11 +127,11 @@ runPoint(const SweepOptions &opt, const std::string &wlName,
     std::unique_ptr<FaultMap> faultsPtr;
     if (opt.warmFaultSource) {
         // A warm population (another job of the same die already
-        // sampled it) is adopted instead of resampled; buildMapFrom
+        // sampled it) is shared instead of resampled; buildMapFrom
         // is bit-identical to buildMap by construction.
-        if (const auto pop = opt.warmFaultSource(
+        if (auto pop = opt.warmFaultSource(
                 *model, gp.l2Geom.numLines(), 720))
-            faultsPtr = model->buildMapFrom(*pop, 720);
+            faultsPtr = model->buildMapFrom(std::move(pop), 720);
     }
     if (!faultsPtr)
         faultsPtr = model->buildMap(gp.l2Geom.numLines(), 720);
@@ -330,22 +330,19 @@ runEvaluationSweep(const SweepOptions &optIn)
             std::mutex mtx;
             std::size_t numLines = 0;
             std::size_t lineBits = 0;
-            std::shared_ptr<const std::vector<std::vector<FaultCell>>>
-                pop;
+            std::shared_ptr<const FaultPopulation> pop;
         };
         auto shared = std::make_shared<SharedDie>();
         opt.warmFaultSource =
             [shared](const FaultModel &model, std::size_t numLines,
                      std::size_t lineBits)
-            -> std::shared_ptr<
-                const std::vector<std::vector<FaultCell>>> {
+            -> std::shared_ptr<const FaultPopulation> {
             std::lock_guard<std::mutex> lock(shared->mtx);
             if (!shared->pop) {
                 shared->numLines = numLines;
                 shared->lineBits = lineBits;
-                shared->pop = std::make_shared<
-                    const std::vector<std::vector<FaultCell>>>(
-                    model.buildMap(numLines, lineBits)->population());
+                shared->pop = model.buildMap(numLines, lineBits)
+                                  ->sharedPopulation();
             }
             if (numLines != shared->numLines ||
                 lineBits != shared->lineBits)

@@ -122,7 +122,7 @@ struct SweepOptions
     /**
      * Warm fault-population source (the kserved warm store). When
      * set, each sweep point offers its (model, geometry) here before
-     * sampling; a non-null return is adopted through
+     * sampling; a non-null return is adopted, uncopied, through
      * FaultModel::buildMapFrom() — bit-identical to cold sampling by
      * construction — and a null return falls back to sampling.
      * Called from worker threads, possibly concurrently, so it must
@@ -130,8 +130,7 @@ struct SweepOptions
      * adopting a population skips the sampler's RNG draws, which a
      * recording captures (kserved installs it for plain jobs only).
      */
-    std::function<std::shared_ptr<
-        const std::vector<std::vector<FaultCell>>>(
+    std::function<std::shared_ptr<const FaultPopulation>(
         const FaultModel &model, std::size_t numLines,
         std::size_t lineBits)>
         warmFaultSource;

@@ -12,9 +12,11 @@ PrecharacterizedScheme::PrecharacterizedScheme(FaultMap &fault_map,
     if (!p.behavioral)
         code = makeCode(p.kind, 512);
 
-    statGroup.counter("reads", "protected read hits");
-    statGroup.counter("corrections", "ECC corrections applied");
-    statGroup.counter("error_misses", "error-induced misses raised");
+    cReads = &statGroup.counter("reads", "protected read hits");
+    cCorrections =
+        &statGroup.counter("corrections", "ECC corrections applied");
+    cErrorMisses =
+        &statGroup.counter("error_misses", "error-induced misses raised");
     statGroup.counter("disabled_lines",
                       "lines disabled by pre-characterization");
 }
@@ -88,7 +90,7 @@ AccessResult
 PrecharacterizedScheme::onReadHit(std::size_t lineId,
                                   const BitVec &data)
 {
-    ++statGroup.counter("reads");
+    ++*cReads;
     AccessResult res;
     // The parity/syndrome check overlaps the 2-cycle data access;
     // latency is only exposed when error processing actually runs.
@@ -102,7 +104,7 @@ PrecharacterizedScheme::onReadHit(std::size_t lineId,
         // MS-ECC line-level model: an enabled line has at most 11
         // faults, all within the OLSC correction capability.
         res.extraLatency += p.correctionLatency;
-        ++statGroup.counter("corrections");
+        ++*cCorrections;
         return res;
     }
 
@@ -124,20 +126,20 @@ PrecharacterizedScheme::onReadHit(std::size_t lineId,
         res.sdc = true;
         break;
       case DecodeStatus::Corrected:
-        ++statGroup.counter("corrections");
+        ++*cCorrections;
         KTRACE(trace, tickNow(), TraceCat::Error, "error.correct",
                {"line", lineId});
         res.extraLatency += p.correctionLatency;
         break;
       case DecodeStatus::DetectedUncorrectable:
         // Write-through: drop and refetch.
-        ++statGroup.counter("error_misses");
+        ++*cErrorMisses;
         KTRACE(trace, tickNow(), TraceCat::Error, "error.detect",
                {"line", lineId});
         res.errorInducedMiss = true;
         break;
       case DecodeStatus::Miscorrected:
-        ++statGroup.counter("corrections");
+        ++*cCorrections;
         KTRACE(trace, tickNow(), TraceCat::Error, "error.correct",
                {"line", lineId});
         res.extraLatency += p.correctionLatency;

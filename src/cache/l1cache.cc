@@ -6,8 +6,8 @@ namespace killi
 L1Cache::L1Cache(const CacheGeometry &geometry)
     : geom(geometry), lines(geometry.numLines())
 {
-    statGroup.counter("hits", "L1 load hits");
-    statGroup.counter("misses", "L1 load misses");
+    cHits = &statGroup.counter("hits", "L1 load hits");
+    cMisses = &statGroup.counter("misses", "L1 load misses");
 }
 
 L1Cache::Line *
@@ -28,10 +28,10 @@ L1Cache::lookup(Addr addr)
 {
     if (Line *line = findLine(addr)) {
         line->lastUse = ++useCounter;
-        ++statGroup.counter("hits");
+        ++*cHits;
         return true;
     }
-    ++statGroup.counter("misses");
+    ++*cMisses;
     return false;
 }
 

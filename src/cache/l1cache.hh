@@ -23,6 +23,8 @@ class L1Cache
 {
   public:
     explicit L1Cache(const CacheGeometry &geom);
+    L1Cache(const L1Cache &) = delete;
+    L1Cache &operator=(const L1Cache &) = delete;
 
     /** Probe for @p addr; updates LRU on hit. */
     bool lookup(Addr addr);
@@ -53,6 +55,9 @@ class L1Cache
     std::vector<Line> lines;
     std::uint64_t useCounter = 0;
     StatGroup statGroup;
+    /** Interned stat handles (see L2Cache). */
+    Counter *cHits = nullptr;
+    Counter *cMisses = nullptr;
 };
 
 } // namespace killi

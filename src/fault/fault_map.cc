@@ -1,6 +1,7 @@
 #include "fault/fault_map.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 
@@ -98,7 +99,7 @@ FaultMap::FaultMap(std::size_t num_lines, std::size_t line_bits,
 
     const RngStreamScope stream("faultmap");
     Rng rng(seed);
-    lines.resize(num_lines);
+    FaultPopulation lines(num_lines);
     if (sampling == FaultSampling::PerBit || pMax >= 1.0) {
         // Reference sampler (also the degenerate everything-fails
         // case): one uniform draw per cell, faulty iff u < pMax with
@@ -161,34 +162,44 @@ FaultMap::FaultMap(std::size_t num_lines, std::size_t line_bits,
             line.assign(scratch.begin(), scratch.end());
         }
     }
+    ownPop = std::make_shared<FaultPopulation>(std::move(lines));
+    pop = ownPop;
     active.resize(num_lines);
     transientFlips.resize(num_lines);
     setVoltage(1.0);
 }
 
-FaultMap::FaultMap(std::vector<std::vector<FaultCell>> population,
-                   std::size_t line_bits, const VoltageModel &model,
-                   double freq_ghz)
+FaultMap::FaultMap(FaultPopulation population, std::size_t line_bits,
+                   const VoltageModel &model, double freq_ghz)
     : bitsPerLine(line_bits), freqGHz(freq_ghz), vModel(&model),
-      lines(std::move(population))
+      ownPop(std::make_shared<FaultPopulation>(std::move(population)))
 {
-    if (line_bits > 0xFFFF)
+    pop = ownPop;
+    adopt(1.0);
+}
+
+FaultMap::FaultMap(std::shared_ptr<const FaultPopulation> population,
+                   std::size_t line_bits, const VoltageModel &model,
+                   double freq_ghz, double vNorm)
+    : bitsPerLine(line_bits), freqGHz(freq_ghz), vModel(&model),
+      pop(std::move(population))
+{
+    adopt(vNorm);
+}
+
+void
+FaultMap::adopt(double vNorm)
+{
+    if (bitsPerLine > 0xFFFF)
         fatal("FaultMap: line width %zu exceeds 16-bit positions",
-              line_bits);
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        const std::vector<FaultCell> &cells = lines[i];
-        for (std::size_t j = 0; j < cells.size(); ++j) {
-            if (cells[j].bit >= line_bits)
-                fatal("FaultMap: population line %zu cell %u outside "
-                      "%zu-bit line", i, cells[j].bit, line_bits);
-            if (j > 0 && cells[j].bit <= cells[j - 1].bit)
-                fatal("FaultMap: population line %zu not sorted "
-                      "strictly by bit at position %zu", i, j);
-        }
-    }
-    active.resize(lines.size());
-    transientFlips.resize(lines.size());
-    setVoltage(1.0);
+              bitsPerLine);
+    if (!pop)
+        fatal("FaultMap: null fault population");
+    active.resize(pop->size());
+    transientFlips.resize(pop->size());
+    coldActivate(vModel->pCell(vNorm, freqGHz), /*validate=*/true);
+    currentV = vNorm;
+    voltageApplied = true;
 }
 
 void
@@ -230,17 +241,29 @@ FaultMap::setVoltage(double vNorm)
 }
 
 void
-FaultMap::coldActivate(double p)
+FaultMap::coldActivate(double p, bool validate)
 {
+    const FaultPopulation &lines = *pop;
     for (std::size_t i = 0; i < lines.size(); ++i) {
         const std::vector<FaultCell> &src = lines[i];
         std::vector<FaultCell> &dst = active[i];
         dst.clear();
         // Count first so the copy lands in one exact-sized
         // allocation (a no-op once capacity has been established).
+        // Validation rides on the count: it reads every cell anyway.
         std::size_t n = 0;
-        for (const FaultCell &cell : src)
-            n += cell.threshold < p;
+        for (std::size_t j = 0; j < src.size(); ++j) {
+            if (validate) {
+                if (src[j].bit >= bitsPerLine)
+                    fatal("FaultMap: population line %zu cell %u "
+                          "outside %zu-bit line",
+                          i, src[j].bit, bitsPerLine);
+                if (j > 0 && src[j].bit <= src[j - 1].bit)
+                    fatal("FaultMap: population line %zu not sorted "
+                          "strictly by bit at position %zu", i, j);
+            }
+            n += src[j].threshold < p;
+        }
         if (n == 0)
             continue;
         dst.reserve(n);
@@ -267,6 +290,7 @@ FaultMap::enableIncrementalVoltage()
 void
 FaultMap::rebuildIndex()
 {
+    const FaultPopulation &lines = *pop;
     thresholdIndex.clear();
     std::size_t total = 0;
     for (const std::vector<FaultCell> &line : lines)
@@ -354,6 +378,7 @@ FaultMap::activateDelta(double p)
     // appear on both sides (each population cell activates once).
     // Stable counting-bucket by line — no comparisons, two linear
     // passes over the slice.
+    const FaultPopulation &lines = *pop;
     deltaScratch.resize(end - cursor);
     deltaOffsets.assign(lines.size(), 0);
     for (std::size_t i = cursor; i < end; ++i)
@@ -414,9 +439,9 @@ FaultMap::activateDelta(double p)
 void
 FaultMap::checkDeltaMatchesCold(double p) const
 {
-    for (std::size_t i = 0; i < lines.size(); ++i) {
+    for (std::size_t i = 0; i < pop->size(); ++i) {
         std::vector<FaultCell> cold;
-        for (const FaultCell &cell : lines[i])
+        for (const FaultCell &cell : (*pop)[i])
             if (cell.threshold < p)
                 cold.push_back(cell);
         const std::vector<FaultCell> &got = active[i];
@@ -561,9 +586,22 @@ void
 FaultMap::plantFault(std::size_t line, std::uint16_t bit,
                      bool stuck_value, FaultKind kind)
 {
-    if (line >= lines.size() || bit >= bitsPerLine)
+    if (line >= pop->size() || bit >= bitsPerLine)
         fatal("FaultMap::plantFault: out of range (%zu, %u)", line,
               bit);
+    // Copy-on-write: other maps (and warm stores) may share the
+    // population and must never see the plant. Edit in place while
+    // this map made the population and its own two handles are the
+    // only ones; otherwise clone it once, after which the clone is
+    // this map's to edit. The acquire fence pairs with the release
+    // in a former holder's handle drop, so its last reads happen
+    // before these writes.
+    if (!ownPop || ownPop.use_count() != 2) {
+        ownPop = std::make_shared<FaultPopulation>(*pop);
+        pop = ownPop;
+    }
+    std::atomic_thread_fence(std::memory_order_acquire);
+    FaultPopulation &lines = *ownPop;
     // Replace any sampled potential fault at this position so the
     // planted cell fully defines the bit's behaviour.
     const auto drop = [bit](std::vector<FaultCell> &cells) {
@@ -599,7 +637,7 @@ FaultMap::LineHistogram
 FaultMap::histogram(std::size_t prefix_bits) const
 {
     LineHistogram hist;
-    for (std::size_t i = 0; i < lines.size(); ++i) {
+    for (std::size_t i = 0; i < active.size(); ++i) {
         const unsigned n = countFaults(i, prefix_bits);
         if (n == 0)
             ++hist.zero;

@@ -23,6 +23,7 @@
 #define KILLI_FAULT_FAULT_MAP_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/bitvec.hh"
@@ -41,6 +42,10 @@ struct FaultCell
     FaultKind kind;       //!< failing mechanism (for statistics)
 };
 
+/** A sampled die: the potential-fault cells of every line, each line
+ *  sorted strictly ascending by bit. */
+using FaultPopulation = std::vector<std::vector<FaultCell>>;
+
 /** How the constructor samples the potential-fault population. */
 enum class FaultSampling
 {
@@ -57,6 +62,12 @@ enum class FaultSampling
  * the 2MB L2). Construction samples the potential-fault population
  * once, at the lowest supported voltage; setVoltage() then activates
  * the subset for the current operating point.
+ *
+ * The population is immutable and shared: maps adopted from one
+ * sampled die (the sweep points of a campaign, the jobs of a kserved
+ * warm store) all hold the same FaultPopulation and own only their
+ * active sets. plantFault() clones the population before changing
+ * it (copy-on-write), so a plant never reaches a sibling map.
  */
 class FaultMap
 {
@@ -96,11 +107,20 @@ class FaultMap
      * [0, line_bits); violations are fatal(). The map starts at
      * 1.0 x VDD like the sampling constructors.
      */
-    FaultMap(std::vector<std::vector<FaultCell>> population,
-             std::size_t line_bits, const VoltageModel &model,
-             double freq_ghz = 1.0);
+    FaultMap(FaultPopulation population, std::size_t line_bits,
+             const VoltageModel &model, double freq_ghz = 1.0);
 
-    std::size_t numLines() const { return lines.size(); }
+    /**
+     * Share @p population without copying it and activate it
+     * directly at @p vNorm. The sorted/in-range check above runs in
+     * the same pass over the cells as the activation; violations
+     * (and a null population) are fatal().
+     */
+    FaultMap(std::shared_ptr<const FaultPopulation> population,
+             std::size_t line_bits, const VoltageModel &model,
+             double freq_ghz, double vNorm);
+
+    std::size_t numLines() const { return active.size(); }
     std::size_t lineBits() const { return bitsPerLine; }
     double voltage() const { return currentV; }
     double frequency() const { return freqGHz; }
@@ -147,12 +167,15 @@ class FaultMap
     /** Is incremental voltage stepping enabled? */
     bool incrementalVoltage() const { return incremental; }
 
-    /** The potential-fault population (per line, sorted by bit).
-     *  Exposed so embedders can clone a map without resampling —
-     *  see FaultModel::buildMapFrom() and the kserved warm store. */
-    const std::vector<std::vector<FaultCell>> &population() const
+    /** The potential-fault population (per line, sorted by bit). */
+    const FaultPopulation &population() const { return *pop; }
+
+    /** The population as a shared handle, so embedders can build
+     *  more maps of this die without resampling or copying — see
+     *  FaultModel::buildMapFrom() and the kserved warm store. */
+    std::shared_ptr<const FaultPopulation> sharedPopulation() const
     {
-        return lines;
+        return pop;
     }
 
     /** Active faulty cells of @p line at the current voltage. */
@@ -203,7 +226,10 @@ class FaultMap
     /**
      * Plant a persistent fault active at every voltage (tests and
      * demos that need a deterministic fault layout). Duplicate
-     * positions are rejected.
+     * positions are rejected. The plant goes into this map's own
+     * copy of the population (copy-on-write, cloned at most once
+     * per map and not at all while nothing else holds it): maps
+     * sharing the old one never see it.
      */
     void plantFault(std::size_t line, std::uint16_t bit,
                     bool stuck_value,
@@ -243,7 +269,7 @@ class FaultMap
     bool isStuck(std::size_t line, std::uint16_t bit) const;
 
     /** One potential-fault cell in threshold order — the incremental
-     *  stepping index. `cell` indexes into lines[line], which is
+     *  stepping index. `cell` indexes into (*pop)[line], which is
      *  stable except across plantFault() (which invalidates the
      *  index for a lazy rebuild). */
     struct ThresholdRef
@@ -253,10 +279,15 @@ class FaultMap
         std::uint32_t cell;
     };
 
+    /** Validate and activate a just-set pop at @p vNorm in one
+     *  pass (the population constructors' shared tail). */
+    void adopt(double vNorm);
     /** Re-filter every line's active set against @p p (the
-     *  original, always-correct activation path). */
-    void coldActivate(double p);
-    /** Rebuild thresholdIndex from lines (sorted by threshold with a
+     *  original, always-correct activation path). With @p validate,
+     *  fatal() on a cell breaking the population's sort/range
+     *  invariant (adoption checks it in this same pass). */
+    void coldActivate(double p, bool validate = false);
+    /** Rebuild thresholdIndex from pop (sorted by threshold with a
      *  deterministic (line, cell) tie-break; counting sort on the
      *  float bit pattern, near-linear in population size). */
     void rebuildIndex();
@@ -282,7 +313,7 @@ class FaultMap
      *  against currentV alone cannot detect the first activation). */
     bool voltageApplied = false;
     bool incremental = false;
-    /** thresholdIndex/cursor agree with lines (plantFault clears). */
+    /** thresholdIndex/cursor agree with pop (plantFault clears). */
     bool indexValid = false;
     std::size_t cursor = 0;
     std::vector<ThresholdRef> thresholdIndex;
@@ -294,8 +325,14 @@ class FaultMap
 
     /** Potential faults per line, sorted ascending by bit (the
      *  constructor emits them in order, plantFault inserts in
-     *  order, and setVoltage's filter preserves order). */
-    std::vector<std::vector<FaultCell>> lines;
+     *  order, and setVoltage's filter preserves order). Other maps
+     *  may share it. */
+    std::shared_ptr<const FaultPopulation> pop;
+    /** The same population, writable, when this map made it (the
+     *  sampling and by-value constructors, or a plantFault clone);
+     *  null for an adopted one. plantFault writes through it only
+     *  while this map holds the sole handles. */
+    std::shared_ptr<FaultPopulation> ownPop;
     /** Active subset per line at currentV (same sort invariant). */
     std::vector<std::vector<FaultCell>> active;
     /** Live soft-error flips per line (cleared on rewrite). */

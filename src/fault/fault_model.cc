@@ -36,6 +36,10 @@ sortAndDedupe(std::vector<FaultCell> &cells)
                                 return a.bit == b.bit;
                             }),
                 cells.end());
+    // The samplers grow lines with push_back; trim the slack so a
+    // shared die's footprint (and the warm store's byte count) is
+    // its cells.
+    cells.shrink_to_fit();
 }
 
 } // namespace
@@ -60,14 +64,23 @@ FaultModel::buildMapAt(std::size_t num_lines, std::size_t line_bits,
 
 std::unique_ptr<FaultMap>
 FaultModel::buildMapFrom(
-    std::vector<std::vector<FaultCell>> population,
+    std::shared_ptr<const FaultPopulation> population,
     std::size_t line_bits) const
 {
     auto map = std::make_unique<FaultMap>(std::move(population),
-                                          line_bits, vm, sp.freqGHz);
+                                          line_bits, vm, sp.freqGHz,
+                                          voltageSchedule().front());
     map->declareMonotoneVoltage(monotoneVoltage());
-    map->setVoltage(voltageSchedule().front());
     return map;
+}
+
+std::unique_ptr<FaultMap>
+FaultModel::buildMapFrom(FaultPopulation population,
+                         std::size_t line_bits) const
+{
+    return buildMapFrom(
+        std::make_shared<const FaultPopulation>(std::move(population)),
+        line_bits);
 }
 
 std::unique_ptr<FaultModel>

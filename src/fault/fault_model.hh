@@ -70,14 +70,21 @@ class FaultModel
 
     /**
      * Build a map from an already-sampled potential-fault
-     * population (FaultMap::population() of a map this same model
-     * built) instead of resampling — the kserved warm store shares
-     * one sampled population across jobs keyed by (scenario,
-     * geometry, seed, build). Voltage handling matches buildMap();
-     * the resulting map is bit-identical to a cold buildMap().
+     * population (FaultMap::sharedPopulation() of a map this same
+     * model built) instead of resampling — sweep points and the
+     * kserved warm store share one sampled die keyed by (scenario,
+     * geometry, seed, build). The map adopts @p population without
+     * copying it and activates the schedule's first operating point
+     * in one pass; it is bit-identical to a cold buildMap().
      */
     std::unique_ptr<FaultMap>
-    buildMapFrom(std::vector<std::vector<FaultCell>> population,
+    buildMapFrom(std::shared_ptr<const FaultPopulation> population,
+                 std::size_t line_bits) const;
+
+    /** buildMapFrom() of a population passed by value (moved into a
+     *  shared one). */
+    std::unique_ptr<FaultMap>
+    buildMapFrom(FaultPopulation population,
                  std::size_t line_bits) const;
 
     /**

@@ -52,6 +52,8 @@ class EccCache
      *        line id for indexing)
      */
     EccCache(std::size_t entries, unsigned assoc, unsigned l2_assoc);
+    EccCache(const EccCache &) = delete;
+    EccCache &operator=(const EccCache &) = delete;
 
     std::size_t numEntries() const { return table.size(); }
     std::size_t numSets() const { return sets; }
@@ -112,6 +114,11 @@ class EccCache
     std::vector<EccEntry> table;
     std::uint64_t useCounter = 0;
     StatGroup statGroup;
+    /** Interned stat handles (see L2Cache). */
+    Counter *cAccesses = nullptr;
+    Counter *cAllocs = nullptr;
+    Counter *cEvictions = nullptr;
+    Counter *cFrees = nullptr;
     TraceSink *trace = nullptr;
     std::function<Tick()> clock;
 };

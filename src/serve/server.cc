@@ -1160,7 +1160,7 @@ Server::handleSubmit(const std::shared_ptr<Connection> &conn,
                             [&model, numLines, lineBits] {
                                 return model
                                     .buildMap(numLines, lineBits)
-                                    ->population();
+                                    ->sharedPopulation();
                             });
                     };
             }

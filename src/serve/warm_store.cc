@@ -118,12 +118,12 @@ WarmStore::getOrSynthesize(const std::string &canonicalKey,
 std::shared_ptr<const FaultPopulation>
 WarmStore::faultPopulation(
     const std::string &canonicalKey,
-    const std::function<FaultPopulation()> &synthesize)
+    const std::function<std::shared_ptr<const FaultPopulation>()>
+        &synthesize)
 {
     const Payload payload =
         getOrSynthesize(canonicalKey, [&synthesize] {
-            auto pop = std::make_shared<const FaultPopulation>(
-                synthesize());
+            std::shared_ptr<const FaultPopulation> pop = synthesize();
             std::size_t bytes = sizeof(FaultPopulation);
             for (const auto &line : *pop) {
                 bytes += sizeof(line) +

@@ -9,7 +9,7 @@
  * array geometry, and the build id. Two concurrent jobs that differ
  * only in workload/scheme subsets miss the result cache but share a
  * die, so the daemon synthesizes the population once and every other
- * sweep point (of either job) adopts it through
+ * sweep point (of either job) shares it, uncopied, through
  * FaultModel::buildMapFrom(), which is bit-identical to cold
  * sampling by construction (pinned in tests/fault_test.cc).
  *
@@ -49,11 +49,6 @@
 
 namespace killi::serve
 {
-
-/** A sampled die: one vector of fault cells per line (the exact
- *  shape FaultMap::population() exposes and
- *  FaultModel::buildMapFrom() adopts). */
-using FaultPopulation = std::vector<std::vector<FaultCell>>;
 
 class WarmStore
 {
@@ -101,10 +96,12 @@ class WarmStore
 
     /** getOrSynthesize() for a fault population, with the byte
      *  accounting done here: @p synthesize returns the sampled
-     *  population by value and the store shares it out. */
-    std::shared_ptr<const FaultPopulation>
-    faultPopulation(const std::string &canonicalKey,
-                    const std::function<FaultPopulation()> &synthesize);
+     *  population (FaultMap::sharedPopulation() of the map that
+     *  sampled it) and the store shares it out. */
+    std::shared_ptr<const FaultPopulation> faultPopulation(
+        const std::string &canonicalKey,
+        const std::function<std::shared_ptr<const FaultPopulation>()>
+            &synthesize);
 
     /** Drop every entry, counting them as evictions (the daemon
      *  clears warm state when its drain completes — the gauges must

@@ -6,8 +6,8 @@ namespace killi
 DramModel::DramModel(const DramParams &params)
     : p(params), channelFree(params.channels, 0)
 {
-    statGroup.counter("reads", "DRAM read accesses");
-    statGroup.counter("writes", "DRAM write accesses");
+    cReads = &statGroup.counter("reads", "DRAM read accesses");
+    cWrites = &statGroup.counter("writes", "DRAM write accesses");
 }
 
 Tick
@@ -18,7 +18,7 @@ DramModel::access(Addr lineAddr, bool isWrite, Tick now)
     Tick &free = channelFree[channel];
     const Tick start = std::max(now, free);
     free = start + p.occupancyPerAccess;
-    ++statGroup.counter(isWrite ? "writes" : "reads");
+    ++*(isWrite ? cWrites : cReads);
     return start + p.latency;
 }
 

@@ -30,6 +30,8 @@ class DramModel
 {
   public:
     explicit DramModel(const DramParams &params);
+    DramModel(const DramModel &) = delete;
+    DramModel &operator=(const DramModel &) = delete;
 
     /**
      * Issue an access at time @p now; returns the completion time.
@@ -41,19 +43,16 @@ class DramModel
     StatGroup &stats() { return statGroup; }
     const StatGroup &stats() const { return statGroup; }
 
-    std::uint64_t reads() const
-    {
-        return statGroup.counterValue("reads");
-    }
-    std::uint64_t writes() const
-    {
-        return statGroup.counterValue("writes");
-    }
+    std::uint64_t reads() const { return cReads->value(); }
+    std::uint64_t writes() const { return cWrites->value(); }
 
   private:
     DramParams p;
     std::vector<Tick> channelFree;
     StatGroup statGroup;
+    /** Interned stat handles (see L2Cache). */
+    Counter *cReads = nullptr;
+    Counter *cWrites = nullptr;
 };
 
 } // namespace killi

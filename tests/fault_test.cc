@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
 
 #include "common/bitvec.hh"
 #include "common/rng.hh"
@@ -359,6 +361,16 @@ TEST(FaultMapTest, PlantFaultKeepsSortInvariant)
 namespace
 {
 
+/** Does @p cells hold a planted (always-active) cell at @p bit? */
+bool
+hasPlanted(const std::vector<FaultCell> &cells, std::uint16_t bit)
+{
+    return std::any_of(cells.begin(), cells.end(),
+                       [bit](const FaultCell &c) {
+                           return c.bit == bit && c.threshold < 0;
+                       });
+}
+
 /** Bit-identity between two maps' active sets: same cells, same
  *  order, same payloads, at every line. */
 void
@@ -634,17 +646,175 @@ TEST(SweepEngineTest, DroopScheduleRefusesIncrementalPath)
 
 TEST(SweepEngineTest, BuildMapFromPopulationIsBitIdentical)
 {
-    // The kserved warm store rebuilds maps from a shared sampled
-    // population; the result must match a cold buildMap() exactly.
+    // Sweep points and the kserved warm store build maps from one
+    // shared sampled population; through either overload the result
+    // must match a cold buildMap() exactly.
     for (const char *name : {"iid", "clustered", "burst", "droop"}) {
         ScenarioSpec spec;
         spec.model = name;
         spec.seed = 29;
         const auto model = FaultModel::fromScenario(spec);
         const auto cold = model->buildMap(256, 720);
-        const auto warm =
+        const auto shared =
+            model->buildMapFrom(cold->sharedPopulation(), 720);
+        EXPECT_EQ(shared->voltage(), cold->voltage()) << name;
+        expectActiveIdentical(*shared, *cold, name);
+        const auto byValue =
             model->buildMapFrom(cold->population(), 720);
-        EXPECT_EQ(warm->voltage(), cold->voltage()) << name;
-        expectActiveIdentical(*warm, *cold, name);
+        EXPECT_EQ(byValue->voltage(), cold->voltage()) << name;
+        expectActiveIdentical(*byValue, *cold, name);
     }
+}
+
+TEST(SweepEngineTest, AdoptedMapSharesThePopulationUncopied)
+{
+    ScenarioSpec spec;
+    spec.seed = 31;
+    const auto model = FaultModel::fromScenario(spec);
+    const std::shared_ptr<const FaultPopulation> pop =
+        model->buildMap(256, 720)->sharedPopulation();
+    const auto a = model->buildMapFrom(pop, 720);
+    const auto b = model->buildMapFrom(pop, 720);
+    EXPECT_EQ(&a->population(), pop.get());
+    EXPECT_EQ(&b->population(), pop.get());
+    EXPECT_EQ(a->sharedPopulation(), pop);
+    EXPECT_EQ(pop.use_count(), 3); // pop, a and b
+}
+
+TEST(SweepEngineTest, PlantFaultOnAdoptedMapCopiesOnWrite)
+{
+    ScenarioSpec spec;
+    spec.seed = 37;
+    const auto model = FaultModel::fromScenario(spec);
+    const auto cold = model->buildMap(256, 720);
+    const std::shared_ptr<const FaultPopulation> pop =
+        cold->sharedPopulation();
+    const FaultPopulation before = *pop;
+    const auto planted = model->buildMapFrom(pop, 720);
+    const auto sibling = model->buildMapFrom(pop, 720);
+
+    planted->plantFault(5, 123, true);
+    EXPECT_NE(&planted->population(), pop.get());
+    EXPECT_TRUE(hasPlanted(planted->population()[5], 123));
+    EXPECT_TRUE(hasPlanted(planted->lineFaults(5), 123));
+    // Neither the shared population nor a sibling sees the plant.
+    ASSERT_EQ(pop->size(), before.size());
+    for (std::size_t l = 0; l < before.size(); ++l) {
+        ASSERT_EQ((*pop)[l].size(), before[l].size()) << "line " << l;
+        for (std::size_t i = 0; i < before[l].size(); ++i) {
+            EXPECT_EQ((*pop)[l][i].bit, before[l][i].bit);
+            EXPECT_EQ((*pop)[l][i].threshold, before[l][i].threshold);
+        }
+    }
+    EXPECT_EQ(&sibling->population(), pop.get());
+    expectActiveIdentical(*sibling, *cold, "sibling");
+
+    // A later plant does not reach a population handed out since.
+    const std::shared_ptr<const FaultPopulation> handedOut =
+        planted->sharedPopulation();
+    planted->plantFault(7, 9, false);
+    EXPECT_NE(&planted->population(), handedOut.get());
+    EXPECT_TRUE(hasPlanted(planted->population()[7], 9));
+    EXPECT_FALSE(hasPlanted((*handedOut)[7], 9));
+    EXPECT_TRUE(hasPlanted((*handedOut)[5], 123));
+}
+
+TEST(SweepEngineTest, PlantFaultClonesAtMostOncePerMap)
+{
+    // kcheck plants many cells per map: a map that made its own
+    // population plants in place until a handle to it is out; an
+    // adopted map clones on its first plant only.
+    for (const char *name : {"iid", "clustered", "adopted"}) {
+        ScenarioSpec spec;
+        spec.model = std::string(name) == "clustered" ? "clustered"
+                                                      : "iid";
+        spec.seed = 43;
+        const auto model = FaultModel::fromScenario(spec);
+        const auto cold = model->buildMap(256, 720);
+        const bool adopted = std::string(name) == "adopted";
+        const auto map = adopted
+            ? model->buildMapFrom(cold->sharedPopulation(), 720)
+            : model->buildMap(256, 720);
+        const FaultPopulation *made = &map->population();
+        map->plantFault(3, 100, true);
+        const FaultPopulation *own = &map->population();
+        EXPECT_EQ(own == made, !adopted) << name;
+        map->plantFault(4, 200, false);
+        EXPECT_EQ(&map->population(), own) << name;
+
+        const std::shared_ptr<const FaultPopulation> handedOut =
+            map->sharedPopulation();
+        map->plantFault(5, 300, true);
+        const FaultPopulation *clone = &map->population();
+        EXPECT_NE(clone, own) << name;
+        map->plantFault(6, 400, true);
+        EXPECT_EQ(&map->population(), clone) << name;
+        EXPECT_EQ(handedOut.get(), own) << name;
+        EXPECT_TRUE(hasPlanted((*handedOut)[4], 200)) << name;
+        EXPECT_FALSE(hasPlanted((*handedOut)[5], 300)) << name;
+        for (const auto &[line, bit] :
+             {std::pair{3, 100}, {4, 200}, {5, 300}, {6, 400}})
+            EXPECT_TRUE(hasPlanted(map->lineFaults(line), bit))
+                << name << " line " << line;
+        if (adopted) {
+            EXPECT_FALSE(hasPlanted(cold->population()[3], 100));
+        }
+    }
+}
+
+TEST(SweepEngineTest, AdoptedMapStepsIncrementallyLikeCold)
+{
+    // An adopted map starts at the schedule's first point; stepping
+    // it down incrementally must match a cold build at every point.
+    const std::vector<double> points = {0.675, 0.65, 0.625, 0.60,
+                                        0.575, 0.55};
+    for (const char *name : {"iid", "clustered", "burst"}) {
+        ScenarioSpec spec;
+        spec.model = name;
+        spec.seed = 41;
+        spec.voltage = 0.70;
+        const auto model = FaultModel::fromScenario(spec);
+        const auto adopted = model->buildMapFrom(
+            model->buildMap(256, 720)->sharedPopulation(), 720);
+        ASSERT_TRUE(adopted->enableIncrementalVoltage()) << name;
+        for (const double v : points) {
+            adopted->setVoltage(v);
+            const auto cold = model->buildMapAt(256, 720, v);
+            expectActiveIdentical(*adopted, *cold,
+                                  std::string(name) + " v=" +
+                                      std::to_string(v));
+        }
+    }
+}
+
+TEST(FaultMapDeathTest, AdoptionRejectsInvalidPopulation)
+{
+    // The sort/range check is fused into adoption's activation pass;
+    // it must fire through every entry point even when no cell is
+    // active at the map's voltage (threshold 0.9 is above every
+    // pCell in the model's range).
+    const auto cell = [](std::uint16_t bit) {
+        return FaultCell{bit, 0.9f, true, FaultKind::Writeability};
+    };
+    FaultPopulation unsorted(3), duplicate(3), outside(3);
+    unsorted[2] = {cell(40), cell(30)};
+    duplicate[1] = {cell(10), cell(10)};
+    outside[0] = {cell(5), cell(720)};
+    const std::vector<std::pair<const FaultPopulation *, const char *>>
+        cases = {{&unsorted, "line 2 not sorted strictly by bit"},
+                 {&duplicate, "line 1 not sorted strictly by bit"},
+                 {&outside, "line 0 cell 720 outside 720-bit line"}};
+    const VoltageModel vm;
+    const auto model = FaultModel::fromScenario(ScenarioSpec{});
+    for (const auto &[bad, msg] : cases) {
+        EXPECT_DEATH(FaultMap(*bad, 720, vm), msg);
+        EXPECT_DEATH(model->buildMapFrom(*bad, 720), msg);
+        EXPECT_DEATH(
+            model->buildMapFrom(
+                std::make_shared<const FaultPopulation>(*bad), 720),
+            msg);
+    }
+    EXPECT_DEATH(model->buildMapFrom(
+                     std::shared_ptr<const FaultPopulation>(), 720),
+                 "null fault population");
 }

@@ -542,6 +542,19 @@ TEST(EvaluationSweep, ParallelRunIsBitIdenticalToSerial)
     EXPECT_EQ(sweepData(serial), sweepData(parallel));
 }
 
+TEST(EvaluationSweep, SharedDieOnWorkersIsBitIdenticalToCold)
+{
+    // share-die: every point adopts one immutable population, which
+    // four workers read concurrently (CI's ThreadSanitizer job runs
+    // this binary).
+    SweepOptions shared = tinySweep(4);
+    shared.shareDie = true;
+    const SweepResult cold = runEvaluationSweep(tinySweep(1));
+    const SweepResult warm = runEvaluationSweep(shared);
+    EXPECT_TRUE(warm.campaign.allOk());
+    EXPECT_EQ(sweepData(cold), sweepData(warm));
+}
+
 TEST(EvaluationSweep, ResultsFileIsWellFormedAndConsumable)
 {
     SweepOptions opt = tinySweep(2);

@@ -1146,8 +1146,8 @@ TEST(WarmStore, SingleFlightSynthesizesOnceAcrossConcurrentCallers)
     const auto synth = [&] {
         ++syntheses;
         gate.future.wait();
-        return FaultPopulation{{FaultCell{7, 0.5f, true,
-                                          FaultKind::Writeability}}};
+        return std::make_shared<const FaultPopulation>(FaultPopulation{
+            {FaultCell{7, 0.5f, true, FaultKind::Writeability}}});
     };
     const std::string key = "warm-test-key";
     std::shared_ptr<const FaultPopulation> a, b;
@@ -1182,7 +1182,7 @@ TEST(WarmStore, ByteBoundEvictsLruAndClearZeroesTheGauges)
         for (std::uint16_t bit = 0; bit < 100; ++bit)
             pop[0].push_back(
                 FaultCell{bit, 0.5f, false, FaultKind::Writeability});
-        return pop;
+        return std::make_shared<const FaultPopulation>(std::move(pop));
     };
     const std::size_t payloadBytes = sizeof(FaultPopulation) +
                                      sizeof(std::vector<FaultCell>) +
@@ -1295,7 +1295,7 @@ TEST(ServeIntegration, WarmBackedSweepMatchesColdRecordingAndReplays)
                                    lineBits),
             [&model, numLines, lineBits] {
                 return model.buildMap(numLines, lineBits)
-                    ->population();
+                    ->sharedPopulation();
             });
     };
     const SweepResult warmRes = runEvaluationSweep(wopt);

@@ -123,7 +123,7 @@ tryParseAs(const std::string &text, T &out)
     }
 }
 
-/** "l2.size" -> "KILLI_L2_SIZE" (Config's mapping, kept identical). */
+/** "l2.size" -> "KILLI_L2_SIZE". */
 std::string
 envNameOf(const std::string &key)
 {

@@ -1,7 +1,7 @@
 /**
  * @file
  * Declared, typed command-line options for the bench and example
- * binaries, replacing ad-hoc Config::getX(key, default) call sites.
+ * binaries.
  *
  * Each binary declares its knobs once, with a type, a default, and a
  * help string (plus optional range/choice constraints):
@@ -15,13 +15,11 @@
  *
  * parse() accepts "key=value" tokens, the GNU-style "--key=value" /
  * "--key value" spellings (a bare "--flag" sets a bool option), and
- * --help/-h/help. Unlike the
- * legacy Config store, unknown keys, malformed numbers, and
- * out-of-range values are all fatal() — a typo'd knob can no longer
- * silently run the experiment with defaults. Values fall back to
- * KILLI_-prefixed environment variables ("l2.size" -> KILLI_L2_SIZE)
- * exactly like Config, and --help output is generated from the
- * declarations.
+ * --help/-h/help. Unknown keys, malformed numbers, and out-of-range
+ * values are all fatal() — a typo'd knob can never silently run the
+ * experiment with defaults. Values fall back to KILLI_-prefixed
+ * environment variables ("l2.size" -> KILLI_L2_SIZE), and --help
+ * output is generated from the declarations.
  */
 
 #ifndef KILLI_COMMON_OPTIONS_HH
@@ -39,8 +37,8 @@
 namespace killi
 {
 
-/** Strict scalar parsers shared by Options and the legacy Config.
- *  Each returns false unless the *entire* token is a valid value. */
+/** Strict scalar parsers behind Options. Each returns false unless
+ *  the *entire* token is a valid value. */
 bool tryParseInt(const std::string &text, std::int64_t &out);
 bool tryParseUint(const std::string &text, std::uint64_t &out);
 bool tryParseDouble(const std::string &text, double &out);

@@ -13,8 +13,8 @@
 #include <unistd.h>
 
 #include "common/log.hh"
-#include "serve/cache.hh"
 #include "serve/client/client.hh"
+#include "serve/store.hh"
 #include "serve/submit.hh"
 
 namespace killi::fleet
@@ -730,7 +730,7 @@ Coordinator::runCampaign(std::uint64_t jobId,
         shard->sopt = req.sopt;
         shard->sopt.workloads = {shard->workload};
         shard->canonical = serve::canonicalKeyFor(shard->sopt);
-        shard->hash = serve::ResultCache::hashKey(shard->canonical);
+        shard->hash = serve::ResultStore::hashKey(shard->canonical);
         // Place on the globally least-busy worker; the rotation
         // offset orders the scan, so an idle fleet degenerates to
         // plain round-robin (which the peer-fetch tests pin).

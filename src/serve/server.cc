@@ -125,11 +125,48 @@ terminalFrame(std::uint64_t id, const std::string &hash,
 
 } // namespace
 
+std::string
+faultMapKey(const ScenarioSpec &scenario, std::size_t numLines,
+            std::size_t lineBits)
+{
+    Json key = Json::object();
+    key.set("kind", Json::string("faultmap"));
+    key.set("scenario", scenario.toJson());
+    key.set("lines", Json::number(std::uint64_t(numLines)));
+    key.set("line_bits", Json::number(std::uint64_t(lineBits)));
+    key.set("build", Json::string(buildId()));
+    return key.toString(0);
+}
+
+decltype(SweepOptions::warmFaultSource)
+warmFaultSource(DieStore &store, const ScenarioSpec &scenario)
+{
+    return [&store, scenario](const FaultModel &model,
+                              std::size_t numLines,
+                              std::size_t lineBits) {
+        return store.getOrSynthesize(
+            faultMapKey(scenario, numLines, lineBits),
+            [&model, numLines, lineBits] {
+                std::shared_ptr<const FaultPopulation> pop =
+                    model.buildMap(numLines, lineBits)
+                        ->sharedPopulation();
+                std::size_t bytes = sizeof(FaultPopulation);
+                for (const auto &line : *pop) {
+                    bytes += sizeof(line) +
+                             line.capacity() * sizeof(FaultCell);
+                }
+                return std::make_pair(std::move(pop), bytes);
+            });
+    };
+}
+
 Server::Server(ServerOptions options)
     : opt(std::move(options)),
       scheduler(opt.threads, opt.maxQueue, &registry),
-      cache(opt.cacheEntries, &registry),
-      warm(opt.warmStoreMb << 20, &registry),
+      cache({.maxEntries = opt.cacheEntries}, &registry,
+            "kserved_cache"),
+      warm({.maxBytes = std::uint64_t(opt.warmStoreMb) << 20},
+           &registry, "kserved_warm_store"),
       bootTime(std::chrono::steady_clock::now())
 {
     registerServerMetrics();
@@ -920,15 +957,14 @@ Server::handleFrame(const std::shared_ptr<Connection> &conn,
             return;
         }
         const std::string &key = req.at("key").asString();
-        std::string text;
-        if (cache.lookupByHash(key, text)) {
+        if (const ResultStore::Value text = cache.lookupByHash(key)) {
             mFetchHits->inc();
             std::string out =
                 "{\"type\":\"fetch_reply\",\"found\":true,"
                 "\"key\":\"";
             out += key;
             out += "\",\"result\":";
-            out += text;
+            out += *text;
             out += "}";
             enqueueFrame(conn, encodeFramePayload(out));
         } else {
@@ -1025,11 +1061,11 @@ Server::handleSubmit(const std::shared_ptr<Connection> &conn,
     // nor, later, insert (finishJob honours JobRecord::noCache).
     const bool bypassCache = sub.record || sub.replayRec != nullptr;
     std::string hash;
-    std::string cachedText;
-    const bool hit =
-        !bypassCache && cache.lookup(canonical, cachedText, &hash);
+    const ResultStore::Value cached =
+        bypassCache ? nullptr : cache.lookup(canonical, &hash);
+    const bool hit = cached != nullptr;
     if (bypassCache)
-        hash = ResultCache::hashKey(canonical);
+        hash = ResultStore::hashKey(canonical);
 
     Json submitted = Json::object();
     submitted.set("type", Json::string("submitted"));
@@ -1051,7 +1087,7 @@ Server::handleSubmit(const std::shared_ptr<Connection> &conn,
             spans->toJson(spans->decode + spans->reply).toString(0);
         enqueueFrame(conn,
                      encodeFramePayload(resultFrameText(
-                         id, true, hash, cachedText, spansText)));
+                         id, true, hash, *cached, spansText)));
         return;
     }
 
@@ -1149,20 +1185,7 @@ Server::handleSubmit(const std::shared_ptr<Connection> &conn,
             if (!sub.record && !sub.replayRec &&
                 opt.warmStoreMb > 0) {
                 ropt.warmFaultSource =
-                    [this, scenario = sopt.scenario](
-                        const FaultModel &model,
-                        std::size_t numLines,
-                        std::size_t lineBits) {
-                        return warm.faultPopulation(
-                            WarmStore::faultMapKey(scenario,
-                                                   numLines,
-                                                   lineBits),
-                            [&model, numLines, lineBits] {
-                                return model
-                                    .buildMap(numLines, lineBits)
-                                    ->sharedPopulation();
-                            });
-                    };
+                    warmFaultSource(warm, sopt.scenario);
             }
             if (sub.replayRec) {
                 // Re-run from the recording and attach the
@@ -1288,7 +1311,9 @@ Server::finishJob(std::uint64_t id, JobState state,
 
     if (state == JobState::Done) {
         if (!rec.noCache)
-            cache.insert(rec.canonicalKey, resultText);
+            cache.insert(rec.canonicalKey,
+                         std::make_shared<const std::string>(resultText),
+                         resultText.size());
         enqueueFrame(rec.conn,
                      encodeFramePayload(resultFrameText(
                          id, false, rec.hash, resultText, spansText,

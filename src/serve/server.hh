@@ -13,7 +13,7 @@
  *
  * Request lifecycle (see SERVING.md for the full protocol grammar):
  * a "submit" frame is validated, canonicalized into a cache key, and
- * answered either straight from the content-addressed ResultCache
+ * answered either straight from the content-addressed result cache
  * (submitted + result{cached:true}, byte-identical to the original
  * reply) or by scheduling a sweep job (submitted, then streamed
  * "progress" frames while it runs, then exactly one terminal
@@ -52,11 +52,10 @@
 
 #include "common/json.hh"
 #include "metrics/metrics.hh"
-#include "serve/cache.hh"
 #include "serve/protocol.hh"
 #include "serve/scheduler.hh"
+#include "serve/store.hh"
 #include "serve/submit.hh"
-#include "serve/warm_store.hh"
 
 namespace killi::serve
 {
@@ -78,6 +77,21 @@ using FleetRunner = std::function<Json(
     std::uint64_t id, const SubmitRequest &req,
     const CancelToken &cancel, const FleetProgressFn &progress,
     Json *attribution)>;
+
+/**
+ * The canonical warm-store key of a die: compact JSON of {kind,
+ * scenario, lines, line_bits, build}. The build id is part of the
+ * key so warm state never survives a rebuild — the same rule as the
+ * result cache.
+ */
+std::string faultMapKey(const ScenarioSpec &scenario,
+                        std::size_t numLines, std::size_t lineBits);
+
+/** A SweepOptions::warmFaultSource that shares @p scenario's dies
+ *  through @p store: the first sweep point of a die samples it
+ *  (single-flight), every other point adopts it uncopied. */
+decltype(SweepOptions::warmFaultSource)
+warmFaultSource(DieStore &store, const ScenarioSpec &scenario);
 
 struct ServerOptions
 {
@@ -356,8 +370,8 @@ class Server
      *  callback instruments into it at construction. */
     metrics::MetricsRegistry registry;
     JobScheduler scheduler;
-    ResultCache cache;
-    WarmStore warm;
+    ResultStore cache;
+    DieStore warm;
 
     std::vector<std::unique_ptr<Reactor>> reactors;
     int listenFd = -1;

@@ -1,9 +1,8 @@
 /**
  * @file
  * Unit tests for the kcommon utility library: BitVec semantics and
- * invariants, RNG determinism and distribution sanity, Config
- * parsing, stats registry behaviour, JSON documents, and table
- * rendering.
+ * invariants, RNG determinism and distribution sanity, stats
+ * registry behaviour, JSON documents, and table rendering.
  */
 
 #include <gtest/gtest.h>
@@ -11,15 +10,18 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <cstdlib>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/bitvec.hh"
-#include "common/config.hh"
 #include "common/hash.hh"
 #include "common/json.hh"
 #include "common/log.hh"
+#include "common/options.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -194,21 +196,6 @@ TEST(RngTest, PoissonMean)
     EXPECT_NEAR(sum / trials, 2.5, 0.1);
 }
 
-TEST(ConfigTest, ParsesKeyValues)
-{
-    Config cfg;
-    const char *argv[] = {"prog", "l2.size=2097152", "ratio=256",
-                          "verbose=true", "scale=0.625"};
-    cfg.parseArgs(5, const_cast<char **>(argv));
-    EXPECT_EQ(cfg.getInt("l2.size", 0), 2097152);
-    EXPECT_EQ(cfg.getInt("ratio", 0), 256);
-    EXPECT_TRUE(cfg.getBool("verbose", false));
-    EXPECT_DOUBLE_EQ(cfg.getDouble("scale", 0.0), 0.625);
-    EXPECT_EQ(cfg.getInt("absent", 17), 17);
-    EXPECT_TRUE(cfg.has("ratio"));
-    EXPECT_FALSE(cfg.has("absent"));
-}
-
 TEST(StatsTest, CountersAccumulate)
 {
     StatGroup stats;
@@ -296,29 +283,6 @@ TEST(TableTest, MismatchedRowWidthIsFatal)
     EXPECT_DEATH(t.row({"only-one"}), "");
 }
 
-TEST(ConfigTest, MalformedArgumentIsFatal)
-{
-    Config cfg;
-    const char *argv[] = {"prog", "no-equals-sign"};
-    EXPECT_DEATH(cfg.parseArgs(2, const_cast<char **>(argv)), "");
-}
-
-TEST(ConfigTest, EnvironmentFallback)
-{
-    setenv("KILLI_TEST_KNOB", "17", 1);
-    Config cfg;
-    EXPECT_EQ(cfg.getInt("test.knob", 0), 17);
-    EXPECT_TRUE(cfg.has("test.knob"));
-    unsetenv("KILLI_TEST_KNOB");
-}
-
-TEST(ConfigTest, ExplicitSetWinsOverDefault)
-{
-    Config cfg;
-    cfg.set("ratio", "64");
-    EXPECT_EQ(cfg.getInt("ratio", 256), 64);
-}
-
 TEST(BitVecTest, FromStringRejectsGarbage)
 {
     EXPECT_DEATH(BitVec::fromString("01x0"), "");
@@ -330,36 +294,6 @@ TEST(RngTest, ForkedStreamsDiverge)
     Rng childA = parent.fork();
     Rng childB = parent.fork();
     EXPECT_NE(childA.next64(), childB.next64());
-}
-
-TEST(ConfigTest, MalformedIntegerIsFatal)
-{
-    Config cfg;
-    cfg.set("ratio", "25six");
-    EXPECT_DEATH(cfg.getInt("ratio", 0), "expects an integer");
-}
-
-TEST(ConfigTest, MalformedDoubleIsFatal)
-{
-    Config cfg;
-    cfg.set("scale", "half");
-    EXPECT_DEATH(cfg.getDouble("scale", 1.0), "expects a number");
-}
-
-TEST(ConfigTest, MalformedBoolIsFatal)
-{
-    Config cfg;
-    cfg.set("verbose", "yep");
-    EXPECT_DEATH(cfg.getBool("verbose", false), "expects a boolean");
-}
-
-TEST(ConfigTest, TrailingGarbageOnNumberIsFatal)
-{
-    // strtol would silently accept "42abc" as 42; the strict parser
-    // must not.
-    Config cfg;
-    cfg.set("seed", "42abc");
-    EXPECT_DEATH(cfg.getInt("seed", 0), "expects an integer");
 }
 
 TEST(StatsTest, EmptyDistributionHasNoExtrema)
@@ -700,6 +634,84 @@ TEST(StatsTest, RefetchWithEmptyDescriptionIsAllowed)
     stats.counter("hits", "cache hits") += 2;
     ++stats.counter("hits"); // plain fetch, no description claim
     EXPECT_EQ(stats.counterValue("hits"), 3u);
+}
+
+// ---- key=value configuration through Options ---------------------
+
+namespace
+{
+
+void
+parseConfigArgs(Options &opts, std::vector<std::string> args)
+{
+    std::vector<char *> argv;
+    static char name[] = "common_test";
+    argv.push_back(name);
+    for (auto &arg : args)
+        argv.push_back(arg.data());
+    opts.parse(static_cast<int>(argv.size()), argv.data());
+}
+
+} // anonymous namespace
+
+TEST(ConfigTest, ParsesKeyValues)
+{
+    Options opts("t", "test");
+    const auto &size = opts.add<std::uint64_t>("l2.size", 0, "s");
+    const auto &ratio = opts.add<std::int64_t>("ratio", 0, "r");
+    const auto &verbose = opts.add<bool>("verbose", false, "v");
+    const auto &scale = opts.add<double>("scale", 0.0, "x");
+    const auto &absent = opts.add<std::int64_t>("absent", 17, "a");
+    parseConfigArgs(opts, {"l2.size=2097152", "ratio=256",
+                           "verbose=true", "scale=0.625"});
+    EXPECT_EQ(size.value(), 2097152u);
+    EXPECT_EQ(ratio.value(), 256);
+    EXPECT_TRUE(verbose.value());
+    EXPECT_DOUBLE_EQ(scale.value(), 0.625);
+    EXPECT_EQ(absent.value(), 17);
+    EXPECT_TRUE(opts.has("ratio"));
+    EXPECT_FALSE(opts.has("absent"));
+}
+
+TEST(ConfigTest, MalformedArgumentIsFatal)
+{
+    EXPECT_DEATH(
+        {
+            Options opts("t", "test");
+            parseConfigArgs(opts, {"no-equals-sign"});
+        },
+        "key=value");
+}
+
+TEST(ConfigTest, EnvironmentFallback)
+{
+    ::setenv("KILLI_TEST_KNOB", "17", 1);
+    Options opts("t", "test");
+    const auto &knob = opts.add<std::int64_t>("test.knob", 0, "k");
+    parseConfigArgs(opts, {});
+    EXPECT_EQ(knob.value(), 17);
+    EXPECT_TRUE(opts.has("test.knob"));
+    ::unsetenv("KILLI_TEST_KNOB");
+}
+
+TEST(ConfigTest, ExplicitSetWinsOverDefault)
+{
+    Options opts("t", "test");
+    const auto &ratio = opts.add<std::int64_t>("ratio", 256, "r");
+    parseConfigArgs(opts, {"ratio=64"});
+    EXPECT_EQ(ratio.value(), 64);
+    EXPECT_EQ(opts.get<std::int64_t>("ratio"), 64);
+}
+
+TEST(ConfigTest, MalformedDoubleIsFatal)
+{
+    EXPECT_DEATH(
+        {
+            Options opts("t", "test");
+            opts.add<double>("scale", 1.0, "x");
+            parseConfigArgs(opts, {"scale=half"});
+        },
+        "scale.*expects a");
 }
 
 // ---- logging: pluggable sink, capture, cycle timestamps ------------

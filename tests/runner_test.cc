@@ -307,6 +307,66 @@ TEST(OptionsDeathTest, MalformedNumberIsFatal)
         "voltage");
 }
 
+TEST(OptionsDeathTest, MalformedIntegerIsFatal)
+{
+    EXPECT_DEATH(
+        {
+            Options opts("t", "test");
+            opts.add<std::int64_t>("ratio", 256, "r");
+            parseArgs(opts, {"ratio=25six"});
+        },
+        "ratio.*expects a");
+}
+
+TEST(OptionsDeathTest, MalformedBoolIsFatal)
+{
+    EXPECT_DEATH(
+        {
+            Options opts("t", "test");
+            opts.add<bool>("verbose", false, "v");
+            parseArgs(opts, {"verbose=yep"});
+        },
+        "verbose.*expects a");
+}
+
+TEST(OptionsDeathTest, TrailingGarbageOnNumberIsFatal)
+{
+    // strtoull would silently accept "42abc" as 42; the strict
+    // parser must not.
+    EXPECT_DEATH(
+        {
+            Options opts("t", "test");
+            opts.add<std::uint64_t>("seed", 42, "s");
+            parseArgs(opts, {"seed=42abc"});
+        },
+        "seed.*expects a");
+}
+
+TEST(Options, StrictParsersAcceptOnlyWholeTokens)
+{
+    std::int64_t i = 0;
+    std::uint64_t u = 0;
+    double d = 0;
+    bool b = false;
+    EXPECT_TRUE(tryParseInt("-42", i));
+    EXPECT_EQ(i, -42);
+    EXPECT_TRUE(tryParseUint("42", u));
+    EXPECT_EQ(u, 42u);
+    EXPECT_TRUE(tryParseDouble("0.625", d));
+    EXPECT_DOUBLE_EQ(d, 0.625);
+    EXPECT_TRUE(tryParseBool("on", b));
+    EXPECT_TRUE(b);
+    for (const char *bad : {"", "42abc", "25six", "4 2"}) {
+        EXPECT_FALSE(tryParseInt(bad, i)) << bad;
+        EXPECT_FALSE(tryParseUint(bad, u)) << bad;
+        EXPECT_FALSE(tryParseDouble(bad, d)) << bad;
+    }
+    EXPECT_FALSE(tryParseUint("-1", u));
+    EXPECT_FALSE(tryParseDouble("half", d));
+    EXPECT_FALSE(tryParseBool("yep", b));
+    EXPECT_FALSE(tryParseBool("", b));
+}
+
 TEST(OptionsDeathTest, OutOfRangeValueIsFatal)
 {
     EXPECT_DEATH(

@@ -54,6 +54,7 @@ REQUIRED_FAMILIES = [
     "kserved_warm_store_evictions_total",
     "kserved_warm_store_entries",
     "kserved_warm_store_bytes",
+    "kserved_warm_store_hit_seconds",
     "kserved_connections_total",
     "kserved_connections_rejected_total",
     "kserved_frames_received_total",

@@ -21,8 +21,6 @@
 #include "bench/sweep.hh"
 #include "common/log.hh"
 #include "common/table.hh"
-#include "replay/recording.hh"
-#include "replay/session.hh"
 #include "serve/client/client.hh"
 
 using namespace killi;
@@ -30,86 +28,17 @@ using namespace killi;
 namespace
 {
 
-std::string
-joinList(const std::vector<std::string> &names)
-{
-    std::string out;
-    for (const std::string &name : names)
-        out += (out.empty() ? "" : ",") + name;
-    return out;
-}
-
 /**
- * The `server=` path: ship the sweep to a kserved daemon instead of
- * running it in-process. The daemon replies with the same result
- * document this binary would have written (repeat runs come back
- * from its content-addressed cache instantly), so the table below
- * and the results file are identical either way.
+ * Print the Fig. 4 table (plus the SDC oracle) from a result
+ * document: sweepToJson() of a local run, or the document a kserved
+ * daemon returns for the same sweep, so both paths print alike.
  */
-int
-runRemote(const SweepOptions &opt, const std::string &socketPath,
-          unsigned port)
+void
+printFig4(const Json &doc)
 {
-    serve::Client client;
-    std::string err;
-    const bool connected =
-        !socketPath.empty()
-            ? client.connectUnix(socketPath, &err)
-            : client.connectTcp(std::uint16_t(port), &err);
-    if (!connected)
-        fatal("fig4_performance: %s", err.c_str());
-
-    Json options = Json::object();
-    options.set("scale", Json::number(opt.scale));
-    options.set("warmup",
-                Json::number(std::uint64_t(opt.warmupPasses)));
-    // The resolved scenario already folds in any voltage=/seed=
-    // overrides, so it is the complete fault configuration.
-    options.set("scenario", opt.scenario.toJson());
-    options.set("stats_interval",
-                Json::number(std::uint64_t(opt.statsInterval)));
-    options.set("workloads", Json::string(joinList(opt.workloads)));
-    if (!opt.schemes.empty())
-        options.set("schemes", Json::string(joinList(opt.schemes)));
-
-    Json req = Json::object();
-    req.set("type", Json::string("submit"));
-    req.set("options", std::move(options));
-    req.set("stream", Json::boolean(true));
-
-    Json terminal;
-    const bool ok = client.submit(
-        req, terminal,
-        [](const Json &frame) {
-            if (frame.at("type").asString() == "progress" &&
-                frame.at("point_done").asBool()) {
-                inform("  %llu/%llu %s",
-                       (unsigned long long)frame.at("done")
-                           .asDouble(),
-                       (unsigned long long)frame.at("total")
-                           .asDouble(),
-                       frame.at("point").asString().c_str());
-            }
-        },
-        &err);
-    if (!ok)
-        fatal("fig4_performance: %s", err.c_str());
-    if (terminal.at("type").asString() == "error") {
-        fatal("fig4_performance: server rejected request: %s",
-              terminal.at("error").asString().c_str());
-    }
-    if (terminal.at("outcome").asString() != "done") {
-        fatal("fig4_performance: remote sweep %s: %s",
-              terminal.at("outcome").asString().c_str(),
-              terminal.contains("error")
-                  ? terminal.at("error").asString().c_str()
-                  : "");
-    }
-
-    const Json &doc = terminal.at("result");
     const Json &sweeps = doc.at("workloads");
     if (sweeps.size() == 0)
-        fatal("fig4_performance: remote sweep returned no workloads");
+        fatal("fig4_performance: the sweep returned no workloads");
 
     TextTable table;
     std::vector<std::string> header{"workload"};
@@ -149,6 +78,77 @@ runRemote(const SweepOptions &opt, const std::string &socketPath,
     table.row(std::move(geo));
     table.print(std::cout);
 
+    std::cout << "\nSDC oracle (must stay ~0; nonzero Killi entries "
+                 "are the documented 5.6.2 window):\n";
+    for (std::size_t w = 0; w < sweeps.size(); ++w) {
+        const Json &wl = sweeps.at(w);
+        const Json &schemes = wl.at("schemes");
+        for (std::size_t i = 0; i < schemes.size(); ++i) {
+            const Json &run = schemes.at(i);
+            if (!run.at("ok").asBool())
+                continue;
+            const double sdc = run.at("result").at("sdc").asDouble();
+            if (sdc != 0) {
+                std::cout << "  " << wl.at("workload").asString()
+                          << " / " << run.at("scheme").asString()
+                          << ": " << std::uint64_t(sdc)
+                          << " corrupted reads\n";
+            }
+        }
+    }
+}
+
+/**
+ * The `server=` path: ship the sweep to a kserved daemon instead of
+ * running it in-process. The daemon replies with the same result
+ * document this binary would have written (repeat runs come back
+ * from its content-addressed cache instantly), so the table and the
+ * results file are identical either way.
+ */
+int
+runRemote(const SweepOptions &opt, const std::string &socketPath,
+          unsigned port)
+{
+    serve::Client client;
+    std::string err;
+    const bool connected =
+        !socketPath.empty()
+            ? client.connectUnix(socketPath, &err)
+            : client.connectTcp(std::uint16_t(port), &err);
+    if (!connected)
+        fatal("fig4_performance: %s", err.c_str());
+
+    Json terminal;
+    const bool ok = client.submit(
+        serve::submitFrame(encodeSweepOptions(opt)), terminal,
+        [](const Json &frame) {
+            if (frame.at("type").asString() == "progress" &&
+                frame.at("point_done").asBool()) {
+                inform("  %llu/%llu %s",
+                       (unsigned long long)frame.at("done")
+                           .asDouble(),
+                       (unsigned long long)frame.at("total")
+                           .asDouble(),
+                       frame.at("point").asString().c_str());
+            }
+        },
+        &err);
+    if (!ok)
+        fatal("fig4_performance: %s", err.c_str());
+    if (terminal.at("type").asString() == "error") {
+        fatal("fig4_performance: server rejected request: %s",
+              terminal.at("error").asString().c_str());
+    }
+    if (terminal.at("outcome").asString() != "done") {
+        fatal("fig4_performance: remote sweep %s: %s",
+              terminal.at("outcome").asString().c_str(),
+              terminal.contains("error")
+                  ? terminal.at("error").asString().c_str()
+                  : "");
+    }
+
+    const Json &doc = terminal.at("result");
+    printFig4(doc);
     if (!opt.jsonPath.empty()) {
         writeJsonFile(opt.jsonPath, doc);
         inform("wrote %s%s", opt.jsonPath.c_str(),
@@ -176,40 +176,11 @@ main(int argc, char **argv)
                            "kserved TCP port on 127.0.0.1 "
                            "(alternative to server=)")
             .range(0u, 65535u);
-    auto &recordPath =
-        opts.add("record", "",
-                 "capture the sweep into a killi-recording-v1 file "
-                 "(forces jobs=1; see TESTING.md)");
-    auto &replayPath =
-        opts.add("replay", "",
-                 "re-run a record= file and verify bit-identity "
-                 "instead of sweeping; exit 1 on divergence");
-    auto &reference = opts.add<bool>(
-        "reference", false,
-        "record mode: run the reference (non-bit-sliced) hot paths");
-    auto &perturb = opts.add<std::uint64_t>(
-        "perturb-decode", std::uint64_t{0},
-        "record mode: flip one syndrome bit on the Nth SECDED "
-        "evaluation (bisector fault injection; 0 disables)");
     opts.parse(argc, argv);
 
-    if (!replayPath.value().empty()) {
-        const replay::Recording rec =
-            replay::Recording::loadFile(replayPath.value());
-        std::cout << rec.summary() << "\n";
-        const replay::SweepSession s = replay::replaySweep(rec);
-        std::cout << s.divergence.describe() << "\n";
-        return s.verified ? 0 : 1;
-    }
-
     const SweepOptions opt = sweepOptions(opts);
-
-    if (!server.value().empty() || serverPort.value() != 0) {
-        if (!recordPath.value().empty())
-            fatal("fig4_performance: record= runs locally; drop "
-                  "server=");
+    if (!server.value().empty() || serverPort.value() != 0)
         return runRemote(opt, server.value(), serverPort);
-    }
 
     std::cout << "=== Figure 4: normalized GPU kernel execution time "
                  "(baseline = fault-free @ 1.0xVDD) ===\n"
@@ -217,70 +188,8 @@ main(int argc, char **argv)
               << opt.scale << ", warmup=" << opt.warmupPasses
               << ", jobs=" << opt.jobs << "\n\n";
 
-    SweepResult res;
-    if (!recordPath.value().empty()) {
-        replay::RunMode mode;
-        mode.reference = reference.value();
-        mode.perturbDecode = perturb.value();
-        replay::SweepSession s = replay::recordSweep(opt, mode);
-        s.recording.writeFile(recordPath.value());
-        inform("wrote recording %s (replay with fig4_performance "
-               "replay=%s)",
-               recordPath.value().c_str(),
-               recordPath.value().c_str());
-        res = std::move(s.result);
-    } else {
-        res = runEvaluationSweep(opt);
-    }
-    const auto &sweeps = res.workloads;
-
-    TextTable table;
-    std::vector<std::string> header{"workload"};
-    for (const SchemeRun &run : sweeps.front().schemes)
-        header.push_back(run.scheme);
-    table.header(header);
-
-    const std::size_t numSchemes = sweeps.front().schemes.size();
-    std::vector<double> logSum(numSchemes, 0.0);
-    std::vector<std::size_t> logCount(numSchemes, 0);
-    for (const auto &sweep : sweeps) {
-        std::vector<std::string> row{sweep.workload};
-        for (std::size_t i = 0; i < sweep.schemes.size(); ++i) {
-            const SchemeRun &run = sweep.schemes[i];
-            if (!run.ok) {
-                row.push_back("n/a");
-                continue;
-            }
-            const double norm = double(run.result.cycles) /
-                double(sweep.baseline.cycles);
-            logSum[i] += std::log(norm);
-            ++logCount[i];
-            row.push_back(TextTable::num(norm, 4));
-        }
-        table.row(std::move(row));
-    }
-    std::vector<std::string> geo{"geomean"};
-    for (std::size_t i = 0; i < numSchemes; ++i) {
-        geo.push_back(logCount[i]
-                          ? TextTable::num(
-                                std::exp(logSum[i] / logCount[i]), 4)
-                          : "n/a");
-    }
-    table.row(std::move(geo));
-    table.print(std::cout);
-
-    std::cout << "\nSDC oracle (must stay ~0; nonzero Killi entries "
-                 "are the documented 5.6.2 window):\n";
-    for (const auto &sweep : sweeps) {
-        for (const auto &run : sweep.schemes) {
-            if (run.ok && run.result.sdc) {
-                std::cout << "  " << sweep.workload << " / "
-                          << run.scheme << ": " << run.result.sdc
-                          << " corrupted reads\n";
-            }
-        }
-    }
-
+    const SweepResult res = runEvaluationSweep(opt);
+    printFig4(sweepToJson(opt, res));
     writeSweepJson(opts, opt, res);
     return 0;
 }

@@ -27,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/sweep.hh"
 #include "common/build_info.hh"
 #include "common/json.hh"
 #include "common/log.hh"
@@ -37,34 +38,6 @@ using namespace killi;
 
 namespace
 {
-
-std::vector<std::string>
-splitList(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= csv.size()) {
-        const std::size_t comma = csv.find(',', start);
-        const std::string item = csv.substr(
-            start, comma == std::string::npos ? std::string::npos
-                                              : comma - start);
-        if (!item.empty())
-            out.push_back(item);
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return out;
-}
-
-Json
-stringArray(const std::vector<std::string> &names)
-{
-    Json arr = Json::array();
-    for (const std::string &name : names)
-        arr.push(Json::string(name));
-    return arr;
-}
 
 struct JobSpec
 {
@@ -167,9 +140,9 @@ main(int argc, char **argv)
     opts.parse(argc, argv);
 
     const std::vector<std::string> workloadList =
-        splitList(workloads.value());
+        splitNameList(workloads.value());
     const std::vector<std::string> schemeList =
-        splitList(schemes.value());
+        splitNameList(schemes.value());
 
     const auto connect = [&](serve::Client &client) {
         serve::ConnectOptions copt;
@@ -185,19 +158,17 @@ main(int argc, char **argv)
             fatal("kload: %s", err.c_str());
     };
 
-    const auto submitFrame = [&](std::uint64_t seed) {
-        Json options = Json::object();
-        options.set("scale", Json::number(scale.value()));
-        options.set("warmup",
-                    Json::number(std::uint64_t(warmup.value())));
-        options.set("seed", Json::number(seed));
-        options.set("workloads", stringArray(workloadList));
-        options.set("schemes", stringArray(schemeList));
-        Json req = Json::object();
-        req.set("type", Json::string("submit"));
-        req.set("options", std::move(options));
-        req.set("stream", Json::boolean(false));
-        return req;
+    // Jobs differ only in the die seed, which rides in the scenario
+    // like any other client's seed= override.
+    SweepOptions sweep;
+    sweep.scale = scale.value();
+    sweep.warmupPasses = warmup.value();
+    sweep.workloads = workloadList;
+    sweep.schemes = schemeList;
+    const auto jobFrame = [&](std::uint64_t seed) {
+        SweepOptions job = sweep;
+        job.scenario.seed = seed;
+        return serve::submitFrame(encodeSweepOptions(job), 0, false);
     };
 
     const auto runJob = [&](serve::Client &client,
@@ -205,7 +176,7 @@ main(int argc, char **argv)
         const auto t0 = std::chrono::steady_clock::now();
         Json terminal;
         std::string err;
-        ok = client.submit(submitFrame(seed), terminal, nullptr,
+        ok = client.submit(jobFrame(seed), terminal, nullptr,
                            &err) &&
              terminal.at("type").asString() == "result" &&
              terminal.at("outcome").asString() == "done";
@@ -309,8 +280,8 @@ main(int argc, char **argv)
     optDoc.set("scale", Json::number(scale.value()));
     optDoc.set("warmup",
                Json::number(std::uint64_t(warmup.value())));
-    optDoc.set("workloads", stringArray(workloadList));
-    optDoc.set("schemes", stringArray(schemeList));
+    optDoc.set("workloads", Json::stringArray(workloadList));
+    optDoc.set("schemes", Json::stringArray(schemeList));
     doc.set("options", std::move(optDoc));
     Json results = Json::object();
     results.set("seconds", Json::number(wall));

@@ -1,7 +1,9 @@
 #include "bench/sweep.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
@@ -72,17 +74,96 @@ schemeSpecs()
     return specs;
 }
 
-std::vector<std::string>
-splitList(const std::string &list)
+/** Extract a numeric member constrained to [lo, hi]. */
+bool
+numberIn(const Json &value, const char *key, double lo, double hi,
+         double &out, std::string &err)
 {
-    std::vector<std::string> out;
-    std::stringstream ss(list);
-    std::string token;
-    while (std::getline(ss, token, ',')) {
-        if (!token.empty())
-            out.push_back(token);
+    if (!value.isNumber()) {
+        err = std::string("\"") + key + "\" must be a number";
+        return false;
     }
-    return out;
+    const double d = value.asDouble();
+    if (!(d >= lo && d <= hi)) {
+        std::ostringstream os;
+        os << "\"" << key << "\" must be in [" << lo << ", " << hi
+           << "]";
+        err = os.str();
+        return false;
+    }
+    out = d;
+    return true;
+}
+
+/** Extract a non-negative integral member bounded by @p hi. */
+bool
+uintIn(const Json &value, const char *key, std::uint64_t hi,
+       std::uint64_t &out, std::string &err)
+{
+    if (!value.isNumber()) {
+        err = std::string("\"") + key + "\" must be a number";
+        return false;
+    }
+    const double d = value.asDouble();
+    if (!(d >= 0) || d != std::floor(d) || d > double(hi)) {
+        std::ostringstream os;
+        os << "\"" << key << "\" must be an integer in [0, " << hi
+           << "]";
+        err = os.str();
+        return false;
+    }
+    out = std::uint64_t(d);
+    return true;
+}
+
+/** Accept either a comma-separated string or an array of strings. */
+bool
+nameList(const Json &value, const char *key,
+         std::vector<std::string> &out, std::string &err)
+{
+    if (value.kind() == Json::Kind::String) {
+        out = splitNameList(value.asString());
+        return true;
+    }
+    if (value.kind() == Json::Kind::Array) {
+        out.clear();
+        for (std::size_t i = 0; i < value.size(); ++i) {
+            if (value.at(i).kind() != Json::Kind::String) {
+                err = std::string("\"") + key +
+                      "\" array members must be strings";
+                return false;
+            }
+            out.push_back(value.at(i).asString());
+        }
+        return true;
+    }
+    err = std::string("\"") + key +
+          "\" must be a comma-separated string or an array of "
+          "strings";
+    return false;
+}
+
+/** Check every name in @p got, then expand an empty list to
+ *  @p known. */
+bool
+resolveNames(std::vector<std::string> &got,
+             const std::vector<std::string> &known, const char *what,
+             std::string &err)
+{
+    for (const std::string &name : got) {
+        if (std::find(known.begin(), known.end(), name) ==
+            known.end()) {
+            std::string all;
+            for (const std::string &k : known)
+                all += (all.empty() ? "" : ", ") + k;
+            err = std::string("unknown ") + what + " '" + name +
+                  "' (known: " + all + ")";
+            return false;
+        }
+    }
+    if (got.empty())
+        got = known;
+    return true;
 }
 
 /** Filesystem-safe stem for a sweep point's trace file. */
@@ -141,7 +222,8 @@ runPoint(const SweepOptions &opt, const std::string &wlName,
     TraceSink sink;
     if (!opt.trace.empty()) {
         std::uint32_t mask = 0;
-        // Already validated by sweepOptions(); cannot fail here.
+        // Already validated by sweepOptions() or
+        // decodeSweepOptions(); cannot fail here.
         parseTraceCats(opt.trace, mask);
         sink.setMask(mask);
         gp.l2.trace = &sink;
@@ -198,9 +280,21 @@ runPoint(const SweepOptions &opt, const std::string &wlName,
 
 } // namespace
 
+std::vector<std::string>
+splitNameList(const std::string &list)
+{
+    std::vector<std::string> out;
+    std::stringstream ss(list);
+    std::string token;
+    while (std::getline(ss, token, ',')) {
+        if (!token.empty())
+            out.push_back(token);
+    }
+    return out;
+}
+
 void
-declareSweepOptions(Options &opts, const std::string &benchName,
-                    double defaultScale)
+declareSweepRequestOptions(Options &opts, double defaultScale)
 {
     opts.add<double>("scale", defaultScale,
                      "workload length multiplier")
@@ -225,6 +319,47 @@ declareSweepOptions(Options &opts, const std::string &benchName,
     opts.add("schemes", "",
              "comma-separated scheme subset, e.g. "
              "'DECTED,Killi 1:256' (default: all)");
+    opts.add<std::uint64_t>("stats-interval", std::uint64_t{0},
+                            "cycles between periodic stat snapshots "
+                            "(0 disables the timeseries)");
+}
+
+SweepOptions
+sweepRequestOptions(const Options &opts)
+{
+    SweepOptions opt;
+    opt.scale = opts.get<double>("scale");
+    opt.warmupPasses = opts.get<unsigned>("warmup");
+    const std::string scenarioText =
+        opts.get<std::string>("scenario");
+    if (!scenarioText.empty())
+        opt.scenario = ScenarioSpec::fromString(scenarioText);
+    opt.workloads = splitNameList(opts.get<std::string>("workloads"));
+    opt.schemes = splitNameList(opts.get<std::string>("schemes"));
+    opt.statsInterval =
+        Cycle(opts.get<std::uint64_t>("stats-interval"));
+    // The deprecated voltage=/seed= spellings override the scenario
+    // only when explicitly set, so existing invocations keep their
+    // meaning.
+    std::string err;
+    if (!resolveSweepOptions(
+            opt,
+            opts.has("voltage")
+                ? std::optional<double>(opts.get<double>("voltage"))
+                : std::nullopt,
+            opts.has("seed") ? std::optional<std::uint64_t>(
+                                   opts.get<std::uint64_t>("seed"))
+                             : std::nullopt,
+            err))
+        fatal("sweep: %s", err.c_str());
+    return opt;
+}
+
+void
+declareSweepOptions(Options &opts, const std::string &benchName,
+                    double defaultScale)
+{
+    declareSweepRequestOptions(opts, defaultScale);
     opts.add<unsigned>("jobs", 1u,
                        "concurrent sweep points (0 = all hardware "
                        "threads; results are identical at any value)")
@@ -245,9 +380,6 @@ declareSweepOptions(Options &opts, const std::string &benchName,
     opts.add("trace-dir", "results/trace",
              "directory for per-point Chrome trace_event files "
              "(Perfetto-loadable)");
-    opts.add<std::uint64_t>("stats-interval", std::uint64_t{0},
-                            "cycles between periodic stat snapshots "
-                            "(0 disables the timeseries)");
     opts.add("timeseries",
              "results/" + benchName + ".timeseries.json",
              "combined stat-timeseries path, written when "
@@ -257,39 +389,13 @@ declareSweepOptions(Options &opts, const std::string &benchName,
 SweepOptions
 sweepOptions(const Options &opts)
 {
-    SweepOptions opt;
-    opt.scale = opts.get<double>("scale");
-    opt.warmupPasses = opts.get<unsigned>("warmup");
-    // Scenario-first resolution: scenario= (file or inline JSON)
-    // supplies the spec; the deprecated voltage=/seed= spellings
-    // still override its fields when explicitly set, so existing
-    // invocations keep their meaning.
-    const std::string scenarioText =
-        opts.get<std::string>("scenario");
-    if (!scenarioText.empty())
-        opt.scenario = ScenarioSpec::fromString(scenarioText);
-    if (opts.has("voltage"))
-        opt.scenario.voltage = opts.get<double>("voltage");
-    if (opts.has("seed"))
-        opt.scenario.seed = opts.get<std::uint64_t>("seed");
-    // Mirrors for reporting; droop scenarios start at their
-    // schedule's first operating point.
-    opt.voltage = FaultModel::fromScenario(opt.scenario)
-                      ->voltageSchedule()
-                      .front();
-    opt.seed = opt.scenario.seed;
+    SweepOptions opt = sweepRequestOptions(opts);
     opt.jobs = opts.get<unsigned>("jobs");
     opt.retries = opts.get<unsigned>("retries");
     opt.shareDie = opts.get<bool>("share-die");
     opt.jsonPath = opts.get<std::string>("json");
-    opt.workloads = splitList(opts.get<std::string>("workloads"));
-    if (opt.workloads.empty())
-        opt.workloads = workloadNames();
-    opt.schemes = splitList(opts.get<std::string>("schemes"));
     opt.trace = opts.get<std::string>("trace");
     opt.traceDir = opts.get<std::string>("trace-dir");
-    opt.statsInterval =
-        Cycle(opts.get<std::uint64_t>("stats-interval"));
     opt.timeseriesPath = opts.get<std::string>("timeseries");
     if (!opt.trace.empty()) {
         // Reject a bad category list before the campaign starts, not
@@ -300,6 +406,144 @@ sweepOptions(const Options &opts)
             fatal("sweep: %s", err.c_str());
     }
     return opt;
+}
+
+Json
+encodeSweepOptions(const SweepOptions &opt, SweepWire wire)
+{
+    Json doc = Json::object();
+    doc.set("scale", Json::number(opt.scale));
+    doc.set("warmup", Json::number(std::uint64_t(opt.warmupPasses)));
+    doc.set("stats_interval",
+            Json::number(std::uint64_t(opt.statsInterval)));
+    doc.set("scenario", opt.scenario.toJson());
+    doc.set("workloads", Json::stringArray(opt.workloads));
+    doc.set("schemes", Json::stringArray(opt.schemes));
+    if (wire == SweepWire::Submit)
+        doc.set("retries", Json::number(std::uint64_t(opt.retries)));
+    else
+        doc.set("trace", Json::string(opt.trace));
+    return doc;
+}
+
+bool
+decodeSweepOptions(const Json &doc, SweepWire wire, SweepOptions &out,
+                   std::string &err)
+{
+    if (doc.kind() != Json::Kind::Object) {
+        err = "\"options\" must be an object";
+        return false;
+    }
+    const bool recording = wire == SweepWire::Recording;
+    if (recording) {
+        for (const char *key :
+             {"scale", "warmup", "stats_interval", "scenario",
+              "workloads", "schemes", "trace"}) {
+            if (!doc.contains(key)) {
+                err = std::string("\"") + key + "\" is missing";
+                return false;
+            }
+        }
+    }
+    out = SweepOptions{};
+    // Collected first, resolved after the loop: members may arrive
+    // in any order, but resolution must be deterministic (scenario
+    // first, overrides on top).
+    std::optional<double> voltage;
+    std::optional<std::uint64_t> seed;
+    for (const auto &[key, v] : doc.members()) {
+        std::uint64_t u = 0;
+        if (key == "scale") {
+            if (!numberIn(v, "scale", 0.001, 1000.0, out.scale, err))
+                return false;
+        } else if (key == "warmup") {
+            if (!uintIn(v, "warmup", 16, u, err))
+                return false;
+            out.warmupPasses = unsigned(u);
+        } else if (key == "stats_interval") {
+            if (!uintIn(v, "stats_interval", std::uint64_t(1) << 53, u,
+                        err))
+                return false;
+            out.statsInterval = Cycle(u);
+        } else if (key == "scenario") {
+            // Object or inline-JSON string; file paths are a
+            // client-side concern (the daemon never reads them).
+            std::string specErr;
+            bool ok;
+            if (v.kind() == Json::Kind::Object) {
+                ok = ScenarioSpec::tryFromJson(v, out.scenario,
+                                               &specErr);
+            } else if (v.kind() == Json::Kind::String &&
+                       !v.asString().empty() &&
+                       v.asString().front() == '{') {
+                ok = ScenarioSpec::tryFromString(
+                    v.asString(), out.scenario, &specErr);
+            } else {
+                ok = false;
+                specErr = "\"scenario\" must be a scenario object or "
+                          "an inline-JSON string (resolve file paths "
+                          "client-side)";
+            }
+            if (!ok) {
+                err = specErr;
+                return false;
+            }
+        } else if (key == "workloads") {
+            if (!nameList(v, "workloads", out.workloads, err))
+                return false;
+        } else if (key == "schemes") {
+            if (!nameList(v, "schemes", out.schemes, err))
+                return false;
+        } else if (!recording && key == "voltage") {
+            double d = 0;
+            if (!numberIn(v, "voltage", 0.5, 1.0, d, err))
+                return false;
+            voltage = d;
+        } else if (!recording && key == "seed") {
+            if (!uintIn(v, "seed", std::uint64_t(1) << 53, u, err))
+                return false;
+            seed = u;
+        } else if (!recording && key == "retries") {
+            if (!uintIn(v, "retries", 10, u, err))
+                return false;
+            out.retries = unsigned(u);
+        } else if (recording && key == "trace") {
+            std::uint32_t mask = 0;
+            if (v.kind() != Json::Kind::String) {
+                err = "\"trace\" must be a string";
+                return false;
+            }
+            if (!parseTraceCats(v.asString(), mask, &err))
+                return false;
+            out.trace = v.asString();
+            // A replayed run checks trace digests; it writes no
+            // per-point trace files.
+            out.traceFiles = false;
+        } else {
+            err = "unknown option \"" + key + "\"";
+            return false;
+        }
+    }
+    return resolveSweepOptions(out, voltage, seed, err);
+}
+
+bool
+resolveSweepOptions(SweepOptions &opt, std::optional<double> voltage,
+                    std::optional<std::uint64_t> seed,
+                    std::string &err)
+{
+    if (voltage)
+        opt.scenario.voltage = *voltage;
+    if (seed)
+        opt.scenario.seed = *seed;
+    opt.voltage = FaultModel::fromScenario(opt.scenario)
+                      ->voltageSchedule()
+                      .front();
+    opt.seed = opt.scenario.seed;
+    return resolveNames(opt.workloads, workloadNames(), "workload",
+                        err) &&
+           resolveNames(opt.schemes, sweepSchemeNames(), "scheme",
+                        err);
 }
 
 std::vector<std::string>

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -61,9 +62,9 @@ struct SweepOptions
      * FaultModel::fromScenario(). The default spec reproduces the
      * historical iid behaviour bit-identically. voltage/seed below
      * are read-side mirrors of scenario.voltage/scenario.seed kept
-     * for reporting; sweepOptions() and kserved keep them in sync,
-     * and code constructing SweepOptions programmatically should set
-     * the scenario (or use the mirrors' defaults).
+     * for reporting; resolveSweepOptions() keeps them in sync, and
+     * code constructing SweepOptions programmatically should set the
+     * scenario (or use the mirrors' defaults).
      */
     ScenarioSpec scenario;
     double voltage = 0.625;
@@ -137,8 +138,27 @@ struct SweepOptions
 };
 
 /**
- * Declare the shared sweep knobs (scale, warmup, voltage, seed,
- * workloads, schemes, jobs, retries, json) on @p opts.
+ * Declare the knobs a sweep request carries (scale, warmup,
+ * scenario, voltage, seed, workloads, schemes, stats-interval) on
+ * @p opts: the half of declareSweepOptions() a client that only
+ * submits the sweep (kcli submit) shares with the bench binaries.
+ *
+ * @param defaultScale default workload length multiplier
+ */
+void declareSweepRequestOptions(Options &opts,
+                                double defaultScale = 1.0);
+
+/**
+ * Extract the request half from parsed @p opts, resolved through
+ * resolveSweepOptions() (fatal() on an unknown name). Scenario file
+ * paths are read here, so the result carries a self-contained spec.
+ */
+SweepOptions sweepRequestOptions(const Options &opts);
+
+/**
+ * Declare every sweep knob: the request half plus the local
+ * execution knobs (jobs, retries, share-die, json, trace, trace-dir,
+ * timeseries).
  *
  * @param benchName stem of the default results path
  *        ("results/<benchName>.json")
@@ -149,6 +169,54 @@ void declareSweepOptions(Options &opts, const std::string &benchName,
 
 /** Extract a SweepOptions from parsed @p opts. */
 SweepOptions sweepOptions(const Options &opts);
+
+/**
+ * The two wire forms of a SweepOptions. Both carry scale, warmup,
+ * stats_interval, scenario, workloads and schemes, in that order.
+ */
+enum class SweepWire
+{
+    /** A submit frame's "options" object. Adds retries; on decode
+     *  every member is optional and the deprecated voltage/seed
+     *  members apply as overrides of the scenario's fields. */
+    Submit,
+    /** A sweep recording's meta.options. Adds trace; on decode all
+     *  seven members are required. */
+    Recording,
+};
+
+/** Encode the result-affecting knobs of @p opt in the @p wire form
+ *  (the scenario already folds in any voltage/seed override). */
+Json encodeSweepOptions(const SweepOptions &opt,
+                        SweepWire wire = SweepWire::Submit);
+
+/**
+ * Decode and validate an encoded options object into @p out
+ * (execution knobs keep their SweepOptions defaults). Strict:
+ * unknown members, bad types and out-of-range values are rejected
+ * through @p err, never fatal(), so the serving daemon can answer a
+ * bad request or a tampered recording with an error frame. Ranges
+ * mirror declareSweepOptions(); names and lists are resolved by
+ * resolveSweepOptions().
+ */
+bool decodeSweepOptions(const Json &doc, SweepWire wire,
+                        SweepOptions &out, std::string &err);
+
+/**
+ * Scenario-first resolution, shared by the CLI and the decoder: the
+ * deprecated voltage/seed overrides (when given) replace the
+ * scenario's fields, the voltage/seed mirrors are re-derived (droop
+ * scenarios start at their schedule's first operating point), every
+ * workload/scheme name is checked, and an empty list expands to the
+ * full one, so "all by default" and "all by name" resolve alike.
+ */
+bool resolveSweepOptions(SweepOptions &opt,
+                         std::optional<double> voltage,
+                         std::optional<std::uint64_t> seed,
+                         std::string &err);
+
+/** Split a comma-separated name list, dropping empty entries. */
+std::vector<std::string> splitNameList(const std::string &list);
 
 /** One scheme's result on one workload. */
 struct SchemeRun

@@ -70,6 +70,15 @@ Json::array()
 }
 
 Json
+Json::stringArray(const std::vector<std::string> &items)
+{
+    Json v = array();
+    for (const std::string &item : items)
+        v.push(string(item));
+    return v;
+}
+
+Json
 Json::object()
 {
     Json v;

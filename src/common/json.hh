@@ -49,6 +49,8 @@ class Json
     static Json string(std::string s);
     static Json array();
     static Json object();
+    /** An array of the strings in @p items, in order. */
+    static Json stringArray(const std::vector<std::string> &items);
 
     Kind kind() const { return k; }
     bool isNull() const { return k == Kind::Null; }

@@ -23,59 +23,12 @@ namespace killi::fleet
 namespace
 {
 
-void
-bump(metrics::Counter *c)
-{
-    if (c)
-        c->inc();
-}
-
 double
 sinceSeconds(std::chrono::steady_clock::time_point t0)
 {
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - t0)
         .count();
-}
-
-Json
-stringArray(const std::vector<std::string> &names)
-{
-    Json arr = Json::array();
-    for (const std::string &name : names)
-        arr.push(Json::string(name));
-    return arr;
-}
-
-/**
- * The shard's submit frame. The options here must canonicalize on
- * the worker to exactly the shard's cache key — scenario-first,
- * same as the coordinator's own parseSubmit() resolved them — so
- * worker caches and the peer-fetch path address the same hashes a
- * direct client submit of the subset would.
- */
-Json
-submitFrameFor(const SweepOptions &sopt, int priority)
-{
-    Json options = Json::object();
-    options.set("scale", Json::number(sopt.scale));
-    options.set("warmup",
-                Json::number(std::uint64_t(sopt.warmupPasses)));
-    options.set("scenario", sopt.scenario.toJson());
-    options.set("stats_interval",
-                Json::number(std::uint64_t(sopt.statsInterval)));
-    options.set("retries",
-                Json::number(std::uint64_t(sopt.retries)));
-    options.set("workloads", stringArray(sopt.workloads));
-    options.set("schemes", stringArray(sopt.schemes));
-    Json req = Json::object();
-    req.set("type", Json::string("submit"));
-    req.set("options", std::move(options));
-    req.set("priority", Json::number(std::int64_t(priority)));
-    // Shard progress is not forwarded (the coordinator synthesizes
-    // campaign-level point-done events itself), so skip the stream.
-    req.set("stream", Json::boolean(false));
-    return req;
 }
 
 bool
@@ -154,8 +107,10 @@ Coordinator::~Coordinator()
 void
 Coordinator::registerFleetMetrics()
 {
-    if (!opt.registry)
-        return;
+    if (!opt.registry) {
+        ownRegistry = std::make_unique<metrics::MetricsRegistry>();
+        opt.registry = ownRegistry.get();
+    }
     auto &reg = *opt.registry;
     mCampaigns = &reg.counter("kfleet_campaigns_total",
                               "Campaigns run through the fleet");
@@ -374,8 +329,7 @@ Coordinator::tryPeerFetch(Campaign &camp, Shard &shard,
         !reply.at("found").asBool()) {
         // Evicted on the peer since we recorded it; forget the
         // stale address and recompute.
-        bump(mPeerFetchMisses);
-        tally.peerFetchMisses.fetch_add(1);
+        mPeerFetchMisses->inc();
         std::lock_guard<std::mutex> lock(peerMtx);
         completedBy.erase(shard.hash);
         return false;
@@ -384,8 +338,7 @@ Coordinator::tryPeerFetch(Campaign &camp, Shard &shard,
                      shard.hedged.load(), reply.at("result"),
                      progress))
         return false; // raced a concurrent dispatch; its accounting stands
-    bump(mPeerFetches);
-    tally.peerFetches.fetch_add(1);
+    mPeerFetches->inc();
     return true;
 }
 
@@ -468,14 +421,19 @@ Coordinator::runDispatch(Campaign &camp, Shard &shard,
     serve::Client client;
     std::string err;
     if (!connectWorker(w, client, &err)) {
-        bump(mRejections);
-        tally.rejections.fetch_add(1);
+        mRejections->inc();
         reschedule("connect " + workerNames[w] + ": " + err);
         return;
     }
-    if (!client.send(submitFrameFor(shard.sopt, 0), &err)) {
-        bump(mRejections);
-        tally.rejections.fetch_add(1);
+    // The worker decodes these options to exactly shard.canonical,
+    // so worker caches and peer fetch address the hashes a direct
+    // submit of the subset would. Shard progress is not streamed:
+    // the coordinator synthesizes campaign-level point events.
+    if (!client.send(
+            serve::submitFrame(encodeSweepOptions(shard.sopt), 0,
+                               false),
+            &err)) {
+        mRejections->inc();
         reschedule("send " + workerNames[w] + ": " + err);
         return;
     }
@@ -488,8 +446,7 @@ Coordinator::runDispatch(Campaign &camp, Shard &shard,
         // land in a terminal bucket: cancelled. Closing the
         // connection lets the worker's orphan-cancel sweep reap
         // the job itself.
-        bump(mCancelled);
-        tally.cancelled.fetch_add(1);
+        mCancelled->inc();
     };
 
     while (true) {
@@ -520,8 +477,7 @@ Coordinator::runDispatch(Campaign &camp, Shard &shard,
                         camp.queues[target].push_front(
                             QEntry{shard.idx, true});
                         camp.hedges.fetch_add(1);
-                        bump(mHedges);
-                        tally.hedges.fetch_add(1);
+                        mHedges->inc();
                     }
                 }
                 continue;
@@ -529,10 +485,8 @@ Coordinator::runDispatch(Campaign &camp, Shard &shard,
             // Transport death mid-dispatch.
             if (submitted)
                 abandon();
-            else {
-                bump(mRejections);
-                tally.rejections.fetch_add(1);
-            }
+            else
+                mRejections->inc();
             reschedule("worker " + workerNames[w] + ": " + err);
             return;
         }
@@ -547,8 +501,7 @@ Coordinator::runDispatch(Campaign &camp, Shard &shard,
                      shard.workload.c_str(),
                      frame.at("key").asString().c_str(),
                      workerNames[w].c_str(), shard.hash.c_str());
-            bump(mDispatched);
-            tally.dispatched.fetch_add(1);
+            mDispatched->inc();
             camp.dispatched.fetch_add(1);
             continue;
         }
@@ -558,8 +511,7 @@ Coordinator::runDispatch(Campaign &camp, Shard &shard,
             // Pre-admission rejection (overloaded / bad_request):
             // no submitted frame, so nothing entered the
             // dispatched bucket.
-            bump(mRejections);
-            tally.rejections.fetch_add(1);
+            mRejections->inc();
             reschedule("worker " + workerNames[w] + ": " +
                        frame.at("error").asString());
             return;
@@ -577,14 +529,10 @@ Coordinator::runDispatch(Campaign &camp, Shard &shard,
                 isHedge || shard.hedged.load(), frame.at("result"),
                 progress);
             if (won) {
-                bump(mCompleted);
-                tally.completed.fetch_add(1);
-                if (mShardSeconds)
-                    mShardSeconds->observe(sinceSeconds(t0));
-                if (isHedge) {
-                    bump(mHedgeWins);
-                    tally.hedgeWins.fetch_add(1);
-                }
+                mCompleted->inc();
+                mShardSeconds->observe(sinceSeconds(t0));
+                if (isHedge)
+                    mHedgeWins->inc();
             } else {
                 abandon();
             }
@@ -594,8 +542,7 @@ Coordinator::runDispatch(Campaign &camp, Shard &shard,
             // queue_full arrives after the submitted frame, so the
             // dispatch is accounted cancelled AND as a rejection.
             abandon();
-            bump(mRejections);
-            tally.rejections.fetch_add(1);
+            mRejections->inc();
             reschedule("worker " + workerNames[w] +
                        " rejected: " + frame.at("error").asString());
             return;
@@ -680,8 +627,7 @@ Coordinator::dispatchLoop(Campaign &camp, std::size_t w,
             continue;
         }
         if (stolen) {
-            bump(mSteals);
-            tally.steals.fetch_add(1);
+            mSteals->inc();
             camp.steals.fetch_add(1);
         }
         Shard &shard = *camp.shards[entry.shardIdx];
@@ -707,8 +653,7 @@ Coordinator::runCampaign(std::uint64_t jobId,
                          Json *attribution)
 {
     const auto t0 = std::chrono::steady_clock::now();
-    bump(mCampaigns);
-    tally.campaigns.fetch_add(1);
+    mCampaigns->inc();
     const std::size_t nWorkers = endpoints.size();
     if (nWorkers == 0)
         throw std::runtime_error("fleet has no workers");
@@ -865,21 +810,17 @@ Coordinator::statsJson()
     Json doc = Json::object();
     doc.set("workers",
             Json::number(std::uint64_t(endpoints.size())));
-    doc.set("campaigns", Json::number(tally.campaigns.load()));
-    doc.set("shards_dispatched",
-            Json::number(tally.dispatched.load()));
-    doc.set("shards_completed",
-            Json::number(tally.completed.load()));
-    doc.set("shards_cancelled",
-            Json::number(tally.cancelled.load()));
-    doc.set("steals", Json::number(tally.steals.load()));
-    doc.set("hedges", Json::number(tally.hedges.load()));
-    doc.set("hedge_wins", Json::number(tally.hedgeWins.load()));
-    doc.set("peer_fetches", Json::number(tally.peerFetches.load()));
+    doc.set("campaigns", Json::number(mCampaigns->value()));
+    doc.set("shards_dispatched", Json::number(mDispatched->value()));
+    doc.set("shards_completed", Json::number(mCompleted->value()));
+    doc.set("shards_cancelled", Json::number(mCancelled->value()));
+    doc.set("steals", Json::number(mSteals->value()));
+    doc.set("hedges", Json::number(mHedges->value()));
+    doc.set("hedge_wins", Json::number(mHedgeWins->value()));
+    doc.set("peer_fetches", Json::number(mPeerFetches->value()));
     doc.set("peer_fetch_misses",
-            Json::number(tally.peerFetchMisses.load()));
-    doc.set("worker_rejections",
-            Json::number(tally.rejections.load()));
+            Json::number(mPeerFetchMisses->value()));
+    doc.set("worker_rejections", Json::number(mRejections->value()));
     return doc;
 }
 

@@ -103,7 +103,8 @@ struct FleetOptions
     double connectTimeoutSeconds = 10.0;
     /** Attempts per shard before the campaign fails. */
     unsigned maxShardAttempts = 3;
-    /** Registry receiving the kfleet_* families; may be null. */
+    /** Registry receiving the kfleet_* families; null makes the
+     *  coordinator register them into a registry it owns. */
     metrics::MetricsRegistry *registry = nullptr;
 };
 
@@ -206,9 +207,11 @@ class Coordinator
     std::mutex activeMtx;
     std::map<std::uint64_t, Campaign *> active;
 
-    // kfleet_* instruments; null without a registry — every bump
-    // goes through inc() helpers that tolerate that, and the same
-    // tallies are mirrored into plain counters for statsJson().
+    /** The registry the kfleet_* families live in when
+     *  FleetOptions::registry is null; statsJson() reads the same
+     *  counters either way. */
+    std::unique_ptr<metrics::MetricsRegistry> ownRegistry;
+    // kfleet_* instruments (never null once constructed).
     metrics::Counter *mCampaigns = nullptr;
     metrics::Counter *mDispatched = nullptr;
     metrics::Counter *mCompleted = nullptr;
@@ -220,20 +223,6 @@ class Coordinator
     metrics::Counter *mPeerFetchMisses = nullptr;
     metrics::Counter *mRejections = nullptr;
     metrics::Histogram *mShardSeconds = nullptr;
-
-    struct Tally
-    {
-        std::atomic<std::uint64_t> campaigns{0};
-        std::atomic<std::uint64_t> dispatched{0};
-        std::atomic<std::uint64_t> completed{0};
-        std::atomic<std::uint64_t> cancelled{0};
-        std::atomic<std::uint64_t> steals{0};
-        std::atomic<std::uint64_t> hedges{0};
-        std::atomic<std::uint64_t> hedgeWins{0};
-        std::atomic<std::uint64_t> peerFetches{0};
-        std::atomic<std::uint64_t> peerFetchMisses{0};
-        std::atomic<std::uint64_t> rejections{0};
-    } tally;
 };
 
 } // namespace killi::fleet

@@ -76,15 +76,6 @@ parseI32(const Json &v, int &out, std::string &err, const char *what)
     return true;
 }
 
-Json
-stringArray(const std::vector<std::string> &names)
-{
-    Json arr = Json::array();
-    for (const std::string &name : names)
-        arr.push(Json::string(name));
-    return arr;
-}
-
 bool
 parseStringArray(const Json &v, std::vector<std::string> &out,
                  std::string &err, const char *what)
@@ -241,8 +232,8 @@ Recording::toJson() const
     doc.set("trace_enabled", Json::boolean(traceEnabled));
     doc.set("reference_mode", Json::boolean(referenceMode));
     doc.set("perturb_decode", u64Json(perturbDecode));
-    doc.set("streams", stringArray(streams));
-    doc.set("names", stringArray(names));
+    doc.set("streams", Json::stringArray(streams));
+    doc.set("names", Json::stringArray(names));
 
     Json rngArr = Json::array();
     for (const RngSegment &s : rng) {

@@ -6,7 +6,6 @@
 #include "common/hash.hh"
 #include "common/hotpath.hh"
 #include "common/log.hh"
-#include "fault/fault_model.hh"
 #include "trace/trace.hh"
 
 namespace killi::replay
@@ -21,15 +20,6 @@ hex64(std::uint64_t v)
     std::ostringstream os;
     os << "0x" << std::hex << v;
     return os.str();
-}
-
-Json
-stringArray(const std::vector<std::string> &names)
-{
-    Json arr = Json::array();
-    for (const std::string &name : names)
-        arr.push(Json::string(name));
-    return arr;
 }
 
 /**
@@ -49,34 +39,6 @@ canonicalSweepText(const SweepOptions &opt, const SweepResult &res)
             doc.set(key, value);
     }
     return doc.toString(0);
-}
-
-Json
-sweepMetaJson(const SweepOptions &opt)
-{
-    Json o = Json::object();
-    o.set("scale", Json::number(opt.scale));
-    o.set("warmup", Json::number(std::uint64_t(opt.warmupPasses)));
-    o.set("stats_interval",
-          Json::number(std::uint64_t(opt.statsInterval)));
-    o.set("scenario", opt.scenario.toJson());
-    o.set("workloads", stringArray(opt.workloads));
-    o.set("schemes", stringArray(opt.schemes));
-    o.set("trace", Json::string(opt.trace));
-    Json meta = Json::object();
-    meta.set("options", std::move(o));
-    return meta;
-}
-
-std::vector<std::string>
-metaStringList(const Json &arr, const char *what)
-{
-    if (arr.kind() != Json::Kind::Array)
-        fatal("replay: meta %s must be an array", what);
-    std::vector<std::string> out;
-    for (std::size_t i = 0; i < arr.size(); ++i)
-        out.push_back(arr.at(i).asString());
-    return out;
 }
 
 /** Applies a RunMode for the duration of a scope and restores the
@@ -446,7 +408,9 @@ recordSweep(const SweepOptions &optIn, const RunMode &mode)
     }
 
     Recorder recorder("sweep");
-    recorder.recording().meta = sweepMetaJson(s.opt);
+    Json meta = Json::object();
+    meta.set("options", encodeSweepOptions(s.opt, SweepWire::Recording));
+    recorder.recording().meta = std::move(meta);
     recorder.recording().referenceMode = mode.reference;
     recorder.recording().perturbDecode = mode.perturbDecode;
 
@@ -475,84 +439,29 @@ bool
 trySweepOptionsFromMeta(const Recording &rec, SweepOptions &opt,
                         std::string *err)
 {
-    const auto fail = [err](const std::string &msg) {
-        if (err)
-            *err = msg;
-        return false;
-    };
+    std::string why;
     if (rec.tool != "sweep")
-        return fail("recording tool is '" + rec.tool +
-                    "', not 'sweep'");
-    if (rec.meta.kind() != Json::Kind::Object ||
-        !rec.meta.contains("options"))
-        return fail("sweep recording has no meta.options");
-    const Json &o = rec.meta.at("options");
-    if (o.kind() != Json::Kind::Object)
-        return fail("meta.options must be an object");
-    for (const char *num : {"scale", "warmup", "stats_interval"}) {
-        if (!o.contains(num) ||
-            (o.at(num).kind() != Json::Kind::Double &&
-             o.at(num).kind() != Json::Kind::Int))
-            return fail(std::string("meta.options.") + num +
-                        " must be a number");
-    }
-    for (const char *key :
-         {"scenario", "workloads", "schemes", "trace"}) {
-        if (!o.contains(key))
-            return fail(std::string("meta.options.") + key +
-                        " is missing");
-    }
-    for (const char *arrKey : {"workloads", "schemes"}) {
-        const Json &arr = o.at(arrKey);
-        if (arr.kind() != Json::Kind::Array)
-            return fail(std::string("meta.options.") + arrKey +
-                        " must be an array");
-        for (std::size_t i = 0; i < arr.size(); ++i) {
-            if (arr.at(i).kind() != Json::Kind::String)
-                return fail(std::string("meta.options.") + arrKey +
-                            " must hold strings");
-        }
-    }
-    if (o.at("trace").kind() != Json::Kind::String)
-        return fail("meta.options.trace must be a string");
-
-    opt = SweepOptions{};
-    opt.scale = o.at("scale").asDouble();
-    opt.warmupPasses = unsigned(o.at("warmup").asDouble());
-    opt.statsInterval = Cycle(o.at("stats_interval").asDouble());
-    std::string specErr;
-    if (!ScenarioSpec::tryFromJson(o.at("scenario"), opt.scenario,
-                                   &specErr))
-        return fail("meta scenario: " + specErr);
-    opt.workloads = metaStringList(o.at("workloads"), "workloads");
-    opt.schemes = metaStringList(o.at("schemes"), "schemes");
-    opt.trace = o.at("trace").asString();
-    opt.traceFiles = false;
-    opt.jobs = 1;
-    opt.jsonPath.clear();
-    opt.timeseriesPath.clear();
-    opt.voltage = FaultModel::fromScenario(opt.scenario)
-                      ->voltageSchedule()
-                      .front();
-    opt.seed = opt.scenario.seed;
-    return true;
-}
-
-SweepOptions
-sweepOptionsFromMeta(const Recording &rec)
-{
-    SweepOptions opt;
-    std::string err;
-    if (!trySweepOptionsFromMeta(rec, opt, &err))
-        fatal("replay: %s", err.c_str());
-    return opt;
+        why = "recording tool is '" + rec.tool + "', not 'sweep'";
+    else if (rec.meta.kind() != Json::Kind::Object ||
+             !rec.meta.contains("options"))
+        why = "sweep recording has no meta.options";
+    else if (decodeSweepOptions(rec.meta.at("options"),
+                                SweepWire::Recording, opt, why))
+        return true;
+    else
+        why = "meta.options: " + why;
+    if (err)
+        *err = why;
+    return false;
 }
 
 SweepSession
 replaySweep(const Recording &rec, const SweepOptions *embedder)
 {
     SweepSession s;
-    s.opt = sweepOptionsFromMeta(rec);
+    std::string err;
+    if (!trySweepOptionsFromMeta(rec, s.opt, &err))
+        fatal("replay: %s", err.c_str());
     if (embedder) {
         // Only the observation hooks merge. Deliberately NOT
         // warmFaultSource: adopting a warm population skips the

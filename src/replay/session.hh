@@ -209,11 +209,13 @@ CheckSession recordScenario(const check::Scenario &scenario,
  *  and the result digest. */
 CheckSession replayScenario(const Recording &rec);
 
-/** Reconstruct the SweepOptions a sweep recording ran under. */
-SweepOptions sweepOptionsFromMeta(const Recording &rec);
-
-/** Error-returning variant for embedders (the serving daemon) that
- *  must reject malformed recordings instead of fatal()ing. */
+/**
+ * Reconstruct the SweepOptions a sweep recording ran under, through
+ * decodeSweepOptions() (bench/sweep.hh) and its checks. Returns
+ * false with @p err for a recording that is not a sweep or whose
+ * meta.options does not decode, so embedders (the serving daemon)
+ * reject a malformed recording instead of fatal()ing.
+ */
 bool trySweepOptionsFromMeta(const Recording &rec, SweepOptions &opt,
                              std::string *err);
 

@@ -40,6 +40,17 @@ setBlocking(int fd, bool blocking)
 
 } // namespace
 
+Json
+submitFrame(Json options, int priority, bool stream)
+{
+    Json req = Json::object();
+    req.set("type", Json::string("submit"));
+    req.set("options", std::move(options));
+    req.set("priority", Json::number(std::int64_t(priority)));
+    req.set("stream", Json::boolean(stream));
+    return req;
+}
+
 Client::~Client()
 {
     close();

@@ -46,6 +46,14 @@ struct ConnectOptions
     int maxBackoffMs = 2000;
 };
 
+/**
+ * A "submit" frame for @p options (the wire form
+ * encodeSweepOptions() in bench/sweep.hh produces): the one request
+ * envelope kcli, kload, the fleet's shard dispatch and the
+ * fig4_performance `server=` mode share.
+ */
+Json submitFrame(Json options, int priority = 0, bool stream = true);
+
 class Client
 {
   public:

@@ -17,8 +17,9 @@
  * metrics-port=).
  *
  * Every command takes socket=PATH (Unix socket, default
- * kserved.sock) or port=N (TCP on 127.0.0.1). `submit` mirrors the
- * sweep knobs of the bench binaries and writes the result document
+ * kserved.sock) or port=N (TCP on 127.0.0.1). `submit` declares the
+ * request half of the bench binaries' sweep knobs
+ * (declareSweepRequestOptions()) and writes the result document
  * to json= (stdout when empty), so existing tooling
  * (tools/extract_sweep_results.py, plot scripts) consumes kcli
  * output unchanged.
@@ -28,11 +29,11 @@
 #include <fstream>
 #include <iostream>
 
+#include "bench/sweep.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 #include "common/options.hh"
 #include "common/table.hh"
-#include "fault/scenario_spec.hh"
 #include "serve/client/client.hh"
 
 using namespace killi;
@@ -169,52 +170,28 @@ runSubmit(Options &opts)
     if (!recordPath.empty() && !replayPath.empty())
         fatal("kcli: record= and replay= are mutually exclusive");
 
-    Json options = Json::object();
-    options.set("scale",
-                Json::number(opts.get<double>("scale")));
-    options.set("warmup",
-                Json::number(std::uint64_t(
-                    opts.get<unsigned>("warmup"))));
-    // The scenario is resolved client-side (the daemon never reads
-    // client file paths) and shipped as a canonical object. The
-    // deprecated voltage=/seed= spellings travel as overrides of the
-    // scenario's fields, so they are sent only when explicitly set.
-    const std::string scenario = opts.get<std::string>("scenario");
-    if (!scenario.empty())
-        options.set("scenario",
-                    ScenarioSpec::fromString(scenario).toJson());
-    if (opts.has("voltage"))
-        options.set("voltage",
-                    Json::number(opts.get<double>("voltage")));
-    if (opts.has("seed"))
-        options.set("seed",
-                    Json::number(opts.get<std::uint64_t>("seed")));
-    options.set("stats_interval",
-                Json::number(
-                    opts.get<std::uint64_t>("stats-interval")));
-    const std::string workloads =
-        opts.get<std::string>("workloads");
-    if (!workloads.empty())
-        options.set("workloads", Json::string(workloads));
-    const std::string schemes = opts.get<std::string>("schemes");
-    if (!schemes.empty())
-        options.set("schemes", Json::string(schemes));
-
-    Json req = Json::object();
-    req.set("type", Json::string("submit"));
+    const int priority = int(opts.get<std::int64_t>("priority"));
+    const bool stream = opts.get<bool>("stream");
+    Json req;
     if (!replayPath.empty()) {
         // Like scenario files, the recording is resolved client-side
         // and shipped inline; a replay job takes every option from
         // its meta, so the sweep knobs are not sent.
+        req = Json::object();
+        req.set("type", Json::string("submit"));
         req.set("replay", readJsonFile(replayPath));
+        req.set("priority", Json::number(std::int64_t(priority)));
+        req.set("stream", Json::boolean(stream));
     } else {
-        req.set("options", std::move(options));
+        // The sweep knobs resolve client-side (the daemon never
+        // reads client file paths), so the scenario ships as a
+        // canonical object with any voltage=/seed= override folded
+        // in.
+        req = submitFrame(encodeSweepOptions(sweepRequestOptions(opts)),
+                          priority, stream);
         if (!recordPath.empty())
             req.set("record", Json::boolean(true));
     }
-    req.set("priority",
-            Json::number(opts.get<std::int64_t>("priority")));
-    req.set("stream", Json::boolean(opts.get<bool>("stream")));
 
     Json terminal;
     std::string err;
@@ -445,30 +422,7 @@ main(int argc, char **argv)
                  "kserved client command \"" + cmd + "\"");
     declareEndpoint(opts);
     if (cmd == "submit") {
-        opts.add<double>("scale", 1.0, "workload length multiplier")
-            .range(0.001, 1000.0);
-        opts.add<unsigned>("warmup", 2u,
-                           "warmup passes excluded from stats")
-            .range(0u, 16u);
-        opts.add("scenario", "",
-                 "fault scenario: path to a killi-scenario-v1 JSON "
-                 "file or inline JSON (resolved locally, submitted "
-                 "canonically; see SCENARIOS.md)");
-        opts.add<double>("voltage", 0.625, "normalized L2 supply")
-            .range(0.5, 1.0)
-            .deprecate("fold into scenario= (still honored as an "
-                       "override of the scenario's voltage)");
-        opts.add<std::uint64_t>("seed", std::uint64_t{42},
-                                "fault-map die seed")
-            .deprecate("fold into scenario= (still honored as an "
-                       "override of the scenario's seed)");
-        opts.add("workloads", "",
-                 "comma-separated workload subset (default: all)");
-        opts.add("schemes", "",
-                 "comma-separated scheme subset (default: all)");
-        opts.add<std::uint64_t>(
-            "stats-interval", std::uint64_t{0},
-            "cycles between periodic progress snapshots");
+        declareSweepRequestOptions(opts);
         opts.add<std::int64_t>("priority", std::int64_t{0},
                                "scheduling priority (higher runs "
                                "first)")

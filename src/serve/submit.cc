@@ -1,14 +1,6 @@
 #include "serve/submit.hh"
 
-#include <algorithm>
-#include <cmath>
-#include <optional>
-#include <sstream>
-#include <vector>
-
 #include "common/build_info.hh"
-#include "fault/fault_model.hh"
-#include "gpu/workload.hh"
 #include "replay/session.hh"
 
 namespace killi::serve
@@ -17,113 +9,21 @@ namespace killi::serve
 namespace
 {
 
-std::vector<std::string>
-splitList(const std::string &list)
+/** The resolved members the canonical key and the result "options"
+ *  echo share, in their pinned order. */
+void
+setResolvedMembers(Json &doc, const SweepOptions &sopt)
 {
-    std::vector<std::string> out;
-    std::stringstream ss(list);
-    std::string token;
-    while (std::getline(ss, token, ','))
-        if (!token.empty())
-            out.push_back(token);
-    return out;
-}
-
-/** Extract a numeric member constrained to [lo, hi]. */
-bool
-numberIn(const Json &value, const char *key, double lo, double hi,
-         double &out, std::string &err)
-{
-    if (!value.isNumber()) {
-        err = std::string("\"") + key + "\" must be a number";
-        return false;
-    }
-    const double d = value.asDouble();
-    if (!(d >= lo && d <= hi)) {
-        std::ostringstream os;
-        os << "\"" << key << "\" must be in [" << lo << ", " << hi
-           << "]";
-        err = os.str();
-        return false;
-    }
-    out = d;
-    return true;
-}
-
-/** Extract a non-negative integral member bounded by @p hi. */
-bool
-uintIn(const Json &value, const char *key, std::uint64_t hi,
-       std::uint64_t &out, std::string &err)
-{
-    if (!value.isNumber()) {
-        err = std::string("\"") + key + "\" must be a number";
-        return false;
-    }
-    const double d = value.asDouble();
-    if (!(d >= 0) || d != std::floor(d) || d > double(hi)) {
-        std::ostringstream os;
-        os << "\"" << key << "\" must be an integer in [0, " << hi
-           << "]";
-        err = os.str();
-        return false;
-    }
-    out = std::uint64_t(d);
-    return true;
-}
-
-/** Accept either a comma-separated string or an array of strings. */
-bool
-nameList(const Json &value, const char *key,
-         std::vector<std::string> &out, std::string &err)
-{
-    if (value.kind() == Json::Kind::String) {
-        out = splitList(value.asString());
-        return true;
-    }
-    if (value.kind() == Json::Kind::Array) {
-        out.clear();
-        for (std::size_t i = 0; i < value.size(); ++i) {
-            if (value.at(i).kind() != Json::Kind::String) {
-                err = std::string("\"") + key +
-                      "\" array members must be strings";
-                return false;
-            }
-            out.push_back(value.at(i).asString());
-        }
-        return true;
-    }
-    err = std::string("\"") + key +
-          "\" must be a comma-separated string or an array of "
-          "strings";
-    return false;
-}
-
-bool
-validateNames(const std::vector<std::string> &got,
-              const std::vector<std::string> &known, const char *what,
-              std::string &err)
-{
-    for (const std::string &name : got) {
-        if (std::find(known.begin(), known.end(), name) ==
-            known.end()) {
-            std::string all;
-            for (const std::string &k : known)
-                all += (all.empty() ? "" : ", ") + k;
-            err = std::string("unknown ") + what + " '" + name +
-                  "' (known: " + all + ")";
-            return false;
-        }
-    }
-    return true;
-}
-
-Json
-stringArray(const std::vector<std::string> &names)
-{
-    Json arr = Json::array();
-    for (const std::string &name : names)
-        arr.push(Json::string(name));
-    return arr;
+    doc.set("scale", Json::number(sopt.scale));
+    doc.set("warmup", Json::number(std::uint64_t(sopt.warmupPasses)));
+    doc.set("voltage", Json::number(sopt.voltage));
+    doc.set("seed", Json::number(sopt.seed));
+    doc.set("stats_interval",
+            Json::number(std::uint64_t(sopt.statsInterval)));
+    doc.set("scenario", sopt.scenario.toJson());
+    doc.set("workloads", Json::stringArray(sopt.workloads));
+    doc.set("schemes", Json::stringArray(sopt.schemes));
+    doc.set("build", Json::string(buildId()));
 }
 
 } // namespace
@@ -131,17 +31,8 @@ stringArray(const std::vector<std::string> &names)
 bool
 parseSubmit(const Json &req, SubmitRequest &out, std::string &err)
 {
-    out.sopt = SweepOptions{};
-    out.sopt.warmupPasses = 2;
-    // Collected first, resolved after the loop: the scenario and the
-    // voltage/seed overrides may arrive in any member order, but
-    // resolution must be deterministic (scenario first, overrides on
-    // top — the same rule as sweepOptions()).
-    bool haveScenario = false;
-    bool haveOptions = false;
-    ScenarioSpec scenario;
-    std::optional<double> voltageOverride;
-    std::optional<std::uint64_t> seedOverride;
+    out = SubmitRequest{};
+    const Json *options = nullptr;
     for (const auto &[key, value] : req.members()) {
         if (key == "type")
             continue;
@@ -163,17 +54,14 @@ parseSubmit(const Json &req, SubmitRequest &out, std::string &err)
                 err = "\"replay\": " + rerr;
                 return false;
             }
-            if (!replay::trySweepOptionsFromMeta(*rec, out.sopt,
-                                                 &rerr)) {
-                err = "\"replay\": " + rerr;
-                return false;
-            }
             out.replayRec = std::move(rec);
         } else if (key == "priority") {
-            double d = 0;
-            if (!numberIn(value, "priority", -1000, 1000, d, err))
+            if (!value.isNumber() || !(value.asDouble() >= -1000) ||
+                !(value.asDouble() <= 1000)) {
+                err = "\"priority\" must be in [-1000, 1000]";
                 return false;
-            out.priority = int(d);
+            }
+            out.priority = int(value.asDouble());
         } else if (key == "stream") {
             if (value.kind() != Json::Kind::Bool) {
                 err = "\"stream\" must be a boolean";
@@ -181,136 +69,40 @@ parseSubmit(const Json &req, SubmitRequest &out, std::string &err)
             }
             out.stream = value.asBool();
         } else if (key == "options") {
-            if (value.kind() != Json::Kind::Object) {
-                err = "\"options\" must be an object";
-                return false;
-            }
-            haveOptions = true;
-            for (const auto &[opt, v] : value.members()) {
-                std::uint64_t u = 0;
-                if (opt == "scale") {
-                    if (!numberIn(v, "scale", 0.001, 1000.0,
-                                  out.sopt.scale, err))
-                        return false;
-                } else if (opt == "warmup") {
-                    if (!uintIn(v, "warmup", 16, u, err))
-                        return false;
-                    out.sopt.warmupPasses = unsigned(u);
-                } else if (opt == "voltage") {
-                    double d = 0.625;
-                    if (!numberIn(v, "voltage", 0.5, 1.0, d, err))
-                        return false;
-                    voltageOverride = d;
-                } else if (opt == "seed") {
-                    if (!uintIn(v, "seed",
-                                std::uint64_t(1) << 53, u, err))
-                        return false;
-                    seedOverride = u;
-                } else if (opt == "scenario") {
-                    // Object or inline-JSON string; file paths are a
-                    // client-side concern (kcli resolves them before
-                    // submitting).
-                    std::string specErr;
-                    if (v.kind() == Json::Kind::Object) {
-                        if (!ScenarioSpec::tryFromJson(v, scenario,
-                                                       &specErr)) {
-                            err = specErr;
-                            return false;
-                        }
-                    } else if (v.kind() == Json::Kind::String &&
-                               !v.asString().empty() &&
-                               v.asString().front() == '{') {
-                        if (!ScenarioSpec::tryFromString(
-                                v.asString(), scenario, &specErr)) {
-                            err = specErr;
-                            return false;
-                        }
-                    } else {
-                        err = "\"scenario\" must be a scenario object "
-                              "or an inline-JSON string (resolve file "
-                              "paths client-side)";
-                        return false;
-                    }
-                    haveScenario = true;
-                } else if (opt == "stats_interval") {
-                    if (!uintIn(v, "stats_interval",
-                                std::uint64_t(1) << 53, u, err))
-                        return false;
-                    out.sopt.statsInterval = Cycle(u);
-                } else if (opt == "retries") {
-                    if (!uintIn(v, "retries", 10, u, err))
-                        return false;
-                    out.sopt.retries = unsigned(u);
-                } else if (opt == "workloads") {
-                    if (!nameList(v, "workloads",
-                                  out.sopt.workloads, err))
-                        return false;
-                } else if (opt == "schemes") {
-                    if (!nameList(v, "schemes", out.sopt.schemes,
-                                  err))
-                        return false;
-                } else {
-                    err = "unknown option \"" + opt + "\"";
-                    return false;
-                }
-            }
+            options = &value;
         } else {
             err = "unknown submit member \"" + key + "\"";
             return false;
         }
     }
 
-    // A replay job re-derives everything from the recording's meta;
+    // A replay job re-derives everything from the recording's meta,
+    // through the same decoder and checks as the options path;
     // options given alongside would be silently ignored, so they are
-    // rejected instead (priority/stream/record stay meaningful).
+    // rejected instead (priority/stream stay meaningful).
     if (out.replayRec) {
         if (out.record) {
             err = "\"record\" and \"replay\" are mutually exclusive";
             return false;
         }
-        if (haveOptions) {
+        if (options) {
             err = "\"replay\" jobs take their options from the "
                   "recording; drop \"options\"";
             return false;
         }
+        std::string rerr;
+        if (!replay::trySweepOptionsFromMeta(*out.replayRec, out.sopt,
+                                             &rerr)) {
+            err = "\"replay\": " + rerr;
+            return false;
+        }
         return true;
     }
-
-    // Scenario-first resolution, with the mirror fields kept in sync
-    // for reporting and the cache key (droop scenarios start at
-    // their schedule's first operating point).
-    if (haveScenario)
-        out.sopt.scenario = scenario;
-    if (voltageOverride)
-        out.sopt.scenario.voltage = *voltageOverride;
-    if (seedOverride)
-        out.sopt.scenario.seed = *seedOverride;
-    out.sopt.voltage = FaultModel::fromScenario(out.sopt.scenario)
-                           ->voltageSchedule()
-                           .front();
-    out.sopt.seed = out.sopt.scenario.seed;
-
-    // runEvaluationSweep() fatal()s on unknown names — validate
-    // up-front so a typo comes back as an error frame instead of
-    // taking the daemon down.
-    if (!validateNames(out.sopt.workloads, workloadNames(),
-                       "workload", err))
-        return false;
-    if (!validateNames(out.sopt.schemes, sweepSchemeNames(), "scheme",
-                       err))
-        return false;
-    if (out.sopt.workloads.empty())
-        out.sopt.workloads = workloadNames();
-    if (out.sopt.schemes.empty())
-        out.sopt.schemes = sweepSchemeNames();
-
-    // Fixed server-side execution policy: one worker per job, no
-    // file side effects (results travel on the wire, not to disk).
-    out.sopt.jobs = 1;
-    out.sopt.jsonPath.clear();
-    out.sopt.trace.clear();
-    out.sopt.timeseriesPath.clear();
-    return true;
+    // The decoder leaves the execution knobs at their defaults, which
+    // is the fixed server-side policy: one worker per job, no file
+    // side effects (results travel on the wire, not to disk).
+    return decodeSweepOptions(options ? *options : Json::object(),
+                              SweepWire::Submit, out.sopt, err);
 }
 
 std::string
@@ -318,16 +110,7 @@ canonicalKeyFor(const SweepOptions &sopt)
 {
     Json key = Json::object();
     key.set("experiment", Json::string("sweep"));
-    key.set("scale", Json::number(sopt.scale));
-    key.set("warmup", Json::number(std::uint64_t(sopt.warmupPasses)));
-    key.set("voltage", Json::number(sopt.voltage));
-    key.set("seed", Json::number(sopt.seed));
-    key.set("stats_interval",
-            Json::number(std::uint64_t(sopt.statsInterval)));
-    key.set("scenario", sopt.scenario.toJson());
-    key.set("workloads", stringArray(sopt.workloads));
-    key.set("schemes", stringArray(sopt.schemes));
-    key.set("build", Json::string(buildId()));
+    setResolvedMembers(key, sopt);
     return key.toString(0);
 }
 
@@ -335,16 +118,7 @@ Json
 resolvedOptionsJson(const SweepOptions &sopt)
 {
     Json doc = Json::object();
-    doc.set("scale", Json::number(sopt.scale));
-    doc.set("warmup", Json::number(std::uint64_t(sopt.warmupPasses)));
-    doc.set("voltage", Json::number(sopt.voltage));
-    doc.set("seed", Json::number(sopt.seed));
-    doc.set("stats_interval",
-            Json::number(std::uint64_t(sopt.statsInterval)));
-    doc.set("scenario", sopt.scenario.toJson());
-    doc.set("workloads", stringArray(sopt.workloads));
-    doc.set("schemes", stringArray(sopt.schemes));
-    doc.set("build", Json::string(buildId()));
+    setResolvedMembers(doc, sopt);
     return doc;
 }
 

@@ -36,13 +36,13 @@ struct SubmitRequest
 };
 
 /**
- * Validate and resolve a submit frame. Strict like the Options CLI
- * layer — unknown keys, bad types, and out-of-range values are all
- * rejected — but via error returns, never fatal(): the daemon must
- * answer a bad request with an error frame and keep serving. Ranges
- * mirror declareSweepOptions(). Workload/scheme subsets are resolved
- * to explicit full lists so that "all by default" and "all by name"
- * canonicalize (and cache) identically.
+ * Validate and resolve a submit frame. This function owns only the
+ * envelope (type, record, replay, priority, stream); the "options"
+ * object, or a replay job's recorded meta.options, goes through
+ * decodeSweepOptions() (bench/sweep.hh), which applies the ranges,
+ * name checks and list expansion. Errors come back through @p err,
+ * never fatal(): the daemon answers a bad request with an error
+ * frame and keeps serving.
  */
 bool parseSubmit(const Json &req, SubmitRequest &out,
                  std::string &err);

@@ -495,5 +495,79 @@ TEST(ReplayServe, ReplayJobRejectsOptionsAlongside)
     server.stop();
 }
 
+/**
+ * A real sweep recording with one meta.options member replaced:
+ * what a corrupted or hand-edited recording file looks like once
+ * `kcli submit replay=` ships it inline.
+ */
+Json
+tamperedSweepRecording(const char *key, Json value)
+{
+    static const Json clean = recordSweep(tinySweep()).recording.toJson();
+    Json options = clean.at("meta").at("options");
+    options.set(key, std::move(value));
+    Json meta = clean.at("meta");
+    meta.set("options", std::move(options));
+    Json rec = clean;
+    rec.set("meta", std::move(meta));
+    return rec;
+}
+
+TEST(ReplayServe, TamperedRecordingsGetErrorFramesAndServerKeepsServing)
+{
+    Json unknownWorkload = Json::array();
+    unknownWorkload.push(Json::string("nope"));
+    Json unknownScheme = Json::array();
+    unknownScheme.push(Json::string("Killi 1:3"));
+    const struct
+    {
+        const char *key;
+        Json value;
+        const char *why;
+    } cases[] = {
+        {"workloads", unknownWorkload, "unknown workload 'nope'"},
+        {"schemes", unknownScheme, "unknown scheme 'Killi 1:3'"},
+        {"warmup", Json::number(std::int64_t{-1}),
+         "\"warmup\" must be an integer in [0, 16]"},
+        {"scale", Json::number(0.0),
+         "\"scale\" must be in [0.001, 1000]"},
+    };
+
+    serve::ServerOptions so;
+    so.port = 0;
+    so.threads = 1;
+    serve::Server server(so);
+    std::string err;
+    ASSERT_TRUE(server.start(&err)) << err;
+    serve::Client client;
+    ASSERT_TRUE(client.connectTcp(server.boundPort(), &err)) << err;
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.key);
+        // A bad_request error frame, never a job that takes the
+        // daemon down...
+        Json req = Json::object();
+        req.set("type", Json::string("submit"));
+        req.set("replay", tamperedSweepRecording(c.key, c.value));
+        req.set("stream", Json::boolean(false));
+        ASSERT_TRUE(client.send(req));
+        Json frame;
+        ASSERT_TRUE(client.recvWithin(frame, 30000, &err)) << err;
+        ASSERT_EQ(frame.at("type").asString(), "error")
+            << frame.toString(0);
+        EXPECT_EQ(frame.at("code").asString(), "bad_request");
+        EXPECT_NE(frame.at("error").asString().find(c.why),
+                  std::string::npos)
+            << frame.at("error").asString();
+
+        // ...and the daemon still answers afterwards.
+        Json ping = Json::object();
+        ping.set("type", Json::string("ping"));
+        ASSERT_TRUE(client.send(ping));
+        ASSERT_TRUE(client.recvWithin(frame, 30000, &err)) << err;
+        EXPECT_EQ(frame.at("type").asString(), "pong");
+    }
+    server.stop();
+}
+
 } // namespace
 } // namespace killi::replay

@@ -27,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include "bench/sweep.hh"
+#include "common/build_info.hh"
 #include "common/hash.hh"
 #include "common/log.hh"
 #include "fault/fault_model.hh"
@@ -1534,4 +1535,197 @@ TEST(ServeIntegration, DrainClearsCacheAndWarmStateBytes)
     EXPECT_EQ(after.at("cache").at("evictions").asInt(), 2);
     EXPECT_EQ(after.at("warm_store").at("entries").asInt(), 0);
     EXPECT_EQ(after.at("warm_store").at("bytes").asInt(), 0);
+}
+
+// ---------------------------------------------------------------
+// One sweep-options codec: every request producer round-trips
+// ---------------------------------------------------------------
+
+namespace
+{
+
+/** Parse @p args (key=value tokens) into @p opts. */
+void
+parseTokens(Options &opts, std::vector<std::string> args)
+{
+    std::vector<char *> argv;
+    static char name[] = "serve_test";
+    argv.push_back(name);
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    opts.parse(static_cast<int>(argv.size()), argv.data());
+}
+
+/** The canonical key parseSubmit() resolves @p frame to. */
+std::string
+keyOfFrame(const Json &frame)
+{
+    SubmitRequest req;
+    std::string err;
+    if (!parseSubmit(frame, req, err)) {
+        ADD_FAILURE() << "parseSubmit: " << err << " in "
+                      << frame.toString(0);
+        return "";
+    }
+    return canonicalKeyFor(req.sopt);
+}
+
+std::string
+joinNames(const std::vector<std::string> &names)
+{
+    std::string out;
+    for (const std::string &name : names)
+        out += (out.empty() ? "" : ",") + name;
+    return out;
+}
+
+struct CodecRow
+{
+    const char *name;
+    std::vector<std::string> args;
+    /** kload can only vary the iid die seed. */
+    bool kloadExpressible;
+};
+
+} // namespace
+
+TEST(SweepCodec, EveryProducerRoundTripsToTheSourceCanonicalKey)
+{
+    const std::string clustered =
+        "scenario={\"format\":\"killi-scenario-v1\","
+        "\"model\":\"clustered\",\"seed\":\"9\","
+        "\"params\":{\"row_frac\":0.02,\"cluster_rate\":0.002}}";
+    const std::string droop =
+        "scenario={\"format\":\"killi-scenario-v1\","
+        "\"model\":\"droop\",\"seed\":\"7\",\"params\":{"
+        "\"base\":\"clustered\",\"schedule\":[0.6,0.575,0.625]}}";
+    const std::vector<CodecRow> rows = {
+        {"default iid", {}, true},
+        {"clustered", {"scale=0.5", "warmup=1", clustered,
+                       "workloads=spmv,xsbench", "schemes=FLAIR"},
+         false},
+        {"droop", {droop, "stats-interval=5000"}, false},
+        {"seed override", {"seed=7", "scale=0.02", "warmup=0",
+                           "workloads=xsbench", "schemes=DECTED"},
+         true},
+        {"all by name",
+         {"workloads=" + joinNames(workloadNames()),
+          "schemes=" + joinNames(sweepSchemeNames())},
+         true},
+    };
+    ScopedLogCapture quiet; // deprecation warnings for seed=
+
+    std::string defaultKey;
+    for (const CodecRow &row : rows) {
+        SCOPED_TRACE(row.name);
+        // CLI sweepOptions(): the source every producer must match.
+        Options cli("fig4_performance", "test");
+        declareSweepOptions(cli, "t");
+        parseTokens(cli, row.args);
+        const SweepOptions src = sweepOptions(cli);
+        const std::string key = canonicalKeyFor(src);
+
+        // fig4_performance server= sends the CLI options as is.
+        EXPECT_EQ(keyOfFrame(serve::submitFrame(encodeSweepOptions(src))),
+                  key);
+
+        // kcli submit: the request half of the same knobs.
+        Options kcli("kcli submit", "test");
+        declareSweepRequestOptions(kcli);
+        parseTokens(kcli, row.args);
+        EXPECT_EQ(keyOfFrame(serve::submitFrame(
+                      encodeSweepOptions(sweepRequestOptions(kcli)), 5,
+                      false)),
+                  key);
+
+        // kfleetd: the front end parses the campaign, then each
+        // shard frame must decode to the shard's own key.
+        SubmitRequest campaign;
+        std::string err;
+        ASSERT_TRUE(parseSubmit(serve::submitFrame(encodeSweepOptions(src)),
+                                campaign, err))
+            << err;
+        SweepOptions shard = campaign.sopt;
+        shard.workloads = {campaign.sopt.workloads.back()};
+        SweepOptions srcShard = src;
+        srcShard.workloads = shard.workloads;
+        EXPECT_EQ(keyOfFrame(serve::submitFrame(encodeSweepOptions(shard),
+                                                0, false)),
+                  canonicalKeyFor(srcShard));
+
+        // kload: the seed rides in an otherwise default scenario.
+        if (row.kloadExpressible) {
+            SweepOptions job;
+            job.scale = src.scale;
+            job.warmupPasses = src.warmupPasses;
+            job.workloads = src.workloads;
+            job.schemes = src.schemes;
+            job.scenario.seed = src.scenario.seed;
+            EXPECT_EQ(keyOfFrame(serve::submitFrame(
+                          encodeSweepOptions(job), 0, false)),
+                      key);
+        }
+
+        // A sweep recording's meta, shipped as a replay job.
+        SweepOptions recorded = src;
+        recorded.trace = "all";
+        replay::Recorder recorder("sweep");
+        Json meta = Json::object();
+        meta.set("options",
+                 encodeSweepOptions(recorded, SweepWire::Recording));
+        recorder.recording().meta = std::move(meta);
+        recorder.finish("");
+        Json replayReq = Json::object();
+        replayReq.set("type", Json::string("submit"));
+        replayReq.set("replay", recorder.recording().toJson());
+        EXPECT_EQ(keyOfFrame(replayReq), key);
+
+        if (defaultKey.empty())
+            defaultKey = key;
+        if (std::string(row.name) == "all by name")
+            EXPECT_EQ(key, defaultKey)
+                << "all by default and all by name must share a key";
+        if (std::string(row.name) == "droop")
+            EXPECT_DOUBLE_EQ(src.voltage, 0.6)
+                << "the voltage mirror is the schedule's first point";
+    }
+}
+
+TEST(SweepCodec, CanonicalKeyAndOptionsEchoBytesArePinned)
+{
+    // The serve-smoke CI sweep. These bytes address every cached
+    // result; a change here invalidates caches and the golden keys.
+    Json frame = Json::object();
+    frame.set("type", Json::string("submit"));
+    Json options = Json::object();
+    options.set("scale", Json::number(0.02));
+    options.set("warmup", Json::number(std::uint64_t{0}));
+    options.set("seed", Json::number(std::uint64_t{42}));
+    options.set("workloads", Json::string("xsbench,spmv"));
+    options.set("schemes", Json::string("DECTED,Killi 1:256"));
+    frame.set("options", std::move(options));
+    SubmitRequest req;
+    std::string err;
+    ASSERT_TRUE(parseSubmit(frame, req, err)) << err;
+
+    const std::string members =
+        "\"scale\":0.02,\"warmup\":0,\"voltage\":0.625,\"seed\":42,"
+        "\"stats_interval\":0,\"scenario\":{\"format\":"
+        "\"killi-scenario-v1\",\"model\":\"iid\",\"seed\":\"42\","
+        "\"voltage\":0.625,\"freq_ghz\":1.0},\"workloads\":["
+        "\"xsbench\",\"spmv\"],\"schemes\":[\"DECTED\","
+        "\"Killi 1:256\"],\"build\":\"" +
+        std::string(buildId()) + "\"";
+    EXPECT_EQ(canonicalKeyFor(req.sopt),
+              "{\"experiment\":\"sweep\"," + members + "}");
+    EXPECT_EQ(resolvedOptionsJson(req.sopt).toString(0),
+              "{" + members + "}");
+
+    // The wire form the shard, kload and server= producers send.
+    EXPECT_EQ(encodeSweepOptions(req.sopt).toString(0),
+              "{\"scale\":0.02,\"warmup\":0,\"stats_interval\":0,"
+              "\"scenario\":{\"format\":\"killi-scenario-v1\","
+              "\"model\":\"iid\",\"seed\":\"42\",\"voltage\":0.625,"
+              "\"freq_ghz\":1.0},\"workloads\":[\"xsbench\",\"spmv\"],"
+              "\"schemes\":[\"DECTED\",\"Killi 1:256\"],\"retries\":1}");
 }

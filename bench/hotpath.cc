@@ -196,24 +196,19 @@ olscEncode(std::size_t iters)
 MicroResult
 faultMapConstruction(std::size_t numLines)
 {
-    const VoltageModel model;
+    const std::unique_ptr<FaultModel> model =
+        FaultModel::fromScenario(ScenarioSpec{});
     MicroResult r{"faultmap_construction"};
     // One construction per rep is plenty: a 32768x720 map draws tens
     // of millions of uniforms on the per-bit path.
-    r.referenceNs = timeNs(
-        [&] {
-            FaultMap map(numLines, 720, model, 42, 1.0,
-                         FaultSampling::PerBit);
-            gSink = gSink ^ (map.countFaults(0, 720));
-        },
-        1, 3);
-    r.optimizedNs = timeNs(
-        [&] {
-            FaultMap map(numLines, 720, model, 42, 1.0,
-                         FaultSampling::Skip);
-            gSink = gSink ^ (map.countFaults(0, 720));
-        },
-        1, 3);
+    const auto build = [&] {
+        const auto map = model->buildMapAt(numLines, 720, 1.0);
+        gSink = gSink ^ (map->countFaults(0, 720));
+    };
+    setHotpathReferenceMode(true);
+    r.referenceNs = timeNs(build, 1, 3);
+    setHotpathReferenceMode(false);
+    r.optimizedNs = timeNs(build, 1, 3);
     return r;
 }
 

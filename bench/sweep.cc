@@ -8,7 +8,6 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <sstream>
 
 #include "analysis/area.hh"
@@ -27,6 +26,9 @@ namespace
 {
 
 constexpr std::size_t kKilliRatios[] = {256, 128, 64, 32, 16};
+
+/** LV-vulnerable bits per L2 line: the fault map's line width. */
+constexpr std::size_t kL2LineBits = 720;
 
 /** Static description of one scheme column. */
 struct SchemeSpec
@@ -199,8 +201,7 @@ runPoint(const SweepOptions &opt, const std::string &wlName,
     // The scenario is the single source of truth for the fault
     // population: the model samples the die (deterministic in the
     // scenario's seed) and activates its first operating point, so
-    // every point sees the identical die. The default iid scenario
-    // reproduces the historical direct construction bit-identically.
+    // every point sees the identical die.
     const std::unique_ptr<FaultModel> model =
         FaultModel::fromScenario(opt.scenario);
     GpuParams gp;
@@ -211,11 +212,12 @@ runPoint(const SweepOptions &opt, const std::string &wlName,
         // sampled it) is shared instead of resampled; buildMapFrom
         // is bit-identical to buildMap by construction.
         if (auto pop = opt.warmFaultSource(
-                *model, gp.l2Geom.numLines(), 720))
-            faultsPtr = model->buildMapFrom(std::move(pop), 720);
+                *model, gp.l2Geom.numLines(), kL2LineBits))
+            faultsPtr =
+                model->buildMapFrom(std::move(pop), kL2LineBits);
     }
     if (!faultsPtr)
-        faultsPtr = model->buildMap(gp.l2Geom.numLines(), 720);
+        faultsPtr = model->buildMap(gp.l2Geom.numLines(), kL2LineBits);
     FaultMap &faults = *faultsPtr;
     const auto wl = makeWorkload(wlName, opt.scale);
 
@@ -306,14 +308,13 @@ declareSweepRequestOptions(Options &opts, double defaultScale)
              "fault scenario: path to a killi-scenario-v1 JSON file "
              "or inline JSON (see SCENARIOS.md); empty runs the "
              "default iid scenario");
-    opts.add<double>("voltage", 0.625, "normalized L2 supply")
-        .range(0.5, 1.0)
-        .deprecate("fold into scenario= (still honored as an "
-                   "override of the scenario's voltage)");
+    opts.add<double>("voltage", 0.625,
+                     "normalized L2 supply (overrides the scenario's "
+                     "voltage)")
+        .range(0.5, 1.0);
     opts.add<std::uint64_t>("seed", std::uint64_t{42},
-                            "fault-map die seed")
-        .deprecate("fold into scenario= (still honored as an "
-                   "override of the scenario's seed)");
+                            "fault-map die seed (overrides the "
+                            "scenario's seed)");
     opts.add("workloads", "",
              "comma-separated workload subset (default: all ten)");
     opts.add("schemes", "",
@@ -338,9 +339,8 @@ sweepRequestOptions(const Options &opts)
     opt.schemes = splitNameList(opts.get<std::string>("schemes"));
     opt.statsInterval =
         Cycle(opts.get<std::uint64_t>("stats-interval"));
-    // The deprecated voltage=/seed= spellings override the scenario
-    // only when explicitly set, so existing invocations keep their
-    // meaning.
+    // voltage=/seed= override the scenario's voltage/seed only
+    // when explicitly set, so a scenario= document keeps its own.
     std::string err;
     if (!resolveSweepOptions(
             opt,
@@ -564,35 +564,16 @@ runEvaluationSweep(const SweepOptions &optIn)
     SweepOptions opt = optIn;
     if (opt.shareDie && !opt.warmFaultSource) {
         // Every point of this campaign instantiates the same
-        // scenario on the same geometry, so their die populations
-        // are identical by construction: sample once (first caller,
-        // under the lock) and adopt everywhere else. Bit-identity of
+        // scenario on the same L2 geometry, so their die populations
+        // are identical by construction: sample once, before any
+        // point runs, and adopt it everywhere. Bit-identity of
         // adoption vs sampling is FaultModel::buildMapFrom()'s
         // contract, pinned in fault_test and CI's perf-smoke diff.
-        struct SharedDie
-        {
-            std::mutex mtx;
-            std::size_t numLines = 0;
-            std::size_t lineBits = 0;
-            std::shared_ptr<const FaultPopulation> pop;
-        };
-        auto shared = std::make_shared<SharedDie>();
-        opt.warmFaultSource =
-            [shared](const FaultModel &model, std::size_t numLines,
-                     std::size_t lineBits)
-            -> std::shared_ptr<const FaultPopulation> {
-            std::lock_guard<std::mutex> lock(shared->mtx);
-            if (!shared->pop) {
-                shared->numLines = numLines;
-                shared->lineBits = lineBits;
-                shared->pop = model.buildMap(numLines, lineBits)
-                                  ->sharedPopulation();
-            }
-            if (numLines != shared->numLines ||
-                lineBits != shared->lineBits)
-                return nullptr; // geometry mismatch: sample cold
-            return shared->pop;
-        };
+        std::shared_ptr<const FaultPopulation> die =
+            FaultModel::fromScenario(opt.scenario)
+                ->sample(GpuParams{}.l2Geom.numLines(), kL2LineBits);
+        opt.warmFaultSource = [die](const FaultModel &, std::size_t,
+                                    std::size_t) { return die; };
     }
 
     // Resolve the scheme columns (validated against the subset knob).

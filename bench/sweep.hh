@@ -177,8 +177,8 @@ SweepOptions sweepOptions(const Options &opts);
 enum class SweepWire
 {
     /** A submit frame's "options" object. Adds retries; on decode
-     *  every member is optional and the deprecated voltage/seed
-     *  members apply as overrides of the scenario's fields. */
+     *  every member is optional and the voltage/seed members apply
+     *  as overrides of the scenario's voltage/seed. */
     Submit,
     /** A sweep recording's meta.options. Adds trace; on decode all
      *  seven members are required. */
@@ -204,8 +204,8 @@ bool decodeSweepOptions(const Json &doc, SweepWire wire,
 
 /**
  * Scenario-first resolution, shared by the CLI and the decoder: the
- * deprecated voltage/seed overrides (when given) replace the
- * scenario's fields, the voltage/seed mirrors are re-derived (droop
+ * overrides of the scenario's voltage/seed (when given) replace its
+ * fields, the voltage/seed mirrors are re-derived (droop
  * scenarios start at their schedule's first operating point), every
  * workload/scheme name is checked, and an empty list expands to the
  * full one, so "all by default" and "all by name" resolve alike.

@@ -72,8 +72,8 @@ class SchemeHarness : public L2Backdoor
                   CheckResult &out, std::size_t maxViolations)
         : scenario(sc), isKilli(killiScheme), result(out),
           cap(maxViolations),
-          fmodel(FaultModel::fromScenario(harnessSpec(sc))),
-          faultsOwned(fmodel->buildMap(sc.numLines, kMapBits)),
+          faultsOwned(FaultModel::fromScenario(harnessSpec(sc))
+                          ->buildMap(sc.numLines, kMapBits)),
           faults(*faultsOwned),
           fineLayout(kDataBits, sc.params.segments,
                      sc.params.interleavedParity),
@@ -743,10 +743,7 @@ class SchemeHarness : public L2Backdoor
     Tick tick = 0;
     TraceSink *trace = nullptr;
 
-    // The model owns the voltage curve the map dereferences, so it
-    // must outlive the map; the reference keeps ~200 call sites
-    // below reading naturally.
-    const std::unique_ptr<FaultModel> fmodel;
+    // The reference keeps ~200 call sites below reading naturally.
     const std::unique_ptr<FaultMap> faultsOwned;
     FaultMap &faults;
     GoldenMemory golden;

@@ -3,7 +3,7 @@
  * Bench/test-only switch between the optimized hot paths and the
  * reference implementations they replaced.
  *
- * The codecs (bit-sliced encode/decode), and the fault map
+ * The codecs (bit-sliced encode/decode), and the iid fault sampler
  * (geometric skip sampling) keep their original implementations as
  * `*Reference` entry points so differential tests can pin the two
  * paths against each other, and so `bench/hotpath` can measure the

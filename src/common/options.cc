@@ -360,11 +360,6 @@ Options::parse(int argc, char **argv)
             }
         }
         opt->parseValue(value, "command line");
-        if (!opt->deprecation().empty()) {
-            warn("%s: option '%s' is deprecated: %s",
-                 programName.c_str(), key.c_str(),
-                 opt->deprecation().c_str());
-        }
     }
 
     // Environment fallback for anything the command line left unset.
@@ -372,14 +367,8 @@ Options::parse(int argc, char **argv)
         if (decl->isSet())
             continue;
         const std::string env = envNameOf(decl->name());
-        if (const char *v = std::getenv(env.c_str())) {
+        if (const char *v = std::getenv(env.c_str()))
             decl->parseValue(v, "environment " + env);
-            if (!decl->deprecation().empty()) {
-                warn("%s: option '%s' (via %s) is deprecated: %s",
-                     programName.c_str(), decl->name().c_str(),
-                     env.c_str(), decl->deprecation().c_str());
-            }
-        }
     }
 }
 
@@ -431,10 +420,7 @@ Options::printHelp(std::ostream &os) const
         const std::string constraint = decl->constraintText();
         if (!constraint.empty())
             os << ", allowed: " << constraint;
-        os << ")";
-        if (!decl->deprecation().empty())
-            os << " [deprecated: " << decl->deprecation() << "]";
-        os << "\n";
+        os << ")\n";
     }
     os << "\nUnset options fall back to KILLI_* environment "
           "variables (e.g. " << envNameOf(decls.front()->name())

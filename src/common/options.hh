@@ -61,20 +61,6 @@ class OptionBase
     /** True iff explicitly set via CLI or environment. */
     bool isSet() const { return set; }
 
-    /**
-     * Mark this option as deprecated: explicitly setting it (CLI or
-     * environment) still works but emits a warn() carrying @p note
-     * (typically the replacement spelling). Deprecated options show
-     * the note in --help.
-     */
-    OptionBase &
-    deprecate(const std::string &note)
-    {
-        deprecationNote = note;
-        return *this;
-    }
-    const std::string &deprecation() const { return deprecationNote; }
-
     virtual const char *typeName() const = 0;
     /** Parse and validate; fatal() with a precise message on error. */
     virtual void parseValue(const std::string &text,
@@ -87,7 +73,6 @@ class OptionBase
     friend class Options;
     std::string optName;
     std::string helpText;
-    std::string deprecationNote;
     bool set = false;
 };
 

@@ -2,193 +2,18 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstring>
 
-#include "common/hotpath.hh"
 #include "common/log.hh"
 
 namespace killi
 {
 
-namespace
-{
-
-/**
- * Exact inverse-CDF sampler for Geometric(p) gaps (number of clean
- * cells before the next faulty one).
- *
- * The closed form floor(log1p(-u)/log1p(-p)) costs a transcendental
- * per draw, which dominates fault-map construction when p is large
- * (mean gap 1/p is short, so gaps are drawn constantly). Instead the
- * first K gap values get an explicit CDF table, searched from a
- * 256-bucket direct index on the top bits of u and finished with the
- * exact boundary compares — bit-identical to inverse-CDF sampling,
- * no approximation. The tail (u past the table, probability (1-p)^K)
- * falls back to the closed form; for sparse maps that is the common
- * case, but then gaps outrun the line and only ~one draw per line
- * happens at all.
- */
-class GeometricSampler
-{
-  public:
-    explicit GeometricSampler(double p)
-        : logq(std::log1p(-p))
-    {
-        double qpow = 1.0; // (1-p)^g
-        for (std::size_t g = 0; g < K; ++g) {
-            qpow *= 1.0 - p;
-            cdf[g] = 1.0 - qpow; // P(gap <= g)
-        }
-        for (std::size_t b = 0; b < 256; ++b) {
-            const double lo = double(b) / 256.0;
-            std::size_t g = 0;
-            while (g + 1 < K && cdf[g] <= lo)
-                ++g;
-            startAt[b] = static_cast<std::uint8_t>(g);
-        }
-    }
-
-    /** Draw a gap, clamped to @p remaining. */
-    std::size_t
-    draw(Rng &rng, std::size_t remaining) const
-    {
-        const double u = rng.uniform();
-        if (u < cdf[K - 1]) {
-            std::size_t g = startAt[std::size_t(u * 256.0)];
-            while (u >= cdf[g])
-                ++g;
-            return g < remaining ? g : remaining;
-        }
-        const double g = std::floor(std::log1p(-u) / logq);
-        return g < double(remaining) ? std::size_t(g) : remaining;
-    }
-
-  private:
-    static constexpr std::size_t K = 64;
-    double cdf[K];
-    std::uint8_t startAt[256];
-    double logq;
-};
-
-} // namespace
-
-FaultMap::FaultMap(std::size_t num_lines, std::size_t line_bits,
-                   const VoltageModel &model, std::uint64_t seed,
-                   double freq_ghz)
-    : FaultMap(num_lines, line_bits, model, seed, freq_ghz,
-               hotpathReferenceMode() ? FaultSampling::PerBit
-                                      : FaultSampling::Skip)
-{
-}
-
-FaultMap::FaultMap(std::size_t num_lines, std::size_t line_bits,
-                   const VoltageModel &model, std::uint64_t seed,
-                   double freq_ghz, FaultSampling sampling)
-    : bitsPerLine(line_bits), freqGHz(freq_ghz), vModel(&model)
-{
-    if (line_bits > 0xFFFF)
-        fatal("FaultMap: line width %zu exceeds 16-bit positions",
-              line_bits);
-
-    // Sample the potential-fault population at the lowest supported
-    // voltage: every cell that could ever fail in the model's range.
-    const double pMax =
-        model.pCell(VoltageModel::minVoltage(), freq_ghz);
-    const double pReadShare = 0.45;
-
-    const RngStreamScope stream("faultmap");
-    Rng rng(seed);
-    FaultPopulation lines(num_lines);
-    if (sampling == FaultSampling::PerBit || pMax >= 1.0) {
-        // Reference sampler (also the degenerate everything-fails
-        // case): one uniform draw per cell, faulty iff u < pMax with
-        // the draw itself as the conditional threshold.
-        for (auto &line : lines) {
-            for (std::size_t bit = 0; bit < line_bits; ++bit) {
-                const double u = rng.uniform();
-                if (u >= pMax)
-                    continue;
-                FaultCell cell;
-                cell.bit = static_cast<std::uint16_t>(bit);
-                cell.threshold = static_cast<float>(u);
-                cell.stuckValue = rng.bernoulli(0.5);
-                cell.kind = rng.bernoulli(pReadShare)
-                    ? FaultKind::ReadDisturb : FaultKind::Writeability;
-                line.push_back(cell);
-            }
-        }
-    } else if (pMax > 0.0) {
-        // Geometric skip sampling: the gap to the next faulty cell
-        // in an iid Bernoulli(pMax) sequence is Geometric(pMax), so
-        // skip whole runs of clean cells and pay one RNG draw per
-        // *fault* (plus one per line to detect "no more"), not one
-        // per bit. Memorylessness makes the per-line truncation
-        // exact: restarting the gap at each line boundary leaves
-        // every cell marginally Bernoulli(pMax). The faulty cell's
-        // threshold is then conditionally uniform in [0, pMax),
-        // matching the reference sampler's u | u<pMax; threshold,
-        // stuck value and fault kind all come from disjoint bits of
-        // one 64-bit draw (43 + 1 + 20 — the threshold is stored as
-        // a float anyway, and 2^-20 granularity on the kind share is
-        // far below any measurable effect). Lines are staged in one
-        // reusable scratch buffer so each line's backing store is a
-        // single exact-sized allocation instead of a growth chain.
-        const GeometricSampler geo(pMax);
-        const std::uint32_t kindCut =
-            static_cast<std::uint32_t>(pReadShare * 1048576.0);
-        std::vector<FaultCell> scratch;
-        scratch.reserve(line_bits);
-        for (auto &line : lines) {
-            scratch.clear();
-            std::size_t bit = 0;
-            while (bit < line_bits) {
-                const std::size_t gap =
-                    geo.draw(rng, line_bits - bit);
-                bit += gap;
-                if (bit >= line_bits)
-                    break;
-                const std::uint64_t r = rng.next64();
-                FaultCell cell;
-                cell.bit = static_cast<std::uint16_t>(bit);
-                cell.threshold = static_cast<float>(
-                    (r >> 21) * 0x1.0p-43 * pMax);
-                cell.stuckValue = (r & 1) != 0;
-                cell.kind = ((r >> 1) & 0xFFFFF) < kindCut
-                    ? FaultKind::ReadDisturb : FaultKind::Writeability;
-                scratch.push_back(cell);
-                ++bit;
-            }
-            line.assign(scratch.begin(), scratch.end());
-        }
-    }
-    ownPop = std::make_shared<FaultPopulation>(std::move(lines));
-    pop = ownPop;
-    active.resize(num_lines);
-    transientFlips.resize(num_lines);
-    setVoltage(1.0);
-}
-
-FaultMap::FaultMap(FaultPopulation population, std::size_t line_bits,
-                   const VoltageModel &model, double freq_ghz)
-    : bitsPerLine(line_bits), freqGHz(freq_ghz), vModel(&model),
-      ownPop(std::make_shared<FaultPopulation>(std::move(population)))
-{
-    pop = ownPop;
-    adopt(1.0);
-}
-
 FaultMap::FaultMap(std::shared_ptr<const FaultPopulation> population,
-                   std::size_t line_bits, const VoltageModel &model,
-                   double freq_ghz, double vNorm)
-    : bitsPerLine(line_bits), freqGHz(freq_ghz), vModel(&model),
-      pop(std::move(population))
-{
-    adopt(vNorm);
-}
-
-void
-FaultMap::adopt(double vNorm)
+                   std::size_t line_bits, double freq_ghz,
+                   double vNorm, bool monotone)
+    : bitsPerLine(line_bits), freqGHz(freq_ghz), currentV(vNorm),
+      monotone(monotone), pop(std::move(population))
 {
     if (bitsPerLine > 0xFFFF)
         fatal("FaultMap: line width %zu exceeds 16-bit positions",
@@ -197,9 +22,7 @@ FaultMap::adopt(double vNorm)
         fatal("FaultMap: null fault population");
     active.resize(pop->size());
     transientFlips.resize(pop->size());
-    coldActivate(vModel->pCell(vNorm, freqGHz), /*validate=*/true);
-    currentV = vNorm;
-    voltageApplied = true;
+    coldActivate(vModel.pCell(vNorm, freqGHz), /*validate=*/true);
 }
 
 void
@@ -207,21 +30,17 @@ FaultMap::setVoltage(double vNorm)
 {
     // A bit-exact re-set of the current operating point is an
     // idempotent no-op, not a rejected "raise": warm-store hits and
-    // replayed jobs legitimately re-apply the point voltage. Gated
-    // on voltageApplied because the constructors call
-    // setVoltage(1.0) with currentV pre-initialized to 1.0 and that
-    // first call must still activate.
-    if (voltageApplied && vNorm == currentV)
+    // replayed jobs legitimately re-apply the point voltage.
+    if (vNorm == currentV)
         return;
-    if (monotoneDeclared && vNorm > currentV)
+    if (monotone && vNorm > currentV)
         fatal("FaultMap::setVoltage: raising %.4g -> %.4g violates "
-              "the declared monotone voltage regime (only droop-"
-              "scheduled models may raise V)", currentV, vNorm);
+              "the monotone voltage regime (only droop-scheduled "
+              "models may raise V)", currentV, vNorm);
     const bool lowering = vNorm < currentV;
     currentV = vNorm;
-    const double p = vModel->pCell(vNorm, freqGHz);
-    if (incremental && monotoneDeclared && indexValid &&
-        voltageApplied && lowering) {
+    const double p = vModel.pCell(vNorm, freqGHz);
+    if (incremental && indexValid && lowering) {
         // Monotone step down: pCell only grows, so the active sets
         // only gain cells — exactly the index entries with threshold
         // in [pCell(V1), pCell(V2)), which the cursor walks over.
@@ -237,7 +56,6 @@ FaultMap::setVoltage(double vNorm)
             resetCursor(p);
         }
     }
-    voltageApplied = true;
 }
 
 void
@@ -277,13 +95,13 @@ FaultMap::coldActivate(double p, bool validate)
 bool
 FaultMap::enableIncrementalVoltage()
 {
-    if (!monotoneDeclared)
+    if (!monotone)
         return false; // the regime may raise V: deltas can't apply
     if (incremental)
         return true;
     incremental = true;
     rebuildIndex();
-    resetCursor(vModel->pCell(currentV, freqGHz));
+    resetCursor(vModel.pCell(currentV, freqGHz));
     return true;
 }
 
@@ -591,17 +409,15 @@ FaultMap::plantFault(std::size_t line, std::uint16_t bit,
               bit);
     // Copy-on-write: other maps (and warm stores) may share the
     // population and must never see the plant. Edit in place while
-    // this map made the population and its own two handles are the
-    // only ones; otherwise clone it once, after which the clone is
-    // this map's to edit. The acquire fence pairs with the release
-    // in a former holder's handle drop, so its last reads happen
-    // before these writes.
-    if (!ownPop || ownPop.use_count() != 2) {
-        ownPop = std::make_shared<FaultPopulation>(*pop);
-        pop = ownPop;
-    }
+    // this map holds the only handle (no accessor hands one out, so
+    // none can appear); otherwise clone it once, after which the
+    // clone is this map's to edit. The acquire fence pairs with the
+    // release in a former holder's handle drop, so its last reads
+    // happen before these writes.
+    if (pop.use_count() != 1)
+        pop = std::make_shared<FaultPopulation>(*pop);
     std::atomic_thread_fence(std::memory_order_acquire);
-    FaultPopulation &lines = *ownPop;
+    FaultPopulation &lines = const_cast<FaultPopulation &>(*pop);
     // Replace any sampled potential fault at this position so the
     // planted cell fully defines the bit's behaviour.
     const auto drop = [bit](std::vector<FaultCell> &cells) {

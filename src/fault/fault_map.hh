@@ -1,15 +1,16 @@
 /**
  * @file
- * Per-bit persistent low-voltage fault maps.
+ * The active-fault view of a sampled die at one operating voltage.
  *
  * The DAC'17 measurements the paper builds on established that LV
  * failures are persistent and *monotone*: a cell failing at voltage
- * V fails at every lower voltage (and every higher frequency). The
- * map reproduces this by construction: each potentially faulty cell
- * draws a uniform threshold u and is faulty at voltage v iff
- * u < pCell(v). Because pCell is monotone decreasing in v, the
- * faulty set at a higher voltage is always a subset of the faulty
- * set at a lower voltage.
+ * V fails at every lower voltage (and every higher frequency). A
+ * die is therefore sampled once, as a population of potentially
+ * faulty cells (FaultModel::sample(), fault_model.hh), each with a
+ * uniform threshold u; a FaultMap adopts that population and holds
+ * the cells active at its voltage v, those with u < pCell(v).
+ * Because pCell is monotone decreasing in v, the active set at a
+ * higher voltage is always a subset of the one at a lower voltage.
  *
  * Faults are stuck-at: the cell reads back a fixed value regardless
  * of what was written. A stuck-at fault whose stuck value equals the
@@ -27,7 +28,6 @@
 #include <vector>
 
 #include "common/bitvec.hh"
-#include "common/rng.hh"
 #include "fault/voltage_model.hh"
 
 namespace killi
@@ -46,79 +46,45 @@ struct FaultCell
  *  sorted strictly ascending by bit. */
 using FaultPopulation = std::vector<std::vector<FaultCell>>;
 
-/** How the constructor samples the potential-fault population. */
-enum class FaultSampling
-{
-    /** Geometric skip sampling: one draw per *fault*, not per bit. */
-    Skip,
-    /** One uniform draw per bit — the original reference
-     *  implementation, kept for distribution-equivalence tests and
-     *  the hotpath bench (see common/hotpath.hh). */
-    PerBit,
-};
-
 /**
  * Fault map for an array of lines (e.g.\ the 32768 64-byte lines of
- * the 2MB L2). Construction samples the potential-fault population
- * once, at the lowest supported voltage; setVoltage() then activates
- * the subset for the current operating point.
+ * the 2MB L2): the active subset of a shared, immutable potential-
+ * fault population at the current operating point. setVoltage()
+ * re-derives the subset for a new point.
  *
- * The population is immutable and shared: maps adopted from one
- * sampled die (the sweep points of a campaign, the jobs of a kserved
- * warm store) all hold the same FaultPopulation and own only their
- * active sets. plantFault() clones the population before changing
- * it (copy-on-write), so a plant never reaches a sibling map.
+ * Maps adopted from one sampled die (the sweep points of a campaign,
+ * the jobs of a kserved warm store) all hold the same FaultPopulation
+ * and own only their active sets. plantFault() clones the population
+ * before changing it (copy-on-write), so a plant never reaches a
+ * sibling map.
  */
 class FaultMap
 {
   public:
     /**
-     * Direct iid construction.
+     * Adopt @p population without copying it and activate it at
+     * @p vNorm. Each line's cells must be sorted strictly ascending
+     * by bit with positions inside [0, line_bits); the check runs in
+     * the same pass over the cells as the activation, and violations
+     * (and a null population) are fatal(). FaultModel::buildMap()
+     * and friends are the usual way in.
      *
-     * @deprecated New code should build maps through
-     * FaultModel::fromScenario() (fault_model.hh), which covers the
-     * correlated scenario classes too; these constructors remain as
-     * the iid model's sampling shim (IidStuckAt delegates here, and
-     * tests/scenario_spec_test.cc pins the bit-identity).
-     *
-     * @param num_lines number of physical lines in the array
      * @param line_bits LV-vulnerable bits per line (data + any
      *                  co-located metadata such as stored parity or
      *                  per-line checkbits)
-     * @param model voltage model to draw probabilities from
-     * @param seed RNG seed (fault maps are die-specific)
      * @param freq_ghz operating frequency for the whole run
-     * @param sampling population sampler; defaults to geometric
-     *                 skip sampling, which costs O(faults) draws
-     *                 per line instead of O(line_bits). When unset,
-     *                 construction follows hotpathReferenceMode().
-     */
-    FaultMap(std::size_t num_lines, std::size_t line_bits,
-             const VoltageModel &model, std::uint64_t seed,
-             double freq_ghz = 1.0);
-    FaultMap(std::size_t num_lines, std::size_t line_bits,
-             const VoltageModel &model, std::uint64_t seed,
-             double freq_ghz, FaultSampling sampling);
-
-    /**
-     * Adopt an externally sampled potential-fault population (the
-     * correlated FaultModel classes build these). Each line's cells
-     * must be sorted strictly ascending by bit with positions inside
-     * [0, line_bits); violations are fatal(). The map starts at
-     * 1.0 x VDD like the sampling constructors.
-     */
-    FaultMap(FaultPopulation population, std::size_t line_bits,
-             const VoltageModel &model, double freq_ghz = 1.0);
-
-    /**
-     * Share @p population without copying it and activate it
-     * directly at @p vNorm. The sorted/in-range check above runs in
-     * the same pass over the cells as the activation; violations
-     * (and a null population) are fatal().
+     * @param monotone the DAC'17 superset regime: voltage only ever
+     *                 steps down after construction, so setVoltage()
+     *                 rejects a raise and incremental stepping is
+     *                 allowed. Droop schedules pass false.
+     *
+     * While the map holds the only handle to the population,
+     * plantFault() edits it in place; a population handed over that
+     * way must not be a const object (FaultModel never makes one).
      */
     FaultMap(std::shared_ptr<const FaultPopulation> population,
-             std::size_t line_bits, const VoltageModel &model,
-             double freq_ghz, double vNorm);
+             std::size_t line_bits, double freq_ghz, double vNorm,
+             bool monotone);
 
     std::size_t numLines() const { return active.size(); }
     std::size_t lineBits() const { return bitsPerLine; }
@@ -128,25 +94,11 @@ class FaultMap
     /**
      * Activate the fault population for operating voltage @p vNorm.
      * Mirrors a DVFS transition; callers (e.g.\ Killi) must reset
-     * their learned state, as the paper requires. If the owning
-     * model declared monotonicity, raising the voltage is fatal()
-     * (see declareMonotoneVoltage()).
+     * their learned state, as the paper requires. On a monotone
+     * map raising the voltage is a caller bug and fatal(); re-setting
+     * the current voltage is a no-op.
      */
     void setVoltage(double vNorm);
-
-    /**
-     * Declare whether this map lives in a monotone voltage regime.
-     * Under the DAC'17 superset invariant voltage only ever steps
-     * down after construction, and a raise is a caller bug —
-     * setVoltage() rejects it once monotonicity is declared. Models
-     * with a droop schedule (FaultModel::monotoneVoltage() == false)
-     * leave it undeclared so raising V is legal. Direct-constructed
-     * maps default to undeclared for compatibility.
-     */
-    void declareMonotoneVoltage(bool monotone)
-    {
-        monotoneDeclared = monotone;
-    }
 
     /**
      * Opt into incremental voltage stepping: subsequent monotone
@@ -158,9 +110,9 @@ class FaultMap
      * active sets are bit-identical to cold filtering at every point
      * (asserted under KILLI_CHECK_INVARIANTS, pinned in fault_test).
      *
-     * Returns true when enabled. Maps without a declared monotone
-     * regime (droop schedules may raise V) refuse and return false;
-     * the caller must keep cold-activating per point.
+     * Returns true when enabled. Non-monotone maps (droop schedules
+     * may raise V) refuse and return false; the caller must keep
+     * cold-activating per point.
      */
     bool enableIncrementalVoltage();
 
@@ -169,14 +121,6 @@ class FaultMap
 
     /** The potential-fault population (per line, sorted by bit). */
     const FaultPopulation &population() const { return *pop; }
-
-    /** The population as a shared handle, so embedders can build
-     *  more maps of this die without resampling or copying — see
-     *  FaultModel::buildMapFrom() and the kserved warm store. */
-    std::shared_ptr<const FaultPopulation> sharedPopulation() const
-    {
-        return pop;
-    }
 
     /** Active faulty cells of @p line at the current voltage. */
     const std::vector<FaultCell> &lineFaults(std::size_t line) const
@@ -227,9 +171,9 @@ class FaultMap
      * Plant a persistent fault active at every voltage (tests and
      * demos that need a deterministic fault layout). Duplicate
      * positions are rejected. The plant goes into this map's own
-     * copy of the population (copy-on-write, cloned at most once
-     * per map and not at all while nothing else holds it): maps
-     * sharing the old one never see it.
+     * copy of the population (copy-on-write: cloned at most once
+     * per map, and not at all while this map holds the only
+     * handle): maps sharing the old one never see it.
      */
     void plantFault(std::size_t line, std::uint16_t bit,
                     bool stuck_value,
@@ -279,9 +223,6 @@ class FaultMap
         std::uint32_t cell;
     };
 
-    /** Validate and activate a just-set pop at @p vNorm in one
-     *  pass (the population constructors' shared tail). */
-    void adopt(double vNorm);
     /** Re-filter every line's active set against @p p (the
      *  original, always-correct activation path). With @p validate,
      *  fatal() on a cell breaking the population's sort/range
@@ -306,12 +247,8 @@ class FaultMap
 
     std::size_t bitsPerLine;
     double freqGHz;
-    double currentV = 1.0;
-    bool monotoneDeclared = false;
-    /** setVoltage() has run at least once (the constructors apply
-     *  1.0 x VDD with currentV pre-initialized to 1.0, so equality
-     *  against currentV alone cannot detect the first activation). */
-    bool voltageApplied = false;
+    double currentV;
+    bool monotone;
     bool incremental = false;
     /** thresholdIndex/cursor agree with pop (plantFault clears). */
     bool indexValid = false;
@@ -321,18 +258,12 @@ class FaultMap
      *  regroup-by-line pass (avoid allocations per sweep point). */
     std::vector<ThresholdRef> deltaScratch;
     std::vector<std::uint32_t> deltaOffsets;
-    const VoltageModel *vModel;
+    VoltageModel vModel;
 
-    /** Potential faults per line, sorted ascending by bit (the
-     *  constructor emits them in order, plantFault inserts in
-     *  order, and setVoltage's filter preserves order). Other maps
-     *  may share it. */
+    /** Potential faults per line, sorted ascending by bit (adoption
+     *  checks it, plantFault inserts in order, and setVoltage's
+     *  filter preserves order). Other maps may share it. */
     std::shared_ptr<const FaultPopulation> pop;
-    /** The same population, writable, when this map made it (the
-     *  sampling and by-value constructors, or a plantFault clone);
-     *  null for an adopted one. plantFault writes through it only
-     *  while this map holds the sole handles. */
-    std::shared_ptr<FaultPopulation> ownPop;
     /** Active subset per line at currentV (same sort invariant). */
     std::vector<std::vector<FaultCell>> active;
     /** Live soft-error flips per line (cleared on rewrite). */

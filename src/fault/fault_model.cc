@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/hotpath.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
 
@@ -12,9 +13,91 @@ namespace killi
 namespace
 {
 
-/** Read-disturb share of iid-sampled faults; matches the legacy
- *  FaultMap constructor so mechanism statistics line up. */
+/** Read-disturb share of iid-drawn faults (the rest are
+ *  writeability failures), common to every sampler so mechanism
+ *  statistics line up across scenario classes. */
 constexpr double kReadShare = 0.45;
+
+/**
+ * The per-bit reference draw of one cell: u, then — only when the
+ * cell is faulty (u < @p p) — its stuck value, then its kind, in
+ * that order. The faulty cell's threshold is u / @p boost, so a cell
+ * whose failure curve is scaled by @p boost (a weak row or column)
+ * is active at voltage v iff u < boost * pCell(v); unboosted, the
+ * threshold is u itself, conditionally uniform in [0, p).
+ */
+void
+drawCell(Rng &rng, std::vector<FaultCell> &line, std::size_t bit,
+         double p, double boost = 1.0)
+{
+    const double u = rng.uniform();
+    if (u >= p)
+        return;
+    FaultCell cell;
+    cell.bit = static_cast<std::uint16_t>(bit);
+    cell.threshold = static_cast<float>(u / boost);
+    cell.stuckValue = rng.bernoulli(0.5);
+    cell.kind = rng.bernoulli(kReadShare) ? FaultKind::ReadDisturb
+                                          : FaultKind::Writeability;
+    line.push_back(cell);
+}
+
+/**
+ * Exact inverse-CDF sampler for Geometric(p) gaps (number of clean
+ * cells before the next faulty one).
+ *
+ * The closed form floor(log1p(-u)/log1p(-p)) costs a transcendental
+ * per draw, which dominates sampling when p is large (mean gap 1/p
+ * is short, so gaps are drawn constantly). Instead the first K gap
+ * values get an explicit CDF table, searched from a 256-bucket
+ * direct index on the top bits of u and finished with the exact
+ * boundary compares — bit-identical to inverse-CDF sampling, no
+ * approximation. The tail (u past the table, probability (1-p)^K)
+ * falls back to the closed form; for sparse dies that is the common
+ * case, but then gaps outrun the line and only ~one draw per line
+ * happens at all.
+ */
+class GeometricSampler
+{
+  public:
+    explicit GeometricSampler(double p)
+        : logq(std::log1p(-p))
+    {
+        double qpow = 1.0; // (1-p)^g
+        for (std::size_t g = 0; g < K; ++g) {
+            qpow *= 1.0 - p;
+            cdf[g] = 1.0 - qpow; // P(gap <= g)
+        }
+        for (std::size_t b = 0; b < 256; ++b) {
+            const double lo = double(b) / 256.0;
+            std::size_t g = 0;
+            while (g + 1 < K && cdf[g] <= lo)
+                ++g;
+            startAt[b] = static_cast<std::uint8_t>(g);
+        }
+    }
+
+    /** Draw a gap, clamped to @p remaining. */
+    std::size_t
+    draw(Rng &rng, std::size_t remaining) const
+    {
+        const double u = rng.uniform();
+        if (u < cdf[K - 1]) {
+            std::size_t g = startAt[std::size_t(u * 256.0)];
+            while (u >= cdf[g])
+                ++g;
+            return g < remaining ? g : remaining;
+        }
+        const double g = std::floor(std::log1p(-u) / logq);
+        return g < double(remaining) ? std::size_t(g) : remaining;
+    }
+
+  private:
+    static constexpr std::size_t K = 64;
+    double cdf[K];
+    std::uint8_t startAt[256];
+    double logq;
+};
 
 /**
  * Restore FaultMap's sorted-unique-by-bit invariant after correlated
@@ -55,11 +138,9 @@ std::unique_ptr<FaultMap>
 FaultModel::buildMapAt(std::size_t num_lines, std::size_t line_bits,
                        double vNorm) const
 {
-    std::unique_ptr<FaultMap> map =
-        samplePopulation(num_lines, line_bits);
-    map->declareMonotoneVoltage(monotoneVoltage());
-    map->setVoltage(vNorm);
-    return map;
+    return std::make_unique<FaultMap>(sample(num_lines, line_bits),
+                                      line_bits, sp.freqGHz, vNorm,
+                                      monotoneVoltage());
 }
 
 std::unique_ptr<FaultMap>
@@ -67,11 +148,10 @@ FaultModel::buildMapFrom(
     std::shared_ptr<const FaultPopulation> population,
     std::size_t line_bits) const
 {
-    auto map = std::make_unique<FaultMap>(std::move(population),
-                                          line_bits, vm, sp.freqGHz,
-                                          voltageSchedule().front());
-    map->declareMonotoneVoltage(monotoneVoltage());
-    return map;
+    return std::make_unique<FaultMap>(std::move(population), line_bits,
+                                      sp.freqGHz,
+                                      voltageSchedule().front(),
+                                      monotoneVoltage());
 }
 
 std::unique_ptr<FaultMap>
@@ -79,7 +159,7 @@ FaultModel::buildMapFrom(FaultPopulation population,
                          std::size_t line_bits) const
 {
     return buildMapFrom(
-        std::make_shared<const FaultPopulation>(std::move(population)),
+        std::make_shared<FaultPopulation>(std::move(population)),
         line_bits);
 }
 
@@ -98,19 +178,74 @@ FaultModel::fromScenario(const ScenarioSpec &spec)
           spec.model.c_str());
 }
 
-std::unique_ptr<FaultMap>
-IidStuckAt::samplePopulation(std::size_t num_lines,
-                             std::size_t line_bits) const
+std::shared_ptr<const FaultPopulation>
+IidStuckAt::sample(std::size_t num_lines, std::size_t line_bits) const
 {
-    // The compat shim: delegate to the (deprecated) direct
-    // constructor so the default scenario stays bit-identical.
-    return std::make_unique<FaultMap>(num_lines, line_bits, vm, sp.seed,
-                                      sp.freqGHz);
+    // Every cell that could ever fail in the model's range: the
+    // population at the lowest supported voltage.
+    const double pMax =
+        vm.pCell(VoltageModel::minVoltage(), sp.freqGHz);
+
+    const RngStreamScope stream("faultmap");
+    Rng rng(sp.seed);
+    auto population = std::make_shared<FaultPopulation>(num_lines);
+    if (hotpathReferenceMode() || pMax >= 1.0) {
+        // Reference sampler (also the degenerate everything-fails
+        // case): one uniform draw per cell.
+        for (auto &line : *population) {
+            for (std::size_t bit = 0; bit < line_bits; ++bit)
+                drawCell(rng, line, bit, pMax);
+        }
+    } else if (pMax > 0.0) {
+        // Geometric skip sampling: the gap to the next faulty cell
+        // in an iid Bernoulli(pMax) sequence is Geometric(pMax), so
+        // skip whole runs of clean cells and pay one RNG draw per
+        // *fault* (plus one per line to detect "no more"), not one
+        // per bit. Memorylessness makes the per-line truncation
+        // exact: restarting the gap at each line boundary leaves
+        // every cell marginally Bernoulli(pMax). The faulty cell's
+        // threshold is then conditionally uniform in [0, pMax),
+        // matching the reference sampler's u | u<pMax; threshold,
+        // stuck value and fault kind all come from disjoint bits of
+        // one 64-bit draw (43 + 1 + 20 — the threshold is stored as
+        // a float anyway, and 2^-20 granularity on the kind share is
+        // far below any measurable effect). Lines are staged in one
+        // reusable scratch buffer so each line's backing store is a
+        // single exact-sized allocation instead of a growth chain.
+        const GeometricSampler geo(pMax);
+        const std::uint32_t kindCut =
+            static_cast<std::uint32_t>(kReadShare * 1048576.0);
+        std::vector<FaultCell> scratch;
+        scratch.reserve(line_bits);
+        for (auto &line : *population) {
+            scratch.clear();
+            std::size_t bit = 0;
+            while (bit < line_bits) {
+                const std::size_t gap =
+                    geo.draw(rng, line_bits - bit);
+                bit += gap;
+                if (bit >= line_bits)
+                    break;
+                const std::uint64_t r = rng.next64();
+                FaultCell cell;
+                cell.bit = static_cast<std::uint16_t>(bit);
+                cell.threshold = static_cast<float>(
+                    (r >> 21) * 0x1.0p-43 * pMax);
+                cell.stuckValue = (r & 1) != 0;
+                cell.kind = ((r >> 1) & 0xFFFFF) < kindCut
+                    ? FaultKind::ReadDisturb : FaultKind::Writeability;
+                scratch.push_back(cell);
+                ++bit;
+            }
+            line.assign(scratch.begin(), scratch.end());
+        }
+    }
+    return population;
 }
 
-std::unique_ptr<FaultMap>
-ClusteredRowColumn::samplePopulation(std::size_t num_lines,
-                                     std::size_t line_bits) const
+std::shared_ptr<const FaultPopulation>
+ClusteredRowColumn::sample(std::size_t num_lines,
+                           std::size_t line_bits) const
 {
     const ClusterParams &c = sp.cluster;
     const double pMin =
@@ -119,7 +254,7 @@ ClusteredRowColumn::samplePopulation(std::size_t num_lines,
 
     const RngStreamScope stream("faultmap");
     Rng rng(sp.seed);
-    std::vector<std::vector<FaultCell>> population(num_lines);
+    auto population = std::make_shared<FaultPopulation>(num_lines);
 
     // Weak bitline columns are a property of the array, shared by
     // every line; draw them first so the stream layout is stable.
@@ -127,27 +262,16 @@ ClusteredRowColumn::samplePopulation(std::size_t num_lines,
     for (std::size_t bit = 0; bit < line_bits; ++bit)
         weakCol[bit] = rng.bernoulli(c.colFrac);
 
-    // Background population: the iid reference loop with a per-cell
-    // pCell boost. A boosted cell keeps the conditional-threshold
-    // property by storing u/boost: it is active at voltage v iff
-    // u < boost * pCell(v), i.e. it behaves like an iid cell whose
+    // Background population: the iid reference draw with a per-cell
+    // pCell boost, i.e. each cell behaves like an iid cell whose
     // failure curve is scaled by its row/column boost.
-    for (std::size_t lineId = 0; lineId < num_lines; ++lineId) {
+    for (auto &line : *population) {
         const bool weakRow = rng.bernoulli(c.rowFrac);
-        auto &line = population[lineId];
         for (std::size_t bit = 0; bit < line_bits; ++bit) {
             const double boost = (weakRow ? c.rowBoost : 1.0) *
                                  (weakCol[bit] ? c.colBoost : 1.0);
-            const double u = rng.uniform();
-            if (u >= std::min(1.0, pMin * boost))
-                continue;
-            FaultCell cell;
-            cell.bit = static_cast<std::uint16_t>(bit);
-            cell.threshold = static_cast<float>(u / boost);
-            cell.stuckValue = rng.bernoulli(0.5);
-            cell.kind = rng.bernoulli(kReadShare)
-                ? FaultKind::ReadDisturb : FaultKind::Writeability;
-            line.push_back(cell);
+            drawCell(rng, line, bit, std::min(1.0, pMin * boost),
+                     boost);
         }
     }
 
@@ -175,20 +299,18 @@ ClusteredRowColumn::samplePopulation(std::size_t num_lines,
                     static_cast<float>(rng.uniform() * pCluster);
                 cell.stuckValue = rng.bernoulli(0.5);
                 cell.kind = FaultKind::Writeability;
-                population[lineId].push_back(cell);
+                (*population)[lineId].push_back(cell);
             }
         }
     }
 
-    for (auto &line : population)
+    for (auto &line : *population)
         sortAndDedupe(line);
-    return std::make_unique<FaultMap>(std::move(population), line_bits,
-                                      vm, sp.freqGHz);
+    return population;
 }
 
-std::unique_ptr<FaultMap>
-BurstMixture::samplePopulation(std::size_t num_lines,
-                               std::size_t line_bits) const
+std::shared_ptr<const FaultPopulation>
+BurstMixture::sample(std::size_t num_lines, std::size_t line_bits) const
 {
     const BurstParams &b = sp.burst;
     const double pMin =
@@ -198,22 +320,11 @@ BurstMixture::samplePopulation(std::size_t num_lines,
 
     const RngStreamScope stream("faultmap");
     Rng rng(sp.seed);
-    std::vector<std::vector<FaultCell>> population(num_lines);
-    for (std::size_t lineId = 0; lineId < num_lines; ++lineId) {
-        auto &line = population[lineId];
-        // iid background, identical in law to the reference sampler.
-        for (std::size_t bit = 0; bit < line_bits; ++bit) {
-            const double u = rng.uniform();
-            if (u >= pMin)
-                continue;
-            FaultCell cell;
-            cell.bit = static_cast<std::uint16_t>(bit);
-            cell.threshold = static_cast<float>(u);
-            cell.stuckValue = rng.bernoulli(0.5);
-            cell.kind = rng.bernoulli(kReadShare)
-                ? FaultKind::ReadDisturb : FaultKind::Writeability;
-            line.push_back(cell);
-        }
+    auto population = std::make_shared<FaultPopulation>(num_lines);
+    for (auto &line : *population) {
+        // iid background: the reference sampler's draws.
+        for (std::size_t bit = 0; bit < line_bits; ++bit)
+            drawCell(rng, line, bit, pMin);
         // Byte-aligned bursts: runs of adjacent cells coupling below
         // burstVmax — the multi-bit pattern single-error SECDED
         // cannot correct. Coupled upsets read as read-disturb.
@@ -238,8 +349,7 @@ BurstMixture::samplePopulation(std::size_t num_lines,
         }
         sortAndDedupe(line);
     }
-    return std::make_unique<FaultMap>(std::move(population), line_bits,
-                                      vm, sp.freqGHz);
+    return population;
 }
 
 DroopSchedule::DroopSchedule(const ScenarioSpec &spec) : FaultModel(spec)
@@ -257,11 +367,10 @@ DroopSchedule::voltageSchedule() const
     return sp.droop.schedule;
 }
 
-std::unique_ptr<FaultMap>
-DroopSchedule::samplePopulation(std::size_t num_lines,
-                                std::size_t line_bits) const
+std::shared_ptr<const FaultPopulation>
+DroopSchedule::sample(std::size_t num_lines, std::size_t line_bits) const
 {
-    return samplePopulationOf(*base, num_lines, line_bits);
+    return base->sample(num_lines, line_bits);
 }
 
 } // namespace killi

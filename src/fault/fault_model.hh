@@ -1,26 +1,28 @@
 /**
  * @file
- * Fault-model factory hierarchy: one ScenarioSpec in, FaultMaps out.
+ * Fault-model hierarchy: one ScenarioSpec in, sampled dies and
+ * FaultMaps out.
  *
- * FaultModel is the single construction path for fault populations.
- * Where FaultMap's own constructor bakes in iid per-bit stuck-at
- * sampling (the paper's §6 evaluation assumption), the models here
- * also express the spatially-correlated populations real LV SRAM
- * exhibits (MoRS-style weak rows/columns and defect clusters,
- * multi-bit byte-aligned bursts) and time-varying voltage regimes:
+ * A FaultModel owns all population sampling: sample() draws a die's
+ * potential-fault population once, and the buildMap*() family adopts
+ * a population into a FaultMap (fault_map.hh), which only holds the
+ * cells active at its voltage. Besides the paper's iid per-bit
+ * stuck-at assumption (§6), the models express the spatially-
+ * correlated populations real LV SRAM exhibits (MoRS-style weak
+ * rows/columns and defect clusters, multi-bit byte-aligned bursts)
+ * and time-varying voltage regimes:
  *
- *  - IidStuckAt        "iid"       bit-identical to the legacy
- *                                  FaultMap constructor
+ *  - IidStuckAt         "iid"       iid per-bit stuck-at cells
  *  - ClusteredRowColumn "clustered" weak-row/weak-column pCell boosts
- *                                  plus rectangular defect clusters
- *  - BurstMixture      "burst"     iid background plus byte-aligned
- *                                  multi-bit bursts
- *  - DroopSchedule     "droop"     any base population driven through
- *                                  a voltage schedule (may raise V;
- *                                  maps are declared non-monotone)
+ *                                   plus rectangular defect clusters
+ *  - BurstMixture       "burst"     iid background plus byte-aligned
+ *                                   multi-bit bursts
+ *  - DroopSchedule      "droop"     any base population driven
+ *                                   through a voltage schedule (may
+ *                                   raise V; maps are non-monotone)
  *
- * The model owns the VoltageModel its maps read probabilities from,
- * so a FaultModel must outlive every FaultMap it builds.
+ * Sampling is deterministic in (spec, geometry): every call draws
+ * the same die from the scenario's seed on the "faultmap" RNG stream.
  */
 
 #ifndef KILLI_FAULT_FAULT_MODEL_HH
@@ -48,12 +50,17 @@ class FaultModel
     const VoltageModel &voltageModel() const { return vm; }
 
     /**
-     * Sample the scenario's fault population for an array of
-     * @p num_lines x @p line_bits cells and activate the first
-     * operating point of voltageSchedule(). The returned map keeps a
-     * reference into this model's VoltageModel: the model must
-     * outlive the map.
+     * Sample the scenario's potential-fault population for an array
+     * of @p num_lines x @p line_bits cells: every cell that could
+     * fail anywhere in the model's voltage range, each line sorted
+     * strictly by bit. Positions are 16-bit (FaultMap rejects wider
+     * lines at adoption).
      */
+    virtual std::shared_ptr<const FaultPopulation>
+    sample(std::size_t num_lines, std::size_t line_bits) const = 0;
+
+    /** Sample a die and adopt it at the first operating point of
+     *  voltageSchedule(). */
     std::unique_ptr<FaultMap>
     buildMap(std::size_t num_lines, std::size_t line_bits) const;
 
@@ -61,21 +68,20 @@ class FaultModel
      * buildMap(), but activate @p vNorm instead of the schedule's
      * first operating point. The voltage-sweep engine uses this to
      * start a monotone map at the sweep's highest point (buildMap()
-     * would already have stepped to spec().voltage, below which a
-     * monotone map cannot be raised).
+     * would already be at spec().voltage, above which a monotone map
+     * cannot be raised).
      */
     std::unique_ptr<FaultMap>
     buildMapAt(std::size_t num_lines, std::size_t line_bits,
                double vNorm) const;
 
     /**
-     * Build a map from an already-sampled potential-fault
-     * population (FaultMap::sharedPopulation() of a map this same
-     * model built) instead of resampling — sweep points and the
-     * kserved warm store share one sampled die keyed by (scenario,
-     * geometry, seed, build). The map adopts @p population without
-     * copying it and activates the schedule's first operating point
-     * in one pass; it is bit-identical to a cold buildMap().
+     * Adopt an already-sampled population (sample() of this same
+     * model) at the schedule's first operating point instead of
+     * resampling — sweep points and the kserved warm store share one
+     * die keyed by (scenario, geometry, seed, build). The map shares
+     * @p population without copying it and is bit-identical to a
+     * cold buildMap().
      */
     std::unique_ptr<FaultMap>
     buildMapFrom(std::shared_ptr<const FaultPopulation> population,
@@ -88,10 +94,10 @@ class FaultModel
                  std::size_t line_bits) const;
 
     /**
-     * Does this model promise never to raise voltage after
-     * construction? Monotone maps enforce the DAC'17 superset
-     * invariant in FaultMap::setVoltage(); DroopSchedule returns
-     * false so its schedule may legally raise V.
+     * Does this model promise never to raise voltage after a map is
+     * built? Monotone maps enforce the DAC'17 superset invariant in
+     * FaultMap::setVoltage(); DroopSchedule returns false so its
+     * schedule may legally raise V.
      */
     virtual bool monotoneVoltage() const { return true; }
 
@@ -110,21 +116,6 @@ class FaultModel
   protected:
     explicit FaultModel(const ScenarioSpec &spec) : sp(spec) {}
 
-    /** Sample the potential-fault population (voltage handling is
-     *  buildMap()'s job; the returned map is still at 1.0 x VDD). */
-    virtual std::unique_ptr<FaultMap>
-    samplePopulation(std::size_t num_lines,
-                     std::size_t line_bits) const = 0;
-
-    /** Cross-instance access to samplePopulation() for wrapper
-     *  models (DroopSchedule delegates to its base model). */
-    static std::unique_ptr<FaultMap>
-    samplePopulationOf(const FaultModel &model, std::size_t num_lines,
-                       std::size_t line_bits)
-    {
-        return model.samplePopulation(num_lines, line_bits);
-    }
-
     ScenarioSpec sp;
     VoltageModel vm;
 };
@@ -132,19 +123,18 @@ class FaultModel
 /**
  * The paper's evaluation model: iid per-bit stuck-at faults.
  *
- * samplePopulation() is a one-line shim onto the legacy FaultMap
- * constructor, so the default scenario reproduces every historical
- * result bit-identically (tests/scenario_spec_test.cc pins this).
+ * sample() draws with geometric skip sampling (one RNG draw per
+ * fault, not per bit), or with the per-bit reference sampler under
+ * hotpathReferenceMode() (common/hotpath.hh), which recordings made
+ * in reference mode replay. tests/scenario_spec_test.cc pins both.
  */
 class IidStuckAt final : public FaultModel
 {
   public:
     explicit IidStuckAt(const ScenarioSpec &spec) : FaultModel(spec) {}
 
-  protected:
-    std::unique_ptr<FaultMap>
-    samplePopulation(std::size_t num_lines,
-                     std::size_t line_bits) const override;
+    std::shared_ptr<const FaultPopulation>
+    sample(std::size_t num_lines, std::size_t line_bits) const override;
 };
 
 /**
@@ -161,10 +151,8 @@ class ClusteredRowColumn final : public FaultModel
     {
     }
 
-  protected:
-    std::unique_ptr<FaultMap>
-    samplePopulation(std::size_t num_lines,
-                     std::size_t line_bits) const override;
+    std::shared_ptr<const FaultPopulation>
+    sample(std::size_t num_lines, std::size_t line_bits) const override;
 };
 
 /**
@@ -179,17 +167,15 @@ class BurstMixture final : public FaultModel
     {
     }
 
-  protected:
-    std::unique_ptr<FaultMap>
-    samplePopulation(std::size_t num_lines,
-                     std::size_t line_bits) const override;
+    std::shared_ptr<const FaultPopulation>
+    sample(std::size_t num_lines, std::size_t line_bits) const override;
 };
 
 /**
  * Time-varying voltage regime over any base population. The base
  * model (spec().droop.base) supplies the cells; voltageSchedule()
  * replays spec().droop.schedule, which may raise as well as lower V,
- * so built maps are declared non-monotone.
+ * so built maps are non-monotone.
  */
 class DroopSchedule final : public FaultModel
 {
@@ -199,10 +185,9 @@ class DroopSchedule final : public FaultModel
     bool monotoneVoltage() const override { return false; }
     std::vector<double> voltageSchedule() const override;
 
-  protected:
-    std::unique_ptr<FaultMap>
-    samplePopulation(std::size_t num_lines,
-                     std::size_t line_bits) const override;
+    /** The base model's population. */
+    std::shared_ptr<const FaultPopulation>
+    sample(std::size_t num_lines, std::size_t line_bits) const override;
 
   private:
     std::unique_ptr<FaultModel> base;

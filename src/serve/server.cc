@@ -148,8 +148,7 @@ warmFaultSource(DieStore &store, const ScenarioSpec &scenario)
             faultMapKey(scenario, numLines, lineBits),
             [&model, numLines, lineBits] {
                 std::shared_ptr<const FaultPopulation> pop =
-                    model.buildMap(numLines, lineBits)
-                        ->sharedPopulation();
+                    model.sample(numLines, lineBits);
                 std::size_t bytes = sizeof(FaultPopulation);
                 for (const auto &line : *pop) {
                     bytes += sizeof(line) +

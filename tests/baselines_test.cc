@@ -12,7 +12,7 @@
 
 #include "baselines/precharacterized.hh"
 #include "cache/geometry.hh"
-#include "fault/voltage_model.hh"
+#include "iid_die.hh"
 
 using namespace killi;
 
@@ -35,10 +35,9 @@ testGeom()
 struct BaselineFixture
 {
     BaselineFixture()
-        : faults(std::make_unique<FaultMap>(
-              testGeom().numLines(), 720, model, 5))
+        : faults(iidDie(testGeom().numLines(), 5, 1.0))
     {
-        faults->setVoltage(1.0); // plant deterministically
+        // Nominal voltage: tests plant deterministically.
     }
 
     void
@@ -48,7 +47,6 @@ struct BaselineFixture
         scheme->attach(host, testGeom());
     }
 
-    VoltageModel model;
     NullHost host;
     std::unique_ptr<FaultMap> faults;
     std::unique_ptr<PrecharacterizedScheme> scheme;

@@ -12,7 +12,7 @@
 
 #include "baselines/precharacterized.hh"
 #include "fault/fault_map.hh"
-#include "fault/voltage_model.hh"
+#include "iid_die.hh"
 #include "gpu/gpu_system.hh"
 #include "killi/killi.hh"
 
@@ -44,10 +44,8 @@ testGeom()
 struct Rig
 {
     explicit Rig(KilliParams kp = KilliParams{})
-        : faults(std::make_unique<FaultMap>(
-              testGeom().numLines(), 720, model, 77))
+        : faults(iidDie(testGeom().numLines(), 77, 1.0))
     {
-        faults->setVoltage(1.0);
         prot = std::make_unique<KilliProtection>(*faults, kp);
         prot->attach(host, testGeom());
     }
@@ -58,7 +56,6 @@ struct Rig
         return BitVec(512);
     }
 
-    VoltageModel model;
     MockHost host;
     std::unique_ptr<FaultMap> faults;
     std::unique_ptr<KilliProtection> prot;
@@ -218,9 +215,7 @@ TEST(SoftErrorSimTest, InjectionRaisesErrorMissesNotSdc)
     GpuParams gp;
     gp.l2.softErrorRatePerBitCycle = 2e-9; // aggressive, for signal
     gp.l2.maintenanceInterval = 100000;
-    VoltageModel model;
-    FaultMap faults(gp.l2Geom.numLines(), 720, model, 9);
-    faults.setVoltage(0.625);
+    FaultMap faults = *iidDie(gp.l2Geom.numLines(), 9, 0.625);
 
     KilliProtection prot(faults, KilliParams{});
     const auto wl = makeWorkload("dgemm", 0.1);
@@ -254,15 +249,13 @@ struct WbRig
         k.writebackMode = true;
         return k;
     }())
-        : faults(gp.l2Geom.numLines(), 720, model, 55)
+        : faults(*iidDie(gp.l2Geom.numLines(), 55, voltage))
     {
         gp.l2.writePolicy = WritePolicy::WriteBack;
-        faults.setVoltage(voltage);
         prot = std::make_unique<KilliProtection>(faults, kp);
     }
 
     GpuParams gp;
-    VoltageModel model;
     FaultMap faults;
     std::unique_ptr<KilliProtection> prot;
 };
@@ -290,10 +283,8 @@ TEST(WritebackTest, WriteThroughWritesEveryStore)
 {
     // Control experiment: the same workload under write-through
     // sends every store to memory.
-    VoltageModel model;
     GpuParams gp; // default write-through
-    FaultMap faults(gp.l2Geom.numLines(), 720, model, 55);
-    faults.setVoltage(1.0);
+    FaultMap faults = *iidDie(gp.l2Geom.numLines(), 55, 1.0);
     KilliProtection prot(faults, KilliParams{});
     const auto wl = makeWorkload("dgemm", 0.05);
     GpuSystem sys(gp, prot, *wl, &faults);
@@ -411,9 +402,7 @@ TEST(WritebackTest, EndToEndAtOperatingVoltage)
 
 TEST(WritebackTest, PrecharacterizedWritebackProbe)
 {
-    VoltageModel model;
-    FaultMap faults(testGeom().numLines(), 720, model, 3);
-    faults.setVoltage(1.0);
+    FaultMap faults = *iidDie(testGeom().numLines(), 3, 1.0);
     faults.plantFault(4, 10, true);
     auto scheme = makeFlair(faults);
     MockHost host;

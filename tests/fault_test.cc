@@ -14,12 +14,14 @@
 #include <memory>
 
 #include "common/bitvec.hh"
+#include "common/hotpath.hh"
 #include "common/rng.hh"
 #include "fault/fault_map.hh"
 #include "fault/fault_model.hh"
 #include "fault/scenario_spec.hh"
 #include "fault/sweep_engine.hh"
 #include "fault/voltage_model.hh"
+#include "iid_die.hh"
 
 using namespace killi;
 
@@ -98,12 +100,10 @@ TEST(VoltageModelTest, LineFaultDistributionSumsToOne)
 namespace
 {
 FaultMap
-smallMap(double voltage, std::uint64_t seed = 7)
+smallMap(double voltage, std::uint64_t seed = 7,
+         std::size_t lines = 2048)
 {
-    static const VoltageModel vm;
-    FaultMap fm(2048, 720, vm, seed);
-    fm.setVoltage(voltage);
-    return fm;
+    return *iidDie(lines, seed, voltage);
 }
 } // namespace
 
@@ -117,8 +117,7 @@ TEST(FaultMapTest, NominalVoltageIsEssentiallyFaultFree)
 TEST(FaultMapTest, MonotoneInVoltage)
 {
     // Every cell faulty at v must be faulty at all lower voltages.
-    static const VoltageModel vm;
-    FaultMap fm(1024, 720, vm, 11);
+    FaultMap fm = smallMap(1.0, 11, 1024);
     for (double vHigh : {0.65, 0.625, 0.6}) {
         const double vLow = vHigh - 0.025;
         fm.setVoltage(vHigh);
@@ -182,8 +181,7 @@ TEST(FaultMapTest, HistogramMatchesBinomial)
     // The sampled per-line fault distribution must match the
     // analytical model (Fig. 2 consistency), within sampling noise.
     static const VoltageModel vm;
-    FaultMap fm(32768, 720, vm, 3);
-    fm.setVoltage(0.6);
+    FaultMap fm = smallMap(0.6, 3, 32768);
     const auto hist = fm.histogram(512);
     const double n = 32768.0;
     EXPECT_NEAR(hist.zero / n, vm.pLineFaults(512, 0, 0.6), 0.02);
@@ -280,26 +278,23 @@ TEST(FaultMapTest, SkipSamplingMatchesPerBitDistribution)
     // Bernoulli(pCell) per cell with conditionally uniform
     // thresholds. Compare aggregate counts and the per-voltage
     // activation curve against the per-bit reference over many dies.
-    const VoltageModel model;
     const std::size_t numLines = 2048, lineBits = 720;
     std::size_t faultsSkip = 0, faultsRef = 0;
     std::size_t activeSkip = 0, activeRef = 0;
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-        FaultMap skip(numLines, lineBits, model, seed, 1.0,
-                      FaultSampling::Skip);
-        FaultMap ref(numLines, lineBits, model, seed ^ 0xabcdef, 1.0,
-                     FaultSampling::PerBit);
+        FaultMap skip = smallMap(0.60, seed, numLines);
+        setHotpathReferenceMode(true);
+        FaultMap ref = smallMap(0.60, seed ^ 0xabcdef, numLines);
+        setHotpathReferenceMode(false);
+        for (std::size_t l = 0; l < numLines; ++l) {
+            activeSkip += skip.countFaults(l, lineBits);
+            activeRef += ref.countFaults(l, lineBits);
+        }
         skip.setVoltage(VoltageModel::minVoltage());
         ref.setVoltage(VoltageModel::minVoltage());
         for (std::size_t l = 0; l < numLines; ++l) {
             faultsSkip += skip.countFaults(l, lineBits);
             faultsRef += ref.countFaults(l, lineBits);
-        }
-        skip.setVoltage(0.60);
-        ref.setVoltage(0.60);
-        for (std::size_t l = 0; l < numLines; ++l) {
-            activeSkip += skip.countFaults(l, lineBits);
-            activeRef += ref.countFaults(l, lineBits);
         }
     }
     // Populations are in the tens of thousands; 5% agreement is far
@@ -314,11 +309,10 @@ TEST(FaultMapTest, SkipSamplingMatchesPerBitDistribution)
 
 TEST(FaultMapTest, SampledPopulationIsSortedByBit)
 {
-    const VoltageModel model;
-    for (const FaultSampling mode :
-         {FaultSampling::Skip, FaultSampling::PerBit}) {
-        FaultMap map(512, 720, model, 42, 1.0, mode);
-        map.setVoltage(VoltageModel::minVoltage());
+    for (const bool reference : {false, true}) {
+        setHotpathReferenceMode(reference);
+        FaultMap map = smallMap(VoltageModel::minVoltage(), 42, 512);
+        setHotpathReferenceMode(false);
         for (std::size_t l = 0; l < map.numLines(); ++l) {
             const auto &cells = map.lineFaults(l);
             for (std::size_t i = 1; i < cells.size(); ++i)
@@ -330,9 +324,7 @@ TEST(FaultMapTest, SampledPopulationIsSortedByBit)
 
 TEST(FaultMapTest, PlantFaultKeepsSortInvariant)
 {
-    const VoltageModel model;
-    FaultMap map(4, 720, model, 7);
-    map.setVoltage(1.0); // planted faults only
+    FaultMap map = smallMap(1.0, 7, 4); // planted faults only
     // Out-of-order plants must land in sorted position (isStuck and
     // countFaults binary-search / early-exit over the sorted set).
     map.plantFault(0, 300, true);
@@ -413,9 +405,7 @@ TEST(FaultMapTest, EqualVoltageResetIsIdempotentNoOp)
     // Warm-store hits and replayed jobs legitimately re-apply the
     // point voltage: a bit-exact re-set must be accepted as a no-op
     // under the declared monotone regime, not treated as a raise.
-    static const VoltageModel vm;
-    FaultMap fm(512, 720, vm, 21);
-    fm.declareMonotoneVoltage(true);
+    FaultMap fm = smallMap(1.0, 21, 512);
     fm.setVoltage(0.6);
     const auto before = snapshotActive(fm);
     fm.setVoltage(0.6);
@@ -433,11 +423,8 @@ TEST(FaultMapTest, IncrementalSteppingMatchesColdFiltering)
 {
     // Same seed, same population; one map steps by threshold deltas,
     // the other cold-filters. Every point must be bit-identical.
-    static const VoltageModel vm;
-    FaultMap inc(1024, 720, vm, 17);
-    FaultMap cold(1024, 720, vm, 17);
-    inc.declareMonotoneVoltage(true);
-    cold.declareMonotoneVoltage(true);
+    FaultMap inc = smallMap(1.0, 17, 1024);
+    FaultMap cold = smallMap(1.0, 17, 1024);
     ASSERT_TRUE(inc.enableIncrementalVoltage());
     EXPECT_TRUE(inc.incrementalVoltage());
     for (const double v :
@@ -462,10 +449,10 @@ TEST(FaultMapTest, IncrementalTieAtThresholdMatchesCold)
     pop[1].push_back({100, tie, true, FaultKind::Writeability});
     pop[1].push_back({200, tie / 2, false, FaultKind::ReadDisturb});
     pop[2].push_back({50, tie * 4, true, FaultKind::Writeability});
-    FaultMap inc(pop, 720, vm);
-    FaultMap cold(pop, 720, vm);
-    inc.declareMonotoneVoltage(true);
-    cold.declareMonotoneVoltage(true);
+    FaultMap inc(std::make_shared<const FaultPopulation>(pop), 720, 1.0,
+                 1.0, /*monotone=*/true);
+    FaultMap cold(std::make_shared<const FaultPopulation>(pop), 720,
+                  1.0, 1.0, /*monotone=*/true);
     ASSERT_TRUE(inc.enableIncrementalVoltage());
 
     // Bisect for a voltage whose pCell equals the float-rounded
@@ -512,11 +499,8 @@ TEST(FaultMapTest, IncrementalTieAtThresholdMatchesCold)
 
 TEST(FaultMapTest, PlantFaultInvalidatesIncrementalIndex)
 {
-    static const VoltageModel vm;
-    FaultMap inc(1024, 720, vm, 23);
-    FaultMap cold(1024, 720, vm, 23);
-    inc.declareMonotoneVoltage(true);
-    cold.declareMonotoneVoltage(true);
+    FaultMap inc = smallMap(1.0, 23, 1024);
+    FaultMap cold = smallMap(1.0, 23, 1024);
     inc.setVoltage(0.65);
     cold.setVoltage(0.65);
     ASSERT_TRUE(inc.enableIncrementalVoltage());
@@ -656,7 +640,7 @@ TEST(SweepEngineTest, BuildMapFromPopulationIsBitIdentical)
         const auto model = FaultModel::fromScenario(spec);
         const auto cold = model->buildMap(256, 720);
         const auto shared =
-            model->buildMapFrom(cold->sharedPopulation(), 720);
+            model->buildMapFrom(model->sample(256, 720), 720);
         EXPECT_EQ(shared->voltage(), cold->voltage()) << name;
         expectActiveIdentical(*shared, *cold, name);
         const auto byValue =
@@ -672,12 +656,11 @@ TEST(SweepEngineTest, AdoptedMapSharesThePopulationUncopied)
     spec.seed = 31;
     const auto model = FaultModel::fromScenario(spec);
     const std::shared_ptr<const FaultPopulation> pop =
-        model->buildMap(256, 720)->sharedPopulation();
+        model->sample(256, 720);
     const auto a = model->buildMapFrom(pop, 720);
     const auto b = model->buildMapFrom(pop, 720);
     EXPECT_EQ(&a->population(), pop.get());
     EXPECT_EQ(&b->population(), pop.get());
-    EXPECT_EQ(a->sharedPopulation(), pop);
     EXPECT_EQ(pop.use_count(), 3); // pop, a and b
 }
 
@@ -688,7 +671,7 @@ TEST(SweepEngineTest, PlantFaultOnAdoptedMapCopiesOnWrite)
     const auto model = FaultModel::fromScenario(spec);
     const auto cold = model->buildMap(256, 720);
     const std::shared_ptr<const FaultPopulation> pop =
-        cold->sharedPopulation();
+        model->sample(256, 720);
     const FaultPopulation before = *pop;
     const auto planted = model->buildMapFrom(pop, 720);
     const auto sibling = model->buildMapFrom(pop, 720);
@@ -709,32 +692,33 @@ TEST(SweepEngineTest, PlantFaultOnAdoptedMapCopiesOnWrite)
     EXPECT_EQ(&sibling->population(), pop.get());
     expectActiveIdentical(*sibling, *cold, "sibling");
 
-    // A later plant does not reach a population handed out since.
-    const std::shared_ptr<const FaultPopulation> handedOut =
-        planted->sharedPopulation();
+    // A later plant does not reach a copy of the map made since
+    // (the copy shares the planted population).
+    const FaultMap copy = *planted;
     planted->plantFault(7, 9, false);
-    EXPECT_NE(&planted->population(), handedOut.get());
+    EXPECT_NE(&planted->population(), &copy.population());
     EXPECT_TRUE(hasPlanted(planted->population()[7], 9));
-    EXPECT_FALSE(hasPlanted((*handedOut)[7], 9));
-    EXPECT_TRUE(hasPlanted((*handedOut)[5], 123));
+    EXPECT_FALSE(hasPlanted(copy.population()[7], 9));
+    EXPECT_TRUE(hasPlanted(copy.population()[5], 123));
 }
 
 TEST(SweepEngineTest, PlantFaultClonesAtMostOncePerMap)
 {
-    // kcheck plants many cells per map: a map that made its own
-    // population plants in place until a handle to it is out; an
-    // adopted map clones on its first plant only.
+    // kcheck plants many cells per map: a map holding the only
+    // handle to its population plants in place until another holder
+    // (here a copy of the map) appears; an adopted map clones on its
+    // first plant only.
     for (const char *name : {"iid", "clustered", "adopted"}) {
         ScenarioSpec spec;
         spec.model = std::string(name) == "clustered" ? "clustered"
                                                       : "iid";
         spec.seed = 43;
         const auto model = FaultModel::fromScenario(spec);
-        const auto cold = model->buildMap(256, 720);
+        const std::shared_ptr<const FaultPopulation> pop =
+            model->sample(256, 720);
         const bool adopted = std::string(name) == "adopted";
-        const auto map = adopted
-            ? model->buildMapFrom(cold->sharedPopulation(), 720)
-            : model->buildMap(256, 720);
+        const auto map = adopted ? model->buildMapFrom(pop, 720)
+                                 : model->buildMap(256, 720);
         const FaultPopulation *made = &map->population();
         map->plantFault(3, 100, true);
         const FaultPopulation *own = &map->population();
@@ -742,22 +726,21 @@ TEST(SweepEngineTest, PlantFaultClonesAtMostOncePerMap)
         map->plantFault(4, 200, false);
         EXPECT_EQ(&map->population(), own) << name;
 
-        const std::shared_ptr<const FaultPopulation> handedOut =
-            map->sharedPopulation();
+        const FaultMap copy = *map;
         map->plantFault(5, 300, true);
         const FaultPopulation *clone = &map->population();
         EXPECT_NE(clone, own) << name;
         map->plantFault(6, 400, true);
         EXPECT_EQ(&map->population(), clone) << name;
-        EXPECT_EQ(handedOut.get(), own) << name;
-        EXPECT_TRUE(hasPlanted((*handedOut)[4], 200)) << name;
-        EXPECT_FALSE(hasPlanted((*handedOut)[5], 300)) << name;
+        EXPECT_EQ(&copy.population(), own) << name;
+        EXPECT_TRUE(hasPlanted(copy.population()[4], 200)) << name;
+        EXPECT_FALSE(hasPlanted(copy.population()[5], 300)) << name;
         for (const auto &[line, bit] :
              {std::pair{3, 100}, {4, 200}, {5, 300}, {6, 400}})
             EXPECT_TRUE(hasPlanted(map->lineFaults(line), bit))
                 << name << " line " << line;
         if (adopted) {
-            EXPECT_FALSE(hasPlanted(cold->population()[3], 100));
+            EXPECT_FALSE(hasPlanted((*pop)[3], 100));
         }
     }
 }
@@ -774,8 +757,8 @@ TEST(SweepEngineTest, AdoptedMapStepsIncrementallyLikeCold)
         spec.seed = 41;
         spec.voltage = 0.70;
         const auto model = FaultModel::fromScenario(spec);
-        const auto adopted = model->buildMapFrom(
-            model->buildMap(256, 720)->sharedPopulation(), 720);
+        const auto adopted =
+            model->buildMapFrom(model->sample(256, 720), 720);
         ASSERT_TRUE(adopted->enableIncrementalVoltage()) << name;
         for (const double v : points) {
             adopted->setVoltage(v);
@@ -804,10 +787,12 @@ TEST(FaultMapDeathTest, AdoptionRejectsInvalidPopulation)
         cases = {{&unsorted, "line 2 not sorted strictly by bit"},
                  {&duplicate, "line 1 not sorted strictly by bit"},
                  {&outside, "line 0 cell 720 outside 720-bit line"}};
-    const VoltageModel vm;
     const auto model = FaultModel::fromScenario(ScenarioSpec{});
     for (const auto &[bad, msg] : cases) {
-        EXPECT_DEATH(FaultMap(*bad, 720, vm), msg);
+        EXPECT_DEATH(
+            FaultMap(std::make_shared<const FaultPopulation>(*bad), 720,
+                     1.0, 1.0, /*monotone=*/true),
+            msg);
         EXPECT_DEATH(model->buildMapFrom(*bad, 720), msg);
         EXPECT_DEATH(
             model->buildMapFrom(

@@ -13,7 +13,7 @@
 
 #include "baselines/precharacterized.hh"
 #include "fault/fault_map.hh"
-#include "fault/voltage_model.hh"
+#include "iid_die.hh"
 #include "gpu/gpu_system.hh"
 #include "killi/killi.hh"
 
@@ -25,9 +25,8 @@ namespace
 struct Rig
 {
     explicit Rig(double voltage, std::uint64_t seed = 21)
-        : faults(gp.l2Geom.numLines(), 720, model, seed)
+        : faults(*iidDie(gp.l2Geom.numLines(), seed, voltage))
     {
-        faults.setVoltage(voltage);
     }
 
     RunResult
@@ -61,7 +60,6 @@ struct Rig
     }
 
     GpuParams gp;
-    VoltageModel model;
     FaultMap faults;
     std::unique_ptr<KilliProtection> killiProt;
 };

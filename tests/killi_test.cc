@@ -14,7 +14,7 @@
 
 #include "common/rng.hh"
 #include "fault/fault_map.hh"
-#include "fault/voltage_model.hh"
+#include "iid_die.hh"
 #include "killi/killi.hh"
 
 using namespace killi;
@@ -49,12 +49,10 @@ testGeom()
 struct KilliFixture
 {
     explicit KilliFixture(KilliParams params = KilliParams{})
-        : faults(std::make_unique<FaultMap>(
-              testGeom().numLines(), 720, model, /*seed=*/99))
+        : faults(iidDie(testGeom().numLines(), /*seed=*/99, 1.0))
     {
         // Nominal voltage: the random population is empty; tests
         // plant exactly the faults they want.
-        faults->setVoltage(1.0);
         prot = std::make_unique<KilliProtection>(*faults, params);
         prot->attach(host, testGeom());
     }
@@ -76,7 +74,6 @@ struct KilliFixture
         return v;
     }
 
-    VoltageModel model;
     MockHost host;
     std::unique_ptr<FaultMap> faults;
     std::unique_ptr<KilliProtection> prot;

@@ -1,21 +1,23 @@
 /**
  * @file
  * ScenarioSpec / FaultModel contract tests: the scenario document
- * round-trips byte-identically, the default (iid) scenario rebuilds
- * the legacy FaultMap constructor's population bit-for-bit, the
- * correlated model classes produce the spatial shapes they advertise,
- * and the monotone-voltage guard fires exactly when a model declares
- * monotonicity.
+ * round-trips byte-identically, every sampler's seed-42 die is pinned
+ * by digest, the correlated model classes produce the spatial shapes
+ * they advertise, and the monotone-voltage guard fires exactly when a
+ * model declares monotonicity.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/hotpath.hh"
 #include "fault/fault_map.hh"
 #include "fault/fault_model.hh"
 #include "fault/scenario_spec.hh"
@@ -136,22 +138,75 @@ expectSamePopulation(const FaultMap &a, const FaultMap &b)
     }
 }
 
-TEST(FaultModel, DefaultScenarioMatchesLegacyConstructorBitwise)
+/** FNV-1a over every cell of every line (bit, threshold bit pattern,
+ *  stuck value, kind), each line prefixed by its cell count. */
+std::uint64_t
+populationDigest(const FaultPopulation &pop)
 {
-    ScenarioSpec spec;
-    spec.seed = 42;
-    spec.voltage = 0.625;
-    const std::unique_ptr<FaultModel> model =
-        FaultModel::fromScenario(spec);
-    const std::unique_ptr<FaultMap> viaModel =
-        model->buildMap(2048, 720);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](std::uint64_t v, int bytes) {
+        for (int i = 0; i < bytes; ++i) {
+            h ^= (v >> (8 * i)) & 0xFF;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const std::vector<FaultCell> &line : pop) {
+        mix(line.size(), 4);
+        for (const FaultCell &c : line) {
+            std::uint32_t t;
+            std::memcpy(&t, &c.threshold, sizeof t);
+            mix(c.bit, 2);
+            mix(t, 4);
+            mix(c.stuckValue, 1);
+            mix(unsigned(c.kind), 1);
+        }
+    }
+    return h;
+}
 
-    const VoltageModel vm;
-    FaultMap legacy(2048, 720, vm, 42);
-    legacy.setVoltage(0.625);
-
-    EXPECT_DOUBLE_EQ(viaModel->voltage(), legacy.voltage());
-    expectSamePopulation(*viaModel, legacy);
+TEST(FaultModel, SampledPopulationsArePinned)
+{
+    // Literal digests of the seed-42 2048x720 die of each sampler:
+    // iid through the geometric skip sampler and through the per-bit
+    // reference (the path recordings made in reference mode replay),
+    // and the clustered and burst classes. Any change to a draw, its
+    // order or the cell encoding moves a digest.
+    struct Pin
+    {
+        const char *model;
+        bool reference;
+        std::size_t cells;
+        std::uint64_t digest;
+    };
+    const Pin pins[] = {
+        {"iid", false, 170896, 0x5399b40fabb2b46bull},
+        {"iid", true, 171289, 0xf7aa22b18c6203cdull},
+        {"clustered", false, 205848, 0x6824999da0650758ull},
+        {"burst", false, 172540, 0x87921642be02516eull},
+    };
+    for (const Pin &pin : pins) {
+        ScenarioSpec spec;
+        spec.model = pin.model;
+        spec.seed = 42;
+        setHotpathReferenceMode(pin.reference);
+        const auto model = FaultModel::fromScenario(spec);
+        const std::shared_ptr<const FaultPopulation> die =
+            model->sample(2048, 720);
+        const auto map = model->buildMap(2048, 720);
+        setHotpathReferenceMode(false);
+        std::size_t cells = 0;
+        for (const auto &line : *die)
+            cells += line.size();
+        const std::string label = std::string(pin.model) +
+            (pin.reference ? " (per-bit reference)" : "");
+        EXPECT_EQ(cells, pin.cells) << label;
+        EXPECT_EQ(populationDigest(*die), pin.digest)
+            << label << std::hex << " digest 0x"
+            << populationDigest(*die);
+        // A built map adopts the same die.
+        EXPECT_EQ(populationDigest(map->population()), pin.digest)
+            << label;
+    }
 }
 
 TEST(FaultModel, SameScenarioSameDie)
@@ -286,15 +341,6 @@ TEST(FaultModel, DroopMapsMayRaiseVoltage)
     for (const double v : spec.droop.schedule)
         map->setVoltage(v); // includes the raise back to 0.65
     EXPECT_DOUBLE_EQ(map->voltage(), spec.droop.schedule.back());
-}
-
-TEST(FaultModel, LegacyDirectMapsStayUndeclared)
-{
-    const VoltageModel vm;
-    FaultMap map(64, 720, vm, 3);
-    map.setVoltage(0.6);
-    map.setVoltage(0.7); // no declaration -> raising stays legal
-    EXPECT_DOUBLE_EQ(map.voltage(), 0.7);
 }
 
 } // namespace

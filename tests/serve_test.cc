@@ -1613,8 +1613,6 @@ TEST(SweepCodec, EveryProducerRoundTripsToTheSourceCanonicalKey)
           "schemes=" + joinNames(sweepSchemeNames())},
          true},
     };
-    ScopedLogCapture quiet; // deprecation warnings for seed=
-
     std::string defaultKey;
     for (const CodecRow &row : rows) {
         SCOPED_TRACE(row.name);

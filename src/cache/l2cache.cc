@@ -13,7 +13,8 @@ L2Cache::L2Cache(EventQueue &eq_, DramModel &dram_,
       geometry(geom_), p(params), trace(params.trace),
       faultMap(fault_map), upsetRng(params.softErrorSeed),
       lines(geom_.numLines()), bankFree(geom_.banks, 0),
-      mshrs(geom_.banks)
+      mshrs(std::size_t(geom_.banks) * params.mshrsPerBank),
+      mshrUsed(geom_.banks, 0)
 {
     if (p.softErrorRatePerBitCycle > 0.0 && !faultMap)
         fatal("L2Cache: soft-error injection needs a FaultMap");
@@ -150,20 +151,53 @@ L2Cache::findLine(Addr lineAddr, std::size_t &lineIdOut)
     return nullptr;
 }
 
-void
-L2Cache::read(Addr addr, RespCb cb)
+std::uint32_t
+L2Cache::newRequest(Addr lineAddr, L2Client &client, std::uint64_t token)
 {
-    const Addr lineAddr = geometry.lineAddr(addr);
-    const Tick start = reserveBank(lineAddr, eq.curTick() + p.xbarLatency);
-    eq.schedule(start + p.tagLatency,
-                [this, lineAddr, cb = std::move(cb)]() mutable {
-                    handleReadTag(lineAddr, std::move(cb));
-                });
+    std::uint32_t id = freeRequests;
+    if (id == kNoRequest) {
+        id = std::uint32_t(requests.size());
+        requests.emplace_back();
+    } else {
+        freeRequests = requests[id].next;
+    }
+    requests[id] = Request{lineAddr, &client, token, 0, kNoRequest};
+    return id;
+}
+
+L2Cache::Mshr *
+L2Cache::findMshr(unsigned bank, Addr lineAddr)
+{
+    Mshr *table = &mshrs[std::size_t(bank) * p.mshrsPerBank];
+    for (unsigned i = 0; i < mshrUsed[bank]; ++i) {
+        if (table[i].lineAddr == lineAddr)
+            return &table[i];
+    }
+    return nullptr;
+}
+
+std::size_t
+L2Cache::mshrsInUse() const
+{
+    std::size_t used = 0;
+    for (const unsigned n : mshrUsed)
+        used += n;
+    return used;
 }
 
 void
-L2Cache::handleReadTag(Addr lineAddr, RespCb cb)
+L2Cache::read(Addr addr, L2Client &client, std::uint64_t token)
 {
+    const Addr lineAddr = geometry.lineAddr(addr);
+    const Tick start = reserveBank(lineAddr, eq.curTick() + p.xbarLatency);
+    eq.schedule<&L2Cache::readTag>(start + p.tagLatency, this,
+                                   newRequest(lineAddr, client, token));
+}
+
+void
+L2Cache::readTag(std::uint64_t req)
+{
+    const Addr lineAddr = requests[req].lineAddr;
     maybeMaintain();
     std::size_t lineId = npos;
     Line *line = findLine(lineAddr, lineId);
@@ -173,7 +207,7 @@ L2Cache::handleReadTag(Addr lineAddr, RespCb cb)
         ++*cReadMisses;
         KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.read_miss",
                {"addr", lineAddr});
-        startMiss(lineAddr, std::move(cb), 0);
+        startMiss(req);
         return;
     }
 
@@ -192,7 +226,8 @@ L2Cache::handleReadTag(Addr lineAddr, RespCb cb)
         }
         line->valid = false;
         protection.onInvalidate(lineId);
-        startMiss(lineAddr, std::move(cb), res.extraLatency);
+        requests[req].extraDelay = res.extraLatency;
+        startMiss(req);
         return;
     }
 
@@ -206,53 +241,59 @@ L2Cache::handleReadTag(Addr lineAddr, RespCb cb)
     }
     line->lastUse = ++useCounter;
     protection.onTouch(lineId);
-    const Tick respTime =
-        eq.curTick() + p.dataLatency + res.extraLatency;
-    eq.schedule(respTime,
-                [cb = std::move(cb), respTime] { cb(respTime); });
+    eq.schedule<&L2Cache::respond>(
+        eq.curTick() + p.dataLatency + res.extraLatency, this, req);
 }
 
 void
-L2Cache::startMiss(Addr lineAddr, RespCb cb, Cycle extraDelay)
+L2Cache::startMiss(std::uint64_t req)
 {
-    auto &table = mshrs[geometry.bankOf(lineAddr)];
-    const auto it = table.find(lineAddr);
-    if (it != table.end()) {
-        it->second.push_back(std::move(cb));
+    Request &r = requests[req];
+    const unsigned bank = geometry.bankOf(r.lineAddr);
+    if (Mshr *entry = findMshr(bank, r.lineAddr)) {
+        requests[entry->tail].next = std::uint32_t(req);
+        entry->tail = std::uint32_t(req);
         return;
     }
-    if (table.size() >= p.mshrsPerBank) {
+    if (mshrUsed[bank] >= p.mshrsPerBank) {
         ++*cMshrRetries;
-        eq.scheduleIn(p.mshrRetryDelay,
-                      [this, lineAddr, cb = std::move(cb),
-                       extraDelay]() mutable {
-                          startMiss(lineAddr, std::move(cb), extraDelay);
-                      });
+        eq.scheduleIn<&L2Cache::startMiss>(p.mshrRetryDelay, this, req);
         return;
     }
-    table[lineAddr].push_back(std::move(cb));
+    mshrs[std::size_t(bank) * p.mshrsPerBank + mshrUsed[bank]++] =
+        Mshr{r.lineAddr, std::uint32_t(req), std::uint32_t(req)};
     const Tick done =
-        dram.access(lineAddr, false, eq.curTick() + extraDelay);
-    eq.schedule(done, [this, lineAddr] { finishFill(lineAddr); });
+        dram.access(r.lineAddr, false, eq.curTick() + r.extraDelay);
+    eq.schedule<&L2Cache::fill>(done, this, r.lineAddr);
 }
 
 void
-L2Cache::finishFill(Addr lineAddr)
+L2Cache::fill(Addr lineAddr)
 {
-    auto &table = mshrs[geometry.bankOf(lineAddr)];
-    const auto it = table.find(lineAddr);
-    if (it == table.end())
+    const unsigned bank = geometry.bankOf(lineAddr);
+    Mshr *entry = findMshr(bank, lineAddr);
+    if (!entry)
         panic("L2Cache: fill without MSHR entry");
-    std::vector<RespCb> waiters = std::move(it->second);
-    table.erase(it);
+    std::uint32_t waiter = entry->head;
+    // Free the entry: the bank's last live entry takes its place.
+    *entry = mshrs[std::size_t(bank) * p.mshrsPerBank + --mshrUsed[bank]];
 
     allocate(lineAddr);
 
     const Tick respTime = eq.curTick() + p.dataLatency;
-    for (auto &cb : waiters) {
-        eq.schedule(respTime,
-                    [cb = std::move(cb), respTime] { cb(respTime); });
-    }
+    for (; waiter != kNoRequest; waiter = requests[waiter].next)
+        eq.schedule<&L2Cache::respond>(respTime, this, waiter);
+}
+
+void
+L2Cache::respond(std::uint64_t req)
+{
+    Request &r = requests[req];
+    L2Client &client = *r.client;
+    const std::uint64_t token = r.token;
+    r.next = freeRequests;
+    freeRequests = std::uint32_t(req);
+    client.l2Response(token, eq.curTick());
 }
 
 std::size_t
@@ -340,44 +381,48 @@ L2Cache::write(Addr addr)
     const Addr lineAddr = geometry.lineAddr(addr);
     golden.write(lineAddr); // program-order memory update
     const Tick start = reserveBank(lineAddr, eq.curTick() + p.xbarLatency);
-    eq.schedule(start + p.tagLatency, [this, lineAddr] {
-        maybeMaintain();
-        std::size_t lineId = npos;
-        Line *line = findLine(lineAddr, lineId);
-        if (!line && p.writePolicy == WritePolicy::WriteBack) {
-            // Write-allocate: a full-line store installs directly.
-            ++*cWriteMisses;
-            const std::size_t allocated = allocate(lineAddr);
-            if (allocated == npos) {
-                dram.access(lineAddr, true, eq.curTick());
-                return;
-            }
-            Line &fresh = lines[allocated];
-            fresh.dirty = true;
-            protection.onWriteHit(allocated, fresh.data);
+    eq.schedule<&L2Cache::writeTag>(start + p.tagLatency, this, lineAddr);
+}
+
+void
+L2Cache::writeTag(Addr lineAddr)
+{
+    maybeMaintain();
+    std::size_t lineId = npos;
+    Line *line = findLine(lineAddr, lineId);
+    if (!line && p.writePolicy == WritePolicy::WriteBack) {
+        // Write-allocate: a full-line store installs directly.
+        ++*cWriteMisses;
+        const std::size_t allocated = allocate(lineAddr);
+        if (allocated == npos) {
+            dram.access(lineAddr, true, eq.curTick());
             return;
         }
-        if (line) {
-            ++*cWriteHits;
-            KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.write_hit",
-                   {"line", lineId});
-            line->version = golden.version(lineAddr);
-            line->data = golden.data(lineAddr, line->version);
-            line->lastUse = ++useCounter;
-            line->upsetCheckedAt = eq.curTick();
-            if (faultMap)
-                faultMap->clearTransients(lineId); // cells rewritten
-            if (p.writePolicy == WritePolicy::WriteBack)
-                line->dirty = true;
-            protection.onWriteHit(lineId, line->data);
-        } else {
-            ++*cWriteMisses;
-            KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.write_miss",
-                   {"addr", lineAddr});
-        }
-        if (p.writePolicy == WritePolicy::WriteThrough)
-            dram.access(lineAddr, true, eq.curTick());
-    });
+        Line &fresh = lines[allocated];
+        fresh.dirty = true;
+        protection.onWriteHit(allocated, fresh.data);
+        return;
+    }
+    if (line) {
+        ++*cWriteHits;
+        KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.write_hit",
+               {"line", lineId});
+        line->version = golden.version(lineAddr);
+        line->data = golden.data(lineAddr, line->version);
+        line->lastUse = ++useCounter;
+        line->upsetCheckedAt = eq.curTick();
+        if (faultMap)
+            faultMap->clearTransients(lineId); // cells rewritten
+        if (p.writePolicy == WritePolicy::WriteBack)
+            line->dirty = true;
+        protection.onWriteHit(lineId, line->data);
+    } else {
+        ++*cWriteMisses;
+        KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.write_miss",
+               {"addr", lineAddr});
+    }
+    if (p.writePolicy == WritePolicy::WriteThrough)
+        dram.access(lineAddr, true, eq.curTick());
 }
 
 void

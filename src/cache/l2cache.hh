@@ -16,8 +16,7 @@
 #ifndef KILLI_CACHE_L2CACHE_HH
 #define KILLI_CACHE_L2CACHE_HH
 
-#include <functional>
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "cache/geometry.hh"
@@ -73,12 +72,20 @@ struct L2Params
     TraceSink *trace = nullptr;
 };
 
+/** A requester of L2 loads (a compute unit, a test double). */
+class L2Client
+{
+  public:
+    /** The load issued with @p token is answered at tick @p when. */
+    virtual void l2Response(std::uint64_t token, Tick when) = 0;
+
+  protected:
+    ~L2Client() = default;
+};
+
 class L2Cache : public L2Backdoor
 {
   public:
-    /** Completion callback: invoked at the response tick. */
-    using RespCb = std::function<void(Tick)>;
-
     /**
      * @param fault_map optional: required only for soft-error
      *        injection (transient upsets are recorded there so the
@@ -88,11 +95,23 @@ class L2Cache : public L2Backdoor
             ProtectionScheme &protection, const CacheGeometry &geom,
             const L2Params &params, FaultMap *fault_map = nullptr);
 
-    /** Issue a load for @p addr at the current tick. */
-    void read(Addr addr, RespCb cb);
+    /** Issue a load for @p addr at the current tick; @p client is
+     *  answered with @p token at the response tick. */
+    void read(Addr addr, L2Client &client, std::uint64_t token);
 
     /** Issue a write-through store for @p addr (fire-and-forget). */
     void write(Addr addr);
+
+    /**
+     * Memory response for the outstanding miss on @p lineAddr:
+     * free its MSHR, allocate the line and answer every waiter in
+     * arrival order. The miss path schedules it; a fill with no
+     * MSHR holding the line panics.
+     */
+    void fill(Addr lineAddr);
+
+    /** MSHR entries currently holding a miss, over all banks. */
+    std::size_t mshrsInUse() const;
 
     // L2Backdoor
     void invalidateLine(std::size_t lineId) override;
@@ -137,14 +156,51 @@ class L2Cache : public L2Backdoor
      *  read-outs, inverted-write checks). */
     void chargeBank(Addr lineAddr, Cycle cost);
 
-    /** Tag-array outcome for a load. */
-    void handleReadTag(Addr lineAddr, RespCb cb);
+    /** One in-flight load, from read() until its response. Slots
+     *  are pooled and reused through a free list. */
+    struct Request
+    {
+        Addr lineAddr;
+        L2Client *client;
+        std::uint64_t token;
+        /** Delay before the miss reaches memory (error-induced
+         *  misses pay the scheme's detection latency). */
+        Cycle extraDelay;
+        /** Next request on the same MSHR or on the free list. */
+        std::uint32_t next;
+    };
 
-    /** Begin the miss path (demand or error-induced). */
-    void startMiss(Addr lineAddr, RespCb cb, Cycle extraDelay);
+    /** A miss status holding register: one outstanding line fill
+     *  and its waiting requests, oldest first, linked through
+     *  Request::next. */
+    struct Mshr
+    {
+        Addr lineAddr;
+        std::uint32_t head;
+        std::uint32_t tail;
+    };
 
-    /** Memory response: allocate and notify waiters. */
-    void finishFill(Addr lineAddr);
+    static constexpr std::uint32_t kNoRequest = ~std::uint32_t{0};
+
+    std::uint32_t newRequest(Addr lineAddr, L2Client &client,
+                             std::uint64_t token);
+
+    /** The live MSHR of @p bank holding @p lineAddr, or nullptr. */
+    Mshr *findMshr(unsigned bank, Addr lineAddr);
+
+    /** Tag-array outcome for a load (event handler). */
+    void readTag(std::uint64_t req);
+
+    /** Tag-array outcome for a store (event handler). */
+    void writeTag(Addr lineAddr);
+
+    /** Begin, join or retry the miss path of a load (demand or
+     *  error-induced; also the MSHR-retry event handler). */
+    void startMiss(std::uint64_t req);
+
+    /** Deliver a load's response and free its slot (event
+     *  handler). */
+    void respond(std::uint64_t req);
 
     /** Pick and prepare a victim way; returns line id or npos. */
     std::size_t allocate(Addr lineAddr);
@@ -167,8 +223,15 @@ class L2Cache : public L2Backdoor
 
     std::vector<Line> lines;
     std::vector<Tick> bankFree;
-    /** Per-bank outstanding misses keyed by line address. */
-    std::vector<std::unordered_map<Addr, std::vector<RespCb>>> mshrs;
+    /** Request slots; grows to the peak number of loads in flight
+     *  and is then reused, so the steady state allocates nothing. */
+    std::vector<Request> requests;
+    std::uint32_t freeRequests = kNoRequest;
+    /** Fixed per-bank MSHR tables: bank b owns entries
+     *  [b * mshrsPerBank, (b + 1) * mshrsPerBank), of which the first
+     *  mshrUsed[b] are live. */
+    std::vector<Mshr> mshrs;
+    std::vector<unsigned> mshrUsed;
     std::uint64_t useCounter = 0;
     StatGroup statGroup;
 

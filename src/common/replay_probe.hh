@@ -61,8 +61,13 @@ class ReplayProbe
 
 namespace detail
 {
-extern thread_local ReplayProbe *tlsReplayProbe;
-extern thread_local const char *tlsRngStream;
+// Constant-initialized inline definitions: every use sees the
+// initializer, so accesses are direct TLS loads and stores. (An
+// extern declaration with an out-of-line definition goes through a
+// TLS wrapper call instead, which GCC 12's UBSan null check flags
+// as a store to a null pointer.)
+inline thread_local constinit ReplayProbe *tlsReplayProbe = nullptr;
+inline thread_local constinit const char *tlsRngStream = "?";
 } // namespace detail
 
 /** The probe installed on this thread (nullptr when none). */

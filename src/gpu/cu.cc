@@ -6,55 +6,60 @@ namespace killi
 ComputeUnit::ComputeUnit(unsigned cu_id, EventQueue &eq_, L1Cache &l1_,
                          L2Cache &l2_, const Workload &workload_,
                          Cycle l1_latency,
-                         std::function<void()> on_wf_done)
+                         unsigned &wavefronts_remaining)
     : cuId(cu_id), eq(eq_), l1(l1_), l2(l2_), workload(workload_),
-      l1Latency(l1_latency), onWfDone(std::move(on_wf_done))
+      l1Latency(l1_latency), wavefrontsRemaining(wavefronts_remaining),
+      pending(workload_.wavefrontsPerCu())
 {
 }
 
 void
 ComputeUnit::start()
 {
-    for (unsigned wf = 0; wf < workload.wavefrontsPerCu(); ++wf) {
-        eq.scheduleIn(0, [this, wf] { step(wf, 0); });
-    }
+    for (unsigned wf = 0; wf < workload.wavefrontsPerCu(); ++wf)
+        eq.scheduleIn<&ComputeUnit::step>(0, this, wf, 0);
 }
 
 void
 ComputeUnit::step(unsigned wf, std::uint64_t idx)
 {
     if (idx >= workload.opsFor(cuId, wf)) {
-        onWfDone();
+        --wavefrontsRemaining;
         return;
     }
 
     const MemOp op = workload.op(cuId, wf, idx);
     instrCount += 1 + op.computeCycles; // 1 IPC compute model
 
-    const auto next = [this, wf, idx] { step(wf, idx + 1); };
-
     if (op.isWrite) {
         // Write-through store: retire through a store buffer, no
         // stall (posted), data flows L1 (no-allocate) -> L2 -> DRAM.
         l1.writeThrough(op.addr);
         l2.write(op.addr);
-        eq.scheduleIn(1 + op.computeCycles, next);
+        eq.scheduleIn<&ComputeUnit::step>(1 + op.computeCycles, this,
+                                          wf, idx + 1);
         return;
     }
 
     if (l1.lookup(op.addr)) {
-        eq.scheduleIn(l1Latency + op.computeCycles, next);
+        eq.scheduleIn<&ComputeUnit::step>(l1Latency + op.computeCycles,
+                                          this, wf, idx + 1);
         return;
     }
 
-    l2.read(op.addr, [this, addr = op.addr,
-                      compute = op.computeCycles, next](Tick when) {
-        l1.fill(addr);
-        // The response callback runs at tick `when`; resume after
-        // the op's compute section.
-        (void)when;
-        eq.scheduleIn(compute + 1, next);
-    });
+    pending[wf] = PendingLoad{op.addr, op.computeCycles, idx + 1};
+    l2.read(op.addr, *this, wf);
+}
+
+void
+ComputeUnit::l2Response(std::uint64_t wf, Tick)
+{
+    const PendingLoad &load = pending[wf];
+    l1.fill(load.addr);
+    // The response arrives at the current tick; resume after the
+    // op's compute section.
+    eq.scheduleIn<&ComputeUnit::step>(load.computeCycles + 1, this, wf,
+                                      load.nextIdx);
 }
 
 } // namespace killi

@@ -10,7 +10,7 @@
 #ifndef KILLI_GPU_CU_HH
 #define KILLI_GPU_CU_HH
 
-#include <functional>
+#include <vector>
 
 #include "cache/l1cache.hh"
 #include "cache/l2cache.hh"
@@ -21,16 +21,16 @@
 namespace killi
 {
 
-class ComputeUnit
+class ComputeUnit : private L2Client
 {
   public:
     /**
-     * @param on_wf_done invoked once per wavefront completion (the
-     *        GpuSystem counts down to end-of-kernel)
+     * @param wavefronts_remaining decremented once per wavefront
+     *        completion (the GpuSystem counts down to end-of-kernel)
      */
     ComputeUnit(unsigned cu_id, EventQueue &eq, L1Cache &l1,
                 L2Cache &l2, const Workload &workload,
-                Cycle l1_latency, std::function<void()> on_wf_done);
+                Cycle l1_latency, unsigned &wavefronts_remaining);
 
     /** Launch all wavefronts at the current tick. */
     void start();
@@ -39,7 +39,20 @@ class ComputeUnit
     std::uint64_t instructions() const { return instrCount; }
 
   private:
+    /** A wavefront's outstanding L2 load; a wavefront blocks on its
+     *  load, so it has at most one. */
+    struct PendingLoad
+    {
+        Addr addr = 0;
+        Cycle computeCycles = 0;
+        std::uint64_t nextIdx = 0;
+    };
+
+    /** Execute op @p idx of wavefront @p wf (event handler). */
     void step(unsigned wf, std::uint64_t idx);
+
+    /** The L2 answered wavefront @p wf's load. */
+    void l2Response(std::uint64_t wf, Tick when) override;
 
     unsigned cuId;
     EventQueue &eq;
@@ -47,7 +60,8 @@ class ComputeUnit
     L2Cache &l2;
     const Workload &workload;
     Cycle l1Latency;
-    std::function<void()> onWfDone;
+    unsigned &wavefrontsRemaining;
+    std::vector<PendingLoad> pending;
     std::uint64_t instrCount = 0;
 };
 

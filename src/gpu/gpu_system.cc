@@ -68,7 +68,7 @@ GpuSystem::GpuSystem(const GpuParams &params,
         l1s.push_back(std::make_unique<L1Cache>(p.l1Geom));
         cus.push_back(std::make_unique<ComputeUnit>(
             cu, eq, *l1s.back(), *l2Cache, workload, p.l1Latency,
-            [this] { --wavefrontsRemaining; }));
+            wavefrontsRemaining));
     }
 
     if (p.statsInterval) {

@@ -7,7 +7,8 @@ namespace killi
 {
 
 void
-EventQueue::schedule(Tick when, Callback cb, int priority)
+EventQueue::schedule(Tick when, Handler handler, void *target,
+                     std::uint64_t arg0, std::uint64_t arg1, int priority)
 {
     if (when < now)
         panic("EventQueue: scheduling into the past (%llu < %llu)",
@@ -15,14 +16,15 @@ EventQueue::schedule(Tick when, Callback cb, int priority)
               static_cast<unsigned long long>(now));
     KTRACE(trace, now, TraceCat::Sim, "sim.schedule", {"when", when},
            {"priority", priority});
-    heap.push(Event{when, priority, seqCounter++, std::move(cb)});
+    heap.push(Event{when, priority, seqCounter++, handler, target, arg0,
+                    arg1});
 }
 
 void
-EventQueue::setPeriodic(Tick interval, Callback cb)
+EventQueue::setPeriodic(Tick interval, std::function<void()> cb)
 {
     periodicInterval = interval;
-    periodicCb = interval ? std::move(cb) : Callback{};
+    periodicCb = interval ? std::move(cb) : nullptr;
     nextPeriodic = now + interval;
 }
 
@@ -44,9 +46,9 @@ EventQueue::run(Tick limit)
             now = limit;
             return false;
         }
-        // Move the callback out before popping so that the callback
-        // may schedule further events safely.
-        Event ev = heap.top();
+        // Copy the event out before popping so that its handler may
+        // schedule further events safely.
+        const Event ev = heap.top();
         heap.pop();
         // The determinism contract (see the header): pops are
         // strictly increasing in (when, priority, seq). Checked
@@ -75,7 +77,7 @@ EventQueue::run(Tick limit)
             probe->onEventPop(ev.when, ev.priority, ev.seq);
         now = ev.when;
         ++executed;
-        ev.cb();
+        ev.handler(ev.target, ev.arg0, ev.arg1);
     }
     return true;
 }

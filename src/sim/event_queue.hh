@@ -2,7 +2,14 @@
  * @file
  * A minimal discrete-event simulation kernel in the style of gem5's
  * event queue: events are (tick, priority, insertion-order)-ordered
- * callbacks.
+ * typed records.
+ *
+ * An event is plain data — a handler function pointer, the object it
+ * acts on, and two 64-bit payload words — so scheduling, heap moves
+ * and pops copy 56 bytes and allocate nothing beyond the heap's own
+ * storage. Producers name a member
+ * function taking one or two 64-bit words and the kernel adapts it:
+ * schedule<&T::m>(when, obj, a, b) runs obj->m(a, b) at @p when.
  *
  * Determinism contract: events pop in strictly increasing
  * (when, priority, seq) lexicographic order — same-tick events run
@@ -21,6 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hh"
@@ -32,7 +40,23 @@ namespace killi
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
+    /** What an event does when it pops: act on @p target with the
+     *  event's two payload words. */
+    using Handler = void (*)(void *target, std::uint64_t arg0,
+                             std::uint64_t arg1);
+
+    /** One scheduled event: trivially copyable, heap-ordered by
+     *  (when, priority, seq). */
+    struct Event
+    {
+        Tick when;
+        int priority;
+        std::uint64_t seq;
+        Handler handler;
+        void *target;
+        std::uint64_t arg0;
+        std::uint64_t arg1;
+    };
 
     /** Current simulated time. */
     Tick curTick() const { return now; }
@@ -44,16 +68,31 @@ class EventQueue
     bool empty() const { return heap.empty(); }
 
     /**
-     * Schedule @p cb at absolute time @p when (>= curTick()).
-     * Lower @p priority runs earlier within a tick.
+     * Schedule handler(target, arg0, arg1) at absolute time @p when
+     * (>= curTick()). Lower @p priority runs earlier within a tick.
      */
-    void schedule(Tick when, Callback cb, int priority = 0);
+    void schedule(Tick when, Handler handler, void *target,
+                  std::uint64_t arg0 = 0, std::uint64_t arg1 = 0,
+                  int priority = 0);
 
-    /** Schedule @p cb @p delta ticks from now. */
+    /** Schedule target->Method(arg0, arg1) at absolute time @p when. */
+    template <auto Method, class T>
     void
-    scheduleIn(Tick delta, Callback cb, int priority = 0)
+    schedule(Tick when, T *target, std::uint64_t arg0 = 0,
+             std::uint64_t arg1 = 0, int priority = 0)
     {
-        schedule(now + delta, std::move(cb), priority);
+        schedule(when, &invoke<Method, T>, target, arg0, arg1,
+                 priority);
+    }
+
+    /** Schedule target->Method(arg0, arg1) @p delta ticks from now. */
+    template <auto Method, class T>
+    void
+    scheduleIn(Tick delta, T *target, std::uint64_t arg0 = 0,
+               std::uint64_t arg1 = 0, int priority = 0)
+    {
+        schedule(now + delta, &invoke<Method, T>, target, arg0, arg1,
+                 priority);
     }
 
     /**
@@ -63,9 +102,10 @@ class EventQueue
      * event runs *before* that tick's events, so a stats snapshot at
      * tick T observes the state as of the end of tick T-1. Firings
      * stop with the last event: callers wanting the final state take
-     * one explicit sample after run() returns.
+     * one explicit sample after run() returns. The periodic hook is
+     * not a heap event, so it keeps a plain std::function.
      */
-    void setPeriodic(Tick interval, Callback cb);
+    void setPeriodic(Tick interval, std::function<void()> cb);
 
     /** Attach a trace sink for sim.* events (nullptr detaches). */
     void setTrace(TraceSink *sink) { trace = sink; }
@@ -75,13 +115,20 @@ class EventQueue
     bool run(Tick limit = kMaxTick);
 
   private:
-    struct Event
+    /** The Handler of target->Method; a one-parameter Method
+     *  ignores arg1. */
+    template <auto Method, class T>
+    static void
+    invoke(void *target, std::uint64_t arg0, std::uint64_t arg1)
     {
-        Tick when;
-        int priority;
-        std::uint64_t seq;
-        Callback cb;
-    };
+        T *self = static_cast<T *>(target);
+        if constexpr (std::is_invocable_v<decltype(Method), T *,
+                                          std::uint64_t, std::uint64_t>)
+            (self->*Method)(arg0, arg1);
+        else
+            (self->*Method)(arg0);
+    }
+
     struct Later
     {
         bool
@@ -111,7 +158,7 @@ class EventQueue
     std::priority_queue<Event, std::vector<Event>, Later> heap;
     Tick periodicInterval = 0;
     Tick nextPeriodic = 0;
-    Callback periodicCb;
+    std::function<void()> periodicCb;
     TraceSink *trace = nullptr;
 };
 

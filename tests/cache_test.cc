@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "cache/l1cache.hh"
 #include "cache/l2cache.hh"
@@ -96,33 +97,77 @@ class MockProtection : public ProtectionScheme
     std::size_t lastInvalidateLine = ~0u;
 };
 
+/** L2 requester test double: records every (token, tick) answer. */
+class RecordingClient : public L2Client
+{
+  public:
+    struct Response
+    {
+        std::uint64_t token;
+        Tick when;
+
+        bool
+        operator==(const Response &o) const
+        {
+            return token == o.token && when == o.when;
+        }
+    };
+
+    void
+    l2Response(std::uint64_t token, Tick when) override
+    {
+        responses.push_back({token, when});
+    }
+
+    /** Tick of the one response to @p token (0 when unanswered). */
+    Tick
+    tickOf(std::uint64_t token) const
+    {
+        for (const Response &r : responses) {
+            if (r.token == token)
+                return r.when;
+        }
+        return 0;
+    }
+
+    std::vector<Response> responses;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const RecordingClient::Response &r)
+{
+    return os << "(" << r.token << ", " << r.when << ")";
+}
+
+/** Issue a read on @p l2, run @p eq to completion, and return the
+ *  response tick. */
+Tick
+readBlocking(EventQueue &eq, L2Cache &l2, Addr addr)
+{
+    RecordingClient client;
+    l2.read(addr, client, 0);
+    eq.run();
+    const bool responded = client.responses.size() == 1;
+    EXPECT_TRUE(responded);
+    return client.tickOf(0);
+}
+
 struct L2Fixture
 {
-    L2Fixture()
+    explicit L2Fixture(const L2Params &params = L2Params{})
         : dram(DramParams{}),
-          l2(eq, dram, golden, prot, tinyGeom(), L2Params{})
+          l2(eq, dram, golden, prot, tinyGeom(), params)
     {
     }
 
     /** Issue a read and run to completion; returns response tick. */
-    Tick
-    readBlocking(Addr addr)
-    {
-        Tick done = 0;
-        bool responded = false;
-        l2.read(addr, [&](Tick when) {
-            done = when;
-            responded = true;
-        });
-        eq.run();
-        EXPECT_TRUE(responded);
-        return done;
-    }
+    Tick readBlocking(Addr addr) { return ::readBlocking(eq, l2, addr); }
 
     EventQueue eq;
     GoldenMemory golden;
     DramModel dram;
     MockProtection prot;
+    RecordingClient client;
     L2Cache l2;
 };
 
@@ -204,14 +249,80 @@ TEST(L2CacheTest, HitIsFasterThanMiss)
 TEST(L2CacheTest, MshrMergesConcurrentMisses)
 {
     L2Fixture f;
-    int responses = 0;
-    f.l2.read(0x80, [&](Tick) { ++responses; });
-    f.l2.read(0x84, [&](Tick) { ++responses; }); // same line
-    f.l2.read(0xB0, [&](Tick) { ++responses; }); // same line
+    f.l2.read(0x80, f.client, 0);
+    f.l2.read(0x84, f.client, 1); // same line
+    f.l2.read(0xB0, f.client, 2); // same line
     f.eq.run();
-    EXPECT_EQ(responses, 3);
+    EXPECT_EQ(f.client.responses.size(), 3u);
     EXPECT_EQ(f.dram.reads(), 1u);
     EXPECT_EQ(f.prot.fills, 1u);
+}
+
+TEST(L2CacheTest, MshrCoalescedWaitersAnsweredInArrivalOrder)
+{
+    L2Fixture f;
+    const Addr sameLine[] = {0xC0, 0xC8, 0xFC, 0xC4};
+    for (std::uint64_t token = 0; token < 4; ++token)
+        f.l2.read(sameLine[token], f.client, token);
+    f.eq.run();
+    ASSERT_EQ(f.client.responses.size(), 4u);
+    for (std::uint64_t token = 0; token < 4; ++token) {
+        EXPECT_EQ(f.client.responses[token].token, token);
+        EXPECT_EQ(f.client.responses[token].when,
+                  f.client.responses[0].when);
+    }
+    EXPECT_EQ(f.dram.reads(), 1u);
+}
+
+TEST(L2CacheTest, SingleMshrPerBankRetriesWithPinnedResponses)
+{
+    // One MSHR per bank: misses to other lines of a busy bank retry
+    // until its fill frees the entry, while same-line misses join
+    // it. The (token, tick) answers are literal: any change to the
+    // retry timing or the waiter order moves them.
+    L2Params params;
+    params.mshrsPerBank = 1;
+    L2Fixture f(params);
+    // Bank 0: lines 0x000, 0x080, 0x100; bank 1: 0x040, 0x0C0.
+    const Addr addrs[] = {0x000, 0x080, 0x008, 0x100, 0x040, 0x0C0};
+    for (std::uint64_t token = 0; token < 6; ++token)
+        f.l2.read(addrs[token], f.client, token);
+    f.eq.run();
+    using R = RecordingClient::Response;
+    const std::vector<R> expected = {{0, 212}, {2, 212}, {4, 212},
+                                     {1, 413}, {5, 413}, {3, 615}};
+    EXPECT_EQ(f.client.responses, expected);
+    EXPECT_EQ(f.l2.stats().counterValue("mshr_retries"), 200u);
+    EXPECT_EQ(f.dram.reads(), 5u);
+    EXPECT_EQ(f.l2.mshrsInUse(), 0u);
+}
+
+TEST(L2CacheTest, MshrTableDrainsToEmpty)
+{
+    L2Fixture f;
+    EXPECT_EQ(f.l2.mshrsInUse(), 0u);
+    for (std::uint64_t i = 0; i < 48; ++i)
+        f.l2.read(i * 0x40, f.client, i);
+    // Mid-flight: every distinct line holds one entry (the default
+    // 32 per bank covers 24 lines per bank without retries).
+    EXPECT_FALSE(f.eq.run(100));
+    EXPECT_EQ(f.l2.mshrsInUse(), 48u);
+    EXPECT_TRUE(f.eq.run());
+    EXPECT_EQ(f.client.responses.size(), 48u);
+    EXPECT_EQ(f.l2.mshrsInUse(), 0u);
+    // A second wave reuses the freed entries and request slots.
+    for (std::uint64_t i = 0; i < 48; ++i)
+        f.l2.read(0x10000 + i * 0x40, f.client, 48 + i);
+    EXPECT_TRUE(f.eq.run());
+    EXPECT_EQ(f.client.responses.size(), 96u);
+    EXPECT_EQ(f.l2.mshrsInUse(), 0u);
+    EXPECT_EQ(f.l2.stats().counterValue("mshr_retries"), 0u);
+}
+
+TEST(L2CacheDeathTest, FillWithoutMshrEntryPanics)
+{
+    L2Fixture f;
+    EXPECT_DEATH(f.l2.fill(0x40), "fill without MSHR entry");
 }
 
 TEST(L2CacheTest, WriteThroughUpdatesMemoryAndLine)
@@ -351,16 +462,13 @@ TEST(L2CacheTest, BankConflictsSerialize)
     const CacheGeometry g = tinyGeom();
     const std::size_t setStride = g.numSets() * g.lineBytes;
 
-    Tick sameA = 0, sameB = 0;
-    f.l2.read(0x0000, [&](Tick t) { sameA = t; });
-    f.l2.read(0x0000 + setStride * 0 + 0x1000, [&](Tick t) {
-        // 0x1000 = set 0 again (32 sets * 64B = 0x800... pick the
-        // same bank via same set parity): same bank as 0x0000.
-        sameB = t;
-    });
+    f.l2.read(0x0000, f.client, 0);
+    // 0x1000 = set 0 again (32 sets * 64B = 0x800... pick the same
+    // bank via same set parity): same bank as 0x0000.
+    f.l2.read(0x0000 + setStride * 0 + 0x1000, f.client, 1);
     f.eq.run();
-    (void)sameA;
-    (void)sameB;
+    const Tick sameA = f.client.tickOf(0);
+    const Tick sameB = f.client.tickOf(1);
     // The occupancy model guarantees distinct issue slots per bank;
     // with both requests arriving together the second completes no
     // earlier than the first.
@@ -383,14 +491,7 @@ struct WbL2Fixture
     {
     }
 
-    Tick
-    readBlocking(Addr addr)
-    {
-        Tick done = 0;
-        l2.read(addr, [&](Tick when) { done = when; });
-        eq.run();
-        return done;
-    }
+    Tick readBlocking(Addr addr) { return ::readBlocking(eq, l2, addr); }
 
     EventQueue eq;
     GoldenMemory golden;

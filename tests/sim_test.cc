@@ -7,21 +7,25 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/dram.hh"
 #include "sim/event_queue.hh"
 #include "sim/golden.hh"
 
+#include "closure_events.hh"
+
 using namespace killi;
 
 TEST(EventQueueTest, ExecutesInTimeOrder)
 {
     EventQueue eq;
+    ClosureEvents ev(eq);
     std::vector<int> order;
-    eq.schedule(30, [&] { order.push_back(3); });
-    eq.schedule(10, [&] { order.push_back(1); });
-    eq.schedule(20, [&] { order.push_back(2); });
+    ev.schedule(30, [&] { order.push_back(3); });
+    ev.schedule(10, [&] { order.push_back(1); });
+    ev.schedule(20, [&] { order.push_back(2); });
     EXPECT_TRUE(eq.run());
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(eq.curTick(), 30u);
@@ -30,10 +34,11 @@ TEST(EventQueueTest, ExecutesInTimeOrder)
 TEST(EventQueueTest, TiesBreakByPriorityThenInsertion)
 {
     EventQueue eq;
+    ClosureEvents ev(eq);
     std::vector<int> order;
-    eq.schedule(5, [&] { order.push_back(1); }, 0);
-    eq.schedule(5, [&] { order.push_back(2); }, -1); // runs first
-    eq.schedule(5, [&] { order.push_back(3); }, 0);
+    ev.schedule(5, [&] { order.push_back(1); }, 0);
+    ev.schedule(5, [&] { order.push_back(2); }, -1); // runs first
+    ev.schedule(5, [&] { order.push_back(3); }, 0);
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{2, 1, 3}));
 }
@@ -45,6 +50,7 @@ TEST(EventQueueTest, PopOrderIsTotalOverWhenPrioritySeq)
     // internals or insertion order. Insert a deterministic shuffle
     // of (tick, priority) pairs and check the exact total order.
     EventQueue eq;
+    ClosureEvents ev(eq);
     struct Popped
     {
         Tick when;
@@ -60,7 +66,7 @@ TEST(EventQueueTest, PopOrderIsTotalOverWhenPrioritySeq)
         const Tick when = Tick(10 + (lcg >> 33) % 4);  // 4 tick bins
         const int priority = int((lcg >> 13) % 3) - 1; // -1, 0, 1
         const std::uint64_t mySeq = seq++;
-        eq.schedule(when, [&pops, &eq, when, priority, mySeq] {
+        ev.schedule(when, [&pops, &eq, when, priority, mySeq] {
             EXPECT_EQ(eq.curTick(), when);
             pops.push_back({when, priority, mySeq});
         }, priority);
@@ -88,12 +94,13 @@ TEST(EventQueueTest, SameTickScheduleDuringPopRunsAfterPeers)
     // than every already-queued peer, so it runs after them — the
     // property replay recordings depend on for stable pop logs.
     EventQueue eq;
+    ClosureEvents ev(eq);
     std::vector<int> order;
-    eq.schedule(5, [&] {
+    ev.schedule(5, [&] {
         order.push_back(1);
-        eq.schedule(5, [&] { order.push_back(3); });
+        ev.schedule(5, [&] { order.push_back(3); });
     });
-    eq.schedule(5, [&] { order.push_back(2); });
+    ev.schedule(5, [&] { order.push_back(2); });
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -101,23 +108,57 @@ TEST(EventQueueTest, SameTickScheduleDuringPopRunsAfterPeers)
 TEST(EventQueueTest, CallbacksMayScheduleMore)
 {
     EventQueue eq;
+    ClosureEvents ev(eq);
     int fired = 0;
     std::function<void()> chain = [&] {
         if (++fired < 5)
-            eq.scheduleIn(2, chain);
+            ev.scheduleIn(2, chain);
     };
-    eq.schedule(0, chain);
+    ev.schedule(0, chain);
     eq.run();
     EXPECT_EQ(fired, 5);
     EXPECT_EQ(eq.curTick(), 8u);
 }
 
+namespace
+{
+
+/** Records the payload words its typed handlers receive. */
+struct PayloadTarget
+{
+    void
+    both(std::uint64_t a, std::uint64_t b)
+    {
+        calls.push_back({a, b});
+    }
+
+    void one(std::uint64_t a) { calls.push_back({a, 0}); }
+
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> calls;
+};
+
+} // namespace
+
+TEST(EventQueueTest, MemberHandlersReceivePayloadWords)
+{
+    EventQueue eq;
+    PayloadTarget t;
+    eq.schedule<&PayloadTarget::both>(4, &t, 7, ~std::uint64_t{0});
+    eq.scheduleIn<&PayloadTarget::one>(2, &t, 5, 123); // arg1 unused
+    EXPECT_TRUE(eq.run());
+    using Call = std::pair<std::uint64_t, std::uint64_t>;
+    EXPECT_EQ(t.calls,
+              (std::vector<Call>{{5, 0}, {7, ~std::uint64_t{0}}}));
+    EXPECT_EQ(eq.eventsExecuted(), 2u);
+}
+
 TEST(EventQueueTest, RunHonoursLimit)
 {
     EventQueue eq;
+    ClosureEvents ev(eq);
     int fired = 0;
-    eq.schedule(10, [&] { ++fired; });
-    eq.schedule(100, [&] { ++fired; });
+    ev.schedule(10, [&] { ++fired; });
+    ev.schedule(100, [&] { ++fired; });
     EXPECT_FALSE(eq.run(50));
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(eq.curTick(), 50u);
@@ -128,9 +169,10 @@ TEST(EventQueueTest, RunHonoursLimit)
 TEST(EventQueueTest, SchedulingIntoThePastPanics)
 {
     EventQueue eq;
-    eq.schedule(10, [&] {});
+    ClosureEvents ev(eq);
+    ev.schedule(10, [&] {});
     eq.run();
-    EXPECT_DEATH(eq.schedule(5, [] {}), "");
+    EXPECT_DEATH(ev.schedule(5, [] {}), "");
 }
 
 TEST(DramTest, LatencyApplied)

@@ -23,6 +23,8 @@
 #include "trace/timeseries.hh"
 #include "trace/trace.hh"
 
+#include "closure_events.hh"
+
 using namespace killi;
 
 namespace
@@ -329,9 +331,10 @@ TEST(StatTimeseriesDeath, DuplicateColumnPanics)
 TEST(EventQueuePeriodic, FiresEveryIntervalWhileEventsRemain)
 {
     EventQueue eq;
+    ClosureEvents ev(eq);
     std::vector<Tick> fired;
     eq.setPeriodic(10, [&] { fired.push_back(eq.curTick()); });
-    eq.schedule(35, [] {});
+    ev.schedule(35, [] {});
     EXPECT_TRUE(eq.run());
     // Fires at 10, 20, 30; stops with the last event at 35.
     EXPECT_EQ(fired, (std::vector<Tick>{10, 20, 30}));
@@ -340,13 +343,14 @@ TEST(EventQueuePeriodic, FiresEveryIntervalWhileEventsRemain)
 TEST(EventQueuePeriodic, SampleAtTickSeesStateBeforeSameTickEvents)
 {
     EventQueue eq;
+    ClosureEvents ev(eq);
     int value = 0;
     std::vector<int> observed;
     eq.setPeriodic(10, [&] { observed.push_back(value); });
     // The event at tick 10 coincides with the periodic firing: the
     // snapshot must observe the world *before* the event runs.
-    eq.schedule(10, [&value] { value = 7; });
-    eq.schedule(15, [] {});
+    ev.schedule(10, [&value] { value = 7; });
+    ev.schedule(15, [] {});
     EXPECT_TRUE(eq.run());
     EXPECT_EQ(observed, (std::vector<int>{0}));
 }
@@ -354,10 +358,11 @@ TEST(EventQueuePeriodic, SampleAtTickSeesStateBeforeSameTickEvents)
 TEST(EventQueuePeriodic, TracesScheduleAndPeriodicEvents)
 {
     EventQueue eq;
+    ClosureEvents ev(eq);
     TraceSink sink;
     eq.setTrace(&sink);
     eq.setPeriodic(5, [] {});
-    eq.schedule(7, [] {});
+    ev.schedule(7, [] {});
     EXPECT_TRUE(eq.run());
 
     bool sawSchedule = false, sawPeriodic = false;
@@ -374,10 +379,11 @@ TEST(EventQueuePeriodic, TracesScheduleAndPeriodicEvents)
 TEST(EventQueuePeriodic, IntervalZeroUninstalls)
 {
     EventQueue eq;
+    ClosureEvents ev(eq);
     int fired = 0;
     eq.setPeriodic(10, [&fired] { ++fired; });
     eq.setPeriodic(0, nullptr);
-    eq.schedule(25, [] {});
+    ev.schedule(25, [] {});
     EXPECT_TRUE(eq.run());
     EXPECT_EQ(fired, 0);
 }

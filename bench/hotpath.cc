@@ -2,14 +2,13 @@
  * @file
  * Hot-path performance harness: times the production (bit-sliced,
  * allocation-free, skip-sampled) paths against the reference
- * implementations they replaced, first as codec/fault-map micro
- * benchmarks and then as an end-to-end fig4-style sweep point run
- * twice — once with hotpathReferenceMode() forcing every object
- * constructed onto the reference paths, once normally.
+ * implementations they replaced, as codec and fault-map micro
+ * benchmarks. Whole-point sweep time is perfbench's fig4-sweep
+ * workload.
  *
  * Emits BENCH_hotpath.json (format "killi-bench-hotpath-v1"); CI's
- * perf-smoke job asserts the SECDED encode+decode micro speedup and
- * the end-to-end speedup stay above their regression floors. See
+ * perf-smoke job asserts the SECDED encode+decode and sweep
+ * fault-map speedups stay above their regression floors. See
  * EXPERIMENTS.md ("Hot-path perf harness") for the schema and how to
  * compare two runs.
  */
@@ -21,8 +20,7 @@
 #include <vector>
 
 #include "bench/report.hh"
-#include "bench/sweep.hh"
-#include "common/hotpath.hh"
+#include "common/options.hh"
 #include "common/rng.hh"
 #include "common/table.hh"
 #include "ecc/bch.hh"
@@ -279,19 +277,19 @@ olscEncode(std::size_t iters)
 MicroResult
 faultMapConstruction(std::size_t numLines)
 {
-    const std::unique_ptr<FaultModel> model =
-        FaultModel::fromScenario(ScenarioSpec{});
+    const ScenarioSpec spec;
+    const IidStuckAt model(spec);
     MicroResult r{"faultmap_construction"};
     // One construction per rep is plenty: a 32768x720 map draws tens
     // of millions of uniforms on the per-bit path.
-    const auto build = [&] {
-        const auto map = model->buildMapAt(numLines, 720, 1.0);
-        gSink = gSink ^ (map->countFaults(0, 720));
+    const auto adopt = [&](std::shared_ptr<const FaultPopulation> die) {
+        const FaultMap map(std::move(die), 720, spec.freqGHz, 1.0, true);
+        gSink = gSink ^ (map.countFaults(0, 720));
     };
-    setHotpathReferenceMode(true);
-    r.referenceNs = timeNs(build, 1, 3);
-    setHotpathReferenceMode(false);
-    r.optimizedNs = timeNs(build, 1, 3);
+    r.referenceNs = timeNs(
+        [&] { adopt(model.sampleReference(numLines, 720)); }, 1, 3);
+    r.optimizedNs =
+        timeNs([&] { adopt(model.sample(numLines, 720)); }, 1, 3);
     return r;
 }
 
@@ -339,20 +337,6 @@ sweepFaultMapConstruction(std::size_t numLines)
     return r;
 }
 
-/** Wall-clock one single-point sweep (jobs=1, trace off). */
-double
-sweepMillis(const SweepOptions &opt)
-{
-    const auto start = Clock::now();
-    const SweepResult res = runEvaluationSweep(opt);
-    const std::chrono::duration<double, std::milli> dt =
-        Clock::now() - start;
-    if (res.workloads.empty() || res.workloads[0].schemes.empty() ||
-        !res.workloads[0].schemes[0].ok)
-        fatal("hotpath: e2e sweep point failed");
-    return dt.count();
-}
-
 } // namespace
 
 int
@@ -371,18 +355,6 @@ main(int argc, char **argv)
                                 "fault-map lines for the "
                                 "construction timing")
             .range(256, 1 << 20);
-    const auto &scale =
-        opts.add<double>("scale", 0.05,
-                         "e2e sweep point workload scale")
-            .range(0.001, 10.0);
-    const auto &workload = opts.add(
-        "workload", "spmv", "e2e sweep point workload");
-    const auto &scheme = opts.add(
-        "scheme", "Killi 1:256", "e2e sweep point scheme");
-    const auto &seed =
-        opts.add<std::uint64_t>("seed", 42, "e2e fault-map die seed");
-    const auto &skipE2e = opts.add<bool>(
-        "skip-e2e", false, "codec/fault-map micros only");
     opts.add("json", "BENCH_hotpath.json",
              "machine-readable results path (empty string disables)");
     opts.parse(argc, argv);
@@ -413,48 +385,9 @@ main(int argc, char **argv)
     for (const MicroResult &m : micros)
         microJson.set(m.name, m.toJson());
 
-    Json e2eJson = Json::null();
-    if (!skipE2e.value()) {
-        SweepOptions sw;
-        sw.scale = scale.value();
-        sw.scenario.seed = seed.value();
-        sw.seed = seed.value();
-        sw.jobs = 1;
-        sw.workloads = {workload.value()};
-        sw.schemes = {scheme.value()};
-
-        // Reference mode is sampled at construction time, so the
-        // flag flip must precede the sweep building its systems.
-        // The two runs draw different (same-distribution) fault
-        // populations — the timing comparison is of identical work
-        // shapes, not identical fault layouts.
-        setHotpathReferenceMode(true);
-        const double referenceMs = sweepMillis(sw);
-        setHotpathReferenceMode(false);
-        const double optimizedMs = sweepMillis(sw);
-
-        const double speedup =
-            optimizedMs > 0.0 ? referenceMs / optimizedMs : 0.0;
-        std::cout << "\ne2e (" << workload.value() << " x "
-                  << scheme.value() << ", scale " << scale.value()
-                  << "): reference " << referenceMs
-                  << " ms, optimized " << optimizedMs
-                  << " ms, speedup "
-                  << TextTable::num(speedup, 2) << "\n";
-
-        e2eJson = Json::object();
-        e2eJson.set("workload", Json::string(workload.value()));
-        e2eJson.set("scheme", Json::string(scheme.value()));
-        e2eJson.set("scale", Json::number(scale.value()));
-        e2eJson.set("reference_ms", Json::number(referenceMs));
-        e2eJson.set("optimized_ms", Json::number(optimizedMs));
-        e2eJson.set("speedup", Json::number(speedup));
-    }
-
     writeBenchReport(opts,
                      {{"format",
                        Json::string("killi-bench-hotpath-v1")},
-                      {"micro", std::move(microJson)},
-                      {"e2e", std::move(e2eJson)}});
+                      {"micro", std::move(microJson)}});
     return 0;
 }

@@ -17,6 +17,11 @@
  * daemon, where unrelated jobs on other workers proceed unprobed and
  * unsynchronized. When no probe is installed the hooks cost one
  * thread-local load and a predictable branch.
+ *
+ * The one run-mode knob a recording carries, the perturb-decode
+ * countdown, lives here for the same reason: armed on the thread
+ * that runs the recorded or replayed sweep, it fires inside that run
+ * and nowhere else.
  */
 
 #ifndef KILLI_COMMON_REPLAY_PROBE_HH
@@ -68,6 +73,7 @@ namespace detail
 // as a store to a null pointer.)
 inline thread_local constinit ReplayProbe *tlsReplayProbe = nullptr;
 inline thread_local constinit const char *tlsRngStream = "?";
+inline thread_local constinit std::uint64_t tlsPerturbDecode = 0;
 } // namespace detail
 
 /** The probe installed on this thread (nullptr when none). */
@@ -131,6 +137,46 @@ class RngStreamScope
 
   private:
     const char *previous;
+};
+
+/**
+ * Count down one SECDED syndrome evaluation against the armed
+ * perturb-decode countdown (see ScopedPerturbDecode); true exactly
+ * on the Nth evaluation since arming. While disarmed this is one
+ * thread-local load and a never-taken branch.
+ */
+inline bool
+perturbDecodeFires()
+{
+    std::uint64_t &countdown = detail::tlsPerturbDecode;
+    return countdown != 0 && --countdown == 0;
+}
+
+/**
+ * Arms a one-shot decode perturbation on this thread for one run:
+ * the @p nth SECDED syndrome evaluation after construction — a
+ * sliced decode() or an omniscient probe(), whichever the running
+ * code path reaches — XORs bit 0 into its syndrome (0 disarms).
+ * Test/CI-only fault injection for the record-replay bisector: two
+ * otherwise identical runs, one armed, diverge at an exactly known
+ * decode, and `krr bisect` must find it.
+ */
+class ScopedPerturbDecode
+{
+  public:
+    explicit ScopedPerturbDecode(std::uint64_t nth)
+        : previous(detail::tlsPerturbDecode)
+    {
+        detail::tlsPerturbDecode = nth;
+    }
+    ~ScopedPerturbDecode() { detail::tlsPerturbDecode = previous; }
+
+    ScopedPerturbDecode(const ScopedPerturbDecode &) = delete;
+    ScopedPerturbDecode &
+    operator=(const ScopedPerturbDecode &) = delete;
+
+  private:
+    std::uint64_t previous;
 };
 
 } // namespace killi

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 
-#include "common/hotpath.hh"
 #include "common/log.hh"
 
 namespace killi
@@ -156,7 +155,7 @@ void
 Bch::buildSlicer()
 {
     // checkBits() = r (+1) <= 64, so the sliced image fits one word.
-    useSliced = !hotpathReferenceMode() && checkBits() <= 64;
+    useSliced = checkBits() <= 64;
     if (!useSliced)
         return;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/hotpath.hh"
 #include "common/log.hh"
 
 namespace killi
@@ -39,15 +38,12 @@ Olsc::Olsc(std::size_t data_bits, unsigned m, unsigned t)
             masks[g][classOf(g, d)].set(d);
     }
 
-    useSliced = !hotpathReferenceMode();
-    if (useSliced) {
-        std::vector<BitVec> columns(k, BitVec(checkBits()));
-        for (std::size_t d = 0; d < k; ++d) {
-            for (unsigned g = 0; g < 2 * t; ++g)
-                columns[d].set(std::size_t{g} * dim + classOf(g, d));
-        }
-        slicer.build(columns);
+    std::vector<BitVec> columns(k, BitVec(checkBits()));
+    for (std::size_t d = 0; d < k; ++d) {
+        for (unsigned g = 0; g < 2 * t; ++g)
+            columns[d].set(std::size_t{g} * dim + classOf(g, d));
     }
+    slicer.build(columns);
 }
 
 unsigned
@@ -88,8 +84,6 @@ Olsc::encodeReference(const BitVec &data) const
 BitVec
 Olsc::encode(const BitVec &data) const
 {
-    if (!useSliced)
-        return encodeReference(data);
     BitVec check(checkBits());
     encodeInto(data, check);
     return check;
@@ -98,10 +92,6 @@ Olsc::encode(const BitVec &data) const
 void
 Olsc::encodeInto(const BitVec &data, BitVec &out) const
 {
-    if (!useSliced) {
-        out = encodeReference(data);
-        return;
-    }
     if (out.size() != checkBits())
         out = BitVec(checkBits());
     // 2t*m <= (m+1)*m checkbits: 552 for m=23, well under the

@@ -79,8 +79,6 @@ class Olsc : public BlockCode
     std::vector<std::vector<BitVec>> masks;
     /** Byte-sliced data -> packed check-bit map. */
     BitSlicer slicer;
-    /** Route encode() through the sliced path. */
-    bool useSliced = false;
 };
 
 } // namespace killi

@@ -1,6 +1,5 @@
 #include "ecc/parity.hh"
 
-#include "common/hotpath.hh"
 #include "common/log.hh"
 
 namespace killi
@@ -19,7 +18,7 @@ SegmentedParity::SegmentedParity(std::size_t data_bits,
     for (std::size_t i = 0; i < data_bits; ++i)
         masks[segmentOf(i)].set(i);
 
-    useSliced = !hotpathReferenceMode() && segments <= 64;
+    useSliced = segments <= 64;
     if (useSliced) {
         std::vector<BitVec> columns(data_bits, BitVec(segments));
         for (std::size_t i = 0; i < data_bits; ++i)

@@ -2,8 +2,8 @@
 
 #include <bit>
 
-#include "common/hotpath.hh"
 #include "common/log.hh"
+#include "common/replay_probe.hh"
 
 namespace killi
 {
@@ -55,19 +55,17 @@ Secded::Secded(std::size_t data_bits)
     // image of unit vector e_d packs the h syndrome checkbits (the
     // bits of d's Hamming position) plus the stored overall-parity
     // bit, which d flips iff 1 ^ parity(dataToHamming[d]): its
-    // data-parity term XOR its syndrome-bit contributions.
-    useSliced = !hotpathReferenceMode() && h + 1 <= 64;
-    if (useSliced) {
-        std::vector<BitVec> columns(k, BitVec(h + 1));
-        for (std::size_t d = 0; d < k; ++d) {
-            const std::uint64_t col = dataToHamming[d] |
-                (std::uint64_t{
-                     1 ^ (unsigned(std::popcount(dataToHamming[d])) & 1)}
-                 << h);
-            columns[d].setWord(0, col);
-        }
-        slicer.build(columns);
+    // data-parity term XOR its syndrome-bit contributions. h + 1 <=
+    // 64 for any k up to 2^63 - 64, so the image fits one word.
+    std::vector<BitVec> columns(k, BitVec(h + 1));
+    for (std::size_t d = 0; d < k; ++d) {
+        const std::uint64_t col = dataToHamming[d] |
+            (std::uint64_t{
+                 1 ^ (unsigned(std::popcount(dataToHamming[d])) & 1)}
+             << h);
+        columns[d].setWord(0, col);
     }
+    slicer.build(columns);
 }
 
 std::string
@@ -95,8 +93,6 @@ Secded::encodeReference(const BitVec &data) const
 BitVec
 Secded::encode(const BitVec &data) const
 {
-    if (!useSliced)
-        return encodeReference(data);
     BitVec check(h + 1);
     check.setWord(0, slicer.applyWord(data));
     return check;
@@ -105,10 +101,6 @@ Secded::encode(const BitVec &data) const
 void
 Secded::encodeInto(const BitVec &data, BitVec &out) const
 {
-    if (!useSliced) {
-        out = encodeReference(data);
-        return;
-    }
     if (out.size() != h + 1)
         out = BitVec(h + 1);
     out.setWord(0, slicer.applyWord(data));
@@ -174,8 +166,6 @@ Secded::decodeReference(BitVec &data, BitVec &check) const
 DecodeResult
 Secded::decode(BitVec &data, BitVec &check) const
 {
-    if (!useSliced)
-        return decodeReference(data, check);
     if (data.size() != k || check.size() != h + 1)
         fatal("Secded::decode: wrong operand widths");
 
@@ -184,12 +174,9 @@ Secded::decode(BitVec &data, BitVec &check) const
     // the parity of the whole diff word (the recomputed overall bit
     // already folds in the data parity and the h syndrome bits).
     std::uint64_t diff = slicer.applyWord(data) ^ check.word(0);
-    // Bisector fault injection (see hotpath.hh): while disarmed this
-    // is one relaxed load and a never-taken branch.
-    if (hotpathPerturbDecodePending()) [[unlikely]] {
-        if (hotpathPerturbDecodeFire())
-            diff ^= 1;
-    }
+    // Bisector fault injection (see replay_probe.hh).
+    if (perturbDecodeFires()) [[unlikely]]
+        diff ^= 1;
     RawSyndrome raw;
     raw.syndrome = std::uint32_t(diff & ((std::uint64_t{1} << h) - 1));
     raw.overallMismatch = (std::popcount(diff) & 1) != 0;
@@ -232,7 +219,7 @@ Secded::probe(const std::vector<std::size_t> &errorPositions) const
             fatal("Secded::probe: position %zu out of codeword", pos);
         }
     }
-    // Bisector fault injection (see hotpath.hh). probe() is the
+    // Bisector fault injection (see replay_probe.hh). probe() is the
     // simulated hot path — the schemes evaluate syndromes from the
     // fault pattern, never from data words — so the countdown must
     // be armed here as well as in decode(). Matching decode()'s
@@ -240,11 +227,9 @@ Secded::probe(const std::vector<std::size_t> &errorPositions) const
     // overall parity: on a clean line that reads as a believed
     // single error, which the omniscient comparison then reports as
     // a miscorrection.
-    if (hotpathPerturbDecodePending()) [[unlikely]] {
-        if (hotpathPerturbDecodeFire()) {
-            raw.syndrome ^= 1;
-            raw.overallMismatch = !raw.overallMismatch;
-        }
+    if (perturbDecodeFires()) [[unlikely]] {
+        raw.syndrome ^= 1;
+        raw.overallMismatch = !raw.overallMismatch;
     }
 
     const Action action = interpret(raw);

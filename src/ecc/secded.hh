@@ -14,6 +14,11 @@
  * whether the syndrome is non-zero ("Syndrome" column) and whether
  * the overall/global parity mismatches ("G.Parity" column). Both are
  * exposed on DecodeResult.
+ *
+ * decode() and probe() are where the record-replay bisector injects
+ * its one-shot fault: while a ScopedPerturbDecode
+ * (common/replay_probe.hh) is armed on the calling thread, its Nth
+ * syndrome evaluation there flips syndrome bit 0.
  */
 
 #ifndef KILLI_ECC_SECDED_HH
@@ -48,9 +53,8 @@ class Secded : public BlockCode
 
     /**
      * The original h-pass mask implementations, kept for differential
-     * tests and bench baselines (see common/hotpath.hh). encode() and
-     * decode() dispatch here when the code was constructed in
-     * reference mode; results are identical either way.
+     * tests and the bench/hotpath baselines; results are identical to
+     * encode() and decode().
      */
     BitVec encodeReference(const BitVec &data) const;
     DecodeResult decodeReference(BitVec &data, BitVec &check) const;
@@ -92,8 +96,6 @@ class Secded : public BlockCode
     std::vector<BitVec> syndromeMasks;
     /** Byte-sliced data -> packed (syndrome | overall) map. */
     BitSlicer slicer;
-    /** Route encode()/decode() through the sliced path. */
-    bool useSliced = false;
     /** data index -> Hamming position (1-based, non-power-of-two). */
     std::vector<std::uint32_t> dataToHamming;
     /** Hamming position -> data index, or -1 for check positions. */

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/hotpath.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
 
@@ -179,7 +178,8 @@ FaultModel::fromScenario(const ScenarioSpec &spec)
 }
 
 std::shared_ptr<const FaultPopulation>
-IidStuckAt::sample(std::size_t num_lines, std::size_t line_bits) const
+IidStuckAt::sampleReference(std::size_t num_lines,
+                            std::size_t line_bits) const
 {
     // Every cell that could ever fail in the model's range: the
     // population at the lowest supported voltage.
@@ -189,14 +189,26 @@ IidStuckAt::sample(std::size_t num_lines, std::size_t line_bits) const
     const RngStreamScope stream("faultmap");
     Rng rng(sp.seed);
     auto population = std::make_shared<FaultPopulation>(num_lines);
-    if (hotpathReferenceMode() || pMax >= 1.0) {
-        // Reference sampler (also the degenerate everything-fails
-        // case): one uniform draw per cell.
-        for (auto &line : *population) {
-            for (std::size_t bit = 0; bit < line_bits; ++bit)
-                drawCell(rng, line, bit, pMax);
-        }
-    } else if (pMax > 0.0) {
+    for (auto &line : *population) {
+        for (std::size_t bit = 0; bit < line_bits; ++bit)
+            drawCell(rng, line, bit, pMax);
+    }
+    return population;
+}
+
+std::shared_ptr<const FaultPopulation>
+IidStuckAt::sample(std::size_t num_lines, std::size_t line_bits) const
+{
+    const double pMax =
+        vm.pCell(VoltageModel::minVoltage(), sp.freqGHz);
+    // The degenerate everything-fails case has no gaps to skip.
+    if (pMax >= 1.0)
+        return sampleReference(num_lines, line_bits);
+
+    const RngStreamScope stream("faultmap");
+    Rng rng(sp.seed);
+    auto population = std::make_shared<FaultPopulation>(num_lines);
+    if (pMax > 0.0) {
         // Geometric skip sampling: the gap to the next faulty cell
         // in an iid Bernoulli(pMax) sequence is Geometric(pMax), so
         // skip whole runs of clean cells and pay one RNG draw per

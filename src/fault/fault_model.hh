@@ -23,6 +23,9 @@
  *
  * Sampling is deterministic in (spec, geometry): every call draws
  * the same die from the scenario's seed on the "faultmap" RNG stream.
+ * There is one sampler per model; IidStuckAt additionally exposes the
+ * per-bit sampler its skip sampler replaced (sampleReference()) as a
+ * separate entry point for tests and bench/hotpath.
  */
 
 #ifndef KILLI_FAULT_FAULT_MODEL_HH
@@ -124,9 +127,10 @@ class FaultModel
  * The paper's evaluation model: iid per-bit stuck-at faults.
  *
  * sample() draws with geometric skip sampling (one RNG draw per
- * fault, not per bit), or with the per-bit reference sampler under
- * hotpathReferenceMode() (common/hotpath.hh), which recordings made
- * in reference mode replay. tests/scenario_spec_test.cc pins both.
+ * fault, not per bit). sampleReference() is the per-bit sampler it
+ * replaced, kept as the distributional baseline for tests and the
+ * bench/hotpath construction timing. tests/scenario_spec_test.cc
+ * pins both.
  */
 class IidStuckAt final : public FaultModel
 {
@@ -135,6 +139,11 @@ class IidStuckAt final : public FaultModel
 
     std::shared_ptr<const FaultPopulation>
     sample(std::size_t num_lines, std::size_t line_bits) const override;
+
+    /** The per-bit reference sampler: one uniform draw per cell.
+     *  sample() delegates here when every cell fails (pMax >= 1). */
+    std::shared_ptr<const FaultPopulation>
+    sampleReference(std::size_t num_lines, std::size_t line_bits) const;
 };
 
 /**

@@ -2,7 +2,7 @@
  * @file
  * krr: record, replay, and bisect deterministic run recordings.
  *
- *     krr record  out=run.krr.json [sweep knobs] [reference=] [perturb-decode=]
+ *     krr record  out=run.krr.json [sweep knobs] [perturb-decode=]
  *     krr replay  file=run.krr.json [json=report.json]
  *     krr bisect  a=x.krr.json b=y.krr.json [context=] [json=report.json]
  *     krr info    file=run.krr.json
@@ -56,21 +56,14 @@ cmdRecord(int argc, char **argv)
     declareSweepOptions(opts, "krr");
     const auto &out = opts.add("out", "run.krr.json",
                                "recording output path");
-    const auto &reference = opts.add<bool>(
-        "reference", false,
-        "run with the reference (non-bit-sliced) hot paths");
     const auto &perturb = opts.add<std::uint64_t>(
         "perturb-decode", std::uint64_t{0},
         "arm the Nth sliced SECDED decode to flip one syndrome bit "
         "(bisector fault injection; 0 disables)");
     opts.parse(argc, argv);
 
-    SweepOptions sopt = sweepOptions(opts);
-    RunMode mode;
-    mode.reference = reference.value();
-    mode.perturbDecode = perturb.value();
-
-    const SweepSession s = recordSweep(sopt, mode);
+    const SweepSession s =
+        recordSweep(sweepOptions(opts), perturb.value());
     s.recording.writeFile(out.value());
     std::cout << s.recording.summary() << "\nwrote " << out.value()
               << "\n";

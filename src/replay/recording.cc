@@ -230,7 +230,7 @@ Recording::toJson() const
     doc.set("meta", meta);
     doc.set("trace_mask", Json::number(std::uint64_t(traceMask)));
     doc.set("trace_enabled", Json::boolean(traceEnabled));
-    doc.set("reference_mode", Json::boolean(referenceMode));
+    doc.set("reference_mode", Json::boolean(false));
     doc.set("perturb_decode", u64Json(perturbDecode));
     doc.set("streams", Json::stringArray(streams));
     doc.set("names", Json::stringArray(names));
@@ -338,7 +338,10 @@ Recording::tryFromJson(const Json &doc, Recording &out,
         doc.at("reference_mode").kind() != Json::Kind::Bool)
         return fail("trace_enabled/reference_mode must be booleans");
     out.traceEnabled = doc.at("trace_enabled").asBool();
-    out.referenceMode = doc.at("reference_mode").asBool();
+    if (doc.at("reference_mode").asBool())
+        return fail("reference_mode recordings are no longer "
+                    "replayable: the global reference mode was "
+                    "removed");
     if (!parseU64(doc.at("perturb_decode"), out.perturbDecode, err,
                   "perturb_decode"))
         return fail(err);
@@ -512,8 +515,7 @@ Recording::summary() const
     os << kRecordingFormat << " tool=" << tool << " build=" << build
        << " rng=" << rng.size() << " segs (" << draws
        << " draws) pops=" << pops.size()
-       << " trace=" << trace.size() << " marks=" << marks.size()
-       << (referenceMode ? " reference-mode" : "");
+       << " trace=" << trace.size() << " marks=" << marks.size();
     if (perturbDecode)
         os << " perturb-decode=" << perturbDecode;
     os << " result=" << resultDigest.substr(0, 12);

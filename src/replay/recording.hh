@@ -109,9 +109,9 @@ struct Recording
     std::uint32_t traceMask = 0;
     /** Whether the run recorded trace events at all. */
     bool traceEnabled = false;
-    /** Hot-path mode the run executed under. */
-    bool referenceMode = false;
-    /** Armed decode perturbation (0 = none); see hotpath.hh. */
+    /** Armed decode perturbation (0 = none); see replay_probe.hh.
+     *  The v1 format's "reference_mode" member is written false, and
+     *  a document with it true is rejected. */
     std::uint64_t perturbDecode = 0;
 
     std::vector<std::string> streams; //!< interned RNG stream labels

@@ -4,7 +4,6 @@
 
 #include "common/build_info.hh"
 #include "common/hash.hh"
-#include "common/hotpath.hh"
 #include "common/log.hh"
 #include "trace/trace.hh"
 
@@ -40,29 +39,6 @@ canonicalSweepText(const SweepOptions &opt, const SweepResult &res)
     }
     return doc.toString(0);
 }
-
-/** Applies a RunMode for the duration of a scope and restores the
- *  previous hot-path configuration afterwards. */
-class ScopedRunMode
-{
-  public:
-    explicit ScopedRunMode(const RunMode &mode)
-        : prevReference(hotpathReferenceMode())
-    {
-        if (mode.reference != prevReference)
-            setHotpathReferenceMode(mode.reference);
-        setHotpathPerturbDecode(mode.perturbDecode);
-    }
-    ~ScopedRunMode()
-    {
-        if (hotpathReferenceMode() != prevReference)
-            setHotpathReferenceMode(prevReference);
-        setHotpathPerturbDecode(0);
-    }
-
-  private:
-    bool prevReference;
-};
 
 } // namespace
 
@@ -385,7 +361,7 @@ Replayer::finish(const std::string &resultText)
 }
 
 SweepSession
-recordSweep(const SweepOptions &optIn, const RunMode &mode)
+recordSweep(const SweepOptions &optIn, std::uint64_t perturbDecode)
 {
     SweepSession s;
     s.opt = optIn;
@@ -411,8 +387,7 @@ recordSweep(const SweepOptions &optIn, const RunMode &mode)
     Json meta = Json::object();
     meta.set("options", encodeSweepOptions(s.opt, SweepWire::Recording));
     recorder.recording().meta = std::move(meta);
-    recorder.recording().referenceMode = mode.reference;
-    recorder.recording().perturbDecode = mode.perturbDecode;
+    recorder.recording().perturbDecode = perturbDecode;
 
     const auto userProgress = optIn.onProgress;
     SweepOptions run = s.opt;
@@ -425,7 +400,9 @@ recordSweep(const SweepOptions &optIn, const RunMode &mode)
     };
     run.cancel = optIn.cancel;
     {
-        const ScopedRunMode rm(mode);
+        // jobs=1 runs the sweep on this thread, so the thread-local
+        // arm and probe reach exactly this run.
+        const ScopedPerturbDecode perturb(perturbDecode);
         const ScopedReplayProbe probe(&recorder);
         s.result = runEvaluationSweep(run);
     }
@@ -472,8 +449,7 @@ replaySweep(const Recording &rec, const SweepOptions *embedder)
     }
     Replayer rep(rec);
     {
-        const ScopedRunMode rm(
-            RunMode{rec.referenceMode, rec.perturbDecode});
+        const ScopedPerturbDecode perturb(rec.perturbDecode);
         const ScopedReplayProbe probe(&rep);
         s.result = runEvaluationSweep(s.opt);
     }

@@ -152,14 +152,6 @@ class Replayer : public ReplayProbe
     std::uint64_t popCount = 0;
 };
 
-/** Hot-path mode a run executes under (recorded into the file so a
- *  replay re-derives the exact same configuration). */
-struct RunMode
-{
-    bool reference = false;
-    std::uint64_t perturbDecode = 0;
-};
-
 /** The outcome of one recorded or replayed sweep run. */
 struct SweepSession
 {
@@ -175,14 +167,18 @@ struct SweepSession
  * Run an evaluation sweep under a Recorder. Forces jobs=1 and
  * disables file side effects; when @p opt has no trace categories,
  * records all of them (without writing trace files) so the recording
- * carries per-record divergence checkpoints.
+ * carries per-record divergence checkpoints. A nonzero
+ * @p perturbDecode arms that decode perturbation (replay_probe.hh)
+ * for the run, on the calling thread only, and is recorded so the
+ * replay re-arms it.
  */
 SweepSession recordSweep(const SweepOptions &opt,
-                         const RunMode &mode = {});
+                         std::uint64_t perturbDecode = 0);
 
 /**
  * Re-derive and re-run a sweep from @p rec alone (its meta carries
- * the resolved options and mode), verifying every recorded input.
+ * the resolved options, and the recording its perturb-decode
+ * count), verifying every recorded input.
  * @p embedder optionally supplies onProgress/cancel hooks (the
  * serving daemon's streaming and cancellation).
  */

@@ -14,7 +14,6 @@
 #include <memory>
 
 #include "common/bitvec.hh"
-#include "common/hotpath.hh"
 #include "common/rng.hh"
 #include "fault/fault_map.hh"
 #include "fault/fault_model.hh"
@@ -104,6 +103,18 @@ smallMap(double voltage, std::uint64_t seed = 7,
          std::size_t lines = 2048)
 {
     return *iidDie(lines, seed, voltage);
+}
+
+/** smallMap() over the die of the per-bit reference sampler. */
+FaultMap
+referenceMap(double voltage, std::uint64_t seed,
+             std::size_t lines = 2048)
+{
+    ScenarioSpec spec;
+    spec.seed = seed;
+    const IidStuckAt model(spec);
+    return FaultMap(model.sampleReference(lines, 720), 720,
+                    spec.freqGHz, voltage, true);
 }
 } // namespace
 
@@ -283,9 +294,7 @@ TEST(FaultMapTest, SkipSamplingMatchesPerBitDistribution)
     std::size_t activeSkip = 0, activeRef = 0;
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         FaultMap skip = smallMap(0.60, seed, numLines);
-        setHotpathReferenceMode(true);
-        FaultMap ref = smallMap(0.60, seed ^ 0xabcdef, numLines);
-        setHotpathReferenceMode(false);
+        FaultMap ref = referenceMap(0.60, seed ^ 0xabcdef, numLines);
         for (std::size_t l = 0; l < numLines; ++l) {
             activeSkip += skip.countFaults(l, lineBits);
             activeRef += ref.countFaults(l, lineBits);
@@ -310,9 +319,9 @@ TEST(FaultMapTest, SkipSamplingMatchesPerBitDistribution)
 TEST(FaultMapTest, SampledPopulationIsSortedByBit)
 {
     for (const bool reference : {false, true}) {
-        setHotpathReferenceMode(reference);
-        FaultMap map = smallMap(VoltageModel::minVoltage(), 42, 512);
-        setHotpathReferenceMode(false);
+        const FaultMap map = reference
+            ? referenceMap(VoltageModel::minVoltage(), 42, 512)
+            : smallMap(VoltageModel::minVoltage(), 42, 512);
         for (std::size_t l = 0; l < map.numLines(); ++l) {
             const auto &cells = map.lineFaults(l);
             for (std::size_t i = 1; i < cells.size(); ++i)

@@ -8,14 +8,19 @@
  * build; tampered recordings are flagged at their first divergent
  * stream entry; and the bisector, fed two runs that differ by one
  * seeded SECDED decode perturbation at a *known* (tick, seq),
- * reports exactly that site in O(log n) digest probes.
+ * reports exactly that site in O(log n) digest probes. The
+ * perturbation is armed per thread, so concurrent runs on other
+ * threads neither see nor consume it.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -23,7 +28,6 @@
 #include "check/checker.hh"
 #include "check/scenario.hh"
 #include "common/bitvec.hh"
-#include "common/hotpath.hh"
 #include "common/log.hh"
 #include "common/replay_probe.hh"
 #include "common/rng.hh"
@@ -53,6 +57,20 @@ tinySweep()
     opt.schemes = {"Killi 1:256"};
     opt.jobs = 1;
     return opt;
+}
+
+/** Spin until @p flag is set; false once @p limit has passed. */
+bool
+waitFor(const std::atomic<bool> &flag,
+        std::chrono::seconds limit = std::chrono::seconds(60))
+{
+    const auto deadline = std::chrono::steady_clock::now() + limit;
+    while (!flag.load()) {
+        if (std::chrono::steady_clock::now() > deadline)
+            return false;
+        std::this_thread::yield();
+    }
+    return true;
 }
 
 // ---------------------------------------------------------------
@@ -94,7 +112,7 @@ TEST(RngSegmentBuilder, SplitsOnStreamLabelAndPopChanges)
  * A deterministic toy run with a fully known schedule: eight events
  * at ticks 10..80, each performing one SECDED decode of a clean
  * codeword and one RNG draw — plus one *extra* draw whenever the
- * decode reports anything but NoError. Arming the hot-path decode
+ * decode reports anything but NoError. Arming the decode
  * perturbation at evaluation N therefore changes the draw count of
  * exactly pop N, i.e. the injected divergence site is (tick, seq)
  * of the Nth event, known a priori.
@@ -105,12 +123,12 @@ std::string
 runHarness(ReplayProbe *probe, std::uint64_t perturbNth)
 {
     const ScopedReplayProbe scope(probe);
+    const ScopedPerturbDecode perturb(perturbNth);
     EventQueue q;
     ClosureEvents ev(q);
     const Secded code(64);
     Rng rng(7);
     std::string log;
-    setHotpathPerturbDecode(perturbNth);
     for (int i = 0; i < kHarnessEvents; ++i) {
         ev.schedule(Tick(10 * (i + 1)), [&] {
             BitVec data(64);
@@ -123,7 +141,6 @@ runHarness(ReplayProbe *probe, std::uint64_t perturbNth)
         });
     }
     q.run();
-    setHotpathPerturbDecode(0);
     return log;
 }
 
@@ -172,6 +189,56 @@ TEST(ReplayHarness, ReplayerFlagsSeededDecodeAtExactTickSeq)
     EXPECT_EQ(div.stream, "rng");
     EXPECT_EQ(div.tick, Tick(40));
     EXPECT_EQ(div.seq, rec.pops[3].seq);
+}
+
+TEST(PerturbDecode, ArmIsInvisibleToOtherThreads)
+{
+    // Thread A arms its 100th evaluation while thread B decodes and
+    // probes clean words the whole time. B never sees the flip, and
+    // A's countdown counts A's evaluations only.
+    constexpr int kNth = 100;
+    const Secded code(64);
+    const BitVec cleanData(64);
+    const BitVec cleanCheck = code.encode(cleanData);
+    std::atomic<bool> armed{false}, bRunning{false}, aDone{false};
+    std::uint64_t bEvaluations = 0, bFlagged = 0;
+    std::thread b([&] {
+        if (!waitFor(armed))
+            return;
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(60);
+        while (!aDone.load() &&
+               std::chrono::steady_clock::now() < deadline) {
+            BitVec data = cleanData, check = cleanCheck;
+            if (code.decode(data, check).status != DecodeStatus::NoError)
+                ++bFlagged;
+            if (code.probe({}).status != DecodeStatus::NoError)
+                ++bFlagged;
+            bEvaluations += 2;
+            bRunning.store(true);
+        }
+    });
+
+    std::vector<int> fired;
+    bool overlapped = false;
+    {
+        const ScopedPerturbDecode arm(kNth);
+        armed.store(true);
+        // B has evaluated while A is armed before A starts counting.
+        overlapped = waitFor(bRunning);
+        for (int i = 1; i <= 2 * kNth; ++i) {
+            BitVec data = cleanData, check = cleanCheck;
+            if (code.decode(data, check).status != DecodeStatus::NoError)
+                fired.push_back(i);
+        }
+    }
+    aDone.store(true);
+    b.join();
+
+    ASSERT_TRUE(overlapped);
+    EXPECT_GT(bEvaluations, 0u);
+    EXPECT_EQ(bFlagged, 0u);
+    EXPECT_EQ(fired, std::vector<int>{kNth});
 }
 
 TEST(ReplayBisect, PinpointsSeededDecodeDivergence)
@@ -409,23 +476,74 @@ TEST(ReplaySweep, TamperedRngSegmentIsFlaggedAsFaultMapDivergence)
 
 TEST(ReplaySweep, CrossModeBisectPinpointsFaultMapSampling)
 {
-    // Reference mode swaps the fault map to per-bit sampling — a
-    // genuinely different draw stream from the very first segment.
-    // The honest bisect verdict is therefore "diverged at fault-map
-    // construction", not a later in-sim site.
-    RunMode sliced;
-    RunMode reference;
-    reference.reference = true;
-    const SweepSession a = recordSweep(tinySweep(), sliced);
-    const SweepSession b = recordSweep(tinySweep(), reference);
+    // Two runs that differ only in the die's seed sample different
+    // fault maps — a genuinely different draw stream from the very
+    // first segment. The honest bisect verdict is therefore
+    // "diverged at fault-map construction", not a later in-sim site.
+    SweepOptions other = tinySweep();
+    other.scenario.seed = tinySweep().scenario.seed + 1;
+    const SweepSession a = recordSweep(tinySweep());
+    const SweepSession b = recordSweep(other);
     ASSERT_FALSE(a.recording.rng.empty());
-    ASSERT_TRUE(b.recording.referenceMode);
     const BisectReport rep =
         bisectRecordings(a.recording, b.recording);
     ASSERT_TRUE(rep.diverged);
     EXPECT_EQ(rep.stream, "rng");
     EXPECT_EQ(rep.index, 0u);
     EXPECT_NE(rep.a.find("faultmap"), std::string::npos) << rep.a;
+}
+
+/** Raises a flag at the first event its thread pops. */
+class SimulatingProbe : public ReplayProbe
+{
+  public:
+    std::uint64_t filterRngDraw(std::uint64_t value) override
+    {
+        return value;
+    }
+    void onEventPop(Tick, int, std::uint64_t) override
+    {
+        simulating.store(true);
+    }
+    void onTraceRecord(Tick, std::uint32_t, const char *,
+                       std::uint64_t) override
+    {
+    }
+
+    std::atomic<bool> simulating{false};
+};
+
+TEST(ReplaySweep, PerturbedReplayVerifiesBesidePlainSweeps)
+{
+    // A perturb-decode recording replays only if its own run, and
+    // nothing else, consumes the armed countdown — also while another
+    // thread simulates plain sweeps, as a kserved worker does beside
+    // a replay job.
+    const SweepSession clean = recordSweep(tinySweep());
+    const SweepSession perturbed = recordSweep(tinySweep(), 1);
+    ASSERT_EQ(perturbed.recording.perturbDecode, 1u);
+    // The flip changes the run, so a replay that lost it diverges.
+    ASSERT_TRUE(
+        bisectRecordings(clean.recording, perturbed.recording).diverged);
+
+    SimulatingProbe probe;
+    std::atomic<bool> stop{false};
+    std::thread plain([&] {
+        const ScopedReplayProbe scope(&probe);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(60);
+        while (!stop.load() &&
+               std::chrono::steady_clock::now() < deadline)
+            runEvaluationSweep(tinySweep());
+    });
+    const bool overlapped = waitFor(probe.simulating);
+    const SweepSession replayed = replaySweep(perturbed.recording);
+    stop.store(true);
+    plain.join();
+
+    ASSERT_TRUE(overlapped);
+    EXPECT_TRUE(replayed.verified) << replayed.divergence.describe();
+    EXPECT_EQ(replayed.resultText, perturbed.resultText);
 }
 
 // ---------------------------------------------------------------
@@ -560,14 +678,20 @@ TEST(ReplayServe, ReplayJobRejectsOptionsAlongside)
 }
 
 /**
- * A real sweep recording with one meta.options member replaced:
- * what a corrupted or hand-edited recording file looks like once
+ * A real sweep recording with one meta.options member replaced, or
+ * with @p topLevel one member of the document itself: what a
+ * corrupted, hand-edited or retired recording file looks like once
  * `kcli submit replay=` ships it inline.
  */
 Json
-tamperedSweepRecording(const char *key, Json value)
+tamperedSweepRecording(const char *key, Json value, bool topLevel)
 {
     static const Json clean = recordSweep(tinySweep()).recording.toJson();
+    if (topLevel) {
+        Json rec = clean;
+        rec.set(key, std::move(value));
+        return rec;
+    }
     Json options = clean.at("meta").at("options");
     options.set(key, std::move(value));
     Json meta = clean.at("meta");
@@ -588,6 +712,7 @@ TEST(ReplayServe, TamperedRecordingsGetErrorFramesAndServerKeepsServing)
         const char *key;
         Json value;
         const char *why;
+        bool topLevel = false;
     } cases[] = {
         {"workloads", unknownWorkload, "unknown workload 'nope'"},
         {"schemes", unknownScheme, "unknown scheme 'Killi 1:3'"},
@@ -595,6 +720,9 @@ TEST(ReplayServe, TamperedRecordingsGetErrorFramesAndServerKeepsServing)
          "\"warmup\" must be an integer in [0, 16]"},
         {"scale", Json::number(0.0),
          "\"scale\" must be in [0.001, 1000]"},
+        // Recordings of the removed global reference mode.
+        {"reference_mode", Json::boolean(true),
+         "reference mode was removed", true},
     };
 
     serve::ServerOptions so;
@@ -611,7 +739,8 @@ TEST(ReplayServe, TamperedRecordingsGetErrorFramesAndServerKeepsServing)
         // daemon down...
         Json req = Json::object();
         req.set("type", Json::string("submit"));
-        req.set("replay", tamperedSweepRecording(c.key, c.value));
+        req.set("replay",
+                tamperedSweepRecording(c.key, c.value, c.topLevel));
         req.set("stream", Json::boolean(false));
         ASSERT_TRUE(client.send(req));
         Json frame;

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "common/hotpath.hh"
 #include "fault/fault_map.hh"
 #include "fault/fault_model.hh"
 #include "fault/scenario_spec.hh"
@@ -168,9 +167,9 @@ TEST(FaultModel, SampledPopulationsArePinned)
 {
     // Literal digests of the seed-42 2048x720 die of each sampler:
     // iid through the geometric skip sampler and through the per-bit
-    // reference (the path recordings made in reference mode replay),
-    // and the clustered and burst classes. Any change to a draw, its
-    // order or the cell encoding moves a digest.
+    // IidStuckAt::sampleReference, and the clustered and burst
+    // classes. Any change to a draw, its order or the cell encoding
+    // moves a digest.
     struct Pin
     {
         const char *model;
@@ -188,12 +187,12 @@ TEST(FaultModel, SampledPopulationsArePinned)
         ScenarioSpec spec;
         spec.model = pin.model;
         spec.seed = 42;
-        setHotpathReferenceMode(pin.reference);
         const auto model = FaultModel::fromScenario(spec);
-        const std::shared_ptr<const FaultPopulation> die =
-            model->sample(2048, 720);
-        const auto map = model->buildMap(2048, 720);
-        setHotpathReferenceMode(false);
+        const std::shared_ptr<const FaultPopulation> die = pin.reference
+            ? IidStuckAt(spec).sampleReference(2048, 720)
+            : model->sample(2048, 720);
+        const auto map = pin.reference ? model->buildMapFrom(die, 720)
+                                       : model->buildMap(2048, 720);
         std::size_t cells = 0;
         for (const auto &line : *die)
             cells += line.size();
@@ -203,7 +202,8 @@ TEST(FaultModel, SampledPopulationsArePinned)
         EXPECT_EQ(populationDigest(*die), pin.digest)
             << label << std::hex << " digest 0x"
             << populationDigest(*die);
-        // A built map adopts the same die.
+        // A built map (cold, or adopting the reference die) holds the
+        // same die.
         EXPECT_EQ(populationDigest(map->population()), pin.digest)
             << label;
     }

@@ -147,6 +147,16 @@ main(int argc, char **argv)
     std::vector<std::vector<VariantRun>> runs(
         workloads.size(), std::vector<VariantRun>(list.size()));
 
+    // Every variant runs on the same die: sample it once, and let
+    // each job adopt it into its own map.
+    ScenarioSpec spec;
+    spec.seed = seed;
+    spec.voltage = voltage;
+    const std::unique_ptr<FaultModel> model =
+        FaultModel::fromScenario(spec);
+    const std::shared_ptr<const FaultPopulation> die =
+        model->sample(GpuParams{}.l2Geom.numLines(), 720);
+
     std::vector<Job> jobs;
     for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
         const std::string wlName = workloads[wi];
@@ -162,13 +172,8 @@ main(int argc, char **argv)
             jobs.push_back(
                 {wlName + "/" + list[vi].name, [&, wi, vi, wlName] {
                      GpuParams gp;
-                     ScenarioSpec spec;
-                     spec.seed = seed;
-                     spec.voltage = voltage;
-                     const std::unique_ptr<FaultModel> model =
-                         FaultModel::fromScenario(spec);
                      const std::unique_ptr<FaultMap> faultsPtr =
-                         model->buildMap(gp.l2Geom.numLines(), 720);
+                         model->buildMapFrom(die, 720);
                      FaultMap &faults = *faultsPtr;
                      const auto wl = makeWorkload(wlName, scale);
                      KilliProtection prot(faults, list[vi].params);

@@ -55,6 +55,16 @@ main(int argc, char **argv)
                   "error misses", "SDC", "disabled@end",
                   "scrub reclaims"});
 
+    // Every run injects transients into its own map, but all of them
+    // adopt the one die sampled here.
+    ScenarioSpec spec;
+    spec.seed = seed;
+    spec.voltage = voltage;
+    const std::unique_ptr<FaultModel> model =
+        FaultModel::fromScenario(spec);
+    const std::shared_ptr<const FaultPopulation> die =
+        model->sample(GpuParams{}.l2Geom.numLines(), 720);
+
     const auto wl = makeWorkload("spmv", scale);
     for (const double rate : {1e-10, 1e-9, 4e-9}) {
         const auto runOne = [&](const std::string &name,
@@ -63,13 +73,8 @@ main(int argc, char **argv)
             gp.l2.softErrorRatePerBitCycle = rate;
             gp.l2.softErrorBurstFraction = burst;
             gp.l2.maintenanceInterval = scrubber ? 50000 : 0;
-            ScenarioSpec spec;
-            spec.seed = seed;
-            spec.voltage = voltage;
-            const std::unique_ptr<FaultModel> model =
-                FaultModel::fromScenario(spec);
             const std::unique_ptr<FaultMap> faultsPtr =
-                model->buildMap(gp.l2Geom.numLines(), 720);
+                model->buildMapFrom(die, 720);
             FaultMap &faults = *faultsPtr;
 
             std::unique_ptr<ProtectionScheme> prot;

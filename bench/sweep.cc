@@ -187,37 +187,22 @@ pointFileStem(const std::string &wlName, const SchemeSpec *scheme)
  * fault map, the protection scheme, the workload instance, the GPU
  * system, the trace sink — is constructed here, inside the job, so
  * concurrent points share nothing mutable (see the gpu_system.hh
- * thread-confinement contract). FaultMap construction is
- * deterministic in (seed, voltage): every point sees the identical
- * die.
+ * thread-confinement contract). The map adopts the campaign's one
+ * immutable @p die, uncopied: every point sees the identical die.
  *
  * @param seriesOut receives the point's StatTimeseries as JSON when
  *        opt.statsInterval > 0 (untouched otherwise); may be null.
  */
 RunResult
-runPoint(const SweepOptions &opt, const std::string &wlName,
-         const SchemeSpec *scheme, Json *seriesOut)
+runPoint(const SweepOptions &opt, const FaultModel &model,
+         const std::shared_ptr<const FaultPopulation> &die,
+         const std::string &wlName, const SchemeSpec *scheme,
+         Json *seriesOut)
 {
-    // The scenario is the single source of truth for the fault
-    // population: the model samples the die (deterministic in the
-    // scenario's seed) and activates its first operating point, so
-    // every point sees the identical die.
-    const std::unique_ptr<FaultModel> model =
-        FaultModel::fromScenario(opt.scenario);
     GpuParams gp;
     gp.statsInterval = opt.statsInterval;
-    std::unique_ptr<FaultMap> faultsPtr;
-    if (opt.warmFaultSource) {
-        // A warm population (another job of the same die already
-        // sampled it) is shared instead of resampled; buildMapFrom
-        // is bit-identical to buildMap by construction.
-        if (auto pop = opt.warmFaultSource(
-                *model, gp.l2Geom.numLines(), kL2LineBits))
-            faultsPtr =
-                model->buildMapFrom(std::move(pop), kL2LineBits);
-    }
-    if (!faultsPtr)
-        faultsPtr = model->buildMap(gp.l2Geom.numLines(), kL2LineBits);
+    const std::unique_ptr<FaultMap> faultsPtr =
+        model.buildMapFrom(die, kL2LineBits);
     FaultMap &faults = *faultsPtr;
     const auto wl = makeWorkload(wlName, opt.scale);
 
@@ -265,7 +250,7 @@ runPoint(const SweepOptions &opt, const std::string &wlName,
             });
     }
     const RunResult result = sys.run(opt.warmupPasses);
-    if (!opt.trace.empty() && opt.traceFiles) {
+    if (!opt.trace.empty() && !opt.traceDir.empty()) {
         const std::string path = opt.traceDir + "/" +
             pointFileStem(wlName, scheme) + ".trace.json";
         writeJsonFile(path, sink.chromeTraceJson());
@@ -368,10 +353,6 @@ declareSweepOptions(Options &opts, const std::string &benchName,
                        "extra attempts before a failed sweep point "
                        "is skipped")
         .range(0u, 10u);
-    opts.add<bool>("share-die", false,
-                   "synthesize the fault population once and adopt "
-                   "it for every sweep point (bit-identical to "
-                   "per-point sampling; see EXPERIMENTS.md)");
     opts.add("json", "results/" + benchName + ".json",
              "machine-readable results path (empty string disables)");
     opts.add("trace", "",
@@ -379,7 +360,7 @@ declareSweepOptions(Options &opts, const std::string &benchName,
              "dfh,ecc,l2 or all; empty disables tracing)");
     opts.add("trace-dir", "results/trace",
              "directory for per-point Chrome trace_event files "
-             "(Perfetto-loadable)");
+             "(Perfetto-loadable; empty string disables)");
     opts.add("timeseries",
              "results/" + benchName + ".timeseries.json",
              "combined stat-timeseries path, written when "
@@ -392,7 +373,6 @@ sweepOptions(const Options &opts)
     SweepOptions opt = sweepRequestOptions(opts);
     opt.jobs = opts.get<unsigned>("jobs");
     opt.retries = opts.get<unsigned>("retries");
-    opt.shareDie = opts.get<bool>("share-die");
     opt.jsonPath = opts.get<std::string>("json");
     opt.trace = opts.get<std::string>("trace");
     opt.traceDir = opts.get<std::string>("trace-dir");
@@ -518,7 +498,7 @@ decodeSweepOptions(const Json &doc, SweepWire wire, SweepOptions &out,
             out.trace = v.asString();
             // A replayed run checks trace digests; it writes no
             // per-point trace files.
-            out.traceFiles = false;
+            out.traceDir.clear();
         } else {
             err = "unknown option \"" + key + "\"";
             return false;
@@ -556,26 +536,8 @@ sweepSchemeNames()
 }
 
 SweepResult
-runEvaluationSweep(const SweepOptions &optIn)
+runEvaluationSweep(const SweepOptions &opt)
 {
-    // Campaign-local copy so a share-die campaign can install its
-    // single-flight population source without mutating the caller's
-    // options.
-    SweepOptions opt = optIn;
-    if (opt.shareDie && !opt.warmFaultSource) {
-        // Every point of this campaign instantiates the same
-        // scenario on the same L2 geometry, so their die populations
-        // are identical by construction: sample once, before any
-        // point runs, and adopt it everywhere. Bit-identity of
-        // adoption vs sampling is FaultModel::buildMapFrom()'s
-        // contract, pinned in fault_test and CI's perf-smoke diff.
-        std::shared_ptr<const FaultPopulation> die =
-            FaultModel::fromScenario(opt.scenario)
-                ->sample(GpuParams{}.l2Geom.numLines(), kL2LineBits);
-        opt.warmFaultSource = [die](const FaultModel &, std::size_t,
-                                    std::size_t) { return die; };
-    }
-
     // Resolve the scheme columns (validated against the subset knob).
     std::vector<SchemeSpec> specs = schemeSpecs();
     if (!opt.schemes.empty()) {
@@ -600,6 +562,12 @@ runEvaluationSweep(const SweepOptions &optIn)
         specs = std::move(subset);
     }
 
+    const std::unique_ptr<FaultModel> model =
+        FaultModel::fromScenario(opt.scenario);
+    // The campaign's die; set below, once the workload names are
+    // validated and before any job runs.
+    std::shared_ptr<const FaultPopulation> die;
+
     SweepResult out;
     out.workloads.resize(opt.workloads.size());
 
@@ -617,10 +585,11 @@ runEvaluationSweep(const SweepOptions &optIn)
                                 ->memoryBound();
         sweep.schemes.resize(specs.size());
 
-        jobs.push_back({wlName + "/baseline", [&opt, &sweep, wlName] {
-                            sweep.baseline =
-                                runPoint(opt, wlName, nullptr,
-                                         &sweep.baselineTimeseries);
+        jobs.push_back({wlName + "/baseline",
+                        [&opt, &model, &die, &sweep, wlName] {
+                            sweep.baseline = runPoint(
+                                opt, *model, die, wlName, nullptr,
+                                &sweep.baselineTimeseries);
                             sweep.baselineOk = true;
                         }});
         for (std::size_t si = 0; si < specs.size(); ++si) {
@@ -631,18 +600,29 @@ runEvaluationSweep(const SweepOptions &optIn)
             slot.powerKey = spec.powerKey;
             jobs.push_back(
                 {wlName + "/" + spec.name,
-                 [&opt, &slot, &spec, wlName] {
-                     slot.result = runPoint(opt, wlName, &spec,
-                                            &slot.timeseries);
+                 [&opt, &model, &die, &slot, &spec, wlName] {
+                     slot.result = runPoint(opt, *model, die, wlName,
+                                            &spec, &slot.timeseries);
                      slot.ok = true;
                  }});
         }
     }
 
+    // Every point of the campaign instantiates the same scenario on
+    // the same L2 geometry, so they share one die: taken from the
+    // embedder's warm source when it has it, otherwise sampled here,
+    // once, before any point runs. Adoption is bit-identical to
+    // sampling (FaultModel::buildMapFrom()'s contract).
+    const std::size_t numLines = GpuParams{}.l2Geom.numLines();
+    if (opt.warmFaultSource)
+        die = opt.warmFaultSource(*model, numLines, kL2LineBits);
+    if (!die)
+        die = model->sample(numLines, kL2LineBits);
+
     // Jobs append trace files concurrently; create the directory
     // once, up front, instead of racing create_directories in every
     // worker.
-    if (!opt.trace.empty() && opt.traceFiles)
+    if (!opt.trace.empty() && !opt.traceDir.empty())
         std::filesystem::create_directories(opt.traceDir);
 
     // Point-completion progress: wrap each job so the observer sees

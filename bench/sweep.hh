@@ -5,10 +5,11 @@
  * baseline and each LV protection scheme (DECTED, FLAIR, MS-ECC,
  * Killi at the paper's five ECC-cache ratios) on the Table 3 GPU.
  *
- * The sweep executes on the killi::ExperimentRunner: every point
- * (workload × scheme) is an independent job with its own GpuSystem,
- * FaultMap, and workload instance, so `jobs=N` runs N points
- * concurrently while producing tables bit-identical to `jobs=1`.
+ * The campaign samples its die once; the sweep then executes on the
+ * killi::ExperimentRunner: every point (workload × scheme) is an
+ * independent job with its own GpuSystem, workload instance, and
+ * FaultMap adopting that die, so `jobs=N` runs N points concurrently
+ * while producing tables bit-identical to `jobs=1`.
  * A point that keeps failing after its retries is skipped (ok=false
  * in its SchemeRun) instead of aborting the campaign.
  *
@@ -83,28 +84,18 @@ struct SweepOptions
      *  or "all"); empty disables tracing entirely. */
     std::string trace;
     /** Directory receiving one Chrome trace_event file per traced
-     *  sweep point (load them in Perfetto / chrome://tracing). */
+     *  sweep point (load them in Perfetto / chrome://tracing); empty
+     *  writes no trace files. Record/replay sessions clear it: the
+     *  events still flow to the ReplayProbe, but nothing touches the
+     *  filesystem. */
     std::string traceDir = "results/trace";
-    /** Write the per-point Chrome trace files above. Record/replay
-     *  sessions trace with this off: the events still flow to the
-     *  ReplayProbe, but nothing touches the filesystem. */
-    bool traceFiles = true;
     /** Cycles between periodic stat snapshots (0 disables the
      *  timeseries machinery). */
     Cycle statsInterval = 0;
     /** Path of the combined stat-timeseries JSON, written when
      *  statsInterval > 0; empty disables. */
     std::string timeseriesPath;
-    /**
-     * Synthesize the die population once and adopt it for every
-     * sweep point (all points of one campaign share scenario and
-     * geometry, so their populations are identical by construction).
-     * Results are bit-identical to per-point sampling — CI's
-     * perf-smoke diffs the two via extract_sweep_results.py. Ignored
-     * when an embedder already installed warmFaultSource, and
-     * stripped by record/replay sessions for the same RNG-stream
-     * reason warmFaultSource is.
-     */
+    /** Read by nothing; kept only because perfbench assigns it. */
     bool shareDie = false;
 
     // -- Not CLI knobs; set programmatically by embedders (kserved).
@@ -121,12 +112,13 @@ struct SweepOptions
      *  the campaign report records them as such. */
     const CancelToken *cancel = nullptr;
     /**
-     * Warm fault-population source (the kserved warm store). When
-     * set, each sweep point offers its (model, geometry) here before
-     * sampling; a non-null return is adopted, uncopied, through
-     * FaultModel::buildMapFrom() — bit-identical to cold sampling by
-     * construction — and a null return falls back to sampling.
-     * Called from worker threads, possibly concurrently, so it must
+     * Warm fault-population source (the kserved warm store). Every
+     * campaign gets its die exactly once: runEvaluationSweep() offers
+     * its (model, geometry) here before sampling, a non-null return
+     * is the die, and a null return falls back to sampling; every
+     * point then adopts the die, uncopied, through
+     * FaultModel::buildMapFrom(). Called once per campaign, but
+     * concurrent campaigns may call it at the same time, so it must
      * be thread-safe. Record/replay sessions must never set this:
      * adopting a population skips the sampler's RNG draws, which a
      * recording captures (kserved installs it for plain jobs only).
@@ -157,8 +149,7 @@ SweepOptions sweepRequestOptions(const Options &opts);
 
 /**
  * Declare every sweep knob: the request half plus the local
- * execution knobs (jobs, retries, share-die, json, trace, trace-dir,
- * timeseries).
+ * execution knobs (jobs, retries, json, trace, trace-dir, timeseries).
  *
  * @param benchName stem of the default results path
  *        ("results/<benchName>.json")

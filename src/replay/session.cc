@@ -370,17 +370,15 @@ recordSweep(const SweepOptions &optIn, std::uint64_t perturbDecode)
     s.opt.timeseriesPath.clear();
     s.opt.onProgress = nullptr;
     // Recordings must capture the sampler's RNG draws, so the run
-    // always samples its die cold — a warm population source, had
-    // the embedder set one, is stripped here (and share-die, which
-    // would install one inside runEvaluationSweep).
+    // samples its die itself, once, like every campaign — a warm
+    // population source, had the embedder set one, is stripped here.
     s.opt.warmFaultSource = nullptr;
-    s.opt.shareDie = false;
     if (s.opt.trace.empty()) {
         // Record every category's digests without writing per-point
         // trace files: the recording carries the checkpoints, not
         // the filesystem.
         s.opt.trace = "all";
-        s.opt.traceFiles = false;
+        s.opt.traceDir.clear();
     }
 
     Recorder recorder("sweep");

@@ -1179,8 +1179,8 @@ Server::handleSubmit(const std::shared_ptr<Connection> &conn,
             // subsets miss the result cache but describe the same
             // die, so it is synthesized once (single-flight) and
             // adopted bit-identically everywhere else. Record/replay
-            // jobs must sample cold — adopting a population skips
-            // the sampler's RNG draws, which recordings capture.
+            // jobs must sample their own die — adopting a population
+            // skips the sampler's RNG draws, which recordings capture.
             if (!sub.record && !sub.replayRec &&
                 opt.warmStoreMb > 0) {
                 ropt.warmFaultSource =

@@ -115,7 +115,7 @@ struct ServerOptions
     std::size_t cacheEntries = 1024;
     /** Warm-state store bound (MiB of resident payload; fault
      *  populations shared across jobs of the same die). 0 disables
-     *  warm sharing — every sweep point samples cold. */
+     *  warm sharing — every job samples its own die, once. */
     std::size_t warmStoreMb = 256;
     /** Serve plain-HTTP GET /metrics (Prometheus text) on
      *  127.0.0.1:metricsPort (0 binds an ephemeral port — read it

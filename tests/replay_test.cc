@@ -449,7 +449,12 @@ TEST(ReplaySweep, Seed42PointPopStreamIsPinned)
 TEST(ReplaySweep, RecordThenReplayIsBitIdentical)
 {
     const SweepSession recorded = recordSweep(tinySweep());
-    EXPECT_FALSE(recorded.recording.rng.empty());
+    // The campaign samples its die once, for both points: one rng
+    // segment, the fault-map construction stream.
+    ASSERT_EQ(recorded.recording.rng.size(), 1u);
+    EXPECT_EQ(recorded.recording.streams.at(
+                  recorded.recording.rng[0].stream),
+              "faultmap");
     EXPECT_FALSE(recorded.recording.pops.empty());
     EXPECT_EQ(recorded.recording.marks.size(), 2u); // 2 sweep points
 

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -602,17 +603,33 @@ TEST(EvaluationSweep, ParallelRunIsBitIdenticalToSerial)
     EXPECT_EQ(sweepData(serial), sweepData(parallel));
 }
 
-TEST(EvaluationSweep, SharedDieOnWorkersIsBitIdenticalToCold)
+TEST(EvaluationSweep, EmptyTraceDirTracesWithoutWritingFiles)
 {
-    // share-die: every point adopts one immutable population, which
-    // four workers read concurrently (CI's ThreadSanitizer job runs
-    // this binary).
-    SweepOptions shared = tinySweep(4);
-    shared.shareDie = true;
-    const SweepResult cold = runEvaluationSweep(tinySweep(1));
-    const SweepResult warm = runEvaluationSweep(shared);
-    EXPECT_TRUE(warm.campaign.allOk());
-    EXPECT_EQ(sweepData(cold), sweepData(warm));
+    // An empty trace-dir means "no per-point trace files", the same
+    // convention json= and timeseries= follow. Run from a fresh
+    // directory so any file the sweep wrote would show up in it.
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::path(::testing::TempDir()) / "killi_runner_test_no_trace";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const fs::path cwd = fs::current_path();
+    fs::current_path(dir);
+
+    SweepOptions opt = tinySweep(1);
+    opt.workloads = {"spmv"};
+    opt.schemes = {"Killi 1:256"};
+    opt.trace = "dfh";
+    opt.traceDir = "";
+    SweepResult res;
+    EXPECT_NO_THROW(res = runEvaluationSweep(opt));
+    fs::current_path(cwd);
+
+    EXPECT_TRUE(res.campaign.allOk());
+    EXPECT_EQ(res.workloads.size(), 1u);
+    EXPECT_TRUE(fs::is_empty(dir));
+    EXPECT_FALSE(fs::exists("/spmv_Killi_1_256.trace.json"));
+    fs::remove_all(dir);
 }
 
 TEST(EvaluationSweep, ResultsFileIsWellFormedAndConsumable)

@@ -147,15 +147,15 @@ main(int argc, char **argv)
     std::vector<std::vector<VariantRun>> runs(
         workloads.size(), std::vector<VariantRun>(list.size()));
 
-    // Every variant runs on the same die: sample it once, and let
-    // each job adopt it into its own map.
+    // Every variant runs on the same die at the same voltage and
+    // only reads its faults: sample and activate it once.
     ScenarioSpec spec;
     spec.seed = seed;
     spec.voltage = voltage;
     const std::unique_ptr<FaultModel> model =
         FaultModel::fromScenario(spec);
-    const std::shared_ptr<const FaultPopulation> die =
-        model->sample(GpuParams{}.l2Geom.numLines(), 720);
+    const std::unique_ptr<const FaultMap> faults =
+        model->buildMap(GpuParams{}.l2Geom.numLines(), 720);
 
     std::vector<Job> jobs;
     for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
@@ -172,11 +172,8 @@ main(int argc, char **argv)
             jobs.push_back(
                 {wlName + "/" + list[vi].name, [&, wi, vi, wlName] {
                      GpuParams gp;
-                     const std::unique_ptr<FaultMap> faultsPtr =
-                         model->buildMapFrom(die, 720);
-                     FaultMap &faults = *faultsPtr;
                      const auto wl = makeWorkload(wlName, scale);
-                     KilliProtection prot(faults, list[vi].params);
+                     KilliProtection prot(*faults, list[vi].params);
                      GpuSystem sys(gp, prot, *wl);
                      VariantRun &slot = runs[wi][vi];
                      slot.result = sys.run(warmup);

@@ -37,7 +37,8 @@ struct SchemeSpec
     double areaOverheadFrac;
     std::string powerKey;
     /** Build a fresh protection instance against @p faults. */
-    std::function<std::unique_ptr<ProtectionScheme>(FaultMap &)> make;
+    std::function<std::unique_ptr<ProtectionScheme>(const FaultMap &)>
+        make;
 };
 
 std::vector<SchemeSpec>
@@ -47,26 +48,26 @@ schemeSpecs()
     specs.push_back(
         {"DECTED", area::baseline(CodeKind::Dected).pctOverL2 / 100.0,
          "dected",
-         [](FaultMap &faults) -> std::unique_ptr<ProtectionScheme> {
+         [](const FaultMap &faults) -> std::unique_ptr<ProtectionScheme> {
              return makeDectedLine(faults);
          }});
     specs.push_back(
         {"FLAIR", area::baseline(CodeKind::Secded).pctOverL2 / 100.0,
          "flair",
-         [](FaultMap &faults) -> std::unique_ptr<ProtectionScheme> {
+         [](const FaultMap &faults) -> std::unique_ptr<ProtectionScheme> {
              return makeFlair(faults);
          }});
     specs.push_back(
         {"MS-ECC", area::baseline(CodeKind::Olsc11).pctOverL2 / 100.0,
          "msecc",
-         [](FaultMap &faults) -> std::unique_ptr<ProtectionScheme> {
+         [](const FaultMap &faults) -> std::unique_ptr<ProtectionScheme> {
              return makeMsEcc(faults);
          }});
     for (const std::size_t ratio : kKilliRatios) {
         specs.push_back(
             {"Killi 1:" + std::to_string(ratio),
              area::killi(ratio).pctOverL2 / 100.0, "killi",
-             [ratio](FaultMap &faults)
+             [ratio](const FaultMap &faults)
                  -> std::unique_ptr<ProtectionScheme> {
                  KilliParams kp;
                  kp.ratio = ratio;
@@ -183,27 +184,23 @@ pointFileStem(const std::string &wlName, const SchemeSpec *scheme)
 }
 
 /**
- * Execute one fully isolated sweep point. Everything stateful — the
- * fault map, the protection scheme, the workload instance, the GPU
- * system, the trace sink — is constructed here, inside the job, so
- * concurrent points share nothing mutable (see the gpu_system.hh
- * thread-confinement contract). The map adopts the campaign's one
- * immutable @p die, uncopied: every point sees the identical die.
+ * Execute one isolated sweep point. Everything stateful — the
+ * protection scheme, the workload instance, the GPU system, the
+ * trace sink — is constructed here, inside the job, so concurrent
+ * points share nothing mutable (see the gpu_system.hh
+ * thread-confinement contract). @p faults is the campaign's one
+ * activated map, which every point only reads.
  *
  * @param seriesOut receives the point's StatTimeseries as JSON when
  *        opt.statsInterval > 0 (untouched otherwise); may be null.
  */
 RunResult
-runPoint(const SweepOptions &opt, const FaultModel &model,
-         const std::shared_ptr<const FaultPopulation> &die,
+runPoint(const SweepOptions &opt, const FaultMap &faults,
          const std::string &wlName, const SchemeSpec *scheme,
          Json *seriesOut)
 {
     GpuParams gp;
     gp.statsInterval = opt.statsInterval;
-    const std::unique_ptr<FaultMap> faultsPtr =
-        model.buildMapFrom(die, kL2LineBits);
-    FaultMap &faults = *faultsPtr;
     const auto wl = makeWorkload(wlName, opt.scale);
 
     TraceSink sink;
@@ -564,9 +561,9 @@ runEvaluationSweep(const SweepOptions &opt)
 
     const std::unique_ptr<FaultModel> model =
         FaultModel::fromScenario(opt.scenario);
-    // The campaign's die; set below, once the workload names are
-    // validated and before any job runs.
-    std::shared_ptr<const FaultPopulation> die;
+    // The campaign's fault map; set below, once the workload names
+    // are validated and before any job runs.
+    std::unique_ptr<const FaultMap> faults;
 
     SweepResult out;
     out.workloads.resize(opt.workloads.size());
@@ -586,9 +583,9 @@ runEvaluationSweep(const SweepOptions &opt)
         sweep.schemes.resize(specs.size());
 
         jobs.push_back({wlName + "/baseline",
-                        [&opt, &model, &die, &sweep, wlName] {
+                        [&opt, &faults, &sweep, wlName] {
                             sweep.baseline = runPoint(
-                                opt, *model, die, wlName, nullptr,
+                                opt, *faults, wlName, nullptr,
                                 &sweep.baselineTimeseries);
                             sweep.baselineOk = true;
                         }});
@@ -600,8 +597,8 @@ runEvaluationSweep(const SweepOptions &opt)
             slot.powerKey = spec.powerKey;
             jobs.push_back(
                 {wlName + "/" + spec.name,
-                 [&opt, &model, &die, &slot, &spec, wlName] {
-                     slot.result = runPoint(opt, *model, die, wlName,
+                 [&opt, &faults, &slot, &spec, wlName] {
+                     slot.result = runPoint(opt, *faults, wlName,
                                             &spec, &slot.timeseries);
                      slot.ok = true;
                  }});
@@ -612,12 +609,15 @@ runEvaluationSweep(const SweepOptions &opt)
     // the same L2 geometry, so they share one die: taken from the
     // embedder's warm source when it has it, otherwise sampled here,
     // once, before any point runs. Adoption is bit-identical to
-    // sampling (FaultModel::buildMapFrom()'s contract).
+    // sampling (FaultModel::buildMapFrom()'s contract). No point
+    // writes the map, so the die is activated once, too.
     const std::size_t numLines = GpuParams{}.l2Geom.numLines();
+    std::shared_ptr<const FaultPopulation> die;
     if (opt.warmFaultSource)
         die = opt.warmFaultSource(*model, numLines, kL2LineBits);
     if (!die)
         die = model->sample(numLines, kL2LineBits);
+    faults = model->buildMapFrom(std::move(die), kL2LineBits);
 
     // Jobs append trace files concurrently; create the directory
     // once, up front, instead of racing create_directories in every

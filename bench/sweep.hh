@@ -5,11 +5,12 @@
  * baseline and each LV protection scheme (DECTED, FLAIR, MS-ECC,
  * Killi at the paper's five ECC-cache ratios) on the Table 3 GPU.
  *
- * The campaign samples its die once; the sweep then executes on the
- * killi::ExperimentRunner: every point (workload × scheme) is an
- * independent job with its own GpuSystem, workload instance, and
- * FaultMap adopting that die, so `jobs=N` runs N points concurrently
- * while producing tables bit-identical to `jobs=1`.
+ * The campaign samples its die and activates it into one FaultMap;
+ * the sweep then executes on the killi::ExperimentRunner: every
+ * point (workload × scheme) is an independent job with its own
+ * GpuSystem, workload instance and protection scheme, all reading
+ * that const map, so `jobs=N` runs N points concurrently while
+ * producing tables bit-identical to `jobs=1`.
  * A point that keeps failing after its retries is skipped (ok=false
  * in its SchemeRun) instead of aborting the campaign.
  *
@@ -115,8 +116,8 @@ struct SweepOptions
      * Warm fault-population source (the kserved warm store). Every
      * campaign gets its die exactly once: runEvaluationSweep() offers
      * its (model, geometry) here before sampling, a non-null return
-     * is the die, and a null return falls back to sampling; every
-     * point then adopts the die, uncopied, through
+     * is the die, and a null return falls back to sampling; the
+     * campaign then activates the die, uncopied, through
      * FaultModel::buildMapFrom(). Called once per campaign, but
      * concurrent campaigns may call it at the same time, so it must
      * be thread-safe. Record/replay sessions must never set this:

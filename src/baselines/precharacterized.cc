@@ -5,7 +5,7 @@
 namespace killi
 {
 
-PrecharacterizedScheme::PrecharacterizedScheme(FaultMap &fault_map,
+PrecharacterizedScheme::PrecharacterizedScheme(const FaultMap &fault_map,
                                                const PrecharParams &params)
     : faults(fault_map), p(params)
 {
@@ -198,7 +198,7 @@ PrecharacterizedScheme::addTimeseriesSources(StatTimeseries &ts)
 }
 
 std::unique_ptr<PrecharacterizedScheme>
-makeSecdedLine(FaultMap &faults)
+makeSecdedLine(const FaultMap &faults)
 {
     PrecharParams p;
     p.displayName = "SECDED";
@@ -209,7 +209,7 @@ makeSecdedLine(FaultMap &faults)
 }
 
 std::unique_ptr<PrecharacterizedScheme>
-makeFlair(FaultMap &faults)
+makeFlair(const FaultMap &faults)
 {
     PrecharParams p;
     p.displayName = "FLAIR";
@@ -220,7 +220,7 @@ makeFlair(FaultMap &faults)
 }
 
 std::unique_ptr<PrecharacterizedScheme>
-makeDectedLine(FaultMap &faults)
+makeDectedLine(const FaultMap &faults)
 {
     PrecharParams p;
     p.displayName = "DECTED";
@@ -231,7 +231,7 @@ makeDectedLine(FaultMap &faults)
 }
 
 std::unique_ptr<PrecharacterizedScheme>
-makeMsEcc(FaultMap &faults)
+makeMsEcc(const FaultMap &faults)
 {
     PrecharParams p;
     p.displayName = "MS-ECC";

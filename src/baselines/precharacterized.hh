@@ -52,7 +52,7 @@ struct PrecharParams
 class PrecharacterizedScheme : public ProtectionScheme
 {
   public:
-    PrecharacterizedScheme(FaultMap &fault_map,
+    PrecharacterizedScheme(const FaultMap &fault_map,
                            const PrecharParams &params);
 
     std::string name() const override { return p.displayName; }
@@ -77,7 +77,7 @@ class PrecharacterizedScheme : public ProtectionScheme
     /** Physical LV bits per line (payload + in-array checkbits). */
     std::size_t physBits() const;
 
-    FaultMap &faults;
+    const FaultMap &faults;
     PrecharParams p;
     std::unique_ptr<BlockCode> code; //!< null when behavioural
 
@@ -93,17 +93,17 @@ class PrecharacterizedScheme : public ProtectionScheme
 
 /** SECDED per line + disable bit (the paper's area yardstick). */
 std::unique_ptr<PrecharacterizedScheme>
-makeSecdedLine(FaultMap &faults);
+makeSecdedLine(const FaultMap &faults);
 
 /** FLAIR with pre-trained fault map (paper §5.1 methodology). */
-std::unique_ptr<PrecharacterizedScheme> makeFlair(FaultMap &faults);
+std::unique_ptr<PrecharacterizedScheme> makeFlair(const FaultMap &faults);
 
 /** DECTED per line, disabling lines with 3+ faults. */
 std::unique_ptr<PrecharacterizedScheme>
-makeDectedLine(FaultMap &faults);
+makeDectedLine(const FaultMap &faults);
 
 /** MS-ECC: OLSC-strength correction, 11 errors per 64B line. */
-std::unique_ptr<PrecharacterizedScheme> makeMsEcc(FaultMap &faults);
+std::unique_ptr<PrecharacterizedScheme> makeMsEcc(const FaultMap &faults);
 
 } // namespace killi
 

@@ -99,7 +99,7 @@ L2Cache::sampleUpsets(std::size_t lineId, Line &line)
             // Multi-bit event in adjacent cells (Maiz et al.): the
             // case interleaved parity is built for.
             const std::uint16_t neighbour = static_cast<std::uint16_t>(
-                bit + 1 < line.data.size() ? bit + 1 : bit - 1);
+                bit + 1u < line.data.size() ? bit + 1 : bit - 1);
             faultMap->injectTransient(lineId, neighbour);
             ++*cSoftErrors;
         }

@@ -359,26 +359,6 @@ FaultMap::visibleErrorsInto(std::size_t line, const BitVec &data,
     }
 }
 
-unsigned
-FaultMap::applyFaults(std::size_t line, BitVec &value) const
-{
-    unsigned flipped = 0;
-    for (const FaultCell &cell : active[line]) {
-        if (cell.bit < value.size() &&
-            value.get(cell.bit) != cell.stuckValue) {
-            value.flip(cell.bit);
-            ++flipped;
-        }
-    }
-    for (const std::uint16_t bit : transientFlips[line]) {
-        if (bit < value.size() && !isStuck(line, bit)) {
-            value.flip(bit);
-            ++flipped;
-        }
-    }
-    return flipped;
-}
-
 void
 FaultMap::injectTransient(std::size_t line, std::uint16_t bit)
 {

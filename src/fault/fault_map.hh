@@ -52,11 +52,13 @@ using FaultPopulation = std::vector<std::vector<FaultCell>>;
  * fault population at the current operating point. setVoltage()
  * re-derives the subset for a new point.
  *
- * Maps adopted from one sampled die (the sweep points of a campaign,
- * the jobs of a kserved warm store) all hold the same FaultPopulation
- * and own only their active sets. plantFault() clones the population
- * before changing it (copy-on-write), so a plant never reaches a
- * sibling map.
+ * Readers (the protection schemes) take the map as const, so one
+ * map serves any number of concurrent runs: a sweep campaign
+ * activates its die once for all of its points. Maps adopted from
+ * one sampled die (the jobs of a kserved warm store) all hold the
+ * same FaultPopulation and own only their active sets. plantFault()
+ * clones the population before changing it (copy-on-write), so a
+ * plant never reaches a sibling map.
  */
 class FaultMap
 {
@@ -163,9 +165,6 @@ class FaultMap
     void visibleErrorsInto(std::size_t line, const BitVec &data,
                            const BitVec &meta,
                            std::vector<std::size_t> &out) const;
-
-    /** Apply the overlay in place; returns number of flipped bits. */
-    unsigned applyFaults(std::size_t line, BitVec &value) const;
 
     /**
      * Plant a persistent fault active at every voltage (tests and

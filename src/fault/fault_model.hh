@@ -81,7 +81,7 @@ class FaultModel
     /**
      * Adopt an already-sampled population (sample() of this same
      * model) at the schedule's first operating point instead of
-     * resampling — sweep points and the kserved warm store share one
+     * resampling — sweep campaigns and the kserved warm store share one
      * die keyed by (scenario, geometry, seed, build). The map shares
      * @p population without copying it and is bit-identical to a
      * cold buildMap().

@@ -93,8 +93,9 @@ Coordinator::Coordinator(FleetOptions options) : opt(std::move(options))
                         std::to_string(endpoints.size()) + ".sock";
         endpoints.push_back(std::move(ep));
     }
+    // append(), not "w" + ...: GCC 12 flags that as -Wrestrict.
     for (std::size_t w = 0; w < endpoints.size(); ++w)
-        workerNames.push_back("w" + std::to_string(w));
+        workerNames.push_back(std::string("w").append(std::to_string(w)));
     activeOn.assign(endpoints.size(), 0);
     registerFleetMetrics();
 }

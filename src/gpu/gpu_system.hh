@@ -15,11 +15,11 @@
  *    safe to share across threads;
  *  - ProtectionScheme: mutable (DFH/ECC-cache state), one instance
  *    per GpuSystem;
- *  - FaultMap: logically const during a run *unless* soft-error
- *    injection is enabled (injectTransient/clearTransients mutate
- *    it), so concurrent runs must each own a private FaultMap —
- *    construction is deterministic in (seed, voltage), which keeps
- *    per-run isolation bit-identical to sharing one map.
+ *  - FaultMap: schemes hold it as const, so any number of
+ *    concurrent runs may read one map (a sweep campaign activates
+ *    one for all of its points). The only run-time writer is
+ *    soft-error injection, through the separate @p fault_map
+ *    argument; a run that passes it must own that map.
  */
 
 #ifndef KILLI_GPU_GPU_SYSTEM_HH
@@ -143,7 +143,6 @@ class GpuSystem
     StatTimeseries &timeseries() { return series; }
 
     L2Cache &l2() { return *l2Cache; }
-    EventQueue &eventQueue() { return eq; }
 
   private:
     /** Execute the workload once, to completion. */

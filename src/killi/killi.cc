@@ -56,7 +56,7 @@ KilliProtection::checkInvariants(std::size_t lineId,
 #endif
 }
 
-KilliProtection::KilliProtection(FaultMap &fault_map,
+KilliProtection::KilliProtection(const FaultMap &fault_map,
                                  const KilliParams &params)
     : faults(fault_map), p(params),
       fineParity(kDataBits, params.segments, params.interleavedParity),
@@ -494,7 +494,8 @@ KilliProtection::onReadHit(std::size_t lineId, const BitVec &data)
             : dfhOnStable1(probes.sp, probes.synNonZero,
                            probes.gpMismatch);
         break;
-      case Dfh::Disabled:
+      case Dfh::Disabled: // rejected above
+      default:
         dec = {Dfh::Disabled, DfhAction::ErrorMiss};
         break;
         }

@@ -77,7 +77,7 @@ struct KilliParams
 class KilliProtection : public ProtectionScheme
 {
   public:
-    KilliProtection(FaultMap &fault_map, const KilliParams &params);
+    KilliProtection(const FaultMap &fault_map, const KilliParams &params);
 
     std::string name() const override;
     void attach(L2Backdoor &backdoor, const CacheGeometry &geom) override;
@@ -151,7 +151,7 @@ class KilliProtection : public ProtectionScheme
     void installMetadata(std::size_t lineId, const BitVec &data,
                          Dfh forState);
 
-    FaultMap &faults;
+    const FaultMap &faults;
     KilliParams p;
     SegmentedParity fineParity;   //!< 16-segment training layout
     SegmentedParity foldedParity; //!< 4-segment trained layout

@@ -95,8 +95,6 @@ class ThreadPool
         return drained.load(std::memory_order_relaxed);
     }
 
-    unsigned threadCount() const { return unsigned(workers.size()); }
-
     /** hardware_concurrency with a sane floor of 1. */
     static unsigned defaultThreads();
 

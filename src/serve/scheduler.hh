@@ -150,8 +150,6 @@ class JobScheduler
 
     SchedulerStats stats() const;
 
-    unsigned threadCount() const { return pool.threadCount(); }
-
   private:
     struct Entry
     {

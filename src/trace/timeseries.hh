@@ -75,9 +75,6 @@ class StatTimeseries
      *  interval are kept. */
     void clearSamples();
 
-    /** Tick column of the accumulated series. */
-    const std::vector<Tick> &sampleTicks() const { return ticks; }
-
     /** Last sampled value of a column; NaN if never sampled or the
      *  name is unknown. */
     double lastValue(const std::string &name) const;

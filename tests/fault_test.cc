@@ -254,23 +254,6 @@ TEST(FaultMapTest, TwoPartVisibleErrorsMatchesConcatenation)
     }
 }
 
-TEST(FaultMapTest, ApplyFaultsFlipsExactlyVisibleErrors)
-{
-    FaultMap fm = smallMap(0.5);
-    Rng rng(10);
-    for (std::size_t line = 0; line < 128; ++line) {
-        BitVec data(720);
-        data.randomize(rng);
-        const auto vis = fm.visibleErrors(line, data);
-        BitVec mutated = data;
-        const unsigned flips = fm.applyFaults(line, mutated);
-        EXPECT_EQ(flips, vis.size());
-        EXPECT_EQ(mutated.hammingDistance(data), vis.size());
-        for (const std::size_t pos : vis)
-            EXPECT_NE(mutated.get(pos), data.get(pos));
-    }
-}
-
 TEST(FaultMapTest, CountFaultsRespectsPrefix)
 {
     FaultMap fm = smallMap(0.5);

@@ -66,6 +66,27 @@ struct Rig
 
 } // namespace
 
+TEST(IntegrationTest, EverySweepSchemeRunsOnOneConstFaultMap)
+{
+    // A sweep campaign activates one map and every point only reads
+    // it: each scheme the sweep builds must accept a const map.
+    GpuParams gp;
+    const FaultMap faults = *iidDie(gp.l2Geom.numLines(), 21, 0.625);
+    const auto wl = makeWorkload("spmv", 0.05);
+    std::vector<std::unique_ptr<ProtectionScheme>> schemes;
+    schemes.push_back(makeDectedLine(faults));
+    schemes.push_back(makeFlair(faults));
+    schemes.push_back(makeMsEcc(faults));
+    schemes.push_back(makeSecdedLine(faults));
+    schemes.push_back(
+        std::make_unique<KilliProtection>(faults, KilliParams{}));
+    for (const auto &prot : schemes) {
+        GpuSystem sys(gp, *prot, *wl);
+        const RunResult r = sys.run();
+        EXPECT_GT(r.instructions, 0u) << prot->name();
+    }
+}
+
 TEST(IntegrationTest, NoSdcAtOperatingVoltageForFlair)
 {
     // Pre-characterized SECDED with <=1 fault per enabled line can

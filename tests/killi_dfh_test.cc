@@ -184,8 +184,9 @@ TEST(DfhTest, EveryCombinationYieldsAValidDecision)
                         "except Stable0's relearn row";
                     // ErrorMiss decisions never deliver data, so
                     // they must not claim a correction.
-                    if (d.action == DfhAction::ErrorMiss)
+                    if (d.action == DfhAction::ErrorMiss) {
                         EXPECT_FALSE(d.freeEccEntry);
+                    }
                 }
             }
         }

@@ -1680,12 +1680,14 @@ TEST(SweepCodec, EveryProducerRoundTripsToTheSourceCanonicalKey)
 
         if (defaultKey.empty())
             defaultKey = key;
-        if (std::string(row.name) == "all by name")
+        if (std::string(row.name) == "all by name") {
             EXPECT_EQ(key, defaultKey)
                 << "all by default and all by name must share a key";
-        if (std::string(row.name) == "droop")
+        }
+        if (std::string(row.name) == "droop") {
             EXPECT_DOUBLE_EQ(src.voltage, 0.6)
                 << "the voltage mirror is the schedule's first point";
+        }
     }
 }
 

@@ -177,8 +177,7 @@ main(int argc, char **argv)
                      GpuSystem sys(gp, prot, *wl);
                      VariantRun &slot = runs[wi][vi];
                      slot.result = sys.run(warmup);
-                     slot.eccDrops =
-                         prot.stats().counterValue("ecc_drops");
+                     slot.eccDrops = prot.stats().eccDrops;
                      slot.disabled = prot.dfhHistogram()[3];
                      slot.ok = true;
                  }});

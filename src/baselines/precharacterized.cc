@@ -11,14 +11,6 @@ PrecharacterizedScheme::PrecharacterizedScheme(const FaultMap &fault_map,
 {
     if (!p.behavioral)
         code = makeCode(p.kind, 512);
-
-    cReads = &statGroup.counter("reads", "protected read hits");
-    cCorrections =
-        &statGroup.counter("corrections", "ECC corrections applied");
-    cErrorMisses =
-        &statGroup.counter("error_misses", "error-induced misses raised");
-    statGroup.counter("disabled_lines",
-                      "lines disabled by pre-characterization");
 }
 
 std::size_t
@@ -45,12 +37,10 @@ PrecharacterizedScheme::reset()
     // The MBIST bitmapping pass: every line is pattern-tested and
     // flagged enabled/disabled. (The paper excludes this phase from
     // the reported execution times; so do we.)
-    statGroup.counter("disabled_lines").reset();
     for (std::size_t i = 0; i < enabled.size(); ++i) {
         const unsigned n = faults.countFaults(i, physBits());
         enabled[i] = n < p.disableThreshold;
         if (!enabled[i]) {
-            ++statGroup.counter("disabled_lines");
             KTRACE(trace, tickNow(), TraceCat::Error,
                    "prechar.line_disable", {"line", i},
                    {"faults", std::uint64_t(n)});
@@ -90,7 +80,7 @@ AccessResult
 PrecharacterizedScheme::onReadHit(std::size_t lineId,
                                   const BitVec &data)
 {
-    ++*cReads;
+    ++counts.reads;
     AccessResult res;
     // The parity/syndrome check overlaps the 2-cycle data access;
     // latency is only exposed when error processing actually runs.
@@ -104,7 +94,7 @@ PrecharacterizedScheme::onReadHit(std::size_t lineId,
         // MS-ECC line-level model: an enabled line has at most 11
         // faults, all within the OLSC correction capability.
         res.extraLatency += p.correctionLatency;
-        ++*cCorrections;
+        ++counts.corrections;
         return res;
     }
 
@@ -126,20 +116,20 @@ PrecharacterizedScheme::onReadHit(std::size_t lineId,
         res.sdc = true;
         break;
       case DecodeStatus::Corrected:
-        ++*cCorrections;
+        ++counts.corrections;
         KTRACE(trace, tickNow(), TraceCat::Error, "error.correct",
                {"line", lineId});
         res.extraLatency += p.correctionLatency;
         break;
       case DecodeStatus::DetectedUncorrectable:
         // Write-through: drop and refetch.
-        ++*cErrorMisses;
+        ++counts.errorMisses;
         KTRACE(trace, tickNow(), TraceCat::Error, "error.detect",
                {"line", lineId});
         res.errorInducedMiss = true;
         break;
       case DecodeStatus::Miscorrected:
-        ++*cCorrections;
+        ++counts.corrections;
         KTRACE(trace, tickNow(), TraceCat::Error, "error.correct",
                {"line", lineId});
         res.extraLatency += p.correctionLatency;

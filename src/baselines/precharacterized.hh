@@ -84,11 +84,6 @@ class PrecharacterizedScheme : public ProtectionScheme
     std::vector<bool> enabled;
     /** Stored checkbits, materialized only for faulty lines. */
     std::vector<BitVec> checkStore;
-
-    /** Interned stat handles (see L2Cache). */
-    Counter *cReads = nullptr;
-    Counter *cCorrections = nullptr;
-    Counter *cErrorMisses = nullptr;
 };
 
 /** SECDED per line + disable bit (the paper's area yardstick). */

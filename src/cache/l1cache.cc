@@ -6,8 +6,6 @@ namespace killi
 L1Cache::L1Cache(const CacheGeometry &geometry)
     : geom(geometry), lines(geometry.numLines())
 {
-    cHits = &statGroup.counter("hits", "L1 load hits");
-    cMisses = &statGroup.counter("misses", "L1 load misses");
 }
 
 L1Cache::Line *
@@ -28,10 +26,8 @@ L1Cache::lookup(Addr addr)
 {
     if (Line *line = findLine(addr)) {
         line->lastUse = ++useCounter;
-        ++*cHits;
         return true;
     }
-    ++*cMisses;
     return false;
 }
 

@@ -12,7 +12,6 @@
 
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "cache/geometry.hh"
 
@@ -39,8 +38,6 @@ class L1Cache
     /** Drop everything (kernel boundary). */
     void flush();
 
-    StatGroup &stats() { return statGroup; }
-
   private:
     struct Line
     {
@@ -54,10 +51,6 @@ class L1Cache
     CacheGeometry geom;
     std::vector<Line> lines;
     std::uint64_t useCounter = 0;
-    StatGroup statGroup;
-    /** Interned stat handles (see L2Cache). */
-    Counter *cHits = nullptr;
-    Counter *cMisses = nullptr;
 };
 
 } // namespace killi

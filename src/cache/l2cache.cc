@@ -20,37 +20,6 @@ L2Cache::L2Cache(EventQueue &eq_, DramModel &dram_,
         fatal("L2Cache: soft-error injection needs a FaultMap");
     protection.attach(*this, geometry);
     protection.setTrace(trace);
-
-    cReadHits = &statGroup.counter("read_hits", "load hits");
-    cReadMisses = &statGroup.counter("read_misses",
-                                     "demand load misses");
-    cErrorMisses = &statGroup.counter(
-        "error_misses", "error-induced misses (detected errors)");
-    cWriteHits = &statGroup.counter("write_hits",
-                                    "store hits (updated in place)");
-    cWriteMisses = &statGroup.counter("write_misses",
-                                      "store misses (no allocate)");
-    cEvictions = &statGroup.counter("evictions",
-                                    "capacity/conflict evictions");
-    cBypassFills = &statGroup.counter(
-        "bypass_fills", "fills dropped: no allocatable way in set");
-    cMshrRetries = &statGroup.counter(
-        "mshr_retries", "accesses replayed on full MSHR");
-    cProtInvalidations = &statGroup.counter(
-        "prot_invalidations", "lines dropped by the protection scheme");
-    cSdc = &statGroup.counter("sdc",
-                              "silent data corruptions (oracle)");
-    cSoftErrors = &statGroup.counter("soft_errors",
-                                     "transient upsets injected");
-    cMaintenance = &statGroup.counter("maintenance",
-                                      "scrubber passes run");
-    cWritebacks = &statGroup.counter("writebacks",
-                                     "dirty lines flushed to memory");
-    cWbDataLoss = &statGroup.counter(
-        "wb_data_loss", "dirty write-backs with uncorrectable data");
-    cDirtyErrorLoss = &statGroup.counter(
-        "dirty_error_loss",
-        "dirty lines lost to uncorrectable read errors");
 }
 
 void
@@ -67,10 +36,10 @@ L2Cache::writebackIfDirty(std::size_t lineId, Line &line)
     KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.writeback",
            {"line", lineId}, {"clean", wb.clean});
     if (!wb.clean)
-        ++*cWbDataLoss;
+        ++counts.wbDataLoss;
     if (wb.extraCost)
         chargeBank(lineAddr, wb.extraCost);
-    ++*cWritebacks;
+    ++counts.writebacks;
     dram.access(lineAddr, true, eq.curTick());
 }
 
@@ -94,14 +63,14 @@ L2Cache::sampleUpsets(std::size_t lineId, Line &line)
         faultMap->injectTransient(lineId, bit);
         KTRACE(trace, now, TraceCat::Error, "error.soft_error",
                {"line", lineId}, {"bit", std::uint64_t(bit)});
-        ++*cSoftErrors;
+        ++counts.softErrors;
         if (upsetRng.uniform() < p.softErrorBurstFraction) {
             // Multi-bit event in adjacent cells (Maiz et al.): the
             // case interleaved parity is built for.
             const std::uint16_t neighbour = static_cast<std::uint16_t>(
                 bit + 1u < line.data.size() ? bit + 1 : bit - 1);
             faultMap->injectTransient(lineId, neighbour);
-            ++*cSoftErrors;
+            ++counts.softErrors;
         }
     }
 }
@@ -115,7 +84,6 @@ L2Cache::maybeMaintain()
     if (now - lastMaintenance < p.maintenanceInterval)
         return;
     lastMaintenance = now;
-    ++*cMaintenance;
     protection.onMaintenance();
 }
 
@@ -204,7 +172,7 @@ L2Cache::readTag(std::uint64_t req)
     if (line)
         sampleUpsets(lineId, *line);
     if (!line) {
-        ++*cReadMisses;
+        ++counts.readMisses;
         KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.read_miss",
                {"addr", lineAddr});
         startMiss(req);
@@ -213,7 +181,7 @@ L2Cache::readTag(std::uint64_t req)
 
     const AccessResult res = protection.onReadHit(lineId, line->data);
     if (res.errorInducedMiss) {
-        ++*cErrorMisses;
+        ++counts.errorMisses;
         KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.error_miss",
                {"line", lineId}, {"addr", lineAddr},
                {"dirty", line->dirty});
@@ -221,7 +189,7 @@ L2Cache::readTag(std::uint64_t req)
             // Write-back mode: the only copy was uncorrectable. The
             // loss is recorded by the oracle; the refetch proceeds
             // so the simulation remains deterministic.
-            ++*cDirtyErrorLoss;
+            ++counts.dirtyErrorLoss;
             line->dirty = false;
         }
         line->valid = false;
@@ -231,11 +199,11 @@ L2Cache::readTag(std::uint64_t req)
         return;
     }
 
-    ++*cReadHits;
+    ++counts.readHits;
     KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.read_hit",
            {"line", lineId});
     if (res.sdc) {
-        ++*cSdc;
+        ++counts.sdc;
         KTRACE(trace, eq.curTick(), TraceCat::Error, "error.sdc",
                {"line", lineId}, {"addr", lineAddr});
     }
@@ -256,7 +224,7 @@ L2Cache::startMiss(std::uint64_t req)
         return;
     }
     if (mshrUsed[bank] >= p.mshrsPerBank) {
-        ++*cMshrRetries;
+        ++counts.mshrRetries;
         eq.scheduleIn<&L2Cache::startMiss>(p.mshrRetryDelay, this, req);
         return;
     }
@@ -337,7 +305,7 @@ L2Cache::allocate(Addr lineAddr)
 
         Line &victim = lines[victimId];
         if (victim.valid) {
-            ++*cEvictions;
+            ++counts.evictions;
             KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.evict",
                    {"line", victimId});
             const Cycle cost =
@@ -369,7 +337,7 @@ L2Cache::allocate(Addr lineAddr)
     }
 
     // Serve without caching.
-    ++*cBypassFills;
+    ++counts.bypassFills;
     KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.bypass_fill",
            {"addr", lineAddr});
     return npos;
@@ -392,7 +360,7 @@ L2Cache::writeTag(Addr lineAddr)
     Line *line = findLine(lineAddr, lineId);
     if (!line && p.writePolicy == WritePolicy::WriteBack) {
         // Write-allocate: a full-line store installs directly.
-        ++*cWriteMisses;
+        ++counts.writeMisses;
         const std::size_t allocated = allocate(lineAddr);
         if (allocated == npos) {
             dram.access(lineAddr, true, eq.curTick());
@@ -404,7 +372,7 @@ L2Cache::writeTag(Addr lineAddr)
         return;
     }
     if (line) {
-        ++*cWriteHits;
+        ++counts.writeHits;
         KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.write_hit",
                {"line", lineId});
         line->version = golden.version(lineAddr);
@@ -417,7 +385,7 @@ L2Cache::writeTag(Addr lineAddr)
             line->dirty = true;
         protection.onWriteHit(lineId, line->data);
     } else {
-        ++*cWriteMisses;
+        ++counts.writeMisses;
         KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.write_miss",
                {"addr", lineAddr});
     }
@@ -442,7 +410,7 @@ L2Cache::invalidateLine(std::size_t lineId)
         chargeBank(lineAddr, cost);
     writebackIfDirty(lineId, line);
     line.valid = false;
-    ++*cProtInvalidations;
+    ++counts.protInvalidations;
     KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.prot_invalidate",
            {"line", lineId});
     protection.onInvalidate(lineId);

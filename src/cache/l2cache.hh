@@ -23,7 +23,6 @@
 #include "cache/protection.hh"
 #include "common/bitvec.hh"
 #include "common/rng.hh"
-#include "common/stats.hh"
 #include "fault/fault_map.hh"
 #include "sim/dram.hh"
 #include "sim/event_queue.hh"
@@ -70,6 +69,26 @@ struct L2Params
     /** Optional event-trace sink (l2.* / error.* categories); also
      *  handed to the attached ProtectionScheme. Not owned. */
     TraceSink *trace = nullptr;
+};
+
+/** The L2's event counts (the RunResult fields and the experiment
+ *  tables read them). */
+struct L2Stats
+{
+    std::uint64_t readHits = 0;          //!< load hits
+    std::uint64_t readMisses = 0;        //!< demand load misses
+    std::uint64_t errorMisses = 0;       //!< error-induced misses
+    std::uint64_t writeHits = 0;         //!< store hits (updated in place)
+    std::uint64_t writeMisses = 0;       //!< store misses (no allocate)
+    std::uint64_t evictions = 0;         //!< capacity/conflict evictions
+    std::uint64_t bypassFills = 0;       //!< fills with no allocatable way
+    std::uint64_t mshrRetries = 0;       //!< accesses replayed on full MSHR
+    std::uint64_t protInvalidations = 0; //!< lines dropped by the scheme
+    std::uint64_t sdc = 0;               //!< silent data corruptions (oracle)
+    std::uint64_t softErrors = 0;        //!< transient upsets injected
+    std::uint64_t writebacks = 0;        //!< dirty lines flushed to memory
+    std::uint64_t wbDataLoss = 0;        //!< dirty write-backs, uncorrectable
+    std::uint64_t dirtyErrorLoss = 0;    //!< dirty lines lost to read errors
 };
 
 /** A requester of L2 loads (a compute unit, a test double). */
@@ -124,8 +143,10 @@ class L2Cache : public L2Backdoor
     std::size_t validLines() const;
 
     const CacheGeometry &geom() const { return geometry; }
-    StatGroup &stats() { return statGroup; }
-    const StatGroup &stats() const { return statGroup; }
+    const L2Stats &stats() const { return counts; }
+
+    /** Zero the counts (the warm-up boundary). */
+    void resetStats() { counts = {}; }
 
   private:
     struct Line
@@ -233,29 +254,7 @@ class L2Cache : public L2Backdoor
     std::vector<Mshr> mshrs;
     std::vector<unsigned> mshrUsed;
     std::uint64_t useCounter = 0;
-    StatGroup statGroup;
-
-    /**
-     * Interned stat handles (see KilliProtection): per-access bumps
-     * use these instead of StatGroup's by-name map lookup. Addresses
-     * are stable because StatGroup stores counters in a node-based
-     * map.
-     */
-    Counter *cReadHits = nullptr;
-    Counter *cReadMisses = nullptr;
-    Counter *cErrorMisses = nullptr;
-    Counter *cWriteHits = nullptr;
-    Counter *cWriteMisses = nullptr;
-    Counter *cEvictions = nullptr;
-    Counter *cBypassFills = nullptr;
-    Counter *cMshrRetries = nullptr;
-    Counter *cProtInvalidations = nullptr;
-    Counter *cSdc = nullptr;
-    Counter *cSoftErrors = nullptr;
-    Counter *cMaintenance = nullptr;
-    Counter *cWritebacks = nullptr;
-    Counter *cWbDataLoss = nullptr;
-    Counter *cDirtyErrorLoss = nullptr;
+    L2Stats counts;
 };
 
 } // namespace killi

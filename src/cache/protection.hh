@@ -14,10 +14,10 @@
 #ifndef KILLI_CACHE_PROTECTION_HH
 #define KILLI_CACHE_PROTECTION_HH
 
+#include <cstdint>
 #include <string>
 
 #include "common/bitvec.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "cache/geometry.hh"
 #include "trace/timeseries.hh"
@@ -60,6 +60,25 @@ struct WritebackOutcome
     bool clean = true;
     /** Additional bank cycles for the correction. */
     Cycle extraCost = 0;
+};
+
+/**
+ * Counts a protection scheme keeps over the accesses it sees. One
+ * struct serves every scheme: a scheme leaves the fields it has no
+ * use for at 0 (only Killi trains, drops ECC-cache entries, checks
+ * inverted writes, scrubs, or walks DFH edges).
+ */
+struct ProtectionStats
+{
+    std::uint64_t reads = 0;          //!< protected read hits
+    std::uint64_t corrections = 0;    //!< ECC corrections applied
+    std::uint64_t errorMisses = 0;    //!< error-induced misses raised
+    std::uint64_t evictTrainings = 0; //!< b'01 lines classified at evict
+    std::uint64_t eccDrops = 0;       //!< lines lost to ECC-cache evictions
+    std::uint64_t invertedChecks = 0; //!< inverted-write disclosures (5.6.2)
+    std::uint64_t scrubReclaims = 0;  //!< disabled lines the scrubber freed
+    /** DFH transitions [from][to], indexed by the 2-bit encoding. */
+    std::uint64_t transitions[4][4] = {};
 };
 
 class ProtectionScheme
@@ -176,8 +195,10 @@ class ProtectionScheme
      */
     virtual void addTimeseriesSources(StatTimeseries &ts) { (void)ts; }
 
-    StatGroup &stats() { return statGroup; }
-    const StatGroup &stats() const { return statGroup; }
+    const ProtectionStats &stats() const { return counts; }
+
+    /** Zero the counts (the host's warm-up boundary). */
+    void resetStats() { counts = {}; }
 
   protected:
     /** Current tick, or 0 before attach() (for trace timestamps). */
@@ -185,7 +206,7 @@ class ProtectionScheme
 
     L2Backdoor *host = nullptr;
     CacheGeometry geometry;
-    StatGroup statGroup;
+    ProtectionStats counts;
     TraceSink *trace = nullptr;
 };
 

@@ -159,15 +159,13 @@ class SchemeHarness : public L2Backdoor
     void
     finishCoverage(CheckCoverage &cov) const
     {
-        const StatGroup &st = scheme->stats();
-        cov.reads += st.counterValue("reads");
-        cov.corrections += st.counterValue("corrections");
-        cov.errorMisses += st.counterValue("error_misses");
-        if (isKilli) {
-            cov.evictTrainings += st.counterValue("evict_trainings");
-            cov.eccDrops += st.counterValue("ecc_drops");
-            cov.invertedChecks += st.counterValue("inverted_checks");
-        }
+        const ProtectionStats &st = scheme->stats();
+        cov.reads += st.reads;
+        cov.corrections += st.corrections;
+        cov.errorMisses += st.errorMisses;
+        cov.evictTrainings += st.evictTrainings;
+        cov.eccDrops += st.eccDrops;
+        cov.invertedChecks += st.invertedChecks;
         cov.expectedSdc += expectedSdc;
         cov.skippedOps += skippedOps;
     }

@@ -14,7 +14,6 @@
 
 #include "cache/l1cache.hh"
 #include "cache/l2cache.hh"
-#include "common/stats.hh"
 #include "gpu/workload.hh"
 #include "sim/event_queue.hh"
 

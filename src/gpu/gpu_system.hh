@@ -26,7 +26,6 @@
 #define KILLI_GPU_GPU_SYSTEM_HH
 
 #include <memory>
-#include <ostream>
 #include <vector>
 
 #include "cache/geometry.hh"
@@ -123,16 +122,14 @@ class GpuSystem
      * Run the kernel to completion and collect metrics.
      *
      * @param warmupPasses executions of the full workload whose
-     *        cycles and events are excluded from the result. Warming
+     *        cycles, events and counts (the L2's, DRAM's and the
+     *        protection scheme's stats()) are excluded. Warming
      *        amortizes one-time effects — cold caches and, for
      *        Killi, the one-shot DFH training of every (set, way) —
      *        the way the paper's billion-instruction runs do. The
      *        measured region then reflects steady state.
      */
     RunResult run(unsigned warmupPasses = 0);
-
-    /** Dump all component statistics (post-run diagnostics). */
-    void dumpStats(std::ostream &os) const;
 
     /** The periodic stat snapshots (empty when statsInterval == 0 or
      *  before run()). */

@@ -16,12 +16,6 @@ EccCache::EccCache(std::size_t entries, unsigned assoc_,
               entries, assoc_);
     sets = entries / assoc_;
     table.resize(entries);
-
-    cAccesses = &statGroup.counter("accesses", "ECC cache lookups");
-    cAllocs = &statGroup.counter("allocs", "entries allocated");
-    cEvictions = &statGroup.counter(
-        "evictions", "live entries evicted (drops an L2 line)");
-    cFrees = &statGroup.counter("frees", "entries freed after training");
 }
 
 std::size_t
@@ -35,7 +29,6 @@ EccCache::setOf(std::size_t l2Line) const
 EccEntry *
 EccCache::find(std::size_t l2Line)
 {
-    ++*cAccesses;
     const std::size_t base = setOf(l2Line) * assoc;
     for (unsigned way = 0; way < assoc; ++way) {
         EccEntry &entry = table[base + way];
@@ -90,13 +83,13 @@ EccCache::allocate(std::size_t l2Line, std::size_t &evictedLine)
     }
     if (victim->valid) {
         evictedLine = victim->l2Line;
-        ++*cEvictions;
+        ++counts.evictions;
         // §4.3 contention: a live entry dies for a disjoint line and
         // takes its protected L2 line with it.
         KTRACE(trace, tickNow(), TraceCat::Ecc, "ecc.contention_evict",
                {"victim_line", victim->l2Line}, {"for_line", l2Line});
     }
-    ++*cAllocs;
+    ++counts.allocs;
     KTRACE(trace, tickNow(), TraceCat::Ecc, "ecc.install",
            {"line", l2Line}, {"set", setOf(l2Line)});
     victim->valid = true;
@@ -115,7 +108,7 @@ EccCache::invalidate(std::size_t l2Line)
         EccEntry &entry = table[base + way];
         if (entry.valid && entry.l2Line == l2Line) {
             entry.valid = false;
-            ++*cFrees;
+            ++counts.frees;
             KTRACE(trace, tickNow(), TraceCat::Ecc, "ecc.free",
                    {"line", l2Line});
             return;

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "common/bitvec.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "trace/trace.hh"
 
@@ -38,6 +37,14 @@ struct EccEntry
     std::uint64_t lastUse = 0;
     BitVec check{0};         //!< ECC checkbits for the stored data
     BitVec fineParity{0};    //!< fine parity bits 4..15 (training)
+};
+
+/** Entry churn of an EccCache. */
+struct EccCacheStats
+{
+    std::uint64_t allocs = 0;    //!< entries allocated
+    std::uint64_t evictions = 0; //!< live entries evicted (drops an L2 line)
+    std::uint64_t frees = 0;     //!< entries freed after training
 };
 
 class EccCache
@@ -91,8 +98,7 @@ class EccCache
      *  invalid slots are included — test EccEntry::valid. */
     const std::vector<EccEntry> &entries() const { return table; }
 
-    StatGroup &stats() { return statGroup; }
-    const StatGroup &stats() const { return statGroup; }
+    const EccCacheStats &stats() const { return counts; }
 
     /** Attach a trace sink for ecc.* events; @p now supplies the
      *  timestamp (the ECC cache has no clock of its own). */
@@ -113,12 +119,7 @@ class EccCache
     std::size_t sets;
     std::vector<EccEntry> table;
     std::uint64_t useCounter = 0;
-    StatGroup statGroup;
-    /** Interned stat handles (see L2Cache). */
-    Counter *cAccesses = nullptr;
-    Counter *cAllocs = nullptr;
-    Counter *cEvictions = nullptr;
-    Counter *cFrees = nullptr;
+    EccCacheStats counts;
     TraceSink *trace = nullptr;
     std::function<Tick()> clock;
 };

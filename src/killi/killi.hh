@@ -74,6 +74,20 @@ struct KilliParams
     bool writebackMode = false;
 };
 
+/**
+ * The DFH edges Killi can take, [from][to] by 2-bit encoding: the
+ * Table 1/2 edges, b'00 -> b'10 (dirty-line reclassification, 5.6.1)
+ * and b'11 -> b'01 (scrub reclaim, footnote 7). Every other entry of
+ * ProtectionStats::transitions stays 0.
+ */
+inline constexpr bool kDfhEdges[4][4] = {
+    //          to: b'00   b'01   b'10   b'11
+    /* b'00 */ {false, true, true, true},
+    /* b'01 */ {true, false, true, true},
+    /* b'10 */ {true, false, false, true},
+    /* b'11 */ {false, true, false, false},
+};
+
 class KilliProtection : public ProtectionScheme
 {
   public:
@@ -135,9 +149,9 @@ class KilliProtection : public ProtectionScheme
     /** §5.6.1 decision for dirty lines (no refetch possible). */
     DfhDecision decideDirty(Dfh current, const Probes &probes) const;
 
-    /** Record a DFH transition: edge counter, dfh.transition trace
-     *  event (with @p trigger naming the hook that caused it), and —
-     *  when a line leaves b'01 — the dfh.training_accesses sample. */
+    /** Record a DFH transition: dfh.transition trace event (with
+     *  @p trigger naming the hook that caused it) and edge count;
+     *  panics on an edge outside kDfhEdges. */
     void noteTransition(std::size_t lineId, Dfh from, Dfh to,
                         const char *trigger);
 
@@ -159,28 +173,6 @@ class KilliProtection : public ProtectionScheme
     std::unique_ptr<BlockCode> strongCode; //!< DECTED when enabled
 
     /**
-     * Interned stat handles: per-access bumps go through these
-     * pointers instead of StatGroup's by-name map lookup. StatGroup
-     * stores counters in a node-based map, so the addresses are
-     * stable for the group's lifetime.
-     */
-    Counter *cReads = nullptr;
-    Counter *cCorrections = nullptr;
-    Counter *cErrorMisses = nullptr;
-    Counter *cEvictTrainings = nullptr;
-    Counter *cEccDrops = nullptr;
-    Counter *cInvertedChecks = nullptr;
-    Counter *cScrubReclaims = nullptr;
-    Distribution *dTrainingAccesses = nullptr;
-    /**
-     * [from][to] DFH transition counters (2-bit encodings as
-     * indices). Null marks an edge the state machine cannot take;
-     * noteTransition panics on it instead of silently auto-creating
-     * a counter the way the old string-keyed lookup did.
-     */
-    std::array<std::array<Counter *, 4>, 4> transitionCounter{};
-
-    /**
      * Hot-path scratch, reused across accesses so probeLine and
      * installMetadata stay allocation-free in steady state. A scheme
      * instance is single-threaded (one per sweep job), so plain
@@ -200,9 +192,6 @@ class KilliProtection : public ProtectionScheme
     std::vector<BitVec> folded;
     /** Mirror of the host's dirty bits (write-back mode). */
     std::vector<bool> dirtyLine;
-    /** Read hits observed while the line sits in b'01 — sampled into
-     *  dfh.training_accesses when the line leaves training. */
-    std::vector<std::uint32_t> trainAccesses;
 };
 
 } // namespace killi

@@ -16,8 +16,7 @@
  *  2. Bounded memory. Histograms hold a fixed bucket array sized at
  *     registration; a metric's footprint never grows with sample
  *     count, so a long-lived daemon has O(1) memory per metric
- *     (unlike the raw sample vectors the `stats` endpoint's
- *     Distribution quantiles used to imply).
+ *     (unlike a store of raw samples).
  *  3. Standard exposition. prometheusText() renders the text format
  *     (version 0.0.4) any scraper understands; toJson() renders the
  *     same families structurally for the `metrics` protocol frame

@@ -6,8 +6,6 @@ namespace killi
 DramModel::DramModel(const DramParams &params)
     : p(params), channelFree(params.channels, 0)
 {
-    cReads = &statGroup.counter("reads", "DRAM read accesses");
-    cWrites = &statGroup.counter("writes", "DRAM write accesses");
 }
 
 Tick
@@ -18,7 +16,7 @@ DramModel::access(Addr lineAddr, bool isWrite, Tick now)
     Tick &free = channelFree[channel];
     const Tick start = std::max(now, free);
     free = start + p.occupancyPerAccess;
-    ++*(isWrite ? cWrites : cReads);
+    ++(isWrite ? nWrites : nReads);
     return start + p.latency;
 }
 

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace killi
@@ -40,19 +39,22 @@ class DramModel
      */
     Tick access(Addr lineAddr, bool isWrite, Tick now);
 
-    StatGroup &stats() { return statGroup; }
-    const StatGroup &stats() const { return statGroup; }
+    std::uint64_t reads() const { return nReads; }
+    std::uint64_t writes() const { return nWrites; }
 
-    std::uint64_t reads() const { return cReads->value(); }
-    std::uint64_t writes() const { return cWrites->value(); }
+    /** Zero the read/write counts (the warm-up boundary). */
+    void
+    resetStats()
+    {
+        nReads = 0;
+        nWrites = 0;
+    }
 
   private:
     DramParams p;
     std::vector<Tick> channelFree;
-    StatGroup statGroup;
-    /** Interned stat handles (see L2Cache). */
-    Counter *cReads = nullptr;
-    Counter *cWrites = nullptr;
+    std::uint64_t nReads = 0;
+    std::uint64_t nWrites = 0;
 };
 
 } // namespace killi

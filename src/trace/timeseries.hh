@@ -1,7 +1,7 @@
 /**
  * @file
  * Periodic stat snapshotting: a StatTimeseries polls a set of named
- * scalar sources (usually closures over StatGroup counters/formulas)
+ * scalar sources (usually closures over a component's count struct)
  * every N cycles and accumulates a columnar time series that
  * serializes to JSON for plotting MPKI, ECC-cache occupancy,
  * protection-grade mix, etc. over simulated time.
@@ -41,10 +41,7 @@ class StatTimeseries
      *  sample(); sources are polled in registration order. */
     void addSource(std::string name, Source fn);
 
-    Tick interval() const { return interval_; }
-    std::size_t columns() const { return sources.size(); }
     std::size_t samples() const { return ticks.size(); }
-    bool empty() const { return ticks.empty(); }
 
     /** Poll every source and append one row stamped @p now. If @p now
      *  equals the previous sample's tick the row is overwritten

@@ -104,7 +104,7 @@ TEST(BaselineTest, SingleFaultCorrectedOnRead)
     const AccessResult res = f.scheme->onReadHit(3, data);
     EXPECT_FALSE(res.errorInducedMiss);
     EXPECT_FALSE(res.sdc);
-    EXPECT_EQ(f.scheme->stats().counterValue("corrections"), 1u);
+    EXPECT_EQ(f.scheme->stats().corrections, 1u);
     // codec + correction latency.
     EXPECT_EQ(res.extraLatency, 2u);
 }
@@ -118,7 +118,7 @@ TEST(BaselineTest, MaskedFaultCostsNothing)
     f.scheme->onFill(3, data);
     const AccessResult res = f.scheme->onReadHit(3, data);
     EXPECT_FALSE(res.errorInducedMiss);
-    EXPECT_EQ(f.scheme->stats().counterValue("corrections"), 0u);
+    EXPECT_EQ(f.scheme->stats().corrections, 0u);
     EXPECT_EQ(res.extraLatency, 0u); // masked: check hidden in pipe
 }
 
@@ -160,7 +160,7 @@ TEST(BaselineTest, DectedCorrectsTwoVisibleFaults)
     const AccessResult res = f.scheme->onReadHit(4, data);
     EXPECT_FALSE(res.errorInducedMiss);
     EXPECT_FALSE(res.sdc);
-    EXPECT_EQ(f.scheme->stats().counterValue("corrections"), 1u);
+    EXPECT_EQ(f.scheme->stats().corrections, 1u);
 }
 
 TEST(BaselineTest, MsEccBehavioralCorrection)
@@ -175,7 +175,7 @@ TEST(BaselineTest, MsEccBehavioralCorrection)
     const AccessResult res = f.scheme->onReadHit(6, data);
     EXPECT_FALSE(res.errorInducedMiss);
     EXPECT_FALSE(res.sdc);
-    EXPECT_EQ(f.scheme->stats().counterValue("corrections"), 1u);
+    EXPECT_EQ(f.scheme->stats().corrections, 1u);
 }
 
 TEST(BaselineTest, ResetRecharacterizes)

@@ -228,10 +228,10 @@ TEST(L2CacheTest, MissThenHitCounters)
 {
     L2Fixture f;
     f.readBlocking(0x1000);
-    EXPECT_EQ(f.l2.stats().counterValue("read_misses"), 1u);
+    EXPECT_EQ(f.l2.stats().readMisses, 1u);
     EXPECT_TRUE(f.l2.isCached(0x1000));
     f.readBlocking(0x1000);
-    EXPECT_EQ(f.l2.stats().counterValue("read_hits"), 1u);
+    EXPECT_EQ(f.l2.stats().readHits, 1u);
     EXPECT_EQ(f.prot.readHits, 1u);
     EXPECT_EQ(f.prot.fills, 1u);
 }
@@ -292,7 +292,7 @@ TEST(L2CacheTest, SingleMshrPerBankRetriesWithPinnedResponses)
     const std::vector<R> expected = {{0, 212}, {2, 212}, {4, 212},
                                      {1, 413}, {5, 413}, {3, 615}};
     EXPECT_EQ(f.client.responses, expected);
-    EXPECT_EQ(f.l2.stats().counterValue("mshr_retries"), 200u);
+    EXPECT_EQ(f.l2.stats().mshrRetries, 200u);
     EXPECT_EQ(f.dram.reads(), 5u);
     EXPECT_EQ(f.l2.mshrsInUse(), 0u);
 }
@@ -316,7 +316,7 @@ TEST(L2CacheTest, MshrTableDrainsToEmpty)
     EXPECT_TRUE(f.eq.run());
     EXPECT_EQ(f.client.responses.size(), 96u);
     EXPECT_EQ(f.l2.mshrsInUse(), 0u);
-    EXPECT_EQ(f.l2.stats().counterValue("mshr_retries"), 0u);
+    EXPECT_EQ(f.l2.stats().mshrRetries, 0u);
 }
 
 TEST(L2CacheDeathTest, FillWithoutMshrEntryPanics)
@@ -332,7 +332,7 @@ TEST(L2CacheTest, WriteThroughUpdatesMemoryAndLine)
     EXPECT_TRUE(f.l2.isCached(0x100));
     f.l2.write(0x100);
     f.eq.run();
-    EXPECT_EQ(f.l2.stats().counterValue("write_hits"), 1u);
+    EXPECT_EQ(f.l2.stats().writeHits, 1u);
     EXPECT_EQ(f.dram.writes(), 1u);
     // Memory version bumped: the refetched data must be v1.
     EXPECT_EQ(f.golden.version(0x100), 1u);
@@ -343,7 +343,7 @@ TEST(L2CacheTest, WriteMissDoesNotAllocate)
     L2Fixture f;
     f.l2.write(0x200);
     f.eq.run();
-    EXPECT_EQ(f.l2.stats().counterValue("write_misses"), 1u);
+    EXPECT_EQ(f.l2.stats().writeMisses, 1u);
     EXPECT_FALSE(f.l2.isCached(0x200));
     EXPECT_EQ(f.dram.writes(), 1u);
 }
@@ -358,7 +358,7 @@ TEST(L2CacheTest, LruEvictionAcrossWays)
         f.readBlocking(i * setStride);
     f.readBlocking(0); // refresh the first line
     f.readBlocking(4 * setStride);
-    EXPECT_EQ(f.l2.stats().counterValue("evictions"), 1u);
+    EXPECT_EQ(f.l2.stats().evictions, 1u);
     EXPECT_TRUE(f.l2.isCached(0));
     EXPECT_FALSE(f.l2.isCached(1 * setStride));
     EXPECT_EQ(f.prot.evicts, 1u);
@@ -372,7 +372,7 @@ TEST(L2CacheTest, ErrorInducedMissRefetches)
     f.prot.nextResult.errorInducedMiss = true;
     const Tick start = f.eq.curTick();
     const Tick resp = f.readBlocking(0x40);
-    EXPECT_EQ(f.l2.stats().counterValue("error_misses"), 1u);
+    EXPECT_EQ(f.l2.stats().errorMisses, 1u);
     EXPECT_GT(resp - start, 200u); // went to memory
     EXPECT_EQ(f.dram.reads(), 2u);
     EXPECT_TRUE(f.l2.isCached(0x40)); // refilled
@@ -386,7 +386,7 @@ TEST(L2CacheTest, SdcCounterFollowsProtection)
     f.readBlocking(0x40);
     f.prot.nextResult.sdc = true;
     f.readBlocking(0x40);
-    EXPECT_EQ(f.l2.stats().counterValue("sdc"), 1u);
+    EXPECT_EQ(f.l2.stats().sdc, 1u);
 }
 
 TEST(L2CacheTest, ExtraLatencyCharged)
@@ -411,11 +411,11 @@ TEST(L2CacheTest, DisabledSetBypasses)
     for (unsigned w = 0; w < g.assoc; ++w)
         f.prot.allocatable[g.lineId(set, w)] = false;
     f.readBlocking(0x0);
-    EXPECT_EQ(f.l2.stats().counterValue("bypass_fills"), 1u);
+    EXPECT_EQ(f.l2.stats().bypassFills, 1u);
     EXPECT_FALSE(f.l2.isCached(0x0));
     // A second access misses again.
     f.readBlocking(0x0);
-    EXPECT_EQ(f.l2.stats().counterValue("read_misses"), 2u);
+    EXPECT_EQ(f.l2.stats().readMisses, 2u);
 }
 
 TEST(L2CacheTest, AllocPriorityChoosesPreferredWay)
@@ -436,7 +436,7 @@ TEST(L2CacheTest, BackdoorInvalidationDropsLine)
     EXPECT_TRUE(f.l2.isCached(0x40));
     f.l2.invalidateLine(f.prot.lastFillLine);
     EXPECT_FALSE(f.l2.isCached(0x40));
-    EXPECT_EQ(f.l2.stats().counterValue("prot_invalidations"), 1u);
+    EXPECT_EQ(f.l2.stats().protInvalidations, 1u);
     // The drop routes through onEvict (classification chance).
     EXPECT_EQ(f.prot.evicts, 1u);
     EXPECT_EQ(f.prot.lastEvictLine, f.prot.lastFillLine);
@@ -508,7 +508,7 @@ TEST(L2WritebackTest, WriteHitDirtiesWithoutMemoryWrite)
     f.readBlocking(0x100);
     f.l2.write(0x100);
     f.eq.run();
-    EXPECT_EQ(f.l2.stats().counterValue("write_hits"), 1u);
+    EXPECT_EQ(f.l2.stats().writeHits, 1u);
     EXPECT_EQ(f.dram.writes(), 0u); // deferred until eviction
 }
 
@@ -532,7 +532,7 @@ TEST(L2WritebackTest, EvictionFlushesDirtyLine)
     // Evict the dirty line by filling the set's four ways plus one.
     for (int i = 1; i <= 4; ++i)
         f.readBlocking(i * setStride);
-    EXPECT_EQ(f.l2.stats().counterValue("writebacks"), 1u);
+    EXPECT_EQ(f.l2.stats().writebacks, 1u);
     EXPECT_EQ(f.dram.writes(), 1u);
     EXPECT_FALSE(f.l2.isCached(0x0));
 }
@@ -544,7 +544,7 @@ TEST(L2WritebackTest, BackdoorInvalidationFlushesDirtyLine)
     f.eq.run();
     EXPECT_TRUE(f.l2.isCached(0x140));
     f.l2.invalidateLine(f.prot.lastFillLine);
-    EXPECT_EQ(f.l2.stats().counterValue("writebacks"), 1u);
+    EXPECT_EQ(f.l2.stats().writebacks, 1u);
     EXPECT_EQ(f.dram.writes(), 1u);
 }
 
@@ -555,6 +555,6 @@ TEST(L2WritebackTest, CleanEvictionWritesNothing)
     const std::size_t setStride = g.numSets() * g.lineBytes;
     for (int i = 0; i <= 4; ++i)
         f.readBlocking(i * setStride);
-    EXPECT_EQ(f.l2.stats().counterValue("evictions"), 1u);
+    EXPECT_EQ(f.l2.stats().evictions, 1u);
     EXPECT_EQ(f.dram.writes(), 0u);
 }

@@ -187,7 +187,7 @@ TEST(ScrubberTest, ReclaimsTransientDisabledLines)
     r.prot->onMaintenance();
     EXPECT_EQ(r.prot->dfhOf(2), Dfh::Initial);
     EXPECT_TRUE(r.prot->canAllocate(2));
-    EXPECT_EQ(r.prot->stats().counterValue("scrub_reclaims"), 1u);
+    EXPECT_EQ(r.prot->stats().scrubReclaims, 1u);
 }
 
 TEST(ScrubberTest, PersistentMultiFaultLinesRedisable)
@@ -221,7 +221,7 @@ TEST(SoftErrorSimTest, InjectionRaisesErrorMissesNotSdc)
     const auto wl = makeWorkload("dgemm", 0.1);
     GpuSystem sys(gp, prot, *wl, &faults);
     const RunResult r = sys.run();
-    EXPECT_GT(sys.l2().stats().counterValue("soft_errors"), 0u);
+    EXPECT_GT(sys.l2().stats().softErrors, 0u);
     EXPECT_GT(r.l2ErrorMisses, 0u);
     // Single-bit upsets are always detected (parity) or corrected
     // (SECDED); only the 5.6.2 persistent-fault window may leak.
@@ -273,10 +273,10 @@ TEST(WritebackTest, DirtyLinesFlushOnlyAtEviction)
     // strictly fewer than the stores issued.
     const std::uint64_t stores = r.l2WriteHits + r.l2WriteMisses;
     EXPECT_GT(stores, 0u);
-    EXPECT_GT(sys.l2().stats().counterValue("writebacks"), 0u);
+    EXPECT_GT(sys.l2().stats().writebacks, 0u);
     EXPECT_LT(r.dramWrites, stores);
     EXPECT_EQ(r.sdc, 0u);
-    EXPECT_EQ(sys.l2().stats().counterValue("wb_data_loss"), 0u);
+    EXPECT_EQ(sys.l2().stats().wbDataLoss, 0u);
 }
 
 TEST(WritebackTest, WriteThroughWritesEveryStore)
@@ -395,8 +395,8 @@ TEST(WritebackTest, EndToEndAtOperatingVoltage)
     const auto wl = makeWorkload("spmv", 0.1);
     GpuSystem sys(rig.gp, *rig.prot, *wl, &rig.faults);
     const RunResult r = sys.run();
-    EXPECT_EQ(sys.l2().stats().counterValue("wb_data_loss"), 0u);
-    EXPECT_EQ(sys.l2().stats().counterValue("dirty_error_loss"), 0u);
+    EXPECT_EQ(sys.l2().stats().wbDataLoss, 0u);
+    EXPECT_EQ(sys.l2().stats().dirtyErrorLoss, 0u);
     EXPECT_LT(r.sdc, 50u); // 5.6.2 window only
 }
 
@@ -421,8 +421,7 @@ TEST(WritebackTest, PrecharacterizedWritebackProbe)
 TEST(ScrubberTest, ScrubReclaimIsAFirstClassTransition)
 {
     // Regression: the scrubber used to mutate state[] directly,
-    // bypassing noteTransition — no t_11_01 counter (the string
-    // lookup silently auto-created an unregistered one) and no
+    // bypassing noteTransition — no b'11 -> b'01 edge count and no
     // per-line dfh.transition trace event.
     Rig r;
     TraceSink sink;
@@ -437,8 +436,8 @@ TEST(ScrubberTest, ScrubReclaimIsAFirstClassTransition)
 
     r.prot->onMaintenance();
     EXPECT_EQ(r.prot->dfhOf(2), Dfh::Initial);
-    EXPECT_EQ(r.prot->stats().counterValue("scrub_reclaims"), 1u);
-    EXPECT_EQ(r.prot->stats().counterValue("t_11_01"), 1u);
+    EXPECT_EQ(r.prot->stats().scrubReclaims, 1u);
+    EXPECT_EQ(r.prot->stats().transitions[0b11][0b01], 1u);
 
     bool sawScrubTransition = false;
     for (const TraceEvent &ev : sink.events()) {
@@ -495,7 +494,7 @@ TEST(WritebackTest, CorrectedDirtyWritebackReclassifiesLine)
     // Mirrors decideDirty: a b'00 line revealing a correctable error
     // is reclassified b'10.
     EXPECT_EQ(r.prot->dfhOf(6), Dfh::Stable1);
-    EXPECT_EQ(r.prot->stats().counterValue("t_00_10"), 1u);
+    EXPECT_EQ(r.prot->stats().transitions[0b00][0b10], 1u);
 }
 
 TEST(WritebackTest, UncorrectableDirtyWritebackDisablesLine)

@@ -156,21 +156,6 @@ TEST(GpuSystemTest, WriteTrafficReachesDram)
     EXPECT_GT(r.dramWrites, 0u);
 }
 
-TEST(GpuSystemTest, DumpStatsListsComponents)
-{
-    GpuParams gp;
-    FaultFreeProtection prot;
-    const auto wl = makeWorkload("dgemm", 0.01);
-    GpuSystem sys(gp, prot, *wl);
-    sys.run();
-    std::ostringstream os;
-    sys.dumpStats(os);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("l2.read_hits"), std::string::npos);
-    EXPECT_NE(out.find("dram.reads"), std::string::npos);
-    EXPECT_NE(out.find("l1.0.hits"), std::string::npos);
-}
-
 TEST(GpuSystemTest, WarmupExcludesTrainingFromStats)
 {
     GpuParams gp;

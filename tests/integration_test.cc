@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "baselines/precharacterized.hh"
 #include "fault/fault_map.hh"
 #include "iid_die.hh"
@@ -84,6 +86,73 @@ TEST(IntegrationTest, EverySweepSchemeRunsOnOneConstFaultMap)
         GpuSystem sys(gp, *prot, *wl);
         const RunResult r = sys.run();
         EXPECT_GT(r.instructions, 0u) << prot->name();
+    }
+}
+
+TEST(IntegrationTest, SchemeCountsCoverOnlyTheMeasuredPasses)
+{
+    // run() zeroes every count at the warm-up boundary, the scheme's
+    // as well as the L2's: both then describe the same measured pass.
+    GpuParams gp;
+    const std::unique_ptr<FaultMap> faults =
+        iidDie(gp.l2Geom.numLines(), 21, 0.625);
+    const auto wl = makeWorkload("xsbench", 0.05);
+    KilliProtection prot(*faults, KilliParams{});
+    GpuSystem sys(gp, prot, *wl);
+    const RunResult r = sys.run(1);
+    EXPECT_EQ(prot.stats().reads, r.l2ReadHits + r.l2ErrorMisses);
+    EXPECT_EQ(prot.stats().errorMisses, r.l2ErrorMisses);
+}
+
+TEST(IntegrationTest, DfhTransitionCountsMatchTheTrace)
+{
+    if (!(kCompiledTraceMask & std::uint32_t(TraceCat::Dfh)))
+        GTEST_SKIP() << "Dfh trace category compiled out";
+    TraceSink sink;
+    sink.setMask(std::uint32_t(TraceCat::Dfh));
+    GpuParams gp;
+    gp.l2.trace = &sink;
+    const std::unique_ptr<FaultMap> faults =
+        iidDie(gp.l2Geom.numLines(), 21, 0.625);
+    const auto wl = makeWorkload("xsbench", 0.02);
+    KilliProtection prot(*faults, KilliParams{});
+    GpuSystem sys(gp, prot, *wl);
+    sys.run();
+    ASSERT_EQ(sink.dropped(), 0u);
+
+    const auto encoding = [](const char *name) {
+        for (std::size_t k = 0; k < 4; ++k) {
+            if (std::string(name) == dfhCName(static_cast<Dfh>(k)))
+                return k;
+        }
+        ADD_FAILURE() << "unknown DFH state " << name;
+        return std::size_t{0};
+    };
+    std::uint64_t traced[4][4] = {};
+    std::uint64_t total = 0;
+    for (const TraceEvent &ev : sink.events()) {
+        if (std::string(ev.name) != "dfh.transition")
+            continue;
+        std::size_t from = 0, to = 0;
+        for (unsigned a = 0; a < ev.nargs; ++a) {
+            const std::string key = ev.args[a].key;
+            if (key == "from")
+                from = encoding(ev.args[a].s);
+            else if (key == "to")
+                to = encoding(ev.args[a].s);
+        }
+        ++traced[from][to];
+        ++total;
+    }
+    EXPECT_GT(total, 0u);
+    for (std::size_t f = 0; f < 4; ++f) {
+        for (std::size_t t = 0; t < 4; ++t) {
+            const std::uint64_t counted = prot.stats().transitions[f][t];
+            EXPECT_EQ(counted, traced[f][t]) << f << " -> " << t;
+            if (!kDfhEdges[f][t]) {
+                EXPECT_EQ(counted, 0u) << f << " -> " << t;
+            }
+        }
     }
 }
 

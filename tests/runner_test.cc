@@ -4,7 +4,7 @@
  * machine-readable-results API it ships with: thread-pool execution,
  * retry/skip semantics, the parallel==serial bit-identity contract
  * of the evaluation sweep, Options validation, and the JSON layer's
- * round-trips (StatGroup, RunResult, sweep results files).
+ * round-trips (RunResult, sweep results files).
  */
 
 #include <atomic>
@@ -19,7 +19,6 @@
 #include "bench/sweep.hh"
 #include "common/json.hh"
 #include "common/options.hh"
-#include "common/stats.hh"
 #include "gpu/gpu_system.hh"
 #include "runner/runner.hh"
 #include "runner/thread_pool.hh"
@@ -487,37 +486,6 @@ TEST(Options, HelpListsEveryDeclaredOption)
 // ---------------------------------------------------------------
 // JSON round-trips
 // ---------------------------------------------------------------
-
-TEST(StatGroupJson, RoundTripsThroughTheParser)
-{
-    StatGroup stats;
-    stats.counter("l2.hits", "hits") += 17;
-    auto &lat = stats.distribution("l2.latency", "latency");
-    lat.sample(3.0);
-    lat.sample(9.0);
-    stats.distribution("l2.unused", "never sampled");
-    stats.formula("l2.ratio", [] { return 0.25; }, "ratio");
-
-    std::ostringstream os;
-    stats.dumpJson(os);
-
-    Json parsed;
-    std::string err;
-    ASSERT_TRUE(Json::parse(os.str(), parsed, &err)) << err;
-    EXPECT_EQ(parsed.at("counters").at("l2.hits").asInt(), 17);
-    const Json &latency = parsed.at("distributions").at("l2.latency");
-    EXPECT_EQ(latency.at("count").asInt(), 2);
-    EXPECT_DOUBLE_EQ(latency.at("mean").asDouble(), 6.0);
-    EXPECT_DOUBLE_EQ(latency.at("min").asDouble(), 3.0);
-    EXPECT_DOUBLE_EQ(latency.at("max").asDouble(), 9.0);
-    // Empty distribution: min/max serialize as null, not 0.0.
-    const Json &unused = parsed.at("distributions").at("l2.unused");
-    EXPECT_EQ(unused.at("count").asInt(), 0);
-    EXPECT_TRUE(unused.at("min").isNull());
-    EXPECT_TRUE(unused.at("max").isNull());
-    EXPECT_DOUBLE_EQ(
-        parsed.at("formulas").at("l2.ratio").asDouble(), 0.25);
-}
 
 TEST(RunResultJson, RoundTripsEveryCounter)
 {

@@ -12,7 +12,8 @@ L2Cache::L2Cache(EventQueue &eq_, DramModel &dram_,
     : eq(eq_), dram(dram_), golden(golden_), protection(protection_),
       geometry(geom_), p(params), trace(params.trace),
       faultMap(fault_map), upsetRng(params.softErrorSeed),
-      lines(geom_.numLines()), bankFree(geom_.banks, 0),
+      lines(geom_.numLines()), tagWords(geom_.numLines(), 0),
+      bankFree(geom_.banks, 0),
       mshrs(std::size_t(geom_.banks) * params.mshrsPerBank),
       mshrUsed(geom_.banks, 0)
 {
@@ -28,9 +29,7 @@ L2Cache::writebackIfDirty(std::size_t lineId, Line &line)
     if (!line.dirty)
         return;
     line.dirty = false;
-    const std::size_t set = lineId / geometry.assoc;
-    const Addr lineAddr =
-        (line.tag * geometry.numSets() + set) * geometry.lineBytes;
+    const Addr lineAddr = residentAddr(lineId);
     const WritebackOutcome wb =
         protection.onWriteback(lineId, line.data);
     KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.writeback",
@@ -103,20 +102,23 @@ L2Cache::chargeBank(Addr lineAddr, Cycle cost)
     free = std::max(free, eq.curTick()) + cost;
 }
 
-L2Cache::Line *
-L2Cache::findLine(Addr lineAddr, std::size_t &lineIdOut)
+Addr
+L2Cache::residentAddr(std::size_t lineId) const
 {
-    const std::size_t set = geometry.setOf(lineAddr);
-    const Addr tag = geometry.tagOf(lineAddr);
+    return geometry.addrOf(tagWords[lineId] >> 1, lineId / geometry.assoc);
+}
+
+std::size_t
+L2Cache::findLine(Addr lineAddr) const
+{
+    const std::size_t base = geometry.lineId(geometry.setOf(lineAddr), 0);
+    const std::uint64_t want = validTag(geometry.tagOf(lineAddr));
+    const std::uint64_t *words = tagWords.data() + base;
     for (unsigned way = 0; way < geometry.assoc; ++way) {
-        const std::size_t id = geometry.lineId(set, way);
-        Line &line = lines[id];
-        if (line.valid && line.tag == tag) {
-            lineIdOut = id;
-            return &line;
-        }
+        if (words[way] == want)
+            return base + way;
     }
-    return nullptr;
+    return npos;
 }
 
 std::uint32_t
@@ -167,17 +169,16 @@ L2Cache::readTag(std::uint64_t req)
 {
     const Addr lineAddr = requests[req].lineAddr;
     maybeMaintain();
-    std::size_t lineId = npos;
-    Line *line = findLine(lineAddr, lineId);
-    if (line)
-        sampleUpsets(lineId, *line);
-    if (!line) {
+    const std::size_t lineId = findLine(lineAddr);
+    if (lineId == npos) {
         ++counts.readMisses;
         KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.read_miss",
                {"addr", lineAddr});
         startMiss(req);
         return;
     }
+    Line *line = &lines[lineId];
+    sampleUpsets(lineId, *line);
 
     const AccessResult res = protection.onReadHit(lineId, line->data);
     if (res.errorInducedMiss) {
@@ -192,7 +193,7 @@ L2Cache::readTag(std::uint64_t req)
             ++counts.dirtyErrorLoss;
             line->dirty = false;
         }
-        line->valid = false;
+        tagWords[lineId] = 0;
         protection.onInvalidate(lineId);
         requests[req].extraDelay = res.extraLatency;
         startMiss(req);
@@ -280,7 +281,7 @@ L2Cache::allocate(Addr lineAddr)
         int bestPriority = -1;
         for (unsigned way = 0; way < geometry.assoc; ++way) {
             const std::size_t id = geometry.lineId(set, way);
-            if (!protection.canAllocate(id) || lines[id].valid)
+            if (!protection.canAllocate(id) || tagWords[id])
                 continue;
             const int prio = protection.allocPriority(id);
             if (prio > bestPriority) {
@@ -304,7 +305,7 @@ L2Cache::allocate(Addr lineAddr)
             break; // whole set disabled/unprotectable
 
         Line &victim = lines[victimId];
-        if (victim.valid) {
+        if (tagWords[victimId]) {
             ++counts.evictions;
             KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.evict",
                    {"line", victimId});
@@ -314,14 +315,13 @@ L2Cache::allocate(Addr lineAddr)
                 chargeBank(lineAddr, cost);
             writebackIfDirty(victimId, victim);
             protection.onInvalidate(victimId);
-            victim.valid = false;
+            tagWords[victimId] = 0;
             if (!protection.canAllocate(victimId))
                 continue; // training disabled this way; pick anew
         }
 
-        victim.valid = true;
+        tagWords[victimId] = validTag(geometry.tagOf(lineAddr));
         victim.dirty = false;
-        victim.tag = geometry.tagOf(lineAddr);
         victim.version = golden.version(lineAddr);
         victim.data = golden.data(lineAddr, victim.version);
         victim.lastUse = ++useCounter;
@@ -356,8 +356,8 @@ void
 L2Cache::writeTag(Addr lineAddr)
 {
     maybeMaintain();
-    std::size_t lineId = npos;
-    Line *line = findLine(lineAddr, lineId);
+    const std::size_t lineId = findLine(lineAddr);
+    Line *line = lineId == npos ? nullptr : &lines[lineId];
     if (!line && p.writePolicy == WritePolicy::WriteBack) {
         // Write-allocate: a full-line store installs directly.
         ++counts.writeMisses;
@@ -396,20 +396,18 @@ L2Cache::writeTag(Addr lineAddr)
 void
 L2Cache::invalidateLine(std::size_t lineId)
 {
-    Line &line = lines[lineId];
-    if (!line.valid)
+    if (!tagWords[lineId])
         return;
+    Line &line = lines[lineId];
     // Losing the line is an eviction from the scheme's perspective:
     // give it the chance to classify the dying data (Killi trains
     // its DFH bits on the read-out, §4.4).
-    const std::size_t set = lineId / geometry.assoc;
-    const Addr lineAddr =
-        (line.tag * geometry.numSets() + set) * geometry.lineBytes;
+    const Addr lineAddr = residentAddr(lineId);
     const Cycle cost = protection.onEvict(lineId, line.data);
     if (cost)
         chargeBank(lineAddr, cost);
     writebackIfDirty(lineId, line);
-    line.valid = false;
+    tagWords[lineId] = 0;
     ++counts.protInvalidations;
     KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.prot_invalidate",
            {"line", lineId});
@@ -419,23 +417,15 @@ L2Cache::invalidateLine(std::size_t lineId)
 bool
 L2Cache::isCached(Addr addr) const
 {
-    const Addr lineAddr = geometry.lineAddr(addr);
-    const std::size_t set = geometry.setOf(lineAddr);
-    const Addr tag = geometry.tagOf(lineAddr);
-    for (unsigned way = 0; way < geometry.assoc; ++way) {
-        const Line &line = lines[geometry.lineId(set, way)];
-        if (line.valid && line.tag == tag)
-            return true;
-    }
-    return false;
+    return findLine(geometry.lineAddr(addr)) != npos;
 }
 
 std::size_t
 L2Cache::validLines() const
 {
     std::size_t count = 0;
-    for (const Line &line : lines)
-        count += line.valid;
+    for (const std::uint64_t word : tagWords)
+        count += word & 1;
     return count;
 }
 

@@ -149,10 +149,10 @@ class L2Cache : public L2Backdoor
     void resetStats() { counts = {}; }
 
   private:
+    /** A line's state apart from its tag: the valid bit and the tag
+     *  live in tagWords. */
     struct Line
     {
-        Addr tag = 0;
-        bool valid = false;
         bool dirty = false;
         std::uint32_t version = 0;
         BitVec data{0};
@@ -226,8 +226,14 @@ class L2Cache : public L2Backdoor
     /** Pick and prepare a victim way; returns line id or npos. */
     std::size_t allocate(Addr lineAddr);
 
-    /** Locate a resident line; returns nullptr on miss. */
-    Line *findLine(Addr lineAddr, std::size_t &lineIdOut);
+    /** The line id holding @p lineAddr, or npos on a miss. */
+    std::size_t findLine(Addr lineAddr) const;
+
+    /** Line address of the valid line @p lineId. */
+    Addr residentAddr(std::size_t lineId) const;
+
+    /** The tagWords entry of a valid line holding @p tag. */
+    static std::uint64_t validTag(Addr tag) { return tag << 1 | 1; }
 
     static constexpr std::size_t npos = ~std::size_t{0};
 
@@ -243,6 +249,10 @@ class L2Cache : public L2Backdoor
     Tick lastMaintenance = 0;
 
     std::vector<Line> lines;
+    /** Per line, `tag << 1 | 1` when valid and 0 when not, contiguous
+     *  per set: a lookup compares assoc words (two host cache lines
+     *  for 16 ways) instead of walking the Line records. */
+    std::vector<std::uint64_t> tagWords;
     std::vector<Tick> bankFree;
     /** Request slots; grows to the peak number of loads in flight
      *  and is then reused, so the steady state allocates nothing. */

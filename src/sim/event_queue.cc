@@ -1,5 +1,8 @@
 #include "sim/event_queue.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/log.hh"
 #include "common/replay_probe.hh"
 
@@ -16,8 +19,33 @@ EventQueue::schedule(Tick when, Handler handler, void *target,
               static_cast<unsigned long long>(now));
     KTRACE(trace, now, TraceCat::Sim, "sim.schedule", {"when", when},
            {"priority", priority});
-    heap.push(Event{when, priority, seqCounter++, handler, target, arg0,
-                    arg1});
+    const Event ev{when, priority, seqCounter++, handler, target, arg0,
+                   arg1};
+    if (priority != 0 || when - now >= kWheelSpan) {
+        heap.push(ev);
+        return;
+    }
+    const std::size_t slot = when % kWheelSpan;
+    wheel[slot].events.push_back(ev);
+    occupied[slot / 64] |= std::uint64_t{1} << (slot % 64);
+    ++wheelSize;
+}
+
+std::size_t
+EventQueue::firstSlot() const
+{
+    // Pending wheel ticks lie in [now, now + kWheelSpan), so the
+    // earliest is the first occupied slot at or after now's, walking
+    // round the ring. The bits below now's slot in its word are the
+    // ring's far end; the walk meets them again last.
+    const std::size_t start = now % kWheelSpan;
+    std::size_t word = start / 64;
+    std::uint64_t bits = occupied[word] & (~std::uint64_t{0} << (start % 64));
+    while (!bits) {
+        word = (word + 1) % kWheelWords;
+        bits = occupied[word];
+    }
+    return word * 64 + std::size_t(std::countr_zero(bits));
 }
 
 void
@@ -31,8 +59,16 @@ EventQueue::setPeriodic(Tick interval, std::function<void()> cb)
 bool
 EventQueue::run(Tick limit)
 {
-    while (!heap.empty()) {
-        const Tick nextEvent = heap.top().when;
+    while (wheelSize || !heap.empty()) {
+        // The next event is the lesser of the two sources' heads.
+        const std::size_t slot = wheelSize ? firstSlot() : 0;
+        Bucket &bucket = wheel[slot];
+        const bool fromHeap =
+            !heap.empty() &&
+            (!wheelSize || Later{}(bucket.events[bucket.head], heap.top()));
+        const Event &next =
+            fromHeap ? heap.top() : bucket.events[bucket.head];
+        const Tick nextEvent = next.when;
         if (periodicCb && nextPeriodic <= nextEvent &&
             nextPeriodic <= limit) {
             now = nextPeriodic;
@@ -43,13 +79,22 @@ EventQueue::run(Tick limit)
             continue;
         }
         if (nextEvent > limit) {
-            now = limit;
+            now = std::max(now, limit);
             return false;
         }
         // Copy the event out before popping so that its handler may
         // schedule further events safely.
-        const Event ev = heap.top();
-        heap.pop();
+        const Event ev = next;
+        if (fromHeap) {
+            heap.pop();
+        } else {
+            if (++bucket.head == bucket.events.size()) {
+                bucket.events.clear();
+                bucket.head = 0;
+                occupied[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
+            }
+            --wheelSize;
+        }
         // The determinism contract (see the header): pops are
         // strictly increasing in (when, priority, seq). Checked
         // unconditionally — assert() is dead under the default

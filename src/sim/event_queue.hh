@@ -5,26 +5,42 @@
  * typed records.
  *
  * An event is plain data — a handler function pointer, the object it
- * acts on, and two 64-bit payload words — so scheduling, heap moves
- * and pops copy 56 bytes and allocate nothing beyond the heap's own
- * storage. Producers name a member
+ * acts on, and two 64-bit payload words — so scheduling and pops
+ * copy 56 bytes and, once the queue's storage has grown to the
+ * run's peak, allocate nothing. Producers name a member
  * function taking one or two 64-bit words and the kernel adapts it:
  * schedule<&T::m>(when, obj, a, b) runs obj->m(a, b) at @p when.
+ *
+ * Storage is a timing wheel plus an overflow heap. The wheel is a
+ * ring of kWheelSpan per-tick FIFO buckets with an occupancy bitmap;
+ * a priority-0 event fewer than kWheelSpan ticks ahead is appended
+ * to its tick's bucket in O(1), and the next non-empty bucket is one
+ * count-trailing-zeros away. The simulator's tag, crossbar, L1 and
+ * DRAM delays keep nearly every event there (the longest gap in a
+ * fig4 campaign is 421 ticks). Every other event (further ahead, or
+ * with a non-zero priority) goes to a (when, priority, seq)-ordered
+ * binary heap.
  *
  * Determinism contract: events pop in strictly increasing
  * (when, priority, seq) lexicographic order — same-tick events run
  * in ascending priority, and same-tick same-priority events run in
- * insertion (seq) order, *regardless of heap internals*. The
- * comparator orders all three fields and seq is unique per event,
- * so the heap never has equal elements to permute; run() enforces
- * the contract with an always-on check (it is the foundation the
- * record-replay layer in src/replay verifies runs against). An
- * installed ReplayProbe (common/replay_probe.hh) observes every pop.
+ * insertion (seq) order, *regardless of storage internals*. Each
+ * source is already sorted under that order: the heap's comparator
+ * orders all three fields and seq is unique per event, and a wheel
+ * bucket holds one tick's priority-0 events in seq order (all
+ * pending wheel events lie in [now, now + kWheelSpan), so distinct
+ * ticks never share a bucket). run() pops the lesser of the two
+ * heads, so the merge is exact and nothing migrates between them.
+ * run() enforces the contract with an always-on check (it is the
+ * foundation the record-replay layer in src/replay verifies runs
+ * against). An installed ReplayProbe (common/replay_probe.hh)
+ * observes every pop.
  */
 
 #ifndef KILLI_SIM_EVENT_QUEUE_HH
 #define KILLI_SIM_EVENT_QUEUE_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -45,7 +61,7 @@ class EventQueue
     using Handler = void (*)(void *target, std::uint64_t arg0,
                              std::uint64_t arg1);
 
-    /** One scheduled event: trivially copyable, heap-ordered by
+    /** One scheduled event: trivially copyable, ordered by
      *  (when, priority, seq). */
     struct Event
     {
@@ -65,7 +81,12 @@ class EventQueue
     std::uint64_t eventsExecuted() const { return executed; }
 
     /** True iff no events are pending. */
-    bool empty() const { return heap.empty(); }
+    bool empty() const { return wheelSize == 0 && heap.empty(); }
+
+    /** Ticks the wheel covers: a priority-0 event scheduled fewer
+     *  than this many ticks ahead goes to the wheel, any other event
+     *  to the overflow heap. */
+    static constexpr Tick kWheelSpan = 512;
 
     /**
      * Schedule handler(target, arg0, arg1) at absolute time @p when
@@ -103,7 +124,7 @@ class EventQueue
      * tick T observes the state as of the end of tick T-1. Firings
      * stop with the last event: callers wanting the final state take
      * one explicit sample after run() returns. The periodic hook is
-     * not a heap event, so it keeps a plain std::function.
+     * not a queued event, so it keeps a plain std::function.
      */
     void setPeriodic(Tick interval, std::function<void()> cb);
 
@@ -111,7 +132,9 @@ class EventQueue
     void setTrace(TraceSink *sink) { trace = sink; }
 
     /** Run events until the queue drains or @p limit is reached.
-     *  Returns true if the queue drained. */
+     *  Returns true if the queue drained; otherwise curTick() is
+     *  max(curTick(), limit), as simulated time never runs
+     *  backwards. */
     bool run(Tick limit = kMaxTick);
 
   private:
@@ -151,10 +174,32 @@ class EventQueue
         std::uint64_t seq = 0;
     };
 
+    static constexpr std::size_t kWheelWords = kWheelSpan / 64;
+    static_assert(kWheelSpan % 64 == 0, "whole bitmap words");
+
+    /** One tick's wheel events in seq order; [head, size) are
+     *  pending. The vector keeps its capacity across reuse. */
+    struct Bucket
+    {
+        std::vector<Event> events;
+        std::size_t head = 0;
+    };
+
+    /** Slot of the bucket holding the earliest wheel event; requires
+     *  wheelSize > 0. */
+    std::size_t firstSlot() const;
+
     Tick now = 0;
     std::uint64_t seqCounter = 0;
     std::uint64_t executed = 0;
     PopOrder lastPop;
+    /** Bucket `when % kWheelSpan` holds the wheel events of tick
+     *  `when`. */
+    std::array<Bucket, kWheelSpan> wheel;
+    /** Bit s set iff wheel[s] has pending events. */
+    std::array<std::uint64_t, kWheelWords> occupied{};
+    std::size_t wheelSize = 0;
+    /** Events past the wheel's span or with a non-zero priority. */
     std::priority_queue<Event, std::vector<Event>, Later> heap;
     Tick periodicInterval = 0;
     Tick nextPeriodic = 0;

@@ -4,7 +4,8 @@
  * banked write-through L2 — miss handling, MSHR merging, LRU
  * eviction, write-through semantics, protection-scheme integration
  * (error-induced misses, allocation gating and priorities, SDC
- * accounting, backdoor invalidation).
+ * accounting, backdoor invalidation, the packed tag words) — and
+ * the geometry's address split.
  */
 
 #include <gtest/gtest.h>
@@ -75,6 +76,9 @@ class MockProtection : public ProtectionScheme
         (void)data;
         ++evicts;
         lastEvictLine = lineId;
+        // Killi's eviction training may disable the dying way.
+        if (lineId == disableOnEvict)
+            allocatable[lineId] = false;
         return 0;
     }
 
@@ -95,6 +99,9 @@ class MockProtection : public ProtectionScheme
     std::size_t lastFillLine = ~0u;
     std::size_t lastEvictLine = ~0u;
     std::size_t lastInvalidateLine = ~0u;
+    /** Evicting this line makes it unallocatable (needs
+     *  allocatable sized). */
+    std::size_t disableOnEvict = ~0u;
 };
 
 /** L2 requester test double: records every (token, tick) answer. */
@@ -473,6 +480,77 @@ TEST(L2CacheTest, BankConflictsSerialize)
     // with both requests arriving together the second completes no
     // earlier than the first.
     EXPECT_GE(sameB, sameA);
+}
+
+TEST(L2CacheTest, PackedTagsFollowFillsAndDrops)
+{
+    // isCached/validLines read the packed tag words; drive every way
+    // a tag word changes and check residency against the fills.
+    L2Fixture f;
+    const CacheGeometry g = tinyGeom();
+    f.prot.allocatable.assign(g.numLines(), true);
+    const std::size_t setStride = g.numSets() * g.lineBytes;
+    const auto a = [&](int i) { return Addr(i * setStride); };
+    for (int i = 0; i < 4; ++i)
+        f.readBlocking(a(i)); // set 0, ways 0..3
+    const Addr other = 0x40;  // set 1
+    f.readBlocking(other);
+    const std::size_t otherLine = f.prot.lastFillLine;
+    EXPECT_EQ(f.l2.validLines(), 5u);
+
+    // Error-induced miss: dropped, then refilled into the same way.
+    f.prot.nextResult.errorInducedMiss = true;
+    f.readBlocking(a(1));
+    EXPECT_EQ(f.l2.stats().errorMisses, 1u);
+    EXPECT_EQ(f.prot.lastFillLine, g.lineId(0, 1));
+    EXPECT_TRUE(f.l2.isCached(a(1)));
+    EXPECT_EQ(f.l2.validLines(), 5u);
+
+    // Protection invalidation through the backdoor.
+    f.l2.invalidateLine(otherLine);
+    EXPECT_FALSE(f.l2.isCached(other));
+    EXPECT_EQ(f.l2.validLines(), 4u);
+
+    // Disable-and-retry: evicting the LRU way (a(0), way 0) disables
+    // it, so the fill evicts the next LRU line, a(2), and takes its
+    // way.
+    f.prot.disableOnEvict = g.lineId(0, 0);
+    f.readBlocking(a(4));
+    EXPECT_EQ(f.l2.stats().evictions, 2u);
+    EXPECT_EQ(f.prot.lastFillLine, g.lineId(0, 2));
+    const bool cached[] = {false, true, false, true, true};
+    for (int i = 0; i < 5; ++i)
+        EXPECT_EQ(f.l2.isCached(a(i)), cached[i]) << "line " << i;
+    EXPECT_EQ(f.l2.validLines(), 3u);
+}
+
+TEST(CacheGeometryTest, NonPowerOfTwoSetCountMatchesTheDivideFormula)
+{
+    // 48 lines x 16 ways -> 3 sets (kcheck and the tests use such
+    // set counts): the shift-based split agrees with the divides.
+    const CacheGeometry g{48 * 64, 16, 64, 2};
+    ASSERT_EQ(g.numSets(), 3u);
+    std::uint64_t x = 7;
+    for (int i = 0; i < 4096; ++i) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        const Addr addr = i < 2048 ? Addr(i) * 24 : x >> (i % 17);
+        EXPECT_EQ(g.setOf(addr), (addr / 64) % 3) << addr;
+        EXPECT_EQ(g.tagOf(addr), addr / 64 / 3) << addr;
+        EXPECT_EQ(g.bankOf(addr), (addr / 64) % 3 % 2) << addr;
+        EXPECT_EQ(g.addrOf(g.tagOf(addr), g.setOf(addr)),
+                  g.lineAddr(addr))
+            << addr;
+    }
+}
+
+TEST(CacheGeometryDeathTest, NonPowerOfTwoLineSizeIsFatal)
+{
+    EXPECT_EXIT(
+        {
+            const CacheGeometry g(48 * 48, 4, 48, 1);
+            (void)g;
+        },
+        ::testing::ExitedWithCode(1), "not a power of two");
 }
 
 namespace

@@ -21,7 +21,7 @@ namespace killi
 {
 
 static_assert(std::is_trivially_copyable_v<EventQueue::Event>,
-              "events are copied by value through the heap");
+              "events are copied by value through the queue");
 static_assert(sizeof(EventQueue::Event) <= 56,
               "an event is no larger than the std::function one it "
               "replaced");

@@ -439,6 +439,9 @@ TEST(ScrubberTest, ScrubReclaimIsAFirstClassTransition)
     EXPECT_EQ(r.prot->stats().scrubReclaims, 1u);
     EXPECT_EQ(r.prot->stats().transitions[0b11][0b01], 1u);
 
+    // The trace half needs the Dfh category compiled in.
+    if (!(kCompiledTraceMask & std::uint32_t(TraceCat::Dfh)))
+        return;
     bool sawScrubTransition = false;
     for (const TraceEvent &ev : sink.events()) {
         if (std::string(ev.name) != "dfh.transition")

@@ -1,15 +1,21 @@
 /**
  * @file
- * Tests for the simulation kernel: event ordering and determinism,
- * DRAM latency/occupancy behaviour, and the golden-memory oracle.
+ * Tests for the simulation kernel: event ordering and determinism
+ * (the timing wheel against a reference heap among them), DRAM
+ * latency/occupancy behaviour, and the golden-memory oracle.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <queue>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "common/replay_probe.hh"
 #include "sim/dram.hh"
 #include "sim/event_queue.hh"
 #include "sim/golden.hh"
@@ -173,6 +179,272 @@ TEST(EventQueueTest, SchedulingIntoThePastPanics)
     ev.schedule(10, [&] {});
     eq.run();
     EXPECT_DEATH(ev.schedule(5, [] {}), "");
+}
+
+namespace
+{
+
+/** Captures the queue's own (when, priority, seq) pop stream. */
+struct PopRecorder : ReplayProbe
+{
+    std::uint64_t filterRngDraw(std::uint64_t v) override { return v; }
+
+    void
+    onEventPop(Tick when, int priority, std::uint64_t seq) override
+    {
+        pops.push_back({when, priority, seq});
+    }
+
+    void onTraceRecord(Tick, std::uint32_t, const char *,
+                       std::uint64_t) override {}
+
+    std::vector<std::tuple<Tick, int, std::uint64_t>> pops;
+};
+
+std::uint64_t
+mix(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+/**
+ * A seeded event script both queues replay: event `id` (which is
+ * also its seq, as every schedule goes through the script) has a
+ * gap of 0..2000 ticks, biased towards the short gaps the simulator
+ * uses and covering the wheel's span edges, a priority in
+ * {-1, 0, 1}, and may schedule one child from its handler.
+ */
+struct Script
+{
+    std::uint64_t seed;
+    std::uint64_t budget;
+
+    Tick
+    gap(std::uint64_t id) const
+    {
+        const std::uint64_t h = mix(seed ^ (id * 3));
+        switch (h % 8) {
+        case 0:
+            return EventQueue::kWheelSpan - 1 + (h >> 8) % 3;
+        case 1:
+        case 2:
+            return (h >> 8) % 2001;
+        default:
+            return (h >> 8) % 64;
+        }
+    }
+
+    /** A child scheduled at its parent's tick may not run before
+     *  the parent (the queue panics on that pop order), so it gets
+     *  at least @p parentPriority. */
+    int
+    priority(std::uint64_t id, int parentPriority) const
+    {
+        const std::uint64_t h = mix(seed ^ (id * 3 + 1));
+        const int p = h % 4 == 0 ? int((h >> 8) % 3) - 1 : 0;
+        return gap(id) == 0 ? std::max(p, parentPriority) : p;
+    }
+
+    /** Whether popping event @p id, with @p scheduled events
+     *  scheduled so far, schedules a child. */
+    bool
+    spawns(std::uint64_t id, std::uint64_t scheduled) const
+    {
+        return scheduled < budget && mix(seed ^ (id * 3 + 2)) % 4 != 0;
+    }
+};
+
+/** Drives an EventQueue through a Script from inside handlers. */
+struct ScriptedQueue
+{
+    EventQueue eq;
+    const Script &script;
+    std::uint64_t scheduled = 0;
+
+    explicit ScriptedQueue(const Script &s) : script(s) {}
+
+    void
+    add(Tick base, int parentPriority)
+    {
+        const std::uint64_t id = scheduled++;
+        const int priority = script.priority(id, parentPriority);
+        eq.schedule(base + script.gap(id), &ScriptedQueue::fire, this, id,
+                    std::uint64_t(priority), priority);
+    }
+
+    static void
+    fire(void *self, std::uint64_t id, std::uint64_t priority)
+    {
+        auto *q = static_cast<ScriptedQueue *>(self);
+        if (q->script.spawns(id, q->scheduled))
+            q->add(q->eq.curTick(), int(priority));
+    }
+};
+
+/** The reference: the same Script on a plain std::priority_queue. */
+std::vector<std::tuple<Tick, int, std::uint64_t>>
+referencePops(const Script &script, std::uint64_t initial)
+{
+    using Key = std::tuple<Tick, int, std::uint64_t>;
+    std::priority_queue<Key, std::vector<Key>, std::greater<Key>> q;
+    std::uint64_t scheduled = 0;
+    const auto add = [&](Tick base, int parentPriority) {
+        const std::uint64_t id = scheduled++;
+        q.push({base + script.gap(id), script.priority(id, parentPriority),
+                id});
+    };
+    for (std::uint64_t i = 0; i < initial; ++i)
+        add(0, -1);
+    std::vector<Key> pops;
+    while (!q.empty()) {
+        const Key k = q.top();
+        q.pop();
+        pops.push_back(k);
+        if (script.spawns(std::get<2>(k), scheduled))
+            add(std::get<0>(k), std::get<1>(k));
+    }
+    return pops;
+}
+
+} // namespace
+
+TEST(EventWheelTest, PopStreamMatchesAReferenceHeap)
+{
+    // Differential check of the wheel + overflow heap against a
+    // plain (when, priority, seq) heap, over thousands of events
+    // with gaps of 0..2000 ticks, all three priorities and events
+    // scheduled from inside handlers. Every third seed drains in
+    // run(limit) slices so runs stop and resume mid-wheel.
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        const Script script{seed, 6000};
+        const std::uint64_t initial = 1500;
+        ScriptedQueue sq(script);
+        for (std::uint64_t i = 0; i < initial; ++i)
+            sq.add(0, -1);
+        PopRecorder rec;
+        {
+            const ScopedReplayProbe probe(&rec);
+            if (seed % 3 == 0) {
+                Tick limit = 0;
+                while (!sq.eq.run(limit)) {
+                    EXPECT_EQ(sq.eq.curTick(), limit);
+                    limit += 37;
+                }
+            } else {
+                EXPECT_TRUE(sq.eq.run());
+            }
+        }
+        EXPECT_TRUE(sq.eq.empty());
+        const auto expected = referencePops(script, initial);
+        EXPECT_GT(expected.size(), 4000u);
+        ASSERT_EQ(rec.pops.size(), expected.size()) << "seed " << seed;
+        EXPECT_TRUE(rec.pops == expected) << "seed " << seed;
+        EXPECT_EQ(sq.eq.eventsExecuted(), expected.size());
+    }
+}
+
+TEST(EventWheelTest, SpanEdgesMergeBySeqAcrossWheelAndHeap)
+{
+    // At tick 100, gaps of span-1, span and span+1: the first goes
+    // to the wheel, the other two to the heap. Events scheduled later
+    // for the same ticks land in the wheel and must still run after
+    // the heap's earlier-scheduled peers.
+    constexpr Tick span = EventQueue::kWheelSpan;
+    EventQueue eq;
+    ClosureEvents ev(eq);
+    std::vector<char> order;
+    ev.schedule(100, [&] {
+        ev.schedule(100 + span, [&] { order.push_back('A'); });
+        ev.schedule(100 + span - 1, [&] { order.push_back('B'); });
+        ev.schedule(100 + span + 1, [&] { order.push_back('C'); });
+    });
+    ev.schedule(200, [&] {
+        ev.schedule(100 + span, [&] { order.push_back('D'); });
+        ev.schedule(100 + span + 1, [&] { order.push_back('E'); });
+    });
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(order, (std::vector<char>{'B', 'A', 'D', 'C', 'E'}));
+    EXPECT_EQ(eq.curTick(), 100 + span + 1);
+}
+
+TEST(EventWheelTest, PriorityEventsInterleaveWithSameTickWheelEvents)
+{
+    EventQueue eq;
+    ClosureEvents ev(eq);
+    std::vector<char> order;
+    ev.schedule(10, [&] { order.push_back('x'); });
+    ev.schedule(10, [&] { order.push_back('y'); });
+    ev.schedule(10, [&] { order.push_back('H'); }, 1);
+    ev.schedule(10, [&] { order.push_back('L'); }, -1);
+    ev.schedule(10, [&] { order.push_back('z'); });
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(order, (std::vector<char>{'L', 'x', 'y', 'z', 'H'}));
+}
+
+TEST(EventWheelTest, RunLimitStopsMidWheelAndResumes)
+{
+    EventQueue eq;
+    ClosureEvents ev(eq);
+    std::vector<int> order;
+    ev.schedule(5, [&] { order.push_back(5); });
+    ev.schedule(6, [&] { order.push_back(6); });
+    ev.schedule(7, [&] { order.push_back(7); });
+    ev.schedule(300, [&] { order.push_back(300); });
+    EXPECT_FALSE(eq.run(6));
+    EXPECT_EQ(order, (std::vector<int>{5, 6}));
+    EXPECT_EQ(eq.curTick(), 6u);
+    // A limit behind the current tick runs nothing and keeps time.
+    EXPECT_FALSE(eq.run(3));
+    EXPECT_EQ(eq.curTick(), 6u);
+    // Joins the tick-7 bucket behind the pending event.
+    ev.schedule(7, [&] { order.push_back(8); });
+    EXPECT_FALSE(eq.run(299));
+    EXPECT_EQ(order, (std::vector<int>{5, 6, 7, 8}));
+    EXPECT_EQ(eq.curTick(), 299u);
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(order, (std::vector<int>{5, 6, 7, 8, 300}));
+    EXPECT_EQ(eq.curTick(), 300u);
+}
+
+TEST(EventWheelTest, PeriodicFiresAcrossAnEmptyStretchOfTheRing)
+{
+    EventQueue eq;
+    ClosureEvents ev(eq);
+    std::vector<std::pair<char, Tick>> log;
+    eq.setPeriodic(100, [&] { log.push_back({'P', eq.curTick()}); });
+    ev.schedule(10, [&] { log.push_back({'e', eq.curTick()}); });
+    ev.schedule(450, [&] {
+        log.push_back({'e', eq.curTick()});
+        ev.scheduleIn(500, [&] { log.push_back({'e', eq.curTick()}); });
+    });
+    EXPECT_TRUE(eq.run());
+    const std::vector<std::pair<char, Tick>> expected{
+        {'e', 10},  {'P', 100}, {'P', 200}, {'P', 300}, {'P', 400},
+        {'e', 450}, {'P', 500}, {'P', 600}, {'P', 700}, {'P', 800},
+        {'P', 900}, {'e', 950}};
+    EXPECT_EQ(log, expected);
+}
+
+TEST(EventWheelTest, EmptyCoversTheOverflowHeap)
+{
+    EventQueue eq;
+    ClosureEvents ev(eq);
+    EXPECT_TRUE(eq.empty());
+    ev.schedule(10 * EventQueue::kWheelSpan, [] {}); // past the span
+    EXPECT_FALSE(eq.empty());
+    EXPECT_TRUE(eq.run());
+    EXPECT_TRUE(eq.empty());
+    ev.scheduleIn(1, [] {}, 1); // non-zero priority
+    EXPECT_FALSE(eq.empty());
+    EXPECT_TRUE(eq.run());
+    EXPECT_TRUE(eq.empty());
+    ev.scheduleIn(1, [] {}); // the wheel
+    EXPECT_FALSE(eq.empty());
+    EXPECT_TRUE(eq.run());
+    EXPECT_TRUE(eq.empty());
 }
 
 TEST(DramTest, LatencyApplied)

@@ -11,11 +11,14 @@
 #            both sides of a comparison)
 #   asan     RelWithDebInfo with ASan + UBSan, KILLI_CHECK_INVARIANTS=ON
 #   tsan     RelWithDebInfo with TSan
+#   notrace  Release with only the l2 trace category compiled in
+#            (KILLI_TRACE_CATEGORIES=l2): a test that reads a trace
+#            event must skip what the compiled mask leaves out
 #
 # Without targets the whole tree is built.
 set -euo pipefail
 
-usage="usage: tools/ci_build.sh <release|perf|asan|tsan> [targets...]"
+usage="usage: tools/ci_build.sh <release|perf|asan|tsan|notrace> [targets...]"
 flavour=${1:?$usage}
 shift
 
@@ -32,6 +35,8 @@ tsan)
     args=(-DCMAKE_BUILD_TYPE=RelWithDebInfo
           "-DCMAKE_CXX_FLAGS=-fsanitize=thread -fno-omit-frame-pointer"
           "-DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread") ;;
+notrace)
+    args=(-DCMAKE_BUILD_TYPE=Release -DKILLI_TRACE_CATEGORIES=l2) ;;
 *)
     echo "ci_build.sh: unknown flavour '$flavour'; $usage" >&2
     exit 2 ;;

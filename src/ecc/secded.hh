@@ -53,7 +53,7 @@ class Secded : public BlockCode
 
     /**
      * The original h-pass mask implementations, kept for differential
-     * tests and the bench/hotpath baselines; results are identical to
+     * tests and codec_micro's reference twins; results are identical to
      * encode() and decode().
      */
     BitVec encodeReference(const BitVec &data) const;

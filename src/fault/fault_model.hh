@@ -25,7 +25,7 @@
  * the same die from the scenario's seed on the "faultmap" RNG stream.
  * There is one sampler per model; IidStuckAt additionally exposes the
  * per-bit sampler its skip sampler replaced (sampleReference()) as a
- * separate entry point for tests and bench/hotpath.
+ * separate entry point for tests and codec_micro's reference twins.
  */
 
 #ifndef KILLI_FAULT_FAULT_MODEL_HH
@@ -129,7 +129,7 @@ class FaultModel
  * sample() draws with geometric skip sampling (one RNG draw per
  * fault, not per bit). sampleReference() is the per-bit sampler it
  * replaced, kept as the distributional baseline for tests and the
- * bench/hotpath construction timing. tests/scenario_spec_test.cc
+ * BM_FaultMapSample twin in codec_micro. tests/scenario_spec_test.cc
  * pins both.
  */
 class IidStuckAt final : public FaultModel

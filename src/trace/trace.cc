@@ -95,7 +95,6 @@ traceCatName(TraceCat cat)
       case TraceCat::Ecc: return "ecc";
       case TraceCat::Error: return "error";
       case TraceCat::Gpu: return "gpu";
-      case TraceCat::Stats: return "stats";
       case TraceCat::Check: return "check";
     }
     return "?";
@@ -109,8 +108,8 @@ parseTraceCats(const std::string &list, std::uint32_t &mask,
     if (parsed == kBadTraceMask) {
         if (err) {
             *err = "unknown trace category in '" + list +
-                   "' (known: sim,l2,dfh,ecc,error,gpu,stats,check,"
-                   "all,none)";
+                   "' (known: sim,l2,dfh,ecc,error,gpu,check,all,"
+                   "none)";
         }
         return false;
     }

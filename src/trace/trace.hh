@@ -51,8 +51,10 @@
 namespace killi
 {
 
-/** Trace categories (bitmask). Kept in sync with traceCatName() and
- *  kTraceCatList in trace.cc. */
+/** Trace categories (bitmask). Kept in sync with traceCatName() in
+ *  trace.cc and the name table of traceMaskFromList() below. Bit 6
+ *  is unused: Check stays at bit 7 and "all" stays 0xff, so the trace
+ *  mask that recordings store does not move. */
 enum class TraceCat : std::uint32_t
 {
     Sim = 1u << 0,   //!< event-queue activity (schedule, periodic)
@@ -61,7 +63,6 @@ enum class TraceCat : std::uint32_t
     Ecc = 1u << 3,   //!< ECC-cache install/evict/contention
     Error = 1u << 4, //!< detections, corrections, SDC, soft errors
     Gpu = 1u << 5,   //!< CU / system-level milestones
-    Stats = 1u << 6, //!< periodic stat snapshots
     Check = 1u << 7, //!< kcheck harness markers
 };
 
@@ -97,7 +98,6 @@ traceMaskFromList(std::string_view list)
         {"ecc", std::uint32_t(TraceCat::Ecc)},
         {"error", std::uint32_t(TraceCat::Error)},
         {"gpu", std::uint32_t(TraceCat::Gpu)},
-        {"stats", std::uint32_t(TraceCat::Stats)},
         {"check", std::uint32_t(TraceCat::Check)},
         {"all", kAllTraceCats},
         {"*", kAllTraceCats},

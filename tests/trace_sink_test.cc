@@ -73,11 +73,19 @@ TEST(TraceMask, ParseReportsUnknownNames)
         << "error should name the bad token: " << err;
     // The message lists the known categories for discoverability.
     EXPECT_NE(err.find("dfh"), std::string::npos) << err;
+
+    // "stats" names no category: asking for it is an error, not a
+    // silent no-op.
+    EXPECT_FALSE(parseTraceCats("stats", mask, &err));
+    EXPECT_NE(err.find("'stats'"), std::string::npos) << err;
+    EXPECT_EQ(err.find(",stats,"), std::string::npos) << err;
 }
 
 TEST(TraceMask, EveryCategoryRoundTripsThroughItsName)
 {
     for (unsigned bit = 0; bit < 8; ++bit) {
+        if (bit == 6)
+            continue; // bit 6 names no category
         const TraceCat cat = TraceCat(1u << bit);
         std::uint32_t mask = 0;
         ASSERT_TRUE(parseTraceCats(traceCatName(cat), mask));

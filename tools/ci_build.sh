@@ -6,9 +6,10 @@
 #
 # Flavours:
 #   release  Release, KILLI_CHECK_INVARIANTS=ON
-#   perf     Release, KILLI_CHECK_INVARIANTS=OFF (hot-path timing: the
-#            invariant sweeps run on every access hook and would dilute
-#            both sides of a comparison)
+#   perf     Release, KILLI_CHECK_INVARIANTS=OFF (timing, e.g.
+#            tools/bench_codec.py over codec_micro: the invariant sweeps
+#            run on every access hook and would dilute both sides of a
+#            comparison)
 #   asan     RelWithDebInfo with ASan + UBSan, KILLI_CHECK_INVARIANTS=ON
 #   tsan     RelWithDebInfo with TSan
 #   notrace  Release with only the l2 trace category compiled in

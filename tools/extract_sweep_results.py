@@ -11,7 +11,7 @@ option echo) legitimately varies run to run.
 CI's perf-smoke job pins this subset against a recorded golden
 (tests/golden/) so hot-path optimizations — bit-sliced codecs, skip
 sampling, scratch reuse — can never silently change simulation
-results. See EXPERIMENTS.md ("Hot-path perf harness") for the
+results. See EXPERIMENTS.md ("Fixed-seed golden sweep") for the
 re-record command and the libm caveat.
 
 Usage: extract_sweep_results.py <report.json>  (canonical JSON on

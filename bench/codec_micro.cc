@@ -373,7 +373,10 @@ BM_TraceProbeRecording(benchmark::State &state)
 {
     const Secded code(512);
     const std::vector<std::size_t> errs{100};
-    TraceSink sinkStorage(1 << 12);
+    // One sink per process: its ring fills once, with one "ring
+    // buffer full" warning, and later calls time the steady
+    // overwrite path.
+    static TraceSink sinkStorage(1 << 12);
     TraceSink *sink = &sinkStorage;
     Tick tick = 0;
     for (auto _ : state) {

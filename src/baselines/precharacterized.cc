@@ -27,7 +27,6 @@ PrecharacterizedScheme::attach(L2Backdoor &backdoor,
 {
     ProtectionScheme::attach(backdoor, geom);
     enabled.assign(geom.numLines(), true);
-    checkStore.assign(geom.numLines(), BitVec(0));
     reset();
 }
 
@@ -45,7 +44,6 @@ PrecharacterizedScheme::reset()
                    "prechar.line_disable", {"line", i},
                    {"faults", std::uint64_t(n)});
         }
-        checkStore[i] = BitVec(0);
     }
 }
 
@@ -56,24 +54,20 @@ PrecharacterizedScheme::canAllocate(std::size_t lineId) const
 }
 
 Cycle
-PrecharacterizedScheme::onFill(std::size_t lineId, const BitVec &data)
+PrecharacterizedScheme::onFill(std::size_t lineId, const BitVec & /*data*/)
 {
     if (!enabled[lineId])
         panic("%s: fill into a disabled line", p.displayName.c_str());
-    // Checkbits are always materialized: even a line with no active
-    // persistent fault can take a transient upset later, and the
-    // probe then needs checkbits of the right width.
-    if (!p.behavioral)
-        checkStore[lineId] = code->encode(data);
     return 0;
 }
 
-void
-PrecharacterizedScheme::onWriteHit(std::size_t lineId,
-                                   const BitVec &data)
+const std::vector<std::size_t> &
+PrecharacterizedScheme::visibleErrors(std::size_t lineId,
+                                      const BitVec &data)
 {
-    if (!p.behavioral)
-        checkStore[lineId] = code->encode(data);
+    code->encodeInto(data, checkScratch);
+    faults.visibleErrorsInto(lineId, data, checkScratch, errsScratch);
+    return errsScratch;
 }
 
 AccessResult
@@ -98,8 +92,7 @@ PrecharacterizedScheme::onReadHit(std::size_t lineId,
         return res;
     }
 
-    const std::vector<std::size_t> errs =
-        faults.visibleErrors(lineId, data, checkStore[lineId]);
+    const std::vector<std::size_t> &errs = visibleErrors(lineId, data);
     if (errs.empty()) {
         // Faults present but masked by the stored data: the checker
         // sees a clean word.
@@ -150,8 +143,7 @@ PrecharacterizedScheme::onWriteback(std::size_t lineId,
     }
     if (p.behavioral)
         return out; // within the OLSC capability by construction
-    const std::vector<std::size_t> errs =
-        faults.visibleErrors(lineId, data, checkStore[lineId]);
+    const std::vector<std::size_t> &errs = visibleErrors(lineId, data);
     if (errs.empty())
         return out;
     const DecodeResult dr = code->probe(errs);

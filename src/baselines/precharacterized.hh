@@ -62,7 +62,6 @@ class PrecharacterizedScheme : public ProtectionScheme
 
     bool canAllocate(std::size_t lineId) const override;
     Cycle onFill(std::size_t lineId, const BitVec &data) override;
-    void onWriteHit(std::size_t lineId, const BitVec &data) override;
     AccessResult onReadHit(std::size_t lineId,
                            const BitVec &data) override;
     WritebackOutcome onWriteback(std::size_t lineId,
@@ -77,13 +76,21 @@ class PrecharacterizedScheme : public ProtectionScheme
     /** Physical LV bits per line (payload + in-array checkbits). */
     std::size_t physBits() const;
 
+    /** Visible errors of a line with an active fault or transient
+     *  (a codec scheme), into errsScratch. The checkbit cells hold
+     *  code->encode(@p data): a fill or store writes them with the
+     *  payload, so they are derived here rather than stored. */
+    const std::vector<std::size_t> &visibleErrors(std::size_t lineId,
+                                                  const BitVec &data);
+
     const FaultMap &faults;
     PrecharParams p;
     std::unique_ptr<BlockCode> code; //!< null when behavioural
 
     std::vector<bool> enabled;
-    /** Stored checkbits, materialized only for faulty lines. */
-    std::vector<BitVec> checkStore;
+    /** Slow-path scratch, reused across probes. */
+    BitVec checkScratch;
+    std::vector<std::size_t> errsScratch;
 };
 
 /** SECDED per line + disable bit (the paper's area yardstick). */

@@ -323,7 +323,7 @@ L2Cache::allocate(Addr lineAddr)
         tagWords[victimId] = validTag(geometry.tagOf(lineAddr));
         victim.dirty = false;
         victim.version = golden.version(lineAddr);
-        victim.data = golden.data(lineAddr, victim.version);
+        golden.dataInto(lineAddr, victim.version, victim.data);
         victim.lastUse = ++useCounter;
         victim.upsetCheckedAt = eq.curTick();
         if (faultMap)
@@ -376,7 +376,7 @@ L2Cache::writeTag(Addr lineAddr)
         KTRACE(trace, eq.curTick(), TraceCat::L2, "l2.write_hit",
                {"line", lineId});
         line->version = golden.version(lineAddr);
-        line->data = golden.data(lineAddr, line->version);
+        golden.dataInto(lineAddr, line->version, line->data);
         line->lastUse = ++useCounter;
         line->upsetCheckedAt = eq.curTick();
         if (faultMap)

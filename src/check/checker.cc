@@ -690,8 +690,7 @@ class SchemeHarness : public L2Backdoor
     /**
      * After every op: each live ECC-cache entry must protect a
      * resident line that still needs it — training (b'01),
-     * known-faulty (b'10), or dirty in write-back mode (§5.6.1) —
-     * and training entries must carry their fine-parity overflow.
+     * known-faulty (b'10), or dirty in write-back mode (§5.6.1).
      * The forward direction is spot-checked on the op's target line.
      */
     void
@@ -711,12 +710,6 @@ class SchemeHarness : public L2Backdoor
             else if (!needed)
                 report(fmt("ECC entry for line %zu in %s",
                            e.l2Line, dfhName(d).c_str()));
-            if (d == Dfh::Initial &&
-                e.fineParity.size() !=
-                    scenario.params.segments - scenario.params.groups)
-                report(fmt("training line %zu lacks fine-parity "
-                           "overflow (%zu bits)",
-                           e.l2Line, e.fineParity.size()));
         }
         if (resident[targetLine]) {
             const Dfh d = killi->dfhOf(targetLine);

@@ -95,8 +95,6 @@ EccCache::allocate(std::size_t l2Line, std::size_t &evictedLine)
     victim->valid = true;
     victim->l2Line = l2Line;
     victim->lastUse = ++useCounter;
-    victim->check = BitVec(0);
-    victim->fineParity = BitVec(0);
     return victim;
 }
 

@@ -7,12 +7,16 @@
  * address"), while its tags hold the L2 (index, way) pair — cheaper
  * than a full physical tag.
  *
- * Each entry stores the SECDED checkbits (11b) plus the 12 fine
- * parity bits that overflow the L2 line during training, 41 bits per
- * entry with the tag (paper Table 3). Because the structure is much
- * smaller than the L2, disjoint L2 sets contend for the same ECC
- * set; evicting a live entry forces the host to drop the L2 line it
- * protects — the contention effect behind the Fig. 4/5 sensitivity.
+ * In hardware each entry stores the SECDED checkbits (11b) plus the
+ * 12 fine parity bits that overflow the L2 line during training, 41
+ * bits per entry with the tag (paper Table 3; the area model keeps
+ * that size). The model stores no payload: the ECC cache is
+ * fault-free, so its contents are a function of the protected line's
+ * data, and the probes derive what they need from that data. An
+ * entry models capacity. Because the structure is much smaller than
+ * the L2, disjoint L2 sets contend for the same ECC set; evicting a
+ * live entry forces the host to drop the L2 line it protects — the
+ * contention effect behind the Fig. 4/5 sensitivity.
  */
 
 #ifndef KILLI_KILLI_ECC_CACHE_HH
@@ -22,21 +26,18 @@
 #include <functional>
 #include <vector>
 
-#include "common/bitvec.hh"
 #include "common/types.hh"
 #include "trace/trace.hh"
 
 namespace killi
 {
 
-/** Metadata for one protected L2 line. */
+/** The slot holding one protected L2 line's metadata. */
 struct EccEntry
 {
     bool valid = false;
     std::size_t l2Line = 0;  //!< protected L2 line id (index, way)
     std::uint64_t lastUse = 0;
-    BitVec check{0};         //!< ECC checkbits for the stored data
-    BitVec fineParity{0};    //!< fine parity bits 4..15 (training)
 };
 
 /** Entry churn of an EccCache. */

@@ -40,13 +40,6 @@ KilliProtection::checkInvariants(std::size_t lineId,
             panic("Killi invariant (%s): line %zu in %s holds an "
                   "ECC-cache entry",
                   where, e.l2Line, dfhName(d).c_str());
-        // Fine-parity overflow exists exactly while training.
-        if (d == Dfh::Initial &&
-            e.fineParity.size() != p.segments - p.groups)
-            panic("Killi invariant (%s): training line %zu carries "
-                  "%zu fine-parity bits, want %u",
-                  where, e.l2Line, e.fineParity.size(),
-                  p.segments - p.groups);
     }
     // The accessed line: b'11 must never be allocatable.
     if (state[lineId] == Dfh::Disabled && canAllocate(lineId))
@@ -93,7 +86,6 @@ KilliProtection::attach(L2Backdoor &backdoor, const CacheGeometry &geom)
     ecc = std::make_unique<EccCache>(entries, p.eccCacheAssoc,
                                      geom.assoc);
     state.assign(geom.numLines(), Dfh::Initial);
-    folded.assign(geom.numLines(), BitVec(p.groups));
     dirtyLine.assign(geom.numLines(), false);
     ecc->setTrace(trace, [this] { return tickNow(); });
 }
@@ -103,7 +95,6 @@ KilliProtection::reset()
 {
     // Voltage change / reboot: relearn everything (paper §2.4).
     std::fill(state.begin(), state.end(), Dfh::Initial);
-    std::fill(folded.begin(), folded.end(), BitVec(p.groups));
     std::fill(dirtyLine.begin(), dirtyLine.end(), false);
     ecc->clear();
 }
@@ -208,41 +199,27 @@ KilliProtection::codeFor(Dfh lineState, bool isDirty) const
 }
 
 void
-KilliProtection::installMetadata(std::size_t lineId, const BitVec &data,
-                                 Dfh forState)
+KilliProtection::reserveEccEntry(std::size_t lineId)
 {
-    EccEntry *entry = ecc->find(lineId);
+    // Entry presence models the ECC cache's capacity and contention.
+    // Its payload (checkbits, fine-parity overflow) is a function of
+    // the line's data that probeLine derives when it needs it.
+    if (ecc->find(lineId))
+        return;
     std::size_t evictedLine = EccCache::npos;
-    if (!entry)
-        entry = ecc->allocate(lineId, evictedLine);
-    const BlockCode &code = codeFor(forState, dirtyLine[lineId]);
-    code.encodeInto(data, entry->check);
-    if (forState == Dfh::Initial) {
-        // Fine parities 4..15 overflow into the ECC cache; the 4
-        // folded group parities live in the line itself. Both the
-        // encode and the overflow vector reuse existing storage.
-        fineParity.encodeInto(data, fineScratch);
-        BitVec &overflow = entry->fineParity;
-        if (overflow.size() != p.segments - p.groups)
-            overflow = BitVec(p.segments - p.groups);
-        for (std::size_t s = p.groups; s < p.segments; ++s)
-            overflow.set(s - p.groups, fineScratch.get(s));
-    } else {
-        entry->fineParity = BitVec(0);
-    }
+    ecc->allocate(lineId, evictedLine);
     if (evictedLine != EccCache::npos) {
         // A disjoint line loses its checkbits and cannot stay
-        // resident (§4.3): the host must drop it. Deferred until the
-        // new entry is fully populated — the host callback re-enters
-        // this scheme (onEvict/onInvalidate of the dropped line) and
-        // must observe a consistent structure.
+        // resident (§4.3): the host must drop it. The host callback
+        // re-enters this scheme (onEvict/onInvalidate of the dropped
+        // line), after the new entry is in place.
         ++counts.eccDrops;
         host->invalidateLine(evictedLine);
     }
 }
 
 Cycle
-KilliProtection::onFill(std::size_t lineId, const BitVec &data)
+KilliProtection::onFill(std::size_t lineId, const BitVec & /*data*/)
 {
     KILLI_CHECK_INV(lineId, "onFill");
     const Dfh d = state[lineId];
@@ -255,9 +232,8 @@ KilliProtection::onFill(std::size_t lineId, const BitVec &data)
 #endif
 
     dirtyLine[lineId] = false; // fills install clean data
-    foldedParity.encodeInto(data, folded[lineId]);
     if (d == Dfh::Initial || d == Dfh::Stable1)
-        installMetadata(lineId, data, d);
+        reserveEccEntry(lineId);
 
     Cycle cost = 0;
     if (d == Dfh::Initial && p.invertedWriteCheck) {
@@ -281,8 +257,6 @@ KilliProtection::onFill(std::size_t lineId, const BitVec &data)
         state[lineId] = next;
         if (next == Dfh::Stable0 || next == Dfh::Disabled)
             ecc->invalidate(lineId);
-        else if (p.dectedStable)
-            installMetadata(lineId, data, Dfh::Stable1);
         if (next == Dfh::Disabled)
             host->invalidateLine(lineId);
     }
@@ -290,20 +264,19 @@ KilliProtection::onFill(std::size_t lineId, const BitVec &data)
 }
 
 void
-KilliProtection::onWriteHit(std::size_t lineId, const BitVec &data)
+KilliProtection::onWriteHit(std::size_t lineId, const BitVec & /*data*/)
 {
     KILLI_CHECK_INV(lineId, "onWriteHit");
-    foldedParity.encodeInto(data, folded[lineId]);
     const Dfh d = state[lineId];
     if (p.writebackMode) {
         // §5.6.1: from this store until eviction the line holds the
         // only copy; every DFH state gets checkbits on demand.
         dirtyLine[lineId] = true;
-        installMetadata(lineId, data, d);
+        reserveEccEntry(lineId);
         return;
     }
     if (d == Dfh::Initial || d == Dfh::Stable1)
-        installMetadata(lineId, data, d);
+        reserveEccEntry(lineId);
 }
 
 KilliProtection::Probes
@@ -311,10 +284,13 @@ KilliProtection::probeLine(std::size_t lineId, const BitVec &data,
                            Dfh current, bool isDirty) const
 {
     Probes probes;
-    faults.visibleErrorsInto(lineId, data, folded[lineId],
-                             errsScratch);
-    if (errsScratch.empty())
+    if (faults.lineFaults(lineId).empty() &&
+        faults.transients(lineId).empty())
         return probes; // the common fault-free fast path
+    foldedParity.encodeInto(data, foldedScratch);
+    faults.visibleErrorsInto(lineId, data, foldedScratch, errsScratch);
+    if (errsScratch.empty())
+        return probes; // every fault masked by the stored values
 
     // Split into payload errors and folded-parity-cell errors; the
     // latter map onto a fine parity bit of the group they encode

@@ -135,8 +135,11 @@ class KilliProtection : public ProtectionScheme
         bool dataCorrupt = false; //!< any visible payload-bit error
     };
 
-    /** Run parity + ECC probes for @p lineId holding @p data.
-     *  @p dirtyLine extends the ECC view to dirty b'00 lines. */
+    /** Run parity + ECC probes for @p lineId holding @p data. The
+     *  stored parity cells are derived from @p data, and only for a
+     *  line with an active fault or transient: no other line can
+     *  show an error. @p dirtyLine extends the ECC view to dirty
+     *  b'00 lines. */
     Probes probeLine(std::size_t lineId, const BitVec &data,
                      Dfh current, bool dirtyLine = false) const;
 
@@ -161,9 +164,10 @@ class KilliProtection : public ProtectionScheme
      *  release sweeps. */
     void checkInvariants(std::size_t lineId, const char *where) const;
 
-    /** Install metadata for a line entering/keeping b'01 or b'10. */
-    void installMetadata(std::size_t lineId, const BitVec &data,
-                         Dfh forState);
+    /** Reserve the ECC-cache entry of a line entering/keeping b'01
+     *  or b'10 (or dirty, §5.6.1), dropping the line whose entry a
+     *  full set evicts (§4.3 contention). */
+    void reserveEccEntry(std::size_t lineId);
 
     const FaultMap &faults;
     KilliParams p;
@@ -173,23 +177,23 @@ class KilliProtection : public ProtectionScheme
     std::unique_ptr<BlockCode> strongCode; //!< DECTED when enabled
 
     /**
-     * Hot-path scratch, reused across accesses so probeLine and
-     * installMetadata stay allocation-free in steady state. A scheme
-     * instance is single-threaded (one per sweep job), so plain
-     * mutable members are safe; probeLine never re-enters itself.
+     * Hot-path scratch, reused across accesses so probeLine stays
+     * allocation-free in steady state. A scheme instance is
+     * single-threaded (one per sweep job), so plain mutable members
+     * are safe; probeLine never re-enters itself.
      */
     mutable std::vector<std::size_t> errsScratch;
     mutable std::vector<std::size_t> parityScratch;
     mutable std::vector<std::size_t> eccScratch;
     mutable ParityCheck parityCheckScratch;
-    mutable BitVec fineScratch;
+    /** The folded parity cells (the 4 LV bits at 512..515) of the
+     *  probed line: derived from its data, never stored. */
+    mutable BitVec foldedScratch;
     /** dfhHistogram() memoized across one timeseries snapshot. */
     std::array<std::size_t, 4> tsHist{};
 
     std::unique_ptr<EccCache> ecc;
     std::vector<Dfh> state;
-    /** Stored folded parity cells (the 4 LV bits at 512..515). */
-    std::vector<BitVec> folded;
     /** Mirror of the host's dirty bits (write-back mode). */
     std::vector<bool> dirtyLine;
 };

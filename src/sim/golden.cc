@@ -20,12 +20,21 @@ BitVec
 GoldenMemory::data(Addr lineAddr, std::uint32_t ver) const
 {
     BitVec value(lineBits());
-    std::uint64_t state = mix(lineAddr * 0x2545f4914f6cdd1dULL + ver);
-    for (std::size_t w = 0; w < value.numWords(); ++w) {
-        state = mix(state);
-        value.setWord(w, state);
-    }
+    dataInto(lineAddr, ver, value);
     return value;
+}
+
+void
+GoldenMemory::dataInto(Addr lineAddr, std::uint32_t ver,
+                       BitVec &out) const
+{
+    if (out.size() != lineBits())
+        out = BitVec(lineBits());
+    std::uint64_t state = mix(lineAddr * 0x2545f4914f6cdd1dULL + ver);
+    for (std::size_t w = 0; w < out.numWords(); ++w) {
+        state = mix(state);
+        out.setWord(w, state);
+    }
 }
 
 } // namespace killi

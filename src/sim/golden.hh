@@ -51,6 +51,10 @@ class GoldenMemory
     /** The (deterministic) content of @p lineAddr at @p ver. */
     BitVec data(Addr lineAddr, std::uint32_t ver) const;
 
+    /** data() into @p out, reusing its buffer when it already has
+     *  lineBits() bits (a cache line refilled in place). */
+    void dataInto(Addr lineAddr, std::uint32_t ver, BitVec &out) const;
+
     /** Content at the line's current version. */
     BitVec
     data(Addr lineAddr) const

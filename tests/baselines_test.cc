@@ -12,6 +12,7 @@
 
 #include "baselines/precharacterized.hh"
 #include "cache/geometry.hh"
+#include "ecc/codec_factory.hh"
 #include "iid_die.hh"
 
 using namespace killi;
@@ -136,6 +137,47 @@ TEST(BaselineTest, CheckbitCellFaultHandled)
     // an SDC or a miss for a single fault.
     EXPECT_FALSE(res.errorInducedMiss);
     EXPECT_FALSE(res.sdc);
+}
+
+TEST(BaselineTest, WriteHitFlippingCheckbitUnmasksItsFault)
+{
+    // The in-array checkbit cells hold the encode of the line's
+    // current data. A stuck-at-1 checkbit cell is masked while that
+    // checkbit is 1; a store that clears it makes the fault visible,
+    // and the next read corrects it.
+    struct Case
+    {
+        std::unique_ptr<PrecharacterizedScheme> (*make)(const FaultMap &);
+        CodeKind kind;
+    };
+    for (const Case c : {Case{makeFlair, CodeKind::Secded},
+                         Case{makeDectedLine, CodeKind::Dected}}) {
+        BaselineFixture f;
+        const std::size_t cell = 512 + 3;
+        f.faults->plantFault(3, static_cast<std::uint16_t>(cell), true);
+        f.use(c.make(*f.faults));
+        SCOPED_TRACE(f.scheme->name());
+        const std::unique_ptr<BlockCode> code = makeCode(c.kind, 512);
+        BitVec masking(512);
+        for (std::size_t bit = 0; !code->encode(masking).get(cell - 512);
+             ++bit) {
+            masking = BitVec(512);
+            masking.set(bit);
+        }
+
+        f.scheme->onFill(3, masking);
+        const AccessResult clean = f.scheme->onReadHit(3, masking);
+        EXPECT_EQ(clean.extraLatency, 0u); // masked: nothing to fix
+        EXPECT_EQ(f.scheme->stats().corrections, 0u);
+
+        const BitVec unmasking(512); // all checkbits 0
+        f.scheme->onWriteHit(3, unmasking);
+        const AccessResult res = f.scheme->onReadHit(3, unmasking);
+        EXPECT_FALSE(res.errorInducedMiss);
+        EXPECT_FALSE(res.sdc);
+        EXPECT_EQ(res.extraLatency, 2u); // codec + correction
+        EXPECT_EQ(f.scheme->stats().corrections, 1u);
+    }
 }
 
 TEST(BaselineTest, FaultFreeFastPathSkipsCodec)

@@ -44,12 +44,11 @@ TEST(EccCacheTest, AllocateThenFind)
     EccEntry *e = ecc.allocate(l2Line(3, 7), evicted);
     ASSERT_NE(e, nullptr);
     EXPECT_EQ(evicted, EccCache::npos);
-    e->check = BitVec(11);
-    e->check.set(3);
+    EXPECT_TRUE(e->valid);
+    EXPECT_EQ(e->l2Line, l2Line(3, 7));
 
     EccEntry *found = ecc.find(l2Line(3, 7));
-    ASSERT_NE(found, nullptr);
-    EXPECT_TRUE(found->check.get(3));
+    EXPECT_EQ(found, e);
     EXPECT_EQ(ecc.find(l2Line(3, 8)), nullptr);
     EXPECT_EQ(ecc.validEntries(), 1u);
 }

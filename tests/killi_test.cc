@@ -13,6 +13,7 @@
 #include <memory>
 
 #include "common/rng.hh"
+#include "ecc/parity.hh"
 #include "fault/fault_map.hh"
 #include "iid_die.hh"
 #include "killi/killi.hh"
@@ -180,6 +181,33 @@ TEST(KilliTest, StoredParityCellFaultHandled)
     EXPECT_FALSE(res.errorInducedMiss);
     EXPECT_FALSE(res.sdc);
     EXPECT_EQ(f.prot->dfhOf(9), Dfh::Stable1);
+}
+
+TEST(KilliTest, WriteHitFlippingParityCellUnmasksItsFault)
+{
+    // The folded parity cells hold the parity of the line's current
+    // data. A stuck-at-1 cell at 513 is masked while group 1's
+    // parity is 1; a store that clears that parity makes it visible
+    // to the next read, like a payload fault under §4.3.
+    KilliFixture f;
+    f.faults->plantFault(9, 513, /*stuck=*/true);
+    const SegmentedParity folded(kLineBits, 4, /*interleaved=*/true);
+    BitVec masking = f.zeros();
+    for (std::size_t bit = 0; !folded.encode(masking).get(1); ++bit)
+        masking = f.pattern({bit});
+
+    f.prot->onFill(9, masking);
+    const AccessResult clean = f.prot->onReadHit(9, masking);
+    EXPECT_FALSE(clean.errorInducedMiss);
+    EXPECT_EQ(clean.extraLatency, 0u);
+    EXPECT_EQ(f.prot->dfhOf(9), Dfh::Stable0); // believed fault-free
+
+    const BitVec unmasking = f.zeros(); // folded parity 0000
+    f.prot->onWriteHit(9, unmasking);
+    const AccessResult res = f.prot->onReadHit(9, unmasking);
+    EXPECT_TRUE(res.errorInducedMiss);
+    EXPECT_FALSE(res.sdc);
+    EXPECT_EQ(f.prot->dfhOf(9), Dfh::Initial); // relearn
 }
 
 TEST(KilliTest, EvictionTrainingClassifiesWithoutDelivery)

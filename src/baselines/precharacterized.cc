@@ -78,10 +78,8 @@ PrecharacterizedScheme::onReadHit(std::size_t lineId,
     AccessResult res;
     // The parity/syndrome check overlaps the 2-cycle data access;
     // latency is only exposed when error processing actually runs.
-    if (faults.lineFaults(lineId).empty() &&
-        faults.transients(lineId).empty()) {
+    if (faults.clean(lineId))
         return res; // fault-free fast path
-    }
 
     res.extraLatency = p.codecLatency;
     if (p.behavioral) {
@@ -137,10 +135,8 @@ PrecharacterizedScheme::onWriteback(std::size_t lineId,
                                     const BitVec &data)
 {
     WritebackOutcome out;
-    if (faults.lineFaults(lineId).empty() &&
-        faults.transients(lineId).empty()) {
+    if (faults.clean(lineId))
         return out;
-    }
     if (p.behavioral)
         return out; // within the OLSC capability by construction
     const std::vector<std::size_t> &errs = visibleErrors(lineId, data);

@@ -20,8 +20,7 @@ FaultMap::FaultMap(std::shared_ptr<const FaultPopulation> population,
               bitsPerLine);
     if (!pop)
         fatal("FaultMap: null fault population");
-    active.resize(pop->size());
-    transientFlips.resize(pop->size());
+    offsets.resize(pop->size() + 1);
     coldActivate(vModel.pCell(vNorm, freqGHz), /*validate=*/true);
 }
 
@@ -62,14 +61,13 @@ void
 FaultMap::coldActivate(double p, bool validate)
 {
     const FaultPopulation &lines = *pop;
+    // One pass: each line's active cells are appended while the line
+    // is in cache (validation rides along: it reads every cell
+    // anyway). The array keeps its capacity across activations.
+    cells.clear();
     for (std::size_t i = 0; i < lines.size(); ++i) {
         const std::vector<FaultCell> &src = lines[i];
-        std::vector<FaultCell> &dst = active[i];
-        dst.clear();
-        // Count first so the copy lands in one exact-sized
-        // allocation (a no-op once capacity has been established).
-        // Validation rides on the count: it reads every cell anyway.
-        std::size_t n = 0;
+        offsets[i] = static_cast<std::uint32_t>(cells.size());
         for (std::size_t j = 0; j < src.size(); ++j) {
             if (validate) {
                 if (src[j].bit >= bitsPerLine)
@@ -80,16 +78,14 @@ FaultMap::coldActivate(double p, bool validate)
                     fatal("FaultMap: population line %zu not sorted "
                           "strictly by bit at position %zu", i, j);
             }
-            n += src[j].threshold < p;
-        }
-        if (n == 0)
-            continue;
-        dst.reserve(n);
-        for (const FaultCell &cell : src) {
-            if (cell.threshold < p)
-                dst.push_back(cell);
+            if (src[j].threshold < p)
+                cells.push_back(src[j]);
         }
     }
+    if (cells.size() > UINT32_MAX)
+        fatal("FaultMap: %zu active cells overflow 32-bit offsets",
+              cells.size());
+    offsets[lines.size()] = static_cast<std::uint32_t>(cells.size());
 }
 
 bool
@@ -114,6 +110,9 @@ FaultMap::rebuildIndex()
     for (const std::vector<FaultCell> &line : lines)
         total += line.size();
     thresholdIndex.reserve(total);
+    // The active set can grow to the whole population: room for it
+    // now keeps every incremental step from reallocating.
+    cells.reserve(total);
     for (std::size_t i = 0; i < lines.size(); ++i) {
         for (std::size_t j = 0; j < lines[i].size(); ++j) {
             thresholdIndex.push_back(
@@ -211,17 +210,29 @@ FaultMap::activateDelta(double p)
         deltaScratch[deltaOffsets[thresholdIndex[i].line]++] =
             thresholdIndex[i];
     cursor = end;
-    std::size_t g = 0;
-    while (g < deltaScratch.size()) {
-        const std::uint32_t lineNo = deltaScratch[g].line;
-        std::size_t gEnd = g;
-        while (gEnd < deltaScratch.size() &&
-               deltaScratch[gEnd].line == lineNo)
-            ++gEnd;
+    // deltaOffsets[l] is now the end of line l's bucket. Grow the CSR
+    // in place, walking the lines backward: a line's cells move right
+    // by the number of crossings at or below it (j, counting down), so
+    // the untouched lines between two touched ones move as one block
+    // and each touched line merges its crossings in by bit. Nothing
+    // below the lowest touched line moves.
+    const std::size_t oldSize = cells.size();
+    cells.resize(oldSize + deltaScratch.size());
+    const auto at = [this](std::size_t pos) { return cells.begin() + pos; };
+    std::size_t blockEnd = oldSize; // old end of the block above line
+    std::size_t j = deltaScratch.size();
+    for (std::size_t line = lines.size(); j > 0;) {
+        --line;
+        const std::size_t oldEnd = offsets[line + 1];
+        offsets[line + 1] = static_cast<std::uint32_t>(oldEnd + j);
+        const std::size_t g = line > 0 ? deltaOffsets[line - 1] : 0;
+        if (g == j)
+            continue; // no crossings: moves with its block
+        std::move_backward(at(oldEnd), at(blockEnd), at(blockEnd + j));
         // The bucket kept threshold order; restore ascending cell
         // index (== ascending bit) with an insertion sort — groups
         // are a handful of cells.
-        for (std::size_t a = g + 1; a < gEnd; ++a) {
+        for (std::size_t a = g + 1; a < j; ++a) {
             const ThresholdRef ref = deltaScratch[a];
             std::size_t b = a;
             while (b > g && deltaScratch[b - 1].cell > ref.cell) {
@@ -230,26 +241,20 @@ FaultMap::activateDelta(double p)
             }
             deltaScratch[b] = ref;
         }
-        std::vector<FaultCell> &dst = active[lineNo];
-        const std::size_t m = dst.size();
-        dst.resize(m + (gEnd - g));
-        std::size_t i = m;          // old cells left (from the back)
-        std::size_t j = gEnd;       // new cells left (from the back)
-        std::size_t w = dst.size(); // next write slot (exclusive)
+        const std::size_t oldBegin = offsets[line];
+        std::size_t i = oldEnd;     // old cells left (from the back)
+        std::size_t w = oldEnd + j; // next write slot (exclusive)
         while (j > g) {
-            const FaultCell &cell =
-                lines[lineNo][deltaScratch[j - 1].cell];
-            if (i > 0 && dst[i - 1].bit > cell.bit) {
-                --i;
-                --w;
-                dst[w] = dst[i];
+            const FaultCell &cell = lines[line][deltaScratch[j - 1].cell];
+            if (i > oldBegin && cells[i - 1].bit > cell.bit) {
+                cells[--w] = cells[--i];
             } else {
+                cells[--w] = cell;
                 --j;
-                --w;
-                dst[w] = cell;
             }
         }
-        g = gEnd;
+        std::move_backward(at(oldBegin), at(i), at(w));
+        blockEnd = oldBegin;
     }
 }
 
@@ -262,7 +267,7 @@ FaultMap::checkDeltaMatchesCold(double p) const
         for (const FaultCell &cell : (*pop)[i])
             if (cell.threshold < p)
                 cold.push_back(cell);
-        const std::vector<FaultCell> &got = active[i];
+        const std::span<const FaultCell> got = lineFaults(i);
         bool same = got.size() == cold.size();
         for (std::size_t j = 0; same && j < cold.size(); ++j) {
             same = got[j].bit == cold[j].bit &&
@@ -281,7 +286,7 @@ unsigned
 FaultMap::countFaults(std::size_t line, std::size_t prefix_bits) const
 {
     unsigned count = 0;
-    for (const FaultCell &cell : active[line]) {
+    for (const FaultCell &cell : lineFaults(line)) {
         if (cell.bit >= prefix_bits)
             break; // sorted: everything after is out of the prefix
         ++count;
@@ -292,11 +297,11 @@ FaultMap::countFaults(std::size_t line, std::size_t prefix_bits) const
 bool
 FaultMap::isStuck(std::size_t line, std::uint16_t bit) const
 {
-    const std::vector<FaultCell> &cells = active[line];
+    const std::span<const FaultCell> stuck = lineFaults(line);
     const auto it = std::lower_bound(
-        cells.begin(), cells.end(), bit,
+        stuck.begin(), stuck.end(), bit,
         [](const FaultCell &c, std::uint16_t b) { return c.bit < b; });
-    return it != cells.end() && it->bit == bit;
+    return it != stuck.end() && it->bit == bit;
 }
 
 std::vector<std::size_t>
@@ -312,7 +317,7 @@ FaultMap::visibleErrorsInto(std::size_t line, const BitVec &value,
                             std::vector<std::size_t> &out) const
 {
     out.clear();
-    for (const FaultCell &cell : active[line]) {
+    for (const FaultCell &cell : lineFaults(line)) {
         if (cell.bit < value.size() &&
             value.get(cell.bit) != cell.stuckValue) {
             out.push_back(cell.bit);
@@ -320,7 +325,7 @@ FaultMap::visibleErrorsInto(std::size_t line, const BitVec &value,
     }
     // Soft-error upsets flip healthy cells (stuck cells hold their
     // defect-driven value regardless).
-    for (const std::uint16_t bit : transientFlips[line]) {
+    for (const std::uint16_t bit : transients(line)) {
         if (bit < value.size() && !isStuck(line, bit))
             out.push_back(bit);
     }
@@ -342,7 +347,7 @@ FaultMap::visibleErrorsInto(std::size_t line, const BitVec &data,
 {
     out.clear();
     const std::size_t split = data.size();
-    for (const FaultCell &cell : active[line]) {
+    for (const FaultCell &cell : lineFaults(line)) {
         bool stored;
         if (cell.bit < split)
             stored = data.get(cell.bit);
@@ -353,7 +358,7 @@ FaultMap::visibleErrorsInto(std::size_t line, const BitVec &data,
         if (stored != cell.stuckValue)
             out.push_back(cell.bit);
     }
-    for (const std::uint16_t bit : transientFlips[line]) {
+    for (const std::uint16_t bit : transients(line)) {
         if (bit < split + meta.size() && !isStuck(line, bit))
             out.push_back(bit);
     }
@@ -362,22 +367,37 @@ FaultMap::visibleErrorsInto(std::size_t line, const BitVec &data,
 void
 FaultMap::injectTransient(std::size_t line, std::uint16_t bit)
 {
-    if (line >= transientFlips.size() || bit >= bitsPerLine)
+    if (line >= numLines() || bit >= bitsPerLine)
         fatal("FaultMap::injectTransient: out of range (%zu, %u)",
               line, bit);
     // A second upset on the same cell flips it back.
-    auto &flips = transientFlips[line];
+    const auto key = static_cast<std::uint32_t>(line);
+    std::vector<std::uint16_t> &flips = transientFlips[key];
     const auto it = std::find(flips.begin(), flips.end(), bit);
-    if (it != flips.end())
+    if (it == flips.end())
+        flips.push_back(bit);
+    else if (flips.size() > 1)
         flips.erase(it);
     else
-        flips.push_back(bit);
+        transientFlips.erase(key);
 }
 
 void
 FaultMap::clearTransients(std::size_t line)
 {
-    transientFlips[line].clear();
+    if (!transientFlips.empty())
+        transientFlips.erase(static_cast<std::uint32_t>(line));
+}
+
+std::span<const std::uint16_t>
+FaultMap::transients(std::size_t line) const
+{
+    if (transientFlips.empty())
+        return {};
+    const auto it = transientFlips.find(static_cast<std::uint32_t>(line));
+    if (it == transientFlips.end())
+        return {};
+    return it->second;
 }
 
 void
@@ -398,31 +418,36 @@ FaultMap::plantFault(std::size_t line, std::uint16_t bit,
         pop = std::make_shared<FaultPopulation>(*pop);
     std::atomic_thread_fence(std::memory_order_acquire);
     FaultPopulation &lines = const_cast<FaultPopulation &>(*pop);
-    // Replace any sampled potential fault at this position so the
-    // planted cell fully defines the bit's behaviour.
-    const auto drop = [bit](std::vector<FaultCell> &cells) {
-        std::erase_if(cells, [bit](const FaultCell &c) {
-            return c.bit == bit;
-        });
-    };
-    drop(lines[line]);
-    drop(active[line]);
     FaultCell cell;
     cell.bit = bit;
     cell.threshold = -1.0f; // below every pCell: always active
     cell.stuckValue = stuck_value;
     cell.kind = kind;
-    // Keep the by-bit sort invariant isStuck()'s binary search needs.
-    const auto insertSorted = [&cell](std::vector<FaultCell> &cells) {
-        const auto it = std::lower_bound(
-            cells.begin(), cells.end(), cell.bit,
-            [](const FaultCell &c, std::uint16_t b) {
-                return c.bit < b;
-            });
-        cells.insert(it, cell);
+    // Replace any sampled cell at this position so the planted cell
+    // fully defines the bit's behaviour, or insert it in by-bit
+    // order (the sort invariant isStuck()'s binary search needs).
+    const auto byBit = [](const FaultCell &c, std::uint16_t b) {
+        return c.bit < b;
     };
-    insertSorted(lines[line]);
-    insertSorted(active[line]);
+    std::vector<FaultCell> &potential = lines[line];
+    const auto slot = std::lower_bound(potential.begin(), potential.end(),
+                                       bit, byBit);
+    if (slot != potential.end() && slot->bit == bit)
+        *slot = cell;
+    else
+        potential.insert(slot, cell);
+    // The same in the active segment; an insertion shifts every later
+    // line's offset.
+    const auto last = cells.begin() + offsets[line + 1];
+    const auto at =
+        std::lower_bound(cells.begin() + offsets[line], last, bit, byBit);
+    if (at != last && at->bit == bit) {
+        *at = cell;
+    } else {
+        cells.insert(at, cell);
+        for (std::size_t l = line + 1; l < offsets.size(); ++l)
+            ++offsets[l];
+    }
     // The population changed shape: any incremental-stepping index
     // now holds stale (line, cell) references. Rebuild lazily on the
     // next voltage step.
@@ -433,7 +458,7 @@ FaultMap::LineHistogram
 FaultMap::histogram(std::size_t prefix_bits) const
 {
     LineHistogram hist;
-    for (std::size_t i = 0; i < active.size(); ++i) {
+    for (std::size_t i = 0; i < numLines(); ++i) {
         const unsigned n = countFaults(i, prefix_bits);
         if (n == 0)
             ++hist.zero;

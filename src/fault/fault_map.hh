@@ -25,6 +25,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "common/bitvec.hh"
@@ -88,7 +90,7 @@ class FaultMap
              std::size_t line_bits, double freq_ghz, double vNorm,
              bool monotone);
 
-    std::size_t numLines() const { return active.size(); }
+    std::size_t numLines() const { return offsets.size() - 1; }
     std::size_t lineBits() const { return bitsPerLine; }
     double voltage() const { return currentV; }
     double frequency() const { return freqGHz; }
@@ -124,10 +126,20 @@ class FaultMap
     /** The potential-fault population (per line, sorted by bit). */
     const FaultPopulation &population() const { return *pop; }
 
-    /** Active faulty cells of @p line at the current voltage. */
-    const std::vector<FaultCell> &lineFaults(std::size_t line) const
+    /** Active faulty cells of @p line at the current voltage, sorted
+     *  by bit. Valid until the map's next voltage step or plant. */
+    std::span<const FaultCell> lineFaults(std::size_t line) const
     {
-        return active[line];
+        return {cells.data() + offsets[line],
+                cells.data() + offsets[line + 1]};
+    }
+
+    /** Does @p line read back exactly what was written: no active
+     *  fault and no live transient? The probes' fast path. */
+    bool clean(std::size_t line) const
+    {
+        return offsets[line] == offsets[line + 1] &&
+               (transientFlips.empty() || !transientFlips.contains(line));
     }
 
     /** Number of active faults of @p line within the first
@@ -189,13 +201,6 @@ class FaultMap
     /** The line was rewritten: all transient upsets are overwritten. */
     void clearTransients(std::size_t line);
 
-    /** Currently live transient flips of @p line. */
-    const std::vector<std::uint16_t> &
-    transients(std::size_t line) const
-    {
-        return transientFlips[line];
-    }
-
     /** Histogram of active fault counts per line (0, 1, 2+) over the
      *  first @p prefix_bits positions: the Fig. 2 quantities. */
     struct LineHistogram
@@ -211,6 +216,9 @@ class FaultMap
      *  over the sorted active set. */
     bool isStuck(std::size_t line, std::uint16_t bit) const;
 
+    /** Live transient flips of @p line, in injection order. */
+    std::span<const std::uint16_t> transients(std::size_t line) const;
+
     /** One potential-fault cell in threshold order — the incremental
      *  stepping index. `cell` indexes into (*pop)[line], which is
      *  stable except across plantFault() (which invalidates the
@@ -223,9 +231,10 @@ class FaultMap
     };
 
     /** Re-filter every line's active set against @p p (the
-     *  original, always-correct activation path). With @p validate,
-     *  fatal() on a cell breaking the population's sort/range
-     *  invariant (adoption checks it in this same pass). */
+     *  original, always-correct activation path) in one pass that
+     *  appends each line's active cells and records its offset. With
+     *  @p validate, fatal() on a cell breaking the population's
+     *  sort/range invariant (adoption checks it in this same pass). */
     void coldActivate(double p, bool validate = false);
     /** Rebuild thresholdIndex from pop (sorted by threshold with a
      *  deterministic (line, cell) tie-break; counting sort on the
@@ -234,9 +243,10 @@ class FaultMap
     /** Position cursor at the first index entry with threshold >= p,
      *  i.e.\ the first cell NOT active at the current point. */
     void resetCursor(double p);
-    /** Advance cursor over every cell crossing at @p p, merging each
-     *  touched line's crossings into its active set in one backward
-     *  by-bit merge (the slice is regrouped by line first). */
+    /** Advance cursor over every cell crossing at @p p and merge the
+     *  crossings into the CSR arrays: the slice is regrouped by line,
+     *  then one backward pass over the lines shifts each segment to
+     *  its new offset, merging in its crossings by bit. */
     void activateDelta(double p);
 #ifdef KILLI_CHECK_INVARIANTS
     /** fatal() unless the delta-derived active sets are bit-identical
@@ -263,10 +273,15 @@ class FaultMap
      *  checks it, plantFault inserts in order, and setVoltage's
      *  filter preserves order). Other maps may share it. */
     std::shared_ptr<const FaultPopulation> pop;
-    /** Active subset per line at currentV (same sort invariant). */
-    std::vector<std::vector<FaultCell>> active;
-    /** Live soft-error flips per line (cleared on rewrite). */
-    std::vector<std::vector<std::uint16_t>> transientFlips;
+    /** The active subset at currentV in CSR form: line l's cells
+     *  are cells[offsets[l], offsets[l + 1]), with the population's
+     *  sort invariant. */
+    std::vector<std::uint32_t> offsets;
+    std::vector<FaultCell> cells;
+    /** Live soft-error flips, in injection order, of the lines that
+     *  have any (cleared on rewrite; empty outside soft-error runs). */
+    std::unordered_map<std::uint32_t, std::vector<std::uint16_t>>
+        transientFlips;
 };
 
 } // namespace killi

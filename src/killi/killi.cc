@@ -284,8 +284,7 @@ KilliProtection::probeLine(std::size_t lineId, const BitVec &data,
                            Dfh current, bool isDirty) const
 {
     Probes probes;
-    if (faults.lineFaults(lineId).empty() &&
-        faults.transients(lineId).empty())
+    if (faults.clean(lineId))
         return probes; // the common fault-free fast path
     foldedParity.encodeInto(data, foldedScratch);
     faults.visibleErrorsInto(lineId, data, foldedScratch, errsScratch);

@@ -7,10 +7,11 @@
  * the RNG draw log (as per-(stream, pop) segments, each a count plus
  * rolling digest over the draw values), the event-queue pop log, and
  * a compact digest-per-record trace log — plus enough metadata to
- * re-derive
- * the run from the file alone: the tool that produced it ("sweep" or
- * "kcheck"), the tool-specific run description under "meta", the
- * hot-path mode, and a SHA-256 digest of the canonical result text.
+ * re-derive the run from the file alone: the tool that produced it
+ * ("sweep" or "kcheck"), the tool-specific run description under
+ * "meta", and a SHA-256 digest of the canonical result text. The v1
+ * format's "reference_mode" member is always written false, and a
+ * recording that sets it true is rejected at load.
  * Replaying on the same build must reproduce every stream entry and
  * the result digest bit-for-bit (TESTING.md, "Record, replay,
  * bisect").

@@ -4,12 +4,14 @@
  * banked write-through L2 — miss handling, MSHR merging, LRU
  * eviction, write-through semantics, protection-scheme integration
  * (error-induced misses, allocation gating and priorities, SDC
- * accounting, backdoor invalidation, the packed tag words) — and
- * the geometry's address split.
+ * accounting, backdoor invalidation, the packed tag words, the
+ * payloads handed to re-entrant hooks) — and the geometry's address
+ * split.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -635,4 +637,139 @@ TEST(L2WritebackTest, CleanEvictionWritesNothing)
         f.readBlocking(i * setStride);
     EXPECT_EQ(f.l2.stats().evictions, 1u);
     EXPECT_EQ(f.dram.writes(), 0u);
+}
+
+namespace
+{
+
+/**
+ * Checks every hook's payload against the golden oracle. A hook sees
+ * only a line id, so the test names each fill's address before
+ * causing it. Filling dropTrigger drops dropVictim from inside
+ * onFill through the backdoor, as Killi's ECC-cache contention does.
+ */
+class PayloadCheckingProtection : public ProtectionScheme
+{
+  public:
+    explicit PayloadCheckingProtection(const GoldenMemory &golden_)
+        : golden(golden_)
+    {
+    }
+
+    std::string name() const override { return "PayloadCheck"; }
+
+    Cycle
+    onFill(std::size_t lineId, const BitVec &data) override
+    {
+        addrOf[lineId] = nextFill;
+        lineOf[nextFill] = lineId;
+        check("onFill", lineId, data);
+        if (nextFill == dropTrigger) {
+            host->invalidateLine(lineOf.at(dropVictim));
+            // The drop generated the victim's payload; ours must
+            // still be our own line's.
+            check("onFill after the nested drop", lineId, data);
+        }
+        return 0;
+    }
+
+    void
+    onWriteHit(std::size_t lineId, const BitVec &data) override
+    {
+        check("onWriteHit", lineId, data);
+    }
+
+    WritebackOutcome
+    onWriteback(std::size_t lineId, const BitVec &data) override
+    {
+        ++writebacks;
+        check("onWriteback", lineId, data);
+        return {};
+    }
+
+    AccessResult
+    onReadHit(std::size_t lineId, const BitVec &data) override
+    {
+        check("onReadHit", lineId, data);
+        return {};
+    }
+
+    Cycle
+    onEvict(std::size_t lineId, const BitVec &data) override
+    {
+        ++evicts;
+        check("onEvict", lineId, data);
+        return 0;
+    }
+
+    /** Address of the next fill (set by the test before each). */
+    Addr nextFill = 0;
+    Addr dropTrigger = ~Addr{0};
+    Addr dropVictim = ~Addr{0};
+    unsigned checks = 0;
+    unsigned evicts = 0;
+    unsigned writebacks = 0;
+
+  private:
+    void
+    check(const char *hook, std::size_t lineId, const BitVec &data)
+    {
+        ++checks;
+        const Addr addr = addrOf.at(lineId);
+        EXPECT_TRUE(data == golden.data(addr, golden.version(addr)))
+            << hook << ": line " << lineId << " (addr " << addr
+            << ") got another line's payload";
+    }
+
+    const GoldenMemory &golden;
+    std::map<std::size_t, Addr> addrOf;
+    std::map<Addr, std::size_t> lineOf;
+};
+
+} // namespace
+
+TEST(L2PayloadTest, ReentrantHooksEachSeeTheirOwnLinesPayload)
+{
+    EventQueue eq;
+    GoldenMemory golden;
+    DramModel dram{DramParams{}};
+    PayloadCheckingProtection prot(golden);
+    L2Params params;
+    params.writePolicy = WritePolicy::WriteBack;
+    const CacheGeometry g = tinyGeom();
+    L2Cache l2(eq, dram, golden, prot, g, params);
+
+    // A dirty line (write-allocate, then a store hit)...
+    const Addr dirty = 0x140;
+    prot.nextFill = dirty;
+    l2.write(dirty);
+    eq.run();
+    l2.write(dirty);
+    eq.run();
+    // ...dropped, with a write-back, from inside another line's fill.
+    const Addr filled = 0x40;
+    prot.nextFill = filled;
+    prot.dropTrigger = filled;
+    prot.dropVictim = dirty;
+    readBlocking(eq, l2, filled);
+    EXPECT_FALSE(l2.isCached(dirty));
+    EXPECT_EQ(prot.evicts, 1u);
+    EXPECT_EQ(prot.writebacks, 1u);
+
+    // Read and store hits, then a capacity eviction of the now dirty
+    // filled line through the allocate path.
+    readBlocking(eq, l2, filled);
+    l2.write(filled);
+    eq.run();
+    const Addr setStride = Addr(g.numSets()) * g.lineBytes;
+    for (Addr i = 1; i <= g.assoc; ++i) {
+        prot.nextFill = filled + i * setStride;
+        readBlocking(eq, l2, prot.nextFill);
+    }
+    EXPECT_FALSE(l2.isCached(filled));
+    EXPECT_EQ(prot.evicts, 2u);
+    EXPECT_EQ(prot.writebacks, 2u);
+    // 6 fills, 3 stores (the write-allocate's included), 2 evicts,
+    // 2 write-backs, 1 read hit and the outer fill's re-check.
+    EXPECT_EQ(prot.checks, 15u);
 }

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <span>
 
 #include "common/bitvec.hh"
 #include "common/rng.hh"
@@ -347,7 +348,7 @@ namespace
 
 /** Does @p cells hold a planted (always-active) cell at @p bit? */
 bool
-hasPlanted(const std::vector<FaultCell> &cells, std::uint16_t bit)
+hasPlanted(std::span<const FaultCell> cells, std::uint16_t bit)
 {
     return std::any_of(cells.begin(), cells.end(),
                        [bit](const FaultCell &c) {
@@ -386,7 +387,7 @@ snapshotActive(const FaultMap &map)
 {
     std::vector<std::vector<FaultCell>> out(map.numLines());
     for (std::size_t l = 0; l < map.numLines(); ++l)
-        out[l] = map.lineFaults(l);
+        out[l].assign(map.lineFaults(l).begin(), map.lineFaults(l).end());
     return out;
 }
 
@@ -507,6 +508,94 @@ TEST(FaultMapTest, PlantFaultInvalidatesIncrementalIndex)
         cold.setVoltage(v);
         expectActiveIdentical(inc, cold, "v=" + std::to_string(v));
     }
+}
+
+// --- CSR view and transients ------------------------------------------
+
+TEST(FaultMapTest, SteppedCsrMatchesColdAcrossScenarioClasses)
+{
+    // Every 0.02 V point from 0.70 down to 0.50, for each die class:
+    // the stepped CSR must equal a cold buildMapAt(). Midway, two
+    // plants (one over an active cell, one into an empty slot) edit
+    // the CSR in place and force one cold re-activation, after which
+    // stepping resumes over the planted population.
+    for (const char *name : {"iid", "clustered", "burst"}) {
+        ScenarioSpec spec;
+        spec.model = name;
+        spec.seed = 29;
+        const auto model = FaultModel::fromScenario(spec);
+        const auto stepped = model->buildMapAt(256, 720, 0.70);
+        ASSERT_TRUE(stepped->enableIncrementalVoltage()) << name;
+        std::vector<std::pair<std::size_t, std::uint16_t>> plants;
+        const auto plantAll = [&plants](FaultMap &map) {
+            for (const auto &[line, bit] : plants)
+                map.plantFault(line, bit, true);
+        };
+        for (int step = 0; step <= 10; ++step) {
+            const double v = 0.70 - 0.02 * step;
+            const std::string ctx =
+                std::string(name) + " v=" + std::to_string(v);
+            stepped->setVoltage(v);
+            auto cold = model->buildMapAt(256, 720, v);
+            plantAll(*cold);
+            expectActiveIdentical(*stepped, *cold, ctx);
+            if (step != 5)
+                continue;
+            std::size_t faulty = 0;
+            while (stepped->lineFaults(faulty).empty())
+                ++faulty;
+            plants = {{faulty, stepped->lineFaults(faulty)[0].bit},
+                      {faulty + 1, 719}};
+            if (!stepped->lineFaults(faulty + 1).empty() &&
+                stepped->lineFaults(faulty + 1).back().bit == 719)
+                plants[1].second = 718;
+            plantAll(*stepped);
+            cold = model->buildMapAt(256, 720, v);
+            plantAll(*cold);
+            expectActiveIdentical(*stepped, *cold, ctx + " planted");
+        }
+    }
+}
+
+TEST(FaultMapTest, TransientTwiceCancelsAndClearsOnlyItsLine)
+{
+    FaultMap map = smallMap(1.0, 7, 16);
+    for (std::size_t l = 0; l < map.numLines(); ++l) {
+        ASSERT_TRUE(map.lineFaults(l).empty());
+        ASSERT_TRUE(map.clean(l));
+    }
+    const BitVec zeros(720);
+    // A transient on a fault-free line makes it unclean; flips read
+    // back in injection order.
+    map.injectTransient(3, 200);
+    map.injectTransient(3, 100);
+    EXPECT_FALSE(map.clean(3));
+    EXPECT_EQ(map.visibleErrors(3, zeros),
+              (std::vector<std::size_t>{200, 100}));
+    // The same cell struck twice flips back.
+    map.injectTransient(3, 200);
+    EXPECT_EQ(map.visibleErrors(3, zeros), (std::vector<std::size_t>{100}));
+    map.injectTransient(3, 100);
+    EXPECT_TRUE(map.clean(3));
+    EXPECT_TRUE(map.visibleErrors(3, zeros).empty());
+
+    // Clearing a line with no flips changes nothing, on an empty
+    // table and beside another line's flip.
+    map.clearTransients(4);
+    EXPECT_TRUE(map.clean(4));
+    map.injectTransient(5, 7);
+    map.clearTransients(4);
+    EXPECT_TRUE(map.clean(4));
+    EXPECT_FALSE(map.clean(5));
+    EXPECT_EQ(map.visibleErrors(5, zeros), (std::vector<std::size_t>{7}));
+    map.clearTransients(5);
+    EXPECT_TRUE(map.clean(5));
+
+    // An active fault alone also makes a line unclean, even when the
+    // stored value masks it.
+    map.plantFault(6, 9, false);
+    EXPECT_FALSE(map.clean(6));
+    EXPECT_TRUE(map.visibleErrors(6, zeros).empty());
 }
 
 // --- Voltage-sweep engine ----------------------------------------------

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Extract the deterministic subset of a sweep benchmark report.
+"""Extract the deterministic subset of a benchmark report.
 
 The ``workloads`` section of a fig4-style JSON report holds only
 simulated state: event counters and ratios derived from them (mpki,
@@ -14,8 +14,13 @@ sampling, scratch reuse — can never silently change simulation
 results. See EXPERIMENTS.md ("Fixed-seed golden sweep") for the
 re-record command and the libm caveat.
 
-Usage: extract_sweep_results.py <report.json>  (canonical JSON on
-stdout: sorted keys, fixed indentation, trailing newline)
+A table-style report keeps its simulated counts in another section:
+softerror_resilience's is ``table``, named by the optional second
+argument.
+
+Usage: extract_sweep_results.py <report.json> [section]  (section
+defaults to ``workloads``; canonical JSON on stdout: sorted keys,
+fixed indentation, trailing newline)
 """
 
 import json
@@ -23,12 +28,13 @@ import sys
 
 
 def main() -> int:
-    if len(sys.argv) != 2:
+    if len(sys.argv) not in (2, 3):
         sys.stderr.write(__doc__)
         return 2
+    section = sys.argv[2] if len(sys.argv) == 3 else "workloads"
     with open(sys.argv[1]) as fh:
         doc = json.load(fh)
-    json.dump({"workloads": doc["workloads"]}, sys.stdout,
+    json.dump({section: doc[section]}, sys.stdout,
               sort_keys=True, indent=1)
     sys.stdout.write("\n")
     return 0

@@ -102,7 +102,6 @@ class SchemeHarness : public L2Backdoor
         resident.assign(sc.numLines, false);
         dirty.assign(sc.numLines, false);
         stored.assign(sc.numLines, BitVec(kDataBits));
-        checkMirror.assign(sc.numLines, BitVec(0));
     }
 
     void setTrace(TraceSink *sink)
@@ -319,8 +318,6 @@ class SchemeHarness : public L2Backdoor
         resident[lineId] = true;
         dirty[lineId] = false;
         faults.clearTransients(lineId); // cells rewritten
-        if (!isKilli)
-            mirrorBaselineCheckbits(lineId);
 
         const Dfh before = isKilli ? killi->dfhOf(lineId)
                                    : Dfh::Initial;
@@ -439,8 +436,11 @@ class SchemeHarness : public L2Backdoor
     void
     readBaseline(std::size_t lineId)
     {
+        // The stored data changes only at fills and write hits, so
+        // the checkbits the baseline derives at probe time are the
+        // encoding of it, as killiProbe derives folded parity.
         const std::vector<std::size_t> errs = faults.visibleErrors(
-            lineId, stored[lineId], checkMirror[lineId]);
+            lineId, stored[lineId], secded->encode(stored[lineId]));
         std::vector<std::size_t> payloadErrs, checkErrs;
         for (const std::size_t pos : errs)
             (pos < kDataBits ? payloadErrs : checkErrs).push_back(pos);
@@ -522,8 +522,6 @@ class SchemeHarness : public L2Backdoor
         }
         stored[lineId] = golden.data(lineId);
         faults.clearTransients(lineId); // cells rewritten
-        if (!isKilli)
-            mirrorBaselineCheckbits(lineId);
 
         const Dfh before = isKilli ? killi->dfhOf(lineId)
                                    : Dfh::Initial;
@@ -677,14 +675,6 @@ class SchemeHarness : public L2Backdoor
             report("scrub left disabled lines unreclaimed");
     }
 
-    /** The baseline materializes checkbits on every fill and write
-     *  hit (transients can bite any line) — mirror of that rule. */
-    void
-    mirrorBaselineCheckbits(std::size_t lineId)
-    {
-        checkMirror[lineId] = secded->encode(stored[lineId]);
-    }
-
     // ---- structural invariants ----------------------------------
 
     /**
@@ -750,7 +740,6 @@ class SchemeHarness : public L2Backdoor
     std::vector<bool> resident;
     std::vector<bool> dirty;
     std::vector<BitVec> stored;
-    std::vector<BitVec> checkMirror;
 
     std::uint64_t expectedSdc = 0;
     std::uint64_t skippedOps = 0;

@@ -154,12 +154,9 @@ bool
 Coordinator::spawnWorker(std::size_t idx, std::string *err)
 {
     const WorkerEndpoint &ep = endpoints[idx];
-    std::vector<std::string> args;
-    args.push_back(opt.workerBin);
-    args.push_back("socket=" + ep.socketPath);
-    args.push_back("threads=" + std::to_string(opt.workerThreads));
-    for (const std::string &extra : opt.workerExtraArgs)
-        args.push_back(extra);
+    std::vector<std::string> args{
+        opt.workerBin, "socket=" + ep.socketPath,
+        "threads=" + std::to_string(opt.workerThreads)};
     std::vector<char *> argv;
     for (std::string &a : args)
         argv.push_back(a.data());

@@ -89,9 +89,6 @@ struct FleetOptions
     std::string spawnDir = ".";
     /** threads= for spawned workers. */
     unsigned workerThreads = 1;
-    /** Extra flags appended to each spawned worker's command line
-     *  (e.g. "debug-job-delay-ms=500" for straggler injection). */
-    std::vector<std::string> workerExtraArgs;
     /** Concurrent dispatches per worker (its effective slot
      *  count). */
     unsigned slotsPerWorker = 2;

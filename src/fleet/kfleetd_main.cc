@@ -13,6 +13,7 @@
 
 #include <unistd.h>
 
+#include "bench/sweep.hh"
 #include "common/build_info.hh"
 #include "common/log.hh"
 #include "common/options.hh"
@@ -34,33 +35,20 @@ onSignal(int)
         gServer->requestDrain();
 }
 
-std::vector<std::string>
-splitList(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= csv.size()) {
-        const std::size_t comma = csv.find(',', start);
-        const std::string item = csv.substr(
-            start, comma == std::string::npos ? std::string::npos
-                                              : comma - start);
-        if (!item.empty())
-            out.push_back(item);
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return out;
-}
-
 /** "port:9911" -> TCP endpoint; anything else is a socket path. */
 fleet::WorkerEndpoint
 parseEndpoint(const std::string &spec)
 {
     fleet::WorkerEndpoint ep;
     if (spec.rfind("port:", 0) == 0) {
+        const std::string digits = spec.substr(5);
+        // Whole token digits only: strtoul alone would dial
+        // "port:12abc" as port 12.
+        const bool numeric =
+            !digits.empty() &&
+            digits.find_first_not_of("0123456789") == std::string::npos;
         const unsigned long port =
-            std::strtoul(spec.c_str() + 5, nullptr, 10);
+            numeric ? std::strtoul(digits.c_str(), nullptr, 10) : 0;
         if (port == 0 || port > 65535)
             fatal("kfleetd: bad worker endpoint '%s'", spec.c_str());
         ep.port = std::uint16_t(port);
@@ -173,10 +161,6 @@ main(int argc, char **argv)
         opts.add<unsigned>("worker-threads", 1u,
                            "threads= for each spawned worker")
             .range(1u, 1024u);
-    auto &workerArgs = opts.add(
-        "worker-args", "",
-        "comma-separated extra flags for each spawned worker "
-        "(e.g. debug-job-delay-ms=500 to inject stragglers)");
     auto &slotsPerWorker =
         opts.add<unsigned>("slots-per-worker", 2u,
                            "concurrent shard dispatches per worker")
@@ -219,14 +203,13 @@ main(int argc, char **argv)
     Server server(sopt);
 
     fleet::FleetOptions fopt;
-    for (const std::string &spec : splitList(workers.value()))
+    for (const std::string &spec : splitNameList(workers.value()))
         fopt.workers.push_back(parseEndpoint(spec));
     fopt.spawnWorkers = spawnWorkers.value();
     fopt.workerBin = workerBin.value().empty() ? siblingKserved()
                                                : workerBin.value();
     fopt.spawnDir = spawnDir.value();
     fopt.workerThreads = workerThreads.value();
-    fopt.workerExtraArgs = splitList(workerArgs.value());
     fopt.slotsPerWorker = slotsPerWorker.value();
     fopt.hedgeSeconds = double(hedgeMs.value()) / 1000.0;
     fopt.connectTimeoutSeconds =

@@ -49,7 +49,7 @@ struct ConnectOptions
 /**
  * A "submit" frame for @p options (the wire form
  * encodeSweepOptions() in bench/sweep.hh produces): the one request
- * envelope kcli, kload, the fleet's shard dispatch and the
+ * envelope kcli, the fleet's shard dispatch and the
  * fig4_performance `server=` mode share.
  */
 Json submitFrame(Json options, int priority = 0, bool stream = true);

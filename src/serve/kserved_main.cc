@@ -70,11 +70,9 @@ main(int argc, char **argv)
     auto &debugJobDelayMs =
         opts.add<std::uint64_t>(
                 "debug-job-delay-ms", std::uint64_t{0},
-                "testing/benchmark hook: sleep this long "
-                "(cancellably) before running each admitted job — "
-                "injects deterministic stragglers for fleet hedging "
-                "tests and emulates a fixed service time for load "
-                "runs")
+                "testing hook: sleep this long (cancellably) "
+                "before running each admitted job — injects "
+                "deterministic stragglers for fleet hedging tests")
             .range(std::uint64_t{0}, std::uint64_t{600000});
     auto &maxQueue =
         opts.add<unsigned>("max-queue", 64u,

@@ -266,9 +266,14 @@ Server::~Server()
 bool
 Server::start(std::string *err)
 {
+    bool socketBound = false;
     const auto fail = [&](const std::string &what) {
         if (err)
             *err = what + ": " + std::strerror(errno);
+        // waitDone() skips cleanupAfterJoin() for a server that never
+        // started, so the socket file this call bound goes here.
+        if (socketBound)
+            ::unlink(opt.socketPath.c_str());
         if (listenFd >= 0) {
             ::close(listenFd);
             listenFd = -1;
@@ -305,6 +310,7 @@ Server::start(std::string *err)
         if (::bind(listenFd, reinterpret_cast<sockaddr *>(&addr),
                    sizeof(addr)) != 0)
             return fail("bind " + opt.socketPath);
+        socketBound = true;
     } else {
         listenFd = ::socket(AF_INET, SOCK_STREAM, 0);
         if (listenFd < 0)

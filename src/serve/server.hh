@@ -125,12 +125,9 @@ struct ServerOptions
     /** Jobs slower than this get a structured warn() line with their
      *  stage breakdown and cache key; 0 disables. */
     double slowJobSeconds = 0.0;
-    /**
-     * Testing/benchmark hook: every admitted job sleeps this long
-     * (cancellably) before running. Injects deterministic straggler
-     * behaviour for the fleet hedging tests and emulates a fixed
-     * service time for kload scaling runs on core-starved hosts.
-     */
+    /** Testing hook: every admitted job sleeps this long
+     *  (cancellably) before running, which injects deterministic
+     *  stragglers for the fleet hedging tests. */
     double debugJobDelaySeconds = 0.0;
     /** Fleet backend; see FleetRunner. Unset = run sweeps locally. */
     FleetRunner fleetRunner;

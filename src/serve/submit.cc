@@ -1,5 +1,7 @@
 #include "serve/submit.hh"
 
+#include <cmath>
+
 #include "common/build_info.hh"
 #include "replay/session.hh"
 
@@ -56,12 +58,12 @@ parseSubmit(const Json &req, SubmitRequest &out, std::string &err)
             }
             out.replayRec = std::move(rec);
         } else if (key == "priority") {
-            if (!value.isNumber() || !(value.asDouble() >= -1000) ||
-                !(value.asDouble() <= 1000)) {
-                err = "\"priority\" must be in [-1000, 1000]";
+            const double d = value.isNumber() ? value.asDouble() : NAN;
+            if (!(d >= -1000) || !(d <= 1000) || d != std::floor(d)) {
+                err = "\"priority\" must be an integer in [-1000, 1000]";
                 return false;
             }
-            out.priority = int(value.asDouble());
+            out.priority = int(d);
         } else if (key == "stream") {
             if (value.kind() != Json::Kind::Bool) {
                 err = "\"stream\" must be a boolean";

@@ -8,13 +8,15 @@
  * isolation: bit-identical shard merging against a direct in-process
  * sweep, peer fetch of a shard recurring on a different worker,
  * hedged re-dispatch away from an injected straggler, worker-side
- * cache hits on repeat campaigns, and the dispatch-accounting
- * invariant (dispatched == completed + cancelled) after each.
+ * cache hits on repeat campaigns, concurrent clients through a
+ * kfleetd-style front end, and the dispatch-accounting invariant
+ * (dispatched == completed + cancelled) after each.
  */
 
 #include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -22,9 +24,11 @@
 
 #include "bench/sweep.hh"
 #include "common/json.hh"
+#include "common/log.hh"
 #include "fleet/coordinator.hh"
 #include "metrics/metrics.hh"
 #include "runner/thread_pool.hh"
+#include "serve/client/client.hh"
 #include "serve/server.hh"
 #include "serve/submit.hh"
 
@@ -84,12 +88,13 @@ struct TestFleet
  *  pinned seed — the same resolution path the daemon uses. */
 serve::SubmitRequest
 campaignFor(const std::string &workloads, double scale = 0.003,
-            const std::string &schemes = "DECTED")
+            const std::string &schemes = "DECTED",
+            std::uint64_t seed = 42)
 {
     Json options = Json::object();
     options.set("scale", Json::number(scale));
     options.set("warmup", Json::number(std::uint64_t{0}));
-    options.set("seed", Json::number(std::uint64_t{42}));
+    options.set("seed", Json::number(seed));
     options.set("workloads", Json::string(workloads));
     options.set("schemes", Json::string(schemes));
     Json req = Json::object();
@@ -282,6 +287,124 @@ TEST(Fleet, RepeatCampaignHitsTheWorkerCache)
     const Json stats = fleet.coord->statsJson();
     EXPECT_EQ(stats.at("peer_fetches").asInt(), 0);
     expectLedger(*fleet.coord, 2, 2, 0);
+}
+
+TEST(Fleet, ConcurrentClientsThroughTheFrontEndGetExactResults)
+{
+    // Hedging off: every fresh campaign is exactly one dispatch, so
+    // the ledger below is exact however slow the build is.
+    FleetOptions fopt;
+    fopt.hedgeSeconds = 0;
+    TestFleet fleet(2, std::move(fopt));
+
+    // The kfleetd front end: a Server whose submits run through the
+    // coordinator and whose result cache answers repeats.
+    serve::ServerOptions feOpt;
+    feOpt.port = 0;
+    feOpt.threads = 4;
+    feOpt.warmStoreMb = 0;
+    serve::Server frontEnd(feOpt);
+    Coordinator &coord = *fleet.coord;
+    frontEnd.setFleetBackend(
+        [&coord](std::uint64_t id, const serve::SubmitRequest &req,
+                 const CancelToken &cancel,
+                 const serve::FleetProgressFn &progress,
+                 Json *attribution) {
+            return coord.runCampaign(id, req, cancel, progress,
+                                     attribution);
+        },
+        [&coord](std::uint64_t id) { return coord.statusJson(id); },
+        [&coord] { return coord.statsJson(); });
+    std::string err;
+    ASSERT_TRUE(frontEnd.start(&err)) << err;
+    ScopedLogCapture quiet;
+
+    const auto frameFor = [](std::uint64_t seed) {
+        return serve::submitFrame(
+            encodeSweepOptions(
+                campaignFor("xsbench", 0.003, "DECTED", seed).sopt),
+            0, false);
+    };
+    const auto submit = [&](serve::Client &client, std::uint64_t seed,
+                            Json &terminal) {
+        std::string why;
+        if (!client.submit(frameFor(seed), terminal, {}, &why))
+            terminal = Json::string("transport: " + why);
+    };
+
+    // Pre-warm two seeds; their replies fill the front-end cache.
+    const std::vector<std::uint64_t> warmSeeds = {11, 12};
+    std::vector<Json> fills(warmSeeds.size());
+    {
+        serve::Client client;
+        ASSERT_TRUE(client.connectTcp(frontEnd.boundPort(), &err))
+            << err;
+        for (std::size_t i = 0; i < warmSeeds.size(); ++i) {
+            submit(client, warmSeeds[i], fills[i]);
+            ASSERT_EQ(fills[i].kind(), Json::Kind::Object)
+                << fills[i].toString(0);
+            ASSERT_EQ(fills[i].at("outcome").asString(), "done");
+        }
+    }
+
+    // 12 jobs from 4 clients: even jobs are hits on the warm seeds,
+    // odd jobs never-seen seeds the fleet must compute.
+    constexpr unsigned kJobs = 12;
+    const auto seedOf = [&](unsigned i) {
+        return i % 2 == 0 ? warmSeeds[(i / 2) % warmSeeds.size()]
+                          : std::uint64_t{100 + i};
+    };
+    std::vector<Json> replies(kJobs);
+    std::atomic<unsigned> next{0};
+    std::vector<std::thread> clients;
+    for (unsigned c = 0; c < 4; ++c) {
+        clients.emplace_back([&] {
+            serve::Client client;
+            if (!client.connectTcp(frontEnd.boundPort()))
+                return;
+            for (unsigned i = next.fetch_add(1); i < kJobs;
+                 i = next.fetch_add(1))
+                submit(client, seedOf(i), replies[i]);
+        });
+    }
+    for (std::thread &t : clients)
+        t.join();
+
+    unsigned computed = 0;
+    for (unsigned i = 0; i < kJobs; ++i) {
+        SCOPED_TRACE("job " + std::to_string(i));
+        const Json &reply = replies[i];
+        ASSERT_EQ(reply.kind(), Json::Kind::Object)
+            << reply.toString(0);
+        ASSERT_EQ(reply.at("type").asString(), "result");
+        ASSERT_EQ(reply.at("outcome").asString(), "done");
+        if (i % 2 == 0) {
+            // A hit is the stored bytes of the reply that filled it.
+            EXPECT_TRUE(reply.at("cached").asBool());
+            EXPECT_EQ(reply.at("result").toString(0),
+                      fills[(i / 2) % warmSeeds.size()]
+                          .at("result")
+                          .toString(0));
+            continue;
+        }
+        EXPECT_FALSE(reply.at("cached").asBool());
+        ++computed;
+        const SweepOptions sopt =
+            campaignFor("xsbench", 0.003, "DECTED", seedOf(i)).sopt;
+        const Json direct =
+            sweepToJson(sopt, runEvaluationSweep(sopt));
+        EXPECT_EQ(reply.at("result").at("workloads").toString(0),
+                  direct.at("workloads").toString(0));
+        EXPECT_EQ(reply.at("result").at("sweep").toString(0),
+                  direct.at("sweep").toString(0));
+    }
+    EXPECT_EQ(computed, kJobs / 2);
+
+    frontEnd.stop();
+    // One single-shard dispatch per computed campaign (the two fills
+    // and the fresh seeds); hits never reach the coordinator.
+    const std::int64_t shards = warmSeeds.size() + computed;
+    expectLedger(coord, shards, shards, 0);
 }
 
 TEST(Fleet, StartFailsWhenAWorkerIsUnreachable)

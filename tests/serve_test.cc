@@ -825,6 +825,39 @@ TEST(ServeIntegration, BadRequestGetsErrorAndServerKeepsServing)
     lo.server.stop();
 }
 
+TEST(ServeIntegration, SubmitPriorityMustBeAnIntegerInRange)
+{
+    const auto submitWith = [](double priority) {
+        Json frame = Json::object();
+        frame.set("type", Json::string("submit"));
+        frame.set("priority", Json::number(priority));
+        return frame;
+    };
+    for (const double p : {-1000.0, 0.0, 1000.0}) {
+        SubmitRequest req;
+        std::string err;
+        EXPECT_TRUE(parseSubmit(submitWith(p), req, err))
+            << p << ": " << err;
+        EXPECT_EQ(req.priority, int(p));
+    }
+    // A fractional priority is refused, not truncated.
+    for (const double p : {2.5, 1000.5, -0.5, 1001.0}) {
+        SubmitRequest req;
+        std::string err;
+        EXPECT_FALSE(parseSubmit(submitWith(p), req, err)) << p;
+        EXPECT_NE(err.find("\"priority\""), std::string::npos) << err;
+    }
+
+    // Over the wire the rejection is a bad_request frame.
+    Loopback lo;
+    ASSERT_TRUE(lo.client.send(submitWith(2.5)));
+    Json frame;
+    ASSERT_TRUE(lo.client.recv(frame));
+    EXPECT_EQ(frame.at("type").asString(), "error");
+    EXPECT_EQ(frame.at("code").asString(), "bad_request");
+    lo.server.stop();
+}
+
 TEST(ServeIntegration, DrainRequestAcksFlushesAndCloses)
 {
     ServerOptions so;
@@ -847,6 +880,38 @@ TEST(ServeIntegration, DrainRequestAcksFlushesAndCloses)
     server.waitDone();
     EXPECT_NE(::access(so.socketPath.c_str(), F_OK), 0)
         << "socket not unlinked after drain";
+}
+
+TEST(ServeIntegration, FailedStartRemovesTheSocketItBound)
+{
+    // Hold a loopback port so the metrics bind fails after the Unix
+    // socket is already bound.
+    const int holder = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(holder, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = 0;
+    ASSERT_EQ(::bind(holder, reinterpret_cast<sockaddr *>(&addr),
+                     sizeof(addr)),
+              0);
+    ASSERT_EQ(::listen(holder, 1), 0);
+    socklen_t len = sizeof(addr);
+    ASSERT_EQ(::getsockname(holder, reinterpret_cast<sockaddr *>(&addr),
+                            &len),
+              0);
+
+    ServerOptions so;
+    so.socketPath = "serve_test_failed_start.sock";
+    so.metricsHttp = true;
+    so.metricsPort = ntohs(addr.sin_port);
+    Server server(so);
+    std::string err;
+    EXPECT_FALSE(server.start(&err));
+    EXPECT_NE(err.find("bind metrics"), std::string::npos) << err;
+    EXPECT_NE(::access(so.socketPath.c_str(), F_OK), 0)
+        << "failed start left its socket file behind";
+    ::close(holder);
 }
 
 TEST(ServeIntegration, FetchAddressesTheCacheByContentHash)
@@ -1583,8 +1648,9 @@ struct CodecRow
 {
     const char *name;
     std::vector<std::string> args;
-    /** kload can only vary the iid die seed. */
-    bool kloadExpressible;
+    /** The row varies the die only through seed=, so a SweepOptions
+     *  that sets just scenario.seed must canonicalize like it. */
+    bool seedOnlyScenario;
 };
 
 } // namespace
@@ -1651,8 +1717,9 @@ TEST(SweepCodec, EveryProducerRoundTripsToTheSourceCanonicalKey)
                                                 0, false)),
                   canonicalKeyFor(srcShard));
 
-        // kload: the seed rides in an otherwise default scenario.
-        if (row.kloadExpressible) {
+        // A seed-only SweepOptions: scenario.seed alone, in an
+        // otherwise default scenario, keys like the CLI's seed=.
+        if (row.seedOnlyScenario) {
             SweepOptions job;
             job.scale = src.scale;
             job.warmupPasses = src.warmupPasses;
@@ -1721,7 +1788,7 @@ TEST(SweepCodec, CanonicalKeyAndOptionsEchoBytesArePinned)
     EXPECT_EQ(resolvedOptionsJson(req.sopt).toString(0),
               "{" + members + "}");
 
-    // The wire form the shard, kload and server= producers send.
+    // The wire form the shard and server= producers send.
     EXPECT_EQ(encodeSweepOptions(req.sopt).toString(0),
               "{\"scale\":0.02,\"warmup\":0,\"stats_interval\":0,"
               "\"scenario\":{\"format\":\"killi-scenario-v1\","

@@ -284,32 +284,27 @@ L2Cache::allocate(Addr lineAddr)
     // selection until a cleared way accepts the fill; each round
     // invalidates at most one line, so assoc+1 rounds bound the loop.
     for (unsigned attempt = 0; attempt <= geometry.assoc; ++attempt) {
-        // Preferred victim: an invalid, allocatable way with the
-        // highest scheme priority (Killi's b'01 > b'00 > b'10).
-        std::size_t victimId = npos;
+        // One walk over the allocatable ways. Preferred victim: an
+        // invalid way with the highest scheme priority (Killi's
+        // b'01 > b'00 > b'10); failing that, the LRU way.
+        std::size_t invalidId = npos;
         int bestPriority = -1;
+        std::size_t lruId = npos;
         for (unsigned way = 0; way < geometry.assoc; ++way) {
             const std::size_t id = geometry.lineId(set, way);
-            if (!protection.canAllocate(id) || tagWords[id])
+            if (!protection.canAllocate(id))
+                continue;
+            if (lruId == npos || lines[id].lastUse < lines[lruId].lastUse)
+                lruId = id;
+            if (tagWords[id])
                 continue;
             const int prio = protection.allocPriority(id);
             if (prio > bestPriority) {
-                victimId = id;
+                invalidId = id;
                 bestPriority = prio;
             }
         }
-        if (victimId == npos) {
-            // No invalid way: LRU among valid allocatable ways.
-            for (unsigned way = 0; way < geometry.assoc; ++way) {
-                const std::size_t id = geometry.lineId(set, way);
-                if (!protection.canAllocate(id))
-                    continue;
-                if (victimId == npos ||
-                    lines[id].lastUse < lines[victimId].lastUse) {
-                    victimId = id;
-                }
-            }
-        }
+        const std::size_t victimId = invalidId != npos ? invalidId : lruId;
         if (victimId == npos)
             break; // whole set disabled/unprotectable
 

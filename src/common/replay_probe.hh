@@ -49,9 +49,8 @@ class ReplayProbe
     virtual std::uint64_t filterRngDraw(std::uint64_t value) = 0;
 
     /** Called by EventQueue::run() for every popped event, in
-     *  execution order, before the callback runs. */
-    virtual void onEventPop(Tick when, int priority,
-                            std::uint64_t seq) = 0;
+     *  (when, seq) execution order, before the callback runs. */
+    virtual void onEventPop(Tick when, std::uint64_t seq) = 0;
 
     /**
      * Called by TraceSink::record() for every accepted trace event.
@@ -83,14 +82,17 @@ replayProbe()
     return detail::tlsReplayProbe;
 }
 
-/** Install @p probe on this thread (nullptr uninstalls). */
+/** Install @p probe on this thread (nullptr uninstalls). Install
+ *  around a run, never from inside an event handler: EventQueue::run()
+ *  reads the probe once, on entry. */
 inline void
 setReplayProbe(ReplayProbe *probe)
 {
     detail::tlsReplayProbe = probe;
 }
 
-/** RAII probe installation around one run. */
+/** RAII probe installation around one run (as setReplayProbe(): not
+ *  from inside an event handler). */
 class ScopedReplayProbe
 {
   public:

@@ -101,7 +101,7 @@ renderPop(const Recording &r, std::uint64_t i)
                " pops)";
     const EventPop &p = r.pops[i];
     std::ostringstream os;
-    os << "(" << p.when << ", " << p.priority << ", " << p.seq << ")";
+    os << "(" << p.when << ", " << p.seq << ")";
     return os.str();
 }
 

@@ -61,22 +61,6 @@ parseU64(const Json &v, std::uint64_t &out, std::string &err,
 }
 
 bool
-parseI32(const Json &v, int &out, std::string &err, const char *what)
-{
-    if (!v.isNumber()) {
-        err = std::string(what) + ": expected a number";
-        return false;
-    }
-    const double d = v.asDouble();
-    if (d != std::floor(d) || d < -2147483648.0 || d > 2147483647.0) {
-        err = std::string(what) + ": out of int range";
-        return false;
-    }
-    out = int(d);
-    return true;
-}
-
-bool
 parseStringArray(const Json &v, std::vector<std::string> &out,
                  std::string &err, const char *what)
 {
@@ -165,7 +149,7 @@ Recording::digestOf(const EventPop &p)
 {
     std::uint64_t h = kFnvOffset;
     h = mix64(h, p.when);
-    h = mix64(h, std::uint64_t(std::int64_t(p.priority)));
+    h = mix64(h, 0); // v1's priority column, always 0
     h = mix64(h, p.seq);
     return h;
 }
@@ -250,7 +234,7 @@ Recording::toJson() const
     for (const EventPop &p : pops) {
         Json e = Json::array();
         e.push(Json::number(std::uint64_t(p.when)));
-        e.push(Json::number(std::int64_t(p.priority)));
+        e.push(Json::number(std::uint64_t(0))); // v1 priority column
         e.push(Json::number(p.seq));
         popArr.push(std::move(e));
     }
@@ -382,14 +366,16 @@ Recording::tryFromJson(const Json &doc, Recording &out,
     for (std::size_t i = 0; i < popArr.size(); ++i) {
         const Json &e = popArr.at(i);
         if (e.kind() != Json::Kind::Array || e.size() != 3)
-            return fail("pop entries must be [when, priority, seq]");
+            return fail("pop entries must be [when, 0, seq]");
         EventPop p;
         std::uint64_t when = 0;
+        std::uint64_t zero = 0;
         if (!parseU64(e.at(std::size_t(0)), when, err, "pop when") ||
-            !parseI32(e.at(std::size_t(1)), p.priority, err,
-                      "pop priority") ||
+            !parseU64(e.at(std::size_t(1)), zero, err, "pop priority") ||
             !parseU64(e.at(std::size_t(2)), p.seq, err, "pop seq"))
             return fail(err);
+        if (zero != 0)
+            return fail("pop priority: the v1 column must be 0");
         p.when = Tick(when);
         out.pops.push_back(p);
     }

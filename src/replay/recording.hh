@@ -62,11 +62,11 @@ struct RngSegment
     std::uint64_t digest = 0;
 };
 
-/** One event-queue pop decision, in execution order. */
+/** One event-queue pop decision, in execution order. On disk a pop
+ *  is [when, 0, seq]: v1 keeps a middle column that is always 0. */
 struct EventPop
 {
     Tick when = 0;
-    int priority = 0;
     std::uint64_t seq = 0;
 };
 

@@ -21,6 +21,13 @@ hex64(std::uint64_t v)
     return os.str();
 }
 
+/** A pop as divergence text: "(when, seq)". */
+std::string
+popText(Tick when, std::uint64_t seq)
+{
+    return "(" + std::to_string(when) + ", " + std::to_string(seq) + ")";
+}
+
 /**
  * The canonical result text the bit-identity contract covers: the
  * sweep document minus the campaign report, whose wall-clock
@@ -126,9 +133,9 @@ Recorder::filterRngDraw(std::uint64_t value)
 }
 
 void
-Recorder::onEventPop(Tick when, int priority, std::uint64_t seq)
+Recorder::onEventPop(Tick when, std::uint64_t seq)
 {
-    rec.pops.push_back(EventPop{when, priority, seq});
+    rec.pops.push_back(EventPop{when, seq});
     ++popCount;
 }
 
@@ -236,7 +243,7 @@ Replayer::compareSegment(const PendingSegment &seg)
 }
 
 void
-Replayer::onEventPop(Tick when, int priority, std::uint64_t seq)
+Replayer::onEventPop(Tick when, std::uint64_t seq)
 {
     const std::uint64_t i = popIdx++;
     ++popCount;
@@ -247,25 +254,19 @@ Replayer::onEventPop(Tick when, int priority, std::uint64_t seq)
         d.tick = when;
         d.seq = seq;
         d.expected = "(end of recorded pop stream)";
-        d.actual = "(" + std::to_string(when) + ", " +
-                   std::to_string(priority) + ", " +
-                   std::to_string(seq) + ")";
+        d.actual = popText(when, seq);
         flag(std::move(d));
         return;
     }
     const EventPop &e = rec.pops[i];
-    if (e.when != when || e.priority != priority || e.seq != seq) {
+    if (e.when != when || e.seq != seq) {
         Divergence d;
         d.stream = "pop";
         d.index = i;
         d.tick = e.when;
         d.seq = e.seq;
-        d.expected = "(" + std::to_string(e.when) + ", " +
-                     std::to_string(e.priority) + ", " +
-                     std::to_string(e.seq) + ")";
-        d.actual = "(" + std::to_string(when) + ", " +
-                   std::to_string(priority) + ", " +
-                   std::to_string(seq) + ")";
+        d.expected = popText(e.when, e.seq);
+        d.actual = popText(when, seq);
         flag(std::move(d));
     }
 }

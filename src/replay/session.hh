@@ -83,8 +83,7 @@ class Recorder : public ReplayProbe
     explicit Recorder(std::string tool);
 
     std::uint64_t filterRngDraw(std::uint64_t value) override;
-    void onEventPop(Tick when, int priority,
-                    std::uint64_t seq) override;
+    void onEventPop(Tick when, std::uint64_t seq) override;
     void onTraceRecord(Tick tick, std::uint32_t cat, const char *name,
                        std::uint64_t argDigest) override;
 
@@ -121,8 +120,7 @@ class Replayer : public ReplayProbe
     explicit Replayer(const Recording &recording);
 
     std::uint64_t filterRngDraw(std::uint64_t value) override;
-    void onEventPop(Tick when, int priority,
-                    std::uint64_t seq) override;
+    void onEventPop(Tick when, std::uint64_t seq) override;
     void onTraceRecord(Tick tick, std::uint32_t cat, const char *name,
                        std::uint64_t argDigest) override;
 

@@ -11,18 +11,17 @@ namespace killi
 
 void
 EventQueue::schedule(Tick when, Handler handler, void *target,
-                     std::uint64_t arg0, std::uint64_t arg1, int priority)
+                     std::uint64_t arg0, std::uint64_t arg1)
 {
     if (when < now)
         panic("EventQueue: scheduling into the past (%llu < %llu)",
               static_cast<unsigned long long>(when),
               static_cast<unsigned long long>(now));
-    KTRACE(trace, now, TraceCat::Sim, "sim.schedule", {"when", when},
-           {"priority", priority});
-    const Event ev{when, priority, seqCounter++, handler, target, arg0,
-                   arg1};
-    if (priority != 0 || when - now >= kWheelSpan) {
-        heap.push(ev);
+    KTRACE(trace, now, TraceCat::Sim, "sim.schedule", {"when", when});
+    const Event ev{when, seqCounter++, handler, target, arg0, arg1};
+    if (when - now >= kWheelSpan) {
+        heap.push_back(ev);
+        std::push_heap(heap.begin(), heap.end(), Later{});
         return;
     }
     const std::size_t slot = when % kWheelSpan;
@@ -59,15 +58,16 @@ EventQueue::setPeriodic(Tick interval, std::function<void()> cb)
 bool
 EventQueue::run(Tick limit)
 {
+    ReplayProbe *const probe = replayProbe();
     while (wheelSize || !heap.empty()) {
         // The next event is the lesser of the two sources' heads.
         const std::size_t slot = wheelSize ? firstSlot() : 0;
         Bucket &bucket = wheel[slot];
         const bool fromHeap =
             !heap.empty() &&
-            (!wheelSize || Later{}(bucket.events[bucket.head], heap.top()));
+            (!wheelSize || Later{}(bucket.events[bucket.head], heap.front()));
         const Event &next =
-            fromHeap ? heap.top() : bucket.events[bucket.head];
+            fromHeap ? heap.front() : bucket.events[bucket.head];
         const Tick nextEvent = next.when;
         if (periodicCb && nextPeriodic <= nextEvent &&
             nextPeriodic <= limit) {
@@ -86,7 +86,8 @@ EventQueue::run(Tick limit)
         // schedule further events safely.
         const Event ev = next;
         if (fromHeap) {
-            heap.pop();
+            std::pop_heap(heap.begin(), heap.end(), Later{});
+            heap.pop_back();
         } else {
             if (++bucket.head == bucket.events.size()) {
                 bucket.events.clear();
@@ -96,30 +97,23 @@ EventQueue::run(Tick limit)
             --wheelSize;
         }
         // The determinism contract (see the header): pops are
-        // strictly increasing in (when, priority, seq). Checked
-        // unconditionally — assert() is dead under the default
-        // RelWithDebInfo NDEBUG build, and a violation here would be
-        // a silent nondeterminism source that record-replay would
-        // then faithfully reproduce instead of exposing. Three
-        // integer compares per event, branch never taken.
-        if (executed > 0 &&
-            (ev.when < lastPop.when ||
-             (ev.when == lastPop.when &&
-              (ev.priority < lastPop.priority ||
-               (ev.priority == lastPop.priority &&
-                ev.seq <= lastPop.seq))))) {
-            panic("EventQueue: pop order violated: (%llu, %d, %llu) "
-                  "after (%llu, %d, %llu)",
+        // strictly increasing in (when, seq). Checked unconditionally
+        // — assert() is dead under the default RelWithDebInfo NDEBUG
+        // build, and a violation here would be a silent
+        // nondeterminism source that record-replay would then
+        // faithfully reproduce instead of exposing. One Later
+        // compare per event, branch never taken.
+        if (executed > 0 && !Later{}(ev, lastPop)) {
+            panic("EventQueue: pop order violated: (%llu, %llu) "
+                  "after (%llu, %llu)",
                   static_cast<unsigned long long>(ev.when),
-                  ev.priority,
                   static_cast<unsigned long long>(ev.seq),
                   static_cast<unsigned long long>(lastPop.when),
-                  lastPop.priority,
                   static_cast<unsigned long long>(lastPop.seq));
         }
-        lastPop = {ev.when, ev.priority, ev.seq};
-        if (ReplayProbe *probe = replayProbe()) [[unlikely]]
-            probe->onEventPop(ev.when, ev.priority, ev.seq);
+        lastPop = ev;
+        if (probe) [[unlikely]]
+            probe->onEventPop(ev.when, ev.seq);
         now = ev.when;
         ++executed;
         ev.handler(ev.target, ev.arg0, ev.arg1);

@@ -1,40 +1,38 @@
 /**
  * @file
  * A minimal discrete-event simulation kernel in the style of gem5's
- * event queue: events are (tick, priority, insertion-order)-ordered
- * typed records.
+ * event queue: events are (tick, insertion-order)-ordered typed
+ * records.
  *
  * An event is plain data — a handler function pointer, the object it
  * acts on, and two 64-bit payload words — so scheduling and pops
- * copy 56 bytes and, once the queue's storage has grown to the
+ * copy 48 bytes and, once the queue's storage has grown to the
  * run's peak, allocate nothing. Producers name a member
  * function taking one or two 64-bit words and the kernel adapts it:
  * schedule<&T::m>(when, obj, a, b) runs obj->m(a, b) at @p when.
  *
  * Storage is a timing wheel plus an overflow heap. The wheel is a
  * ring of kWheelSpan per-tick FIFO buckets with an occupancy bitmap;
- * a priority-0 event fewer than kWheelSpan ticks ahead is appended
- * to its tick's bucket in O(1), and the next non-empty bucket is one
+ * an event fewer than kWheelSpan ticks ahead is appended to its
+ * tick's bucket in O(1), and the next non-empty bucket is one
  * count-trailing-zeros away. The simulator's tag, crossbar, L1 and
  * DRAM delays keep nearly every event there (the longest gap in a
- * fig4 campaign is 421 ticks). Every other event (further ahead, or
- * with a non-zero priority) goes to a (when, priority, seq)-ordered
- * binary heap.
+ * fig4 campaign is 421 ticks). An event kWheelSpan or more ticks
+ * ahead goes to a (when, seq)-ordered binary heap.
  *
  * Determinism contract: events pop in strictly increasing
- * (when, priority, seq) lexicographic order — same-tick events run
- * in ascending priority, and same-tick same-priority events run in
+ * (when, seq) lexicographic order — same-tick events run in
  * insertion (seq) order, *regardless of storage internals*. Each
  * source is already sorted under that order: the heap's comparator
- * orders all three fields and seq is unique per event, and a wheel
- * bucket holds one tick's priority-0 events in seq order (all
- * pending wheel events lie in [now, now + kWheelSpan), so distinct
- * ticks never share a bucket). run() pops the lesser of the two
- * heads, so the merge is exact and nothing migrates between them.
- * run() enforces the contract with an always-on check (it is the
- * foundation the record-replay layer in src/replay verifies runs
- * against). An installed ReplayProbe (common/replay_probe.hh)
- * observes every pop.
+ * orders both fields and seq is unique per event, and a wheel bucket
+ * holds one tick's events in seq order (all pending wheel events lie
+ * in [now, now + kWheelSpan), so distinct ticks never share a
+ * bucket). run() pops the lesser of the two heads, so the merge is
+ * exact and nothing migrates between them. run() enforces the
+ * contract with an always-on check (it is the foundation the
+ * record-replay layer in src/replay verifies runs against). A
+ * ReplayProbe (common/replay_probe.hh) installed when run() starts
+ * observes every pop of that run.
  */
 
 #ifndef KILLI_SIM_EVENT_QUEUE_HH
@@ -43,7 +41,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <type_traits>
 #include <vector>
 
@@ -62,11 +59,10 @@ class EventQueue
                              std::uint64_t arg1);
 
     /** One scheduled event: trivially copyable, ordered by
-     *  (when, priority, seq). */
+     *  (when, seq). */
     struct Event
     {
         Tick when;
-        int priority;
         std::uint64_t seq;
         Handler handler;
         void *target;
@@ -83,37 +79,34 @@ class EventQueue
     /** True iff no events are pending. */
     bool empty() const { return wheelSize == 0 && heap.empty(); }
 
-    /** Ticks the wheel covers: a priority-0 event scheduled fewer
-     *  than this many ticks ahead goes to the wheel, any other event
-     *  to the overflow heap. */
+    /** Ticks the wheel covers: an event scheduled fewer than this
+     *  many ticks ahead goes to the wheel, any other event to the
+     *  overflow heap. */
     static constexpr Tick kWheelSpan = 512;
 
     /**
      * Schedule handler(target, arg0, arg1) at absolute time @p when
-     * (>= curTick()). Lower @p priority runs earlier within a tick.
+     * (>= curTick()). Same-tick events run in scheduling order.
      */
     void schedule(Tick when, Handler handler, void *target,
-                  std::uint64_t arg0 = 0, std::uint64_t arg1 = 0,
-                  int priority = 0);
+                  std::uint64_t arg0 = 0, std::uint64_t arg1 = 0);
 
     /** Schedule target->Method(arg0, arg1) at absolute time @p when. */
     template <auto Method, class T>
     void
     schedule(Tick when, T *target, std::uint64_t arg0 = 0,
-             std::uint64_t arg1 = 0, int priority = 0)
+             std::uint64_t arg1 = 0)
     {
-        schedule(when, &invoke<Method, T>, target, arg0, arg1,
-                 priority);
+        schedule(when, &invoke<Method, T>, target, arg0, arg1);
     }
 
     /** Schedule target->Method(arg0, arg1) @p delta ticks from now. */
     template <auto Method, class T>
     void
     scheduleIn(Tick delta, T *target, std::uint64_t arg0 = 0,
-               std::uint64_t arg1 = 0, int priority = 0)
+               std::uint64_t arg1 = 0)
     {
-        schedule(now + delta, &invoke<Method, T>, target, arg0, arg1,
-                 priority);
+        schedule(now + delta, &invoke<Method, T>, target, arg0, arg1);
     }
 
     /**
@@ -134,7 +127,8 @@ class EventQueue
     /** Run events until the queue drains or @p limit is reached.
      *  Returns true if the queue drained; otherwise curTick() is
      *  max(curTick(), limit), as simulated time never runs
-     *  backwards. */
+     *  backwards. The thread's ReplayProbe is read once, on entry:
+     *  install one around a run, never from inside a handler. */
     bool run(Tick limit = kMaxTick);
 
   private:
@@ -152,26 +146,14 @@ class EventQueue
             (self->*Method)(arg0);
     }
 
+    /** The pop order: true iff @p a pops after @p b. */
     struct Later
     {
         bool
         operator()(const Event &a, const Event &b) const
         {
-            if (a.when != b.when)
-                return a.when > b.when;
-            if (a.priority != b.priority)
-                return a.priority > b.priority;
-            return a.seq > b.seq;
+            return a.when != b.when ? a.when > b.when : a.seq > b.seq;
         }
-    };
-
-    /** The last popped (when, priority, seq), for the pop-order
-     *  determinism check in run(). */
-    struct PopOrder
-    {
-        Tick when = 0;
-        int priority = 0;
-        std::uint64_t seq = 0;
     };
 
     static constexpr std::size_t kWheelWords = kWheelSpan / 64;
@@ -192,15 +174,17 @@ class EventQueue
     Tick now = 0;
     std::uint64_t seqCounter = 0;
     std::uint64_t executed = 0;
-    PopOrder lastPop;
+    /** The last popped event, for the pop-order check in run(). */
+    Event lastPop{};
     /** Bucket `when % kWheelSpan` holds the wheel events of tick
      *  `when`. */
     std::array<Bucket, kWheelSpan> wheel;
     /** Bit s set iff wheel[s] has pending events. */
     std::array<std::uint64_t, kWheelWords> occupied{};
     std::size_t wheelSize = 0;
-    /** Events past the wheel's span or with a non-zero priority. */
-    std::priority_queue<Event, std::vector<Event>, Later> heap;
+    /** Events past the wheel's span: a binary heap under Later
+     *  (std::push_heap / std::pop_heap), so front() is the earliest. */
+    std::vector<Event> heap;
     Tick periodicInterval = 0;
     Tick nextPeriodic = 0;
     std::function<void()> periodicCb;

@@ -43,6 +43,7 @@ class MockProtection : public ProtectionScheme
     bool
     canAllocate(std::size_t lineId) const override
     {
+        ++canAllocateCalls;
         return allocatable.empty() || allocatable[lineId];
     }
 
@@ -93,6 +94,7 @@ class MockProtection : public ProtectionScheme
     AccessResult nextResult;
     std::vector<bool> allocatable;
     std::vector<int> priorities;
+    mutable unsigned canAllocateCalls = 0;
     unsigned readHits = 0;
     unsigned fills = 0;
     unsigned evicts = 0;
@@ -372,6 +374,29 @@ TEST(L2CacheTest, LruEvictionAcrossWays)
     EXPECT_FALSE(f.l2.isCached(1 * setStride));
     EXPECT_EQ(f.prot.evicts, 1u);
     EXPECT_EQ(f.prot.invalidates, 1u);
+}
+
+TEST(L2CacheTest, NonAllocatableLruWayIsSkippedInOneWalk)
+{
+    L2Fixture f;
+    const CacheGeometry g = tinyGeom();
+    const std::size_t setStride = g.numSets() * g.lineBytes;
+    const std::size_t set = g.setOf(0);
+    // Fill all 4 ways of set 0 (line i lands in way i), then make
+    // the LRU way non-allocatable: a 5th line evicts the next-oldest.
+    for (int i = 0; i < 4; ++i)
+        f.readBlocking(i * setStride);
+    f.prot.allocatable.assign(g.numLines(), true);
+    f.prot.allocatable[g.lineId(set, 0)] = false;
+    f.prot.canAllocateCalls = 0;
+    f.readBlocking(4 * setStride);
+    EXPECT_EQ(f.prot.lastEvictLine, g.lineId(set, 1));
+    EXPECT_TRUE(f.l2.isCached(0));
+    EXPECT_FALSE(f.l2.isCached(1 * setStride));
+    EXPECT_EQ(f.prot.lastFillLine, g.lineId(set, 1));
+    // One call per way in a single walk, plus the re-check of the
+    // victim after its eviction (training may disable it).
+    EXPECT_EQ(f.prot.canAllocateCalls, g.assoc + 1);
 }
 
 TEST(L2CacheTest, ErrorInducedMissRefetches)

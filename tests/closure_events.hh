@@ -22,9 +22,9 @@ namespace killi
 
 static_assert(std::is_trivially_copyable_v<EventQueue::Event>,
               "events are copied by value through the queue");
-static_assert(sizeof(EventQueue::Event) <= 56,
-              "an event is no larger than the std::function one it "
-              "replaced");
+static_assert(sizeof(EventQueue::Event) == 48,
+              "an event is (when, seq), a handler, its target and two "
+              "payload words");
 
 class ClosureEvents
 {
@@ -33,18 +33,17 @@ class ClosureEvents
 
     /** Run @p fn at absolute tick @p when. */
     void
-    schedule(Tick when, std::function<void()> fn, int priority = 0)
+    schedule(Tick when, std::function<void()> fn)
     {
         fns.push_back(std::move(fn));
-        eq.schedule(when, &ClosureEvents::fire, this, fns.size() - 1, 0,
-                    priority);
+        eq.schedule(when, &ClosureEvents::fire, this, fns.size() - 1);
     }
 
     /** Run @p fn @p delta ticks from now. */
     void
-    scheduleIn(Tick delta, std::function<void()> fn, int priority = 0)
+    scheduleIn(Tick delta, std::function<void()> fn)
     {
-        schedule(eq.curTick() + delta, std::move(fn), priority);
+        schedule(eq.curTick() + delta, std::move(fn));
     }
 
   private:

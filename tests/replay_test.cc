@@ -276,7 +276,7 @@ TEST(ReplayBisect, ProbeCountStaysLogarithmic)
         p.seq = i;
         a.pops.push_back(p);
         if (i == 2500)
-            p.priority = 1;
+            ++p.seq;
         b.pops.push_back(p);
     }
     a.resultDigest = b.resultDigest = "same";
@@ -382,12 +382,42 @@ TEST(RecordingFormat, RejectsMalformedDocuments)
     EXPECT_NE(err.find(kRecordingFormat), std::string::npos) << err;
 }
 
+TEST(RecordingFormat, PopsKeepTheV1ZeroColumn)
+{
+    // v1 writes each pop as [when, 0, seq]: the middle column is kept
+    // so older files still load and their checkpoints still verify.
+    const Json doc = recordHarness(0).toJson();
+    Json first = Json::array();
+    first.push(Json::number(std::uint64_t(10)));
+    first.push(Json::number(std::uint64_t(0)));
+    first.push(Json::number(std::uint64_t(0)));
+    ASSERT_EQ(doc.at("pops").size(), std::size_t(kHarnessEvents));
+    EXPECT_EQ(doc.at("pops").at(std::size_t(0)), first);
+    Recording back;
+    std::string err;
+    ASSERT_TRUE(Recording::tryFromJson(doc, back, &err)) << err;
+    EXPECT_EQ(back.toJson().toString(0), doc.toString(0));
+
+    // Any other middle value is rejected, naming the column.
+    Json bad = doc;
+    Json pop = Json::array();
+    pop.push(Json::number(std::uint64_t(5)));
+    pop.push(Json::number(std::uint64_t(1)));
+    pop.push(Json::number(std::uint64_t(3)));
+    Json pops = Json::array();
+    pops.push(std::move(pop));
+    bad.set("pops", std::move(pops));
+    EXPECT_FALSE(Recording::tryFromJson(bad, back, &err));
+    EXPECT_NE(err.find("pop priority"), std::string::npos) << err;
+}
+
 // ---------------------------------------------------------------
 // Sweep record/replay (the fig4 acceptance point)
 // ---------------------------------------------------------------
 
-/** Folds every event-queue pop (when, priority, seq) into FNV-1a;
- *  RNG draws and trace records pass through untouched. */
+/** Folds every event-queue pop into FNV-1a as (when, 0, seq) — the
+ *  0 stands where the pinned digest once mixed a priority that was
+ *  always 0; RNG draws and trace records pass through untouched. */
 class PopDigestProbe : public ReplayProbe
 {
   public:
@@ -397,11 +427,11 @@ class PopDigestProbe : public ReplayProbe
     }
 
     void
-    onEventPop(Tick when, int priority, std::uint64_t seq) override
+    onEventPop(Tick when, std::uint64_t seq) override
     {
         ++pops;
         mix(when);
-        mix(std::uint64_t(std::int64_t(priority)));
+        mix(0);
         mix(seq);
     }
 
@@ -426,7 +456,7 @@ class PopDigestProbe : public ReplayProbe
 
 TEST(ReplaySweep, Seed42PointPopStreamIsPinned)
 {
-    // Literal pop count and (when, priority, seq) digest of one fig4
+    // Literal pop count and (when, seq) digest of one fig4
     // point. The committed recordings log no pops, so this is the
     // artifact that pins the event core's heap order: any change to
     // what is scheduled, when, or in which order moves the digest.
@@ -506,7 +536,7 @@ class SimulatingProbe : public ReplayProbe
     {
         return value;
     }
-    void onEventPop(Tick, int, std::uint64_t) override
+    void onEventPop(Tick, std::uint64_t) override
     {
         simulating.store(true);
     }

@@ -10,8 +10,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -37,60 +35,36 @@ TEST(EventQueueTest, ExecutesInTimeOrder)
     EXPECT_EQ(eq.curTick(), 30u);
 }
 
-TEST(EventQueueTest, TiesBreakByPriorityThenInsertion)
-{
-    EventQueue eq;
-    ClosureEvents ev(eq);
-    std::vector<int> order;
-    ev.schedule(5, [&] { order.push_back(1); }, 0);
-    ev.schedule(5, [&] { order.push_back(2); }, -1); // runs first
-    ev.schedule(5, [&] { order.push_back(3); }, 0);
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{2, 1, 3}));
-}
-
-TEST(EventQueueTest, PopOrderIsTotalOverWhenPrioritySeq)
+TEST(EventQueueTest, PopOrderIsTotalOverWhenSeq)
 {
     // The determinism contract (DESIGN.md): pops are strictly
-    // increasing in (when, priority, seq), regardless of heap
-    // internals or insertion order. Insert a deterministic shuffle
-    // of (tick, priority) pairs and check the exact total order.
+    // increasing in (when, seq), regardless of storage internals or
+    // insertion order. Insert a deterministic shuffle of ticks, half
+    // of them past the wheel's span, and check the exact total order.
     EventQueue eq;
     ClosureEvents ev(eq);
-    struct Popped
-    {
-        Tick when;
-        int priority;
-        std::uint64_t seq;
-    };
-    std::vector<Popped> pops;
+    std::vector<std::pair<Tick, std::uint64_t>> pops;
     std::uint64_t seq = 0;
     // A fixed LCG shuffles insertion without platform randomness.
     std::uint64_t lcg = 12345;
     for (int i = 0; i < 64; ++i) {
         lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-        const Tick when = Tick(10 + (lcg >> 33) % 4);  // 4 tick bins
-        const int priority = int((lcg >> 13) % 3) - 1; // -1, 0, 1
+        // 4 tick bins: two on the wheel, two in the overflow heap.
+        const Tick when =
+            Tick(10 + (lcg >> 33) % 4 * EventQueue::kWheelSpan / 2);
         const std::uint64_t mySeq = seq++;
-        ev.schedule(when, [&pops, &eq, when, priority, mySeq] {
+        ev.schedule(when, [&pops, &eq, when, mySeq] {
             EXPECT_EQ(eq.curTick(), when);
-            pops.push_back({when, priority, mySeq});
-        }, priority);
+            pops.push_back({when, mySeq});
+        });
     }
     eq.run();
     ASSERT_EQ(pops.size(), 64u);
     for (std::size_t i = 1; i < pops.size(); ++i) {
-        const Popped &a = pops[i - 1];
-        const Popped &b = pops[i];
-        const bool increasing =
-            a.when != b.when
-                ? a.when < b.when
-                : a.priority != b.priority ? a.priority < b.priority
-                                           : a.seq < b.seq;
-        EXPECT_TRUE(increasing)
-            << "pop " << i << ": (" << a.when << "," << a.priority
-            << "," << a.seq << ") then (" << b.when << ","
-            << b.priority << "," << b.seq << ")";
+        EXPECT_LT(pops[i - 1], pops[i])
+            << "pop " << i << ": (" << pops[i - 1].first << ","
+            << pops[i - 1].second << ") then (" << pops[i].first << ","
+            << pops[i].second << ")";
     }
 }
 
@@ -184,21 +158,21 @@ TEST(EventQueueTest, SchedulingIntoThePastPanics)
 namespace
 {
 
-/** Captures the queue's own (when, priority, seq) pop stream. */
+/** Captures the queue's own (when, seq) pop stream. */
 struct PopRecorder : ReplayProbe
 {
     std::uint64_t filterRngDraw(std::uint64_t v) override { return v; }
 
     void
-    onEventPop(Tick when, int priority, std::uint64_t seq) override
+    onEventPop(Tick when, std::uint64_t seq) override
     {
-        pops.push_back({when, priority, seq});
+        pops.push_back({when, seq});
     }
 
     void onTraceRecord(Tick, std::uint32_t, const char *,
                        std::uint64_t) override {}
 
-    std::vector<std::tuple<Tick, int, std::uint64_t>> pops;
+    std::vector<std::pair<Tick, std::uint64_t>> pops;
 };
 
 std::uint64_t
@@ -214,8 +188,8 @@ mix(std::uint64_t x)
  * A seeded event script both queues replay: event `id` (which is
  * also its seq, as every schedule goes through the script) has a
  * gap of 0..2000 ticks, biased towards the short gaps the simulator
- * uses and covering the wheel's span edges, a priority in
- * {-1, 0, 1}, and may schedule one child from its handler.
+ * uses and covering the wheel's span edges, and may schedule one
+ * child from its handler.
  */
 struct Script
 {
@@ -237,17 +211,6 @@ struct Script
         }
     }
 
-    /** A child scheduled at its parent's tick may not run before
-     *  the parent (the queue panics on that pop order), so it gets
-     *  at least @p parentPriority. */
-    int
-    priority(std::uint64_t id, int parentPriority) const
-    {
-        const std::uint64_t h = mix(seed ^ (id * 3 + 1));
-        const int p = h % 4 == 0 ? int((h >> 8) % 3) - 1 : 0;
-        return gap(id) == 0 ? std::max(p, parentPriority) : p;
-    }
-
     /** Whether popping event @p id, with @p scheduled events
      *  scheduled so far, schedules a child. */
     bool
@@ -267,44 +230,43 @@ struct ScriptedQueue
     explicit ScriptedQueue(const Script &s) : script(s) {}
 
     void
-    add(Tick base, int parentPriority)
+    add(Tick base)
     {
         const std::uint64_t id = scheduled++;
-        const int priority = script.priority(id, parentPriority);
-        eq.schedule(base + script.gap(id), &ScriptedQueue::fire, this, id,
-                    std::uint64_t(priority), priority);
+        eq.schedule(base + script.gap(id), &ScriptedQueue::fire, this, id);
     }
 
     static void
-    fire(void *self, std::uint64_t id, std::uint64_t priority)
+    fire(void *self, std::uint64_t id, std::uint64_t)
     {
         auto *q = static_cast<ScriptedQueue *>(self);
         if (q->script.spawns(id, q->scheduled))
-            q->add(q->eq.curTick(), int(priority));
+            q->add(q->eq.curTick());
     }
 };
 
-/** The reference: the same Script on a plain std::priority_queue. */
-std::vector<std::tuple<Tick, int, std::uint64_t>>
+/** The reference: the same Script on a plain binary min-heap. */
+std::vector<std::pair<Tick, std::uint64_t>>
 referencePops(const Script &script, std::uint64_t initial)
 {
-    using Key = std::tuple<Tick, int, std::uint64_t>;
-    std::priority_queue<Key, std::vector<Key>, std::greater<Key>> q;
+    using Key = std::pair<Tick, std::uint64_t>;
+    std::vector<Key> q;
     std::uint64_t scheduled = 0;
-    const auto add = [&](Tick base, int parentPriority) {
+    const auto add = [&](Tick base) {
         const std::uint64_t id = scheduled++;
-        q.push({base + script.gap(id), script.priority(id, parentPriority),
-                id});
+        q.push_back({base + script.gap(id), id});
+        std::push_heap(q.begin(), q.end(), std::greater<Key>{});
     };
     for (std::uint64_t i = 0; i < initial; ++i)
-        add(0, -1);
+        add(0);
     std::vector<Key> pops;
     while (!q.empty()) {
-        const Key k = q.top();
-        q.pop();
+        std::pop_heap(q.begin(), q.end(), std::greater<Key>{});
+        const Key k = q.back();
+        q.pop_back();
         pops.push_back(k);
-        if (script.spawns(std::get<2>(k), scheduled))
-            add(std::get<0>(k), std::get<1>(k));
+        if (script.spawns(k.second, scheduled))
+            add(k.first);
     }
     return pops;
 }
@@ -314,16 +276,16 @@ referencePops(const Script &script, std::uint64_t initial)
 TEST(EventWheelTest, PopStreamMatchesAReferenceHeap)
 {
     // Differential check of the wheel + overflow heap against a
-    // plain (when, priority, seq) heap, over thousands of events
-    // with gaps of 0..2000 ticks, all three priorities and events
-    // scheduled from inside handlers. Every third seed drains in
-    // run(limit) slices so runs stop and resume mid-wheel.
+    // plain (when, seq) heap, over thousands of events with gaps of
+    // 0..2000 ticks and events scheduled from inside handlers. Every
+    // third seed drains in run(limit) slices so runs stop and resume
+    // mid-wheel.
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
         const Script script{seed, 6000};
         const std::uint64_t initial = 1500;
         ScriptedQueue sq(script);
         for (std::uint64_t i = 0; i < initial; ++i)
-            sq.add(0, -1);
+            sq.add(0);
         PopRecorder rec;
         {
             const ScopedReplayProbe probe(&rec);
@@ -368,20 +330,6 @@ TEST(EventWheelTest, SpanEdgesMergeBySeqAcrossWheelAndHeap)
     EXPECT_TRUE(eq.run());
     EXPECT_EQ(order, (std::vector<char>{'B', 'A', 'D', 'C', 'E'}));
     EXPECT_EQ(eq.curTick(), 100 + span + 1);
-}
-
-TEST(EventWheelTest, PriorityEventsInterleaveWithSameTickWheelEvents)
-{
-    EventQueue eq;
-    ClosureEvents ev(eq);
-    std::vector<char> order;
-    ev.schedule(10, [&] { order.push_back('x'); });
-    ev.schedule(10, [&] { order.push_back('y'); });
-    ev.schedule(10, [&] { order.push_back('H'); }, 1);
-    ev.schedule(10, [&] { order.push_back('L'); }, -1);
-    ev.schedule(10, [&] { order.push_back('z'); });
-    EXPECT_TRUE(eq.run());
-    EXPECT_EQ(order, (std::vector<char>{'L', 'x', 'y', 'z', 'H'}));
 }
 
 TEST(EventWheelTest, RunLimitStopsMidWheelAndResumes)
@@ -434,10 +382,6 @@ TEST(EventWheelTest, EmptyCoversTheOverflowHeap)
     ClosureEvents ev(eq);
     EXPECT_TRUE(eq.empty());
     ev.schedule(10 * EventQueue::kWheelSpan, [] {}); // past the span
-    EXPECT_FALSE(eq.empty());
-    EXPECT_TRUE(eq.run());
-    EXPECT_TRUE(eq.empty());
-    ev.scheduleIn(1, [] {}, 1); // non-zero priority
     EXPECT_FALSE(eq.empty());
     EXPECT_TRUE(eq.run());
     EXPECT_TRUE(eq.empty());

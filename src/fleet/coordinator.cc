@@ -377,6 +377,16 @@ Coordinator::settleShard(Campaign &camp, Shard &shard,
     return true;
 }
 
+std::size_t
+Coordinator::otherWorker(const Campaign &camp, std::size_t w) const
+{
+    std::size_t target = (w + 1) % endpoints.size();
+    for (std::size_t j = 0; j < endpoints.size(); ++j)
+        if (j != w && camp.queues[j].size() < camp.queues[target].size())
+            target = j;
+    return target;
+}
+
 void
 Coordinator::runDispatch(Campaign &camp, Shard &shard,
                          std::size_t w, bool isHedge,
@@ -398,12 +408,8 @@ Coordinator::runDispatch(Campaign &camp, Shard &shard,
             camp.done.store(true);
             return;
         }
-        std::size_t target = (w + 1) % endpoints.size();
-        for (std::size_t j = 0; j < endpoints.size(); ++j)
-            if (j != w &&
-                camp.queues[j].size() < camp.queues[target].size())
-                target = j;
-        camp.queues[target].push_back(QEntry{shard.idx, isHedge});
+        camp.queues[otherWorker(camp, w)].push_back(
+            QEntry{shard.idx, isHedge});
     };
 
     if (!isHedge && tryPeerFetch(camp, shard, w, progress))
@@ -462,17 +468,9 @@ Coordinator::runDispatch(Campaign &camp, Shard &shard,
                     !shard.hedged.exchange(true)) {
                     std::lock_guard<std::mutex> lock(camp.mtx);
                     if (!shard.settled.load() && !camp.failed) {
-                        std::size_t target =
-                            (w + 1) % endpoints.size();
-                        for (std::size_t j = 0;
-                             j < endpoints.size(); ++j)
-                            if (j != w && camp.queues[j].size() <
-                                              camp.queues[target]
-                                                  .size())
-                                target = j;
                         // Front of the queue: a hedge exists
                         // because the shard is already late.
-                        camp.queues[target].push_front(
+                        camp.queues[otherWorker(camp, w)].push_front(
                             QEntry{shard.idx, true});
                         camp.hedges.fetch_add(1);
                         mHedges->inc();

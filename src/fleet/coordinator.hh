@@ -162,6 +162,10 @@ class Coordinator
     void dispatchLoop(Campaign &camp, std::size_t w,
                       const CancelToken &cancel,
                       const serve::FleetProgressFn &progress);
+    /** Where a retry or hedge of a shard that ran on worker @p w
+     *  goes: the shortest queue other than w's, preferring w + 1 on
+     *  a tie. Caller holds camp.mtx. */
+    std::size_t otherWorker(const Campaign &camp, std::size_t w) const;
     /** Drive one dispatch of @p shard on worker @p w to a terminal
      *  state. */
     void runDispatch(Campaign &camp, Shard &shard, std::size_t w,

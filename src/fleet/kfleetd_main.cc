@@ -8,13 +8,11 @@
  * workers=) through the fleet::Coordinator. See SERVING.md, "Fleet".
  */
 
-#include <csignal>
 #include <cstring>
 
 #include <unistd.h>
 
 #include "bench/sweep.hh"
-#include "common/build_info.hh"
 #include "common/log.hh"
 #include "common/options.hh"
 #include "fleet/coordinator.hh"
@@ -25,15 +23,6 @@ using namespace killi::serve;
 
 namespace
 {
-
-Server *gServer = nullptr;
-
-void
-onSignal(int)
-{
-    if (gServer)
-        gServer->requestDrain();
-}
 
 /** "port:9911" -> TCP endpoint; anything else is a socket path. */
 fleet::WorkerEndpoint
@@ -93,52 +82,11 @@ main(int argc, char **argv)
                  "across a fleet of kserved workers with work "
                  "stealing, hedged retries, and peer-fetched "
                  "results");
-    auto &sockPath =
-        opts.add("socket", "kfleetd.sock",
-                 "unix socket path (empty switches to TCP)");
-    auto &port = opts.add<unsigned>(
-        "port", 0u,
-        "TCP port on 127.0.0.1 when socket= is empty (0 = "
-        "ephemeral, printed at startup)");
-    port.range(0u, 65535u);
-    auto &ioThreads =
-        opts.add<unsigned>("io-threads", 1u,
-                           "reactor (epoll I/O) threads")
-            .range(1u, 64u);
-    auto &threads =
-        opts.add<unsigned>("threads", 4u,
-                           "concurrent campaigns (front-end "
-                           "scheduler workers; each campaign "
-                           "occupies one while its shards run)")
-            .range(1u, 1024u);
-    auto &maxConns =
-        opts.add<unsigned>("max-conns", 0u,
-                           "concurrent-connection bound; accepts "
-                           "beyond it get an \"overloaded\" error "
-                           "frame and are closed (0 = unbounded)")
-            .range(0u, 65536u);
-    auto &maxQueue =
-        opts.add<unsigned>("max-queue", 64u,
-                           "ready-queue bound; submits beyond it "
-                           "are rejected with queue_full")
-            .range(1u, 65536u);
-    auto &cacheEntries =
-        opts.add<unsigned>("cache-entries", 1024u,
-                           "front-end result-cache capacity (LRU "
-                           "evicted); workers keep their own")
-            .range(1u, 1u << 20);
-    auto &metricsPort = opts.add<unsigned>(
-        "metrics-port", 0u,
-        "serve plain-HTTP GET /metrics (Prometheus text) on "
-        "127.0.0.1 at this port when set (0 = ephemeral, printed "
-        "at startup; omit to disable the listener entirely)");
-    metricsPort.range(0u, 65535u);
-    auto &slowJobMs =
-        opts.add<std::uint64_t>(
-                "slow-job-ms", std::uint64_t{60000},
-                "log a structured warn() for campaigns slower than "
-                "this (0 disables)")
-            .range(std::uint64_t{0}, std::uint64_t{86400000});
+    ServerOptions defaults;
+    defaults.socketPath = "kfleetd.sock";
+    defaults.threads = 4;
+    defaults.slowJobSeconds = 60;
+    declareServerOptions(opts, defaults);
 
     auto &workers = opts.add(
         "workers", "",
@@ -185,21 +133,10 @@ main(int argc, char **argv)
             .range(1u, 100u);
     opts.parse(argc, argv);
 
-    ServerOptions sopt;
-    sopt.socketPath = sockPath.value();
-    sopt.port = std::uint16_t(port.value());
-    sopt.threads = threads.value();
-    sopt.ioThreads = ioThreads;
-    sopt.maxQueue = maxQueue;
-    sopt.maxConns = maxConns.value();
-    sopt.cacheEntries = cacheEntries;
+    ServerOptions sopt = serverOptions(opts);
     // The front end never runs sweeps locally (the workers hold the
     // warm stores), so don't build one here.
     sopt.warmStoreMb = 0;
-    sopt.metricsHttp = opts.has("metrics-port");
-    sopt.metricsPort = std::uint16_t(metricsPort.value());
-    sopt.slowJobSeconds = double(slowJobMs.value()) / 1000.0;
-
     Server server(sopt);
 
     fleet::FleetOptions fopt;
@@ -232,28 +169,9 @@ main(int argc, char **argv)
         [&coord](std::uint64_t id) { return coord.statusJson(id); },
         [&coord] { return coord.statsJson(); });
 
-    if (!server.start(&err))
-        fatal("kfleetd: %s", err.c_str());
-
-    gServer = &server;
-    std::signal(SIGINT, onSignal);
-    std::signal(SIGTERM, onSignal);
-
-    if (!sopt.socketPath.empty()) {
-        inform("kfleetd %s: listening on %s (%zu workers)",
-               buildId(), sopt.socketPath.c_str(),
-               coord.workerCount());
-    } else {
-        inform("kfleetd %s: listening on 127.0.0.1:%u (%zu workers)",
-               buildId(), unsigned(server.boundPort()),
-               coord.workerCount());
-    }
-    if (sopt.metricsHttp) {
-        inform("kfleetd: metrics on http://127.0.0.1:%u/metrics",
-               unsigned(server.metricsBoundPort()));
-    }
-
-    server.waitDone();
+    serveUntilDrained(server, "kfleetd",
+                      " (" + std::to_string(coord.workerCount()) +
+                          " workers)");
     coord.shutdownWorkers();
     inform("kfleetd: drained, exiting");
     return 0;

@@ -1,6 +1,5 @@
 #include "runner/runner.hh"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <exception>
@@ -79,7 +78,7 @@ CampaignReport::warnOnFailures() const
             warn("runner: job '%s' failed after %u attempt(s): %s",
                  job.name.c_str(), job.attempts, job.error.c_str());
         } else if (job.outcome == JobOutcome::Skipped) {
-            warn("runner: job '%s' skipped (fail-fast)",
+            warn("runner: job '%s' skipped (cancelled)",
                  job.name.c_str());
         }
     }
@@ -133,21 +132,14 @@ ExperimentRunner::run(const std::vector<Job> &jobs)
     campaign.threads = threads;
     const auto start = std::chrono::steady_clock::now();
 
-    // "Stop issuing new jobs" flag for failFast; already-running
-    // jobs complete normally.
-    std::atomic<bool> stop{false};
-
+    // Once cancelled, jobs not yet started stay Skipped;
+    // already-running jobs complete normally.
     const auto execute = [&](std::size_t index) {
-        if (stop.load(std::memory_order_relaxed) ||
-            (opt.cancel && opt.cancel->cancelled())) {
+        if (opt.cancel && opt.cancel->cancelled()) {
             campaign.jobs[index].name = jobs[index].name;
             return; // remains Skipped
         }
         campaign.jobs[index] = runOne(jobs[index]);
-        if (campaign.jobs[index].outcome == JobOutcome::Failed &&
-            opt.failFast) {
-            stop.store(true, std::memory_order_relaxed);
-        }
     };
 
     if (threads <= 1) {

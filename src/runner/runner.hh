@@ -40,9 +40,6 @@ struct RunnerOptions
     /** Extra attempts after a failure before the job is recorded as
      *  Failed (retries=1 means up to two attempts). */
     unsigned retries = 1;
-    /** Abort the campaign on the first job that exhausts its
-     *  retries; queued jobs are recorded as Skipped. */
-    bool failFast = false;
     /** Per-job progress lines, routed through the thread-safe
      *  logger (warn/inform) so concurrent workers never interleave
      *  characters mid-line. */
@@ -62,7 +59,7 @@ enum class JobOutcome
 {
     Done,    //!< completed (possibly after retries)
     Failed,  //!< exhausted its retry budget
-    Skipped  //!< never ran (failFast stopped the campaign)
+    Skipped  //!< never ran (the campaign was cancelled first)
 };
 
 const char *jobOutcomeName(JobOutcome outcome);
@@ -107,7 +104,8 @@ class ExperimentRunner
 
     /**
      * Execute every job and return the index-aligned report. Blocks
-     * until the campaign is complete (or failFast stopped it).
+     * until every job has run, or been skipped because the
+     * campaign was cancelled.
      */
     CampaignReport run(const std::vector<Job> &jobs);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
+#include <csignal>
 #include <cstring>
 #include <sstream>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "bench/sweep.hh"
 #include "common/build_info.hh"
 #include "common/log.hh"
+#include "common/options.hh"
 #include "fault/fault_model.hh"
 #include "replay/recording.hh"
 #include "replay/session.hh"
@@ -44,6 +46,28 @@ setNonBlocking(int fd)
     const int flags = ::fcntl(fd, F_GETFL, 0);
     return flags >= 0 &&
            ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
+}
+
+/** Bind @p fd to 127.0.0.1:@p port and read back the bound port
+ *  into @p bound; returns the failing step's name, or null. */
+const char *
+bindLoopback(int fd, std::uint16_t port, std::uint16_t &bound)
+{
+    const int one = 1;
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    if (::bind(fd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr)) !=
+        0)
+        return "bind";
+    socklen_t len = sizeof(addr);
+    if (::getsockname(fd, reinterpret_cast<sockaddr *>(&addr), &len) !=
+        0)
+        return "getsockname";
+    bound = ntohs(addr.sin_port);
+    return nullptr;
 }
 
 /** A plausible content hash: 64 lowercase hex digits. Checked before
@@ -206,6 +230,10 @@ Server::registerServerMetrics()
     mHttpRequests =
         &registry.counter("kserved_http_requests_total",
                           "Requests served by the /metrics listener");
+    mWakeups = &registry.counter(
+        "kserved_reactor_wakeups_total",
+        "Reactor wakeups via the wake pipe (worker-enqueued frames "
+        "and drain signals)");
     mFetchHits = &registry.counter(
         "kserved_fetch_hits_total",
         "Fetch frames answered from the result cache by hash");
@@ -238,9 +266,6 @@ Server::registerServerMetrics()
             "Per-stage job lifecycle latency",
             {{"stage", kStageNames[k]}});
     }
-    registry.gauge("kserved_io_reactors",
-                   "Reactor (epoll I/O) threads serving connections")
-        .set(double(std::max(1u, opt.ioThreads)));
     registry.gaugeFn("kserved_connections_active",
                      "Client connections currently open", {}, [this] {
                          return double(activeConns.load(
@@ -274,22 +299,7 @@ Server::start(std::string *err)
         // started, so the socket file this call bound goes here.
         if (socketBound)
             ::unlink(opt.socketPath.c_str());
-        if (listenFd >= 0) {
-            ::close(listenFd);
-            listenFd = -1;
-        }
-        if (metricsFd >= 0) {
-            ::close(metricsFd);
-            metricsFd = -1;
-        }
-        for (const auto &r : reactors) {
-            if (r->epollFd >= 0)
-                ::close(r->epollFd);
-            for (int fd : r->wakeFd)
-                if (fd >= 0)
-                    ::close(fd);
-        }
-        reactors.clear();
+        closeFds();
         return false;
     };
 
@@ -315,23 +325,9 @@ Server::start(std::string *err)
         listenFd = ::socket(AF_INET, SOCK_STREAM, 0);
         if (listenFd < 0)
             return fail("socket");
-        const int one = 1;
-        ::setsockopt(listenFd, SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof(one));
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        addr.sin_port = htons(opt.port);
-        if (::bind(listenFd, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof(addr)) != 0)
-            return fail("bind 127.0.0.1:" + std::to_string(opt.port));
-        sockaddr_in bound{};
-        socklen_t len = sizeof(bound);
-        if (::getsockname(listenFd,
-                          reinterpret_cast<sockaddr *>(&bound),
-                          &len) != 0)
-            return fail("getsockname");
-        portBound = ntohs(bound.sin_port);
+        if (const char *step = bindLoopback(listenFd, opt.port, portBound))
+            return fail(std::string(step) + " 127.0.0.1:" +
+                        std::to_string(opt.port));
     }
     if (::listen(listenFd, 1024) != 0)
         return fail("listen");
@@ -341,125 +337,67 @@ Server::start(std::string *err)
         metricsFd = ::socket(AF_INET, SOCK_STREAM, 0);
         if (metricsFd < 0)
             return fail("metrics socket");
-        const int one = 1;
-        ::setsockopt(metricsFd, SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof(one));
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        addr.sin_port = htons(opt.metricsPort);
-        if (::bind(metricsFd, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof(addr)) != 0)
-            return fail("bind metrics 127.0.0.1:" +
+        if (const char *step =
+                bindLoopback(metricsFd, opt.metricsPort, metricsPortBound))
+            return fail(std::string(step) + " metrics 127.0.0.1:" +
                         std::to_string(opt.metricsPort));
-        sockaddr_in bound{};
-        socklen_t len = sizeof(bound);
-        if (::getsockname(metricsFd,
-                          reinterpret_cast<sockaddr *>(&bound),
-                          &len) != 0)
-            return fail("getsockname metrics");
-        metricsPortBound = ntohs(bound.sin_port);
         if (::listen(metricsFd, 16) != 0)
             return fail("listen metrics");
         setNonBlocking(metricsFd);
     }
 
-    const unsigned nReactors = std::max(1u, opt.ioThreads);
-    for (unsigned i = 0; i < nReactors; ++i) {
-        auto r = std::make_unique<Reactor>();
-        r->idx = i;
-        r->epollFd = ::epoll_create1(EPOLL_CLOEXEC);
-        if (r->epollFd < 0) {
-            reactors.push_back(std::move(r));
-            return fail("epoll_create1");
-        }
-        if (::pipe(r->wakeFd) != 0) {
-            reactors.push_back(std::move(r));
-            return fail("pipe");
-        }
-        setNonBlocking(r->wakeFd[0]);
-        setNonBlocking(r->wakeFd[1]);
-        epoll_event ev{};
-        ev.events = EPOLLIN;
-        ev.data.fd = r->wakeFd[0];
-        if (::epoll_ctl(r->epollFd, EPOLL_CTL_ADD, r->wakeFd[0],
-                        &ev) != 0) {
-            reactors.push_back(std::move(r));
-            return fail("epoll_ctl wake");
-        }
-        // Sharded accept: every reactor polls the one listening
-        // socket, EPOLLEXCLUSIVE keeps the kernel from waking the
-        // whole pool per pending connection (no thundering herd).
-        ev.events = EPOLLIN | EPOLLEXCLUSIVE;
-        ev.data.fd = listenFd;
-        if (::epoll_ctl(r->epollFd, EPOLL_CTL_ADD, listenFd, &ev) !=
-            0) {
-            reactors.push_back(std::move(r));
-            return fail("epoll_ctl listen");
-        }
-        r->acceptArmed = true;
-        if (i == 0 && metricsFd >= 0) {
-            ev.events = EPOLLIN;
-            ev.data.fd = metricsFd;
-            if (::epoll_ctl(r->epollFd, EPOLL_CTL_ADD, metricsFd,
-                            &ev) != 0) {
-                reactors.push_back(std::move(r));
-                return fail("epoll_ctl metrics");
-            }
-            r->metricsArmed = true;
-        }
-        const std::string label = std::to_string(i);
-        r->mAccepted = &registry.counter(
-            "kserved_reactor_connections_total",
-            "Connections accepted, by owning reactor",
-            {{"reactor", label}});
-        r->mWakeups = &registry.counter(
-            "kserved_reactor_wakeups_total",
-            "Reactor wakeups via the wake pipe (worker-enqueued "
-            "frames and drain signals)",
-            {{"reactor", label}});
-        reactors.push_back(std::move(r));
-    }
+    epollFd = ::epoll_create1(EPOLL_CLOEXEC);
+    if (epollFd < 0)
+        return fail("epoll_create1");
+    if (::pipe(wakeFd) != 0)
+        return fail("pipe");
+    setNonBlocking(wakeFd[0]);
+    setNonBlocking(wakeFd[1]);
+    for (const int fd : {wakeFd[0], listenFd, metricsFd})
+        if (fd >= 0 && !watch(EPOLL_CTL_ADD, fd))
+            return fail("epoll_ctl");
 
     started.store(true);
-    for (auto &r : reactors)
-        r->thread =
-            std::thread(&Server::reactorLoop, this, std::ref(*r));
+    reactor = std::thread(&Server::reactorLoop, this);
     return true;
 }
 
 void
-Server::wakeReactor(const Reactor &r)
+Server::wake() const
 {
-    if (r.wakeFd[1] >= 0) {
+    if (wakeFd[1] >= 0) {
         const char c = 0;
         // Non-blocking; a full pipe already guarantees a wakeup.
-        [[maybe_unused]] ssize_t n = ::write(r.wakeFd[1], &c, 1);
+        [[maybe_unused]] ssize_t n = ::write(wakeFd[1], &c, 1);
     }
+}
+
+bool
+Server::watch(int op, int fd, bool out) const
+{
+    epoll_event ev{};
+    ev.events = EPOLLIN | (out ? std::uint32_t(EPOLLOUT) : 0u);
+    ev.data.fd = fd;
+    return ::epoll_ctl(epollFd, op, fd, &ev) == 0;
 }
 
 void
 Server::notifyConn(const std::shared_ptr<Connection> &conn)
 {
-    const int idx = conn->reactorIdx.load(std::memory_order_acquire);
-    if (idx < 0 || std::size_t(idx) >= reactors.size())
-        return;
     if (conn->notified.exchange(true, std::memory_order_acq_rel))
-        return; // owning reactor already has a pending entry
-    Reactor &r = *reactors[std::size_t(idx)];
+        return; // the reactor already has a pending entry
     {
-        std::lock_guard<std::mutex> lock(r.pendingMtx);
-        r.pending.push_back(conn);
+        std::lock_guard<std::mutex> lock(pendingMtx);
+        pending.push_back(conn);
     }
-    wakeReactor(r);
+    wake();
 }
 
 void
 Server::requestDrain()
 {
     drainFlag.store(true, std::memory_order_relaxed);
-    for (const auto &r : reactors)
-        wakeReactor(*r);
+    wake();
 }
 
 void
@@ -467,9 +405,8 @@ Server::waitDone()
 {
     if (!started.load(std::memory_order_acquire))
         return;
-    for (auto &r : reactors)
-        if (r->thread.joinable())
-            r->thread.join();
+    if (reactor.joinable())
+        reactor.join();
     cleanupAfterJoin();
 }
 
@@ -481,25 +418,22 @@ Server::stop()
 }
 
 void
+Server::closeFds()
+{
+    for (int *fd : {&listenFd, &metricsFd, &epollFd, &wakeFd[0],
+                    &wakeFd[1]}) {
+        if (*fd >= 0)
+            ::close(*fd);
+        *fd = -1;
+    }
+}
+
+void
 Server::cleanupAfterJoin()
 {
     if (cleanedUp.exchange(true))
         return;
-    for (const auto &r : reactors) {
-        if (r->epollFd >= 0)
-            ::close(r->epollFd);
-        for (int fd : r->wakeFd)
-            if (fd >= 0)
-                ::close(fd);
-    }
-    if (listenFd >= 0) {
-        ::close(listenFd);
-        listenFd = -1;
-    }
-    if (metricsFd >= 0) {
-        ::close(metricsFd);
-        metricsFd = -1;
-    }
+    closeFds();
     if (!opt.socketPath.empty())
         ::unlink(opt.socketPath.c_str());
     // Drained for good: release cached results and warm state in one
@@ -511,7 +445,7 @@ Server::cleanupAfterJoin()
 }
 
 void
-Server::acceptClients(Reactor &r)
+Server::acceptClients()
 {
     while (true) {
         const int fd = ::accept(listenFd, nullptr, nullptr);
@@ -520,15 +454,9 @@ Server::acceptClients(Reactor &r)
         setNonBlocking(fd);
         auto conn = std::make_shared<Connection>();
         conn->fd = fd;
-        conn->reactorIdx.store(int(r.idx),
-                               std::memory_order_release);
-        r.connByFd.emplace(fd, conn);
-        epoll_event ev{};
-        ev.events = EPOLLIN;
-        ev.data.fd = fd;
-        ::epoll_ctl(r.epollFd, EPOLL_CTL_ADD, fd, &ev);
+        connByFd.emplace(fd, conn);
+        watch(EPOLL_CTL_ADD, fd);
         mConnections->inc();
-        r.mAccepted->inc();
         const std::int64_t active =
             activeConns.fetch_add(1, std::memory_order_relaxed) + 1;
         if (opt.maxConns > 0 &&
@@ -551,8 +479,7 @@ Server::acceptClients(Reactor &r)
 }
 
 void
-Server::closeConnection(Reactor &r,
-                        const std::shared_ptr<Connection> &conn)
+Server::closeConnection(const std::shared_ptr<Connection> &conn)
 {
     if (conn->fd < 0)
         return;
@@ -569,8 +496,8 @@ Server::closeConnection(Reactor &r,
     }
     for (const std::uint64_t id : orphans)
         scheduler.cancel(id);
-    ::epoll_ctl(r.epollFd, EPOLL_CTL_DEL, conn->fd, nullptr);
-    r.connByFd.erase(conn->fd);
+    ::epoll_ctl(epollFd, EPOLL_CTL_DEL, conn->fd, nullptr);
+    connByFd.erase(conn->fd);
     ::close(conn->fd);
     conn->fd = -1;
     activeConns.fetch_sub(1, std::memory_order_relaxed);
@@ -587,8 +514,7 @@ Server::enqueueFrame(const std::shared_ptr<Connection> &conn,
 }
 
 void
-Server::readFromClient(Reactor &r,
-                       const std::shared_ptr<Connection> &conn)
+Server::readFromClient(const std::shared_ptr<Connection> &conn)
 {
     char buf[65536];
     while (true) {
@@ -602,7 +528,7 @@ Server::readFromClient(Reactor &r,
         if (n < 0 && errno == EINTR)
             continue;
         // EOF or hard error: drop the connection.
-        closeConnection(r, conn);
+        closeConnection(conn);
         return;
     }
 
@@ -623,8 +549,7 @@ Server::readFromClient(Reactor &r,
 }
 
 void
-Server::flushToClient(Reactor &r,
-                      const std::shared_ptr<Connection> &conn)
+Server::flushToClient(const std::shared_ptr<Connection> &conn)
 {
     bool close = false;
     {
@@ -678,62 +603,48 @@ Server::flushToClient(Reactor &r,
             close = true;
     }
     if (close)
-        closeConnection(r, conn);
+        closeConnection(conn);
 }
 
 void
-Server::flushAndArm(Reactor &r,
-                    const std::shared_ptr<Connection> &conn)
+Server::flushAndArm(const std::shared_ptr<Connection> &conn)
 {
-    flushToClient(r, conn);
+    flushToClient(conn);
     if (conn->fd < 0)
         return;
     const bool want = conn->pendingOut();
     if (want != conn->outArmed) {
         conn->outArmed = want;
-        epoll_event ev{};
-        ev.events = EPOLLIN | (want ? std::uint32_t(EPOLLOUT) : 0u);
-        ev.data.fd = conn->fd;
-        ::epoll_ctl(r.epollFd, EPOLL_CTL_MOD, conn->fd, &ev);
+        watch(EPOLL_CTL_MOD, conn->fd, want);
     }
 }
 
 void
-Server::reactorLoop(Reactor &r)
+Server::reactorLoop()
 {
+    // Only this thread sees the drain begin, so one local flag
+    // orders it: announce, cancel the queue, shut the intake.
+    bool draining = false;
     epoll_event evs[128];
     while (true) {
-        if (!r.draining && drainFlag.load(std::memory_order_relaxed)) {
-            r.draining = true;
-            if (!drainAnnounced.exchange(true))
-                inform("kserved: draining (in-flight jobs finish, "
-                       "queued jobs cancelled)");
-            if (!drainBegun.exchange(true))
-                scheduler.beginDrain();
-            if (r.acceptArmed) {
-                ::epoll_ctl(r.epollFd, EPOLL_CTL_DEL, listenFd,
-                            nullptr);
-                r.acceptArmed = false;
-            }
+        if (!draining && drainFlag.load(std::memory_order_relaxed)) {
+            draining = true;
+            inform("kserved: draining (in-flight jobs finish, "
+                   "queued jobs cancelled)");
+            scheduler.beginDrain();
+            ::epoll_ctl(epollFd, EPOLL_CTL_DEL, listenFd, nullptr);
             // The metrics plane shuts with the intake: a scrape of a
             // half-drained daemon is not a state worth serving.
-            if (r.metricsArmed) {
-                ::epoll_ctl(r.epollFd, EPOLL_CTL_DEL, metricsFd,
-                            nullptr);
-                r.metricsArmed = false;
-            }
-            for (const auto &[fd, hc] : r.httpByFd) {
-                ::epoll_ctl(r.epollFd, EPOLL_CTL_DEL, fd, nullptr);
-                ::close(fd);
-            }
-            r.httpByFd.clear();
+            if (metricsFd >= 0)
+                ::epoll_ctl(epollFd, EPOLL_CTL_DEL, metricsFd, nullptr);
+            closeMetricsClients();
         }
 
         // While draining wait with a timeout so in-flight completion
         // (signalled via the wake pipe, but belt and braces) is
         // always noticed.
-        const int n = ::epoll_wait(r.epollFd, evs, 128,
-                                   r.draining ? 50 : -1);
+        const int n =
+            ::epoll_wait(epollFd, evs, 128, draining ? 50 : -1);
         if (n < 0 && errno != EINTR) {
             warn("kserved: epoll_wait: %s", std::strerror(errno));
             break;
@@ -741,51 +652,45 @@ Server::reactorLoop(Reactor &r)
         for (int i = 0; i < std::max(n, 0); ++i) {
             const int fd = evs[i].data.fd;
             const std::uint32_t events = evs[i].events;
-            if (fd == r.wakeFd[0]) {
+            if (fd == wakeFd[0]) {
                 char sink[256];
-                while (::read(r.wakeFd[0], sink, sizeof(sink)) > 0) {
+                while (::read(wakeFd[0], sink, sizeof(sink)) > 0) {
                 }
-                r.mWakeups->inc();
+                mWakeups->inc();
                 continue;
             }
             if (fd == listenFd) {
-                if (!r.draining)
-                    acceptClients(r);
+                if (!draining)
+                    acceptClients();
                 continue;
             }
             if (metricsFd >= 0 && fd == metricsFd) {
-                if (!r.draining)
-                    acceptMetricsClients(r);
+                if (!draining)
+                    acceptMetricsClients();
                 continue;
             }
-            const auto cit = r.connByFd.find(fd);
-            if (cit != r.connByFd.end()) {
+            const auto cit = connByFd.find(fd);
+            if (cit != connByFd.end()) {
                 const std::shared_ptr<Connection> conn = cit->second;
                 if (events & (EPOLLIN | EPOLLERR | EPOLLHUP))
-                    readFromClient(r, conn);
+                    readFromClient(conn);
                 if (conn->fd >= 0)
-                    flushAndArm(r, conn);
+                    flushAndArm(conn);
                 continue;
             }
-            const auto hit = r.httpByFd.find(fd);
-            if (hit != r.httpByFd.end()) {
+            const auto hit = httpByFd.find(fd);
+            if (hit != httpByFd.end()) {
                 HttpConn &hc = hit->second;
                 const bool readable = (events & EPOLLIN) != 0;
                 const bool bad =
                     (events & (EPOLLERR | EPOLLHUP)) != 0;
                 if (!serviceMetricsConn(hc, readable, bad)) {
-                    ::epoll_ctl(r.epollFd, EPOLL_CTL_DEL, fd,
-                                nullptr);
+                    ::epoll_ctl(epollFd, EPOLL_CTL_DEL, fd, nullptr);
                     ::close(fd);
-                    r.httpByFd.erase(hit);
+                    httpByFd.erase(hit);
                 } else if ((!hc.out.empty()) != hc.outArmed) {
                     hc.outArmed = !hc.out.empty();
-                    epoll_event ev{};
-                    ev.events =
-                        EPOLLIN |
-                        (hc.outArmed ? std::uint32_t(EPOLLOUT) : 0u);
-                    ev.data.fd = fd;
-                    ::epoll_ctl(r.epollFd, EPOLL_CTL_MOD, fd, &ev);
+                    watch(EPOLL_CTL_MOD, fd, hc.outArmed);
                 }
                 continue;
             }
@@ -796,18 +701,18 @@ Server::reactorLoop(Reactor &r)
         // and is picked up next round at the latest.
         std::vector<std::shared_ptr<Connection>> pend;
         {
-            std::lock_guard<std::mutex> lock(r.pendingMtx);
-            pend.swap(r.pending);
+            std::lock_guard<std::mutex> lock(pendingMtx);
+            pend.swap(pending);
         }
         for (const auto &conn : pend) {
             conn->notified.store(false, std::memory_order_release);
             if (conn->fd >= 0)
-                flushAndArm(r, conn);
+                flushAndArm(conn);
         }
 
-        if (r.draining && scheduler.idle()) {
+        if (draining && scheduler.idle()) {
             bool flushed = true;
-            for (const auto &[fd, conn] : r.connByFd)
+            for (const auto &[fd, conn] : connByFd)
                 if (conn->pendingOut())
                     flushed = false;
             if (flushed)
@@ -816,32 +721,35 @@ Server::reactorLoop(Reactor &r)
     }
 
     std::vector<std::shared_ptr<Connection>> remaining;
-    remaining.reserve(r.connByFd.size());
-    for (const auto &[fd, conn] : r.connByFd)
+    remaining.reserve(connByFd.size());
+    for (const auto &[fd, conn] : connByFd)
         remaining.push_back(conn);
     for (const auto &conn : remaining)
-        closeConnection(r, conn);
-    for (const auto &[fd, hc] : r.httpByFd)
-        ::close(fd);
-    r.httpByFd.clear();
+        closeConnection(conn);
+    closeMetricsClients();
 }
 
 void
-Server::acceptMetricsClients(Reactor &r)
+Server::acceptMetricsClients()
 {
     while (true) {
         const int fd = ::accept(metricsFd, nullptr, nullptr);
         if (fd < 0)
             break;
         setNonBlocking(fd);
-        HttpConn hc;
-        hc.fd = fd;
-        epoll_event ev{};
-        ev.events = EPOLLIN;
-        ev.data.fd = fd;
-        ::epoll_ctl(r.epollFd, EPOLL_CTL_ADD, fd, &ev);
-        r.httpByFd.emplace(fd, std::move(hc));
+        watch(EPOLL_CTL_ADD, fd);
+        httpByFd[fd].fd = fd;
     }
+}
+
+void
+Server::closeMetricsClients()
+{
+    for (const auto &[fd, hc] : httpByFd) {
+        ::epoll_ctl(epollFd, EPOLL_CTL_DEL, fd, nullptr);
+        ::close(fd);
+    }
+    httpByFd.clear();
 }
 
 bool
@@ -992,10 +900,11 @@ Server::handleFrame(const std::shared_ptr<Connection> &conn,
     }
 
     if (type == "status" || type == "cancel") {
-        if (!req.contains("id") || !req.at("id").isNumber() ||
-            req.at("id").asDouble() < 0 ||
-            req.at("id").asDouble() !=
-                std::floor(req.at("id").asDouble())) {
+        // A JSON integer only: a double id (1e300, 2.5, or an
+        // integer past 2^53) has no exact job id to answer for.
+        if (!req.contains("id") ||
+            req.at("id").kind() != Json::Kind::Int ||
+            req.at("id").asInt() < 0) {
             enqueueFrame(conn, encodeFrame(errorReply(
                                    "bad_request",
                                    "\"" + type +
@@ -1003,8 +912,7 @@ Server::handleFrame(const std::shared_ptr<Connection> &conn,
                                        "integer \"id\"")));
             return;
         }
-        const std::uint64_t id =
-            std::uint64_t(req.at("id").asDouble());
+        const auto id = std::uint64_t(req.at("id").asInt());
         Json doc = Json::object();
         if (type == "status") {
             bool known = false;
@@ -1376,6 +1284,103 @@ Server::statsJson()
     if (opt.statsExtra)
         doc.set("fleet", opt.statsExtra());
     return doc;
+}
+
+void
+declareServerOptions(Options &opts, const ServerOptions &defaults)
+{
+    opts.add("socket", defaults.socketPath.c_str(),
+             "unix socket path (empty switches to TCP)");
+    opts.add<unsigned>("port", defaults.port,
+                       "TCP port on 127.0.0.1 when socket= is empty "
+                       "(0 = ephemeral, printed at startup)")
+        .range(0u, 65535u);
+    opts.add<unsigned>("threads", defaults.threads,
+                       "scheduler worker threads, each running one "
+                       "job or fleet campaign at a time (0 = all "
+                       "hardware threads)")
+        .range(0u, 1024u);
+    opts.add<unsigned>("max-conns", unsigned(defaults.maxConns),
+                       "concurrent-connection bound; accepts beyond "
+                       "it get an \"overloaded\" error frame and are "
+                       "closed (0 = unbounded)")
+        .range(0u, 65536u);
+    opts.add<unsigned>("max-queue", unsigned(defaults.maxQueue),
+                       "ready-queue bound; submits beyond it are "
+                       "rejected with queue_full")
+        .range(1u, 65536u);
+    opts.add<unsigned>("cache-entries", unsigned(defaults.cacheEntries),
+                       "result-cache capacity (LRU evicted)")
+        .range(1u, 1u << 20);
+    opts.add<unsigned>("metrics-port", defaults.metricsPort,
+                       "serve plain-HTTP GET /metrics (Prometheus "
+                       "text) on 127.0.0.1 at this port when set (0 = "
+                       "ephemeral, printed at startup; omit to "
+                       "disable the listener entirely)")
+        .range(0u, 65535u);
+    opts.add<std::uint64_t>(
+            "slow-job-ms",
+            std::uint64_t(std::llround(defaults.slowJobSeconds * 1000)),
+            "log a structured warn() with the stage breakdown for "
+            "jobs slower than this (0 disables)")
+        .range(std::uint64_t{0}, std::uint64_t{86400000});
+}
+
+ServerOptions
+serverOptions(const Options &opts)
+{
+    ServerOptions sopt;
+    sopt.socketPath = opts.get<std::string>("socket");
+    sopt.port = std::uint16_t(opts.get<unsigned>("port"));
+    sopt.threads = opts.get<unsigned>("threads");
+    sopt.maxConns = opts.get<unsigned>("max-conns");
+    sopt.maxQueue = opts.get<unsigned>("max-queue");
+    sopt.cacheEntries = opts.get<unsigned>("cache-entries");
+    sopt.metricsHttp = opts.has("metrics-port");
+    sopt.metricsPort = std::uint16_t(opts.get<unsigned>("metrics-port"));
+    sopt.slowJobSeconds =
+        double(opts.get<std::uint64_t>("slow-job-ms")) / 1000.0;
+    return sopt;
+}
+
+namespace
+{
+
+Server *gSignalled = nullptr;
+
+void
+onSignal(int)
+{
+    // requestDrain() is async-signal-safe: an atomic store plus a
+    // write() on the wake pipe.
+    if (gSignalled)
+        gSignalled->requestDrain();
+}
+
+} // namespace
+
+void
+serveUntilDrained(Server &server, const char *name,
+                  const std::string &note)
+{
+    std::string err;
+    if (!server.start(&err))
+        fatal("%s: %s", name, err.c_str());
+    gSignalled = &server;
+    std::signal(SIGINT, onSignal);
+    std::signal(SIGTERM, onSignal);
+
+    const std::string where =
+        server.socketPath().empty()
+            ? "127.0.0.1:" + std::to_string(server.boundPort())
+            : server.socketPath();
+    inform("%s %s: listening on %s%s", name, buildId(), where.c_str(),
+           note.c_str());
+    if (server.metricsBoundPort() != 0) {
+        inform("%s: metrics on http://127.0.0.1:%u/metrics", name,
+               unsigned(server.metricsBoundPort()));
+    }
+    server.waitDone();
 }
 
 } // namespace killi::serve

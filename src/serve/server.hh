@@ -1,15 +1,13 @@
 /**
  * @file
- * kserved: the experiment-serving daemon. A small pool of epoll
- * reactor threads (ServerOptions::ioThreads) owns the listening
- * socket — shared via EPOLLEXCLUSIVE so the kernel wakes exactly one
- * reactor per pending accept — and every client connection is pinned
- * to the reactor that accepted it. Experiment sweeps run on the
- * JobScheduler's worker threads and communicate back to the owning
- * reactor only by appending encoded frames to a connection's chunked
- * outbox and tickling that reactor's wake pipe; outboxes drain with
- * writev() so queued frames leave in one syscall without being
- * recopied into a flat buffer.
+ * kserved: the experiment-serving daemon. One epoll reactor thread
+ * owns the listening socket, every client connection, the wake pipe
+ * and the /metrics listener. Experiment sweeps run on the
+ * JobScheduler's worker threads and communicate back to the reactor
+ * only by appending encoded frames to a connection's chunked outbox
+ * and tickling the wake pipe; outboxes drain with writev() so queued
+ * frames leave in one syscall without being recopied into a flat
+ * buffer.
  *
  * Request lifecycle (see SERVING.md for the full protocol grammar):
  * a "submit" frame is validated, canonicalized into a cache key, and
@@ -31,7 +29,7 @@
  * "drain" frame — stops accepting connections and submits, cancels
  * everything still queued (outcome "cancelled", error "draining"),
  * lets in-flight sweeps finish, flushes every outbox, and only then
- * exits the reactor loops (unlinking the Unix socket).
+ * exits the reactor loop (unlinking the Unix socket).
  */
 
 #ifndef KILLI_SERVE_SERVER_HH
@@ -56,6 +54,11 @@
 #include "serve/scheduler.hh"
 #include "serve/store.hh"
 #include "serve/submit.hh"
+
+namespace killi
+{
+class Options;
+}
 
 namespace killi::serve
 {
@@ -103,9 +106,6 @@ struct ServerOptions
     std::uint16_t port = 0;
     /** Scheduler worker threads (0 = all hardware threads). */
     unsigned threads = 0;
-    /** Reactor (epoll I/O) threads; connections shard across them
-     *  at accept time. Clamped to at least 1. */
-    unsigned ioThreads = 1;
     /** Ready-queue bound; submits beyond it are rejected. */
     std::size_t maxQueue = 64;
     /** Concurrent-connection bound; accepts beyond it are answered
@@ -150,18 +150,18 @@ class Server
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;
 
-    /** Bind, listen, and launch the reactor threads. Returns false
+    /** Bind, listen, and launch the reactor thread. Returns false
      *  and fills @p err on socket errors. Call at most once. */
     bool start(std::string *err);
 
     /**
      * Begin a graceful drain. Async-signal-safe (an atomic store
-     * plus a write() to each reactor's wake pipe), so kserved calls
-     * this straight from its SIGINT/SIGTERM handler. Idempotent.
+     * plus a write() to the wake pipe), so the daemons call this
+     * straight from their SIGINT/SIGTERM handler. Idempotent.
      */
     void requestDrain();
 
-    /** Block until every reactor has fully drained and exited. */
+    /** Block until the reactor has fully drained and exited. */
     void waitDone();
 
     /** requestDrain() + waitDone(), for tests and embedders. */
@@ -203,13 +203,13 @@ class Server
 
   private:
     /**
-     * One client connection, pinned to the reactor that accepted it.
-     * That reactor owns fd, decoder, and all socket reads/writes;
-     * scheduler workers only append to the outbox (under mtx) and
-     * never touch the socket, so a closed connection simply drops
-     * late frames instead of racing on fd reuse. The outbox is a
-     * deque of encoded frames drained with writev() — frames are
-     * moved in and gathered out, never concatenated.
+     * One client connection. The reactor thread owns fd, decoder,
+     * and all socket reads/writes; scheduler workers only append to
+     * the outbox (under mtx) and never touch the socket, so a
+     * closed connection simply drops late frames instead of racing
+     * on fd reuse. The outbox is a deque of encoded frames drained
+     * with writev() — frames are moved in and gathered out, never
+     * concatenated.
      */
     struct Connection
     {
@@ -222,13 +222,11 @@ class Server
         std::size_t outOff = 0;
         bool closeAfterFlush = false;
         std::atomic<bool> closed{false};
-        /** Reactor that owns this connection (set at accept). */
-        std::atomic<int> reactorIdx{-1};
         /** Collapses redundant worker wakeups: set by the first
          *  enqueuer, cleared by the reactor when it services the
          *  pending list. */
         std::atomic<bool> notified{false};
-        /** EPOLLOUT currently armed (owning reactor only). */
+        /** EPOLLOUT currently armed (reactor thread only). */
         bool outArmed = false;
 
         void
@@ -292,7 +290,7 @@ class Server
         std::shared_ptr<Json> fleetInfo;
     };
 
-    /** One /metrics HTTP client (owning-reactor-only; no locking). */
+    /** One /metrics HTTP client (reactor thread only; no locking). */
     struct HttpConn
     {
         int fd = -1;
@@ -301,47 +299,21 @@ class Server
         bool outArmed = false;
     };
 
-    /**
-     * One epoll loop. Owns its wake pipe, its share of the client
-     * connections (keyed by fd), and — reactor 0 only — the /metrics
-     * HTTP plane. All reactors register the shared listen fd with
-     * EPOLLEXCLUSIVE.
-     */
-    struct Reactor
-    {
-        std::size_t idx = 0;
-        int epollFd = -1;
-        int wakeFd[2] = {-1, -1};
-        std::thread thread;
-        std::unordered_map<int, std::shared_ptr<Connection>> connByFd;
-        std::unordered_map<int, HttpConn> httpByFd;
-        /** Connections with freshly enqueued frames, handed over by
-         *  scheduler workers (under pendingMtx). */
-        std::mutex pendingMtx;
-        std::vector<std::shared_ptr<Connection>> pending;
-        bool acceptArmed = false;
-        bool metricsArmed = false;
-        bool draining = false;
-        metrics::Counter *mAccepted = nullptr;
-        metrics::Counter *mWakeups = nullptr;
-    };
-
-    void reactorLoop(Reactor &r);
-    /** Write one byte into @p r's wake pipe. */
-    static void wakeReactor(const Reactor &r);
-    /** Hand @p conn to its owning reactor for flushing (worker
-     *  side of the outbox). Deduplicated via Connection::notified. */
+    void reactorLoop();
+    /** Write one byte into the wake pipe. */
+    void wake() const;
+    /** (Re)register @p fd with the epoll set for EPOLLIN, plus
+     *  EPOLLOUT when @p out; @p op is EPOLL_CTL_ADD or _MOD. */
+    bool watch(int op, int fd, bool out = false) const;
+    /** Hand @p conn to the reactor for flushing (worker side of the
+     *  outbox). Deduplicated via Connection::notified. */
     void notifyConn(const std::shared_ptr<Connection> &conn);
-    void acceptClients(Reactor &r);
-    void readFromClient(Reactor &r,
-                        const std::shared_ptr<Connection> &conn);
-    void flushToClient(Reactor &r,
-                       const std::shared_ptr<Connection> &conn);
+    void acceptClients();
+    void readFromClient(const std::shared_ptr<Connection> &conn);
+    void flushToClient(const std::shared_ptr<Connection> &conn);
     /** flushToClient + (dis)arm EPOLLOUT to match what is left. */
-    void flushAndArm(Reactor &r,
-                     const std::shared_ptr<Connection> &conn);
-    void closeConnection(Reactor &r,
-                         const std::shared_ptr<Connection> &conn);
+    void flushAndArm(const std::shared_ptr<Connection> &conn);
+    void closeConnection(const std::shared_ptr<Connection> &conn);
     /** Counted outbox append: every protocol frame leaves through
      *  here so frames-sent/outbox-bytes stay exact. */
     void enqueueFrame(const std::shared_ptr<Connection> &conn,
@@ -353,13 +325,16 @@ class Server
     void finishJob(std::uint64_t id, JobState state,
                    const std::string &resultText,
                    const std::string &error);
-    void acceptMetricsClients(Reactor &r);
+    void acceptMetricsClients();
     /** Read/answer one /metrics client; returns false once the
      *  connection should be dropped. */
     bool serviceMetricsConn(HttpConn &conn, bool readable, bool error);
+    void closeMetricsClients();
     void registerServerMetrics();
-    /** Post-join teardown: listen/metrics/reactor fds, socket file,
-     *  cache + warm store. Runs exactly once. */
+    /** Close the listen, metrics, epoll and wake-pipe fds. */
+    void closeFds();
+    /** Post-join teardown: closeFds(), socket file, cache + warm
+     *  store. Runs exactly once. */
     void cleanupAfterJoin();
 
     ServerOptions opt;
@@ -370,15 +345,22 @@ class Server
     ResultStore cache;
     DieStore warm;
 
-    std::vector<std::unique_ptr<Reactor>> reactors;
     int listenFd = -1;
     int metricsFd = -1;
+    int epollFd = -1;
+    int wakeFd[2] = {-1, -1};
+    /** Client connections keyed by fd (reactor thread only). */
+    std::unordered_map<int, std::shared_ptr<Connection>> connByFd;
+    std::unordered_map<int, HttpConn> httpByFd;
+    /** Connections with freshly enqueued frames, handed over by
+     *  scheduler workers (under pendingMtx). */
+    std::mutex pendingMtx;
+    std::vector<std::shared_ptr<Connection>> pending;
+    std::thread reactor;
     std::uint16_t portBound = 0;
     std::uint16_t metricsPortBound = 0;
     std::atomic<bool> started{false};
     std::atomic<bool> drainFlag{false};
-    std::atomic<bool> drainAnnounced{false};
-    std::atomic<bool> drainBegun{false};
     std::atomic<bool> cleanedUp{false};
 
     std::mutex jobsMtx;
@@ -397,6 +379,7 @@ class Server
     metrics::Counter *mProtocolErrors = nullptr;
     metrics::Counter *mOutboxBytes = nullptr;
     metrics::Counter *mHttpRequests = nullptr;
+    metrics::Counter *mWakeups = nullptr;
     metrics::Counter *mFetchHits = nullptr;
     metrics::Counter *mFetchMisses = nullptr;
     metrics::Counter *mSlowJobs = nullptr;
@@ -411,6 +394,26 @@ class Server
      *  kStageNames. */
     metrics::Histogram *mStageSeconds[6] = {};
 };
+
+/**
+ * Declare the front-end knobs kserved and kfleetd share (socket,
+ * port, threads, max-conns, max-queue, cache-entries, metrics-port,
+ * slow-job-ms) on @p opts, with @p defaults' values as defaults.
+ */
+void declareServerOptions(Options &opts, const ServerOptions &defaults);
+
+/** Extract the shared knobs from parsed @p opts; the rest of the
+ *  ServerOptions keeps its defaults. */
+ServerOptions serverOptions(const Options &opts);
+
+/**
+ * A daemon's whole serving life: start @p server (fatal() on error),
+ * route SIGINT/SIGTERM to requestDrain(), print the listen and
+ * metrics banners as @p name (the listen line ends in @p note), and
+ * block until the drain completes.
+ */
+void serveUntilDrained(Server &server, const char *name,
+                       const std::string &note = "");
 
 } // namespace killi::serve
 

@@ -7,9 +7,10 @@
  * worker computes which shard and force each fabric mechanism in
  * isolation: bit-identical shard merging against a direct in-process
  * sweep, peer fetch of a shard recurring on a different worker,
- * hedged re-dispatch away from an injected straggler, worker-side
- * cache hits on repeat campaigns, concurrent clients through a
- * kfleetd-style front end, and the dispatch-accounting invariant
+ * hedged re-dispatch away from an injected straggler, retry of a
+ * shard whose worker died, worker-side cache hits on repeat
+ * campaigns, concurrent clients through a kfleetd-style front end,
+ * and the dispatch-accounting invariant
  * (dispatched == completed + cancelled) after each.
  */
 
@@ -256,6 +257,34 @@ TEST(Fleet, HedgedRetryWinsOnFastWorkerAndLoserIsCancelled)
     expectLedger(*fleet.coord, 2, 1, 1);
 
     // A hedged result is still the correct result.
+    const SweepResult res = runEvaluationSweep(req.sopt);
+    EXPECT_EQ(doc.at("workloads").toString(0),
+              sweepToJson(req.sopt, res).at("workloads").toString(0));
+}
+
+TEST(Fleet, ShardOfADeadWorkerIsRetriedOnAnother)
+{
+    FleetOptions fopt;
+    fopt.connectTimeoutSeconds = 0.25; // one connect attempt
+    TestFleet fleet(2, std::move(fopt));
+    // w0 passed the start-up health check, then went away: the
+    // single shard lands on it first, fails to connect, and moves
+    // to w1's queue.
+    fleet.workers[0]->stop();
+    const serve::SubmitRequest req = campaignFor("xsbench");
+    CancelToken cancel;
+    Json attribution;
+    const Json doc = fleet.coord->runCampaign(
+        1, req, cancel, serve::FleetProgressFn(), &attribution);
+
+    const Json shard = shardFor(attribution, "xsbench");
+    EXPECT_EQ(shard.at("worker").asString(), "w1");
+    EXPECT_EQ(shard.at("origin").asString(), "computed");
+    EXPECT_FALSE(shard.at("hedged").asBool());
+    const Json stats = fleet.coord->statsJson();
+    EXPECT_EQ(stats.at("worker_rejections").asInt(), 1);
+    expectLedger(*fleet.coord, 1, 1, 0);
+
     const SweepResult res = runEvaluationSweep(req.sopt);
     EXPECT_EQ(doc.at("workloads").toString(0),
               sweepToJson(req.sopt, res).at("workloads").toString(0));

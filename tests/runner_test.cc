@@ -41,12 +41,11 @@ parseArgs(Options &opts, std::vector<std::string> args)
 }
 
 RunnerOptions
-quiet(unsigned jobs, unsigned retries = 1, bool failFast = false)
+quiet(unsigned jobs, unsigned retries = 1)
 {
     RunnerOptions opt;
     opt.jobs = jobs;
     opt.retries = retries;
-    opt.failFast = failFast;
     opt.verbose = false;
     return opt;
 }
@@ -202,25 +201,6 @@ TEST(ExperimentRunner, RecordsPermanentFailureAndContinues)
     EXPECT_EQ(attempts.load(), 3);
     EXPECT_EQ(report.jobs[1].outcome, JobOutcome::Done);
     EXPECT_EQ(otherRan, 1);
-}
-
-TEST(ExperimentRunner, FailFastSkipsQueuedJobs)
-{
-    int laterRan = 0;
-    const std::vector<Job> jobs{
-        {"first", [] { throw std::runtime_error("boom"); }},
-        {"second", [&] { laterRan = 1; }},
-        {"third", [&] { laterRan = 1; }}};
-
-    ExperimentRunner runner(quiet(1, /*retries=*/0, /*failFast=*/true));
-    const CampaignReport report = runner.run(jobs);
-
-    EXPECT_FALSE(report.allOk());
-    EXPECT_EQ(report.jobs[0].outcome, JobOutcome::Failed);
-    EXPECT_EQ(report.jobs[1].outcome, JobOutcome::Skipped);
-    EXPECT_EQ(report.jobs[2].outcome, JobOutcome::Skipped);
-    EXPECT_EQ(report.skipped(), 2u);
-    EXPECT_EQ(laterRan, 0);
 }
 
 TEST(ExperimentRunner, CancelledTokenSkipsQueuedJobs)

@@ -10,9 +10,7 @@ asserts:
   * both scrapes parse cleanly (every sample line belongs to a
     family declared with # TYPE, values are finite numbers, and
     histogram bucket counts are cumulative with le="+Inf" == _count);
-  * every required family is present — including the multi-reactor
-    front-end families (kserved_io_reactors, per-reactor accept and
-    wakeup counters) every daemon now exposes;
+  * every required family is present;
   * counters are monotonic from BEFORE to AFTER;
   * the workload left a visible trace (admissions and job latency
     count increased);
@@ -63,8 +61,6 @@ REQUIRED_FAMILIES = [
     "kserved_outbox_bytes_total",
     "kserved_fetch_hits_total",
     "kserved_fetch_misses_total",
-    "kserved_io_reactors",
-    "kserved_reactor_connections_total",
     "kserved_reactor_wakeups_total",
     "kserved_uptime_seconds",
     "ktrace_dropped_records_total",

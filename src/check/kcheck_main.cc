@@ -21,7 +21,6 @@
 #include "common/json.hh"
 #include "common/log.hh"
 #include "common/options.hh"
-#include "replay/recording.hh"
 #include "replay/session.hh"
 #include "runner/thread_pool.hh"
 #include "trace/trace.hh"
@@ -84,8 +83,8 @@ replayFile(const std::string &path, const std::string &traceCats,
 
 /**
  * Record a seed-file scenario into a killi-recording-v1 file: every
- * RNG draw and trace record the check makes is captured so `kcheck
- * recording=` can later verify the run is still bit-identical.
+ * RNG draw and trace record the check makes is captured so `krr
+ * replay file=` can later verify the run is still bit-identical.
  */
 int
 recordScenarioFile(const std::string &seedPath,
@@ -97,24 +96,9 @@ recordScenarioFile(const std::string &seedPath,
     const replay::CheckSession s = replay::recordScenario(sc);
     s.recording.writeFile(recordPath);
     std::cout << s.recording.summary() << "\nwrote " << recordPath
-              << " (verify with kcheck recording=" << recordPath
+              << " (verify with krr replay file=" << recordPath
               << ")\n";
     return s.result.ok() ? 0 : 1;
-}
-
-/** Replay a recording and verify bit-identity; exit 1 on divergence. */
-int
-replayRecording(const std::string &path)
-{
-    const replay::Recording rec = replay::Recording::loadFile(path);
-    std::cout << "replaying recording " << path << "\n"
-              << rec.summary() << "\n";
-    const replay::CheckSession s = replay::replayScenario(rec);
-    for (const CheckViolation &v : s.result.violations)
-        std::cout << "  op " << v.opIndex << " [" << v.scheme
-                  << "] " << v.message << "\n";
-    std::cout << s.divergence.describe() << "\n";
-    return s.verified ? 0 : 1;
 }
 
 } // namespace
@@ -149,10 +133,6 @@ main(int argc, char **argv)
         "record", "",
         "with replay=: capture the scenario run into a "
         "killi-recording-v1 file at this path and exit");
-    const auto &recording = opts.add(
-        "recording", "",
-        "replay a killi-recording-v1 file (made with record=) and "
-        "verify bit-identity; exit 1 on divergence");
     const auto &traceCats = opts.add(
         "trace", "",
         "replay mode: trace categories to record (e.g. dfh,ecc,check "
@@ -165,8 +145,6 @@ main(int argc, char **argv)
         "json", "", "write a machine-readable campaign summary");
     opts.parse(argc, argv);
 
-    if (!recording.value().empty())
-        return replayRecording(recording.value());
     if (!record.value().empty()) {
         if (replay.value().empty())
             fatal("kcheck: record= needs replay=seed.json to name "

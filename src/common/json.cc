@@ -496,9 +496,13 @@ class Parser
             out = Json::number(v);
         } else {
             const long long v = std::strtoll(token.c_str(), &end, 10);
-            if (end != token.c_str() + token.size() || errno == ERANGE)
+            if (end != token.c_str() + token.size())
                 return fail("invalid integer");
-            out = Json::number(std::int64_t(v));
+            // An integer outside int64 is still valid JSON: keep it
+            // as the nearest double, as Json::number(uint64_t) does.
+            out = errno == ERANGE
+                ? Json::number(std::strtod(token.c_str(), nullptr))
+                : Json::number(std::int64_t(v));
         }
         return true;
     }

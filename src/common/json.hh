@@ -1,10 +1,12 @@
 /**
  * @file
  * Minimal JSON document model used for machine-readable experiment
- * results. Supports exactly what the bench binaries and the stats
- * registry need: null/bool/integer/double/string scalars, arrays,
- * insertion-ordered objects, pretty printing, and a strict parser for
- * round-tripping results back into tests and tooling.
+ * results. Supports exactly what the bench binaries, the serving
+ * protocol and the recordings need: null/bool/integer/double/string
+ * scalars, arrays, insertion-ordered objects, pretty printing, and a
+ * strict parser for round-tripping results back into tests and
+ * tooling. Integers are int64; the parser reads an integer outside
+ * int64 as the nearest double, as number(uint64_t) stores one.
  *
  * Doubles are printed with enough digits (max_digits10) to
  * round-trip bit-exactly; non-finite doubles serialize as null (JSON

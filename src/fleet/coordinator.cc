@@ -233,10 +233,9 @@ Coordinator::start(std::string *err)
         }
     }
     if (opt.registry)
-        opt.registry
-            ->gauge("kfleet_workers",
-                    "Workers attached to the campaign fabric")
-            .set(double(endpoints.size()));
+        opt.registry->gaugeFn(
+            "kfleet_workers", "Workers attached to the campaign fabric",
+            {}, [workers = double(endpoints.size())] { return workers; });
     inform("kfleet: %zu worker(s) healthy (%u spawned)",
            endpoints.size(), opt.spawnWorkers);
     return true;

@@ -312,18 +312,6 @@ MetricsRegistry::counter(const std::string &name,
     return *ins.counter;
 }
 
-Gauge &
-MetricsRegistry::gauge(const std::string &name,
-                       const std::string &help, Labels labels)
-{
-    std::lock_guard<std::mutex> lock(mtx);
-    Instrument &ins =
-        instrument(name, help, std::move(labels), Kind::Gauge);
-    if (!ins.gauge)
-        ins.gauge = std::make_unique<Gauge>();
-    return *ins.gauge;
-}
-
 Histogram &
 MetricsRegistry::histogram(const std::string &name,
                            const std::string &help, Labels labels,
@@ -382,10 +370,6 @@ MetricsRegistry::prometheusText() const
               case Kind::CounterFn:
                 os << name << labelKey << ' '
                    << (ins.counterCb ? ins.counterCb() : 0) << '\n';
-                break;
-              case Kind::Gauge:
-                os << name << labelKey << ' '
-                   << formatValue(ins.gauge->value()) << '\n';
                 break;
               case Kind::GaugeFn:
                 os << name << labelKey << ' '
@@ -449,9 +433,6 @@ MetricsRegistry::toJson() const
                 m.set("value", Json::number(
                                    ins.counterCb ? ins.counterCb()
                                                  : 0));
-                break;
-              case Kind::Gauge:
-                m.set("value", Json::number(ins.gauge->value()));
                 break;
               case Kind::GaugeFn:
                 m.set("value",

@@ -2,17 +2,17 @@
  * @file
  * kmetrics: the operational metrics plane (see SERVING.md, "Metrics
  * & ktop"). A MetricsRegistry maps Prometheus-style metric families
- * (name + help + type) to instruments — monotonic counters, gauges,
- * and bounded log-bucketed latency histograms — optionally split by
- * a small set of labels.
+ * (name + help + type) to instruments — monotonic counters, gauges
+ * pulled from a callback, and bounded log-bucketed latency
+ * histograms — optionally split by a small set of labels.
  *
  * Design constraints, in priority order:
- *  1. Lock-cheap updates. Counter::inc(), Gauge::set(), and
- *     Histogram::observe() are a handful of relaxed atomics — no
- *     mutex, no allocation — so instruments can sit on the serving
- *     daemon's per-frame and per-job paths. The registry mutex is
- *     taken only at registration (once per instrument) and at
- *     exposition (scrape) time.
+ *  1. Lock-cheap updates. Counter::inc() and Histogram::observe()
+ *     are a handful of relaxed atomics — no mutex, no allocation —
+ *     so instruments can sit on the serving daemon's per-frame and
+ *     per-job paths. The registry mutex is taken only at
+ *     registration (once per instrument) and at exposition (scrape)
+ *     time.
  *  2. Bounded memory. Histograms hold a fixed bucket array sized at
  *     registration; a metric's footprint never grows with sample
  *     count, so a long-lived daemon has O(1) memory per metric
@@ -69,32 +69,6 @@ class Counter
 
   private:
     std::atomic<std::uint64_t> val{0};
-};
-
-/** A settable instantaneous value. */
-class Gauge
-{
-  public:
-    void
-    set(double v)
-    {
-        val.store(v, std::memory_order_relaxed);
-    }
-
-    void
-    add(double d)
-    {
-        val.fetch_add(d, std::memory_order_relaxed);
-    }
-
-    double
-    value() const
-    {
-        return val.load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<double> val{0.0};
 };
 
 /**
@@ -192,8 +166,6 @@ class MetricsRegistry
 
     Counter &counter(const std::string &name, const std::string &help,
                      Labels labels = {});
-    Gauge &gauge(const std::string &name, const std::string &help,
-                 Labels labels = {});
     Histogram &histogram(const std::string &name,
                          const std::string &help, Labels labels = {},
                          const HistogramSpec &spec = HistogramSpec{});
@@ -224,7 +196,6 @@ class MetricsRegistry
     enum class Kind
     {
         Counter,
-        Gauge,
         Histogram,
         CounterFn,
         GaugeFn
@@ -234,7 +205,6 @@ class MetricsRegistry
     {
         Labels labels;
         std::unique_ptr<Counter> counter;
-        std::unique_ptr<Gauge> gauge;
         std::unique_ptr<Histogram> histogram;
         std::function<std::uint64_t()> counterCb;
         std::function<double()> gaugeCb;

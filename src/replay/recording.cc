@@ -15,8 +15,8 @@ namespace killi::replay
 namespace
 {
 
-/** Exact u64 <-> decimal-string round-trip (the JSON layer is
- *  double-backed, so full-width values travel as strings). */
+/** Exact u64 <-> decimal-string round-trip (a JSON number holds an
+ *  int64 or a double, so full-width values travel as strings). */
 Json
 u64Json(std::uint64_t v)
 {

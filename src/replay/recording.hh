@@ -18,8 +18,8 @@
  *
  * Encoding notes: 64-bit values that can exceed 2^53 (RNG draws,
  * trace digests, seeds inside "meta") are serialized as decimal
- * strings — the project's JSON layer is double-backed (see the
- * json.hh seed convention). Ticks, sequence numbers, and indices
+ * strings — the project's JSON numbers are int64 or double, so a u64
+ * above INT64_MAX would come back as a rounded double. Ticks, sequence numbers, and indices
  * stay numeric. The build id is captured for provenance but is NOT
  * part of the verification contract: a recording committed to the
  * repository (tests/corpus/recordings) must verify on any build

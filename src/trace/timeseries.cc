@@ -1,7 +1,5 @@
 #include "trace/timeseries.hh"
 
-#include <limits>
-
 #include "common/log.hh"
 
 namespace killi
@@ -50,18 +48,6 @@ StatTimeseries::clearSamples()
 {
     ticks.clear();
     rows.clear();
-}
-
-double
-StatTimeseries::lastValue(const std::string &name) const
-{
-    if (rows.empty())
-        return std::numeric_limits<double>::quiet_NaN();
-    for (std::size_t c = 0; c < names.size(); ++c) {
-        if (names[c] == name)
-            return rows.back()[c];
-    }
-    return std::numeric_limits<double>::quiet_NaN();
 }
 
 Json

@@ -41,8 +41,6 @@ class StatTimeseries
      *  sample(); sources are polled in registration order. */
     void addSource(std::string name, Source fn);
 
-    std::size_t samples() const { return ticks.size(); }
-
     /** Poll every source and append one row stamped @p now. If @p now
      *  equals the previous sample's tick the row is overwritten
      *  instead of duplicated (final post-run sample may coincide with
@@ -71,10 +69,6 @@ class StatTimeseries
     /** Drop accumulated rows (e.g. after a warmup pass); sources and
      *  interval are kept. */
     void clearSamples();
-
-    /** Last sampled value of a column; NaN if never sampled or the
-     *  name is unknown. */
-    double lastValue(const std::string &name) const;
 
     /**
      * {"interval":N, "columns":["tick", names...],

@@ -1,7 +1,7 @@
 #include "trace/trace.hh"
 
 #include <algorithm>
-#include <bit>
+#include <atomic>
 #include <cstring>
 
 #include "common/log.hh"
@@ -66,39 +66,11 @@ traceRecordDigest(TraceCat cat, const char *name,
     return hash;
 }
 
-/** Sink identity generator (thread-local cache invalidation). */
-std::atomic<std::uint64_t> gSinkIds{1};
-
 /** Process-wide wraparound losses across every sink; see
  *  traceDroppedRecordsTotal(). */
 std::atomic<std::uint64_t> gDroppedRecords{0};
 
-/** One-slot per-thread cache: the ring this thread last recorded
- *  into, keyed by sink identity. The common case — one sink per
- *  thread — never takes the registry mutex after the first event. */
-struct TlsRingSlot
-{
-    std::uint64_t sinkId = 0;
-    void *ring = nullptr;
-};
-thread_local TlsRingSlot tlsRing;
-
 } // namespace
-
-const char *
-traceCatName(TraceCat cat)
-{
-    switch (cat) {
-      case TraceCat::Sim: return "sim";
-      case TraceCat::L2: return "l2";
-      case TraceCat::Dfh: return "dfh";
-      case TraceCat::Ecc: return "ecc";
-      case TraceCat::Error: return "error";
-      case TraceCat::Gpu: return "gpu";
-      case TraceCat::Check: return "check";
-    }
-    return "?";
-}
 
 bool
 parseTraceCats(const std::string &list, std::uint32_t &mask,
@@ -107,9 +79,13 @@ parseTraceCats(const std::string &list, std::uint32_t &mask,
     const std::uint32_t parsed = traceMaskFromList(list);
     if (parsed == kBadTraceMask) {
         if (err) {
-            *err = "unknown trace category in '" + list +
-                   "' (known: sim,l2,dfh,ecc,error,gpu,check,all,"
-                   "none)";
+            *err = "unknown trace category in '" + list + "' (known: ";
+            for (const TraceCatName &entry : kTraceCatNames) {
+                if (&entry != kTraceCatNames)
+                    *err += ',';
+                *err += entry.name;
+            }
+            *err += ')';
         }
         return false;
     }
@@ -137,7 +113,7 @@ TraceEvent::toJson() const
     doc.set("t", Json::number(std::uint64_t(tick)));
     doc.set("cat", Json::string(traceCatName(cat)));
     doc.set("name", Json::string(name));
-    doc.set("tid", Json::number(std::uint64_t(tid)));
+    doc.set("tid", Json::number(std::uint64_t(0)));
     if (nargs) {
         Json argObj = Json::object();
         for (unsigned a = 0; a < nargs; ++a)
@@ -160,7 +136,7 @@ TraceEvent::toChromeJson() const
     doc.set("s", Json::string("t"));
     doc.set("ts", Json::number(std::uint64_t(tick)));
     doc.set("pid", Json::number(std::int64_t(0)));
-    doc.set("tid", Json::number(std::uint64_t(tid)));
+    doc.set("tid", Json::number(std::uint64_t(0)));
     Json argObj = Json::object();
     for (unsigned a = 0; a < nargs; ++a)
         argObj.set(args[a].key, args[a].valueJson());
@@ -168,153 +144,50 @@ TraceEvent::toChromeJson() const
     return doc;
 }
 
-TraceSink::TraceSink(std::size_t capacityPerThread)
-    : sinkId(gSinkIds.fetch_add(1, std::memory_order_relaxed)),
-      capacity(capacityPerThread ? capacityPerThread : 1)
+TraceSink::TraceSink(std::size_t ringCapacity)
+    : owner(std::this_thread::get_id()),
+      capacity(ringCapacity ? ringCapacity : 1)
 {
-}
-
-void
-TraceSink::setMask(std::uint32_t mask)
-{
-    runtimeMask.store(mask, std::memory_order_relaxed);
-}
-
-TraceSink::Ring &
-TraceSink::ringForThisThread()
-{
-    if (tlsRing.sinkId == sinkId)
-        return *static_cast<Ring *>(tlsRing.ring);
-
-    std::lock_guard<std::mutex> lock(registry);
-    const std::thread::id self = std::this_thread::get_id();
-    Ring *mine = nullptr;
-    for (Ring &ring : rings) {
-        if (ring.owner == self) {
-            mine = &ring;
-            break;
-        }
-    }
-    if (!mine) {
-        rings.push_back(Ring{});
-        mine = &rings.back();
-        mine->owner = self;
-        mine->tid = unsigned(rings.size() - 1);
-        mine->buf.reserve(std::min<std::size_t>(capacity, 1024));
-    }
-    tlsRing = {sinkId, mine};
-    return *mine;
 }
 
 void
 TraceSink::record(Tick tick, TraceCat cat, const char *name,
                   std::initializer_list<TraceArg> args)
 {
+    if (std::this_thread::get_id() != owner) [[unlikely]]
+        panic("ktrace: record('%s') from a thread that does not own "
+              "the sink; a TraceSink takes records only from the "
+              "thread that constructed it",
+              name);
     if (ReplayProbe *probe = replayProbe()) [[unlikely]] {
         probe->onTraceRecord(tick, std::uint32_t(cat), name,
                              traceRecordDigest(cat, name, args));
     }
-    Ring &ring = ringForThisThread();
     TraceEvent ev;
     ev.tick = tick;
-    ev.seq = seqCounter.fetch_add(1, std::memory_order_relaxed);
     ev.cat = cat;
     ev.name = name;
-    ev.tid = ring.tid;
     for (const TraceArg &arg : args) {
         if (ev.nargs == TraceEvent::kMaxArgs)
             break;
         ev.args[ev.nargs++] = arg;
     }
-    if (ring.buf.size() < capacity) {
-        ring.buf.push_back(ev);
+    if (ring.size() < capacity) {
+        ring.push_back(ev);
     } else {
-        // Wraparound: the overwritten slot's event is lost. Account
-        // the loss by the *overwritten* event's category — that is
-        // the record that no longer exists.
-        const TraceEvent &victim = ring.buf[ring.written % capacity];
-        const auto catBits = std::uint32_t(victim.cat);
-        ring.droppedByCat[std::countr_zero(catBits) & 7]++;
+        // Wraparound: the overwritten slot's event is lost.
         gDroppedRecords.fetch_add(1, std::memory_order_relaxed);
-        if (!dropWarned.load(std::memory_order_relaxed) &&
-            !dropWarned.exchange(true, std::memory_order_relaxed)) {
-            warn("ktrace: ring buffer full (capacity %zu/thread); "
-                 "oldest events are being dropped — see "
-                 "TraceSink::stats() / ktrace_dropped_records_total "
+        if (!dropWarned) {
+            dropWarned = true;
+            warn("ktrace: ring buffer full (capacity %zu); oldest "
+                 "events are being dropped — see "
+                 "TraceSink::dropped() / ktrace_dropped_records_total "
                  "for counts",
                  capacity);
         }
-        ring.buf[ring.written % capacity] = ev;
+        ring[written % capacity] = ev;
     }
-    ++ring.written;
-}
-
-std::uint64_t
-TraceSink::recorded() const
-{
-    std::lock_guard<std::mutex> lock(registry);
-    std::uint64_t total = 0;
-    for (const Ring &ring : rings)
-        total += ring.written;
-    return total;
-}
-
-std::uint64_t
-TraceSink::dropped() const
-{
-    std::lock_guard<std::mutex> lock(registry);
-    std::uint64_t lost = 0;
-    for (const Ring &ring : rings) {
-        if (ring.written > ring.buf.size())
-            lost += ring.written - ring.buf.size();
-    }
-    return lost;
-}
-
-std::uint64_t
-TraceSink::retained() const
-{
-    std::lock_guard<std::mutex> lock(registry);
-    std::uint64_t kept = 0;
-    for (const Ring &ring : rings)
-        kept += ring.buf.size();
-    return kept;
-}
-
-TraceSinkStats
-TraceSink::stats() const
-{
-    std::lock_guard<std::mutex> lock(registry);
-    TraceSinkStats out;
-    out.threads = rings.size();
-    for (const Ring &ring : rings) {
-        out.recorded += ring.written;
-        out.retained += ring.buf.size();
-        if (ring.written > ring.buf.size())
-            out.dropped += ring.written - ring.buf.size();
-        for (std::size_t k = 0; k < out.droppedByCat.size(); ++k)
-            out.droppedByCat[k] += ring.droppedByCat[k];
-    }
-    return out;
-}
-
-Json
-TraceSinkStats::toJson() const
-{
-    Json doc = Json::object();
-    doc.set("recorded", Json::number(recorded));
-    doc.set("dropped", Json::number(dropped));
-    doc.set("retained", Json::number(retained));
-    doc.set("threads", Json::number(threads));
-    Json byCat = Json::object();
-    for (std::size_t k = 0; k < droppedByCat.size(); ++k) {
-        if (droppedByCat[k]) {
-            byCat.set(traceCatName(TraceCat(1u << k)),
-                      Json::number(droppedByCat[k]));
-        }
-    }
-    doc.set("dropped_by_cat", std::move(byCat));
-    return doc;
+    ++written;
 }
 
 std::uint64_t
@@ -326,40 +199,20 @@ traceDroppedRecordsTotal()
 std::vector<TraceEvent>
 TraceSink::events() const
 {
+    // Unwrap the ring oldest-first (a wrapped ring's oldest event
+    // sits at written % capacity); that is record order, so a stable
+    // sort by tick keeps record order among same-tick events.
     std::vector<TraceEvent> out;
-    {
-        std::lock_guard<std::mutex> lock(registry);
-        for (const Ring &ring : rings) {
-            // Oldest-first within the ring: a wrapped ring's oldest
-            // element sits at written % capacity.
-            const std::size_t n = ring.buf.size();
-            const std::size_t start =
-                ring.written > n ? ring.written % capacity : 0;
-            for (std::size_t k = 0; k < n; ++k)
-                out.push_back(ring.buf[(start + k) % n]);
-        }
-    }
-    std::sort(out.begin(), out.end(),
-              [](const TraceEvent &a, const TraceEvent &b) {
-                  if (a.tick != b.tick)
-                      return a.tick < b.tick;
-                  return a.seq < b.seq;
-              });
+    out.reserve(ring.size());
+    const std::size_t start =
+        written > ring.size() ? written % capacity : 0;
+    out.insert(out.end(), ring.begin() + start, ring.end());
+    out.insert(out.end(), ring.begin(), ring.begin() + start);
+    std::stable_sort(out.begin(), out.end(),
+                     [](const TraceEvent &a, const TraceEvent &b) {
+                         return a.tick < b.tick;
+                     });
     return out;
-}
-
-void
-TraceSink::clear()
-{
-    std::lock_guard<std::mutex> lock(registry);
-    for (Ring &ring : rings) {
-        ring.buf.clear();
-        ring.written = 0;
-        ring.droppedByCat = {};
-    }
-    // seqCounter is deliberately NOT reset: it is only a (tick, seq)
-    // tie-break, and staying monotonic keeps record order unique
-    // across a clear() boundary.
 }
 
 Json
@@ -385,22 +238,6 @@ TraceSink::chromeTraceJson() const
     meta.set("dropped", Json::number(dropped()));
     doc.set("otherData", std::move(meta));
     return doc;
-}
-
-void
-TraceSink::writeJsonl(std::ostream &os) const
-{
-    for (const TraceEvent &ev : events()) {
-        ev.toJson().dump(os, 0);
-        os << '\n';
-    }
-}
-
-void
-TraceSink::writeChromeTrace(std::ostream &os) const
-{
-    chromeTraceJson().dump(os, 2);
-    os << '\n';
 }
 
 } // namespace killi

@@ -6,23 +6,23 @@
  *  1. Near-zero cost when off. Call sites go through the KTRACE()
  *     macro, which compiles away entirely for categories excluded by
  *     the compile-time mask (KILLI_TRACE_CATEGORIES) and otherwise
- *     costs one null check plus one relaxed atomic load when runtime
- *     tracing is disabled.
- *  2. Thread safety without hot-path locks. A TraceSink keeps one
- *     ring buffer per recording thread; record() touches only the
- *     calling thread's ring (registration of a new thread takes the
- *     sink mutex once), so concurrent record() calls from any number
- *     of threads never contend or race. The snapshot/reset APIs
- *     (events(), recorded(), dropped(), retained(), clear(), the
- *     serializers) are NOT synchronized against in-flight record()
- *     calls: callers must quiesce recording first. The simulator
- *     honors this — each GpuSystem records from its own thread and
- *     traces are only read/cleared after the run completes.
- *  3. Bounded memory. Rings wrap: the newest events win, and the
+ *     costs one null check plus one mask test when runtime tracing
+ *     is disabled.
+ *  2. One owner, no locks. A TraceSink is one ring buffer owned by
+ *     the thread that constructed it: only that thread may record(),
+ *     and a record() from any other thread panics rather than race.
+ *     Every sink in the program is built and filled by one thread (a
+ *     sweep point, a kcheck scenario), so parallel campaigns give
+ *     each point its own sink and never share one. The snapshot APIs
+ *     (events(), recorded(), dropped(), retained(), the serializers)
+ *     read the ring without synchronization; call them from the
+ *     owner, or after the owner has finished recording and handed
+ *     the sink over through a synchronizing join.
+ *  3. Bounded memory. The ring wraps: the newest events win, and the
  *     number of overwritten events is reported (dropped()).
- *  4. Standard outputs. Events serialize as JSONL (one object per
- *     line, for grep/jq) and as Chrome trace_event JSON loadable in
- *     Perfetto (ui.perfetto.dev) or chrome://tracing.
+ *  4. Standard outputs. Events serialize as Chrome trace_event JSON
+ *     loadable in Perfetto (ui.perfetto.dev) or chrome://tracing,
+ *     and as a plain JSON array of event objects.
  *
  * Event payloads are small fixed arrays of typed key/value
  * arguments. Keys, names, and string values must be string literals
@@ -33,13 +33,8 @@
 #ifndef KILLI_TRACE_TRACE_HH
 #define KILLI_TRACE_TRACE_HH
 
-#include <array>
-#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <initializer_list>
-#include <mutex>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -51,10 +46,9 @@
 namespace killi
 {
 
-/** Trace categories (bitmask). Kept in sync with traceCatName() in
- *  trace.cc and the name table of traceMaskFromList() below. Bit 6
- *  is unused: Check stays at bit 7 and "all" stays 0xff, so the trace
- *  mask that recordings store does not move. */
+/** Trace categories (bitmask); their names are kTraceCatNames below.
+ *  Bit 6 is unused: Check stays at bit 7 and "all" stays 0xff, so the
+ *  trace mask that recordings store does not move. */
 enum class TraceCat : std::uint32_t
 {
     Sim = 1u << 0,   //!< event-queue activity (schedule, periodic)
@@ -74,8 +68,42 @@ operator|(TraceCat a, TraceCat b)
     return std::uint32_t(a) | std::uint32_t(b);
 }
 
+/** One name the --trace grammar accepts and the bits it selects. */
+struct TraceCatName
+{
+    std::string_view name;
+    std::uint32_t bits;
+};
+
+/**
+ * The one category name table: traceCatName(), traceMaskFromList()
+ * and parseTraceCats()' list of known names all read it. The
+ * single-category names come first; the aliases after them select
+ * several categories (or none).
+ */
+inline constexpr TraceCatName kTraceCatNames[] = {
+    {"sim", std::uint32_t(TraceCat::Sim)},
+    {"l2", std::uint32_t(TraceCat::L2)},
+    {"dfh", std::uint32_t(TraceCat::Dfh)},
+    {"ecc", std::uint32_t(TraceCat::Ecc)},
+    {"error", std::uint32_t(TraceCat::Error)},
+    {"gpu", std::uint32_t(TraceCat::Gpu)},
+    {"check", std::uint32_t(TraceCat::Check)},
+    {"all", kAllTraceCats},
+    {"*", kAllTraceCats},
+    {"none", 0},
+};
+
 /** Short name of a single category ("dfh", "ecc", ...). */
-const char *traceCatName(TraceCat cat);
+constexpr const char *
+traceCatName(TraceCat cat)
+{
+    for (const TraceCatName &entry : kTraceCatNames) {
+        if (entry.bits == std::uint32_t(cat))
+            return entry.name.data();
+    }
+    return "?";
+}
 
 /**
  * Parse a comma-separated category list ("dfh,ecc,l2"); "all" (or
@@ -89,20 +117,6 @@ constexpr std::uint32_t kBadTraceMask = ~std::uint32_t{0};
 constexpr std::uint32_t
 traceMaskFromList(std::string_view list)
 {
-    // Keep in sync with traceCatName(); constexpr forbids reusing the
-    // runtime table directly in C++20 without extra machinery.
-    constexpr std::pair<std::string_view, std::uint32_t> names[] = {
-        {"sim", std::uint32_t(TraceCat::Sim)},
-        {"l2", std::uint32_t(TraceCat::L2)},
-        {"dfh", std::uint32_t(TraceCat::Dfh)},
-        {"ecc", std::uint32_t(TraceCat::Ecc)},
-        {"error", std::uint32_t(TraceCat::Error)},
-        {"gpu", std::uint32_t(TraceCat::Gpu)},
-        {"check", std::uint32_t(TraceCat::Check)},
-        {"all", kAllTraceCats},
-        {"*", kAllTraceCats},
-        {"none", 0},
-    };
     std::uint32_t mask = 0;
     std::size_t pos = 0;
     while (pos <= list.size()) {
@@ -112,9 +126,9 @@ traceMaskFromList(std::string_view list)
         const std::string_view token = list.substr(pos, end - pos);
         if (!token.empty()) {
             bool found = false;
-            for (const auto &[name, bits] : names) {
-                if (token == name) {
-                    mask |= bits;
+            for (const TraceCatName &entry : kTraceCatNames) {
+                if (token == entry.name) {
+                    mask |= entry.bits;
                     found = true;
                     break;
                 }
@@ -209,36 +223,15 @@ struct TraceEvent
     static constexpr std::size_t kMaxArgs = 6;
 
     Tick tick = 0;
-    std::uint64_t seq = 0; //!< sink-wide record order (tie-break)
     TraceCat cat = TraceCat::Sim;
     const char *name = "";
-    unsigned tid = 0; //!< recording-thread index within the sink
     unsigned nargs = 0;
     TraceArg args[kMaxArgs];
 
-    /** {"t":..,"cat":..,"name":..,"tid":..,"args":{..}} */
+    /** {"t":..,"cat":..,"name":..,"tid":0,"args":{..}} */
     Json toJson() const;
-    /** Chrome trace_event instant-event object. */
+    /** Chrome trace_event instant-event object (on tid 0). */
     Json toChromeJson() const;
-};
-
-/**
- * Point-in-time accounting snapshot of one sink (see
- * TraceSink::stats()). droppedByCat is indexed by category bit
- * position (bit k of the TraceCat mask).
- */
-struct TraceSinkStats
-{
-    std::uint64_t recorded = 0;
-    std::uint64_t dropped = 0;
-    std::uint64_t retained = 0;
-    std::uint64_t threads = 0;
-    std::array<std::uint64_t, 8> droppedByCat{};
-
-    /** {"recorded","dropped","retained","threads",
-     *   "dropped_by_cat":{<name>:n, ...}} — only categories that
-     *  actually dropped appear in dropped_by_cat. */
-    Json toJson() const;
 };
 
 /**
@@ -252,92 +245,59 @@ std::uint64_t traceDroppedRecordsTotal();
 class TraceSink
 {
   public:
-    /** @param capacityPerThread ring size per recording thread. */
-    explicit TraceSink(std::size_t capacityPerThread = 1 << 16);
+    /** Binds the sink to the calling thread (design note 2).
+     *  @param ringCapacity ring size in events. */
+    explicit TraceSink(std::size_t ringCapacity = 1 << 16);
 
     TraceSink(const TraceSink &) = delete;
     TraceSink &operator=(const TraceSink &) = delete;
 
     /** Runtime category mask (categories stripped at compile time
      *  stay off regardless). */
-    void setMask(std::uint32_t mask);
-    std::uint32_t mask() const
-    {
-        return runtimeMask.load(std::memory_order_relaxed);
-    }
+    void setMask(std::uint32_t mask) { runtimeMask = mask; }
 
     bool
     enabled(TraceCat cat) const
     {
-        return (runtimeMask.load(std::memory_order_relaxed) &
-                std::uint32_t(cat)) != 0;
+        return (runtimeMask & std::uint32_t(cat)) != 0;
     }
 
-    /** Record one event (hot path; lock-free after the calling
-     *  thread's first record). Prefer the KTRACE() macro. */
+    /** Record one event (hot path); panics unless called on the
+     *  owning thread. Prefer the KTRACE() macro. */
     void record(Tick tick, TraceCat cat, const char *name,
                 std::initializer_list<TraceArg> args);
 
-    // The accessors below (and the serializers) require recording to
-    // have quiesced: they do not synchronize with in-flight record()
-    // calls (see design note 2 above).
-
     /** Total record() calls, including later-overwritten events. */
-    std::uint64_t recorded() const;
+    std::uint64_t recorded() const { return written; }
     /** Events lost to ring wraparound. */
-    std::uint64_t dropped() const;
+    std::uint64_t dropped() const { return written - ring.size(); }
     /** Events currently retained. */
-    std::uint64_t retained() const;
-    /** Everything above plus per-category drop counts, in one
-     *  snapshot. */
-    TraceSinkStats stats() const;
+    std::uint64_t retained() const { return ring.size(); }
 
-    /** Merged snapshot of every thread's ring, (tick, seq)-ordered. */
+    /** The retained events, oldest first, stable-sorted by tick. */
     std::vector<TraceEvent> events() const;
 
-    /** Drop all recorded events (rings stay registered; sequence
-     *  numbers keep increasing so (tick, seq) order stays unique
-     *  across the clear boundary). */
-    void clear();
-
-    /** Array of TraceEvent::toJson() objects, (tick, seq)-ordered. */
+    /** Array of TraceEvent::toJson() objects, in events() order. */
     Json toJson() const;
     /** {"traceEvents":[...]} — loadable in Perfetto. */
     Json chromeTraceJson() const;
 
-    /** One compact JSON object per line. */
-    void writeJsonl(std::ostream &os) const;
-    /** Pretty-printed chromeTraceJson(). */
-    void writeChromeTrace(std::ostream &os) const;
-
   private:
-    struct Ring
-    {
-        std::thread::id owner;
-        unsigned tid = 0;
-        std::uint64_t written = 0; //!< total records into this ring
-        /** Overwritten events by category bit position; owner-thread
-         *  writes only (same quiesce rule as buf/written). */
-        std::array<std::uint64_t, 8> droppedByCat{};
-        std::vector<TraceEvent> buf;
-    };
-
-    Ring &ringForThisThread();
-
-    const std::uint64_t sinkId;
+    const std::thread::id owner;
     const std::size_t capacity;
-    std::atomic<std::uint32_t> runtimeMask{kAllTraceCats};
-    std::atomic<std::uint64_t> seqCounter{0};
+    std::uint32_t runtimeMask = kAllTraceCats;
     /** One-shot latch for the first-drop warn(). */
-    std::atomic<bool> dropWarned{false};
-    mutable std::mutex registry;
-    std::deque<Ring> rings; //!< deque: stable addresses on growth
+    bool dropWarned = false;
+    std::uint64_t written = 0; //!< total records into the ring
+    /** Fills to capacity in record order, then wraps: the oldest
+     *  event sits at written % capacity. */
+    std::vector<TraceEvent> ring;
 };
 
 /**
  * The hot-path macro: compiles to nothing for categories outside
- * KILLI_TRACE_CATEGORIES; otherwise a null check plus a relaxed mask
- * test before the record() call.
+ * KILLI_TRACE_CATEGORIES; otherwise a null check plus a mask test
+ * before the record() call.
  *
  *     KTRACE(trace, now, TraceCat::Dfh, "dfh.transition",
  *            {"line", lineId}, {"from", dfhCName(from)});

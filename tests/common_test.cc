@@ -313,6 +313,28 @@ TEST(JsonTest, DoubleKindSurvivesRoundTripForWholeValues)
     EXPECT_EQ(back, doc);
 }
 
+TEST(JsonTest, IntegersOutsideInt64ParseAsDoubles)
+{
+    // Valid JSON whatever its magnitude: an integer int64 cannot hold
+    // becomes the nearest double, as Json::number(uint64_t) stores it.
+    for (const char *text :
+         {"99999999999999999999", "-99999999999999999999"}) {
+        Json out;
+        std::string err;
+        ASSERT_TRUE(Json::parse(text, out, &err)) << text << ": " << err;
+        EXPECT_EQ(out.kind(), Json::Kind::Double) << text;
+        EXPECT_DOUBLE_EQ(out.asDouble(), std::strtod(text, nullptr));
+    }
+    // The int64 extremes stay integers.
+    Json edge;
+    ASSERT_TRUE(Json::parse("-9223372036854775808", edge, nullptr));
+    EXPECT_EQ(edge.kind(), Json::Kind::Int);
+    ASSERT_TRUE(Json::parse("9223372036854775807", edge, nullptr));
+    EXPECT_EQ(edge.kind(), Json::Kind::Int);
+    ASSERT_TRUE(Json::parse("9223372036854775808", edge, nullptr));
+    EXPECT_EQ(edge, Json::number(std::uint64_t{1} << 63));
+}
+
 TEST(JsonTest, FileRoundTripCreatesParentDirs)
 {
     const std::string dir = ::testing::TempDir() + "/killi_json_test";

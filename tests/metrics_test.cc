@@ -48,10 +48,14 @@ TEST(MetricsRegistry, CounterAndGaugeBasics)
     c.inc(41);
     EXPECT_EQ(c.value(), 42u);
 
-    Gauge &g = reg.gauge("killi_depth", "depth");
-    g.set(3.5);
-    g.add(-1.0);
-    EXPECT_DOUBLE_EQ(g.value(), 2.5);
+    // A gauge mirrors a value some other component owns.
+    double depth = 3.5;
+    reg.gaugeFn("killi_depth", "depth", {}, [&depth] { return depth; });
+    depth -= 1.0;
+    const std::string text = reg.prometheusText();
+    EXPECT_NE(text.find("# TYPE killi_depth gauge\nkilli_depth 2.5\n"),
+              std::string::npos)
+        << text;
 }
 
 TEST(MetricsRegistry, ReRegistrationReturnsTheSameInstrument)
@@ -68,18 +72,19 @@ TEST(MetricsRegistry, ReRegistrationReturnsTheSameInstrument)
 
     // Label order is canonicalized: the same set in any order is the
     // same instrument.
-    Gauge &g1 = reg.gauge("killi_g", "g",
-                          {{"a", "1"}, {"b", "2"}});
-    Gauge &g2 = reg.gauge("killi_g", "g",
-                          {{"b", "2"}, {"a", "1"}});
-    EXPECT_EQ(&g1, &g2);
+    Counter &c1 = reg.counter("killi_y_total", "y",
+                              {{"a", "1"}, {"b", "2"}});
+    Counter &c2 = reg.counter("killi_y_total", "y",
+                              {{"b", "2"}, {"a", "1"}});
+    EXPECT_EQ(&c1, &c2);
 }
 
 TEST(MetricsRegistryDeath, KindConflictPanics)
 {
     MetricsRegistry reg;
     reg.counter("killi_conflict", "as counter");
-    EXPECT_DEATH(reg.gauge("killi_conflict", "as gauge"),
+    EXPECT_DEATH(reg.gaugeFn("killi_conflict", "as gauge", {},
+                             [] { return 0.0; }),
                  "killi_conflict");
 }
 
@@ -283,7 +288,11 @@ namespace
 void
 populateServedFamilies(MetricsRegistry &reg)
 {
-    reg.gauge("kserved_uptime_seconds", "uptime").set(123.0);
+    const auto gauge = [&reg](const char *name, const char *help,
+                              double value) {
+        reg.gaugeFn(name, help, {}, [value] { return value; });
+    };
+    gauge("kserved_uptime_seconds", "uptime", 123.0);
     reg.counter("kserved_jobs_total", "jobs",
                 {{"outcome", "done"}})
         .inc(5);
@@ -299,15 +308,15 @@ populateServedFamilies(MetricsRegistry &reg)
     reg.counter("kserved_cache_misses_total", "misses").inc(6);
     reg.counter("kserved_cache_insertions_total", "ins").inc(6);
     reg.counter("kserved_cache_evictions_total", "ev").inc(1);
-    reg.gauge("kserved_cache_bytes", "bytes").set(4096);
-    reg.gauge("kserved_queue_depth", "depth").set(2);
-    reg.gauge("kserved_jobs_running", "running").set(1);
-    reg.gauge("kserved_queue_peak_depth", "peak").set(4);
+    gauge("kserved_cache_bytes", "bytes", 4096);
+    gauge("kserved_queue_depth", "depth", 2);
+    gauge("kserved_jobs_running", "running", 1);
+    gauge("kserved_queue_peak_depth", "peak", 4);
     reg.counter("kserved_admissions_total", "adm").inc(8);
     reg.counter("kserved_rejections_total", "rej").inc(2);
     reg.counter("kserved_cancellations_total", "can");
     reg.counter("kserved_connections_total", "conns").inc(9);
-    reg.gauge("kserved_connections_active", "active").set(1);
+    gauge("kserved_connections_active", "active", 1);
     reg.counter("kserved_frames_received_total", "in").inc(20);
     reg.counter("kserved_frames_sent_total", "out").inc(30);
     reg.counter("kserved_protocol_errors_total", "errs");

@@ -10,6 +10,8 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -578,6 +580,47 @@ TEST(EvaluationSweep, EmptyTraceDirTracesWithoutWritingFiles)
     EXPECT_TRUE(fs::is_empty(dir));
     EXPECT_FALSE(fs::exists("/spmv_Killi_1_256.trace.json"));
     fs::remove_all(dir);
+}
+
+TEST(EvaluationSweep, TracedParallelRunWritesTheSerialTraceFiles)
+{
+    // Each sweep point builds, fills and writes its own TraceSink on
+    // the worker thread that runs it, so at jobs=4 every per-point
+    // trace file must be byte-identical to the jobs=1 one. With only
+    // some categories compiled in, the files hold fewer events but
+    // must still agree.
+    namespace fs = std::filesystem;
+    const fs::path root =
+        fs::path(::testing::TempDir()) / "killi_runner_test_traced";
+    fs::remove_all(root);
+    std::map<std::string, std::string> files[2];
+    const unsigned jobsOf[2] = {1, 4};
+    for (std::size_t run = 0; run < 2; ++run) {
+        SweepOptions opt = tinySweep(jobsOf[run]);
+        opt.schemes = {"Killi 1:256"};
+        opt.trace = "all";
+        opt.traceDir = (root / std::to_string(jobsOf[run])).string();
+        const SweepResult res = runEvaluationSweep(opt);
+        ASSERT_TRUE(res.campaign.allOk());
+        for (const auto &entry : fs::directory_iterator(opt.traceDir)) {
+            std::ifstream in(entry.path(), std::ios::binary);
+            std::ostringstream text;
+            text << in.rdbuf();
+            files[run][entry.path().filename().string()] = text.str();
+        }
+    }
+    fs::remove_all(root);
+
+    // Two workloads, each a baseline and a Killi point.
+    ASSERT_EQ(files[0].size(), 4u);
+    ASSERT_EQ(files[1].size(), 4u);
+    for (const auto &[name, serial] : files[0]) {
+        ASSERT_TRUE(files[1].count(name)) << name;
+        EXPECT_GT(serial.size(), 0u) << name;
+        // Not EXPECT_EQ: a mismatch would print megabytes of JSON.
+        EXPECT_TRUE(serial == files[1][name])
+            << name << " differs between jobs=1 and jobs=4";
+    }
 }
 
 TEST(EvaluationSweep, ResultsFileIsWellFormedAndConsumable)

@@ -18,6 +18,7 @@
 #include <future>
 #include <mutex>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sstream>
 #include <sys/socket.h>
 #include <thread>
@@ -677,6 +678,64 @@ struct Loopback
     }
 };
 
+/**
+ * A bare TCP connection to the daemon, for frames whose payload text
+ * no Json value serializes to (an integer beyond int64, say). Replies
+ * are decoded as the client would; recv() gives up after 10 s.
+ */
+class RawConnection
+{
+  public:
+    explicit RawConnection(std::uint16_t port)
+        : fd(::socket(AF_INET, SOCK_STREAM, 0))
+    {
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_port = htons(port);
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        if (fd < 0 ||
+            ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                      sizeof(addr)) != 0)
+            ADD_FAILURE() << "raw connect to port " << port;
+    }
+
+    ~RawConnection()
+    {
+        if (fd >= 0)
+            ::close(fd);
+    }
+
+    bool
+    sendPayload(const std::string &payload)
+    {
+        const std::string bytes = encodeFramePayload(payload);
+        return ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+               ssize_t(bytes.size());
+    }
+
+    bool
+    recv(Json &frame)
+    {
+        char buf[4096];
+        while (true) {
+            const FrameDecoder::Status st = decoder.next(frame);
+            if (st != FrameDecoder::Status::NeedMore)
+                return st == FrameDecoder::Status::Frame;
+            pollfd pfd{fd, POLLIN, 0};
+            if (::poll(&pfd, 1, 10000) != 1)
+                return false;
+            const ssize_t n = ::read(fd, buf, sizeof(buf));
+            if (n <= 0)
+                return false;
+            decoder.feed(buf, std::size_t(n));
+        }
+    }
+
+  private:
+    int fd;
+    FrameDecoder decoder;
+};
+
 } // namespace
 
 TEST(ServeIntegration, ResultMatchesDirectRunAndCacheHitIsIdentical)
@@ -890,6 +949,24 @@ TEST(ServeIntegration, StatusAndCancelIdMustBeANonNegativeInteger)
     EXPECT_EQ(frame.at("type").asString(), "status_reply");
     EXPECT_EQ(frame.at("id").asInt(), 3);
     EXPECT_FALSE(frame.at("known").asBool());
+
+    // An id beyond int64 is still valid JSON: it is a bad_request,
+    // not a protocol error that would close the connection (and
+    // cancel its jobs). The status id 3 after it on the same
+    // connection shows the connection stayed open.
+    RawConnection raw(lo.server.boundPort());
+    for (const char *type : {"status", "cancel"}) {
+        ASSERT_TRUE(raw.sendPayload(std::string("{\"type\":\"") + type +
+                                    "\",\"id\":99999999999999999999}"));
+        ASSERT_TRUE(raw.recv(frame)) << type;
+        EXPECT_EQ(frame.at("type").asString(), "error") << type;
+        EXPECT_EQ(frame.at("code").asString(), "bad_request") << type;
+    }
+    ASSERT_TRUE(raw.sendPayload(
+        frameWith("status", Json::number(std::uint64_t{3})).toString(0)));
+    ASSERT_TRUE(raw.recv(frame));
+    EXPECT_EQ(frame.at("type").asString(), "status_reply");
+    EXPECT_EQ(frame.at("id").asInt(), 3);
     lo.server.stop();
 }
 

@@ -6,9 +6,10 @@
  * happens: RNG draws (Rng::next64), event-queue pop decisions
  * (EventQueue::run), and trace records (TraceSink::record, folded to
  * a 64-bit digest so the probe interface stays free of trace types).
- * The recorder (src/replay) installs a probe to capture a run; the
- * replayer installs one to verify — or override — the same inputs on
- * a later run.
+ * The recorder (src/replay) installs a probe to capture a run; a
+ * replay captures the re-run the same way and compares the two
+ * recordings. A probe only observes: no hook can change what the run
+ * computes.
  *
  * The probe is *thread-local* by design: a sweep campaign at jobs=1
  * executes entirely on the calling thread (see runner.hh), so a
@@ -40,13 +41,11 @@ class ReplayProbe
     virtual ~ReplayProbe() = default;
 
     /**
-     * Called by Rng::next64() with the freshly generated value.
-     * Returns the value the caller must use: a recorder returns
-     * @p value unchanged after logging it; an injecting replayer
-     * returns the recorded value instead. The current stream label
+     * Called by Rng::next64() with the freshly generated value, which
+     * the caller uses as is. The current stream label
      * (rngStreamLabel()) identifies which subsystem is drawing.
      */
-    virtual std::uint64_t filterRngDraw(std::uint64_t value) = 0;
+    virtual void onRngDraw(std::uint64_t value) = 0;
 
     /** Called by EventQueue::run() for every popped event, in
      *  (when, seq) execution order, before the callback runs. */

@@ -46,9 +46,9 @@ class Rng
      * Single choke point for every draw this class makes (uniform,
      * below, range, bernoulli, poisson, fork all route through
      * here), which is what makes record-replay complete: an
-     * installed ReplayProbe observes — or, when injecting, replaces
-     * — every random bit the run consumes. Unprobed runs pay one
-     * thread-local load and a never-taken branch.
+     * installed ReplayProbe observes every random bit the run
+     * consumes. Unprobed runs pay one thread-local load and a
+     * never-taken branch.
      */
     std::uint64_t
     next64()
@@ -62,7 +62,7 @@ class Rng
         state[2] ^= t;
         state[3] = rotl(state[3], 45);
         if (ReplayProbe *probe = replayProbe()) [[unlikely]]
-            return probe->filterRngDraw(result);
+            return observed(*probe, result);
         return result;
     }
 
@@ -128,6 +128,18 @@ class Rng
     }
 
   private:
+    /** Hand @p value to @p probe and return it. Out of line so that
+     *  next64()'s probed branch is one call that returns the draw:
+     *  with the hook called inline, the draw must live across the
+     *  call, which changes register allocation in the sampling loops
+     *  that inline next64(). */
+    [[gnu::noinline]] static std::uint64_t
+    observed(ReplayProbe &probe, std::uint64_t value)
+    {
+        probe.onRngDraw(value);
+        return value;
+    }
+
     static std::uint64_t
     rotl(std::uint64_t x, int k)
     {

@@ -175,7 +175,7 @@ BisectReport::summary() const
 {
     std::ostringstream os;
     if (!diverged) {
-        os << "recordings are stream-identical (" << probes
+        os << "recordings are bit-identical (" << probes
            << " digest probes)";
         return os.str();
     }

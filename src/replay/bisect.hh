@@ -1,8 +1,9 @@
 /**
  * @file
- * Divergence bisection between two recordings of the "same" run —
- * e.g. the reference and bit-sliced codec builds, or two modes of
- * one build. Rather than diffing end-state aggregates, the bisector
+ * Bisection to the first divergence between two recordings of the
+ * "same" run — e.g. a recording and its replayed re-run, the
+ * reference and bit-sliced codec builds, or two modes of one
+ * build. Rather than diffing end-state aggregates, the bisector
  * binary-searches each stream's rolling prefix digests to the first
  * entry where the two runs part ways, then reports the earliest such
  * point across streams as a precise (tick, seq, stream, index) with
@@ -34,7 +35,9 @@ struct BisectContext
 struct BisectReport
 {
     bool diverged = false;
-    /** "rng" | "pop" | "trace" | "result" | "length". */
+    /** "rng" | "pop" | "trace" | "result". A stream that is a
+     *  strict prefix of the other diverges at its end, rendered
+     *  "(stream ended at N …)" on the shorter side. */
     std::string stream;
     std::uint64_t index = 0; //!< first divergent entry in the stream
     Tick tick = 0;           //!< sim time of the enclosing pop

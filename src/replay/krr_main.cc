@@ -10,11 +10,11 @@
  * `record` captures one evaluation sweep (typically a single
  * workloads=/schemes= point) into a killi-recording-v1 file.
  * `replay` re-derives the run from the file alone — sweep or kcheck
- * recordings alike — and verifies every nondeterministic input plus
- * the result digest; exit status 1 on divergence. `bisect`
- * binary-searches two recordings' stream digests to the first
- * divergent (tick, seq, stream, index). See TESTING.md, "Record,
- * replay, bisect".
+ * recordings alike — records the re-run, and bisects it against the
+ * file; exit status 1 on divergence. `bisect` binary-searches two
+ * recordings' stream digests to the first divergent (tick, seq,
+ * stream, index); a replay reports the same way, with the file as
+ * side a. See TESTING.md, "Record, replay, bisect".
  */
 
 #include <iostream>
@@ -77,31 +77,25 @@ cmdReplay(int argc, char **argv)
                  "re-run a recording and verify bit-identity");
     const auto &file = opts.add("file", "", "recording path");
     const auto &jsonOut = opts.add(
-        "json", "", "write the divergence report as JSON");
+        "json", "", "write the bisect report as JSON");
     opts.parse(argc, argv);
     if (file.value().empty())
         fatal("krr replay: file= is required");
 
     const Recording rec = Recording::loadFile(file.value());
 
-    bool verified = false;
-    Divergence div;
-    if (rec.tool == "sweep") {
-        const SweepSession s = replaySweep(rec);
-        verified = s.verified;
-        div = s.divergence;
-    } else if (rec.tool == "kcheck") {
-        const CheckSession s = replayScenario(rec);
-        verified = s.verified;
-        div = s.divergence;
-    } else {
+    BisectReport rep;
+    if (rec.tool == "sweep")
+        rep = replaySweep(rec).divergence;
+    else if (rec.tool == "kcheck")
+        rep = replayScenario(rec).divergence;
+    else
         fatal("krr replay: unknown tool '%s'", rec.tool.c_str());
-    }
 
-    std::cout << rec.summary() << "\n" << div.describe() << "\n";
+    std::cout << rec.summary() << "\n" << rep.summary() << "\n";
     if (!jsonOut.value().empty())
-        writeJsonFile(jsonOut.value(), div.toJson());
-    return verified ? 0 : 1;
+        writeJsonFile(jsonOut.value(), rep.toJson());
+    return rep.diverged ? 1 : 0;
 }
 
 int

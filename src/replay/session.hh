@@ -1,10 +1,11 @@
 /**
  * @file
- * Record and replay sessions: the ReplayProbe implementations that
- * capture a run into a Recording (Recorder) or verify/inject a run
- * against one (Replayer), plus the drivers that wrap the project's
- * two run kinds — an evaluation sweep (bench/sweep) and a kcheck
- * scenario — in a probe scope.
+ * Record and replay sessions: the ReplayProbe that captures a run
+ * into a Recording (Recorder), plus the drivers that wrap the
+ * project's two run kinds — an evaluation sweep (bench/sweep) and a
+ * kcheck scenario — in a probe scope. A replay re-derives the run
+ * from a recording, records the re-run the same way, and reports
+ * bisectRecordings(recorded, rerun) (bisect.hh) as its verdict.
  *
  * Both drivers force single-threaded execution (jobs=1 campaigns run
  * inline on the calling thread, see runner.hh), so the thread-local
@@ -23,66 +24,25 @@
 #include "check/checker.hh"
 #include "check/scenario.hh"
 #include "common/replay_probe.hh"
+#include "replay/bisect.hh"
 #include "replay/recording.hh"
 
 namespace killi::replay
 {
 
-/** First point where a replayed run left its recording. */
-struct Divergence
-{
-    bool found = false;
-    /** "rng" | "pop" | "trace" | "result" | "length". */
-    std::string stream;
-    std::uint64_t index = 0; //!< entry index within the stream
-    Tick tick = 0;           //!< simulated time of the divergence
-    std::uint64_t seq = 0;   //!< event seq of the enclosing pop
-    std::string expected;    //!< recorded side, rendered
-    std::string actual;      //!< replayed side, rendered
-    std::string rngStream;   //!< RNG stream label (rng divergences)
-
-    Json toJson() const;
-    std::string describe() const;
-};
-
-/** A completed run of same-(stream, pop) draws, before interning. */
-struct PendingSegment
-{
-    std::string stream;
-    std::uint64_t pop = 0;
-    std::uint64_t count = 0;
-    std::uint64_t digest = 0;
-};
-
 /**
- * Folds consecutive Rng draws into RngSegments: a segment closes
- * when the stream label or the enclosing pop changes (or at flush).
- * Recorder and Replayer aggregate with the same rules, so their
- * segmentations agree by construction.
+ * Captures one run into a Recording. Install around the run (the
+ * drivers below do), then finish() with the canonical result text.
+ * Consecutive Rng draws of one stream label within one event pop
+ * fold into one RngSegment; a segment closes when the label or the
+ * enclosing pop changes, and the last one at finish().
  */
-class RngSegmentBuilder
-{
-  public:
-    /** Feed one draw; true when a segment completed into @p out (the
-     *  fed draw then opens the next segment). */
-    bool feed(const char *label, std::uint64_t pop,
-              std::uint64_t value, PendingSegment &out);
-    /** Close and emit the in-flight segment, if any. */
-    bool flush(PendingSegment &out);
-
-  private:
-    bool active = false;
-    PendingSegment cur;
-};
-
-/** Captures one run into a Recording. Install around the run (the
- *  drivers below do), then finish() with the canonical result text. */
 class Recorder : public ReplayProbe
 {
   public:
     explicit Recorder(std::string tool);
 
-    std::uint64_t filterRngDraw(std::uint64_t value) override;
+    void onRngDraw(std::uint64_t value) override;
     void onEventPop(Tick when, std::uint64_t seq) override;
     void onTraceRecord(Tick tick, std::uint32_t cat, const char *name,
                        std::uint64_t argDigest) override;
@@ -97,56 +57,14 @@ class Recorder : public ReplayProbe
     const Recording &recording() const { return rec; }
 
   private:
+    /** Append the in-flight segment, if any, to the recording. */
+    void closeSegment();
+
     Recording rec;
-    RngSegmentBuilder rngBuilder;
-    std::uint64_t popCount = 0;
-};
-
-/**
- * Verifies a re-run against a Recording. The run's own inputs stay
- * authoritative — verification keeps executing after a mismatch and
- * remembers only the *first* divergence, which is the replay
- * debugging contract: one precise (tick, seq, stream, index)
- * instead of an end-state diff.
- *
- * Trace records are only compared when the recording carried them
- * and the compile-time trace mask matches this build's; otherwise
- * the trace stream is skipped entirely (committed recordings must
- * survive KILLI_TRACE_CATEGORIES variants).
- */
-class Replayer : public ReplayProbe
-{
-  public:
-    explicit Replayer(const Recording &recording);
-
-    std::uint64_t filterRngDraw(std::uint64_t value) override;
-    void onEventPop(Tick when, std::uint64_t seq) override;
-    void onTraceRecord(Tick tick, std::uint32_t cat, const char *name,
-                       std::uint64_t argDigest) override;
-
-    /** Compare stream completeness and the result digest. Call after
-     *  the run; further hook calls are not expected. */
-    void finish(const std::string &resultText);
-
-    /** True iff every stream matched, fully consumed, and the result
-     *  digest agreed. Valid after finish(). */
-    bool ok() const { return !div.found; }
-    const Divergence &divergence() const { return div; }
-
-  private:
-    void flag(Divergence d);
-    /** (tick, seq) of the pop enclosing stream position @p pop. */
-    void popContext(std::uint64_t pop, Divergence &d) const;
-    /** Compare one completed segment against the recorded stream. */
-    void compareSegment(const PendingSegment &seg);
-
-    const Recording &rec;
-    bool compareTrace;
-    Divergence div;
-    RngSegmentBuilder rngBuilder;
-    std::uint64_t rngIdx = 0;
-    std::uint64_t popIdx = 0;
-    std::uint64_t traceIdx = 0;
+    /** The in-flight segment; open iff its count is nonzero. */
+    RngSegment segment;
+    /** The label the in-flight segment was opened with. */
+    const char *segmentLabel = nullptr;
     std::uint64_t popCount = 0;
 };
 
@@ -156,9 +74,11 @@ struct SweepSession
     SweepOptions opt;       //!< the options the run actually used
     SweepResult result;
     std::string resultText; //!< canonical sweepToJson(...).toString(0)
-    Recording recording;    //!< record mode: the captured run
+    Recording recording;    //!< the captured run (replay: the re-run)
     bool verified = false;  //!< replay mode: bit-identical
-    Divergence divergence;  //!< replay mode: first mismatch
+    /** Replay mode: bisectRecordings(file, re-run); side a is the
+     *  file, side b the re-run. */
+    BisectReport divergence;
 };
 
 /**
@@ -176,7 +96,7 @@ SweepSession recordSweep(const SweepOptions &opt,
 /**
  * Re-derive and re-run a sweep from @p rec alone (its meta carries
  * the resolved options, and the recording its perturb-decode
- * count), verifying every recorded input.
+ * count) under a Recorder, and bisect the re-run against @p rec.
  * @p embedder optionally supplies onProgress/cancel hooks (the
  * serving daemon's streaming and cancellation).
  */
@@ -191,7 +111,7 @@ struct CheckSession
     std::string resultText; //!< result.toJson().toString(0)
     Recording recording;
     bool verified = false;
-    Divergence divergence;
+    BisectReport divergence;
 };
 
 /** Run one kcheck scenario under a Recorder; the scenario document
@@ -199,8 +119,9 @@ struct CheckSession
 CheckSession recordScenario(const check::Scenario &scenario,
                             std::size_t maxViolations = 8);
 
-/** Re-run the scenario embedded in @p rec, verifying every input
- *  and the result digest. */
+/** Re-run the scenario embedded in @p rec under a Recorder and
+ *  bisect the re-run against @p rec. meta.max_violations must be a
+ *  JSON integer >= 1; anything else is fatal(). */
 CheckSession replayScenario(const Recording &rec);
 
 /**

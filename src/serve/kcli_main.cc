@@ -51,20 +51,11 @@ declareEndpoint(Options &opts)
                        "kserved TCP port on 127.0.0.1 when socket= "
                        "is empty")
         .range(0u, 65535u);
-    opts.add<unsigned>("connect-retries", 5u,
-                       "connect attempts before giving up "
-                       "(exponential backoff between attempts; "
-                       "rides out a daemon still booting)")
-        .range(1u, 100u);
-    opts.add<unsigned>("connect-timeout-ms", 3000u,
-                       "per-attempt connect deadline (0 = blocking "
-                       "OS default)")
-        .range(0u, 600000u);
-    opts.add<unsigned>("connect-backoff-ms", 50u,
-                       "delay before the second connect attempt; "
-                       "doubles per retry, capped at 2000ms")
-        .range(1u, 10000u);
 }
+
+/** Five attempts, 3 s each, 50 ms initial backoff: rides out a
+ *  daemon that is still booting. */
+const ConnectOptions kConnect{5, 3000, 50};
 
 /** Render one JSON scalar the way the table output wants it. */
 std::string
@@ -141,19 +132,15 @@ void
 connectTo(const Options &opts, Client &client)
 {
     const std::string sock = opts.get<std::string>("socket");
-    ConnectOptions copt;
-    copt.attempts = opts.get<unsigned>("connect-retries");
-    copt.timeoutMs = int(opts.get<unsigned>("connect-timeout-ms"));
-    copt.backoffMs = int(opts.get<unsigned>("connect-backoff-ms"));
     std::string err;
     bool ok;
     if (!sock.empty()) {
-        ok = client.connectUnix(sock, copt, &err);
+        ok = client.connectUnix(sock, kConnect, &err);
     } else {
         const unsigned port = opts.get<unsigned>("port");
         if (port == 0)
             fatal("kcli: socket= is empty and no port= given");
-        ok = client.connectTcp(std::uint16_t(port), copt, &err);
+        ok = client.connectTcp(std::uint16_t(port), kConnect, &err);
     }
     if (!ok)
         fatal("kcli: %s", err.c_str());

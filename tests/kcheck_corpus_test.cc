@@ -130,7 +130,7 @@ TEST(KcheckCorpus, CommittedRecordingsReplayBitIdentical)
         const replay::CheckSession s = replay::replayScenario(rec);
         EXPECT_TRUE(s.verified)
             << path.filename().string() << ": "
-            << s.divergence.describe();
+            << s.divergence.summary();
         EXPECT_TRUE(s.result.ok()) << path.filename().string();
     }
 }

@@ -74,34 +74,49 @@ waitFor(const std::atomic<bool> &flag,
 }
 
 // ---------------------------------------------------------------
-// RngSegmentBuilder
+// Recorder rng segmentation
 // ---------------------------------------------------------------
 
-TEST(RngSegmentBuilder, SplitsOnStreamLabelAndPopChanges)
+TEST(Recorder, SplitsRngSegmentsOnStreamLabelAndPopChanges)
 {
-    RngSegmentBuilder builder;
-    PendingSegment seg;
-    EXPECT_FALSE(builder.feed("faultmap", 0, 11, seg));
-    EXPECT_FALSE(builder.feed("faultmap", 0, 22, seg));
-    // Stream change closes the faultmap segment.
-    ASSERT_TRUE(builder.feed("?", 0, 33, seg));
-    EXPECT_EQ(seg.stream, "faultmap");
-    EXPECT_EQ(seg.pop, 0u);
-    EXPECT_EQ(seg.count, 2u);
+    Recorder recorder("test");
+    Rng rng(1);
+    std::uint64_t v[4];
+    {
+        const ScopedReplayProbe scope(&recorder);
+        {
+            const RngStreamScope label("faultmap");
+            v[0] = rng.next64();
+            v[1] = rng.next64();
+        }
+        // Stream change closes the faultmap segment.
+        v[2] = rng.next64();
+        // Pop change closes the next one.
+        recorder.onEventPop(10, 0);
+        v[3] = rng.next64();
+    }
+    const Recording &rec = recorder.recording();
+    ASSERT_EQ(rec.rng.size(), 2u); // the tail is still in flight
+    EXPECT_EQ(rec.streams.at(rec.rng[0].stream), "faultmap");
+    EXPECT_EQ(rec.rng[0].pop, 0u);
+    EXPECT_EQ(rec.rng[0].count, 2u);
     std::uint64_t expect = textDigest("faultmap");
-    expect = rollDigest(expect, 11);
-    expect = rollDigest(expect, 22);
-    EXPECT_EQ(seg.digest, expect);
-    // Pop change closes the next one.
-    ASSERT_TRUE(builder.feed("?", 1, 44, seg));
-    EXPECT_EQ(seg.stream, "?");
-    EXPECT_EQ(seg.pop, 0u);
-    EXPECT_EQ(seg.count, 1u);
-    // Flush emits the in-flight tail exactly once.
-    ASSERT_TRUE(builder.flush(seg));
-    EXPECT_EQ(seg.pop, 1u);
-    EXPECT_EQ(seg.count, 1u);
-    EXPECT_FALSE(builder.flush(seg));
+    expect = rollDigest(expect, v[0]);
+    expect = rollDigest(expect, v[1]);
+    EXPECT_EQ(rec.rng[0].digest, expect);
+    EXPECT_EQ(rec.streams.at(rec.rng[1].stream), "?");
+    EXPECT_EQ(rec.rng[1].pop, 0u);
+    EXPECT_EQ(rec.rng[1].count, 1u);
+    EXPECT_EQ(rec.rng[1].digest, rollDigest(textDigest("?"), v[2]));
+
+    // finish() flushes the in-flight tail exactly once.
+    recorder.finish("r");
+    ASSERT_EQ(rec.rng.size(), 3u);
+    EXPECT_EQ(rec.rng[2].pop, 1u);
+    EXPECT_EQ(rec.rng[2].count, 1u);
+    EXPECT_EQ(rec.rng[2].digest, rollDigest(textDigest("?"), v[3]));
+    recorder.finish("r");
+    EXPECT_EQ(rec.rng.size(), 3u);
 }
 
 // ---------------------------------------------------------------
@@ -165,30 +180,6 @@ TEST(ReplayHarness, CleanRunRecordsOneSegmentPerPop)
         EXPECT_EQ(rec.rng[i].count, 1u);
     }
     EXPECT_FALSE(rec.resultDigest.empty());
-}
-
-TEST(ReplayHarness, ReplayerVerifiesCleanReRun)
-{
-    const Recording rec = recordHarness(0);
-    Replayer rep(rec);
-    const std::string result = runHarness(&rep, 0);
-    rep.finish(result);
-    EXPECT_TRUE(rep.ok()) << rep.divergence().describe();
-}
-
-TEST(ReplayHarness, ReplayerFlagsSeededDecodeAtExactTickSeq)
-{
-    // The 4th SECDED evaluation happens inside the 4th event, at
-    // tick 40 — the replayer must name exactly that site.
-    const Recording rec = recordHarness(0);
-    Replayer rep(rec);
-    const std::string result = runHarness(&rep, 4);
-    rep.finish(result);
-    ASSERT_FALSE(rep.ok());
-    const Divergence &div = rep.divergence();
-    EXPECT_EQ(div.stream, "rng");
-    EXPECT_EQ(div.tick, Tick(40));
-    EXPECT_EQ(div.seq, rec.pops[3].seq);
 }
 
 TEST(PerturbDecode, ArmIsInvisibleToOtherThreads)
@@ -303,9 +294,9 @@ TEST(ReplayBisect, ResultOnlyDivergenceFallsBackToResultStream)
 
 TEST(ReplayHarness, ScopedLogClockTimestampsAreReplayDeterministic)
 {
-    // Log timestamps come from the simulated clock, so a replayed
+    // Log timestamps come from the simulated clock, so a re-recorded
     // run must emit byte-identical "@<tick>" prefixes — wall time
-    // never leaks in.
+    // never leaks in — and bisect clean against the first.
     const auto loggedRun = [](ReplayProbe *probe) {
         ScopedLogCapture capture;
         const ScopedReplayProbe scope(probe);
@@ -327,11 +318,13 @@ TEST(ReplayHarness, ScopedLogClockTimestampsAreReplayDeterministic)
     const auto recorded = loggedRun(&recorder);
     recorder.finish("logclock");
 
-    Replayer rep(recorder.recording());
-    const auto replayed = loggedRun(&rep);
-    rep.finish("logclock");
+    Recorder rerun("test");
+    const auto replayed = loggedRun(&rerun);
+    rerun.finish("logclock");
 
-    EXPECT_TRUE(rep.ok()) << rep.divergence().describe();
+    const BisectReport rep =
+        bisectRecordings(recorder.recording(), rerun.recording());
+    EXPECT_FALSE(rep.diverged) << rep.summary();
     ASSERT_EQ(recorded.size(), 3u);
     EXPECT_NE(recorded[0].find("@5"), std::string::npos)
         << recorded[0];
@@ -421,10 +414,7 @@ TEST(RecordingFormat, PopsKeepTheV1ZeroColumn)
 class PopDigestProbe : public ReplayProbe
 {
   public:
-    std::uint64_t filterRngDraw(std::uint64_t value) override
-    {
-        return value;
-    }
+    void onRngDraw(std::uint64_t) override {}
 
     void
     onEventPop(Tick when, std::uint64_t seq) override
@@ -490,7 +480,7 @@ TEST(ReplaySweep, RecordThenReplayIsBitIdentical)
 
     const SweepSession replayed = replaySweep(recorded.recording);
     EXPECT_TRUE(replayed.verified)
-        << replayed.divergence.describe();
+        << replayed.divergence.summary();
     EXPECT_EQ(replayed.resultText, recorded.resultText);
 }
 
@@ -503,10 +493,44 @@ TEST(ReplaySweep, TamperedRngSegmentIsFlaggedAsFaultMapDivergence)
 
     const SweepSession replayed = replaySweep(tampered);
     ASSERT_FALSE(replayed.verified);
-    EXPECT_EQ(replayed.divergence.stream, "rng");
-    EXPECT_EQ(replayed.divergence.index, 0u);
+    const BisectReport &rep = replayed.divergence;
+    EXPECT_EQ(rep.stream, "rng");
+    EXPECT_EQ(rep.index, 0u);
     // The first segment is the fault-map construction stream.
-    EXPECT_EQ(replayed.divergence.rngStream, "faultmap");
+    EXPECT_NE(rep.a.find("faultmap"), std::string::npos) << rep.a;
+}
+
+TEST(ReplaySweep, ShortPopStreamDivergesWhereItEnds)
+{
+    const SweepSession recorded = recordSweep(tinySweep());
+    const std::vector<EventPop> &pops = recorded.recording.pops;
+    ASSERT_FALSE(pops.empty());
+    const std::size_t n = pops.size();
+    const std::string lastPop = "(" + std::to_string(pops[n - 1].when) +
+                                ", " + std::to_string(pops[n - 1].seq) +
+                                ")";
+
+    // A file one pop short: the re-run (side b) has the pop the file
+    // (side a) lacks.
+    Recording truncated = recorded.recording;
+    truncated.pops.pop_back();
+    const SweepSession shortFile = replaySweep(truncated);
+    ASSERT_FALSE(shortFile.verified);
+    EXPECT_EQ(shortFile.divergence.stream, "pop");
+    EXPECT_EQ(shortFile.divergence.index, n - 1);
+    EXPECT_EQ(shortFile.divergence.a,
+              "(stream ended at " + std::to_string(n - 1) + " pops)");
+    EXPECT_EQ(shortFile.divergence.b, lastPop);
+
+    // A file one pop long: the re-run ends first.
+    Recording extended = recorded.recording;
+    extended.pops.push_back(EventPop{pops[n - 1].when, pops[n - 1].seq + 1});
+    const SweepSession shortRun = replaySweep(extended);
+    ASSERT_FALSE(shortRun.verified);
+    EXPECT_EQ(shortRun.divergence.stream, "pop");
+    EXPECT_EQ(shortRun.divergence.index, n);
+    EXPECT_EQ(shortRun.divergence.b,
+              "(stream ended at " + std::to_string(n) + " pops)");
 }
 
 TEST(ReplaySweep, CrossModeBisectPinpointsFaultMapSampling)
@@ -532,10 +556,7 @@ TEST(ReplaySweep, CrossModeBisectPinpointsFaultMapSampling)
 class SimulatingProbe : public ReplayProbe
 {
   public:
-    std::uint64_t filterRngDraw(std::uint64_t value) override
-    {
-        return value;
-    }
+    void onRngDraw(std::uint64_t) override {}
     void onEventPop(Tick, std::uint64_t) override
     {
         simulating.store(true);
@@ -583,7 +604,7 @@ TEST(ReplaySweep, PerturbedReplayVerifiesBesidePlainSweeps)
     plain.join();
 
     ASSERT_TRUE(overlapped);
-    EXPECT_TRUE(replayed.verified) << replayed.divergence.describe();
+    EXPECT_TRUE(replayed.verified) << replayed.divergence.summary();
     EXPECT_EQ(replayed.resultText, perturbed.resultText);
 }
 
@@ -600,7 +621,7 @@ TEST(ReplayScenario, RecordThenReplayIsBitIdentical)
 
     const CheckSession replayed = replayScenario(recorded.recording);
     EXPECT_TRUE(replayed.verified)
-        << replayed.divergence.describe();
+        << replayed.divergence.summary();
     EXPECT_EQ(replayed.resultText, recorded.resultText);
 }
 
@@ -614,6 +635,19 @@ TEST(ReplayScenario, TamperedResultDigestIsFlagged)
     const CheckSession replayed = replayScenario(tampered);
     ASSERT_FALSE(replayed.verified);
     EXPECT_EQ(replayed.divergence.stream, "result");
+}
+
+TEST(ReplayScenario, MaxViolationsMustBeAPositiveInteger)
+{
+    const Recording clean =
+        recordScenario(check::Scenario::generate(7)).recording;
+    for (const Json &bad : {Json::number(std::int64_t{-1}),
+                            Json::number(2.5), Json::number(1e300)}) {
+        SCOPED_TRACE(bad.toString(0));
+        Recording rec = clean;
+        rec.meta.set("max_violations", bad);
+        EXPECT_DEATH(replayScenario(rec), "meta\\.max_violations");
+    }
 }
 
 // ---------------------------------------------------------------

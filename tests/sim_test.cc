@@ -161,7 +161,7 @@ namespace
 /** Captures the queue's own (when, seq) pop stream. */
 struct PopRecorder : ReplayProbe
 {
-    std::uint64_t filterRngDraw(std::uint64_t v) override { return v; }
+    void onRngDraw(std::uint64_t) override {}
 
     void
     onEventPop(Tick when, std::uint64_t seq) override

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstring>
 #include <deque>
@@ -23,6 +24,9 @@ namespace killi::fleet
 namespace
 {
 
+/** Dispatch attempts per shard before its campaign fails. */
+constexpr unsigned kMaxShardAttempts = 3;
+
 double
 sinceSeconds(std::chrono::steady_clock::time_point t0)
 {
@@ -39,11 +43,14 @@ isTimeout(const std::string &err)
 
 } // namespace
 
-/** One queued dispatch: a shard index, possibly as a hedge. */
-struct QEntry
+/** One pending dispatch: a shard index, possibly as a hedge, and
+ *  the worker it should not be bound to (a retry or hedge moves
+ *  away from the worker it ran on; none for a first dispatch). */
+struct Pending
 {
     std::size_t shardIdx = 0;
     bool hedge = false;
+    std::size_t avoid = SIZE_MAX;
 };
 
 struct Coordinator::Shard
@@ -68,10 +75,13 @@ struct Coordinator::Campaign
 {
     std::uint64_t jobId = 0;
     std::mutex mtx;
+    /** Signalled when a dispatch ends or a hedge enters pending. */
+    std::condition_variable wake;
     std::vector<std::unique_ptr<Shard>> shards;
-    /** Per-worker dispatch queues (under mtx). */
-    std::vector<std::deque<QEntry>> queues;
-    /** Dispatches currently running per worker (under mtx). */
+    /** Dispatches not yet bound to a worker (under mtx). */
+    std::deque<Pending> pending;
+    /** Dispatches of this campaign running per worker: its used
+     *  slots (under mtx). */
     std::vector<unsigned> inflight;
     std::size_t completedCount = 0;
     bool failed = false;
@@ -81,7 +91,6 @@ struct Coordinator::Campaign
     // Rolled into statusJson() while the campaign is in flight.
     std::atomic<std::uint64_t> dispatched{0};
     std::atomic<std::uint64_t> hedges{0};
-    std::atomic<std::uint64_t> steals{0};
 };
 
 Coordinator::Coordinator(FleetOptions options) : opt(std::move(options))
@@ -125,9 +134,6 @@ Coordinator::registerFleetMetrics()
         "kfleet_shards_cancelled_total",
         "Dispatches abandoned: hedge losses, worker failures, "
         "transport deaths, campaign cancellation");
-    mSteals = &reg.counter(
-        "kfleet_steals_total",
-        "Shards stolen from another worker's queue");
     mHedges = &reg.counter(
         "kfleet_hedges_total",
         "Hedged re-dispatches issued for slow shards");
@@ -140,7 +146,8 @@ Coordinator::registerFleetMetrics()
         "computed them in an earlier campaign");
     mPeerFetchMisses = &reg.counter(
         "kfleet_peer_fetch_misses_total",
-        "Peer fetches that found the entry evicted");
+        "Peer fetches that found the entry evicted or the peer "
+        "unreachable");
     mRejections = &reg.counter(
         "kfleet_worker_rejections_total",
         "Worker-side rejections (queue_full, overloaded, connect "
@@ -313,27 +320,27 @@ Coordinator::tryPeerFetch(Campaign &camp, Shard &shard,
         return false;
     serve::Client client;
     std::string err;
-    if (!connectWorker(peer, client, &err))
-        return false;
     Json fetch = Json::object();
     fetch.set("type", Json::string("fetch"));
     fetch.set("key", Json::string(shard.hash));
     Json reply;
-    if (!client.send(fetch, &err) ||
-        !client.recvWithin(reply, 10000, &err))
-        return false;
-    if (reply.at("type").asString() != "fetch_reply" ||
+    if (!connectWorker(peer, client, &err) ||
+        !client.send(fetch, &err) ||
+        !client.recvWithin(reply, 10000, &err) ||
+        reply.at("type").asString() != "fetch_reply" ||
         !reply.at("found").asBool()) {
-        // Evicted on the peer since we recorded it; forget the
-        // stale address and recompute.
+        // Evicted on the peer, or the peer is gone: forget the stale
+        // address and recompute, so a dead peer costs one connect
+        // budget rather than one per later dispatch of the shard.
         mPeerFetchMisses->inc();
         std::lock_guard<std::mutex> lock(peerMtx);
-        completedBy.erase(shard.hash);
+        const auto it = completedBy.find(shard.hash);
+        if (it != completedBy.end() && it->second == peer)
+            completedBy.erase(it);
         return false;
     }
     if (!settleShard(camp, shard, peer, "peer-fetch",
-                     shard.hedged.load(), reply.at("result"),
-                     progress))
+                     reply.at("result"), progress))
         return false; // raced a concurrent dispatch; its accounting stands
     mPeerFetches->inc();
     return true;
@@ -342,7 +349,7 @@ Coordinator::tryPeerFetch(Campaign &camp, Shard &shard,
 bool
 Coordinator::settleShard(Campaign &camp, Shard &shard,
                          std::size_t w, const char *origin,
-                         bool hedged, Json result,
+                         Json result,
                          const serve::FleetProgressFn &progress)
 {
     std::size_t doneCount = 0;
@@ -355,7 +362,6 @@ Coordinator::settleShard(Campaign &camp, Shard &shard,
         shard.worker = workerNames[w];
         shard.origin = origin;
         shard.settled.store(true);
-        (void)hedged;
         doneCount = ++camp.completedCount;
         total = camp.shards.size();
         if (doneCount == total)
@@ -376,16 +382,6 @@ Coordinator::settleShard(Campaign &camp, Shard &shard,
     return true;
 }
 
-std::size_t
-Coordinator::otherWorker(const Campaign &camp, std::size_t w) const
-{
-    std::size_t target = (w + 1) % endpoints.size();
-    for (std::size_t j = 0; j < endpoints.size(); ++j)
-        if (j != w && camp.queues[j].size() < camp.queues[target].size())
-            target = j;
-    return target;
-}
-
 void
 Coordinator::runDispatch(Campaign &camp, Shard &shard,
                          std::size_t w, bool isHedge,
@@ -393,13 +389,14 @@ Coordinator::runDispatch(Campaign &camp, Shard &shard,
                          const serve::FleetProgressFn &progress)
 {
     // Reschedule-or-fail for a dispatch that died before settling
-    // the shard. The shard moves to another worker's queue until
-    // its attempt budget runs out, which fails the whole campaign.
+    // the shard. The shard re-enters the back of the pending list,
+    // away from w, until its attempt budget runs out, which fails
+    // the whole campaign.
     const auto reschedule = [&](const std::string &why) {
         std::lock_guard<std::mutex> lock(camp.mtx);
         if (shard.settled.load() || camp.failed)
             return;
-        if (shard.attempts >= opt.maxShardAttempts) {
+        if (shard.attempts >= kMaxShardAttempts) {
             camp.failed = true;
             camp.error = "shard '" + shard.workload + "' failed " +
                          std::to_string(shard.attempts) +
@@ -407,8 +404,7 @@ Coordinator::runDispatch(Campaign &camp, Shard &shard,
             camp.done.store(true);
             return;
         }
-        camp.queues[otherWorker(camp, w)].push_back(
-            QEntry{shard.idx, isHedge});
+        camp.pending.push_back(Pending{shard.idx, isHedge, w});
     };
 
     if (!isHedge && tryPeerFetch(camp, shard, w, progress))
@@ -467,12 +463,13 @@ Coordinator::runDispatch(Campaign &camp, Shard &shard,
                     !shard.hedged.exchange(true)) {
                     std::lock_guard<std::mutex> lock(camp.mtx);
                     if (!shard.settled.load() && !camp.failed) {
-                        // Front of the queue: a hedge exists
-                        // because the shard is already late.
-                        camp.queues[otherWorker(camp, w)].push_front(
-                            QEntry{shard.idx, true});
+                        // Front of the list: a hedge exists because
+                        // the shard is already late.
+                        camp.pending.push_front(
+                            Pending{shard.idx, true, w});
                         camp.hedges.fetch_add(1);
                         mHedges->inc();
+                        camp.wake.notify_one();
                     }
                 }
                 continue;
@@ -521,8 +518,7 @@ Coordinator::runDispatch(Campaign &camp, Shard &shard,
                 cachedFlag || frame.at("cached").asBool()
                     ? "cache-hit"
                     : "computed",
-                isHedge || shard.hedged.load(), frame.at("result"),
-                progress);
+                frame.at("result"), progress);
             if (won) {
                 mCompleted->inc();
                 mShardSeconds->observe(sinceSeconds(t0));
@@ -555,91 +551,6 @@ Coordinator::runDispatch(Campaign &camp, Shard &shard,
     }
 }
 
-void
-Coordinator::dispatchLoop(Campaign &camp, std::size_t w,
-                          const CancelToken &cancel,
-                          const serve::FleetProgressFn &progress)
-{
-    while (!camp.done.load() && !cancel.cancelled()) {
-        QEntry entry;
-        bool have = false;
-        bool stolen = false;
-        {
-            std::lock_guard<std::mutex> lock(camp.mtx);
-            if (!camp.queues[w].empty()) {
-                entry = camp.queues[w].front();
-                camp.queues[w].pop_front();
-                have = true;
-            } else {
-                // Steal from the back of the most overloaded OTHER
-                // queue — but only when that queue exceeds its
-                // owner's idle slot capacity. An entry a free owner
-                // slot will pick up within its next poll tick is
-                // not up for grabs: stealing it would defeat the
-                // round-robin placement (on a one-core host, w0's
-                // dispatchers start first and would otherwise drain
-                // every queue before the other workers' threads
-                // even run).
-                const std::size_t slots =
-                    std::max(1u, opt.slotsPerWorker);
-                std::size_t victim = endpoints.size();
-                std::size_t worst = 0;
-                for (std::size_t j = 0; j < endpoints.size(); ++j) {
-                    if (j == w)
-                        continue;
-                    const std::size_t qlen = camp.queues[j].size();
-                    if (qlen == 0)
-                        continue;
-                    const std::size_t idle =
-                        slots > camp.inflight[j]
-                            ? slots - camp.inflight[j]
-                            : 0;
-                    if (qlen > idle && qlen + camp.inflight[j] >
-                                           worst) {
-                        worst = qlen + camp.inflight[j];
-                        victim = j;
-                    }
-                }
-                if (victim < endpoints.size()) {
-                    entry = camp.queues[victim].back();
-                    camp.queues[victim].pop_back();
-                    have = true;
-                    stolen = true;
-                }
-            }
-            if (have)
-                ++camp.inflight[w];
-        }
-        if (have) {
-            std::lock_guard<std::mutex> lock(loadMtx);
-            ++activeOn[w];
-        }
-        if (!have) {
-            // Nothing queued anywhere; the campaign may still have
-            // dispatches in flight on other slots.
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(5));
-            continue;
-        }
-        if (stolen) {
-            mSteals->inc();
-            camp.steals.fetch_add(1);
-        }
-        Shard &shard = *camp.shards[entry.shardIdx];
-        if (!shard.settled.load())
-            runDispatch(camp, shard, w, entry.hedge, cancel,
-                        progress);
-        {
-            std::lock_guard<std::mutex> lock(camp.mtx);
-            --camp.inflight[w];
-        }
-        {
-            std::lock_guard<std::mutex> lock(loadMtx);
-            --activeOn[w];
-        }
-    }
-}
-
 Json
 Coordinator::runCampaign(std::uint64_t jobId,
                          const serve::SubmitRequest &req,
@@ -653,16 +564,9 @@ Coordinator::runCampaign(std::uint64_t jobId,
     if (nWorkers == 0)
         throw std::runtime_error("fleet has no workers");
 
-    // Rotating round-robin origin: campaign k starts dealing at
-    // worker k % N, so a shard recurring across campaigns lands on
-    // a different worker and exercises the peer-fetch path.
-    const std::uint64_t offset = campaignCounter.fetch_add(1);
-
     Campaign camp;
     camp.jobId = jobId;
-    camp.queues.resize(nWorkers);
     camp.inflight.resize(nWorkers, 0);
-    std::vector<unsigned> placedNow(nWorkers, 0);
     for (std::size_t i = 0; i < req.sopt.workloads.size(); ++i) {
         auto shard = std::make_unique<Shard>();
         shard->idx = i;
@@ -671,40 +575,75 @@ Coordinator::runCampaign(std::uint64_t jobId,
         shard->sopt.workloads = {shard->workload};
         shard->canonical = serve::canonicalKeyFor(shard->sopt);
         shard->hash = serve::ResultStore::hashKey(shard->canonical);
-        // Place on the globally least-busy worker; the rotation
-        // offset orders the scan, so an idle fleet degenerates to
-        // plain round-robin (which the peer-fetch tests pin).
-        std::size_t target = (offset + i) % nWorkers;
-        {
-            std::lock_guard<std::mutex> lock(loadMtx);
-            unsigned best = ~0u;
-            for (std::size_t k = 0; k < nWorkers; ++k) {
-                const std::size_t idx = (offset + i + k) % nWorkers;
-                const unsigned load =
-                    activeOn[idx] + placedNow[idx];
-                if (load < best) {
-                    best = load;
-                    target = idx;
-                }
-            }
-        }
-        ++placedNow[target];
-        camp.queues[target].push_back(QEntry{i, false});
+        camp.pending.push_back(Pending{i});
         camp.shards.push_back(std::move(shard));
     }
     {
         std::lock_guard<std::mutex> lock(activeMtx);
         active[jobId] = &camp;
     }
-    std::vector<std::thread> slots;
-    for (std::size_t w = 0; w < nWorkers; ++w)
-        for (unsigned s = 0; s < std::max(1u, opt.slotsPerWorker);
-             ++s)
-            slots.emplace_back([this, &camp, w, &cancel,
-                                &progress] {
-                dispatchLoop(camp, w, cancel, progress);
-            });
-    for (std::thread &t : slots)
+
+    // Late binding: a pending entry is bound only when a worker has
+    // a free slot for this campaign, to the globally least-busy such
+    // worker (lowest index on a tie), never to the entry's avoid
+    // worker unless the fleet has no other. Binding only ever fills
+    // slots, so one pass in list order binds exactly what repeated
+    // "first entry with an eligible worker" picks would.
+    const unsigned slots = std::max(1u, opt.slotsPerWorker);
+    const auto bindWorker = [&](std::size_t avoid) {
+        std::lock_guard<std::mutex> loadLock(loadMtx);
+        std::size_t best = nWorkers;
+        for (std::size_t w = 0; w < nWorkers; ++w)
+            if (camp.inflight[w] < slots &&
+                (w != avoid || nWorkers == 1) &&
+                (best == nWorkers || activeOn[w] < activeOn[best]))
+                best = w;
+        if (best < nWorkers) {
+            ++camp.inflight[best];
+            ++activeOn[best];
+        }
+        return best;
+    };
+    std::vector<std::thread> dispatches;
+    {
+        std::unique_lock<std::mutex> lock(camp.mtx);
+        while (!camp.done.load() && !cancel.cancelled()) {
+            for (auto it = camp.pending.begin();
+                 it != camp.pending.end();) {
+                if (camp.shards[it->shardIdx]->settled.load()) {
+                    it = camp.pending.erase(it);
+                    continue;
+                }
+                const std::size_t w = bindWorker(it->avoid);
+                if (w == nWorkers) {
+                    ++it;
+                    continue;
+                }
+                dispatches.emplace_back([this, &camp, &cancel,
+                                         &progress, entry = *it, w] {
+                    runDispatch(camp, *camp.shards[entry.shardIdx], w,
+                                entry.hedge, cancel, progress);
+                    {
+                        std::lock_guard<std::mutex> campLock(camp.mtx);
+                        --camp.inflight[w];
+                        std::lock_guard<std::mutex> loadLock(loadMtx);
+                        --activeOn[w];
+                    }
+                    camp.wake.notify_one();
+                });
+                it = camp.pending.erase(it);
+            }
+            // Nothing pending and nothing running, yet unsettled:
+            // report the stall below rather than wait forever.
+            if (camp.pending.empty() &&
+                std::all_of(camp.inflight.begin(), camp.inflight.end(),
+                            [](unsigned n) { return n == 0; }))
+                break;
+            // Bounded, so a cancel with no dispatch ending is seen.
+            camp.wake.wait_for(lock, std::chrono::milliseconds(50));
+        }
+    }
+    for (std::thread &t : dispatches)
         t.join();
     {
         std::lock_guard<std::mutex> lock(activeMtx);
@@ -739,7 +678,6 @@ Coordinator::runCampaign(std::uint64_t jobId,
         doc.set("workers",
                 Json::number(std::uint64_t(nWorkers)));
         doc.set("hedges", Json::number(camp.hedges.load()));
-        doc.set("steals", Json::number(camp.steals.load()));
         doc.set("shards", std::move(shards));
         *attribution = std::move(doc);
     }
@@ -795,7 +733,6 @@ Coordinator::statusJson(std::uint64_t jobId)
     doc.set("shards_done", Json::number(std::uint64_t(done)));
     doc.set("dispatched", Json::number(camp.dispatched.load()));
     doc.set("hedges", Json::number(camp.hedges.load()));
-    doc.set("steals", Json::number(camp.steals.load()));
     return doc;
 }
 
@@ -809,7 +746,9 @@ Coordinator::statsJson()
     doc.set("shards_dispatched", Json::number(mDispatched->value()));
     doc.set("shards_completed", Json::number(mCompleted->value()));
     doc.set("shards_cancelled", Json::number(mCancelled->value()));
-    doc.set("steals", Json::number(mSteals->value()));
+    // Always 0 (nothing is stolen); kept only because perfbench
+    // reads it.
+    doc.set("steals", Json::number(std::uint64_t{0}));
     doc.set("hedges", Json::number(mHedges->value()));
     doc.set("hedge_wins", Json::number(mHedgeWins->value()));
     doc.set("peer_fetches", Json::number(mPeerFetches->value()));

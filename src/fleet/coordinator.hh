@@ -6,15 +6,17 @@
  * campaign is split into one shard per workload (the shard's cache
  * key is exactly what a direct submit of that workload subset would
  * canonicalize to, so worker result caches and the peer-fetch path
- * compose with normal traffic), the shards are dealt round-robin
- * across the workers' dispatch queues, and dispatcher threads drive
- * them over the ordinary kserve frame protocol.
+ * compose with normal traffic), the shards wait in one pending list
+ * per campaign, and a shard is bound to a worker only when one of
+ * that worker's slots is free; each bound dispatch runs on its own
+ * thread over the ordinary kserve frame protocol.
  *
  * Three mechanisms keep a heterogeneous fleet busy and the tail
  * latency bounded:
  *
- *  - Work stealing: a dispatcher whose own queue is empty pops from
- *    the back of the longest other queue (kfleet_steals_total).
+ *  - Late binding: nothing is queued per worker, so no shard waits
+ *    behind a busy worker while another idles; among workers with a
+ *    free slot the globally least-busy one wins, lowest index first.
  *  - Hedged retries: a shard with no terminal reply after
  *    hedgeSeconds is re-dispatched once to another worker; the
  *    first terminal result wins the shard and the loser is
@@ -25,7 +27,8 @@
  *    each shard hash; when a later campaign lands the same shard on
  *    a different worker, the bytes are pulled from the computing
  *    worker's content-addressed cache with a "fetch" frame instead
- *    of being recomputed (kfleet_peer_fetches_total).
+ *    of being recomputed (kfleet_peer_fetches_total). An evicted
+ *    entry or an unreachable peer is forgotten after one miss.
  *
  * Shard results merge by concatenating the per-workload "workloads"
  * arrays in campaign order. runEvaluationSweep() pre-sizes its
@@ -89,8 +92,8 @@ struct FleetOptions
     std::string spawnDir = ".";
     /** threads= for spawned workers. */
     unsigned workerThreads = 1;
-    /** Concurrent dispatches per worker (its effective slot
-     *  count). */
+    /** Concurrent dispatches per worker and campaign (its
+     *  effective slot count). */
     unsigned slotsPerWorker = 2;
     /** Re-dispatch a shard to a second worker when its primary has
      *  produced no terminal reply after this long; 0 disables
@@ -98,8 +101,6 @@ struct FleetOptions
     double hedgeSeconds = 30.0;
     /** Per-worker connect budget (retries with backoff inside). */
     double connectTimeoutSeconds = 10.0;
-    /** Attempts per shard before the campaign fails. */
-    unsigned maxShardAttempts = 3;
     /** Registry receiving the kfleet_* families; null makes the
      *  coordinator register them into a registry it owns. */
     metrics::MetricsRegistry *registry = nullptr;
@@ -157,15 +158,6 @@ class Coordinator
     /** Connect to endpoint @p w with the configured retry budget. */
     bool connectWorker(std::size_t w, serve::Client &client,
                        std::string *err);
-    /** One dispatcher slot: pop/steal shards until the campaign
-     *  settles. */
-    void dispatchLoop(Campaign &camp, std::size_t w,
-                      const CancelToken &cancel,
-                      const serve::FleetProgressFn &progress);
-    /** Where a retry or hedge of a shard that ran on worker @p w
-     *  goes: the shortest queue other than w's, preferring w + 1 on
-     *  a tie. Caller holds camp.mtx. */
-    std::size_t otherWorker(const Campaign &camp, std::size_t w) const;
     /** Drive one dispatch of @p shard on worker @p w to a terminal
      *  state. */
     void runDispatch(Campaign &camp, Shard &shard, std::size_t w,
@@ -178,7 +170,7 @@ class Coordinator
     /** Accept @p result for @p shard; false when another dispatch
      *  settled it first (the caller accounts itself cancelled). */
     bool settleShard(Campaign &camp, Shard &shard, std::size_t w,
-                     const char *origin, bool hedged, Json result,
+                     const char *origin, Json result,
                      const serve::FleetProgressFn &progress);
 
     FleetOptions opt;
@@ -188,15 +180,11 @@ class Coordinator
     std::vector<pid_t> spawnedPids;
     std::atomic<bool> workersDown{false};
 
-    /** Rotates the round-robin origin so consecutive campaigns land
-     *  the same shard on different workers (exercising peer fetch
-     *  deterministically). */
-    std::atomic<std::uint64_t> campaignCounter{0};
-
     /** Dispatches currently in flight per worker, across ALL
-     *  campaigns — shard placement prefers the globally least-busy
-     *  worker (rotation order breaks ties, so placement under no
-     *  load is plain round-robin). */
+     *  campaigns — a shard is bound to the globally least-busy
+     *  worker with a free slot (lowest index on a tie, so an idle
+     *  fleet places shard i on worker i mod N). Taken after
+     *  Campaign::mtx, never before. */
     std::mutex loadMtx;
     std::vector<unsigned> activeOn;
 
@@ -217,7 +205,6 @@ class Coordinator
     metrics::Counter *mDispatched = nullptr;
     metrics::Counter *mCompleted = nullptr;
     metrics::Counter *mCancelled = nullptr;
-    metrics::Counter *mSteals = nullptr;
     metrics::Counter *mHedges = nullptr;
     metrics::Counter *mHedgeWins = nullptr;
     metrics::Counter *mPeerFetches = nullptr;

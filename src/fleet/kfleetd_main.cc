@@ -79,9 +79,9 @@ main(int argc, char **argv)
     Options opts("kfleetd",
                  "sharded-campaign front end: speaks the kserved "
                  "protocol, but shards each submitted campaign "
-                 "across a fleet of kserved workers with work "
-                 "stealing, hedged retries, and peer-fetched "
-                 "results");
+                 "across a fleet of kserved workers, binding a "
+                 "shard to a worker when one of its slots frees, "
+                 "with hedged retries and peer-fetched results");
     ServerOptions defaults;
     defaults.socketPath = "kfleetd.sock";
     defaults.threads = 4;
@@ -111,7 +111,8 @@ main(int argc, char **argv)
             .range(1u, 1024u);
     auto &slotsPerWorker =
         opts.add<unsigned>("slots-per-worker", 2u,
-                           "concurrent shard dispatches per worker")
+                           "concurrent shard dispatches per worker "
+                           "and campaign")
             .range(1u, 64u);
     auto &hedgeMs =
         opts.add<std::uint64_t>(
@@ -126,11 +127,6 @@ main(int argc, char **argv)
                                 "per-worker connect budget (retries "
                                 "with backoff inside)")
             .range(std::uint64_t{100}, std::uint64_t{600000});
-    auto &maxShardAttempts =
-        opts.add<unsigned>("max-shard-attempts", 3u,
-                           "dispatch attempts per shard before the "
-                           "campaign fails")
-            .range(1u, 100u);
     opts.parse(argc, argv);
 
     ServerOptions sopt = serverOptions(opts);
@@ -151,7 +147,6 @@ main(int argc, char **argv)
     fopt.hedgeSeconds = double(hedgeMs.value()) / 1000.0;
     fopt.connectTimeoutSeconds =
         double(connectTimeoutMs.value()) / 1000.0;
-    fopt.maxShardAttempts = maxShardAttempts.value();
     fopt.registry = &server.metrics();
 
     fleet::Coordinator coord(fopt);

@@ -1,17 +1,19 @@
 /**
  * @file
  * Tests for the fleet fabric (src/fleet): a Coordinator driving real
- * in-process kserved workers over loopback TCP. Placement is
- * deterministic for an idle fleet (rotating round-robin; stealing
- * only fires on overloaded queues), so the tests can pin which
- * worker computes which shard and force each fabric mechanism in
- * isolation: bit-identical shard merging against a direct in-process
- * sweep, peer fetch of a shard recurring on a different worker,
- * hedged re-dispatch away from an injected straggler, retry of a
- * shard whose worker died, worker-side cache hits on repeat
- * campaigns, concurrent clients through a kfleetd-style front end,
- * and the dispatch-accounting invariant
- * (dispatched == completed + cancelled) after each.
+ * in-process kserved workers over loopback TCP. A shard is bound to
+ * a worker only when a slot frees, to the least-busy worker with the
+ * lowest index on a tie, so placement on an idle fleet is
+ * deterministic (shard i on worker i mod N) and the tests can pin
+ * which worker computes which shard and force each fabric mechanism
+ * in isolation: bit-identical shard merging against a direct
+ * in-process sweep, peer fetch of a shard recurring on a different
+ * worker, forgetting an unreachable peer after one miss, pending
+ * shards moving past a busy worker, hedged re-dispatch away from an
+ * injected straggler, retry of a shard whose worker died,
+ * worker-side cache hits on repeat campaigns, concurrent clients
+ * through a kfleetd-style front end, and the dispatch-accounting
+ * invariant (dispatched == completed + cancelled) after each.
  */
 
 #include <atomic>
@@ -171,8 +173,8 @@ TEST(Fleet, TwoWorkerCampaignIsBitIdenticalToDirectSweep)
     // One synthesized point-done event per shard.
     EXPECT_EQ(pointsDone.load(), 2u);
 
-    // Round-robin placement on an idle fleet: one shard per worker,
-    // both computed, nothing hedged.
+    // Placement on an idle fleet: one shard per worker, both
+    // computed, nothing hedged.
     EXPECT_EQ(attribution.at("workers").asInt(), 2);
     EXPECT_EQ(shardFor(attribution, "xsbench").at("worker")
                   .asString(), "w0");
@@ -196,8 +198,7 @@ TEST(Fleet, RecurringShardIsServedByPeerFetch)
     TestFleet fleet(2);
     CancelToken cancel;
 
-    // Campaign 1 deals xsbench -> w0, spmv -> w1 (rotation offset
-    // 0; stealing cannot fire on single-entry queues).
+    // Campaign 1 binds xsbench -> w0, spmv -> w1.
     Json attr1;
     const Json doc1 = fleet.coord->runCampaign(
         1, campaignFor("xsbench,spmv"), cancel,
@@ -206,27 +207,97 @@ TEST(Fleet, RecurringShardIsServedByPeerFetch)
     EXPECT_EQ(shardFor(attr1, "spmv").at("origin").asString(),
               "computed");
 
-    // Campaign 2 rotates the origin: stream -> w1, spmv -> w0. But
-    // w1 already computed this exact spmv shard, so w0's dispatcher
+    // Campaign 2 is spmv alone, bound to the idle w0. But w1
+    // already computed this exact spmv shard, so w0's dispatch
     // pulls the bytes from w1's cache instead of recomputing.
     Json attr2;
     const Json doc2 = fleet.coord->runCampaign(
-        2, campaignFor("stream,spmv"), cancel,
-        serve::FleetProgressFn(), &attr2);
+        2, campaignFor("spmv"), cancel, serve::FleetProgressFn(),
+        &attr2);
     const Json shard = shardFor(attr2, "spmv");
     EXPECT_EQ(shard.at("origin").asString(), "peer-fetch");
     EXPECT_EQ(shard.at("worker").asString(), "w1");
 
-    // Peer-fetched bytes are the original bytes (spmv is the second
-    // "workloads" entry of both campaigns).
+    // Peer-fetched bytes are the original bytes.
     EXPECT_EQ(doc1.at("workloads").at(1).toString(0),
-              doc2.at("workloads").at(1).toString(0));
+              doc2.at("workloads").at(0).toString(0));
 
     const Json stats = fleet.coord->statsJson();
     EXPECT_EQ(stats.at("peer_fetches").asInt(), 1);
     EXPECT_EQ(stats.at("peer_fetch_misses").asInt(), 0);
-    // 3 computed dispatches; the peer fetch never dispatched.
+    // 2 computed dispatches; the peer fetch never dispatched.
+    expectLedger(*fleet.coord, 2, 2, 0);
+}
+
+TEST(Fleet, UnreachablePeerIsForgottenAfterOneMiss)
+{
+    FleetOptions fopt;
+    fopt.connectTimeoutSeconds = 0.25; // one connect attempt
+    TestFleet fleet(2, std::move(fopt));
+    CancelToken cancel;
+
+    // spmv is computed on w1, which then goes away.
+    Json attr1;
+    fleet.coord->runCampaign(1, campaignFor("xsbench,spmv"), cancel,
+                             serve::FleetProgressFn(), &attr1);
+    ASSERT_EQ(shardFor(attr1, "spmv").at("worker").asString(), "w1");
+    fleet.workers[1]->stop();
+
+    // The first repeat binds to w0, misses on the dead peer once and
+    // recomputes there; the second finds w0 as the shard's address
+    // and hits w0's own cache without touching w1 again.
+    const serve::SubmitRequest req = campaignFor("spmv");
+    Json attr2;
+    const Json doc = fleet.coord->runCampaign(
+        2, req, cancel, serve::FleetProgressFn(), &attr2);
+    EXPECT_EQ(shardFor(attr2, "spmv").at("worker").asString(), "w0");
+    EXPECT_EQ(shardFor(attr2, "spmv").at("origin").asString(),
+              "computed");
+    EXPECT_EQ(fleet.coord->statsJson().at("peer_fetch_misses").asInt(),
+              1);
+
+    Json attr3;
+    fleet.coord->runCampaign(3, req, cancel, serve::FleetProgressFn(),
+                             &attr3);
+    EXPECT_EQ(shardFor(attr3, "spmv").at("worker").asString(), "w0");
+    EXPECT_EQ(shardFor(attr3, "spmv").at("origin").asString(),
+              "cache-hit");
+    const Json stats = fleet.coord->statsJson();
+    EXPECT_EQ(stats.at("peer_fetch_misses").asInt(), 1);
+    EXPECT_EQ(stats.at("peer_fetches").asInt(), 0);
+    expectLedger(*fleet.coord, 4, 4, 0);
+
+    const SweepResult res = runEvaluationSweep(req.sopt);
+    EXPECT_EQ(doc.at("workloads").toString(0),
+              sweepToJson(req.sopt, res).at("workloads").toString(0));
+}
+
+TEST(Fleet, BusyWorkerDoesNotHoldPendingShards)
+{
+    FleetOptions fopt;
+    fopt.slotsPerWorker = 1;
+    fopt.hedgeSeconds = 0;
+    // w0 stalls every admitted job for 1.5 s; w1 runs undelayed.
+    TestFleet fleet(2, std::move(fopt), {1.5, 0.0});
+    const serve::SubmitRequest req = campaignFor("xsbench,spmv,stream");
+    CancelToken cancel;
+    Json attribution;
+    const Json doc = fleet.coord->runCampaign(
+        1, req, cancel, serve::FleetProgressFn(), &attribution);
+
+    // xsbench and spmv fill the one slot of each worker; stream
+    // stays pending until a slot frees, and w1's frees first.
+    EXPECT_EQ(shardFor(attribution, "xsbench").at("worker").asString(),
+              "w0");
+    EXPECT_EQ(shardFor(attribution, "spmv").at("worker").asString(),
+              "w1");
+    EXPECT_EQ(shardFor(attribution, "stream").at("worker").asString(),
+              "w1");
     expectLedger(*fleet.coord, 3, 3, 0);
+
+    const SweepResult res = runEvaluationSweep(req.sopt);
+    EXPECT_EQ(doc.at("workloads").toString(0),
+              sweepToJson(req.sopt, res).at("workloads").toString(0));
 }
 
 TEST(Fleet, HedgedRetryWinsOnFastWorkerAndLoserIsCancelled)
@@ -268,8 +339,8 @@ TEST(Fleet, ShardOfADeadWorkerIsRetriedOnAnother)
     fopt.connectTimeoutSeconds = 0.25; // one connect attempt
     TestFleet fleet(2, std::move(fopt));
     // w0 passed the start-up health check, then went away: the
-    // single shard lands on it first, fails to connect, and moves
-    // to w1's queue.
+    // single shard is bound to it first, fails to connect, and
+    // re-enters pending to be bound to w1.
     fleet.workers[0]->stop();
     const serve::SubmitRequest req = campaignFor("xsbench");
     CancelToken cancel;

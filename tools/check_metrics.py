@@ -72,7 +72,6 @@ FLEET_FAMILIES = [
     "kfleet_shards_dispatched_total",
     "kfleet_shards_completed_total",
     "kfleet_shards_cancelled_total",
-    "kfleet_steals_total",
     "kfleet_hedges_total",
     "kfleet_hedge_wins_total",
     "kfleet_peer_fetches_total",

@@ -209,15 +209,42 @@ BM_BchDecodeAtCapability(benchmark::State &state)
 }
 BENCHMARK(BM_BchDecodeAtCapability)->Arg(2)->Arg(6);
 
+/**
+ * DECTED probe twin over the campaign's error counts (every fig4
+ * DECTED probe has one or two errors): decode() of a materialized
+ * codeword with a 1- and a 2-error pattern, vs probe() of the same
+ * positions, which answers within capability without the decoder
+ * (gated). decode() corrects the flips in place, so each iteration
+ * starts from the zero codeword again.
+ */
 static void
-BM_BchProbeTwoErrors(benchmark::State &state)
+BM_BchProbe(benchmark::State &state)
 {
     const Bch code(512, 2, true);
-    const std::vector<std::size_t> errs{37, 118};
-    for (auto _ : state)
-        benchmark::DoNotOptimize(code.probe(errs));
+    const std::vector<std::vector<std::size_t>> patterns{{137},
+                                                         {37, 518}};
+    if (state.range(0)) {
+        for (auto _ : state) {
+            for (const auto &errs : patterns)
+                benchmark::DoNotOptimize(code.probe(errs));
+        }
+        return;
+    }
+    BitVec data(512);
+    BitVec check(code.checkBits());
+    for (auto _ : state) {
+        for (const auto &errs : patterns) {
+            for (const std::size_t pos : errs) {
+                if (pos < 512)
+                    data.flip(pos);
+                else
+                    check.flip(pos - 512);
+            }
+            benchmark::DoNotOptimize(code.decode(data, check));
+        }
+    }
 }
-BENCHMARK(BM_BchProbeTwoErrors);
+BENCHMARK(BM_BchProbe)->Arg(0)->Arg(1);
 
 /** Args: capability t, then the twin's 0/1. */
 static void

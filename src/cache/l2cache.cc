@@ -1,5 +1,7 @@
 #include "cache/l2cache.hh"
 
+#include <bit>
+
 #include "common/log.hh"
 
 namespace killi
@@ -19,6 +21,9 @@ L2Cache::L2Cache(EventQueue &eq_, DramModel &dram_,
 {
     if (p.softErrorRatePerBitCycle > 0.0 && !faultMap)
         fatal("L2Cache: soft-error injection needs a FaultMap");
+    if (geometry.assoc > 64)
+        fatal("L2Cache: %u ways exceed allocate()'s 64-way mask",
+              geometry.assoc);
     protection.attach(*this, geometry);
     protection.setTrace(trace);
 }
@@ -286,25 +291,35 @@ L2Cache::allocate(Addr lineAddr)
     for (unsigned attempt = 0; attempt <= geometry.assoc; ++attempt) {
         // One walk over the allocatable ways. Preferred victim: an
         // invalid way with the highest scheme priority (Killi's
-        // b'01 > b'00 > b'10); failing that, the LRU way.
-        std::size_t invalidId = npos;
+        // b'01 > b'00 > b'10); failing that, the first LRU way. The
+        // walk only notes the allocatable ways, so the LRU stamps
+        // are read only when no invalid way qualified.
+        const std::size_t base = geometry.lineId(set, 0);
+        std::size_t victimId = npos;
         int bestPriority = -1;
-        std::size_t lruId = npos;
+        std::uint64_t allocatable = 0; // bit w: way w may take the fill
         for (unsigned way = 0; way < geometry.assoc; ++way) {
-            const std::size_t id = geometry.lineId(set, way);
+            const std::size_t id = base + way;
             if (!protection.canAllocate(id))
                 continue;
-            if (lruId == npos || lines[id].lastUse < lines[lruId].lastUse)
-                lruId = id;
+            allocatable |= std::uint64_t{1} << way;
             if (tagWords[id])
                 continue;
             const int prio = protection.allocPriority(id);
             if (prio > bestPriority) {
-                invalidId = id;
+                victimId = id;
                 bestPriority = prio;
             }
         }
-        const std::size_t victimId = invalidId != npos ? invalidId : lruId;
+        if (victimId == npos) {
+            for (; allocatable; allocatable &= allocatable - 1) {
+                const std::size_t id =
+                    base + std::size_t(std::countr_zero(allocatable));
+                if (victimId == npos ||
+                    lines[id].lastUse < lines[victimId].lastUse)
+                    victimId = id;
+            }
+        }
         if (victimId == npos)
             break; // whole set disabled/unprotectable
 

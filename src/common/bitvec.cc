@@ -74,15 +74,6 @@ BitVec::parity() const
     return std::popcount(acc) & 1;
 }
 
-void
-BitVec::setWord(std::size_t idx, std::uint64_t value)
-{
-    assert(idx < words.size());
-    words[idx] = value;
-    if (idx == words.size() - 1)
-        maskTail();
-}
-
 BitVec &
 BitVec::operator^=(const BitVec &other)
 {
@@ -198,14 +189,6 @@ BitVec::fromString(const std::string &text)
         vec.set(i, c == '1');
     }
     return vec;
-}
-
-void
-BitVec::maskTail()
-{
-    const std::size_t rem = numBits & 63;
-    if (rem && !words.empty())
-        words.back() &= (std::uint64_t{1} << rem) - 1;
 }
 
 } // namespace killi

@@ -12,6 +12,7 @@
 #ifndef KILLI_COMMON_BITVEC_HH
 #define KILLI_COMMON_BITVEC_HH
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -69,7 +70,14 @@ class BitVec
      * Overwrite backing word @p idx. Bits beyond size() are masked
      * off to preserve the trailing-zero invariant.
      */
-    void setWord(std::size_t idx, std::uint64_t value);
+    void
+    setWord(std::size_t idx, std::uint64_t value)
+    {
+        assert(idx < words.size());
+        words[idx] = value;
+        if (idx == words.size() - 1)
+            maskTail();
+    }
 
     /** In-place XOR with another vector of identical width. */
     BitVec &operator^=(const BitVec &other);
@@ -109,7 +117,14 @@ class BitVec
     static BitVec fromString(const std::string &text);
 
   private:
-    void maskTail();
+    /** Clear the bits of the last word beyond size(). */
+    void
+    maskTail()
+    {
+        const std::size_t rem = numBits & 63;
+        if (rem && !words.empty())
+            words.back() &= (std::uint64_t{1} << rem) - 1;
+    }
 
     std::size_t numBits;
     std::vector<std::uint64_t> words;

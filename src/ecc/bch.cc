@@ -375,14 +375,35 @@ Bch::decode(BitVec &data, BitVec &check) const
 DecodeResult
 Bch::probe(const std::vector<std::size_t> &errorPositions) const
 {
+    bool codewordError = false; // some flip outside the extended bit
+    for (const std::size_t pos : errorPositions) {
+        if (pos > k + r || (pos == k + r && !hasExtended))
+            fatal("Bch::probe: position %zu out of codeword", pos);
+        codewordError |= pos < k + r;
+    }
+
+    // Within capability the answer needs no algebra: a bounded-
+    // distance decoder locates up to t distinct errors exactly, and
+    // the designed distance 2t+1 makes the syndrome of any non-empty
+    // codeword error pattern of weight <= t non-zero.
+    if (errorPositions.size() <= tCap) {
+        DecodeResult result;
+        if (errorPositions.empty())
+            return result;
+        result.status = DecodeStatus::Corrected;
+        result.correctedBits = unsigned(errorPositions.size());
+        result.syndromeNonZero = codewordError;
+        result.globalParityMismatch =
+            hasExtended && (errorPositions.size() & 1);
+        return result;
+    }
+
     std::vector<std::uint32_t> syn(2 * tCap, 0);
     bool overall = false;
     for (const std::size_t pos : errorPositions) {
         overall = !overall;
-        if (pos == k + r && hasExtended)
+        if (pos == k + r)
             continue; // extended bit: parity only
-        if (pos >= k + r)
-            fatal("Bch::probe: position %zu out of codeword", pos);
         const std::size_t power = powerOf(pos);
         for (unsigned j = 1; j <= 2 * tCap; ++j) {
             syn[j - 1] ^= field->alphaPow(

@@ -61,6 +61,11 @@ class Bch : public BlockCode
     BitVec encode(const BitVec &data) const override;
     void encodeInto(const BitVec &data, BitVec &out) const override;
     DecodeResult decode(BitVec &data, BitVec &check) const override;
+    /**
+     * decode()'s outcome for flips at @p errorPositions, which must
+     * be distinct. Up to t errors are Corrected without running the
+     * decoder; more go through the same solve() as decode().
+     */
     DecodeResult
     probe(const std::vector<std::size_t> &errorPositions) const override;
 

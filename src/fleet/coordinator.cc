@@ -41,6 +41,115 @@ isTimeout(const std::string &err)
     return err.rfind("timeout", 0) == 0;
 }
 
+// Worker and peer frames are untrusted input: the Json accessors
+// fatal() on a missing member or a kind mismatch, so every member is
+// checked here before it is read.
+
+/** @p doc's member @p key when present with kind @p kind, else null. */
+const Json *
+memberOf(const Json &doc, const char *key, Json::Kind kind)
+{
+    if (doc.kind() != Json::Kind::Object || !doc.contains(key))
+        return nullptr;
+    const Json &value = doc.at(key);
+    return value.kind() == kind ? &value : nullptr;
+}
+
+/** The string member @p key of @p doc, or null. */
+const std::string *
+stringOf(const Json &doc, const char *key)
+{
+    const Json *value = memberOf(doc, key, Json::Kind::String);
+    return value ? &value->asString() : nullptr;
+}
+
+/** The shard result @p doc carries, when it has every member the
+ *  merge reads ("sweep", "workloads", "campaign.jobs"); else null
+ *  and @p why says what is wrong. */
+const Json *
+shardResultOf(const Json &doc, std::string &why)
+{
+    const Json *result = memberOf(doc, "result", Json::Kind::Object);
+    const Json *campaign =
+        result ? memberOf(*result, "campaign", Json::Kind::Object)
+               : nullptr;
+    if (!result)
+        why = "no \"result\" object";
+    else if (!memberOf(*result, "sweep", Json::Kind::Object))
+        why = "result has no \"sweep\" object";
+    else if (!memberOf(*result, "workloads", Json::Kind::Array))
+        why = "result has no \"workloads\" array";
+    else if (!campaign ||
+             !memberOf(*campaign, "jobs", Json::Kind::Array))
+        why = "result has no \"campaign.jobs\" array";
+    else
+        return result;
+    return nullptr;
+}
+
+/** A worker's reply to a shard submit, decoded once and checked. */
+struct ShardReply
+{
+    enum class Kind
+    {
+        Submitted, //!< admitted: key, cached
+        Error,     //!< refused before admission: error
+        Done,      //!< terminal, with a result: cached, result
+        Ended,     //!< terminal without one: outcome, error
+        Other      //!< progress or an unknown type: skipped
+    };
+    Kind kind = Kind::Other;
+    bool cached = false;
+    std::string key;
+    std::string outcome;
+    std::string error; //!< "" when the frame carries none
+    const Json *result = nullptr; //!< into the decoded frame
+};
+
+/** Decode @p frame into @p out; false with @p why when a member its
+ *  type needs is missing or of the wrong kind. */
+bool
+decodeShardReply(const Json &frame, ShardReply &out, std::string &why)
+{
+    out = ShardReply{};
+    const std::string *type = stringOf(frame, "type");
+    const std::string *key = stringOf(frame, "key");
+    const std::string *outcome = stringOf(frame, "outcome");
+    const std::string *error = stringOf(frame, "error");
+    const Json *cached = memberOf(frame, "cached", Json::Kind::Bool);
+    if (error)
+        out.error = *error;
+    if (!type) {
+        why = "no \"type\" string";
+        return false;
+    }
+    if (*type == "error") {
+        out.kind = ShardReply::Kind::Error;
+        return true;
+    }
+    if (*type != "submitted" && *type != "result")
+        return true; // progress and anything newer: skipped
+    if (!cached || !(*type == "submitted" ? key : outcome)) {
+        why = *type + " frame without \"cached\" and \"" +
+              (*type == "submitted" ? "key" : "outcome") + "\"";
+        return false;
+    }
+    out.cached = cached->asBool();
+    if (*type == "submitted") {
+        out.kind = ShardReply::Kind::Submitted;
+        out.key = *key;
+        return true;
+    }
+    out.outcome = *outcome;
+    if (*outcome != "done") {
+        out.kind = ShardReply::Kind::Ended;
+        return true;
+    }
+    out.kind = ShardReply::Kind::Done;
+    out.result = shardResultOf(frame, why);
+    return out.result != nullptr;
+}
+
 } // namespace
 
 /** One pending dispatch: a shard index, possibly as a hedge, and
@@ -324,14 +433,19 @@ Coordinator::tryPeerFetch(Campaign &camp, Shard &shard,
     fetch.set("type", Json::string("fetch"));
     fetch.set("key", Json::string(shard.hash));
     Json reply;
+    const std::string *type = nullptr;
+    const Json *found = nullptr;
+    const Json *result = nullptr;
     if (!connectWorker(peer, client, &err) ||
         !client.send(fetch, &err) ||
         !client.recvWithin(reply, 10000, &err) ||
-        reply.at("type").asString() != "fetch_reply" ||
-        !reply.at("found").asBool()) {
-        // Evicted on the peer, or the peer is gone: forget the stale
-        // address and recompute, so a dead peer costs one connect
-        // budget rather than one per later dispatch of the shard.
+        !(type = stringOf(reply, "type")) || *type != "fetch_reply" ||
+        !(found = memberOf(reply, "found", Json::Kind::Bool)) ||
+        !found->asBool() || !(result = shardResultOf(reply, err))) {
+        // Evicted on the peer, the peer is gone, or its reply is
+        // malformed: forget the stale address and recompute, so a
+        // dead peer costs one connect budget rather than one per
+        // later dispatch of the shard.
         mPeerFetchMisses->inc();
         std::lock_guard<std::mutex> lock(peerMtx);
         const auto it = completedBy.find(shard.hash);
@@ -339,8 +453,8 @@ Coordinator::tryPeerFetch(Campaign &camp, Shard &shard,
             completedBy.erase(it);
         return false;
     }
-    if (!settleShard(camp, shard, peer, "peer-fetch",
-                     reply.at("result"), progress))
+    if (!settleShard(camp, shard, peer, "peer-fetch", *result,
+                     progress))
         return false; // raced a concurrent dispatch; its accounting stands
     mPeerFetches->inc();
     return true;
@@ -482,44 +596,45 @@ Coordinator::runDispatch(Campaign &camp, Shard &shard,
             reschedule("worker " + workerNames[w] + ": " + err);
             return;
         }
-        const std::string &type = frame.at("type").asString();
-        if (type == "submitted") {
+        ShardReply reply;
+        std::string why;
+        if (!decodeShardReply(frame, reply, why)) {
+            // A malformed reply is a failed dispatch: a rejection,
+            // and, once admitted, cancelled as well.
+            if (submitted)
+                abandon();
+            mRejections->inc();
+            reschedule("worker " + workerNames[w] +
+                       ": malformed reply: " + why);
+            return;
+        }
+        switch (reply.kind) {
+          case ShardReply::Kind::Other:
+            continue;
+          case ShardReply::Kind::Submitted:
             submitted = true;
-            cachedFlag = frame.at("cached").asBool();
-            if (frame.at("key").asString() != shard.hash)
+            cachedFlag = reply.cached;
+            if (reply.key != shard.hash)
                 warn("kfleet: shard '%s' canonicalized to %s on %s "
                      "but %s here — cache/peer addressing is "
                      "broken",
-                     shard.workload.c_str(),
-                     frame.at("key").asString().c_str(),
+                     shard.workload.c_str(), reply.key.c_str(),
                      workerNames[w].c_str(), shard.hash.c_str());
             mDispatched->inc();
             camp.dispatched.fetch_add(1);
             continue;
-        }
-        if (type == "progress")
-            continue;
-        if (type == "error") {
+          case ShardReply::Kind::Error:
             // Pre-admission rejection (overloaded / bad_request):
             // no submitted frame, so nothing entered the
             // dispatched bucket.
             mRejections->inc();
-            reschedule("worker " + workerNames[w] + ": " +
-                       frame.at("error").asString());
+            reschedule("worker " + workerNames[w] + ": " + reply.error);
             return;
-        }
-        if (type != "result")
-            continue;
-
-        const std::string &outcome = frame.at("outcome").asString();
-        if (outcome == "done") {
-            const bool won = settleShard(
-                camp, shard, w,
-                cachedFlag || frame.at("cached").asBool()
-                    ? "cache-hit"
-                    : "computed",
-                frame.at("result"), progress);
-            if (won) {
+          case ShardReply::Kind::Done:
+            if (settleShard(camp, shard, w,
+                            cachedFlag || reply.cached ? "cache-hit"
+                                                       : "computed",
+                            *reply.result, progress)) {
                 mCompleted->inc();
                 mShardSeconds->observe(sinceSeconds(t0));
                 if (isHedge)
@@ -528,26 +643,24 @@ Coordinator::runDispatch(Campaign &camp, Shard &shard,
                 abandon();
             }
             return;
-        }
-        if (outcome == "rejected") {
-            // queue_full arrives after the submitted frame, so the
-            // dispatch is accounted cancelled AND as a rejection.
+          case ShardReply::Kind::Ended:
             abandon();
-            mRejections->inc();
-            reschedule("worker " + workerNames[w] +
-                       " rejected: " + frame.at("error").asString());
+            if (reply.outcome == "rejected") {
+                // queue_full arrives after the submitted frame, so
+                // the dispatch is accounted cancelled AND as a
+                // rejection.
+                mRejections->inc();
+                reschedule("worker " + workerNames[w] +
+                           " rejected: " + reply.error);
+                return;
+            }
+            // failed / cancelled terminal outcome.
+            if (cancel.cancelled() || shard.settled.load())
+                return;
+            reschedule("worker " + workerNames[w] + " outcome " +
+                       reply.outcome + ": " + reply.error);
             return;
         }
-        // failed / cancelled terminal outcome.
-        abandon();
-        if (cancel.cancelled() || shard.settled.load())
-            return;
-        reschedule("worker " + workerNames[w] + " outcome " +
-                   outcome + ": " +
-                   (frame.contains("error")
-                        ? frame.at("error").asString()
-                        : ""));
-        return;
     }
 }
 

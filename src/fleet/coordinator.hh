@@ -41,9 +41,15 @@
  * kfleet_shards_dispatched_total == kfleet_shards_completed_total +
  * kfleet_shards_cancelled_total. Every dispatch that reached the
  * "submitted" frame ends in exactly one of the two buckets
- * (hedge losers, worker failures, and transport deaths all count as
- * cancelled). Peer fetches and pre-submit rejections are separate
- * families and never enter the invariant.
+ * (hedge losers, worker failures, transport deaths and malformed
+ * replies all count as cancelled). Peer fetches and pre-submit
+ * rejections are separate families and never enter the invariant.
+ *
+ * Worker and peer frames are untrusted input: every member is
+ * checked for presence and kind before it is read, including the
+ * shard result's "sweep", "workloads" and "campaign.jobs". A
+ * malformed dispatch reply is a failed dispatch — a rejection that
+ * reschedules the shard — and a malformed fetch reply a peer miss.
  */
 
 #ifndef KILLI_FLEET_COORDINATOR_HH

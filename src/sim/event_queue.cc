@@ -61,7 +61,13 @@ EventQueue::run(Tick limit)
     ReplayProbe *const probe = replayProbe();
     while (wheelSize || !heap.empty()) {
         // The next event is the lesser of the two sources' heads.
-        const std::size_t slot = wheelSize ? firstSlot() : 0;
+        // While the current tick's bucket has events it is the
+        // earliest, so the occupancy scan runs once per tick.
+        const std::size_t nowSlot = now % kWheelSpan;
+        const std::size_t slot =
+            wheel[nowSlot].head < wheel[nowSlot].events.size()
+                ? nowSlot
+                : wheelSize ? firstSlot() : 0;
         Bucket &bucket = wheel[slot];
         const bool fromHeap =
             !heap.empty() &&

@@ -15,7 +15,10 @@
  * ring of kWheelSpan per-tick FIFO buckets with an occupancy bitmap;
  * an event fewer than kWheelSpan ticks ahead is appended to its
  * tick's bucket in O(1), and the next non-empty bucket is one
- * count-trailing-zeros away. The simulator's tag, crossbar, L1 and
+ * count-trailing-zeros away. The current tick's bucket is checked
+ * first: while it still holds events it is the earliest (a bucket
+ * holds one tick, see below), so a burst of same-tick events pops
+ * without the occupancy scan. The simulator's tag, crossbar, L1 and
  * DRAM delays keep nearly every event there (the longest gap in a
  * fig4 campaign is 421 ticks). An event kWheelSpan or more ticks
  * ahead goes to a (when, seq)-ordered binary heap.

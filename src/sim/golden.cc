@@ -1,5 +1,9 @@
 #include "sim/golden.hh"
 
+#include <utility>
+
+#include "common/log.hh"
+
 namespace killi
 {
 
@@ -15,6 +19,29 @@ mix(std::uint64_t z)
     return z ^ (z >> 31);
 }
 } // namespace
+
+void
+GoldenMemory::grow()
+{
+    const std::vector<Slot> previous =
+        std::exchange(slots, std::vector<Slot>(slots.size() * 2));
+    --shift;
+    for (const Slot &slot : previous) {
+        if (slot.ver == 0)
+            continue;
+        std::size_t i = home(slot.addr);
+        while (slots[i].ver != 0)
+            i = next(i);
+        slots[i] = slot;
+    }
+}
+
+void
+GoldenMemory::versionOverflow(Addr lineAddr)
+{
+    panic("GoldenMemory: version of line %#llx overflowed",
+          static_cast<unsigned long long>(lineAddr));
+}
 
 BitVec
 GoldenMemory::data(Addr lineAddr, std::uint32_t ver) const

@@ -9,13 +9,22 @@
  * golden value and detect Silent Data Corruption introduced by the
  * low-voltage fault overlay — the end-to-end guarantee Killi's
  * write-through design must provide.
+ *
+ * The versions live in a flat open-addressing table: a power-of-two
+ * array of (line address, version) slots, probed linearly from a
+ * multiplicative hash of the address and kept at most half full. A
+ * written line's version is at least 1, so version 0 marks an empty
+ * slot; a lookup walks from the home slot until it finds the
+ * address or an empty slot (never written: version 0). Lines are
+ * never erased, so no tombstones are needed.
  */
 
 #ifndef KILLI_SIM_GOLDEN_HH
 #define KILLI_SIM_GOLDEN_HH
 
+#include <bit>
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "common/bitvec.hh"
 #include "common/types.hh"
@@ -27,7 +36,7 @@ class GoldenMemory
 {
   public:
     explicit GoldenMemory(unsigned line_bytes = 64)
-        : lineBytes(line_bytes)
+        : lineBytes(line_bytes), slots(kInitialSlots)
     {
     }
 
@@ -37,15 +46,31 @@ class GoldenMemory
     std::uint32_t
     version(Addr lineAddr) const
     {
-        const auto it = versions.find(lineAddr);
-        return it == versions.end() ? 0 : it->second;
+        for (std::size_t i = home(lineAddr);; i = next(i)) {
+            const Slot &slot = slots[i];
+            if (slot.ver == 0 || slot.addr == lineAddr)
+                return slot.ver;
+        }
     }
 
     /** Record a store: bumps the line's version and returns it. */
     std::uint32_t
     write(Addr lineAddr)
     {
-        return ++versions[lineAddr];
+        if (2 * (used + 1) > slots.size())
+            grow();
+        for (std::size_t i = home(lineAddr);; i = next(i)) {
+            Slot &slot = slots[i];
+            if (slot.ver == 0) {
+                slot.addr = lineAddr;
+                ++used;
+            } else if (slot.addr != lineAddr) {
+                continue;
+            }
+            if (++slot.ver == 0)
+                versionOverflow(lineAddr);
+            return slot.ver;
+        }
     }
 
     /** The (deterministic) content of @p lineAddr at @p ver. */
@@ -63,8 +88,39 @@ class GoldenMemory
     }
 
   private:
+    /** One table entry; ver == 0 marks it empty. */
+    struct Slot
+    {
+        Addr addr = 0;
+        std::uint32_t ver = 0;
+    };
+
+    static constexpr std::size_t kInitialSlots = 1024;
+
+    /** Fibonacci hash of @p lineAddr onto the table. */
+    std::size_t
+    home(Addr lineAddr) const
+    {
+        return std::size_t((lineAddr * 0x9e3779b97f4a7c15ULL) >> shift);
+    }
+
+    std::size_t
+    next(std::size_t i) const
+    {
+        return (i + 1) & (slots.size() - 1);
+    }
+
+    /** Double the table and re-insert every written line. */
+    void grow();
+
+    /** A line's version wrapped to 0 (the empty-slot mark). */
+    [[noreturn]] static void versionOverflow(Addr lineAddr);
+
     unsigned lineBytes;
-    std::unordered_map<Addr, std::uint32_t> versions;
+    std::vector<Slot> slots;
+    std::size_t used = 0; //!< slots holding a written line
+    /** 64 - log2(slots.size()): home() keeps the hash's top bits. */
+    unsigned shift = 64 - std::countr_zero(kInitialSlots);
 };
 
 } // namespace killi

@@ -4,12 +4,15 @@
  * field arithmetic, generator geometry against the paper's checkbit
  * budgets, t-error correction everywhere including checkbits and the
  * extended parity bit, (t+1)-error detection, and probe/decode
- * equivalence.
+ * equivalence, exhaustively over DECTED's 1- and 2-error sets for
+ * probe()'s within-capability shortcut.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "common/rng.hh"
 #include "ecc/bch.hh"
@@ -43,6 +46,34 @@ applyErrors(BitVec &data, BitVec &check,
         else
             check.flip(pos - data.size());
     }
+}
+
+/** Empty when probe(@p errs) reports exactly what decode() does on
+ *  the zero codeword flipped at @p errs; else what differs. */
+std::string
+probeDecodeMismatch(const Bch &code, const std::vector<std::size_t> &errs)
+{
+    BitVec data(code.dataBits());
+    BitVec check(code.checkBits());
+    applyErrors(data, check, errs);
+    const DecodeResult real = code.decode(data, check);
+    const DecodeResult predicted = code.probe(errs);
+    if (real.status == predicted.status &&
+        real.correctedBits == predicted.correctedBits &&
+        real.syndromeNonZero == predicted.syndromeNonZero &&
+        real.globalParityMismatch == predicted.globalParityMismatch)
+        return "";
+    std::string what = code.name() + " errors {";
+    for (const std::size_t pos : errs)
+        what += " " + std::to_string(pos);
+    return what + " }: decode " + decodeStatusName(real.status) + "/" +
+           std::to_string(real.correctedBits) + "/" +
+           std::to_string(real.syndromeNonZero) + "/" +
+           std::to_string(real.globalParityMismatch) + ", probe " +
+           decodeStatusName(predicted.status) + "/" +
+           std::to_string(predicted.correctedBits) + "/" +
+           std::to_string(predicted.syndromeNonZero) + "/" +
+           std::to_string(predicted.globalParityMismatch);
 }
 } // namespace
 
@@ -278,6 +309,59 @@ TEST(BchTest, ProbeNeverClaimsSuccessBeyondDetection)
     // At least some 4+-error patterns must alias (sanity that the
     // Miscorrected path is actually exercised).
     EXPECT_GT(miscorrections, 0u);
+}
+
+// --- probe()'s within-capability shortcut ----------------------------
+
+TEST(BchTest, ProbeMatchesDecodeOnEveryDectedOneAndTwoErrorSet)
+{
+    // Every position of the 533-bit codeword, the extended parity
+    // bit (index 532) included.
+    const Bch code(512, 2, true);
+    const std::size_t n = code.codewordBits();
+    ASSERT_EQ(n, 533u);
+    for (std::size_t a = 0; a < n; ++a) {
+        ASSERT_EQ(probeDecodeMismatch(code, {a}), "");
+        for (std::size_t b = a + 1; b < n; ++b)
+            ASSERT_EQ(probeDecodeMismatch(code, {a, b}), "");
+    }
+}
+
+TEST(BchTest, ProbeMatchesDecodeOnRandomSetsWithinCapability)
+{
+    Rng rng(61);
+    for (const unsigned t : {3u, 6u}) {
+        const Bch code(512, t, true);
+        for (int iter = 0; iter < 2000; ++iter) {
+            const auto errs = distinctPositions(
+                rng, rng.below(t + 1), code.codewordBits());
+            ASSERT_EQ(probeDecodeMismatch(code, errs), "");
+        }
+    }
+}
+
+TEST(BchTest, ProbeMatchesDecodeWithoutExtendedBit)
+{
+    const Bch code(512, 2, false);
+    const std::size_t n = code.codewordBits();
+    for (std::size_t a = 0; a < n; ++a)
+        ASSERT_EQ(probeDecodeMismatch(code, {a}), "");
+    Rng rng(62);
+    for (int iter = 0; iter < 2000; ++iter)
+        ASSERT_EQ(probeDecodeMismatch(
+                      code, distinctPositions(rng, 2, n)),
+                  "");
+}
+
+TEST(BchDeathTest, ProbeRejectsPositionsOutsideTheCodeword)
+{
+    const Bch extended(512, 2, true);
+    const Bch plain(512, 2, false);
+    // Within capability, where probe() answers without decoding,
+    // and beyond it.
+    EXPECT_DEATH(extended.probe({3, 533}), "out of codeword");
+    EXPECT_DEATH(plain.probe({532}), "out of codeword");
+    EXPECT_DEATH(extended.probe({1, 2, 3, 600}), "out of codeword");
 }
 
 TEST(BchTest, NonExtendedVariantConstructs)

@@ -12,8 +12,9 @@
  * shards moving past a busy worker, hedged re-dispatch away from an
  * injected straggler, retry of a shard whose worker died,
  * worker-side cache hits on repeat campaigns, concurrent clients
- * through a kfleetd-style front end, and the dispatch-accounting
- * invariant (dispatched == completed + cancelled) after each.
+ * through a kfleetd-style front end, malformed replies from a fake
+ * worker, and the dispatch-accounting invariant (dispatched ==
+ * completed + cancelled) after each.
  */
 
 #include <atomic>
@@ -22,6 +23,11 @@
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -32,7 +38,9 @@
 #include "metrics/metrics.hh"
 #include "runner/thread_pool.hh"
 #include "serve/client/client.hh"
+#include "serve/protocol.hh"
 #include "serve/server.hh"
+#include "serve/store.hh"
 #include "serve/submit.hh"
 
 using namespace killi;
@@ -85,6 +93,131 @@ struct TestFleet
         for (auto &worker : workers)
             worker->stop();
     }
+};
+
+/**
+ * A scripted stand-in for a kserved worker on an ephemeral loopback
+ * TCP port: it answers "ping" with "pong", "fetch" with a miss, and
+ * every "submit" with the fixed frame payloads it was built with,
+ * then waits for the peer to close.
+ */
+class FakeWorker
+{
+  public:
+    explicit FakeWorker(std::vector<std::string> submitReplies)
+        : replies(std::move(submitReplies)),
+          listener(::socket(AF_INET, SOCK_STREAM, 0))
+    {
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        socklen_t len = sizeof(addr);
+        if (listener < 0 ||
+            ::bind(listener, reinterpret_cast<sockaddr *>(&addr),
+                   sizeof(addr)) != 0 ||
+            ::listen(listener, 8) != 0 ||
+            ::getsockname(listener, reinterpret_cast<sockaddr *>(&addr),
+                          &len) != 0)
+            ADD_FAILURE() << "fake worker: cannot listen";
+        port = ntohs(addr.sin_port);
+        acceptor = std::thread([this] { acceptLoop(); });
+    }
+
+    FakeWorker(const FakeWorker &) = delete;
+    FakeWorker &operator=(const FakeWorker &) = delete;
+
+    ~FakeWorker()
+    {
+        stopping = true;
+        acceptor.join();
+        for (std::thread &t : sessions)
+            t.join();
+        ::close(listener);
+    }
+
+    WorkerEndpoint
+    endpoint() const
+    {
+        WorkerEndpoint ep;
+        ep.port = port;
+        return ep;
+    }
+
+    /** Submit frames answered so far. */
+    unsigned submits() const { return submitCount.load(); }
+
+  private:
+    /** Wait up to 50 ms for @p fd to become readable. */
+    static bool
+    readable(int fd)
+    {
+        pollfd pfd{fd, POLLIN, 0};
+        return ::poll(&pfd, 1, 50) == 1;
+    }
+
+    void
+    acceptLoop()
+    {
+        while (!stopping) {
+            if (!readable(listener))
+                continue;
+            const int fd = ::accept(listener, nullptr, nullptr);
+            if (fd >= 0)
+                sessions.emplace_back([this, fd] { serve(fd); });
+        }
+    }
+
+    void
+    serve(int fd)
+    {
+        serve::FrameDecoder decoder;
+        const auto sendPayload = [fd](const std::string &payload) {
+            const std::string bytes = serve::encodeFramePayload(payload);
+            return ::send(fd, bytes.data(), bytes.size(),
+                          MSG_NOSIGNAL) == ssize_t(bytes.size());
+        };
+        char buf[4096];
+        while (!stopping) {
+            Json frame;
+            const auto st = decoder.next(frame);
+            if (st == serve::FrameDecoder::Status::Error)
+                break;
+            if (st == serve::FrameDecoder::Status::NeedMore) {
+                if (!readable(fd))
+                    continue;
+                const ssize_t n = ::read(fd, buf, sizeof(buf));
+                if (n <= 0)
+                    break;
+                decoder.feed(buf, std::size_t(n));
+                continue;
+            }
+            const std::string type = frame.at("type").asString();
+            bool ok = true;
+            if (type == "ping") {
+                ok = sendPayload("{\"type\":\"pong\"}");
+            } else if (type == "fetch") {
+                ok = sendPayload(
+                    "{\"type\":\"fetch_reply\",\"found\":false}");
+            } else if (type == "submit") {
+                ++submitCount;
+                for (const std::string &reply : replies)
+                    ok = ok && sendPayload(reply);
+            }
+            if (!ok)
+                break;
+        }
+        ::close(fd);
+    }
+
+    const std::vector<std::string> replies;
+    const int listener;
+    std::uint16_t port = 0;
+    std::atomic<bool> stopping{false};
+    std::atomic<unsigned> submitCount{0};
+    /** Touched only by the acceptor thread until the destructor
+     *  joins it. */
+    std::vector<std::thread> sessions;
+    std::thread acceptor;
 };
 
 /** A validated campaign over @p workloads (comma list), fast scale,
@@ -505,6 +638,63 @@ TEST(Fleet, ConcurrentClientsThroughTheFrontEndGetExactResults)
     // and the fresh seeds); hits never reach the coordinator.
     const std::int64_t shards = warmSeeds.size() + computed;
     expectLedger(coord, shards, shards, 0);
+}
+
+/**
+ * Run a one-shard campaign on a fleet of @p fake (w0, where an idle
+ * fleet binds the shard first) and one real worker (w1). The shard
+ * must move to w1 and match a direct run, and the coordinator must
+ * survive to report a balanced ledger.
+ */
+void
+expectMalformedReplyRescheduled(FakeWorker &fake,
+                                const serve::SubmitRequest &req,
+                                std::int64_t dispatched,
+                                std::int64_t cancelled)
+{
+    FleetOptions fopt;
+    fopt.hedgeSeconds = 0;
+    fopt.workers.push_back(fake.endpoint());
+    TestFleet fleet(1, std::move(fopt));
+    CancelToken cancel;
+    Json attribution;
+    const Json doc = fleet.coord->runCampaign(
+        1, req, cancel, serve::FleetProgressFn(), &attribution);
+
+    EXPECT_EQ(fake.submits(), 1u);
+    const Json shard = shardFor(attribution, "xsbench");
+    EXPECT_EQ(shard.at("worker").asString(), "w1");
+    EXPECT_EQ(shard.at("origin").asString(), "computed");
+    EXPECT_EQ(fleet.coord->statsJson().at("worker_rejections").asInt(),
+              1);
+    expectLedger(*fleet.coord, dispatched, 1, cancelled);
+
+    const SweepResult res = runEvaluationSweep(req.sopt);
+    EXPECT_EQ(doc.at("workloads").toString(0),
+              sweepToJson(req.sopt, res).at("workloads").toString(0));
+}
+
+TEST(Fleet, SubmittedFrameWithoutCachedIsARejection)
+{
+    // Not admitted in a form the coordinator can read: a rejection,
+    // never a dispatch.
+    FakeWorker fake({"{\"type\":\"submitted\",\"id\":1}"});
+    expectMalformedReplyRescheduled(fake, campaignFor("xsbench"), 1, 0);
+}
+
+TEST(Fleet, DoneResultWithoutResultMemberIsCancelledAndRescheduled)
+{
+    // Admitted, then a terminal frame with no "result": the dispatch
+    // counts as cancelled as well as a rejection.
+    const serve::SubmitRequest req = campaignFor("xsbench");
+    const std::string key = serve::ResultStore::hashKey(
+        serve::canonicalKeyFor(req.sopt));
+    FakeWorker fake(
+        {"{\"type\":\"submitted\",\"id\":1,\"cached\":false,"
+         "\"key\":\"" + key + "\"}",
+         "{\"type\":\"result\",\"id\":1,\"cached\":false,"
+         "\"key\":\"" + key + "\",\"outcome\":\"done\"}"});
+    expectMalformedReplyRescheduled(fake, req, 2, 1);
 }
 
 TEST(Fleet, StartFailsWhenAWorkerIsUnreachable)

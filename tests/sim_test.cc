@@ -10,10 +10,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/replay_probe.hh"
+#include "common/rng.hh"
 #include "sim/dram.hh"
 #include "sim/event_queue.hh"
 #include "sim/golden.hh"
@@ -462,4 +464,63 @@ TEST(GoldenMemoryTest, DistinctLinesDiffer)
 {
     GoldenMemory mem;
     EXPECT_NE(mem.data(0, 0), mem.data(64, 0));
+}
+
+TEST(GoldenMemoryTest, VersionTableMatchesAMapAcrossGrowths)
+{
+    // 20k distinct lines grow the table from 1024 slots to 64K. Half
+    // the lines are clustered (a workload's footprint), half spread
+    // over the address space, plus the extremes 0 and 2^63.
+    GoldenMemory mem;
+    std::unordered_map<Addr, std::uint32_t> reference;
+    Rng rng(0x901d);
+    std::vector<Addr> lines;
+    for (std::size_t i = 0; i < 10000; ++i)
+        lines.push_back(0x10000 + 64 * i);
+    for (std::size_t i = 0; i < 10000; ++i)
+        lines.push_back(rng.next64() & ~Addr{63});
+    lines.push_back(Addr{1} << 63);
+    lines.push_back(0);
+    for (int op = 0; op < 200000; ++op) {
+        const Addr line = lines[rng.below(lines.size())];
+        if (rng.bernoulli(0.5)) {
+            ASSERT_EQ(mem.write(line), ++reference[line]) << line;
+        } else {
+            const auto it = reference.find(line);
+            ASSERT_EQ(mem.version(line),
+                      it == reference.end() ? 0u : it->second)
+                << line;
+        }
+    }
+    for (const Addr line : lines) {
+        const auto it = reference.find(line);
+        EXPECT_EQ(mem.version(line),
+                  it == reference.end() ? 0u : it->second);
+    }
+    EXPECT_EQ(mem.version(0x10000 + 64 * 10000), 0u); // never listed
+}
+
+TEST(GoldenMemoryTest, DataWordsArePinned)
+{
+    // Any rewrite of the generation loop must keep these bits: every
+    // golden and recording hashes payloads derived from them.
+    const GoldenMemory mem;
+    const std::vector<std::pair<Addr, std::uint32_t>> points{
+        {0x1000, 0}, {0x7fffffc0, 3}};
+    const std::uint64_t pinned[2][8] = {
+        {0xd1fbbca44a1cedf7ULL, 0xfb1bfd1caf12b40fULL,
+         0xcffcf8141da5e848ULL, 0x48b4b33b14e1a9a8ULL,
+         0x13d94fd5a0130803ULL, 0x2aad726bbe464da1ULL,
+         0xbcd64eb14ec8a62aULL, 0xee6731798fbbc334ULL},
+        {0x36e09c668e3f43fdULL, 0xd1c66a71935faf09ULL,
+         0x362f75f91986994cULL, 0x6621e01e9f0d9fe4ULL,
+         0xab1a23a8d51545b1ULL, 0x4a0b74d8d51ff5f3ULL,
+         0x3301913bd8b3f22cULL, 0x24bfe52fc6888c21ULL},
+    };
+    for (std::size_t p = 0; p < points.size(); ++p) {
+        const BitVec bits = mem.data(points[p].first, points[p].second);
+        ASSERT_EQ(bits.numWords(), 8u);
+        for (std::size_t w = 0; w < 8; ++w)
+            EXPECT_EQ(bits.word(w), pinned[p][w]) << p << "/" << w;
+    }
 }

@@ -52,6 +52,7 @@ ROWS = {
     "secded_encode_decode": twin("BM_SecdedEncodeDecode"),
     "parity16_encode": twin("BM_ParityEncode16"),
     "dected_encode": twin("BM_BchEncode/2"),
+    "dected_probe": twin("BM_BchProbe"),
     "olsc_encode": twin("BM_OlscEncode/11"),
     "faultmap_sample": twin("BM_FaultMapSample"),
     "sweep_faultmap": twin("BM_SweepFaultMap"),
@@ -64,6 +65,8 @@ ROWS = {
 GATES = {
     "secded_encode_decode": (">=", 3.0),
     "sweep_faultmap": (">=", 2.0),
+    # probe() answers <= t errors without Berlekamp-Massey and Chien.
+    "dected_probe": (">=", 100.0),
     # Null sink is how untraced binaries run (no --trace, no sink).
     "trace_null_sink": ("<=", 1.02),
     # A live sink with an empty mask adds a relaxed atomic load.
@@ -193,6 +196,8 @@ def selftest_cases():
         suffix = "/iterations:1" if "Map" in base else ""
         times[f"{base}/0{suffix}"] = [400.0, 400.0, 400.0]
         times[f"{base}/1{suffix}"] = [100.0, 100.0, 100.0]
+    times["BM_BchProbe/0"] = [50000.0, 50000.0, 50000.0]
+    times["BM_BchProbe/1"] = [100.0, 100.0, 100.0]
     # Per-pair ratios 1, 4, 3: the median is 3.0, while the ratio of
     # the medians is 2.0 and pairing by list position (the production
     # runs are listed in reverse) gives 4.0.
@@ -214,6 +219,9 @@ def selftest_cases():
     assert analyse(canned(slow, flipped), check=False)[1] == 0
     heavy = dict(times, BM_TraceProbeNullSink=[20.5, 20.5, 20.5])
     assert analyse(canned(heavy, flipped), check=True)[1] == 1
+    # A probe that runs the decoder again is about as slow as decode().
+    solving = dict(times, **{"BM_BchProbe/1": [25000.0] * 3})
+    assert analyse(canned(solving, flipped), check=True)[1] == 1
 
     renamed = dict(times)
     renamed["BM_SecdedEncodeDecodeX/1"] = renamed.pop(

@@ -277,22 +277,27 @@ BENCHMARK(BM_OlscDecodeAtCapability)->Arg(2)->Arg(11);
 // ---- fault-map construction twins (one construction per repetition)
 
 /** IidStuckAt's per-bit sampleReference (one uniform per cell) vs its
- *  geometric skip sampler; both adopt the die into a FaultMap. */
+ *  geometric skip sampler (/1), both full dies adopted at 1.0 V, and
+ *  the skip sampler covered for the paper's 0.625 V and adopted there
+ *  (/2: the same draws, but only the cells that voltage activates). */
 static void
 BM_FaultMapSample(benchmark::State &state)
 {
     const ScenarioSpec spec;
     const IidStuckAt model(spec);
+    const double cover = state.range(0) == 2 ? model.coverFor({0.625})
+                                             : kNoCover;
+    const double vNorm = state.range(0) == 2 ? 0.625 : 1.0;
     for (auto _ : state) {
         auto die = state.range(0)
-                       ? model.sample(kMapLines, kMapLineBits)
+                       ? model.sample(kMapLines, kMapLineBits, cover)
                        : model.sampleReference(kMapLines, kMapLineBits);
         const FaultMap map(std::move(die), kMapLineBits, spec.freqGHz,
-                           1.0, true);
+                           vNorm, true, cover);
         benchmark::DoNotOptimize(map.countFaults(0, kMapLineBits));
     }
 }
-BENCHMARK(BM_FaultMapSample)->Arg(0)->Arg(1)->Iterations(1)->Unit(
+BENCHMARK(BM_FaultMapSample)->Arg(0)->Arg(1)->Arg(2)->Iterations(1)->Unit(
     benchmark::kMillisecond);
 
 /**

@@ -610,14 +610,16 @@ runEvaluationSweep(const SweepOptions &opt)
     // embedder's warm source when it has it, otherwise sampled here,
     // once, before any point runs. Adoption is bit-identical to
     // sampling (FaultModel::buildMapFrom()'s contract). No point
-    // writes the map, so the die is activated once, too.
+    // writes the map, so the die is activated once, too, and the die
+    // needs only the cells the model's schedule can activate.
     const std::size_t numLines = GpuParams{}.l2Geom.numLines();
+    const double cover = model->coverFor(model->voltageSchedule());
     std::shared_ptr<const FaultPopulation> die;
     if (opt.warmFaultSource)
         die = opt.warmFaultSource(*model, numLines, kL2LineBits);
     if (!die)
-        die = model->sample(numLines, kL2LineBits);
-    faults = model->buildMapFrom(std::move(die), kL2LineBits);
+        die = model->sample(numLines, kL2LineBits, cover);
+    faults = model->buildMapFrom(std::move(die), kL2LineBits, cover);
 
     // Jobs append trace files concurrently; create the directory
     // once, up front, instead of racing create_directories in every

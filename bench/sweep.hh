@@ -118,11 +118,14 @@ struct SweepOptions
      * its (model, geometry) here before sampling, a non-null return
      * is the die, and a null return falls back to sampling; the
      * campaign then activates the die, uncopied, through
-     * FaultModel::buildMapFrom(). Called once per campaign, but
-     * concurrent campaigns may call it at the same time, so it must
-     * be thread-safe. Record/replay sessions must never set this:
-     * adopting a population skips the sampler's RNG draws, which a
-     * recording captures (kserved installs it for plain jobs only).
+     * FaultModel::buildMapFrom(). The die must hold every cell under
+     * the cover of model.voltageSchedule() (FaultModel::coverFor()):
+     * the kserved store samples exactly those, and a full die holds
+     * them too. Called once per campaign, but concurrent campaigns
+     * may call it at the same time, so it must be thread-safe.
+     * Record/replay sessions must never set this: adopting a
+     * population skips the sampler's RNG draws, which a recording
+     * captures (kserved installs it for plain jobs only).
      */
     std::function<std::shared_ptr<const FaultPopulation>(
         const FaultModel &model, std::size_t numLines,

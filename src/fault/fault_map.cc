@@ -11,9 +11,9 @@ namespace killi
 
 FaultMap::FaultMap(std::shared_ptr<const FaultPopulation> population,
                    std::size_t line_bits, double freq_ghz,
-                   double vNorm, bool monotone)
+                   double vNorm, bool monotone, double cover)
     : bitsPerLine(line_bits), freqGHz(freq_ghz), currentV(vNorm),
-      monotone(monotone), pop(std::move(population))
+      monotone(monotone), coverP(cover), pop(std::move(population))
 {
     if (bitsPerLine > 0xFFFF)
         fatal("FaultMap: line width %zu exceeds 16-bit positions",
@@ -21,7 +21,17 @@ FaultMap::FaultMap(std::shared_ptr<const FaultPopulation> population,
     if (!pop)
         fatal("FaultMap: null fault population");
     offsets.resize(pop->size() + 1);
-    coldActivate(vModel.pCell(vNorm, freqGHz), /*validate=*/true);
+    coldActivate(coveredP(vNorm), /*validate=*/true);
+}
+
+double
+FaultMap::coveredP(double vNorm) const
+{
+    const double p = vModel.pCell(vNorm, freqGHz);
+    if (p > coverP)
+        fatal("FaultMap: %.4g V needs pCell %.6g, past the cover "
+              "%.6g its die was sampled under", vNorm, p, coverP);
+    return p;
 }
 
 void
@@ -36,9 +46,9 @@ FaultMap::setVoltage(double vNorm)
         fatal("FaultMap::setVoltage: raising %.4g -> %.4g violates "
               "the monotone voltage regime (only droop-scheduled "
               "models may raise V)", currentV, vNorm);
+    const double p = coveredP(vNorm);
     const bool lowering = vNorm < currentV;
     currentV = vNorm;
-    const double p = vModel.pCell(vNorm, freqGHz);
     if (incremental && indexValid && lowering) {
         // Monotone step down: pCell only grows, so the active sets
         // only gain cells — exactly the index entries with threshold

@@ -12,6 +12,14 @@
  * Because pCell is monotone decreasing in v, the active set at a
  * higher voltage is always a subset of the one at a lower voltage.
  *
+ * A die need not hold every cell that could fail anywhere in the
+ * model's range. A caller that knows its operating points samples it
+ * under a *cover*: the largest pCell over those points. The sampler
+ * then keeps only cells with threshold < cover, the only ones any of
+ * those points can activate. The map remembers its cover and refuses
+ * (fatal()) to activate a point past it, so a covered die can never
+ * under-report faults.
+ *
  * Faults are stuck-at: the cell reads back a fixed value regardless
  * of what was written. A stuck-at fault whose stuck value equals the
  * stored bit is *masked* — invisible until data of the opposite
@@ -24,6 +32,7 @@
 #define KILLI_FAULT_FAULT_MAP_HH
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -43,6 +52,12 @@ struct FaultCell
     bool stuckValue;      //!< value the cell reads back as
     FaultKind kind;       //!< failing mechanism (for statistics)
 };
+static_assert(sizeof(FaultCell) == 12, "FaultCell packs into 12 bytes");
+
+/** The cover of a die sampled without one: it holds every cell that
+ *  could fail in the model's range, and any voltage may be activated. */
+inline constexpr double kNoCover =
+    std::numeric_limits<double>::infinity();
 
 /** A sampled die: the potential-fault cells of every line, each line
  *  sorted strictly ascending by bit. */
@@ -81,6 +96,11 @@ class FaultMap
      *                 steps down after construction, so setVoltage()
      *                 rejects a raise and incremental stepping is
      *                 allowed. Droop schedules pass false.
+     * @param cover the cover @p population was sampled under (a
+     *              population holding at least every cell with
+     *              threshold < cover). Activating a voltage whose
+     *              pCell exceeds it, here or in setVoltage(), is
+     *              fatal().
      *
      * While the map holds the only handle to the population,
      * plantFault() edits it in place; a population handed over that
@@ -88,7 +108,7 @@ class FaultMap
      */
     FaultMap(std::shared_ptr<const FaultPopulation> population,
              std::size_t line_bits, double freq_ghz, double vNorm,
-             bool monotone);
+             bool monotone, double cover = kNoCover);
 
     std::size_t numLines() const { return offsets.size() - 1; }
     std::size_t lineBits() const { return bitsPerLine; }
@@ -99,8 +119,9 @@ class FaultMap
      * Activate the fault population for operating voltage @p vNorm.
      * Mirrors a DVFS transition; callers (e.g.\ Killi) must reset
      * their learned state, as the paper requires. On a monotone
-     * map raising the voltage is a caller bug and fatal(); re-setting
-     * the current voltage is a no-op.
+     * map raising the voltage is a caller bug and fatal(), as is a
+     * voltage whose pCell exceeds the map's cover; re-setting the
+     * current voltage is a no-op.
      */
     void setVoltage(double vNorm);
 
@@ -123,7 +144,10 @@ class FaultMap
     /** Is incremental voltage stepping enabled? */
     bool incrementalVoltage() const { return incremental; }
 
-    /** The potential-fault population (per line, sorted by bit). */
+    /** The potential-fault population (per line, sorted by bit):
+     *  under a cover, only the cells with threshold < cover (and any
+     *  planted ones), not every cell that could fail in the model's
+     *  range. */
     const FaultPopulation &population() const { return *pop; }
 
     /** Active faulty cells of @p line at the current voltage, sorted
@@ -212,6 +236,9 @@ class FaultMap
     LineHistogram histogram(std::size_t prefix_bits) const;
 
   private:
+    /** pCell at @p vNorm, fatal() when it exceeds the cover. */
+    double coveredP(double vNorm) const;
+
     /** Is @p bit held by an active persistent fault? Binary search
      *  over the sorted active set. */
     bool isStuck(std::size_t line, std::uint16_t bit) const;
@@ -258,6 +285,7 @@ class FaultMap
     double freqGHz;
     double currentV;
     bool monotone;
+    double coverP;
     bool incremental = false;
     /** thresholdIndex/cursor agree with pop (plantFault clears). */
     bool indexValid = false;

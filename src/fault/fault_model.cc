@@ -17,17 +17,27 @@ namespace
  *  statistics line up across scenario classes. */
 constexpr double kReadShare = 0.45;
 
+/** Does a die sampled under @p cover keep a cell of @p threshold?
+ *  The same promoted comparison FaultMap activates with, so a kept
+ *  cell is exactly one that some covered voltage can activate. */
+bool
+covered(float threshold, double cover)
+{
+    return double(threshold) < cover;
+}
+
 /**
  * The per-bit reference draw of one cell: u, then — only when the
  * cell is faulty (u < @p p) — its stuck value, then its kind, in
  * that order. The faulty cell's threshold is u / @p boost, so a cell
  * whose failure curve is scaled by @p boost (a weak row or column)
  * is active at voltage v iff u < boost * pCell(v); unboosted, the
- * threshold is u itself, conditionally uniform in [0, p).
+ * threshold is u itself, conditionally uniform in [0, p). The cell
+ * is kept only under @p cover, but its draws are made regardless.
  */
 void
 drawCell(Rng &rng, std::vector<FaultCell> &line, std::size_t bit,
-         double p, double boost = 1.0)
+         double p, double cover, double boost = 1.0)
 {
     const double u = rng.uniform();
     if (u >= p)
@@ -38,7 +48,8 @@ drawCell(Rng &rng, std::vector<FaultCell> &line, std::size_t bit,
     cell.stuckValue = rng.bernoulli(0.5);
     cell.kind = rng.bernoulli(kReadShare) ? FaultKind::ReadDisturb
                                           : FaultKind::Writeability;
-    line.push_back(cell);
+    if (covered(cell.threshold, cover))
+        line.push_back(cell);
 }
 
 /**
@@ -48,7 +59,7 @@ drawCell(Rng &rng, std::vector<FaultCell> &line, std::size_t bit,
  * The closed form floor(log1p(-u)/log1p(-p)) costs a transcendental
  * per draw, which dominates sampling when p is large (mean gap 1/p
  * is short, so gaps are drawn constantly). Instead the first K gap
- * values get an explicit CDF table, searched from a 256-bucket
+ * values get an explicit CDF table, searched from a 4096-bucket
  * direct index on the top bits of u and finished with the exact
  * boundary compares — bit-identical to inverse-CDF sampling, no
  * approximation. The tail (u past the table, probability (1-p)^K)
@@ -67,9 +78,12 @@ class GeometricSampler
             qpow *= 1.0 - p;
             cdf[g] = 1.0 - qpow; // P(gap <= g)
         }
-        for (std::size_t b = 0; b < 256; ++b) {
-            const double lo = double(b) / 256.0;
-            std::size_t g = 0;
+        // startAt[b]: the first gap whose cdf exceeds the bucket's
+        // lowest u (nondecreasing in b). Every gap below it is below
+        // any u in the bucket, so draw() may skip them.
+        std::size_t g = 0;
+        for (std::size_t b = 0; b < kBuckets; ++b) {
+            const double lo = double(b) / double(kBuckets);
             while (g + 1 < K && cdf[g] <= lo)
                 ++g;
             startAt[b] = static_cast<std::uint8_t>(g);
@@ -82,7 +96,7 @@ class GeometricSampler
     {
         const double u = rng.uniform();
         if (u < cdf[K - 1]) {
-            std::size_t g = startAt[std::size_t(u * 256.0)];
+            std::size_t g = startAt[std::size_t(u * double(kBuckets))];
             while (u >= cdf[g])
                 ++g;
             return g < remaining ? g : remaining;
@@ -93,8 +107,9 @@ class GeometricSampler
 
   private:
     static constexpr std::size_t K = 64;
+    static constexpr std::size_t kBuckets = 4096;
     double cdf[K];
-    std::uint8_t startAt[256];
+    std::uint8_t startAt[kBuckets];
     double logq;
 };
 
@@ -103,6 +118,12 @@ class GeometricSampler
  * placement may have landed a cluster/burst cell on a background
  * cell. Ties keep the lowest threshold (the cell that is active over
  * the widest voltage range — the physically weaker defect wins).
+ *
+ * The order is total over a cell's fields, so the survivor of a bit
+ * does not depend on the input order. That makes a cover commute
+ * with this step: the survivor has its bit's lowest threshold, so it
+ * is under the cover iff any of its bit's cells is, and dropping the
+ * cells at or above the cover first leaves the same survivor.
  */
 void
 sortAndDedupe(std::vector<FaultCell> &cells)
@@ -111,7 +132,11 @@ sortAndDedupe(std::vector<FaultCell> &cells)
               [](const FaultCell &a, const FaultCell &b) {
                   if (a.bit != b.bit)
                       return a.bit < b.bit;
-                  return a.threshold < b.threshold;
+                  if (a.threshold != b.threshold)
+                      return a.threshold < b.threshold;
+                  if (a.stuckValue != b.stuckValue)
+                      return a.stuckValue < b.stuckValue;
+                  return a.kind < b.kind;
               });
     cells.erase(std::unique(cells.begin(), cells.end(),
                             [](const FaultCell &a, const FaultCell &b) {
@@ -135,22 +160,22 @@ FaultModel::buildMap(std::size_t num_lines, std::size_t line_bits) const
 
 std::unique_ptr<FaultMap>
 FaultModel::buildMapAt(std::size_t num_lines, std::size_t line_bits,
-                       double vNorm) const
+                       double vNorm, double cover) const
 {
-    return std::make_unique<FaultMap>(sample(num_lines, line_bits),
-                                      line_bits, sp.freqGHz, vNorm,
-                                      monotoneVoltage());
+    return std::make_unique<FaultMap>(
+        sample(num_lines, line_bits, cover), line_bits, sp.freqGHz,
+        vNorm, monotoneVoltage(), cover);
 }
 
 std::unique_ptr<FaultMap>
 FaultModel::buildMapFrom(
     std::shared_ptr<const FaultPopulation> population,
-    std::size_t line_bits) const
+    std::size_t line_bits, double cover) const
 {
     return std::make_unique<FaultMap>(std::move(population), line_bits,
                                       sp.freqGHz,
                                       voltageSchedule().front(),
-                                      monotoneVoltage());
+                                      monotoneVoltage(), cover);
 }
 
 std::unique_ptr<FaultMap>
@@ -160,6 +185,15 @@ FaultModel::buildMapFrom(FaultPopulation population,
     return buildMapFrom(
         std::make_shared<FaultPopulation>(std::move(population)),
         line_bits);
+}
+
+double
+FaultModel::coverFor(const std::vector<double> &voltages) const
+{
+    double cover = 0.0;
+    for (const double v : voltages)
+        cover = std::max(cover, vm.pCell(v, sp.freqGHz));
+    return cover;
 }
 
 std::unique_ptr<FaultModel>
@@ -179,7 +213,7 @@ FaultModel::fromScenario(const ScenarioSpec &spec)
 
 std::shared_ptr<const FaultPopulation>
 IidStuckAt::sampleReference(std::size_t num_lines,
-                            std::size_t line_bits) const
+                            std::size_t line_bits, double cover) const
 {
     // Every cell that could ever fail in the model's range: the
     // population at the lowest supported voltage.
@@ -191,19 +225,20 @@ IidStuckAt::sampleReference(std::size_t num_lines,
     auto population = std::make_shared<FaultPopulation>(num_lines);
     for (auto &line : *population) {
         for (std::size_t bit = 0; bit < line_bits; ++bit)
-            drawCell(rng, line, bit, pMax);
+            drawCell(rng, line, bit, pMax, cover);
     }
     return population;
 }
 
 std::shared_ptr<const FaultPopulation>
-IidStuckAt::sample(std::size_t num_lines, std::size_t line_bits) const
+IidStuckAt::samplePopulation(std::size_t num_lines,
+                             std::size_t line_bits, double cover) const
 {
     const double pMax =
         vm.pCell(VoltageModel::minVoltage(), sp.freqGHz);
     // The degenerate everything-fails case has no gaps to skip.
     if (pMax >= 1.0)
-        return sampleReference(num_lines, line_bits);
+        return sampleReference(num_lines, line_bits, cover);
 
     const RngStreamScope stream("faultmap");
     Rng rng(sp.seed);
@@ -221,7 +256,8 @@ IidStuckAt::sample(std::size_t num_lines, std::size_t line_bits) const
         // stuck value and fault kind all come from disjoint bits of
         // one 64-bit draw (43 + 1 + 20 — the threshold is stored as
         // a float anyway, and 2^-20 granularity on the kind share is
-        // far below any measurable effect). Lines are staged in one
+        // far below any measurable effect). A cell outside the cover
+        // is dropped after its draws. Lines are staged in one
         // reusable scratch buffer so each line's backing store is a
         // single exact-sized allocation instead of a growth chain.
         const GeometricSampler geo(pMax);
@@ -239,14 +275,18 @@ IidStuckAt::sample(std::size_t num_lines, std::size_t line_bits) const
                 if (bit >= line_bits)
                     break;
                 const std::uint64_t r = rng.next64();
-                FaultCell cell;
-                cell.bit = static_cast<std::uint16_t>(bit);
-                cell.threshold = static_cast<float>(
-                    (r >> 21) * 0x1.0p-43 * pMax);
-                cell.stuckValue = (r & 1) != 0;
-                cell.kind = ((r >> 1) & 0xFFFFF) < kindCut
-                    ? FaultKind::ReadDisturb : FaultKind::Writeability;
-                scratch.push_back(cell);
+                const float threshold =
+                    static_cast<float>((r >> 21) * 0x1.0p-43 * pMax);
+                if (covered(threshold, cover)) {
+                    FaultCell cell;
+                    cell.bit = static_cast<std::uint16_t>(bit);
+                    cell.threshold = threshold;
+                    cell.stuckValue = (r & 1) != 0;
+                    cell.kind = ((r >> 1) & 0xFFFFF) < kindCut
+                        ? FaultKind::ReadDisturb
+                        : FaultKind::Writeability;
+                    scratch.push_back(cell);
+                }
                 ++bit;
             }
             line.assign(scratch.begin(), scratch.end());
@@ -256,8 +296,9 @@ IidStuckAt::sample(std::size_t num_lines, std::size_t line_bits) const
 }
 
 std::shared_ptr<const FaultPopulation>
-ClusteredRowColumn::sample(std::size_t num_lines,
-                           std::size_t line_bits) const
+ClusteredRowColumn::samplePopulation(std::size_t num_lines,
+                                     std::size_t line_bits,
+                                     double cover) const
 {
     const ClusterParams &c = sp.cluster;
     const double pMin =
@@ -282,7 +323,7 @@ ClusteredRowColumn::sample(std::size_t num_lines,
         for (std::size_t bit = 0; bit < line_bits; ++bit) {
             const double boost = (weakRow ? c.rowBoost : 1.0) *
                                  (weakCol[bit] ? c.colBoost : 1.0);
-            drawCell(rng, line, bit, std::min(1.0, pMin * boost),
+            drawCell(rng, line, bit, std::min(1.0, pMin * boost), cover,
                      boost);
         }
     }
@@ -311,7 +352,8 @@ ClusteredRowColumn::sample(std::size_t num_lines,
                     static_cast<float>(rng.uniform() * pCluster);
                 cell.stuckValue = rng.bernoulli(0.5);
                 cell.kind = FaultKind::Writeability;
-                (*population)[lineId].push_back(cell);
+                if (covered(cell.threshold, cover))
+                    (*population)[lineId].push_back(cell);
             }
         }
     }
@@ -322,7 +364,8 @@ ClusteredRowColumn::sample(std::size_t num_lines,
 }
 
 std::shared_ptr<const FaultPopulation>
-BurstMixture::sample(std::size_t num_lines, std::size_t line_bits) const
+BurstMixture::samplePopulation(std::size_t num_lines,
+                               std::size_t line_bits, double cover) const
 {
     const BurstParams &b = sp.burst;
     const double pMin =
@@ -336,7 +379,7 @@ BurstMixture::sample(std::size_t num_lines, std::size_t line_bits) const
     for (auto &line : *population) {
         // iid background: the reference sampler's draws.
         for (std::size_t bit = 0; bit < line_bits; ++bit)
-            drawCell(rng, line, bit, pMin);
+            drawCell(rng, line, bit, pMin, cover);
         // Byte-aligned bursts: runs of adjacent cells coupling below
         // burstVmax — the multi-bit pattern single-error SECDED
         // cannot correct. Coupled upsets read as read-disturb.
@@ -356,7 +399,8 @@ BurstMixture::sample(std::size_t num_lines, std::size_t line_bits) const
                     static_cast<float>(rng.uniform() * pBurst);
                 cell.stuckValue = rng.bernoulli(0.5);
                 cell.kind = FaultKind::ReadDisturb;
-                line.push_back(cell);
+                if (covered(cell.threshold, cover))
+                    line.push_back(cell);
             }
         }
         sortAndDedupe(line);
@@ -380,9 +424,10 @@ DroopSchedule::voltageSchedule() const
 }
 
 std::shared_ptr<const FaultPopulation>
-DroopSchedule::sample(std::size_t num_lines, std::size_t line_bits) const
+DroopSchedule::samplePopulation(std::size_t num_lines,
+                                std::size_t line_bits, double cover) const
 {
-    return base->sample(num_lines, line_bits);
+    return base->sample(num_lines, line_bits, cover);
 }
 
 } // namespace killi

@@ -23,6 +23,12 @@
  *
  * Sampling is deterministic in (spec, geometry): every call draws
  * the same die from the scenario's seed on the "faultmap" RNG stream.
+ * A caller that knows its operating points passes their cover
+ * (coverFor(); see fault_map.hh): the sampler makes the same draws
+ * but keeps only the cells those points can activate. The default
+ * iid die shrinks from 2.7M cells (every cell that fails at 0.45 V)
+ * to the 7K the paper's 0.625 V point activates.
+ *
  * There is one sampler per model; IidStuckAt additionally exposes the
  * per-bit sampler its skip sampler replaced (sampleReference()) as a
  * separate entry point for tests and codec_micro's reference twins.
@@ -54,41 +60,55 @@ class FaultModel
 
     /**
      * Sample the scenario's potential-fault population for an array
-     * of @p num_lines x @p line_bits cells: every cell that could
-     * fail anywhere in the model's voltage range, each line sorted
-     * strictly by bit. Positions are 16-bit (FaultMap rejects wider
-     * lines at adoption).
+     * of @p num_lines x @p line_bits cells, each line sorted strictly
+     * by bit. Positions are 16-bit (FaultMap rejects wider lines at
+     * adoption).
+     *
+     * With no @p cover the die holds every cell that could fail
+     * anywhere in the model's voltage range. Under a cover it keeps
+     * only the cells with threshold < cover: at every voltage whose
+     * pCell is at most the cover it activates cell for cell like the
+     * full die. The sampler makes the same RNG draws in the same
+     * order either way, so a recording cannot tell the two apart.
      */
-    virtual std::shared_ptr<const FaultPopulation>
-    sample(std::size_t num_lines, std::size_t line_bits) const = 0;
+    std::shared_ptr<const FaultPopulation>
+    sample(std::size_t num_lines, std::size_t line_bits,
+           double cover = kNoCover) const
+    {
+        return samplePopulation(num_lines, line_bits, cover);
+    }
 
-    /** Sample a die and adopt it at the first operating point of
-     *  voltageSchedule(). */
+    /** The cover of @p voltages: their largest pCell at the
+     *  scenario's frequency. */
+    double coverFor(const std::vector<double> &voltages) const;
+
+    /** Sample a full die and adopt it at the first operating point
+     *  of voltageSchedule(). */
     std::unique_ptr<FaultMap>
     buildMap(std::size_t num_lines, std::size_t line_bits) const;
 
     /**
      * buildMap(), but activate @p vNorm instead of the schedule's
-     * first operating point. The voltage-sweep engine uses this to
-     * start a monotone map at the sweep's highest point (buildMap()
-     * would already be at spec().voltage, above which a monotone map
-     * cannot be raised).
+     * first operating point, and sample under @p cover. The
+     * voltage-sweep engine uses this to start a monotone map at the
+     * sweep's highest point (buildMap() would already be at
+     * spec().voltage, above which a monotone map cannot be raised).
      */
     std::unique_ptr<FaultMap>
     buildMapAt(std::size_t num_lines, std::size_t line_bits,
-               double vNorm) const;
+               double vNorm, double cover = kNoCover) const;
 
     /**
      * Adopt an already-sampled population (sample() of this same
-     * model) at the schedule's first operating point instead of
-     * resampling — sweep campaigns and the kserved warm store share one
-     * die keyed by (scenario, geometry, seed, build). The map shares
-     * @p population without copying it and is bit-identical to a
-     * cold buildMap().
+     * model under at least @p cover) at the schedule's first
+     * operating point instead of resampling — sweep campaigns and the
+     * kserved warm store share one die keyed by (scenario, geometry,
+     * seed, build). The map shares @p population without copying it
+     * and is bit-identical to a cold buildMap().
      */
     std::unique_ptr<FaultMap>
     buildMapFrom(std::shared_ptr<const FaultPopulation> population,
-                 std::size_t line_bits) const;
+                 std::size_t line_bits, double cover = kNoCover) const;
 
     /** buildMapFrom() of a population passed by value (moved into a
      *  shared one). */
@@ -119,6 +139,11 @@ class FaultModel
   protected:
     explicit FaultModel(const ScenarioSpec &spec) : sp(spec) {}
 
+    /** sample(), one per model class. */
+    virtual std::shared_ptr<const FaultPopulation>
+    samplePopulation(std::size_t num_lines, std::size_t line_bits,
+                     double cover) const = 0;
+
     ScenarioSpec sp;
     VoltageModel vm;
 };
@@ -126,10 +151,10 @@ class FaultModel
 /**
  * The paper's evaluation model: iid per-bit stuck-at faults.
  *
- * sample() draws with geometric skip sampling (one RNG draw per
- * fault, not per bit). sampleReference() is the per-bit sampler it
- * replaced, kept as the distributional baseline for tests and the
- * BM_FaultMapSample twin in codec_micro. tests/scenario_spec_test.cc
+ * sample() draws with geometric skip sampling (two RNG draws per
+ * potential fault, not one per bit). sampleReference() is the per-bit
+ * sampler it replaced, kept as the distributional baseline for tests
+ * and the BM_FaultMapSample twin in codec_micro. tests/scenario_spec_test.cc
  * pins both.
  */
 class IidStuckAt final : public FaultModel
@@ -137,13 +162,16 @@ class IidStuckAt final : public FaultModel
   public:
     explicit IidStuckAt(const ScenarioSpec &spec) : FaultModel(spec) {}
 
-    std::shared_ptr<const FaultPopulation>
-    sample(std::size_t num_lines, std::size_t line_bits) const override;
-
     /** The per-bit reference sampler: one uniform draw per cell.
      *  sample() delegates here when every cell fails (pMax >= 1). */
     std::shared_ptr<const FaultPopulation>
-    sampleReference(std::size_t num_lines, std::size_t line_bits) const;
+    sampleReference(std::size_t num_lines, std::size_t line_bits,
+                    double cover = kNoCover) const;
+
+  private:
+    std::shared_ptr<const FaultPopulation>
+    samplePopulation(std::size_t num_lines, std::size_t line_bits,
+                     double cover) const override;
 };
 
 /**
@@ -160,8 +188,10 @@ class ClusteredRowColumn final : public FaultModel
     {
     }
 
+  private:
     std::shared_ptr<const FaultPopulation>
-    sample(std::size_t num_lines, std::size_t line_bits) const override;
+    samplePopulation(std::size_t num_lines, std::size_t line_bits,
+                     double cover) const override;
 };
 
 /**
@@ -176,8 +206,10 @@ class BurstMixture final : public FaultModel
     {
     }
 
+  private:
     std::shared_ptr<const FaultPopulation>
-    sample(std::size_t num_lines, std::size_t line_bits) const override;
+    samplePopulation(std::size_t num_lines, std::size_t line_bits,
+                     double cover) const override;
 };
 
 /**
@@ -194,11 +226,12 @@ class DroopSchedule final : public FaultModel
     bool monotoneVoltage() const override { return false; }
     std::vector<double> voltageSchedule() const override;
 
+  private:
     /** The base model's population. */
     std::shared_ptr<const FaultPopulation>
-    sample(std::size_t num_lines, std::size_t line_bits) const override;
+    samplePopulation(std::size_t num_lines, std::size_t line_bits,
+                     double cover) const override;
 
-  private:
     std::unique_ptr<FaultModel> base;
 };
 

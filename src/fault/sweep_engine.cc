@@ -17,14 +17,16 @@ runVoltageSweep(const FaultModel &model, std::size_t numLines,
     st.points = points.size();
     if (points.empty())
         return st;
+    // The die holds only the cells some point can activate.
+    const double cover = model.coverFor(points);
 
     if (!model.monotoneVoltage()) {
         // Droop-scheduled (non-monotone) regimes may raise V between
         // points, so threshold deltas cannot apply: one population,
         // cold re-activation per point, caller's order preserved
         // (schedules are meaningful in sequence).
-        std::unique_ptr<FaultMap> map =
-            model.buildMapAt(numLines, lineBits, points.front());
+        std::unique_ptr<FaultMap> map = model.buildMapAt(
+            numLines, lineBits, points.front(), cover);
         ++st.coldActivations;
         fn(0, points.front(), *map);
         for (std::size_t i = 1; i < points.size(); ++i) {
@@ -47,8 +49,8 @@ runVoltageSweep(const FaultModel &model, std::size_t numLines,
                          return points[a] > points[b];
                      });
 
-    std::unique_ptr<FaultMap> map =
-        model.buildMapAt(numLines, lineBits, points[order.front()]);
+    std::unique_ptr<FaultMap> map = model.buildMapAt(
+        numLines, lineBits, points[order.front()], cover);
     ++st.coldActivations;
     st.incremental = map->enableIncrementalVoltage();
     for (const std::size_t idx : order) {

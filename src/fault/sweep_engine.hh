@@ -56,8 +56,9 @@ struct VoltageSweepStats
 };
 
 /**
- * Sample @p model's population once and visit every entry of
- * @p points exactly once with the map activated at that voltage.
+ * Sample @p model's population once, under the cover of @p points
+ * (FaultModel::coverFor()), and visit every entry of @p points
+ * exactly once with the map activated at that voltage.
  * Points may arrive in any order (and may repeat — a repeat is an
  * idempotent no-op re-activation).
  *

@@ -17,13 +17,15 @@
 #define KILLI_FAULT_VOLTAGE_MODEL_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace killi
 {
 
-/** Failure mechanisms measured by the DAC'17 test chips. */
-enum class FaultKind
+/** Failure mechanisms measured by the DAC'17 test chips. One byte,
+ *  so a FaultCell packs into 12. */
+enum class FaultKind : std::uint8_t
 {
     ReadDisturb, //!< cell flips when read with wordline high
     Writeability //!< cell fails to change state during a write

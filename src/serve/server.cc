@@ -171,8 +171,11 @@ warmFaultSource(DieStore &store, const ScenarioSpec &scenario)
         return store.getOrSynthesize(
             faultMapKey(scenario, numLines, lineBits),
             [&model, numLines, lineBits] {
+                // The key holds the whole scenario, schedule and
+                // frequency included, so it determines the cover too.
                 std::shared_ptr<const FaultPopulation> pop =
-                    model.sample(numLines, lineBits);
+                    model.sample(numLines, lineBits,
+                                 model.coverFor(model.voltageSchedule()));
                 std::size_t bytes = sizeof(FaultPopulation);
                 for (const auto &line : *pop) {
                     bytes += sizeof(line) +

@@ -91,8 +91,9 @@ std::string faultMapKey(const ScenarioSpec &scenario,
                         std::size_t numLines, std::size_t lineBits);
 
 /** A SweepOptions::warmFaultSource that shares @p scenario's dies
- *  through @p store: the first sweep point of a die samples it
- *  (single-flight), every other point adopts it uncopied. */
+ *  through @p store: the first campaign of a die samples it
+ *  (single-flight) under the cover of the model's voltage schedule,
+ *  every later one adopts it uncopied. */
 decltype(SweepOptions::warmFaultSource)
 warmFaultSource(DieStore &store, const ScenarioSpec &scenario);
 

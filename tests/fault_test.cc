@@ -851,6 +851,136 @@ TEST(SweepEngineTest, AdoptedMapStepsIncrementallyLikeCold)
     }
 }
 
+// --- Covered dies --------------------------------------------------------
+
+namespace
+{
+
+/** The paper's operating point, a 0.70 -> 0.50 sweep, and points
+ *  around the 0.7 V below which cluster and burst cells fail (lower
+ *  covers keep all of those cells). */
+const std::vector<double> kOperatingPoint = {0.625};
+const std::vector<double> kSweep = {0.70, 0.675, 0.65, 0.625, 0.60,
+                                    0.575, 0.55, 0.525, 0.50};
+const std::vector<double> kHigh = {0.80, 0.75, 0.70};
+
+/** Every scenario class; droop runs over a clustered population. */
+ScenarioSpec
+coverSpec(const char *name)
+{
+    ScenarioSpec spec;
+    spec.model = name;
+    spec.seed = 47;
+    spec.droop.base = "clustered";
+    return spec;
+}
+
+/** Counts the RNG draws a run makes and folds them into a digest. */
+class DrawCounter : public ReplayProbe
+{
+  public:
+    void
+    onRngDraw(std::uint64_t value) override
+    {
+        ++draws;
+        digest = (digest ^ value) * 0x100000001b3ull;
+    }
+    void onEventPop(Tick, std::uint64_t) override {}
+    void onTraceRecord(Tick, std::uint32_t, const char *,
+                       std::uint64_t) override
+    {
+    }
+
+    std::uint64_t draws = 0;
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+};
+
+} // namespace
+
+TEST(FaultCoverTest, CoveredDieActivatesLikeFullDie)
+{
+    for (const char *name : {"iid", "clustered", "burst", "droop"}) {
+        const ScenarioSpec spec = coverSpec(name);
+        const auto model = FaultModel::fromScenario(spec);
+        const std::shared_ptr<const FaultPopulation> full =
+            model->sample(2048, 720);
+        for (const std::vector<double> *points :
+             {&kOperatingPoint, &kSweep, &kHigh}) {
+            const double cover = model->coverFor(*points);
+            const std::shared_ptr<const FaultPopulation> die =
+                model->sample(2048, 720, cover);
+            std::size_t fullCells = 0, kept = 0;
+            for (std::size_t l = 0; l < die->size(); ++l) {
+                fullCells += (*full)[l].size();
+                kept += (*die)[l].size();
+                for (const FaultCell &cell : (*die)[l])
+                    EXPECT_LT(double(cell.threshold), cover) << name;
+            }
+            EXPECT_LT(kept, fullCells) << name;
+            for (const double v : *points) {
+                const std::string ctx = std::string(name) +
+                    " cover " + std::to_string(cover) +
+                    " v=" + std::to_string(v);
+                const FaultMap covered(die, 720, spec.freqGHz, v,
+                                       model->monotoneVoltage(), cover);
+                const FaultMap reference(full, 720, spec.freqGHz, v,
+                                         model->monotoneVoltage());
+                expectActiveIdentical(covered, reference, ctx);
+            }
+        }
+    }
+}
+
+TEST(FaultCoverTest, CoverKeepsEverySamplerDraw)
+{
+    // A recording captures the sampler's draws, so a cover may drop
+    // cells but never a draw.
+    for (const char *name : {"iid", "clustered", "burst", "droop"}) {
+        const auto model = FaultModel::fromScenario(coverSpec(name));
+        DrawCounter full, covered;
+        {
+            const ScopedReplayProbe scope(&full);
+            model->sample(256, 720);
+        }
+        {
+            const ScopedReplayProbe scope(&covered);
+            model->sample(256, 720, model->coverFor(kOperatingPoint));
+        }
+        EXPECT_GT(full.draws, 0u) << name;
+        EXPECT_EQ(covered.draws, full.draws) << name;
+        EXPECT_EQ(covered.digest, full.digest) << name;
+    }
+}
+
+TEST(FaultMapDeathTest, ActivationPastTheCoverIsFatal)
+{
+    ScenarioSpec spec;
+    spec.seed = 53;
+    const auto model = FaultModel::fromScenario(spec);
+    const double cover = model->coverFor(kOperatingPoint);
+    const auto die = model->sample(64, 720, cover);
+    EXPECT_DEATH(model->buildMapAt(64, 720, 0.60, cover),
+                 "past the cover");
+    EXPECT_DEATH(FaultMap(die, 720, spec.freqGHz, 0.55, true, cover),
+                 "past the cover");
+    const auto map = model->buildMapFrom(die, 720, cover);
+    EXPECT_EQ(map->voltage(), 0.625);
+    EXPECT_DEATH(map->setVoltage(0.60), "past the cover");
+    // A droop map moves either way within its schedule's cover, but
+    // not past it.
+    ScenarioSpec droop = spec;
+    droop.model = "droop";
+    droop.droop.schedule = {0.70, 0.625, 0.65};
+    const auto droopModel = FaultModel::fromScenario(droop);
+    const double droopCover =
+        droopModel->coverFor(droopModel->voltageSchedule());
+    const auto droopMap = droopModel->buildMapFrom(
+        droopModel->sample(64, 720, droopCover), 720, droopCover);
+    droopMap->setVoltage(0.625);
+    droopMap->setVoltage(0.65);
+    EXPECT_DEATH(droopMap->setVoltage(0.60), "past the cover");
+}
+
 TEST(FaultMapDeathTest, AdoptionRejectsInvalidPopulation)
 {
     // The sort/range check is fused into adoption's activation pass;

@@ -1657,6 +1657,37 @@ TEST(ServeIntegration, WarmBackedSweepMatchesColdRecordingAndReplays)
               coldWorkloads);
 }
 
+TEST(ServeIntegration, WarmHitOnCoveredDieMatchesDirectSweep)
+{
+    // The warm store samples a die only down to the voltages its
+    // campaign activates. A hit on that die must answer exactly like
+    // a direct run, and one default die must stay small: its 7K
+    // active cells, not the 2.7M that could fail at 0.45 V.
+    ScopedLogCapture quiet;
+    SweepOptions opt;
+    opt.scale = 0.02;
+    opt.warmupPasses = 0;
+    opt.workloads = {"xsbench"};
+    opt.schemes = {"Killi 1:256"};
+    opt.jobs = 1;
+    const Json direct = sweepToJson(opt, runEvaluationSweep(opt));
+
+    DieStore store({.maxBytes = 64 << 20});
+    SweepOptions wopt = opt;
+    wopt.warmFaultSource = warmFaultSource(store, wopt.scenario);
+    runEvaluationSweep(wopt);
+    const Json hit = sweepToJson(opt, runEvaluationSweep(wopt));
+    EXPECT_EQ(store.stats().misses, 1u);
+    EXPECT_EQ(store.stats().hits, 1u);
+    for (const char *member : {"sweep", "workloads"}) {
+        EXPECT_EQ(hit.at(member).toString(0),
+                  direct.at(member).toString(0))
+            << member;
+    }
+    EXPECT_EQ(store.stats().entries, 1u);
+    EXPECT_LT(store.stats().bytes, std::uint64_t{2} << 20);
+}
+
 TEST(ServeIntegration, DrainClearsCacheAndWarmStateBytes)
 {
     // Regression: drain-time teardown racing LRU eviction used to

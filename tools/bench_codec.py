@@ -55,6 +55,8 @@ ROWS = {
     "dected_probe": twin("BM_BchProbe"),
     "olsc_encode": twin("BM_OlscEncode/11"),
     "faultmap_sample": twin("BM_FaultMapSample"),
+    # The full skip-sampled die over one covered for 0.625 V.
+    "faultmap_covered": ("BM_FaultMapSample/1", "BM_FaultMapSample/2"),
     "sweep_faultmap": twin("BM_SweepFaultMap"),
     "trace_null_sink": ("BM_TraceProbeNullSink", "BM_TraceProbeUntraced"),
     "trace_masked_sink": ("BM_TraceProbeMaskedSink",
@@ -65,6 +67,8 @@ ROWS = {
 GATES = {
     "secded_encode_decode": (">=", 3.0),
     "sweep_faultmap": (">=", 2.0),
+    # A covered die makes the same draws but stores ~7K of 2.7M cells.
+    "faultmap_covered": (">=", 1.5),
     # probe() answers <= t errors without Berlekamp-Massey and Chien.
     "dected_probe": (">=", 100.0),
     # Null sink is how untraced binaries run (no --trace, no sink).
@@ -196,6 +200,7 @@ def selftest_cases():
         suffix = "/iterations:1" if "Map" in base else ""
         times[f"{base}/0{suffix}"] = [400.0, 400.0, 400.0]
         times[f"{base}/1{suffix}"] = [100.0, 100.0, 100.0]
+    times["BM_FaultMapSample/2/iterations:1"] = [50.0, 50.0, 50.0]
     times["BM_BchProbe/0"] = [50000.0, 50000.0, 50000.0]
     times["BM_BchProbe/1"] = [100.0, 100.0, 100.0]
     # Per-pair ratios 1, 4, 3: the median is 3.0, while the ratio of
@@ -212,6 +217,7 @@ def selftest_cases():
     assert code == 0 and rows["secded_encode_decode"]["ratio"] == 3.0, rows
     assert rows["secded_encode_decode"]["pairs"] == 3, rows
     assert rows["sweep_faultmap"]["ratio"] == 4.0, rows
+    assert rows["faultmap_covered"]["ratio"] == 2.0, rows
 
     slow = dict(times, **{"BM_SweepFaultMap/1/iterations:1":
                           [100.0, 210.0, 210.0]})
@@ -219,6 +225,10 @@ def selftest_cases():
     assert analyse(canned(slow, flipped), check=False)[1] == 0
     heavy = dict(times, BM_TraceProbeNullSink=[20.5, 20.5, 20.5])
     assert analyse(canned(heavy, flipped), check=True)[1] == 1
+    # A covered die that stored every cell would cost a full one.
+    uncovered = dict(times, **{"BM_FaultMapSample/2/iterations:1":
+                               [80.0, 80.0, 80.0]})
+    assert analyse(canned(uncovered, flipped), check=True)[1] == 1
     # A probe that runs the decoder again is about as slow as decode().
     solving = dict(times, **{"BM_BchProbe/1": [25000.0] * 3})
     assert analyse(canned(solving, flipped), check=True)[1] == 1

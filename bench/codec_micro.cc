@@ -303,8 +303,9 @@ BENCHMARK(BM_FaultMapSample)->Arg(0)->Arg(1)->Arg(2)->Iterations(1)->Unit(
 /**
  * Fault maps for a 21-point sweep, 0.70 -> 0.50: a cold buildMapAt
  * per point (what per-point consumers did before the sweep engine)
- * vs one runVoltageSweep stepping a single population by threshold
- * deltas to bit-identical maps (pinned in fault_test).
+ * vs one runVoltageSweep, which samples the die once under the
+ * sweep's cover and re-activates it at each point, to bit-identical
+ * maps (pinned in fault_test).
  */
 static void
 BM_SweepFaultMap(benchmark::State &state)

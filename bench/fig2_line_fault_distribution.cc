@@ -36,9 +36,9 @@ main(int argc, char **argv)
     opts.parse(argc, argv);
 
     // The figure tabulates ascending voltage; the sweep engine
-    // visits the points high-to-low (one fault map, stepped
-    // incrementally) and the callback's point index slots each row
-    // back into ascending order.
+    // visits the points high-to-low (one die, re-activated per
+    // point) and the callback's point index slots each row back
+    // into ascending order.
     std::vector<double> points;
     for (double v = 0.50; v <= 0.7001; v += 0.025)
         points.push_back(v);

@@ -54,7 +54,7 @@ main(int argc, char **argv)
         points.push_back(v);
 
     // Optional die-sampled columns: one fault map stepped down the
-    // points by the incremental sweep engine, measuring the same
+    // points by the sweep engine, measuring the same
     // <=2-of-523 (SECDED) and <=11-of-710 (MS-ECC) classification
     // predicates the closed-form columns integrate analytically.
     const auto nDie = static_cast<std::size_t>(dieLines.value());

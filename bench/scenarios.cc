@@ -370,9 +370,9 @@ main(int argc, char **argv)
             FaultModel::fromScenario(spec);
 
         // The sweep engine owns the map during the schedule (droop
-        // classes refuse the incremental path and re-activate cold
-        // per point, in schedule order); mapKeep is declared before
-        // the schemes so the map outlives the references they hold.
+        // classes visit it in schedule order); mapKeep is declared
+        // before the schemes so the map outlives the references they
+        // hold.
         std::unique_ptr<FaultMap> mapKeep;
         Host host(numLines);
         std::unique_ptr<KilliProtection> prot;

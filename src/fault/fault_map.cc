@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 
 #include "common/log.hh"
 
@@ -47,24 +46,8 @@ FaultMap::setVoltage(double vNorm)
               "the monotone voltage regime (only droop-scheduled "
               "models may raise V)", currentV, vNorm);
     const double p = coveredP(vNorm);
-    const bool lowering = vNorm < currentV;
     currentV = vNorm;
-    if (incremental && indexValid && lowering) {
-        // Monotone step down: pCell only grows, so the active sets
-        // only gain cells — exactly the index entries with threshold
-        // in [pCell(V1), pCell(V2)), which the cursor walks over.
-        activateDelta(p);
-#ifdef KILLI_CHECK_INVARIANTS
-        checkDeltaMatchesCold(p);
-#endif
-    } else {
-        coldActivate(p);
-        if (incremental) {
-            if (!indexValid)
-                rebuildIndex();
-            resetCursor(p);
-        }
-    }
+    coldActivate(p);
 }
 
 void
@@ -97,200 +80,6 @@ FaultMap::coldActivate(double p, bool validate)
               cells.size());
     offsets[lines.size()] = static_cast<std::uint32_t>(cells.size());
 }
-
-bool
-FaultMap::enableIncrementalVoltage()
-{
-    if (!monotone)
-        return false; // the regime may raise V: deltas can't apply
-    if (incremental)
-        return true;
-    incremental = true;
-    rebuildIndex();
-    resetCursor(vModel.pCell(currentV, freqGHz));
-    return true;
-}
-
-void
-FaultMap::rebuildIndex()
-{
-    const FaultPopulation &lines = *pop;
-    thresholdIndex.clear();
-    std::size_t total = 0;
-    for (const std::vector<FaultCell> &line : lines)
-        total += line.size();
-    thresholdIndex.reserve(total);
-    // The active set can grow to the whole population: room for it
-    // now keeps every incremental step from reallocating.
-    cells.reserve(total);
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        for (std::size_t j = 0; j < lines[i].size(); ++j) {
-            thresholdIndex.push_back(
-                {lines[i][j].threshold, static_cast<std::uint32_t>(i),
-                 static_cast<std::uint32_t>(j)});
-        }
-    }
-    // LSD counting sort on the threshold's bit pattern: two stable
-    // 16-bit passes, near-linear in population size (a comparator
-    // sort here dominated sweep setup on million-cell populations).
-    // The sign-flip transform maps IEEE float ordering onto unsigned
-    // ordering (covers plantFault's -1.0f sentinel), and stability
-    // over the fill order supplies the deterministic (line, cell)
-    // tie-break — the walk order cannot affect the result anyway
-    // (each line's insertions land at by-bit positions regardless of
-    // arrival order).
-    const auto key32 = [](float t) {
-        std::uint32_t b;
-        std::memcpy(&b, &t, sizeof b);
-        return b ^ ((b & 0x80000000u) != 0 ? 0xFFFFFFFFu
-                                           : 0x80000000u);
-    };
-    std::vector<ThresholdRef> tmp(total);
-    std::vector<std::size_t> count(65536);
-    for (const int shift : {0, 16}) {
-        std::fill(count.begin(), count.end(), std::size_t{0});
-        for (const ThresholdRef &ref : thresholdIndex)
-            ++count[(key32(ref.threshold) >> shift) & 0xFFFF];
-        std::size_t running = 0;
-        for (std::size_t &c : count) {
-            const std::size_t n = c;
-            c = running;
-            running += n;
-        }
-        for (const ThresholdRef &ref : thresholdIndex)
-            tmp[count[(key32(ref.threshold) >> shift) & 0xFFFF]++] =
-                ref;
-        thresholdIndex.swap(tmp);
-    }
-    indexValid = true;
-}
-
-void
-FaultMap::resetCursor(double p)
-{
-    // First entry with double(threshold) >= p: the same promoted
-    // comparison the cold filter uses, so a cell sitting exactly at
-    // the boundary lands on the same side either way.
-    cursor = static_cast<std::size_t>(
-        std::lower_bound(thresholdIndex.begin(), thresholdIndex.end(),
-                         p,
-                         [](const ThresholdRef &r, double pv) {
-                             return double(r.threshold) < pv;
-                         }) -
-        thresholdIndex.begin());
-}
-
-void
-FaultMap::activateDelta(double p)
-{
-    // Everything in [cursor, end) crosses at this step (same
-    // promoted comparison as resetCursor / the cold filter).
-    const auto end = static_cast<std::size_t>(
-        std::lower_bound(thresholdIndex.begin() +
-                             static_cast<std::ptrdiff_t>(cursor),
-                         thresholdIndex.end(), p,
-                         [](const ThresholdRef &r, double pv) {
-                             return double(r.threshold) < pv;
-                         }) -
-        thresholdIndex.begin());
-    if (end == cursor)
-        return;
-    // The slice is threshold-ordered, i.e.\ scattered across lines.
-    // Regroup it by (line, cell) so each touched line is visited
-    // once and its crossings land in one backward merge instead of
-    // a lower_bound + memmove per cell — the per-cell form's random
-    // line accesses dominated incremental stepping. Within a line,
-    // ascending cell index is ascending bit (population sort
-    // invariant), so the merge output stays bit-sorted; a bit cannot
-    // appear on both sides (each population cell activates once).
-    // Stable counting-bucket by line — no comparisons, two linear
-    // passes over the slice.
-    const FaultPopulation &lines = *pop;
-    deltaScratch.resize(end - cursor);
-    deltaOffsets.assign(lines.size(), 0);
-    for (std::size_t i = cursor; i < end; ++i)
-        ++deltaOffsets[thresholdIndex[i].line];
-    std::size_t running = 0;
-    for (std::uint32_t &c : deltaOffsets) {
-        const std::uint32_t n = c;
-        c = static_cast<std::uint32_t>(running);
-        running += n;
-    }
-    for (std::size_t i = cursor; i < end; ++i)
-        deltaScratch[deltaOffsets[thresholdIndex[i].line]++] =
-            thresholdIndex[i];
-    cursor = end;
-    // deltaOffsets[l] is now the end of line l's bucket. Grow the CSR
-    // in place, walking the lines backward: a line's cells move right
-    // by the number of crossings at or below it (j, counting down), so
-    // the untouched lines between two touched ones move as one block
-    // and each touched line merges its crossings in by bit. Nothing
-    // below the lowest touched line moves.
-    const std::size_t oldSize = cells.size();
-    cells.resize(oldSize + deltaScratch.size());
-    const auto at = [this](std::size_t pos) { return cells.begin() + pos; };
-    std::size_t blockEnd = oldSize; // old end of the block above line
-    std::size_t j = deltaScratch.size();
-    for (std::size_t line = lines.size(); j > 0;) {
-        --line;
-        const std::size_t oldEnd = offsets[line + 1];
-        offsets[line + 1] = static_cast<std::uint32_t>(oldEnd + j);
-        const std::size_t g = line > 0 ? deltaOffsets[line - 1] : 0;
-        if (g == j)
-            continue; // no crossings: moves with its block
-        std::move_backward(at(oldEnd), at(blockEnd), at(blockEnd + j));
-        // The bucket kept threshold order; restore ascending cell
-        // index (== ascending bit) with an insertion sort — groups
-        // are a handful of cells.
-        for (std::size_t a = g + 1; a < j; ++a) {
-            const ThresholdRef ref = deltaScratch[a];
-            std::size_t b = a;
-            while (b > g && deltaScratch[b - 1].cell > ref.cell) {
-                deltaScratch[b] = deltaScratch[b - 1];
-                --b;
-            }
-            deltaScratch[b] = ref;
-        }
-        const std::size_t oldBegin = offsets[line];
-        std::size_t i = oldEnd;     // old cells left (from the back)
-        std::size_t w = oldEnd + j; // next write slot (exclusive)
-        while (j > g) {
-            const FaultCell &cell = lines[line][deltaScratch[j - 1].cell];
-            if (i > oldBegin && cells[i - 1].bit > cell.bit) {
-                cells[--w] = cells[--i];
-            } else {
-                cells[--w] = cell;
-                --j;
-            }
-        }
-        std::move_backward(at(oldBegin), at(i), at(w));
-        blockEnd = oldBegin;
-    }
-}
-
-#ifdef KILLI_CHECK_INVARIANTS
-void
-FaultMap::checkDeltaMatchesCold(double p) const
-{
-    for (std::size_t i = 0; i < pop->size(); ++i) {
-        std::vector<FaultCell> cold;
-        for (const FaultCell &cell : (*pop)[i])
-            if (cell.threshold < p)
-                cold.push_back(cell);
-        const std::span<const FaultCell> got = lineFaults(i);
-        bool same = got.size() == cold.size();
-        for (std::size_t j = 0; same && j < cold.size(); ++j) {
-            same = got[j].bit == cold[j].bit &&
-                   got[j].threshold == cold[j].threshold &&
-                   got[j].stuckValue == cold[j].stuckValue &&
-                   got[j].kind == cold[j].kind;
-        }
-        if (!same)
-            fatal("FaultMap: incremental voltage step diverged from "
-                  "cold sampling at line %zu (V=%.6g)", i, currentV);
-    }
-}
-#endif
 
 unsigned
 FaultMap::countFaults(std::size_t line, std::size_t prefix_bits) const
@@ -458,10 +247,6 @@ FaultMap::plantFault(std::size_t line, std::uint16_t bit,
         for (std::size_t l = line + 1; l < offsets.size(); ++l)
             ++offsets[l];
     }
-    // The population changed shape: any incremental-stepping index
-    // now holds stale (line, cell) references. Rebuild lazily on the
-    // next voltage step.
-    indexValid = false;
 }
 
 FaultMap::LineHistogram

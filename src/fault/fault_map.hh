@@ -94,8 +94,7 @@ class FaultMap
      * @param freq_ghz operating frequency for the whole run
      * @param monotone the DAC'17 superset regime: voltage only ever
      *                 steps down after construction, so setVoltage()
-     *                 rejects a raise and incremental stepping is
-     *                 allowed. Droop schedules pass false.
+     *                 rejects a raise. Droop schedules pass false.
      * @param cover the cover @p population was sampled under (a
      *              population holding at least every cell with
      *              threshold < cover). Activating a voltage whose
@@ -124,25 +123,6 @@ class FaultMap
      * current voltage is a no-op.
      */
     void setVoltage(double vNorm);
-
-    /**
-     * Opt into incremental voltage stepping: subsequent monotone
-     * setVoltage() lowerings derive the active sets as a delta from
-     * the previous operating point — only the cells whose threshold
-     * crosses between pCell(V1) and pCell(V2) are touched — instead
-     * of re-filtering every line, turning a multi-point sweep from
-     * O(points x lines) into O(lines + faults-delta). The stepped
-     * active sets are bit-identical to cold filtering at every point
-     * (asserted under KILLI_CHECK_INVARIANTS, pinned in fault_test).
-     *
-     * Returns true when enabled. Non-monotone maps (droop schedules
-     * may raise V) refuse and return false; the caller must keep
-     * cold-activating per point.
-     */
-    bool enableIncrementalVoltage();
-
-    /** Is incremental voltage stepping enabled? */
-    bool incrementalVoltage() const { return incremental; }
 
     /** The potential-fault population (per line, sorted by bit):
      *  under a cover, only the cells with threshold < cover (and any
@@ -246,55 +226,18 @@ class FaultMap
     /** Live transient flips of @p line, in injection order. */
     std::span<const std::uint16_t> transients(std::size_t line) const;
 
-    /** One potential-fault cell in threshold order — the incremental
-     *  stepping index. `cell` indexes into (*pop)[line], which is
-     *  stable except across plantFault() (which invalidates the
-     *  index for a lazy rebuild). */
-    struct ThresholdRef
-    {
-        float threshold;
-        std::uint32_t line;
-        std::uint32_t cell;
-    };
-
-    /** Re-filter every line's active set against @p p (the
-     *  original, always-correct activation path) in one pass that
-     *  appends each line's active cells and records its offset. With
-     *  @p validate, fatal() on a cell breaking the population's
-     *  sort/range invariant (adoption checks it in this same pass). */
+    /** Re-filter every line's active set against @p p (the map's
+     *  only activation path) in one pass that appends each line's
+     *  active cells and records its offset. With @p validate,
+     *  fatal() on a cell breaking the population's sort/range
+     *  invariant (adoption checks it in this same pass). */
     void coldActivate(double p, bool validate = false);
-    /** Rebuild thresholdIndex from pop (sorted by threshold with a
-     *  deterministic (line, cell) tie-break; counting sort on the
-     *  float bit pattern, near-linear in population size). */
-    void rebuildIndex();
-    /** Position cursor at the first index entry with threshold >= p,
-     *  i.e.\ the first cell NOT active at the current point. */
-    void resetCursor(double p);
-    /** Advance cursor over every cell crossing at @p p and merge the
-     *  crossings into the CSR arrays: the slice is regrouped by line,
-     *  then one backward pass over the lines shifts each segment to
-     *  its new offset, merging in its crossings by bit. */
-    void activateDelta(double p);
-#ifdef KILLI_CHECK_INVARIANTS
-    /** fatal() unless the delta-derived active sets are bit-identical
-     *  to a cold re-filter at @p p. */
-    void checkDeltaMatchesCold(double p) const;
-#endif
 
     std::size_t bitsPerLine;
     double freqGHz;
     double currentV;
     bool monotone;
     double coverP;
-    bool incremental = false;
-    /** thresholdIndex/cursor agree with pop (plantFault clears). */
-    bool indexValid = false;
-    std::size_t cursor = 0;
-    std::vector<ThresholdRef> thresholdIndex;
-    /** Reused per-step staging buffers for activateDelta()'s
-     *  regroup-by-line pass (avoid allocations per sweep point). */
-    std::vector<ThresholdRef> deltaScratch;
-    std::vector<std::uint32_t> deltaOffsets;
     VoltageModel vModel;
 
     /** Potential faults per line, sorted ascending by bit (adoption

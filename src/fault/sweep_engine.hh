@@ -1,24 +1,20 @@
 /**
  * @file
- * Incremental voltage-sweep engine (ROADMAP item 3).
+ * Voltage-sweep engine.
  *
- * A voltage sweep visits the same fault population at many operating
- * points. Because LV fault populations are monotone in V by
- * construction (DAC'17 superset invariant, fault_map.hh), each
- * point's active set differs from its neighbour's only by the cells
- * whose threshold crosses between pCell(V1) and pCell(V2) — so a
- * sweep does not need to resample (or even re-filter) every line per
- * point. This engine samples the population once, orders the points
- * from highest to lowest voltage, and steps the map down through
- * FaultMap's incremental delta path, turning a sweep from
- * O(points x lines) into O(lines + faults-delta).
+ * A voltage sweep visits one die at many operating points. The
+ * engine samples the die once, under the cover of the sweep's points
+ * (FaultModel::coverFor()), so it holds only the cells some point
+ * activates, and re-activates one FaultMap at each point
+ * (FaultMap::setVoltage(), a re-filter of that covered die).
  *
- * The incremental path is gated on FaultModel::monotoneVoltage():
- * droop-scheduled models may raise V mid-schedule, so they refuse
- * the delta path and fall back to a cold per-point activation in the
- * caller's original point order. Either way the per-point active
- * sets are bit-identical to cold sampling (asserted under
- * KILLI_CHECK_INVARIANTS, pinned in tests/fault_test.cc).
+ * LV fault populations are monotone in V (DAC'17 superset
+ * invariant, fault_map.hh), and a monotone map rejects a raise, so
+ * monotone models visit the points from the highest voltage down.
+ * Droop-scheduled models may raise V mid-schedule and keep the
+ * caller's point order. Either way each point's active set is the
+ * one a cold FaultModel::buildMapAt() gives (pinned in
+ * tests/fault_test.cc, repeated points included).
  */
 
 #ifndef KILLI_FAULT_SWEEP_ENGINE_HH
@@ -45,13 +41,11 @@ using VoltageSweepFn =
  *  sweep cost. */
 struct VoltageSweepStats
 {
-    /** The map was stepped by threshold deltas (monotone models
-     *  only; droop schedules refuse the incremental path). */
-    bool incremental = false;
     /** Points visited (== the caller's vector size). */
     std::size_t points = 0;
-    /** Points that paid a full O(lines) re-filter: every point for
-     *  non-monotone models, only the first otherwise. */
+    /** Activations, one per visited point (== points; a repeat of
+     *  the current voltage is a no-op). perfbench's vmin-sweep
+     *  reports it as fault.cold_activations. */
     std::size_t coldActivations = 0;
 };
 
@@ -59,8 +53,8 @@ struct VoltageSweepStats
  * Sample @p model's population once, under the cover of @p points
  * (FaultModel::coverFor()), and visit every entry of @p points
  * exactly once with the map activated at that voltage.
- * Points may arrive in any order (and may repeat — a repeat is an
- * idempotent no-op re-activation).
+ * Points may arrive in any order and may repeat: every visit of a
+ * voltage sees the same active set.
  *
  * @param keepMap when non-null, receives the engine's map after the
  *        last point, so state the callback built against it (e.g.\ a

@@ -341,7 +341,7 @@ TEST(FaultMapTest, PlantFaultKeepsSortInvariant)
     EXPECT_TRUE(map.countFaults(0, 201) == 2u);
 }
 
-// --- Incremental voltage stepping --------------------------------------
+// --- Voltage stepping --------------------------------------------------
 
 namespace
 {
@@ -412,102 +412,57 @@ TEST(FaultMapTest, EqualVoltageResetIsIdempotentNoOp)
     }
 }
 
-TEST(FaultMapTest, IncrementalSteppingMatchesColdFiltering)
-{
-    // Same seed, same population; one map steps by threshold deltas,
-    // the other cold-filters. Every point must be bit-identical.
-    FaultMap inc = smallMap(1.0, 17, 1024);
-    FaultMap cold = smallMap(1.0, 17, 1024);
-    ASSERT_TRUE(inc.enableIncrementalVoltage());
-    EXPECT_TRUE(inc.incrementalVoltage());
-    for (const double v :
-         {0.70, 0.675, 0.65, 0.625, 0.60, 0.59, 0.575, 0.55, 0.50}) {
-        inc.setVoltage(v);
-        cold.setVoltage(v);
-        expectActiveIdentical(inc, cold,
-                              "v=" + std::to_string(v));
-    }
-}
-
-TEST(FaultMapTest, IncrementalTieAtThresholdMatchesCold)
+TEST(FaultMapTest, TieAtThresholdStaysInactive)
 {
     // A cell whose threshold sits exactly at a sweep point's pCell:
-    // cold filtering's strict `threshold < p` leaves it inactive at
-    // equality, and the incremental walk must land the tie on the
-    // same side (both compare the float threshold promoted to
-    // double against the same p).
+    // the strict `threshold < p` filter (the float threshold promoted
+    // to double against p) leaves it inactive at equality, whether
+    // the map steps down a setVoltage() ladder or is built at the
+    // point. An exact tie needs a voltage whose double pCell equals a
+    // float-rounded one; bisection finds one for only a few percent
+    // of targets, so targets are tried until one ties.
     static const VoltageModel vm;
-    const float tie = static_cast<float>(vm.pCell(0.600, 1.0));
-    std::vector<std::vector<FaultCell>> pop(4);
-    pop[1].push_back({100, tie, true, FaultKind::Writeability});
-    pop[1].push_back({200, tie / 2, false, FaultKind::ReadDisturb});
-    pop[2].push_back({50, tie * 4, true, FaultKind::Writeability});
-    FaultMap inc(std::make_shared<const FaultPopulation>(pop), 720, 1.0,
-                 1.0, /*monotone=*/true);
-    FaultMap cold(std::make_shared<const FaultPopulation>(pop), 720,
-                  1.0, 1.0, /*monotone=*/true);
-    ASSERT_TRUE(inc.enableIncrementalVoltage());
-
-    // Bisect for a voltage whose pCell equals the float-rounded
-    // threshold exactly (pCell is continuous and monotone, so the
-    // boundary is reachable to the last ulp if representable).
-    const double target = double(tie);
-    double lo = 0.55, hi = 0.65; // pCell(lo) > target > pCell(hi)
-    double vStar = 0.600;
-    bool exact = false;
-    for (int it = 0; it < 200 && !exact; ++it) {
-        const double mid = lo + (hi - lo) / 2;
-        if (mid == lo || mid == hi)
-            break;
-        const double p = vm.pCell(mid, 1.0);
-        if (p == target) {
-            vStar = mid;
-            exact = true;
-        } else if (p > target) {
-            lo = mid;
-        } else {
-            hi = mid;
+    float tie = 0;
+    double vStar = 0;
+    for (int k = 0; k < 400 && vStar == 0; ++k) {
+        const double v0 = 0.55 + 0.00025 * k;
+        tie = static_cast<float>(vm.pCell(v0, 1.0));
+        double lo = v0 - 0.01, hi = v0 + 0.01; // pCell(lo) > tie > pCell(hi)
+        while (vStar == 0) {
+            const double mid = lo + (hi - lo) / 2;
+            if (mid == lo || mid == hi)
+                break;
+            const double p = vm.pCell(mid, 1.0);
+            if (p == double(tie))
+                vStar = mid;
+            else if (p > double(tie))
+                lo = mid;
+            else
+                hi = mid;
         }
     }
+    ASSERT_NE(vStar, 0.0) << "no voltage's pCell ties a float threshold";
 
-    std::vector<double> ladder = {0.650, 0.625, 0.610};
-    ladder.push_back(exact ? vStar : 0.600);
-    ladder.push_back(0.590);
-    ladder.push_back(0.575);
-    for (const double v : ladder) {
-        inc.setVoltage(v);
-        cold.setVoltage(v);
-        expectActiveIdentical(inc, cold, "v=" + std::to_string(v));
-        if (exact && v == vStar) {
-            // Exactly at the threshold: strict < excludes the cell
-            // in both derivations.
-            EXPECT_EQ(inc.lineFaults(1).size(), 1u);
-            EXPECT_EQ(inc.lineFaults(1)[0].bit, 200);
+    FaultPopulation cells(4);
+    cells[1].push_back({100, tie, true, FaultKind::Writeability});
+    cells[1].push_back({200, tie / 2, false, FaultKind::ReadDisturb});
+    cells[2].push_back({50, tie * 4, true, FaultKind::Writeability});
+    const auto pop =
+        std::make_shared<const FaultPopulation>(std::move(cells));
+    FaultMap stepped(pop, 720, 1.0, 1.0, /*monotone=*/true);
+    for (const double v : {vStar + 0.05, vStar + 0.02, vStar,
+                           vStar - 0.01, vStar - 0.02}) {
+        stepped.setVoltage(v);
+        const FaultMap built(pop, 720, 1.0, v, /*monotone=*/true);
+        expectActiveIdentical(stepped, built, "v=" + std::to_string(v));
+        if (v == vStar) {
+            // Exactly at the threshold: strict < excludes the cell.
+            ASSERT_EQ(stepped.lineFaults(1).size(), 1u);
+            EXPECT_EQ(stepped.lineFaults(1)[0].bit, 200);
         }
     }
-    // Below the boundary the tied cell is active in both.
-    EXPECT_EQ(inc.lineFaults(1).size(), 2u);
-    EXPECT_EQ(cold.lineFaults(1).size(), 2u);
-}
-
-TEST(FaultMapTest, PlantFaultInvalidatesIncrementalIndex)
-{
-    FaultMap inc = smallMap(1.0, 23, 1024);
-    FaultMap cold = smallMap(1.0, 23, 1024);
-    inc.setVoltage(0.65);
-    cold.setVoltage(0.65);
-    ASSERT_TRUE(inc.enableIncrementalVoltage());
-    inc.setVoltage(0.625);
-    cold.setVoltage(0.625);
-    // Mutating the population must not leave the delta path reading
-    // stale (line, cell) references.
-    inc.plantFault(3, 17, true);
-    cold.plantFault(3, 17, true);
-    for (const double v : {0.60, 0.575}) {
-        inc.setVoltage(v);
-        cold.setVoltage(v);
-        expectActiveIdentical(inc, cold, "v=" + std::to_string(v));
-    }
+    // Below the boundary the tied cell is active.
+    EXPECT_EQ(stepped.lineFaults(1).size(), 2u);
 }
 
 // --- CSR view and transients ------------------------------------------
@@ -517,15 +472,14 @@ TEST(FaultMapTest, SteppedCsrMatchesColdAcrossScenarioClasses)
     // Every 0.02 V point from 0.70 down to 0.50, for each die class:
     // the stepped CSR must equal a cold buildMapAt(). Midway, two
     // plants (one over an active cell, one into an empty slot) edit
-    // the CSR in place and force one cold re-activation, after which
-    // stepping resumes over the planted population.
+    // the CSR in place, after which stepping resumes over the
+    // planted population.
     for (const char *name : {"iid", "clustered", "burst"}) {
         ScenarioSpec spec;
         spec.model = name;
         spec.seed = 29;
         const auto model = FaultModel::fromScenario(spec);
         const auto stepped = model->buildMapAt(256, 720, 0.70);
-        ASSERT_TRUE(stepped->enableIncrementalVoltage()) << name;
         std::vector<std::pair<std::size_t, std::uint16_t>> plants;
         const auto plantAll = [&plants](FaultMap &map) {
             for (const auto &[line, bit] : plants)
@@ -600,7 +554,7 @@ TEST(FaultMapTest, TransientTwiceCancelsAndClearsOnlyItsLine)
 
 // --- Voltage-sweep engine ----------------------------------------------
 
-TEST(SweepEngineTest, IncrementalMatchesColdAtEveryPoint)
+TEST(SweepEngineTest, SweepMatchesColdAtEveryPoint)
 {
     const std::vector<double> points = {0.70, 0.675, 0.65, 0.625,
                                         0.60, 0.575, 0.55};
@@ -620,9 +574,8 @@ TEST(SweepEngineTest, IncrementalMatchesColdAtEveryPoint)
                     map, *cold,
                     std::string(name) + " v=" + std::to_string(v));
             });
-        EXPECT_TRUE(st.incremental) << name;
         EXPECT_EQ(st.points, points.size());
-        EXPECT_EQ(st.coldActivations, 1u) << name;
+        EXPECT_EQ(st.coldActivations, points.size()) << name;
         EXPECT_EQ(visited, points.size());
     }
 }
@@ -643,7 +596,6 @@ TEST(SweepEngineTest, SinglePointSweep)
             expectActiveIdentical(map, *cold, "single point");
         });
     EXPECT_EQ(st.points, 1u);
-    EXPECT_TRUE(st.incremental);
     EXPECT_EQ(st.coldActivations, 1u);
     EXPECT_EQ(visited, 1u);
 }
@@ -685,28 +637,48 @@ TEST(SweepEngineTest, AscendingAndDescendingOrdersAgree)
     }
 }
 
-TEST(SweepEngineTest, DroopScheduleRefusesIncrementalPath)
+TEST(SweepEngineTest, RepeatedPointsMatchColdAtEveryVisit)
 {
-    ScenarioSpec spec;
-    spec.model = "droop";
-    spec.droop.schedule = {0.625, 0.600, 0.575, 0.625}; // raises V
-    const auto model = FaultModel::fromScenario(spec);
-    std::vector<double> visitedV;
-    const VoltageSweepStats st = runVoltageSweep(
-        *model, 64, 720, spec.droop.schedule,
-        [&](std::size_t idx, double v, FaultMap &map) {
-            EXPECT_EQ(idx, visitedV.size());
-            visitedV.push_back(v);
-            EXPECT_FALSE(map.incrementalVoltage());
-        });
-    EXPECT_FALSE(st.incremental);
-    EXPECT_EQ(st.coldActivations, 4u);
-    EXPECT_EQ(visitedV, spec.droop.schedule); // caller order kept
-    // And a droop-built (non-monotone) map refuses the opt-in
-    // directly: its schedule may legally raise V.
-    const auto map = model->buildMap(64, 720);
-    EXPECT_FALSE(map->enableIncrementalVoltage());
-    EXPECT_FALSE(map->incrementalVoltage());
+    // Points may repeat. A monotone sweep visits a repeat right after
+    // its twin (re-setting the voltage is a no-op); a droop schedule
+    // keeps the caller's order and comes back to an earlier voltage
+    // by raising V. Every visit must see a cold build's active set,
+    // and every index must name its own slot, once.
+    ScenarioSpec iid;
+    iid.model = "iid";
+    iid.seed = 19;
+    ScenarioSpec droop;
+    droop.model = "droop";
+    droop.seed = 19;
+    droop.droop.base = "clustered";
+    droop.droop.schedule = {0.625, 0.600, 0.575, 0.625};
+    const struct
+    {
+        const ScenarioSpec &spec;
+        std::vector<double> points;
+        std::vector<std::size_t> visitOrder;
+    } sweeps[] = {
+        {iid, {0.65, 0.60, 0.65, 0.60}, {0, 2, 1, 3}},
+        {droop, droop.droop.schedule, {0, 1, 2, 3}},
+    };
+    for (const auto &[spec, points, visitOrder] : sweeps) {
+        const auto model = FaultModel::fromScenario(spec);
+        std::vector<std::size_t> visited;
+        const VoltageSweepStats st = runVoltageSweep(
+            *model, 256, 720, points,
+            [&](std::size_t idx, double v, FaultMap &map) {
+                ASSERT_LT(idx, points.size());
+                EXPECT_EQ(v, points[idx]);
+                visited.push_back(idx);
+                const auto cold = model->buildMapAt(256, 720, v);
+                expectActiveIdentical(map, *cold,
+                                      spec.model + " point " +
+                                          std::to_string(idx));
+            });
+        EXPECT_EQ(visited, visitOrder) << spec.model;
+        EXPECT_EQ(st.points, points.size());
+        EXPECT_EQ(st.coldActivations, points.size()) << spec.model;
+    }
 }
 
 TEST(SweepEngineTest, BuildMapFromPopulationIsBitIdentical)
@@ -822,31 +794,6 @@ TEST(SweepEngineTest, PlantFaultClonesAtMostOncePerMap)
                 << name << " line " << line;
         if (adopted) {
             EXPECT_FALSE(hasPlanted((*pop)[3], 100));
-        }
-    }
-}
-
-TEST(SweepEngineTest, AdoptedMapStepsIncrementallyLikeCold)
-{
-    // An adopted map starts at the schedule's first point; stepping
-    // it down incrementally must match a cold build at every point.
-    const std::vector<double> points = {0.675, 0.65, 0.625, 0.60,
-                                        0.575, 0.55};
-    for (const char *name : {"iid", "clustered", "burst"}) {
-        ScenarioSpec spec;
-        spec.model = name;
-        spec.seed = 41;
-        spec.voltage = 0.70;
-        const auto model = FaultModel::fromScenario(spec);
-        const auto adopted =
-            model->buildMapFrom(model->sample(256, 720), 720);
-        ASSERT_TRUE(adopted->enableIncrementalVoltage()) << name;
-        for (const double v : points) {
-            adopted->setVoltage(v);
-            const auto cold = model->buildMapAt(256, 720, v);
-            expectActiveIdentical(*adopted, *cold,
-                                  std::string(name) + " v=" +
-                                      std::to_string(v));
         }
     }
 }

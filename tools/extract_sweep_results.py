@@ -14,9 +14,10 @@ sampling, scratch reuse — can never silently change simulation
 results. See EXPERIMENTS.md ("Fixed-seed golden sweep") for the
 re-record command and the libm caveat.
 
-A table-style report keeps its simulated counts in another section:
-softerror_resilience's is ``table``, named by the optional second
-argument.
+A table-style report keeps its simulated counts in another section,
+named by the optional second argument: ``table`` for
+softerror_resilience and fig2_line_fault_distribution, ``scenarios``
+for scenarios.
 
 Usage: extract_sweep_results.py <report.json> [section]  (section
 defaults to ``workloads``; canonical JSON on stdout: sorted keys,

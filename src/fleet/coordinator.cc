@@ -3,13 +3,15 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
+#include <cmath>
 #include <csignal>
 #include <cstring>
 #include <deque>
+#include <list>
 #include <stdexcept>
 #include <thread>
 
+#include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -27,18 +29,15 @@ namespace
 /** Dispatch attempts per shard before its campaign fails. */
 constexpr unsigned kMaxShardAttempts = 3;
 
+/** A peer fetch with no reply after this long is a miss. */
+constexpr double kPeerFetchSeconds = 10.0;
+
 double
 sinceSeconds(std::chrono::steady_clock::time_point t0)
 {
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - t0)
         .count();
-}
-
-bool
-isTimeout(const std::string &err)
-{
-    return err.rfind("timeout", 0) == 0;
 }
 
 // Worker and peer frames are untrusted input: the Json accessors
@@ -152,54 +151,71 @@ decodeShardReply(const Json &frame, ShardReply &out, std::string &why)
 
 } // namespace
 
-/** One pending dispatch: a shard index, possibly as a hedge, and
- *  the worker it should not be bound to (a retry or hedge moves
- *  away from the worker it ran on; none for a first dispatch). */
+/** One pending dispatch: a shard index, possibly as a hedge. */
 struct Pending
 {
     std::size_t shardIdx = 0;
     bool hedge = false;
-    std::size_t avoid = SIZE_MAX;
 };
 
 struct Coordinator::Shard
 {
-    std::size_t idx = 0;
     std::string workload;
     SweepOptions sopt;
-    std::string canonical;
     std::string hash;
     /** A hedge has been issued for this shard (at most one). */
-    std::atomic<bool> hedged{false};
+    bool hedged = false;
     /** Terminal: a result has been accepted for this shard. */
-    std::atomic<bool> settled{false};
-    // Under Campaign::mtx from here on.
+    bool settled = false;
     unsigned attempts = 0;
+    /** Workers the shard's next dispatch is not bound to: its hedged
+     *  primary's and those a dispatch of it failed on (once every
+     *  worker has failed it, only the latest). */
+    std::vector<bool> avoid;
     Json result;
     std::string worker;
     std::string origin;
 };
 
+/** A bound pending entry: it holds a slot of worker w and one
+ *  connection until it is closed. */
+struct Coordinator::Dispatch
+{
+    std::size_t shardIdx = 0;
+    bool hedge = false;
+    std::size_t w = 0;
+    /** The peer a "fetch" waits on, else none. */
+    std::size_t peer = SIZE_MAX;
+    serve::Client client;
+    std::chrono::steady_clock::time_point t0; //!< fetch or submit sent
+    /** Admitted and not completed: closing it counts as cancelled. */
+    bool submitted = false;
+    bool cached = false;
+    bool closed = false;
+};
+
+/** One campaign's state, touched only by the thread running it;
+ *  statusJson() reads just the atomics and the shard count. */
 struct Coordinator::Campaign
 {
-    std::uint64_t jobId = 0;
-    std::mutex mtx;
-    /** Signalled when a dispatch ends or a hedge enters pending. */
-    std::condition_variable wake;
-    std::vector<std::unique_ptr<Shard>> shards;
-    /** Dispatches not yet bound to a worker (under mtx). */
+    std::vector<Shard> shards;
+    /** Dispatches not yet bound to a worker. */
     std::deque<Pending> pending;
-    /** Dispatches of this campaign running per worker: its used
-     *  slots (under mtx). */
+    /** Bound dispatches; closed ones are swept every loop turn. */
+    std::list<Dispatch> live;
+    /** This campaign's used slots per worker. */
     std::vector<unsigned> inflight;
-    std::size_t completedCount = 0;
-    bool failed = false;
+    /** Why the campaign failed; empty unless it has. */
     std::string error;
-    /** Campaign settled: success, failure, or cancellation. */
-    std::atomic<bool> done{false};
-    // Rolled into statusJson() while the campaign is in flight.
+    std::atomic<std::size_t> completedCount{0};
     std::atomic<std::uint64_t> dispatched{0};
     std::atomic<std::uint64_t> hedges{0};
+
+    /** Settled: failed, or every shard has a result. */
+    bool done() const
+    {
+        return !error.empty() || completedCount == shards.size();
+    }
 };
 
 Coordinator::Coordinator(FleetOptions options) : opt(std::move(options))
@@ -296,16 +312,23 @@ Coordinator::spawnWorker(std::size_t idx, std::string *err)
 
 bool
 Coordinator::connectWorker(std::size_t w, serve::Client &client,
-                           std::string *err)
+                           bool retry, std::string *err)
 {
     serve::ConnectOptions copt;
-    // Spread the per-worker budget over retries: ~100ms-spaced
-    // early attempts riding out a worker that is still booting,
-    // 2s-capped backoff after that.
-    copt.attempts = unsigned(std::clamp(
-        opt.connectTimeoutSeconds / 0.25, 1.0, 40.0));
-    copt.timeoutMs = 2000;
-    copt.backoffMs = 100;
+    // A single attempt runs on a campaign's loop, so it may hold up
+    // that campaign's other dispatches: 250 ms is ample for the Unix
+    // and loopback endpoints a fleet has, which accept or refuse at
+    // once.
+    copt.timeoutMs = retry ? 2000 : 250;
+    if (retry) {
+        // Ride out a worker that is still binding its socket:
+        // attempts 100 ms apart at first, then every 250 ms, so the
+        // budget bounds the whole wait.
+        copt.attempts = unsigned(
+            std::max(1.0, opt.connectTimeoutSeconds / 0.25));
+        copt.backoffMs = 100;
+        copt.maxBackoffMs = 250;
+    }
     const WorkerEndpoint &ep = endpoints[w];
     if (!ep.socketPath.empty())
         return client.connectUnix(ep.socketPath, copt, err);
@@ -333,15 +356,11 @@ Coordinator::start(std::string *err)
     for (std::size_t w = 0; w < endpoints.size(); ++w) {
         serve::Client client;
         std::string werr;
-        if (!connectWorker(w, client, &werr)) {
-            if (err)
-                *err = "worker " + workerNames[w] + ": " + werr;
-            return false;
-        }
         Json ping = Json::object();
         ping.set("type", Json::string("ping"));
         Json pong;
-        if (!client.send(ping, &werr) ||
+        if (!connectWorker(w, client, true, &werr) ||
+            !client.send(ping, &werr) ||
             !client.recvWithin(pong, 10000, &werr)) {
             if (err)
                 *err = "worker " + workerNames[w] + ": " + werr;
@@ -374,7 +393,7 @@ Coordinator::shutdownWorkers()
         std::string werr;
         const std::size_t w = firstSpawned + i;
         bool drained = false;
-        if (connectWorker(w, client, &werr)) {
+        if (connectWorker(w, client, true, &werr)) {
             Json drain = Json::object();
             drain.set("type", Json::string("drain"));
             Json reply;
@@ -410,77 +429,65 @@ Coordinator::shutdownWorkers()
     spawnedPids.clear();
 }
 
-bool
-Coordinator::tryPeerFetch(Campaign &camp, Shard &shard,
-                          std::size_t w,
-                          const serve::FleetProgressFn &progress)
+/** Close @p d and free its worker slot. Closing an admitted job's
+ *  connection lets the worker's orphan-cancel sweep reap it. */
+void
+Coordinator::closeDispatch(Campaign &camp, Dispatch &d)
 {
-    std::size_t peer;
-    {
-        std::lock_guard<std::mutex> lock(peerMtx);
-        const auto it = completedBy.find(shard.hash);
-        if (it == completedBy.end())
-            return false;
-        peer = it->second;
-    }
-    // Same worker: a normal dispatch is already a local cache hit
-    // there, which keeps the worker's own hit accounting honest.
-    if (peer == w)
-        return false;
-    serve::Client client;
-    std::string err;
-    Json fetch = Json::object();
-    fetch.set("type", Json::string("fetch"));
-    fetch.set("key", Json::string(shard.hash));
-    Json reply;
-    const std::string *type = nullptr;
-    const Json *found = nullptr;
-    const Json *result = nullptr;
-    if (!connectWorker(peer, client, &err) ||
-        !client.send(fetch, &err) ||
-        !client.recvWithin(reply, 10000, &err) ||
-        !(type = stringOf(reply, "type")) || *type != "fetch_reply" ||
-        !(found = memberOf(reply, "found", Json::Kind::Bool)) ||
-        !found->asBool() || !(result = shardResultOf(reply, err))) {
-        // Evicted on the peer, the peer is gone, or its reply is
-        // malformed: forget the stale address and recompute, so a
-        // dead peer costs one connect budget rather than one per
-        // later dispatch of the shard.
-        mPeerFetchMisses->inc();
-        std::lock_guard<std::mutex> lock(peerMtx);
-        const auto it = completedBy.find(shard.hash);
-        if (it != completedBy.end() && it->second == peer)
-            completedBy.erase(it);
-        return false;
-    }
-    if (!settleShard(camp, shard, peer, "peer-fetch", *result,
-                     progress))
-        return false; // raced a concurrent dispatch; its accounting stands
-    mPeerFetches->inc();
-    return true;
+    if (d.closed)
+        return;
+    if (d.submitted)
+        mCancelled->inc();
+    d.client.close();
+    d.closed = true;
+    --camp.inflight[d.w];
+    std::lock_guard<std::mutex> lock(loadMtx);
+    --activeOn[d.w];
 }
 
-bool
-Coordinator::settleShard(Campaign &camp, Shard &shard,
-                         std::size_t w, const char *origin,
-                         Json result,
+/** Close @p d, which failed on its worker, and put its shard at the
+ *  back of the pending list, away from every worker it failed on,
+ *  until the shard's attempt budget runs out, which fails the whole
+ *  campaign; @p why follows "worker w<i>" in that error. */
+void
+Coordinator::rescheduleDispatch(Campaign &camp, Dispatch &d,
+                                const std::string &why)
+{
+    closeDispatch(camp, d);
+    Shard &shard = camp.shards[d.shardIdx];
+    if (shard.settled || !camp.error.empty())
+        return;
+    shard.avoid[d.w] = true;
+    if (std::find(shard.avoid.begin(), shard.avoid.end(), false) ==
+        shard.avoid.end()) {
+        shard.avoid.assign(shard.avoid.size(), false);
+        shard.avoid[d.w] = true;
+    }
+    if (shard.attempts >= kMaxShardAttempts) {
+        camp.error = "shard '" + shard.workload + "' failed " +
+                     std::to_string(shard.attempts) +
+                     " dispatch(es); last: worker " + workerNames[d.w] +
+                     why;
+        return;
+    }
+    camp.pending.push_back(Pending{d.shardIdx, d.hedge});
+}
+
+void
+Coordinator::settleShard(Campaign &camp, Dispatch &d, std::size_t w,
+                         const char *origin, const Json &result,
                          const serve::FleetProgressFn &progress)
 {
-    std::size_t doneCount = 0;
-    std::size_t total = 0;
-    {
-        std::lock_guard<std::mutex> lock(camp.mtx);
-        if (shard.settled.load())
-            return false;
-        shard.result = std::move(result);
-        shard.worker = workerNames[w];
-        shard.origin = origin;
-        shard.settled.store(true);
-        doneCount = ++camp.completedCount;
-        total = camp.shards.size();
-        if (doneCount == total)
-            camp.done.store(true);
-    }
+    Shard &shard = camp.shards[d.shardIdx];
+    shard.result = result;
+    shard.worker = workerNames[w];
+    shard.origin = origin;
+    shard.settled = true;
+    const std::size_t doneCount = ++camp.completedCount;
+    // The shard's other dispatch (a hedge or its primary) loses now.
+    for (Dispatch &other : camp.live)
+        if (other.shardIdx == d.shardIdx)
+            closeDispatch(camp, other);
     {
         std::lock_guard<std::mutex> lock(peerMtx);
         completedBy[shard.hash] = w;
@@ -490,110 +497,119 @@ Coordinator::settleShard(Campaign &camp, Shard &shard,
         p.point = shard.workload;
         p.pointDone = true;
         p.pointsDone = doneCount;
-        p.pointsTotal = total;
+        p.pointsTotal = camp.shards.size();
         progress(p);
     }
-    return true;
+}
+
+/** Start @p d: a "fetch" frame to the peer that computed its shard
+ *  when one is known, else the "submit" frame to its worker. */
+void
+Coordinator::startDispatch(Campaign &camp, Dispatch &d)
+{
+    const Shard &shard = camp.shards[d.shardIdx];
+    if (!d.hedge) {
+        std::lock_guard<std::mutex> lock(peerMtx);
+        const auto it = completedBy.find(shard.hash);
+        // Not from d's own worker: a normal dispatch is already a
+        // local cache hit there, which keeps the worker's own hit
+        // accounting honest.
+        if (it != completedBy.end() && it->second != d.w)
+            d.peer = it->second;
+    }
+    if (d.peer == SIZE_MAX) {
+        submitDispatch(camp, d);
+        return;
+    }
+    Json fetch = Json::object();
+    fetch.set("type", Json::string("fetch"));
+    fetch.set("key", Json::string(shard.hash));
+    std::string err;
+    d.t0 = std::chrono::steady_clock::now();
+    if (!connectWorker(d.peer, d.client, false, &err) ||
+        !d.client.send(fetch, &err))
+        peerMiss(camp, d);
+}
+
+/** @p d's peer fetch missed: the entry was evicted, the peer is gone
+ *  or silent, or its reply is malformed. Forget the stale address, so
+ *  a dead peer costs one connect attempt rather than one per later
+ *  dispatch of the shard, and submit to d's own worker. */
+void
+Coordinator::peerMiss(Campaign &camp, Dispatch &d)
+{
+    mPeerFetchMisses->inc();
+    d.client.close();
+    {
+        std::lock_guard<std::mutex> lock(peerMtx);
+        const auto it = completedBy.find(camp.shards[d.shardIdx].hash);
+        if (it != completedBy.end() && it->second == d.peer)
+            completedBy.erase(it);
+    }
+    d.peer = SIZE_MAX;
+    submitDispatch(camp, d);
+}
+
+/** Send @p d's shard to its worker; a failure reschedules it. */
+void
+Coordinator::submitDispatch(Campaign &camp, Dispatch &d)
+{
+    Shard &shard = camp.shards[d.shardIdx];
+    ++shard.attempts;
+    // One connect attempt: a refusing worker is a rejection that
+    // reschedules. The worker decodes these options to exactly the
+    // shard's canonical key, so worker caches and peer fetch address
+    // the hashes a direct submit of the subset would. Shard progress
+    // is not streamed: the coordinator synthesizes campaign-level
+    // point events.
+    std::string err;
+    if (!connectWorker(d.w, d.client, false, &err) ||
+        !d.client.send(serve::submitFrame(
+                           encodeSweepOptions(shard.sopt), 0, false),
+                       &err)) {
+        mRejections->inc();
+        rescheduleDispatch(camp, d, ": " + err);
+        return;
+    }
+    d.t0 = std::chrono::steady_clock::now();
 }
 
 void
-Coordinator::runDispatch(Campaign &camp, Shard &shard,
-                         std::size_t w, bool isHedge,
-                         const CancelToken &cancel,
-                         const serve::FleetProgressFn &progress)
+Coordinator::pumpDispatch(Campaign &camp, Dispatch &d,
+                          const serve::FleetProgressFn &progress)
 {
-    // Reschedule-or-fail for a dispatch that died before settling
-    // the shard. The shard re-enters the back of the pending list,
-    // away from w, until its attempt budget runs out, which fails
-    // the whole campaign.
-    const auto reschedule = [&](const std::string &why) {
-        std::lock_guard<std::mutex> lock(camp.mtx);
-        if (shard.settled.load() || camp.failed)
-            return;
-        if (shard.attempts >= kMaxShardAttempts) {
-            camp.failed = true;
-            camp.error = "shard '" + shard.workload + "' failed " +
-                         std::to_string(shard.attempts) +
-                         " dispatch(es); last: " + why;
-            camp.done.store(true);
+    const Shard &shard = camp.shards[d.shardIdx];
+    while (!d.closed) {
+        Json frame;
+        std::string err;
+        if (!d.client.recvWithin(frame, 0, &err)) {
+            if (err.rfind("timeout", 0) == 0)
+                return; // nothing more has arrived yet
+            if (d.peer != SIZE_MAX) {
+                peerMiss(camp, d);
+                return;
+            }
+            // Transport death mid-dispatch: cancelled once admitted,
+            // else a rejection.
+            if (!d.submitted)
+                mRejections->inc();
+            rescheduleDispatch(camp, d, ": " + err);
             return;
         }
-        camp.pending.push_back(Pending{shard.idx, isHedge, w});
-    };
-
-    if (!isHedge && tryPeerFetch(camp, shard, w, progress))
-        return;
-
-    {
-        std::lock_guard<std::mutex> lock(camp.mtx);
-        if (shard.settled.load() || camp.failed)
-            return;
-        ++shard.attempts;
-    }
-
-    serve::Client client;
-    std::string err;
-    if (!connectWorker(w, client, &err)) {
-        mRejections->inc();
-        reschedule("connect " + workerNames[w] + ": " + err);
-        return;
-    }
-    // The worker decodes these options to exactly shard.canonical,
-    // so worker caches and peer fetch address the hashes a direct
-    // submit of the subset would. Shard progress is not streamed:
-    // the coordinator synthesizes campaign-level point events.
-    if (!client.send(
-            serve::submitFrame(encodeSweepOptions(shard.sopt), 0,
-                               false),
-            &err)) {
-        mRejections->inc();
-        reschedule("send " + workerNames[w] + ": " + err);
-        return;
-    }
-
-    const auto t0 = std::chrono::steady_clock::now();
-    bool submitted = false;
-    bool cachedFlag = false;
-    const auto abandon = [&] {
-        // This dispatch reached the submitted frame, so it must
-        // land in a terminal bucket: cancelled. Closing the
-        // connection lets the worker's orphan-cancel sweep reap
-        // the job itself.
-        mCancelled->inc();
-    };
-
-    while (true) {
-        Json frame;
-        if (!client.recvWithin(frame, 50, &err)) {
-            if (isTimeout(err)) {
-                if (cancel.cancelled() || camp.done.load() ||
-                    shard.settled.load()) {
-                    if (submitted)
-                        abandon();
-                    return;
-                }
-                if (submitted && !isHedge && opt.hedgeSeconds > 0 &&
-                    sinceSeconds(t0) > opt.hedgeSeconds &&
-                    !shard.hedged.exchange(true)) {
-                    std::lock_guard<std::mutex> lock(camp.mtx);
-                    if (!shard.settled.load() && !camp.failed) {
-                        // Front of the list: a hedge exists because
-                        // the shard is already late.
-                        camp.pending.push_front(
-                            Pending{shard.idx, true, w});
-                        camp.hedges.fetch_add(1);
-                        mHedges->inc();
-                        camp.wake.notify_one();
-                    }
-                }
-                continue;
+        if (d.peer != SIZE_MAX) {
+            const std::string *type = stringOf(frame, "type");
+            const Json *found =
+                memberOf(frame, "found", Json::Kind::Bool);
+            const Json *result = nullptr;
+            if (!type || *type != "fetch_reply" || !found ||
+                !found->asBool() ||
+                !(result = shardResultOf(frame, err))) {
+                peerMiss(camp, d);
+                return;
             }
-            // Transport death mid-dispatch.
-            if (submitted)
-                abandon();
-            else
-                mRejections->inc();
-            reschedule("worker " + workerNames[w] + ": " + err);
+            mPeerFetches->inc();
+            settleShard(camp, d, d.peer, "peer-fetch", *result,
+                        progress);
             return;
         }
         ShardReply reply;
@@ -601,25 +617,22 @@ Coordinator::runDispatch(Campaign &camp, Shard &shard,
         if (!decodeShardReply(frame, reply, why)) {
             // A malformed reply is a failed dispatch: a rejection,
             // and, once admitted, cancelled as well.
-            if (submitted)
-                abandon();
             mRejections->inc();
-            reschedule("worker " + workerNames[w] +
-                       ": malformed reply: " + why);
+            rescheduleDispatch(camp, d, ": malformed reply: " + why);
             return;
         }
         switch (reply.kind) {
           case ShardReply::Kind::Other:
             continue;
           case ShardReply::Kind::Submitted:
-            submitted = true;
-            cachedFlag = reply.cached;
+            d.submitted = true;
+            d.cached = reply.cached;
             if (reply.key != shard.hash)
                 warn("kfleet: shard '%s' canonicalized to %s on %s "
                      "but %s here — cache/peer addressing is "
                      "broken",
                      shard.workload.c_str(), reply.key.c_str(),
-                     workerNames[w].c_str(), shard.hash.c_str());
+                     workerNames[d.w].c_str(), shard.hash.c_str());
             mDispatched->inc();
             camp.dispatched.fetch_add(1);
             continue;
@@ -628,37 +641,31 @@ Coordinator::runDispatch(Campaign &camp, Shard &shard,
             // no submitted frame, so nothing entered the
             // dispatched bucket.
             mRejections->inc();
-            reschedule("worker " + workerNames[w] + ": " + reply.error);
+            rescheduleDispatch(camp, d, ": " + reply.error);
             return;
           case ShardReply::Kind::Done:
-            if (settleShard(camp, shard, w,
-                            cachedFlag || reply.cached ? "cache-hit"
-                                                       : "computed",
-                            *reply.result, progress)) {
-                mCompleted->inc();
-                mShardSeconds->observe(sinceSeconds(t0));
-                if (isHedge)
-                    mHedgeWins->inc();
-            } else {
-                abandon();
-            }
+            mCompleted->inc();
+            d.submitted = false; // completed, so never cancelled
+            mShardSeconds->observe(sinceSeconds(d.t0));
+            if (d.hedge)
+                mHedgeWins->inc();
+            settleShard(camp, d, d.w,
+                        d.cached || reply.cached ? "cache-hit"
+                                                 : "computed",
+                        *reply.result, progress);
             return;
           case ShardReply::Kind::Ended:
-            abandon();
             if (reply.outcome == "rejected") {
                 // queue_full arrives after the submitted frame, so
                 // the dispatch is accounted cancelled AND as a
                 // rejection.
                 mRejections->inc();
-                reschedule("worker " + workerNames[w] +
-                           " rejected: " + reply.error);
+                rescheduleDispatch(camp, d, " rejected: " + reply.error);
                 return;
             }
             // failed / cancelled terminal outcome.
-            if (cancel.cancelled() || shard.settled.load())
-                return;
-            reschedule("worker " + workerNames[w] + " outcome " +
-                       reply.outcome + ": " + reply.error);
+            rescheduleDispatch(camp, d, " outcome " + reply.outcome +
+                                            ": " + reply.error);
             return;
         }
     }
@@ -678,18 +685,17 @@ Coordinator::runCampaign(std::uint64_t jobId,
         throw std::runtime_error("fleet has no workers");
 
     Campaign camp;
-    camp.jobId = jobId;
     camp.inflight.resize(nWorkers, 0);
-    for (std::size_t i = 0; i < req.sopt.workloads.size(); ++i) {
-        auto shard = std::make_unique<Shard>();
-        shard->idx = i;
-        shard->workload = req.sopt.workloads[i];
-        shard->sopt = req.sopt;
-        shard->sopt.workloads = {shard->workload};
-        shard->canonical = serve::canonicalKeyFor(shard->sopt);
-        shard->hash = serve::ResultStore::hashKey(shard->canonical);
+    camp.shards.resize(req.sopt.workloads.size());
+    for (std::size_t i = 0; i < camp.shards.size(); ++i) {
+        Shard &shard = camp.shards[i];
+        shard.workload = req.sopt.workloads[i];
+        shard.sopt = req.sopt;
+        shard.sopt.workloads = {shard.workload};
+        shard.hash = serve::ResultStore::hashKey(
+            serve::canonicalKeyFor(shard.sopt));
+        shard.avoid.assign(nWorkers, false);
         camp.pending.push_back(Pending{i});
-        camp.shards.push_back(std::move(shard));
     }
     {
         std::lock_guard<std::mutex> lock(activeMtx);
@@ -698,17 +704,15 @@ Coordinator::runCampaign(std::uint64_t jobId,
 
     // Late binding: a pending entry is bound only when a worker has
     // a free slot for this campaign, to the globally least-busy such
-    // worker (lowest index on a tie), never to the entry's avoid
-    // worker unless the fleet has no other. Binding only ever fills
-    // slots, so one pass in list order binds exactly what repeated
-    // "first entry with an eligible worker" picks would.
+    // worker (lowest index on a tie), never to one its shard avoids
+    // unless the fleet has no other.
     const unsigned slots = std::max(1u, opt.slotsPerWorker);
-    const auto bindWorker = [&](std::size_t avoid) {
+    const auto bindWorker = [&](const Shard &shard) {
         std::lock_guard<std::mutex> loadLock(loadMtx);
         std::size_t best = nWorkers;
         for (std::size_t w = 0; w < nWorkers; ++w)
             if (camp.inflight[w] < slots &&
-                (w != avoid || nWorkers == 1) &&
+                (nWorkers == 1 || !shard.avoid[w]) &&
                 (best == nWorkers || activeOn[w] < activeOn[best]))
                 best = w;
         if (best < nWorkers) {
@@ -717,74 +721,103 @@ Coordinator::runCampaign(std::uint64_t jobId,
         }
         return best;
     };
-    std::vector<std::thread> dispatches;
-    {
-        std::unique_lock<std::mutex> lock(camp.mtx);
-        while (!camp.done.load() && !cancel.cancelled()) {
-            for (auto it = camp.pending.begin();
-                 it != camp.pending.end();) {
-                if (camp.shards[it->shardIdx]->settled.load()) {
-                    it = camp.pending.erase(it);
-                    continue;
-                }
-                const std::size_t w = bindWorker(it->avoid);
-                if (w == nWorkers) {
-                    ++it;
-                    continue;
-                }
-                dispatches.emplace_back([this, &camp, &cancel,
-                                         &progress, entry = *it, w] {
-                    runDispatch(camp, *camp.shards[entry.shardIdx], w,
-                                entry.hedge, cancel, progress);
-                    {
-                        std::lock_guard<std::mutex> campLock(camp.mtx);
-                        --camp.inflight[w];
-                        std::lock_guard<std::mutex> loadLock(loadMtx);
-                        --activeOn[w];
-                    }
-                    camp.wake.notify_one();
-                });
-                it = camp.pending.erase(it);
+    // Seconds until @p d's deadline: a peer fetch's reply, or, for a
+    // submitted primary whose shard has no hedge yet, the hedge
+    // hedgeSeconds after its submit; none otherwise.
+    const auto untilDeadline = [&](const Dispatch &d) {
+        if (!d.closed && d.peer != SIZE_MAX)
+            return kPeerFetchSeconds - sinceSeconds(d.t0);
+        if (opt.hedgeSeconds > 0 && d.submitted && !d.hedge &&
+            !d.closed && !camp.shards[d.shardIdx].hedged)
+            return opt.hedgeSeconds - sinceSeconds(d.t0);
+        return HUGE_VAL;
+    };
+    std::vector<pollfd> fds;
+    while (!camp.done() && !cancel.cancelled()) {
+        for (Dispatch &d : camp.live) {
+            if (untilDeadline(d) >= 0)
+                continue;
+            if (d.peer != SIZE_MAX) {
+                peerMiss(camp, d); // the peer is silent
+                continue;
             }
-            // Nothing pending and nothing running, yet unsettled:
-            // report the stall below rather than wait forever.
-            if (camp.pending.empty() &&
-                std::all_of(camp.inflight.begin(), camp.inflight.end(),
-                            [](unsigned n) { return n == 0; }))
-                break;
-            // Bounded, so a cancel with no dispatch ending is seen.
-            camp.wake.wait_for(lock, std::chrono::milliseconds(50));
+            // Front of the list, away from the primary's worker: a
+            // hedge exists because the shard is already late there.
+            camp.shards[d.shardIdx].hedged = true;
+            camp.shards[d.shardIdx].avoid[d.w] = true;
+            camp.pending.push_front(Pending{d.shardIdx, true});
+            camp.hedges.fetch_add(1);
+            mHedges->inc();
         }
+        // Bind and start pending entries in list order. A start that
+        // fails at once frees its slot and appends its shard, which
+        // this same pass retries elsewhere.
+        for (std::size_t i = 0; i < camp.pending.size() && !camp.done();) {
+            const Pending entry = camp.pending[i];
+            const auto at = camp.pending.begin() + std::ptrdiff_t(i);
+            if (camp.shards[entry.shardIdx].settled) {
+                camp.pending.erase(at);
+                continue;
+            }
+            const std::size_t w = bindWorker(camp.shards[entry.shardIdx]);
+            if (w == nWorkers) {
+                ++i;
+                continue;
+            }
+            camp.pending.erase(at);
+            Dispatch &d = camp.live.emplace_back();
+            d.shardIdx = entry.shardIdx;
+            d.hedge = entry.hedge;
+            d.w = w;
+            startDispatch(camp, d);
+        }
+        camp.live.remove_if([](const Dispatch &d) { return d.closed; });
+        // Nothing pending or open while unsettled is a stall,
+        // reported below.
+        if (camp.done() || (camp.pending.empty() && camp.live.empty()))
+            break;
+        // The one timed wait, on every open dispatch: until the
+        // earliest deadline, but at most 50 ms because a CancelToken
+        // has no wakeup.
+        double waitSeconds = 0.05;
+        fds.clear();
+        for (const Dispatch &d : camp.live) {
+            fds.push_back(pollfd{d.client.fd(), POLLIN, 0});
+            waitSeconds = std::min(waitSeconds, untilDeadline(d));
+        }
+        // EINTR or a failed poll reads as a timeout: the loop turns.
+        ::poll(fds.data(), fds.size(),
+               int(std::ceil(std::max(0.0, waitSeconds) * 1000.0)));
+        std::size_t k = 0;
+        for (Dispatch &d : camp.live)
+            if (fds[k++].revents != 0 && !d.closed)
+                pumpDispatch(camp, d, progress);
     }
-    for (std::thread &t : dispatches)
-        t.join();
+    // A cancelled or failed campaign's dispatches close here.
+    for (Dispatch &d : camp.live)
+        closeDispatch(camp, d);
     {
         std::lock_guard<std::mutex> lock(activeMtx);
         active.erase(jobId);
     }
     if (cancel.cancelled())
         return Json(); // server discards cancelled results
-    {
-        std::lock_guard<std::mutex> lock(camp.mtx);
-        if (camp.failed)
-            throw std::runtime_error(camp.error);
-        if (camp.completedCount != camp.shards.size())
-            throw std::runtime_error(
-                "campaign stalled: " +
-                std::to_string(camp.completedCount) + "/" +
-                std::to_string(camp.shards.size()) +
-                " shards settled");
-    }
+    if (!camp.error.empty())
+        throw std::runtime_error(camp.error);
+    if (camp.completedCount != camp.shards.size())
+        throw std::runtime_error(
+            "campaign stalled: " +
+            std::to_string(camp.completedCount.load()) + "/" +
+            std::to_string(camp.shards.size()) + " shards settled");
 
     if (attribution) {
         Json shards = Json::array();
-        for (const auto &shard : camp.shards) {
+        for (const Shard &shard : camp.shards) {
             Json entry = Json::object();
-            entry.set("workload", Json::string(shard->workload));
-            entry.set("worker", Json::string(shard->worker));
-            entry.set("origin", Json::string(shard->origin));
-            entry.set("hedged",
-                      Json::boolean(shard->hedged.load()));
+            entry.set("workload", Json::string(shard.workload));
+            entry.set("worker", Json::string(shard.worker));
+            entry.set("origin", Json::string(shard.origin));
+            entry.set("hedged", Json::boolean(shard.hedged));
             shards.push(std::move(entry));
         }
         Json doc = Json::object();
@@ -804,11 +837,11 @@ Coordinator::runCampaign(std::uint64_t jobId,
     Json doc = Json::object();
     doc.set("bench", Json::string("kserved"));
     doc.set("options", serve::resolvedOptionsJson(req.sopt));
-    doc.set("sweep", camp.shards[0]->result.at("sweep"));
+    doc.set("sweep", camp.shards[0].result.at("sweep"));
     Json workloads = Json::array();
     Json jobArray = Json::array();
-    for (const auto &shard : camp.shards) {
-        const Json &r = shard->result;
+    for (const Shard &shard : camp.shards) {
+        const Json &r = shard.result;
         const Json &wl = r.at("workloads");
         for (std::size_t k = 0; k < wl.size(); ++k)
             workloads.push(wl.at(k));
@@ -833,17 +866,12 @@ Coordinator::statusJson(std::uint64_t jobId)
     const auto it = active.find(jobId);
     if (it == active.end())
         return Json();
-    Campaign &camp = *it->second;
-    std::size_t done = 0;
-    std::size_t total = 0;
-    {
-        std::lock_guard<std::mutex> lock(camp.mtx);
-        done = camp.completedCount;
-        total = camp.shards.size();
-    }
+    const Campaign &camp = *it->second;
     Json doc = Json::object();
-    doc.set("shards_total", Json::number(std::uint64_t(total)));
-    doc.set("shards_done", Json::number(std::uint64_t(done)));
+    doc.set("shards_total",
+            Json::number(std::uint64_t(camp.shards.size())));
+    doc.set("shards_done",
+            Json::number(std::uint64_t(camp.completedCount.load())));
     doc.set("dispatched", Json::number(camp.dispatched.load()));
     doc.set("hedges", Json::number(camp.hedges.load()));
     return doc;

@@ -8,8 +8,9 @@
  * canonicalize to, so worker result caches and the peer-fetch path
  * compose with normal traffic), the shards wait in one pending list
  * per campaign, and a shard is bound to a worker only when one of
- * that worker's slots is free; each bound dispatch runs on its own
- * thread over the ordinary kserve frame protocol.
+ * that worker's slots is free. The thread that calls runCampaign()
+ * alone drives the campaign: it polls every bound dispatch's
+ * connection (ordinary kserve frames) at once.
  *
  * Three mechanisms keep a heterogeneous fleet busy and the tail
  * latency bounded:
@@ -19,16 +20,16 @@
  *    free slot the globally least-busy one wins, lowest index first.
  *  - Hedged retries: a shard with no terminal reply after
  *    hedgeSeconds is re-dispatched once to another worker; the
- *    first terminal result wins the shard and the loser is
- *    abandoned — its connection closes, and the worker's own
- *    orphan-cancel sweep reaps the job (kfleet_hedges_total /
- *    kfleet_hedge_wins_total).
+ *    first terminal result wins the shard and the loser is closed
+ *    at once — the worker's own orphan-cancel sweep reaps the job
+ *    (kfleet_hedges_total / kfleet_hedge_wins_total).
  *  - Peer fetch: the coordinator remembers which worker computed
  *    each shard hash; when a later campaign lands the same shard on
  *    a different worker, the bytes are pulled from the computing
  *    worker's content-addressed cache with a "fetch" frame instead
  *    of being recomputed (kfleet_peer_fetches_total). An evicted
- *    entry or an unreachable peer is forgotten after one miss.
+ *    entry, an unreachable peer or one silent for 10 s is forgotten
+ *    after one miss.
  *
  * Shard results merge by concatenating the per-workload "workloads"
  * arrays in campaign order. runEvaluationSweep() pre-sizes its
@@ -105,7 +106,8 @@ struct FleetOptions
      *  produced no terminal reply after this long; 0 disables
      *  hedging. */
     double hedgeSeconds = 30.0;
-    /** Per-worker connect budget (retries with backoff inside). */
+    /** Start-up and drain connect budget per worker (a dispatch
+     *  makes one attempt). */
     double connectTimeoutSeconds = 10.0;
     /** Registry receiving the kfleet_* families; null makes the
      *  coordinator register them into a registry it owns. */
@@ -157,26 +159,29 @@ class Coordinator
 
   private:
     struct Shard;
+    struct Dispatch;
     struct Campaign;
 
     void registerFleetMetrics();
     bool spawnWorker(std::size_t idx, std::string *err);
-    /** Connect to endpoint @p w with the configured retry budget. */
-    bool connectWorker(std::size_t w, serve::Client &client,
+    /** Connect to endpoint @p w: one attempt, or with @p retry the
+     *  start-up budget of connectTimeoutSeconds. */
+    bool connectWorker(std::size_t w, serve::Client &client, bool retry,
                        std::string *err);
-    /** Drive one dispatch of @p shard on worker @p w to a terminal
-     *  state. */
-    void runDispatch(Campaign &camp, Shard &shard, std::size_t w,
-                     bool isHedge, const CancelToken &cancel,
-                     const serve::FleetProgressFn &progress);
-    /** Try to serve @p shard from the worker that computed its hash
-     *  in an earlier campaign; true when the shard was settled. */
-    bool tryPeerFetch(Campaign &camp, Shard &shard, std::size_t w,
+    // A campaign's dispatches, driven by runCampaign()'s poll loop:
+    // start one (a "fetch" to a known peer, else a "submit"), fall
+    // back from a missed fetch to a submit, act on the frames its
+    // socket holds, and end it.
+    void startDispatch(Campaign &camp, Dispatch &d);
+    void peerMiss(Campaign &camp, Dispatch &d);
+    void submitDispatch(Campaign &camp, Dispatch &d);
+    void pumpDispatch(Campaign &camp, Dispatch &d,
                       const serve::FleetProgressFn &progress);
-    /** Accept @p result for @p shard; false when another dispatch
-     *  settled it first (the caller accounts itself cancelled). */
-    bool settleShard(Campaign &camp, Shard &shard, std::size_t w,
-                     const char *origin, Json result,
+    void closeDispatch(Campaign &camp, Dispatch &d);
+    void rescheduleDispatch(Campaign &camp, Dispatch &d,
+                            const std::string &why);
+    void settleShard(Campaign &camp, Dispatch &d, std::size_t w,
+                     const char *origin, const Json &result,
                      const serve::FleetProgressFn &progress);
 
     FleetOptions opt;
@@ -189,8 +194,7 @@ class Coordinator
     /** Dispatches currently in flight per worker, across ALL
      *  campaigns — a shard is bound to the globally least-busy
      *  worker with a free slot (lowest index on a tie, so an idle
-     *  fleet places shard i on worker i mod N). Taken after
-     *  Campaign::mtx, never before. */
+     *  fleet places shard i on worker i mod N). */
     std::mutex loadMtx;
     std::vector<unsigned> activeOn;
 

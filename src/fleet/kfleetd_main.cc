@@ -124,8 +124,9 @@ main(int argc, char **argv)
     auto &connectTimeoutMs =
         opts.add<std::uint64_t>("connect-timeout-ms",
                                 std::uint64_t{10000},
-                                "per-worker connect budget (retries "
-                                "with backoff inside)")
+                                "start-up and drain connect budget "
+                                "per worker (a dispatch makes one "
+                                "250 ms attempt)")
             .range(std::uint64_t{100}, std::uint64_t{600000});
     opts.parse(argc, argv);
 

@@ -63,6 +63,9 @@ Client::close()
         ::close(sock);
         sock = -1;
     }
+    // A partial frame of this connection must not prefix the next
+    // connection's bytes.
+    decoder = FrameDecoder{};
 }
 
 bool
@@ -224,33 +227,7 @@ Client::send(const Json &frame, std::string *err)
 bool
 Client::recv(Json &frame, std::string *err)
 {
-    if (sock < 0) {
-        fillErr(err, "not connected");
-        return false;
-    }
-    char buf[65536];
-    while (true) {
-        switch (decoder.next(frame)) {
-          case FrameDecoder::Status::Frame:
-            return true;
-          case FrameDecoder::Status::Error:
-            fillErr(err, "protocol error: " + decoder.error());
-            return false;
-          case FrameDecoder::Status::NeedMore:
-            break;
-        }
-        const ssize_t n = ::recv(sock, buf, sizeof(buf), 0);
-        if (n > 0) {
-            decoder.feed(buf, std::size_t(n));
-            continue;
-        }
-        if (n < 0 && errno == EINTR)
-            continue;
-        fillErr(err, n == 0 ? "connection closed"
-                            : std::string("recv: ") +
-                                  std::strerror(errno));
-        return false;
-    }
+    return recvWithin(frame, -1, err);
 }
 
 bool
@@ -273,15 +250,14 @@ Client::recvWithin(Json &frame, int timeoutMs, std::string *err)
           case FrameDecoder::Status::NeedMore:
             break;
         }
-        const auto left =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                deadline - std::chrono::steady_clock::now())
-                .count();
-        if (left <= 0) {
-            fillErr(err, "timeout after " +
-                             std::to_string(timeoutMs) + "ms");
-            return false;
-        }
+        // A spent deadline still polls once without waiting, so
+        // recvWithin(frame, 0) reads what has already arrived.
+        std::int64_t left = -1;
+        if (timeoutMs >= 0)
+            left = std::max<std::int64_t>(
+                0, std::chrono::duration_cast<std::chrono::milliseconds>(
+                       deadline - std::chrono::steady_clock::now())
+                       .count());
         struct pollfd pfd{sock, POLLIN, 0};
         const int ready = ::poll(&pfd, 1, int(left));
         if (ready < 0) {

@@ -83,6 +83,10 @@ class Client
 
     bool connected() const { return sock >= 0; }
 
+    /** The connection's socket (-1 when closed), for a caller that
+     *  polls many clients at once. */
+    int fd() const { return sock; }
+
     /** Encode and write one frame; false on I/O error. */
     bool send(const Json &frame, std::string *err = nullptr);
 
@@ -95,7 +99,8 @@ class Client
     /**
      * recv() bounded by a deadline: false with err
      * "timeout after <ms>ms" when no complete frame arrives within
-     * @p timeoutMs. A frame already buffered returns immediately.
+     * @p timeoutMs. A frame already buffered returns immediately;
+     * @p timeoutMs 0 never waits and a negative one has no deadline.
      * Tests (and impatient tools) use this so a silent daemon is a
      * diagnosed failure instead of a hang.
      */

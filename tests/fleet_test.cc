@@ -13,11 +13,16 @@
  * injected straggler, retry of a shard whose worker died,
  * worker-side cache hits on repeat campaigns, concurrent clients
  * through a kfleetd-style front end, malformed replies from a fake
- * worker, and the dispatch-accounting invariant (dispatched ==
- * completed + cancelled) after each.
+ * worker, a peer that never answers a fetch, retries that avoid
+ * every worker a shard failed on, a held-open campaign that runs on
+ * one thread and returns promptly when cancelled, the start-up
+ * connect budget, and the dispatch-accounting invariant (dispatched
+ * == completed + cancelled) after each.
  */
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -97,15 +102,17 @@ struct TestFleet
 
 /**
  * A scripted stand-in for a kserved worker on an ephemeral loopback
- * TCP port: it answers "ping" with "pong", "fetch" with a miss, and
- * every "submit" with the fixed frame payloads it was built with,
- * then waits for the peer to close.
+ * TCP port: it answers "ping" with "pong", "fetch" with a miss (or,
+ * unless @p answersFetch, not at all), and every "submit" with the
+ * fixed frame payloads it was built with, then waits for the peer to
+ * close.
  */
 class FakeWorker
 {
   public:
-    explicit FakeWorker(std::vector<std::string> submitReplies)
-        : replies(std::move(submitReplies)),
+    explicit FakeWorker(std::vector<std::string> submitReplies,
+                        bool answersFetch = true)
+        : replies(std::move(submitReplies)), answersFetch(answersFetch),
           listener(::socket(AF_INET, SOCK_STREAM, 0))
     {
         sockaddr_in addr{};
@@ -146,6 +153,9 @@ class FakeWorker
     /** Submit frames answered so far. */
     unsigned submits() const { return submitCount.load(); }
 
+    /** Connections being served right now, one thread each. */
+    unsigned liveSessions() const { return sessionCount.load(); }
+
   private:
     /** Wait up to 50 ms for @p fd to become readable. */
     static bool
@@ -170,6 +180,7 @@ class FakeWorker
     void
     serve(int fd)
     {
+        ++sessionCount;
         serve::FrameDecoder decoder;
         const auto sendPayload = [fd](const std::string &payload) {
             const std::string bytes = serve::encodeFramePayload(payload);
@@ -195,7 +206,7 @@ class FakeWorker
             bool ok = true;
             if (type == "ping") {
                 ok = sendPayload("{\"type\":\"pong\"}");
-            } else if (type == "fetch") {
+            } else if (type == "fetch" && answersFetch) {
                 ok = sendPayload(
                     "{\"type\":\"fetch_reply\",\"found\":false}");
             } else if (type == "submit") {
@@ -207,13 +218,16 @@ class FakeWorker
                 break;
         }
         ::close(fd);
+        --sessionCount;
     }
 
     const std::vector<std::string> replies;
+    const bool answersFetch;
     const int listener;
     std::uint16_t port = 0;
     std::atomic<bool> stopping{false};
     std::atomic<unsigned> submitCount{0};
+    std::atomic<unsigned> sessionCount{0};
     /** Touched only by the acceptor thread until the destructor
      *  joins it. */
     std::vector<std::thread> sessions;
@@ -254,6 +268,25 @@ shardFor(const Json &attribution, const std::string &workload)
             return shards.at(i);
     ADD_FAILURE() << "no attribution entry for " << workload;
     return Json();
+}
+
+double
+secondsSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
+
+/** Live threads of this process. */
+std::size_t
+threadCount()
+{
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto &task :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        ++n;
+    return n;
 }
 
 /** Assert the lifetime dispatch ledger balances and matches. */
@@ -364,9 +397,7 @@ TEST(Fleet, RecurringShardIsServedByPeerFetch)
 
 TEST(Fleet, UnreachablePeerIsForgottenAfterOneMiss)
 {
-    FleetOptions fopt;
-    fopt.connectTimeoutSeconds = 0.25; // one connect attempt
-    TestFleet fleet(2, std::move(fopt));
+    TestFleet fleet(2);
     CancelToken cancel;
 
     // spmv is computed on w1, which then goes away.
@@ -376,8 +407,9 @@ TEST(Fleet, UnreachablePeerIsForgottenAfterOneMiss)
     ASSERT_EQ(shardFor(attr1, "spmv").at("worker").asString(), "w1");
     fleet.workers[1]->stop();
 
-    // The first repeat binds to w0, misses on the dead peer once and
-    // recomputes there; the second finds w0 as the shard's address
+    // The first repeat binds to w0, misses on the dead peer once (one
+    // connect attempt, whatever the start-up budget) and recomputes
+    // there; the second finds w0 as the shard's address
     // and hits w0's own cache without touching w1 again.
     const serve::SubmitRequest req = campaignFor("spmv");
     Json attr2;
@@ -403,6 +435,57 @@ TEST(Fleet, UnreachablePeerIsForgottenAfterOneMiss)
     const SweepResult res = runEvaluationSweep(req.sopt);
     EXPECT_EQ(doc.at("workloads").toString(0),
               sweepToJson(req.sopt, res).at("workloads").toString(0));
+}
+
+TEST(Fleet, SilentPeerIsAMissAfterTheFetchDeadline)
+{
+    // w0 is a fake that "computes" every shard it is sent with an
+    // empty result and never answers a fetch; w1 is a real worker.
+    const serve::SubmitRequest spmv = campaignFor("spmv");
+    const std::string key = serve::ResultStore::hashKey(
+        serve::canonicalKeyFor(spmv.sopt));
+    FakeWorker fake(
+        {"{\"type\":\"submitted\",\"id\":1,\"cached\":false,"
+         "\"key\":\"" + key + "\"}",
+         "{\"type\":\"result\",\"id\":1,\"cached\":false,"
+         "\"outcome\":\"done\",\"result\":{\"sweep\":{},"
+         "\"workloads\":[],\"campaign\":{\"jobs\":[]}}}"},
+        false);
+    FleetOptions fopt;
+    fopt.hedgeSeconds = 0;
+    fopt.workers.push_back(fake.endpoint());
+    TestFleet fleet(1, std::move(fopt));
+    ScopedLogCapture quiet; // xsbench's key is not the fake's
+    CancelToken cancel;
+
+    // spmv is "computed" on w0.
+    fleet.coord->runCampaign(1, spmv, cancel, serve::FleetProgressFn(),
+                             nullptr);
+
+    // xsbench takes w0, so spmv lands on w1 and fetches from w0,
+    // which accepts the connection and stays silent: a miss once the
+    // fetch deadline passes, after which w1 computes the shard.
+    const auto t0 = std::chrono::steady_clock::now();
+    Json attribution;
+    const Json doc = fleet.coord->runCampaign(
+        2, campaignFor("xsbench,spmv"), cancel,
+        serve::FleetProgressFn(), &attribution);
+    const double took = secondsSince(t0);
+    EXPECT_GT(took, 10.0);
+    EXPECT_LT(took, 15.0);
+    EXPECT_EQ(shardFor(attribution, "spmv").at("worker").asString(),
+              "w1");
+    EXPECT_EQ(shardFor(attribution, "spmv").at("origin").asString(),
+              "computed");
+    const Json stats = fleet.coord->statsJson();
+    EXPECT_EQ(stats.at("peer_fetch_misses").asInt(), 1);
+    EXPECT_EQ(stats.at("peer_fetches").asInt(), 0);
+    expectLedger(*fleet.coord, 3, 3, 0);
+
+    // The fake's xsbench contributes no workloads entry.
+    const SweepResult res = runEvaluationSweep(spmv.sopt);
+    EXPECT_EQ(doc.at("workloads").toString(0),
+              sweepToJson(spmv.sopt, res).at("workloads").toString(0));
 }
 
 TEST(Fleet, BusyWorkerDoesNotHoldPendingShards)
@@ -468,12 +551,10 @@ TEST(Fleet, HedgedRetryWinsOnFastWorkerAndLoserIsCancelled)
 
 TEST(Fleet, ShardOfADeadWorkerIsRetriedOnAnother)
 {
-    FleetOptions fopt;
-    fopt.connectTimeoutSeconds = 0.25; // one connect attempt
-    TestFleet fleet(2, std::move(fopt));
+    TestFleet fleet(2);
     // w0 passed the start-up health check, then went away: the
-    // single shard is bound to it first, fails to connect, and
-    // re-enters pending to be bound to w1.
+    // single shard is bound to it first, fails its one connect
+    // attempt, and re-enters pending to be bound to w1.
     fleet.workers[0]->stop();
     const serve::SubmitRequest req = campaignFor("xsbench");
     CancelToken cancel;
@@ -487,6 +568,33 @@ TEST(Fleet, ShardOfADeadWorkerIsRetriedOnAnother)
     EXPECT_FALSE(shard.at("hedged").asBool());
     const Json stats = fleet.coord->statsJson();
     EXPECT_EQ(stats.at("worker_rejections").asInt(), 1);
+    expectLedger(*fleet.coord, 1, 1, 0);
+
+    const SweepResult res = runEvaluationSweep(req.sopt);
+    EXPECT_EQ(doc.at("workloads").toString(0),
+              sweepToJson(req.sopt, res).at("workloads").toString(0));
+}
+
+TEST(Fleet, RetriesAvoidEveryWorkerTheShardFailedOn)
+{
+    TestFleet fleet(3);
+    // w0 and w1 went away after start-up. A refusing worker frees
+    // its slot at once and stays the least busy, so only a retry
+    // that avoids both failed workers reaches w2 within the
+    // shard's three attempts.
+    fleet.workers[0]->stop();
+    fleet.workers[1]->stop();
+    const serve::SubmitRequest req = campaignFor("xsbench");
+    CancelToken cancel;
+    Json attribution;
+    const Json doc = fleet.coord->runCampaign(
+        1, req, cancel, serve::FleetProgressFn(), &attribution);
+
+    const Json shard = shardFor(attribution, "xsbench");
+    EXPECT_EQ(shard.at("worker").asString(), "w2");
+    EXPECT_EQ(shard.at("origin").asString(), "computed");
+    EXPECT_EQ(fleet.coord->statsJson().at("worker_rejections").asInt(),
+              2);
     expectLedger(*fleet.coord, 1, 1, 0);
 
     const SweepResult res = runEvaluationSweep(req.sopt);
@@ -716,4 +824,76 @@ TEST(Fleet, StartFailsWithNoWorkers)
     std::string err;
     EXPECT_FALSE(coord.start(&err));
     EXPECT_NE(err.find("no workers"), std::string::npos) << err;
+}
+
+TEST(Fleet, StartHonoursTheConnectBudget)
+{
+    // Nothing ever listens here: start() retries for the connect
+    // budget and gives up once it is spent.
+    FleetOptions fopt;
+    WorkerEndpoint ep;
+    ep.socketPath = "/tmp/kfleet-test-never-listens.sock";
+    fopt.workers.push_back(ep);
+    fopt.connectTimeoutSeconds = 2;
+    Coordinator coord(std::move(fopt));
+    const auto t0 = std::chrono::steady_clock::now();
+    std::string err;
+    EXPECT_FALSE(coord.start(&err));
+    const double took = secondsSince(t0);
+    EXPECT_GT(took, 1.0) << "no retries within the budget";
+    EXPECT_LT(took, 3.0) << err;
+}
+
+TEST(Fleet, HeldOpenCampaignRunsOnOneThreadAndCancelsPromptly)
+{
+    // Both fake workers admit every shard and never finish it, so all
+    // eight dispatches stay open until the campaign is cancelled.
+    const std::string submitted = "{\"type\":\"submitted\",\"id\":1,"
+                                  "\"cached\":false,\"key\":\"held\"}";
+    FakeWorker fake0({submitted});
+    FakeWorker fake1({submitted});
+    FleetOptions fopt;
+    fopt.workers = {fake0.endpoint(), fake1.endpoint()};
+    fopt.slotsPerWorker = 4;
+    fopt.hedgeSeconds = 0;
+    Coordinator coord(std::move(fopt));
+    std::string err;
+    ASSERT_TRUE(coord.start(&err)) << err;
+    ScopedLogCapture quiet; // no shard's key is "held"
+    const auto sessions = [&] {
+        return fake0.liveSessions() + fake1.liveSessions();
+    };
+    const auto waitFor = [](const auto &ready) {
+        const auto t0 = std::chrono::steady_clock::now();
+        while (!ready() && secondsSince(t0) < 10.0)
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        return ready();
+    };
+    // The baseline is taken once start()'s ping sessions have ended.
+    ASSERT_TRUE(waitFor([&] { return sessions() == 0; }));
+    const std::size_t before = threadCount();
+
+    CancelToken cancel;
+    std::chrono::steady_clock::time_point returned;
+    std::thread campaign([&] {
+        coord.runCampaign(
+            1, campaignFor("comd,dgemm,fft,hpgmg,lulesh,minife,snap,spmv"),
+            cancel, serve::FleetProgressFn(), nullptr);
+        returned = std::chrono::steady_clock::now();
+    });
+    const bool held = waitFor(
+        [&] { return fake0.submits() + fake1.submits() == 8; });
+    EXPECT_TRUE(held);
+    // Beyond the baseline: the campaign's own thread and the fakes'
+    // session thread per open connection, no thread per dispatch.
+    EXPECT_EQ(sessions(), 8u);
+    EXPECT_LE(threadCount(), before + 1 + sessions());
+
+    const auto cancelledAt = std::chrono::steady_clock::now();
+    cancel.cancel();
+    campaign.join();
+    EXPECT_LT(std::chrono::duration<double>(returned - cancelledAt)
+                  .count(),
+              1.0);
+    expectLedger(coord, 8, 0, 8);
 }

@@ -970,6 +970,45 @@ TEST(ServeIntegration, StatusAndCancelIdMustBeANonNegativeInteger)
     lo.server.stop();
 }
 
+TEST(ServeIntegration, ReconnectedClientDropsTheOldConnectionsBytes)
+{
+    // A listener whose one connection gets half a frame, then EOF.
+    const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    ASSERT_TRUE(listener >= 0 &&
+                ::bind(listener, reinterpret_cast<sockaddr *>(&addr),
+                       sizeof(addr)) == 0 &&
+                ::listen(listener, 1) == 0 &&
+                ::getsockname(listener,
+                              reinterpret_cast<sockaddr *>(&addr),
+                              &len) == 0);
+    Client client;
+    std::string err;
+    ASSERT_TRUE(client.connectTcp(ntohs(addr.sin_port), &err)) << err;
+    const int peer = ::accept(listener, nullptr, nullptr);
+    ASSERT_GE(peer, 0);
+    const std::string bytes = encodeFramePayload("{\"type\":\"pong\"}");
+    ASSERT_EQ(::send(peer, bytes.data(), bytes.size() / 2, MSG_NOSIGNAL),
+              ssize_t(bytes.size() / 2));
+    ::close(peer);
+    ::close(listener);
+    Json frame;
+    EXPECT_FALSE(client.recvWithin(frame, 5000, &err));
+
+    // The same Client, reconnected to a daemon, reads the daemon's
+    // reply and not the stale half frame.
+    Loopback lo;
+    ASSERT_TRUE(client.connectTcp(lo.server.boundPort(), &err)) << err;
+    Json ping = Json::object();
+    ping.set("type", Json::string("ping"));
+    ASSERT_TRUE(client.send(ping, &err)) << err;
+    ASSERT_TRUE(client.recvWithin(frame, 5000, &err)) << err;
+    EXPECT_EQ(frame.at("type").asString(), "pong");
+}
+
 TEST(ServeIntegration, DrainRequestAcksFlushesAndCloses)
 {
     ServerOptions so;

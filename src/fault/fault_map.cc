@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 
 #include "common/log.hh"
 
@@ -50,35 +51,89 @@ FaultMap::setVoltage(double vNorm)
     coldActivate(p);
 }
 
+namespace
+{
+
+/** fatal() on the first cell of population line @p i that breaks
+ *  the sort/range invariant (the line is known to hold one). */
+[[noreturn]] void
+rejectLine(const std::vector<FaultCell> &src, std::size_t i,
+           std::size_t line_bits)
+{
+    for (std::size_t j = 0; j < src.size(); ++j) {
+        if (src[j].bit >= line_bits)
+            fatal("FaultMap: population line %zu cell %u "
+                  "outside %zu-bit line",
+                  i, src[j].bit, line_bits);
+        if (j > 0 && src[j].bit <= src[j - 1].bit)
+            fatal("FaultMap: population line %zu not sorted "
+                  "strictly by bit at position %zu", i, j);
+    }
+    fatal("FaultMap: population line %zu rejected", i);
+}
+
+} // namespace
+
 void
 FaultMap::coldActivate(double p, bool validate)
 {
     const FaultPopulation &lines = *pop;
-    // One pass: each line's active cells are appended while the line
-    // is in cache (validation rides along: it reads every cell
-    // anyway). The array keeps its capacity across activations.
-    cells.clear();
+    // Per line, count the cells active at p, then copy them: a line
+    // with none costs only the count, a fully active one is one
+    // block copy and a mixed one a branch-free compaction. The
+    // buffer stays at its full capacity while lines are copied in
+    // (growing it copies only the n cells placed so far, and never
+    // zero-fills) and is cut back to the active cells at the end.
+    cells.resize(cells.capacity());
+    std::size_t n = 0;
     for (std::size_t i = 0; i < lines.size(); ++i) {
         const std::vector<FaultCell> &src = lines[i];
-        offsets[i] = static_cast<std::uint32_t>(cells.size());
-        for (std::size_t j = 0; j < src.size(); ++j) {
-            if (validate) {
-                if (src[j].bit >= bitsPerLine)
-                    fatal("FaultMap: population line %zu cell %u "
-                          "outside %zu-bit line",
-                          i, src[j].bit, bitsPerLine);
-                if (j > 0 && src[j].bit <= src[j - 1].bit)
-                    fatal("FaultMap: population line %zu not sorted "
-                          "strictly by bit at position %zu", i, j);
-            }
-            if (src[j].threshold < p)
-                cells.push_back(src[j]);
+        offsets[i] = static_cast<std::uint32_t>(n);
+        // A conditional increment, which GCC vectorizes (a summed
+        // comparison it does not).
+        std::size_t keep = 0;
+        for (const FaultCell &cell : src) {
+            if (cell.threshold < p)
+                ++keep;
         }
+        if (validate) {
+            // Checked while the line is in cache. Strictly ascending
+            // bits put the largest last.
+            bool bad = !src.empty() && src.back().bit >= bitsPerLine;
+            for (std::size_t j = 1; j < src.size(); ++j)
+                bad |= src[j].bit <= src[j - 1].bit;
+            if (bad)
+                rejectLine(src, i, bitsPerLine);
+        }
+        if (keep == 0)
+            continue;
+        // One slot past the line: the compaction stores every cell
+        // before it knows whether the cell stays. Capacity grows to
+        // powers of two, the sizes push_back's doubling allocates:
+        // other sizes leave heap holes the next die cannot reuse,
+        // which raised a vmin-sweep's peak RSS by 10%.
+        const std::size_t need = n + keep + 1;
+        if (need > cells.size()) {
+            cells.resize(n);
+            cells.reserve(std::bit_ceil(need));
+            cells.resize(cells.capacity());
+        }
+        FaultCell *out = cells.data() + n;
+        if (keep == src.size()) {
+            std::copy(src.begin(), src.end(), out);
+        } else {
+            std::size_t k = 0;
+            for (const FaultCell &cell : src) {
+                out[k] = cell;
+                k += cell.threshold < p;
+            }
+        }
+        n += keep;
     }
-    if (cells.size() > UINT32_MAX)
-        fatal("FaultMap: %zu active cells overflow 32-bit offsets",
-              cells.size());
-    offsets[lines.size()] = static_cast<std::uint32_t>(cells.size());
+    cells.resize(n);
+    if (n > UINT32_MAX)
+        fatal("FaultMap: %zu active cells overflow 32-bit offsets", n);
+    offsets[lines.size()] = static_cast<std::uint32_t>(n);
 }
 
 unsigned

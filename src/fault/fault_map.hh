@@ -36,6 +36,7 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/bitvec.hh"
@@ -58,6 +59,34 @@ static_assert(sizeof(FaultCell) == 12, "FaultCell packs into 12 bytes");
  *  could fail in the model's range, and any voltage may be activated. */
 inline constexpr double kNoCover =
     std::numeric_limits<double>::infinity();
+
+/** std::allocator, except that resize() default-initializes instead
+ *  of value-initializing: growing a buffer of a trivially
+ *  constructible type neither zero-fills it nor touches the pages
+ *  past what it copies. */
+template <typename T>
+struct UninitAllocator : std::allocator<T>
+{
+    template <typename U>
+    struct rebind
+    {
+        using other = UninitAllocator<U>;
+    };
+
+    template <typename U>
+    void
+    construct(U *p)
+    {
+        ::new (static_cast<void *>(p)) U;
+    }
+
+    template <typename U, typename... Args>
+    void
+    construct(U *p, Args &&...args)
+    {
+        ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
+    }
+};
 
 /** A sampled die: the potential-fault cells of every line, each line
  *  sorted strictly ascending by bit. */
@@ -227,10 +256,11 @@ class FaultMap
     std::span<const std::uint16_t> transients(std::size_t line) const;
 
     /** Re-filter every line's active set against @p p (the map's
-     *  only activation path) in one pass that appends each line's
-     *  active cells and records its offset. With @p validate,
-     *  fatal() on a cell breaking the population's sort/range
-     *  invariant (adoption checks it in this same pass). */
+     *  only activation path): per line, count the cells active at
+     *  @p p, record the line's offset and copy them (none, all, or
+     *  a branch-free compaction). With @p validate, fatal() on a
+     *  cell breaking the population's sort/range invariant
+     *  (adoption checks each line while counting it). */
     void coldActivate(double p, bool validate = false);
 
     std::size_t bitsPerLine;
@@ -248,7 +278,7 @@ class FaultMap
      *  are cells[offsets[l], offsets[l + 1]), with the population's
      *  sort invariant. */
     std::vector<std::uint32_t> offsets;
-    std::vector<FaultCell> cells;
+    std::vector<FaultCell, UninitAllocator<FaultCell>> cells;
     /** Live soft-error flips, in injection order, of the lines that
      *  have any (cleared on rewrite; empty outside soft-error runs). */
     std::unordered_map<std::uint32_t, std::vector<std::uint16_t>>

@@ -26,30 +26,82 @@ covered(float threshold, double cover)
     return double(threshold) < cover;
 }
 
+/** The integer cut of failure probability @p p: a reference draw
+ *  k = next64() >> 11 (uniform() is k * 2^-53, exactly) is faulty iff
+ *  k < cutOf(p), the same test as uniform() < p. Scaling by 2^53 is
+ *  exact and k is an integer, so k < p * 2^53 iff k < ceil(p * 2^53). */
+std::uint64_t
+cutOf(double p)
+{
+    if (!(p > 0.0))
+        return 0;
+    if (p >= 1.0)
+        return std::uint64_t{1} << 53;
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+}
+
+/** bernoulli(0.5) and bernoulli(kReadShare) as integer cuts. */
+const std::uint64_t kStuckCut = cutOf(0.5);
+const std::uint64_t kReadCut = cutOf(kReadShare);
+
+/** Per-bit tables of a line's reference draws: bit b fails iff its
+ *  draw k < cut[b], and a failing cell's threshold is u / boost[b]
+ *  (u = k * 2^-53), so a cell whose failure curve is scaled by
+ *  boost[b] (a weak row or column) is active at voltage v iff
+ *  u < boost[b] * pCell(v). Unboosted, the threshold is u itself,
+ *  conditionally uniform in [0, p). */
+struct LineTables
+{
+    /** Every bit fails with @p p, unboosted. */
+    LineTables(std::size_t line_bits, double p)
+        : cut(line_bits, cutOf(p)), boost(line_bits, 1.0)
+    {
+    }
+
+    std::vector<std::uint64_t> cut;
+    std::vector<double> boost;
+};
+
+/** A line's staging buffer: sized without zero-filling. */
+using LineScratch = std::vector<FaultCell, UninitAllocator<FaultCell>>;
+
 /**
- * The per-bit reference draw of one cell: u, then — only when the
- * cell is faulty (u < @p p) — its stuck value, then its kind, in
- * that order. The faulty cell's threshold is u / @p boost, so a cell
- * whose failure curve is scaled by @p boost (a weak row or column)
- * is active at voltage v iff u < boost * pCell(v); unboosted, the
- * threshold is u itself, conditionally uniform in [0, p). The cell
- * is kept only under @p cover, but its draws are made regardless.
+ * The per-bit reference draws of one line into @p scratch: for each
+ * bit, k; then, only when the cell is faulty, its stuck value, then
+ * its kind, in that order. A faulty cell is kept only under @p cover,
+ * but its draws are made regardless. @p scratch ends up holding the
+ * kept cells, sorted strictly by bit, one per bit.
  */
 void
-drawCell(Rng &rng, std::vector<FaultCell> &line, std::size_t bit,
-         double p, double cover, double boost = 1.0)
+drawLine(Rng &rng, LineScratch &scratch, const LineTables &t,
+         double cover)
 {
-    const double u = rng.uniform();
-    if (u >= p)
-        return;
-    FaultCell cell;
-    cell.bit = static_cast<std::uint16_t>(bit);
-    cell.threshold = static_cast<float>(u / boost);
-    cell.stuckValue = rng.bernoulli(0.5);
-    cell.kind = rng.bernoulli(kReadShare) ? FaultKind::ReadDisturb
-                                          : FaultKind::Writeability;
-    if (covered(cell.threshold, cover))
-        line.push_back(cell);
+    const std::size_t lineBits = t.cut.size();
+    const std::uint64_t *cut = t.cut.data();
+    const double *boost = t.boost.data();
+    scratch.resize(lineBits);
+    FaultCell *out = scratch.data();
+    // A local copy keeps the generator's state in registers; through
+    // the reference, every cell store could alias it.
+    Rng local = rng;
+    std::size_t n = 0;
+    for (std::size_t bit = 0; bit < lineBits; ++bit) {
+        const std::uint64_t k = local.next64() >> 11;
+        if (k >= cut[bit])
+            continue;
+        FaultCell &cell = out[n];
+        cell.bit = static_cast<std::uint16_t>(bit);
+        cell.threshold =
+            static_cast<float>(double(k) * 0x1.0p-53 / boost[bit]);
+        cell.stuckValue = (local.next64() >> 11) < kStuckCut;
+        cell.kind = (local.next64() >> 11) < kReadCut
+            ? FaultKind::ReadDisturb
+            : FaultKind::Writeability;
+        // Stored either way; kept by advancing past it.
+        n += covered(cell.threshold, cover);
+    }
+    rng = local;
+    scratch.resize(n);
 }
 
 /**
@@ -125,8 +177,9 @@ class GeometricSampler
  * is under the cover iff any of its bit's cells is, and dropping the
  * cells at or above the cover first leaves the same survivor.
  */
+template <typename Cells>
 void
-sortAndDedupe(std::vector<FaultCell> &cells)
+sortAndDedupe(Cells &cells)
 {
     std::sort(cells.begin(), cells.end(),
               [](const FaultCell &a, const FaultCell &b) {
@@ -143,10 +196,6 @@ sortAndDedupe(std::vector<FaultCell> &cells)
                                 return a.bit == b.bit;
                             }),
                 cells.end());
-    // The samplers grow lines with push_back; trim the slack so a
-    // shared die's footprint (and the warm store's byte count) is
-    // its cells.
-    cells.shrink_to_fit();
 }
 
 } // namespace
@@ -223,9 +272,11 @@ IidStuckAt::sampleReference(std::size_t num_lines,
     const RngStreamScope stream("faultmap");
     Rng rng(sp.seed);
     auto population = std::make_shared<FaultPopulation>(num_lines);
+    const LineTables tables(line_bits, pMax);
+    LineScratch scratch;
     for (auto &line : *population) {
-        for (std::size_t bit = 0; bit < line_bits; ++bit)
-            drawCell(rng, line, bit, pMax, cover);
+        drawLine(rng, scratch, tables, cover);
+        line.assign(scratch.begin(), scratch.end());
     }
     return population;
 }
@@ -317,15 +368,22 @@ ClusteredRowColumn::samplePopulation(std::size_t num_lines,
 
     // Background population: the iid reference draw with a per-cell
     // pCell boost, i.e. each cell behaves like an iid cell whose
-    // failure curve is scaled by its row/column boost.
+    // failure curve is scaled by its row/column boost. One table
+    // pair for normal rows, one for weak rows.
+    LineTables normal(line_bits, 0.0), weak(line_bits, 0.0);
+    for (const bool weakRow : {false, true}) {
+        LineTables &t = weakRow ? weak : normal;
+        for (std::size_t bit = 0; bit < line_bits; ++bit) {
+            t.boost[bit] = (weakRow ? c.rowBoost : 1.0) *
+                           (weakCol[bit] ? c.colBoost : 1.0);
+            t.cut[bit] = cutOf(std::min(1.0, pMin * t.boost[bit]));
+        }
+    }
+    LineScratch scratch;
     for (auto &line : *population) {
         const bool weakRow = rng.bernoulli(c.rowFrac);
-        for (std::size_t bit = 0; bit < line_bits; ++bit) {
-            const double boost = (weakRow ? c.rowBoost : 1.0) *
-                                 (weakCol[bit] ? c.colBoost : 1.0);
-            drawCell(rng, line, bit, std::min(1.0, pMin * boost), cover,
-                     boost);
-        }
+        drawLine(rng, scratch, weakRow ? weak : normal, cover);
+        line.assign(scratch.begin(), scratch.end());
     }
 
     // Rectangular defect clusters: Poisson-placed, spanning
@@ -335,6 +393,7 @@ ClusteredRowColumn::samplePopulation(std::size_t num_lines,
     // failures in mechanism statistics.
     const unsigned nClusters =
         rng.poisson(c.clusterRate * double(num_lines));
+    std::vector<bool> touched(num_lines);
     for (unsigned k = 0; k < nClusters; ++k) {
         const std::size_t line0 = rng.below(num_lines);
         const std::size_t bit0 = rng.below(line_bits);
@@ -352,14 +411,24 @@ ClusteredRowColumn::samplePopulation(std::size_t num_lines,
                     static_cast<float>(rng.uniform() * pCluster);
                 cell.stuckValue = rng.bernoulli(0.5);
                 cell.kind = FaultKind::Writeability;
-                if (covered(cell.threshold, cover))
+                if (covered(cell.threshold, cover)) {
                     (*population)[lineId].push_back(cell);
+                    touched[lineId] = true;
+                }
             }
         }
     }
 
-    for (auto &line : *population)
+    // Only a line a cluster added a cell to can be out of order; trim
+    // its growth slack so a shared die's footprint (and the warm
+    // store's byte count) is its cells.
+    for (std::size_t lineId = 0; lineId < num_lines; ++lineId) {
+        if (!touched[lineId])
+            continue;
+        std::vector<FaultCell> &line = (*population)[lineId];
         sortAndDedupe(line);
+        line.shrink_to_fit();
+    }
     return population;
 }
 
@@ -376,10 +445,12 @@ BurstMixture::samplePopulation(std::size_t num_lines,
     const RngStreamScope stream("faultmap");
     Rng rng(sp.seed);
     auto population = std::make_shared<FaultPopulation>(num_lines);
+    const LineTables tables(line_bits, pMin);
+    LineScratch scratch;
     for (auto &line : *population) {
         // iid background: the reference sampler's draws.
-        for (std::size_t bit = 0; bit < line_bits; ++bit)
-            drawCell(rng, line, bit, pMin, cover);
+        drawLine(rng, scratch, tables, cover);
+        const std::size_t background = scratch.size();
         // Byte-aligned bursts: runs of adjacent cells coupling below
         // burstVmax — the multi-bit pattern single-error SECDED
         // cannot correct. Coupled upsets read as read-disturb.
@@ -400,10 +471,13 @@ BurstMixture::samplePopulation(std::size_t num_lines,
                 cell.stuckValue = rng.bernoulli(0.5);
                 cell.kind = FaultKind::ReadDisturb;
                 if (covered(cell.threshold, cover))
-                    line.push_back(cell);
+                    scratch.push_back(cell);
             }
         }
-        sortAndDedupe(line);
+        // The background alone is already sorted strictly by bit.
+        if (scratch.size() != background)
+            sortAndDedupe(scratch);
+        line.assign(scratch.begin(), scratch.end());
     }
     return population;
 }

@@ -29,9 +29,15 @@
  * iid die shrinks from 2.7M cells (every cell that fails at 0.45 V)
  * to the 7K the paper's 0.625 V point activates.
  *
- * There is one sampler per model; IidStuckAt additionally exposes the
- * per-bit sampler its skip sampler replaced (sampleReference()) as a
- * separate entry point for tests and codec_micro's reference twins.
+ * There is one sampler per model. The per-bit samplers (the iid
+ * reference, and the clustered and burst backgrounds) share one
+ * per-line kernel: a cell draws k = next64() >> 11 and is faulty iff
+ * k < ceil(pCell * 2^53), an exact integer form of uniform() < pCell,
+ * against per-bit tables of cut and boost; a faulty cell then draws
+ * its stuck value and its kind. IidStuckAt additionally exposes that
+ * kernel over an iid die (sampleReference(), the per-bit sampler its
+ * skip sampler replaced) as a separate entry point for tests and
+ * codec_micro's reference twins.
  */
 
 #ifndef KILLI_FAULT_FAULT_MODEL_HH
@@ -162,8 +168,11 @@ class IidStuckAt final : public FaultModel
   public:
     explicit IidStuckAt(const ScenarioSpec &spec) : FaultModel(spec) {}
 
-    /** The per-bit reference sampler: one uniform draw per cell.
-     *  sample() delegates here when every cell fails (pMax >= 1). */
+    /** The per-bit reference sampler: the shared per-line kernel
+     *  with one cut for every bit, so one draw per cell (k faulty
+     *  iff k < ceil(pMax * 2^53), the same test as uniform() < pMax)
+     *  and two more per faulty cell. sample() delegates here when
+     *  every cell fails (pMax >= 1). */
     std::shared_ptr<const FaultPopulation>
     sampleReference(std::size_t num_lines, std::size_t line_bits,
                     double cover = kNoCover) const;

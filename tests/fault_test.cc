@@ -21,6 +21,7 @@
 #include "fault/scenario_spec.hh"
 #include "fault/sweep_engine.hh"
 #include "fault/voltage_model.hh"
+#include "fault_digest.hh"
 #include "iid_die.hh"
 
 using namespace killi;
@@ -896,6 +897,226 @@ TEST(FaultCoverTest, CoverKeepsEverySamplerDraw)
         EXPECT_GT(full.draws, 0u) << name;
         EXPECT_EQ(covered.draws, full.draws) << name;
         EXPECT_EQ(covered.digest, full.digest) << name;
+    }
+}
+
+// --- Literal pins of the sampling kernel and the activation -------------
+
+namespace
+{
+
+/** perfbench vmin-sweep's grid: 0.70 down to 0.50 in 0.02 V steps. */
+std::vector<double>
+vminGrid()
+{
+    std::vector<double> grid;
+    for (int i = 0; i <= 10; ++i)
+        grid.push_back(0.70 - 0.02 * i);
+    return grid;
+}
+
+/** The seed-42 spec of @p name; droop runs over a clustered die. */
+ScenarioSpec
+pinSpec(const char *name)
+{
+    ScenarioSpec spec;
+    spec.model = name;
+    spec.seed = 42;
+    spec.droop.base = "clustered";
+    return spec;
+}
+
+} // namespace
+
+TEST(FaultPinTest, SamplerDrawsAndCoveredDiesArePinned)
+{
+    // Literal values for the seed-42 512x720 die of every sampler:
+    // its RNG draw count and draw-stream digest, and the die it keeps
+    // under the vmin grid's cover and under the 0.625 V point's
+    // cover. Any change to a draw, its order, a kept cell or the cell
+    // encoding moves one of them. (Droop samples its clustered base.)
+    struct Pin
+    {
+        const char *model;
+        bool reference;
+        std::uint64_t draws;
+        std::uint64_t drawDigest;
+        std::size_t gridCells;
+        std::uint64_t gridDigest;
+        std::size_t pointCells;
+        std::uint64_t pointDigest;
+    };
+    const Pin pins[] = {
+        {"iid", false, 86154, 0x2993580c84a3270cull, 18436,
+         0x7af1dcee79172160ull, 122, 0x3952071c93604828ull},
+        {"iid", true, 454088, 0x098aa417d9f3e4caull, 18172,
+         0xb0b905e4419d3363ull, 120, 0x422aca2d17bd074full},
+        {"clustered", false, 470323, 0x978654cf948114e4ull, 25685,
+         0xd00acabe25383be0ull, 265, 0xef4450082712cf35ull},
+        {"burst", false, 455662, 0xbc40eff5700c5fccull, 18468,
+         0xe87abca30b341400ull, 420, 0xe0d5a94d87c7c5e0ull},
+        {"droop", false, 470323, 0x978654cf948114e4ull, 25685,
+         0xd00acabe25383be0ull, 265, 0xef4450082712cf35ull},
+    };
+    for (const Pin &pin : pins) {
+        const ScenarioSpec spec = pinSpec(pin.model);
+        const auto model = FaultModel::fromScenario(spec);
+        const auto sample = [&](double cover) {
+            return pin.reference
+                ? IidStuckAt(spec).sampleReference(512, 720, cover)
+                : model->sample(512, 720, cover);
+        };
+        const std::string label = std::string(pin.model) +
+            (pin.reference ? " (per-bit reference)" : "");
+        const std::pair<double, std::pair<std::size_t, std::uint64_t>>
+            covers[] = {
+                {model->coverFor(vminGrid()),
+                 {pin.gridCells, pin.gridDigest}},
+                {model->coverFor(kOperatingPoint),
+                 {pin.pointCells, pin.pointDigest}},
+            };
+        for (const auto &[cover, want] : covers) {
+            const std::string ctx =
+                label + " cover " + std::to_string(cover);
+            DrawCounter counter;
+            std::shared_ptr<const FaultPopulation> die;
+            {
+                const ScopedReplayProbe scope(&counter);
+                die = sample(cover);
+            }
+            EXPECT_EQ(counter.draws, pin.draws) << ctx;
+            EXPECT_EQ(counter.digest, pin.drawDigest)
+                << ctx << std::hex << " draw digest 0x" << counter.digest;
+            std::size_t cells = 0;
+            for (const auto &line : *die)
+                cells += line.size();
+            EXPECT_EQ(cells, want.first) << ctx;
+            EXPECT_EQ(populationDigest(*die), want.second)
+                << ctx << std::hex << " die digest 0x"
+                << populationDigest(*die);
+        }
+    }
+}
+
+TEST(FaultPinTest, SweptCsrIsPinnedAtEveryGridPoint)
+{
+    // The active set runVoltageSweep hands out at each vmin grid
+    // point of the seed-42 512x720 clustered die, by literal value.
+    // A droop map over the same die, visiting the grid in a rising
+    // and falling order (the active set shrinks and regrows), must
+    // hand out the same set at every voltage.
+    struct Point
+    {
+        std::size_t cells;
+        std::uint64_t digest;
+    };
+    const Point pins[] = {
+        {79, 0xb05c592840f72d1dull}, // 0.70 V
+        {79, 0xb05c592840f72d1dull}, // 0.68 V
+        {84, 0x70c97309434d4f7bull}, // 0.66 V
+        {115, 0x4238eece040c3279ull}, // 0.64 V
+        {412, 0x39009327f21a17bcull}, // 0.62 V
+        {3677, 0xd517d1d2322af75dull}, // 0.60 V
+        {7130, 0x51bc60d452bce0a7ull}, // 0.58 V
+        {10671, 0x20d0b0751f7b248cull}, // 0.56 V
+        {14996, 0x8ed3bdfd2228a6b8ull}, // 0.54 V
+        {20111, 0x7081b10c455ca48cull}, // 0.52 V
+        {25685, 0xd00acabe25383be0ull}, // 0.50 V
+    };
+    const std::vector<double> grid = vminGrid();
+    ASSERT_EQ(grid.size(), std::size(pins));
+    const auto check = [&](const char *name,
+                           const std::vector<std::size_t> &order) {
+        std::vector<double> points;
+        for (const std::size_t i : order)
+            points.push_back(grid[i]);
+        const auto model = FaultModel::fromScenario(pinSpec(name));
+        std::size_t visits = 0;
+        runVoltageSweep(*model, 512, 720, points,
+                        [&](std::size_t idx, double v, FaultMap &map) {
+                            const Point &want = pins[order[idx]];
+                            std::size_t cells = 0;
+                            for (std::size_t l = 0; l < map.numLines(); ++l)
+                                cells += map.lineFaults(l).size();
+                            const std::uint64_t digest = activeDigest(map);
+                            EXPECT_EQ(cells, want.cells)
+                                << name << " v=" << v;
+                            EXPECT_EQ(digest, want.digest)
+                                << name << " v=" << v << std::hex
+                                << " active digest 0x" << digest;
+                            ++visits;
+                        });
+        EXPECT_EQ(visits, points.size()) << name;
+    };
+    check("clustered", {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
+    check("droop", {5, 0, 10, 2, 8, 1, 9, 3, 7, 4, 6});
+}
+
+TEST(FaultMapTest, ActivationBufferEdgesMatchCold)
+{
+    // The active-set buffer shrinks, regrows past every size it had,
+    // and takes plants in between; at every point it must equal a
+    // cold buildMapAt() (with the same plants).
+    ScenarioSpec spec = pinSpec("droop");
+    spec.seed = 61;
+    spec.droop.schedule = {0.60, 0.50, 0.70, 0.50, 0.60};
+    const auto model = FaultModel::fromScenario(spec);
+    const double cover = model->coverFor(spec.droop.schedule);
+    const auto map = model->buildMapAt(256, 720, 0.60, cover);
+    std::vector<std::pair<std::size_t, std::uint16_t>> plants;
+    for (const double v : spec.droop.schedule) {
+        map->setVoltage(v);
+        if (plants.empty() && v == 0.70) {
+            // After the shrink: one plant over a cell the regrowth
+            // activates, one onto a line empty at every point.
+            std::size_t line = 0;
+            while (model->buildMapAt(256, 720, 0.50, cover)
+                       ->lineFaults(line)
+                       .empty())
+                ++line;
+            const std::uint16_t bit =
+                model->buildMapAt(256, 720, 0.50, cover)
+                    ->lineFaults(line)[0]
+                    .bit;
+            plants = {{line, bit}, {255, 3}};
+            for (const auto &[l, b] : plants)
+                map->plantFault(l, b, true);
+        }
+        auto cold = model->buildMapAt(256, 720, v, cover);
+        for (const auto &[l, b] : plants)
+            cold->plantFault(l, b, true);
+        expectActiveIdentical(*map, *cold,
+                              "droop v=" + std::to_string(v));
+    }
+    EXPECT_EQ(map->population()[255].front().bit, 3);
+
+    // A line whose cells are all active, one with none active, a
+    // mixed line and an empty one, stepped across the boundary.
+    const auto cell = [](std::uint16_t bit, float threshold) {
+        return FaultCell{bit, threshold, bit % 2 == 0,
+                         FaultKind::ReadDisturb};
+    };
+    FaultPopulation cells(4);
+    cells[0] = {cell(1, 1e-4f), cell(2, 2e-4f), cell(700, 3e-5f)};
+    cells[1] = {cell(5, 0.9f), cell(6, 0.8f)};
+    cells[2] = {cell(0, 0.9f), cell(9, 1e-4f), cell(10, 0.5f),
+                cell(11, 2e-4f), cell(719, 0.7f)};
+    const auto pop =
+        std::make_shared<const FaultPopulation>(std::move(cells));
+    FaultMap stepped(pop, 720, 1.0, 1.0, /*monotone=*/false);
+    for (const double v : {0.625, 1.0, 0.625, 0.575}) {
+        stepped.setVoltage(v);
+        const FaultMap built(pop, 720, 1.0, v, /*monotone=*/false);
+        expectActiveIdentical(stepped, built, "v=" + std::to_string(v));
+        const bool on = v < 1.0;
+        EXPECT_EQ(stepped.lineFaults(0).size(), on ? 3u : 0u);
+        EXPECT_TRUE(stepped.lineFaults(1).empty());
+        ASSERT_EQ(stepped.lineFaults(2).size(), on ? 2u : 0u);
+        if (on) {
+            EXPECT_EQ(stepped.lineFaults(2)[0].bit, 9);
+            EXPECT_EQ(stepped.lineFaults(2)[1].bit, 11);
+        }
+        EXPECT_TRUE(stepped.lineFaults(3).empty());
     }
 }
 

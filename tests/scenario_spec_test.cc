@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,6 +20,7 @@
 #include "fault/fault_model.hh"
 #include "fault/scenario_spec.hh"
 #include "fault/voltage_model.hh"
+#include "fault_digest.hh"
 
 namespace killi
 {
@@ -135,32 +135,6 @@ expectSamePopulation(const FaultMap &a, const FaultMap &b)
                 << "line " << line;
         }
     }
-}
-
-/** FNV-1a over every cell of every line (bit, threshold bit pattern,
- *  stuck value, kind), each line prefixed by its cell count. */
-std::uint64_t
-populationDigest(const FaultPopulation &pop)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    const auto mix = [&h](std::uint64_t v, int bytes) {
-        for (int i = 0; i < bytes; ++i) {
-            h ^= (v >> (8 * i)) & 0xFF;
-            h *= 0x100000001b3ull;
-        }
-    };
-    for (const std::vector<FaultCell> &line : pop) {
-        mix(line.size(), 4);
-        for (const FaultCell &c : line) {
-            std::uint32_t t;
-            std::memcpy(&t, &c.threshold, sizeof t);
-            mix(c.bit, 2);
-            mix(t, 4);
-            mix(c.stuckValue, 1);
-            mix(unsigned(c.kind), 1);
-        }
-    }
-    return h;
 }
 
 TEST(FaultModel, SampledPopulationsArePinned)

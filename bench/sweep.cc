@@ -77,81 +77,55 @@ schemeSpecs()
     return specs;
 }
 
-/** Extract a numeric member constrained to [lo, hi]. */
-bool
-numberIn(const Json &value, const char *key, double lo, double hi,
-         double &out, std::string &err)
+/** A numeric member constrained to [lo, hi]. */
+double
+numberIn(const Json &value, const char *key, double lo, double hi)
 {
-    if (!value.isNumber()) {
-        err = std::string("\"") + key + "\" must be a number";
-        return false;
-    }
+    if (!value.isNumber())
+        throwError("\"%s\" must be a number", key);
     const double d = value.asDouble();
-    if (!(d >= lo && d <= hi)) {
-        std::ostringstream os;
-        os << "\"" << key << "\" must be in [" << lo << ", " << hi
-           << "]";
-        err = os.str();
-        return false;
-    }
-    out = d;
-    return true;
+    if (!(d >= lo && d <= hi))
+        throwError("\"%s\" must be in [%g, %g]", key, lo, hi);
+    return d;
 }
 
-/** Extract a non-negative integral member bounded by @p hi. */
-bool
-uintIn(const Json &value, const char *key, std::uint64_t hi,
-       std::uint64_t &out, std::string &err)
+/** A non-negative integral member bounded by @p hi. */
+std::uint64_t
+uintIn(const Json &value, const char *key, std::uint64_t hi)
 {
-    if (!value.isNumber()) {
-        err = std::string("\"") + key + "\" must be a number";
-        return false;
-    }
+    if (!value.isNumber())
+        throwError("\"%s\" must be a number", key);
     const double d = value.asDouble();
-    if (!(d >= 0) || d != std::floor(d) || d > double(hi)) {
-        std::ostringstream os;
-        os << "\"" << key << "\" must be an integer in [0, " << hi
-           << "]";
-        err = os.str();
-        return false;
-    }
-    out = std::uint64_t(d);
-    return true;
+    if (!(d >= 0) || d != std::floor(d) || d > double(hi))
+        throwError("\"%s\" must be an integer in [0, %llu]", key,
+                   static_cast<unsigned long long>(hi));
+    return std::uint64_t(d);
 }
 
 /** Accept either a comma-separated string or an array of strings. */
-bool
-nameList(const Json &value, const char *key,
-         std::vector<std::string> &out, std::string &err)
+std::vector<std::string>
+nameList(const Json &value, const char *key)
 {
-    if (value.kind() == Json::Kind::String) {
-        out = splitNameList(value.asString());
-        return true;
+    if (value.kind() == Json::Kind::String)
+        return splitNameList(value.asString());
+    if (value.kind() != Json::Kind::Array)
+        throwError("\"%s\" must be a comma-separated string or an "
+                   "array of strings",
+                   key);
+    std::vector<std::string> out;
+    for (std::size_t i = 0; i < value.size(); ++i) {
+        if (value.at(i).kind() != Json::Kind::String)
+            throwError("\"%s\" array members must be strings", key);
+        out.push_back(value.at(i).asString());
     }
-    if (value.kind() == Json::Kind::Array) {
-        out.clear();
-        for (std::size_t i = 0; i < value.size(); ++i) {
-            if (value.at(i).kind() != Json::Kind::String) {
-                err = std::string("\"") + key +
-                      "\" array members must be strings";
-                return false;
-            }
-            out.push_back(value.at(i).asString());
-        }
-        return true;
-    }
-    err = std::string("\"") + key +
-          "\" must be a comma-separated string or an array of "
-          "strings";
-    return false;
+    return out;
 }
 
 /** Check every name in @p got, then expand an empty list to
  *  @p known. */
-bool
+void
 resolveNames(std::vector<std::string> &got,
-             const std::vector<std::string> &known, const char *what,
-             std::string &err)
+             const std::vector<std::string> &known, const char *what)
 {
     for (const std::string &name : got) {
         if (std::find(known.begin(), known.end(), name) ==
@@ -159,14 +133,12 @@ resolveNames(std::vector<std::string> &got,
             std::string all;
             for (const std::string &k : known)
                 all += (all.empty() ? "" : ", ") + k;
-            err = std::string("unknown ") + what + " '" + name +
-                  "' (known: " + all + ")";
-            return false;
+            throwError("unknown %s '%s' (known: %s)", what,
+                       name.c_str(), all.c_str());
         }
     }
     if (got.empty())
         got = known;
-    return true;
 }
 
 /** Filesystem-safe stem for a sweep point's trace file. */
@@ -323,17 +295,18 @@ sweepRequestOptions(const Options &opts)
         Cycle(opts.get<std::uint64_t>("stats-interval"));
     // voltage=/seed= override the scenario's voltage/seed only
     // when explicitly set, so a scenario= document keeps its own.
-    std::string err;
-    if (!resolveSweepOptions(
+    try {
+        resolveSweepOptions(
             opt,
             opts.has("voltage")
                 ? std::optional<double>(opts.get<double>("voltage"))
                 : std::nullopt,
             opts.has("seed") ? std::optional<std::uint64_t>(
                                    opts.get<std::uint64_t>("seed"))
-                             : std::nullopt,
-            err))
-        fatal("sweep: %s", err.c_str());
+                             : std::nullopt);
+    } catch (const Error &e) {
+        fatal("sweep: %s", e.what());
+    }
     return opt;
 }
 
@@ -403,111 +376,79 @@ encodeSweepOptions(const SweepOptions &opt, SweepWire wire)
     return doc;
 }
 
-bool
-decodeSweepOptions(const Json &doc, SweepWire wire, SweepOptions &out,
-                   std::string &err)
+SweepOptions
+decodeSweepOptions(const Json &doc, SweepWire wire)
 {
-    if (doc.kind() != Json::Kind::Object) {
-        err = "\"options\" must be an object";
-        return false;
-    }
+    if (doc.kind() != Json::Kind::Object)
+        throwError("\"options\" must be an object");
     const bool recording = wire == SweepWire::Recording;
     if (recording) {
         for (const char *key :
              {"scale", "warmup", "stats_interval", "scenario",
               "workloads", "schemes", "trace"}) {
-            if (!doc.contains(key)) {
-                err = std::string("\"") + key + "\" is missing";
-                return false;
-            }
+            if (!doc.contains(key))
+                throwError("\"%s\" is missing", key);
         }
     }
-    out = SweepOptions{};
+    SweepOptions out;
     // Collected first, resolved after the loop: members may arrive
     // in any order, but resolution must be deterministic (scenario
     // first, overrides on top).
     std::optional<double> voltage;
     std::optional<std::uint64_t> seed;
     for (const auto &[key, v] : doc.members()) {
-        std::uint64_t u = 0;
         if (key == "scale") {
-            if (!numberIn(v, "scale", 0.001, 1000.0, out.scale, err))
-                return false;
+            out.scale = numberIn(v, "scale", 0.001, 1000.0);
         } else if (key == "warmup") {
-            if (!uintIn(v, "warmup", 16, u, err))
-                return false;
-            out.warmupPasses = unsigned(u);
+            out.warmupPasses = unsigned(uintIn(v, "warmup", 16));
         } else if (key == "stats_interval") {
-            if (!uintIn(v, "stats_interval", std::uint64_t(1) << 53, u,
-                        err))
-                return false;
-            out.statsInterval = Cycle(u);
+            out.statsInterval = Cycle(
+                uintIn(v, "stats_interval", std::uint64_t(1) << 53));
         } else if (key == "scenario") {
             // Object or inline-JSON string; file paths are a
             // client-side concern (the daemon never reads them).
-            std::string specErr;
-            bool ok;
-            if (v.kind() == Json::Kind::Object) {
-                ok = ScenarioSpec::tryFromJson(v, out.scenario,
-                                               &specErr);
-            } else if (v.kind() == Json::Kind::String &&
-                       !v.asString().empty() &&
-                       v.asString().front() == '{') {
-                ok = ScenarioSpec::tryFromString(
-                    v.asString(), out.scenario, &specErr);
-            } else {
-                ok = false;
-                specErr = "\"scenario\" must be a scenario object or "
-                          "an inline-JSON string (resolve file paths "
-                          "client-side)";
-            }
-            if (!ok) {
-                err = specErr;
-                return false;
-            }
+            if (v.kind() == Json::Kind::Object)
+                out.scenario = ScenarioSpec::fromJson(v);
+            else if (v.kind() == Json::Kind::String &&
+                     !v.asString().empty() &&
+                     v.asString().front() == '{')
+                out.scenario = ScenarioSpec::fromString(v.asString());
+            else
+                throwError("\"scenario\" must be a scenario object or "
+                           "an inline-JSON string (resolve file paths "
+                           "client-side)");
         } else if (key == "workloads") {
-            if (!nameList(v, "workloads", out.workloads, err))
-                return false;
+            out.workloads = nameList(v, "workloads");
         } else if (key == "schemes") {
-            if (!nameList(v, "schemes", out.schemes, err))
-                return false;
+            out.schemes = nameList(v, "schemes");
         } else if (!recording && key == "voltage") {
-            double d = 0;
-            if (!numberIn(v, "voltage", 0.5, 1.0, d, err))
-                return false;
-            voltage = d;
+            voltage = numberIn(v, "voltage", 0.5, 1.0);
         } else if (!recording && key == "seed") {
-            if (!uintIn(v, "seed", std::uint64_t(1) << 53, u, err))
-                return false;
-            seed = u;
+            seed = uintIn(v, "seed", std::uint64_t(1) << 53);
         } else if (!recording && key == "retries") {
-            if (!uintIn(v, "retries", 10, u, err))
-                return false;
-            out.retries = unsigned(u);
+            out.retries = unsigned(uintIn(v, "retries", 10));
         } else if (recording && key == "trace") {
+            if (v.kind() != Json::Kind::String)
+                throwError("\"trace\" must be a string");
             std::uint32_t mask = 0;
-            if (v.kind() != Json::Kind::String) {
-                err = "\"trace\" must be a string";
-                return false;
-            }
+            std::string err;
             if (!parseTraceCats(v.asString(), mask, &err))
-                return false;
+                throwError("%s", err.c_str());
             out.trace = v.asString();
             // A replayed run checks trace digests; it writes no
             // per-point trace files.
             out.traceDir.clear();
         } else {
-            err = "unknown option \"" + key + "\"";
-            return false;
+            throwError("unknown option \"%s\"", key.c_str());
         }
     }
-    return resolveSweepOptions(out, voltage, seed, err);
+    resolveSweepOptions(out, voltage, seed);
+    return out;
 }
 
-bool
+void
 resolveSweepOptions(SweepOptions &opt, std::optional<double> voltage,
-                    std::optional<std::uint64_t> seed,
-                    std::string &err)
+                    std::optional<std::uint64_t> seed)
 {
     if (voltage)
         opt.scenario.voltage = *voltage;
@@ -517,10 +458,8 @@ resolveSweepOptions(SweepOptions &opt, std::optional<double> voltage,
                       ->voltageSchedule()
                       .front();
     opt.seed = opt.scenario.seed;
-    return resolveNames(opt.workloads, workloadNames(), "workload",
-                        err) &&
-           resolveNames(opt.schemes, sweepSchemeNames(), "scheme",
-                        err);
+    resolveNames(opt.workloads, workloadNames(), "workload");
+    resolveNames(opt.schemes, sweepSchemeNames(), "scheme");
 }
 
 std::vector<std::string>
@@ -552,8 +491,8 @@ runEvaluationSweep(const SweepOptions &opt)
                 std::string known;
                 for (const SchemeSpec &spec : specs)
                     known += (known.empty() ? "" : ", ") + spec.name;
-                fatal("sweep: unknown scheme '%s' (known: %s)",
-                      want.c_str(), known.c_str());
+                throwError("sweep: unknown scheme '%s' (known: %s)",
+                           want.c_str(), known.c_str());
             }
         }
         specs = std::move(subset);
@@ -624,8 +563,13 @@ runEvaluationSweep(const SweepOptions &opt)
     // Jobs append trace files concurrently; create the directory
     // once, up front, instead of racing create_directories in every
     // worker.
-    if (!opt.trace.empty() && !opt.traceDir.empty())
-        std::filesystem::create_directories(opt.traceDir);
+    if (!opt.trace.empty() && !opt.traceDir.empty()) {
+        std::error_code ec;
+        std::filesystem::create_directories(opt.traceDir, ec);
+        if (ec)
+            throwError("sweep: cannot create directory '%s': %s",
+                       opt.traceDir.c_str(), ec.message().c_str());
+    }
 
     // Point-completion progress: wrap each job so the observer sees
     // a done/total tally maintained across concurrent workers.
@@ -679,7 +623,7 @@ runEvaluationSweep(const SweepOptions &opt)
                  "point completed");
             return out;
         }
-        fatal("sweep: no workload completed its baseline point");
+        throwError("sweep: no workload completed its baseline point");
     }
     return out;
 }

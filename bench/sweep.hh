@@ -186,16 +186,14 @@ Json encodeSweepOptions(const SweepOptions &opt,
                         SweepWire wire = SweepWire::Submit);
 
 /**
- * Decode and validate an encoded options object into @p out
- * (execution knobs keep their SweepOptions defaults). Strict:
- * unknown members, bad types and out-of-range values are rejected
- * through @p err, never fatal(), so the serving daemon can answer a
- * bad request or a tampered recording with an error frame. Ranges
- * mirror declareSweepOptions(); names and lists are resolved by
- * resolveSweepOptions().
+ * Decode and validate an encoded options object (execution knobs
+ * keep their SweepOptions defaults). Strict: unknown members, bad
+ * types and out-of-range values throw killi::Error, so the serving
+ * daemon can answer a bad request or a tampered recording with an
+ * error frame. Ranges mirror declareSweepOptions(); names and lists
+ * are resolved by resolveSweepOptions().
  */
-bool decodeSweepOptions(const Json &doc, SweepWire wire,
-                        SweepOptions &out, std::string &err);
+SweepOptions decodeSweepOptions(const Json &doc, SweepWire wire);
 
 /**
  * Scenario-first resolution, shared by the CLI and the decoder: the
@@ -205,10 +203,9 @@ bool decodeSweepOptions(const Json &doc, SweepWire wire,
  * workload/scheme name is checked, and an empty list expands to the
  * full one, so "all by default" and "all by name" resolve alike.
  */
-bool resolveSweepOptions(SweepOptions &opt,
+void resolveSweepOptions(SweepOptions &opt,
                          std::optional<double> voltage,
-                         std::optional<std::uint64_t> seed,
-                         std::string &err);
+                         std::optional<std::uint64_t> seed);
 
 /** Split a comma-separated name list, dropping empty entries. */
 std::vector<std::string> splitNameList(const std::string &list);
@@ -255,7 +252,9 @@ std::vector<std::string> sweepSchemeNames();
  * progress line per run (interleaved across workers when jobs > 1 —
  * only the line order varies, never the results). Workloads whose
  * baseline point failed are dropped with a warning, since nothing
- * can be normalized against them.
+ * can be normalized against them. Throws killi::Error on an unknown
+ * scheme name and when no workload's baseline completed (unless the
+ * campaign was cancelled).
  */
 SweepResult runEvaluationSweep(const SweepOptions &opt);
 

@@ -77,8 +77,7 @@ opKindFromName(const std::string &name)
         if (name == opKindName(k))
             return k;
     }
-    fatal("scenario: unknown trace op kind '%s'", name.c_str());
-    return OpKind::Read;
+    throwError("scenario: unknown trace op kind '%s'", name.c_str());
 }
 
 } // namespace
@@ -277,16 +276,17 @@ Scenario
 Scenario::fromJson(const Json &doc)
 {
     if (doc.at("format").asString() != "kcheck-scenario-v1")
-        fatal("scenario: unsupported format '%s'",
-              doc.at("format").asString().c_str());
+        throwError("scenario: unsupported format '%s'",
+                   doc.at("format").asString().c_str());
     Scenario s;
     if (!tryParseUint(doc.at("seed").asString(), s.seed))
-        fatal("scenario: malformed seed '%s'",
-              doc.at("seed").asString().c_str());
+        throwError("scenario: malformed seed '%s'",
+                   doc.at("seed").asString().c_str());
     s.voltage = doc.at("voltage").asDouble();
     s.numLines = std::size_t(doc.at("num_lines").asInt());
     if (s.numLines == 0 || s.numLines % 16 != 0)
-        fatal("scenario: num_lines must be a positive multiple of 16");
+        throwError(
+            "scenario: num_lines must be a positive multiple of 16");
 
     const Json &knobs = doc.at("params");
     s.params.ratio = std::size_t(knobs.at("ratio").asInt());
@@ -314,9 +314,9 @@ Scenario::fromJson(const Json &doc)
         f.bit = std::uint16_t(entry.at("bit").asInt());
         f.stuck = entry.at("stuck").asBool();
         if (f.line >= s.numLines)
-            fatal("scenario: fault line %u out of range", f.line);
+            throwError("scenario: fault line %u out of range", f.line);
         if (f.bit >= kMapBits)
-            fatal("scenario: fault bit %u out of range", f.bit);
+            throwError("scenario: fault bit %u out of range", f.bit);
         s.faults.push_back(f);
     }
 
@@ -329,9 +329,10 @@ Scenario::fromJson(const Json &doc)
         if (entry.contains("bit"))
             op.bit = std::uint16_t(entry.at("bit").asInt());
         if (op.line >= s.numLines)
-            fatal("scenario: trace line %u out of range", op.line);
+            throwError("scenario: trace line %u out of range", op.line);
         if (op.kind == OpKind::Transient && op.bit >= kMapBits)
-            fatal("scenario: transient bit %u out of range", op.bit);
+            throwError("scenario: transient bit %u out of range",
+                       op.bit);
         s.trace.push_back(op);
     }
 

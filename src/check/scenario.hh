@@ -99,7 +99,7 @@ struct Scenario
     static Scenario generate(std::uint64_t seed);
 
     Json toJson() const;
-    /** Strict load; fatal() on malformed documents. */
+    /** Strict load; throws killi::Error on malformed documents. */
     static Scenario fromJson(const Json &doc);
 
     /** One-line description for reports and failure listings. */

@@ -90,7 +90,7 @@ bool
 Json::asBool() const
 {
     if (k != Kind::Bool)
-        fatal("json: asBool() on a non-bool value");
+        throwError("json: asBool() on a non-bool value");
     return b;
 }
 
@@ -98,7 +98,7 @@ std::int64_t
 Json::asInt() const
 {
     if (k != Kind::Int)
-        fatal("json: asInt() on a non-integer value");
+        throwError("json: asInt() on a non-integer value");
     return i;
 }
 
@@ -109,14 +109,14 @@ Json::asDouble() const
         return double(i);
     if (k == Kind::Double)
         return d;
-    fatal("json: asDouble() on a non-number value");
+    throwError("json: asDouble() on a non-number value");
 }
 
 const std::string &
 Json::asString() const
 {
     if (k != Kind::String)
-        fatal("json: asString() on a non-string value");
+        throwError("json: asString() on a non-string value");
     return s;
 }
 
@@ -124,7 +124,7 @@ void
 Json::push(Json value)
 {
     if (k != Kind::Array)
-        fatal("json: push() on a non-array value");
+        throwError("json: push() on a non-array value");
     elems.push_back(std::move(value));
 }
 
@@ -135,17 +135,17 @@ Json::size() const
         return elems.size();
     if (k == Kind::Object)
         return fields.size();
-    fatal("json: size() on a scalar value");
+    throwError("json: size() on a scalar value");
 }
 
 const Json &
 Json::at(std::size_t index) const
 {
     if (k != Kind::Array)
-        fatal("json: at(index) on a non-array value");
+        throwError("json: at(index) on a non-array value");
     if (index >= elems.size())
-        fatal("json: array index %zu out of range (size %zu)", index,
-              elems.size());
+        throwError("json: array index %zu out of range (size %zu)",
+                   index, elems.size());
     return elems[index];
 }
 
@@ -153,7 +153,7 @@ void
 Json::set(const std::string &key, Json value)
 {
     if (k != Kind::Object)
-        fatal("json: set() on a non-object value");
+        throwError("json: set() on a non-object value");
     for (auto &[name, member] : fields) {
         if (name == key) {
             member = std::move(value);
@@ -180,19 +180,20 @@ const Json &
 Json::at(const std::string &key) const
 {
     if (k != Kind::Object)
-        fatal("json: at(\"%s\") on a non-object value", key.c_str());
+        throwError("json: at(\"%s\") on a non-object value",
+                   key.c_str());
     for (const auto &[name, member] : fields) {
         if (name == key)
             return member;
     }
-    fatal("json: object has no member \"%s\"", key.c_str());
+    throwError("json: object has no member \"%s\"", key.c_str());
 }
 
 const std::vector<std::pair<std::string, Json>> &
 Json::members() const
 {
     if (k != Kind::Object)
-        fatal("json: members() on a non-object value");
+        throwError("json: members() on a non-object value");
     return fields;
 }
 
@@ -633,49 +634,34 @@ writeJsonFile(const std::string &path, const Json &doc)
         std::error_code ec;
         std::filesystem::create_directories(fsPath.parent_path(), ec);
         if (ec) {
-            fatal("json: cannot create directory '%s': %s",
-                  fsPath.parent_path().c_str(), ec.message().c_str());
+            throwError("json: cannot create directory '%s': %s",
+                       fsPath.parent_path().c_str(),
+                       ec.message().c_str());
         }
     }
     std::ofstream out(path);
     if (!out)
-        fatal("json: cannot open '%s' for writing", path.c_str());
+        throwError("json: cannot open '%s' for writing", path.c_str());
     doc.dump(out, 2);
     out << '\n';
     if (!out)
-        fatal("json: write to '%s' failed", path.c_str());
+        throwError("json: write to '%s' failed", path.c_str());
 }
 
 Json
 readJsonFile(const std::string &path)
 {
-    Json doc;
-    std::string err;
-    if (!tryReadJsonFile(path, doc, &err))
-        fatal("json: %s", err.c_str());
-    return doc;
-}
-
-bool
-tryReadJsonFile(const std::string &path, Json &out, std::string *err)
-{
     std::ifstream in(path);
-    if (!in) {
-        if (err)
-            *err = "cannot open '" + path + "' for reading";
-        return false;
-    }
+    if (!in)
+        throwError("json: cannot open '%s' for reading", path.c_str());
     std::ostringstream buf;
     buf << in.rdbuf();
     Json doc;
-    std::string parseErr;
-    if (!Json::parse(buf.str(), doc, &parseErr)) {
-        if (err)
-            *err = "parse of '" + path + "' failed: " + parseErr;
-        return false;
-    }
-    out = std::move(doc);
-    return true;
+    std::string err;
+    if (!Json::parse(buf.str(), doc, &err))
+        throwError("json: parse of '%s' failed: %s", path.c_str(),
+                   err.c_str());
+    return doc;
 }
 
 } // namespace killi

@@ -58,7 +58,8 @@ class Json
     bool isNull() const { return k == Kind::Null; }
     bool isNumber() const { return k == Kind::Int || k == Kind::Double; }
 
-    /** Scalar accessors; fatal() on kind mismatch. */
+    /** Scalar accessors; throw killi::Error on a kind mismatch, as
+     *  every accessor below does on misuse. */
     bool asBool() const;
     std::int64_t asInt() const;
     double asDouble() const; //!< accepts Int and Double
@@ -72,7 +73,8 @@ class Json
     /** Object access (insertion-ordered). */
     void set(const std::string &key, Json value);
     bool contains(const std::string &key) const;
-    /** Fetch a member; fatal() if absent or not an object. */
+    /** Fetch a member; throws killi::Error if absent or not an
+     *  object. */
     const Json &at(const std::string &key) const;
     const std::vector<std::pair<std::string, Json>> &members() const;
 
@@ -106,21 +108,14 @@ class Json
 
 /**
  * Write @p doc to @p path (pretty-printed, trailing newline),
- * creating parent directories as needed; fatal() on I/O failure.
+ * creating parent directories as needed; throws killi::Error on I/O
+ * failure.
  */
 void writeJsonFile(const std::string &path, const Json &doc);
 
-/** Read and parse a JSON file; fatal() on I/O or parse failure. */
+/** Read and parse a JSON file; throws killi::Error on I/O or parse
+ *  failure. */
 Json readJsonFile(const std::string &path);
-
-/**
- * Non-fatal variant of readJsonFile() for long-lived processes (the
- * serving daemon must answer a bad file or frame with an error
- * reply, never exit): returns false and fills @p err on I/O or parse
- * failure, leaving @p out untouched.
- */
-bool tryReadJsonFile(const std::string &path, Json &out,
-                     std::string *err = nullptr);
 
 } // namespace killi
 

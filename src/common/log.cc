@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 
 namespace killi
 {
@@ -60,6 +61,30 @@ vreport(const char *tag, const char *fmt, va_list ap, bool alwaysStderr)
             return;
     }
     std::fprintf(stderr, "%s: %s\n", tag, msg.c_str());
+}
+
+/** Reports an uncaught Error through fatal(), so no command-line
+ *  main needs a try/catch of its own; anything else (a bad_alloc, a
+ *  bug) still ends in the default handler's abort. */
+[[noreturn]] void terminateOnError();
+
+const std::terminate_handler gDefaultTerminate =
+    std::set_terminate(terminateOnError);
+
+void
+terminateOnError()
+{
+    if (const std::exception_ptr thrown = std::current_exception()) {
+        try {
+            std::rethrow_exception(thrown);
+        } catch (const Error &e) {
+            fatal("%s", e.what());
+        } catch (...) {
+        }
+    }
+    if (gDefaultTerminate)
+        gDefaultTerminate();
+    std::abort();
 }
 
 } // namespace
@@ -155,6 +180,16 @@ fatal(const char *fmt, ...)
     vreport("fatal", fmt, ap, true);
     va_end(ap);
     std::exit(1);
+}
+
+void
+throwError(const char *fmt, ...)
+{
+    va_list ap;
+    va_start(ap, fmt);
+    std::string msg = formatMessage(fmt, ap);
+    va_end(ap);
+    throw Error(msg);
 }
 
 void

@@ -4,6 +4,9 @@
  *
  * panic()  - internal invariant violated (a bug in this library); aborts.
  * fatal()  - unrecoverable user error (bad configuration); exits cleanly.
+ * throwError() - bad input a library function cannot act on; throws
+ *            killi::Error, which a daemon turns into an error reply
+ *            and which, uncaught, ends the process like fatal().
  * warn()   - something suspicious that the simulation survives.
  * inform() - plain status messages.
  *
@@ -24,6 +27,7 @@
 #include <cstdarg>
 #include <functional>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -131,6 +135,25 @@ class ScopedLogClock
 
 /** Print an unconditional error and exit(1); use for user errors. */
 [[noreturn]] void fatal(const char *fmt, ...)
+    __attribute__((format(printf, 1, 2)));
+
+/**
+ * The one error library code throws on input it cannot act on (a
+ * malformed document, an unknown name). The serving daemons catch it
+ * at their boundaries and answer with an error frame or a failed
+ * job. Nothing else needs to catch it: an Error that escapes main()
+ * or a thread body is reported as "fatal: <what()>" with exit status
+ * 1, exactly as fatal() reports, by a terminate handler this library
+ * installs.
+ */
+class Error : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
+/** Throw an Error whose what() is the formatted message. */
+[[noreturn]] void throwError(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
 /** Print a warning about questionable but survivable conditions. */

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 #include "common/log.hh"
 #include "common/options.hh"
@@ -22,126 +23,103 @@ knownModel(const std::string &name)
            name == "droop";
 }
 
-/** Accumulates the first parse error; subsequent checks no-op. */
-struct ParseCtx
+/** Throw the Error of a malformed scenario document. */
+[[noreturn]] void
+reject(const std::string &message)
 {
-    bool ok = true;
-    std::string err;
-
-    void
-    fail(const std::string &message)
-    {
-        if (ok) {
-            ok = false;
-            err = "scenario: " + message;
-        }
-    }
-};
+    throwError("scenario: %s", message.c_str());
+}
 
 double
-getNumber(ParseCtx &ctx, const Json &obj, const char *key, double dflt,
-          double lo, double hi)
+getNumber(const Json &obj, const char *key, double dflt, double lo,
+          double hi)
 {
-    if (!ctx.ok || !obj.contains(key))
+    if (!obj.contains(key))
         return dflt;
     const Json &v = obj.at(key);
-    if (!v.isNumber()) {
-        ctx.fail(std::string(key) + " must be a number");
-        return dflt;
-    }
+    if (!v.isNumber())
+        reject(std::string(key) + " must be a number");
     const double d = v.asDouble();
     if (!std::isfinite(d) || d < lo || d > hi) {
         char buf[128];
         std::snprintf(buf, sizeof(buf),
                       "%s = %g out of range [%g, %g]", key, d, lo, hi);
-        ctx.fail(buf);
-        return dflt;
+        reject(buf);
     }
     return d;
 }
 
 unsigned
-getUnsigned(ParseCtx &ctx, const Json &obj, const char *key,
-            unsigned dflt, unsigned lo, unsigned hi)
+getUnsigned(const Json &obj, const char *key, unsigned dflt,
+            unsigned lo, unsigned hi)
 {
-    if (!ctx.ok || !obj.contains(key))
+    if (!obj.contains(key))
         return dflt;
     const Json &v = obj.at(key);
-    if (v.kind() != Json::Kind::Int) {
-        ctx.fail(std::string(key) + " must be an integer");
-        return dflt;
-    }
+    if (v.kind() != Json::Kind::Int)
+        reject(std::string(key) + " must be an integer");
     const std::int64_t i = v.asInt();
     if (i < std::int64_t(lo) || i > std::int64_t(hi)) {
         char buf[128];
         std::snprintf(buf, sizeof(buf),
                       "%s = %lld out of range [%u, %u]", key,
                       static_cast<long long>(i), lo, hi);
-        ctx.fail(buf);
-        return dflt;
+        reject(buf);
     }
     return static_cast<unsigned>(i);
 }
 
 void
-rejectUnknownKeys(ParseCtx &ctx, const Json &obj,
+rejectUnknownKeys(const Json &obj,
                   const std::vector<std::string> &allowed,
                   const char *where)
 {
-    if (!ctx.ok)
-        return;
     for (const auto &[key, value] : obj.members()) {
         (void)value;
         bool known = false;
         for (const std::string &name : allowed)
             known |= key == name;
-        if (!known) {
-            ctx.fail("unknown " + std::string(where) + " key '" + key +
-                     "'");
-            return;
-        }
+        if (!known)
+            reject("unknown " + std::string(where) + " key '" + key +
+                   "'");
     }
 }
 
 void
-parseClusterParams(ParseCtx &ctx, const Json &params, ClusterParams &out)
+parseClusterParams(const Json &params, ClusterParams &out)
 {
-    out.rowFrac =
-        getNumber(ctx, params, "row_frac", out.rowFrac, 0.0, 1.0);
+    out.rowFrac = getNumber(params, "row_frac", out.rowFrac, 0.0, 1.0);
     out.rowBoost =
-        getNumber(ctx, params, "row_boost", out.rowBoost, 1.0, 1e6);
-    out.colFrac =
-        getNumber(ctx, params, "col_frac", out.colFrac, 0.0, 1.0);
+        getNumber(params, "row_boost", out.rowBoost, 1.0, 1e6);
+    out.colFrac = getNumber(params, "col_frac", out.colFrac, 0.0, 1.0);
     out.colBoost =
-        getNumber(ctx, params, "col_boost", out.colBoost, 1.0, 1e6);
-    out.clusterRate = getNumber(ctx, params, "cluster_rate",
+        getNumber(params, "col_boost", out.colBoost, 1.0, 1e6);
+    out.clusterRate = getNumber(params, "cluster_rate",
                                 out.clusterRate, 0.0, 16.0);
-    out.clusterLines = getUnsigned(ctx, params, "cluster_lines",
+    out.clusterLines = getUnsigned(params, "cluster_lines",
                                    out.clusterLines, 1, 1024);
-    out.clusterBits = getUnsigned(ctx, params, "cluster_bits",
+    out.clusterBits = getUnsigned(params, "cluster_bits",
                                   out.clusterBits, 1, 0xFFFF);
     out.clusterP =
-        getNumber(ctx, params, "cluster_p", out.clusterP, 0.0, 1.0);
-    out.clusterVmax =
-        getNumber(ctx, params, "cluster_vmax", out.clusterVmax,
-                  VoltageModel::minVoltage(), 1.0);
+        getNumber(params, "cluster_p", out.clusterP, 0.0, 1.0);
+    out.clusterVmax = getNumber(params, "cluster_vmax", out.clusterVmax,
+                                VoltageModel::minVoltage(), 1.0);
 }
 
 void
-parseBurstParams(ParseCtx &ctx, const Json &params, BurstParams &out)
+parseBurstParams(const Json &params, BurstParams &out)
 {
-    out.burstRate = getNumber(ctx, params, "burst_rate", out.burstRate,
-                              0.0, 16.0);
-    out.lenMinBytes = getUnsigned(ctx, params, "len_min_bytes",
+    out.burstRate =
+        getNumber(params, "burst_rate", out.burstRate, 0.0, 16.0);
+    out.lenMinBytes = getUnsigned(params, "len_min_bytes",
                                   out.lenMinBytes, 1, 64);
-    out.lenMaxBytes = getUnsigned(ctx, params, "len_max_bytes",
+    out.lenMaxBytes = getUnsigned(params, "len_max_bytes",
                                   out.lenMaxBytes, 1, 64);
-    out.pWithin =
-        getNumber(ctx, params, "p_within", out.pWithin, 0.0, 1.0);
-    out.burstVmax = getNumber(ctx, params, "burst_vmax", out.burstVmax,
+    out.pWithin = getNumber(params, "p_within", out.pWithin, 0.0, 1.0);
+    out.burstVmax = getNumber(params, "burst_vmax", out.burstVmax,
                               VoltageModel::minVoltage(), 1.0);
-    if (ctx.ok && out.lenMinBytes > out.lenMaxBytes)
-        ctx.fail("len_min_bytes exceeds len_max_bytes");
+    if (out.lenMinBytes > out.lenMaxBytes)
+        reject("len_min_bytes exceeds len_max_bytes");
 }
 
 std::vector<std::string>
@@ -223,173 +201,120 @@ ScenarioSpec::toJson() const
     return doc;
 }
 
-bool
-ScenarioSpec::tryFromJson(const Json &doc, ScenarioSpec &out,
-                          std::string *err)
-{
-    ParseCtx ctx;
-    ScenarioSpec spec;
-    if (doc.kind() != Json::Kind::Object) {
-        ctx.fail("document must be a JSON object");
-    } else {
-        rejectUnknownKeys(
-            ctx, doc,
-            {"format", "model", "seed", "voltage", "freq_ghz", "params"},
-            "scenario");
-    }
-
-    if (ctx.ok && doc.contains("format")) {
-        const Json &fmt = doc.at("format");
-        if (fmt.kind() != Json::Kind::String ||
-            fmt.asString() != kFormat) {
-            ctx.fail("unsupported format (expected \"" +
-                     std::string(kFormat) + "\")");
-        }
-    }
-
-    if (ctx.ok && doc.contains("model")) {
-        const Json &m = doc.at("model");
-        if (m.kind() != Json::Kind::String || !knownModel(m.asString()))
-            ctx.fail("model must be one of iid|clustered|burst|droop");
-        else
-            spec.model = m.asString();
-    }
-
-    if (ctx.ok && doc.contains("seed")) {
-        const Json &s = doc.at("seed");
-        if (s.kind() == Json::Kind::String) {
-            std::uint64_t parsed = 0;
-            if (!tryParseUint(s.asString(), parsed))
-                ctx.fail("seed string is not a decimal uint64");
-            else
-                spec.seed = parsed;
-        } else if (s.kind() == Json::Kind::Int && s.asInt() >= 0) {
-            spec.seed = static_cast<std::uint64_t>(s.asInt());
-        } else {
-            ctx.fail("seed must be a decimal string or a non-negative "
-                     "integer");
-        }
-    }
-
-    spec.voltage = getNumber(ctx, doc, "voltage", spec.voltage,
-                             VoltageModel::minVoltage(), 1.0);
-    spec.freqGHz =
-        getNumber(ctx, doc, "freq_ghz", spec.freqGHz, 0.1, 4.0);
-
-    const Json empty = Json::object();
-    const Json &params =
-        (ctx.ok && doc.contains("params")) ? doc.at("params") : empty;
-    if (ctx.ok && params.kind() != Json::Kind::Object)
-        ctx.fail("params must be an object");
-
-    if (ctx.ok) {
-        if (spec.model == "iid") {
-            rejectUnknownKeys(ctx, params, {}, "iid params");
-        } else if (spec.model == "clustered") {
-            rejectUnknownKeys(ctx, params, clusterKeys(),
-                              "clustered params");
-            parseClusterParams(ctx, params, spec.cluster);
-        } else if (spec.model == "burst") {
-            rejectUnknownKeys(ctx, params, burstKeys(), "burst params");
-            parseBurstParams(ctx, params, spec.burst);
-        } else if (spec.model == "droop") {
-            if (params.contains("base")) {
-                const Json &base = params.at("base");
-                if (base.kind() != Json::Kind::String ||
-                    (base.asString() != "iid" &&
-                     base.asString() != "clustered" &&
-                     base.asString() != "burst")) {
-                    ctx.fail(
-                        "droop base must be one of iid|clustered|burst");
-                } else {
-                    spec.droop.base = base.asString();
-                }
-            }
-            std::vector<std::string> allowed = {"base", "schedule"};
-            if (spec.droop.base == "clustered") {
-                for (auto &key : clusterKeys())
-                    allowed.push_back(key);
-                parseClusterParams(ctx, params, spec.cluster);
-            } else if (spec.droop.base == "burst") {
-                for (auto &key : burstKeys())
-                    allowed.push_back(key);
-                parseBurstParams(ctx, params, spec.burst);
-            }
-            rejectUnknownKeys(ctx, params, allowed, "droop params");
-            if (ctx.ok && params.contains("schedule")) {
-                const Json &sched = params.at("schedule");
-                if (sched.kind() != Json::Kind::Array) {
-                    ctx.fail("schedule must be an array of voltages");
-                } else if (sched.size() > 64) {
-                    ctx.fail("schedule longer than 64 steps");
-                } else {
-                    for (std::size_t i = 0;
-                         ctx.ok && i < sched.size(); ++i) {
-                        const Json &v = sched.at(i);
-                        const double d =
-                            v.isNumber() ? v.asDouble() : -1.0;
-                        if (d < VoltageModel::minVoltage() || d > 1.0) {
-                            ctx.fail("schedule voltage out of range "
-                                     "[0.45, 1.0]");
-                        } else {
-                            spec.droop.schedule.push_back(d);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    if (!ctx.ok) {
-        if (err)
-            *err = ctx.err;
-        return false;
-    }
-    out = spec;
-    return true;
-}
-
 ScenarioSpec
 ScenarioSpec::fromJson(const Json &doc)
 {
     ScenarioSpec spec;
-    std::string err;
-    if (!tryFromJson(doc, spec, &err))
-        fatal("%s", err.c_str());
-    return spec;
-}
+    if (doc.kind() != Json::Kind::Object)
+        reject("document must be a JSON object");
+    rejectUnknownKeys(
+        doc, {"format", "model", "seed", "voltage", "freq_ghz", "params"},
+        "scenario");
 
-bool
-ScenarioSpec::tryFromString(const std::string &fileOrInline,
-                            ScenarioSpec &out, std::string *err)
-{
-    Json doc;
-    if (!fileOrInline.empty() && fileOrInline.front() == '{') {
-        std::string parseErr;
-        if (!Json::parse(fileOrInline, doc, &parseErr)) {
-            if (err)
-                *err = "scenario: inline JSON: " + parseErr;
-            return false;
-        }
-    } else {
-        std::string readErr;
-        if (!tryReadJsonFile(fileOrInline, doc, &readErr)) {
-            if (err)
-                *err = "scenario: " + readErr;
-            return false;
+    if (doc.contains("format")) {
+        const Json &fmt = doc.at("format");
+        if (fmt.kind() != Json::Kind::String ||
+            fmt.asString() != kFormat) {
+            reject("unsupported format (expected \"" +
+                   std::string(kFormat) + "\")");
         }
     }
-    return tryFromJson(doc, out, err);
+
+    if (doc.contains("model")) {
+        const Json &m = doc.at("model");
+        if (m.kind() != Json::Kind::String || !knownModel(m.asString()))
+            reject("model must be one of iid|clustered|burst|droop");
+        spec.model = m.asString();
+    }
+
+    if (doc.contains("seed")) {
+        const Json &s = doc.at("seed");
+        if (s.kind() == Json::Kind::String) {
+            if (!tryParseUint(s.asString(), spec.seed))
+                reject("seed string is not a decimal uint64");
+        } else if (s.kind() == Json::Kind::Int && s.asInt() >= 0) {
+            spec.seed = static_cast<std::uint64_t>(s.asInt());
+        } else {
+            reject("seed must be a decimal string or a non-negative "
+                   "integer");
+        }
+    }
+
+    spec.voltage = getNumber(doc, "voltage", spec.voltage,
+                             VoltageModel::minVoltage(), 1.0);
+    spec.freqGHz = getNumber(doc, "freq_ghz", spec.freqGHz, 0.1, 4.0);
+
+    const Json empty = Json::object();
+    const Json &params =
+        doc.contains("params") ? doc.at("params") : empty;
+    if (params.kind() != Json::Kind::Object)
+        reject("params must be an object");
+
+    if (spec.model == "iid") {
+        rejectUnknownKeys(params, {}, "iid params");
+    } else if (spec.model == "clustered") {
+        rejectUnknownKeys(params, clusterKeys(), "clustered params");
+        parseClusterParams(params, spec.cluster);
+    } else if (spec.model == "burst") {
+        rejectUnknownKeys(params, burstKeys(), "burst params");
+        parseBurstParams(params, spec.burst);
+    } else if (spec.model == "droop") {
+        if (params.contains("base")) {
+            const Json &base = params.at("base");
+            if (base.kind() != Json::Kind::String ||
+                (base.asString() != "iid" &&
+                 base.asString() != "clustered" &&
+                 base.asString() != "burst"))
+                reject("droop base must be one of iid|clustered|burst");
+            spec.droop.base = base.asString();
+        }
+        std::vector<std::string> allowed = {"base", "schedule"};
+        if (spec.droop.base == "clustered") {
+            for (auto &key : clusterKeys())
+                allowed.push_back(key);
+            parseClusterParams(params, spec.cluster);
+        } else if (spec.droop.base == "burst") {
+            for (auto &key : burstKeys())
+                allowed.push_back(key);
+            parseBurstParams(params, spec.burst);
+        }
+        rejectUnknownKeys(params, allowed, "droop params");
+        if (params.contains("schedule")) {
+            const Json &sched = params.at("schedule");
+            if (sched.kind() != Json::Kind::Array)
+                reject("schedule must be an array of voltages");
+            if (sched.size() > 64)
+                reject("schedule longer than 64 steps");
+            for (std::size_t i = 0; i < sched.size(); ++i) {
+                const Json &v = sched.at(i);
+                const double d = v.isNumber() ? v.asDouble() : -1.0;
+                if (d < VoltageModel::minVoltage() || d > 1.0)
+                    reject("schedule voltage out of range [0.45, 1.0]");
+                spec.droop.schedule.push_back(d);
+            }
+        }
+    }
+    return spec;
 }
 
 ScenarioSpec
 ScenarioSpec::fromString(const std::string &fileOrInline)
 {
-    ScenarioSpec spec;
-    std::string err;
-    if (!tryFromString(fileOrInline, spec, &err))
-        fatal("%s", err.c_str());
-    return spec;
+    Json doc;
+    if (!fileOrInline.empty() && fileOrInline.front() == '{') {
+        std::string err;
+        if (!Json::parse(fileOrInline, doc, &err))
+            reject("inline JSON: " + err);
+    } else {
+        try {
+            doc = readJsonFile(fileOrInline);
+        } catch (const Error &e) {
+            // Named after the option, like every other scenario
+            // error: "json: cannot open ..." reads "scenario: ...".
+            reject(std::string(e.what()).substr(std::strlen("json: ")));
+        }
+    }
+    return fromJson(doc);
 }
 
 std::string

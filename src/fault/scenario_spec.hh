@@ -91,26 +91,18 @@ struct ScenarioSpec
 
     /**
      * Strict parse: unknown keys, malformed scalars, out-of-range
-     * knobs, and unsupported format versions return false with a
-     * message in @p err (daemon-safe — never exits). Absent keys
-     * take their defaults, so `{"model": "burst"}` is a complete
-     * scenario.
+     * knobs, and unsupported format versions throw killi::Error
+     * ("scenario: ..."), which the serving daemon answers with an
+     * error frame. Absent keys take their defaults, so
+     * `{"model": "burst"}` is a complete scenario.
      */
-    static bool tryFromJson(const Json &doc, ScenarioSpec &out,
-                            std::string *err = nullptr);
-
-    /** tryFromJson() that fatal()s on error (CLI front ends). */
     static ScenarioSpec fromJson(const Json &doc);
 
     /**
      * Resolve a `scenario=` option value: a token starting with '{'
      * parses as inline JSON, anything else is read as a file path.
+     * Errors throw as fromJson()'s do.
      */
-    static bool tryFromString(const std::string &fileOrInline,
-                              ScenarioSpec &out,
-                              std::string *err = nullptr);
-
-    /** tryFromString() that fatal()s on error. */
     static ScenarioSpec fromString(const std::string &fileOrInline);
 
     /** Short human-readable label, e.g. "clustered v=0.625 seed=42". */

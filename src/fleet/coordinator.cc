@@ -40,53 +40,28 @@ sinceSeconds(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
-// Worker and peer frames are untrusted input: the Json accessors
-// fatal() on a missing member or a kind mismatch, so every member is
-// checked here before it is read.
-
-/** @p doc's member @p key when present with kind @p kind, else null. */
-const Json *
-memberOf(const Json &doc, const char *key, Json::Kind kind)
+/**
+ * The shard result @p frame carries, checked for every member the
+ * merge reads ("sweep", "workloads", "campaign.jobs"), so a malformed
+ * one throws killi::Error on receipt, where the shard can still be
+ * rescheduled, not at the merge.
+ */
+const Json &
+shardResultOf(const Json &frame)
 {
-    if (doc.kind() != Json::Kind::Object || !doc.contains(key))
-        return nullptr;
-    const Json &value = doc.at(key);
-    return value.kind() == kind ? &value : nullptr;
+    const Json &result = frame.at("result");
+    (void)result.at("sweep").members();
+    for (const Json *list :
+         {&result.at("workloads"), &result.at("campaign").at("jobs")}) {
+        if (list->kind() != Json::Kind::Array)
+            throwError("result \"workloads\" and \"campaign.jobs\" "
+                       "must be arrays");
+    }
+    return result;
 }
 
-/** The string member @p key of @p doc, or null. */
-const std::string *
-stringOf(const Json &doc, const char *key)
-{
-    const Json *value = memberOf(doc, key, Json::Kind::String);
-    return value ? &value->asString() : nullptr;
-}
-
-/** The shard result @p doc carries, when it has every member the
- *  merge reads ("sweep", "workloads", "campaign.jobs"); else null
- *  and @p why says what is wrong. */
-const Json *
-shardResultOf(const Json &doc, std::string &why)
-{
-    const Json *result = memberOf(doc, "result", Json::Kind::Object);
-    const Json *campaign =
-        result ? memberOf(*result, "campaign", Json::Kind::Object)
-               : nullptr;
-    if (!result)
-        why = "no \"result\" object";
-    else if (!memberOf(*result, "sweep", Json::Kind::Object))
-        why = "result has no \"sweep\" object";
-    else if (!memberOf(*result, "workloads", Json::Kind::Array))
-        why = "result has no \"workloads\" array";
-    else if (!campaign ||
-             !memberOf(*campaign, "jobs", Json::Kind::Array))
-        why = "result has no \"campaign.jobs\" array";
-    else
-        return result;
-    return nullptr;
-}
-
-/** A worker's reply to a shard submit, decoded once and checked. */
+/** A worker's reply to a shard submit, or a peer's to a fetch,
+ *  decoded once and checked. */
 struct ShardReply
 {
     enum class Kind
@@ -95,7 +70,8 @@ struct ShardReply
         Error,     //!< refused before admission: error
         Done,      //!< terminal, with a result: cached, result
         Ended,     //!< terminal without one: outcome, error
-        Other      //!< progress or an unknown type: skipped
+        Fetched,   //!< a peer's cache hit: result
+        Other      //!< progress, a peer's miss or an unknown type
     };
     Kind kind = Kind::Other;
     bool cached = false;
@@ -105,48 +81,41 @@ struct ShardReply
     const Json *result = nullptr; //!< into the decoded frame
 };
 
-/** Decode @p frame into @p out; false with @p why when a member its
- *  type needs is missing or of the wrong kind. */
-bool
-decodeShardReply(const Json &frame, ShardReply &out, std::string &why)
+/** Decode @p frame, an untrusted worker or peer frame: a member its
+ *  type needs that is missing or of the wrong kind throws
+ *  killi::Error from the Json accessors. */
+ShardReply
+decodeShardReply(const Json &frame)
 {
-    out = ShardReply{};
-    const std::string *type = stringOf(frame, "type");
-    const std::string *key = stringOf(frame, "key");
-    const std::string *outcome = stringOf(frame, "outcome");
-    const std::string *error = stringOf(frame, "error");
-    const Json *cached = memberOf(frame, "cached", Json::Kind::Bool);
-    if (error)
-        out.error = *error;
-    if (!type) {
-        why = "no \"type\" string";
-        return false;
+    ShardReply out;
+    const std::string &type = frame.at("type").asString();
+    if (type == "fetch_reply") {
+        if (frame.at("found").asBool()) {
+            out.kind = ShardReply::Kind::Fetched;
+            out.result = &shardResultOf(frame);
+        }
+        return out;
     }
-    if (*type == "error") {
+    if (type != "error" && type != "submitted" && type != "result")
+        return out; // progress and anything newer: skipped
+    if (frame.contains("error"))
+        out.error = frame.at("error").asString();
+    if (type == "error") {
         out.kind = ShardReply::Kind::Error;
-        return true;
+        return out;
     }
-    if (*type != "submitted" && *type != "result")
-        return true; // progress and anything newer: skipped
-    if (!cached || !(*type == "submitted" ? key : outcome)) {
-        why = *type + " frame without \"cached\" and \"" +
-              (*type == "submitted" ? "key" : "outcome") + "\"";
-        return false;
-    }
-    out.cached = cached->asBool();
-    if (*type == "submitted") {
+    out.cached = frame.at("cached").asBool();
+    if (type == "submitted") {
         out.kind = ShardReply::Kind::Submitted;
-        out.key = *key;
-        return true;
+        out.key = frame.at("key").asString();
+        return out;
     }
-    out.outcome = *outcome;
-    if (*outcome != "done") {
-        out.kind = ShardReply::Kind::Ended;
-        return true;
-    }
-    out.kind = ShardReply::Kind::Done;
-    out.result = shardResultOf(frame, why);
-    return out.result != nullptr;
+    out.outcome = frame.at("outcome").asString();
+    out.kind = out.outcome == "done" ? ShardReply::Kind::Done
+                                     : ShardReply::Kind::Ended;
+    if (out.kind == ShardReply::Kind::Done)
+        out.result = &shardResultOf(frame);
+    return out;
 }
 
 } // namespace
@@ -596,33 +565,34 @@ Coordinator::pumpDispatch(Campaign &camp, Dispatch &d,
             rescheduleDispatch(camp, d, ": " + err);
             return;
         }
+        ShardReply reply;
+        try {
+            reply = decodeShardReply(frame);
+        } catch (const Error &e) {
+            if (d.peer != SIZE_MAX) {
+                peerMiss(camp, d);
+                return;
+            }
+            // A malformed reply is a failed dispatch: a rejection,
+            // and, once admitted, cancelled as well.
+            mRejections->inc();
+            rescheduleDispatch(
+                camp, d, std::string(": malformed reply: ") + e.what());
+            return;
+        }
         if (d.peer != SIZE_MAX) {
-            const std::string *type = stringOf(frame, "type");
-            const Json *found =
-                memberOf(frame, "found", Json::Kind::Bool);
-            const Json *result = nullptr;
-            if (!type || *type != "fetch_reply" || !found ||
-                !found->asBool() ||
-                !(result = shardResultOf(frame, err))) {
+            if (reply.kind != ShardReply::Kind::Fetched) {
                 peerMiss(camp, d);
                 return;
             }
             mPeerFetches->inc();
-            settleShard(camp, d, d.peer, "peer-fetch", *result,
+            settleShard(camp, d, d.peer, "peer-fetch", *reply.result,
                         progress);
-            return;
-        }
-        ShardReply reply;
-        std::string why;
-        if (!decodeShardReply(frame, reply, why)) {
-            // A malformed reply is a failed dispatch: a rejection,
-            // and, once admitted, cancelled as well.
-            mRejections->inc();
-            rescheduleDispatch(camp, d, ": malformed reply: " + why);
             return;
         }
         switch (reply.kind) {
           case ShardReply::Kind::Other:
+          case ShardReply::Kind::Fetched: // not an answer to a submit
             continue;
           case ShardReply::Kind::Submitted:
             d.submitted = true;

@@ -102,7 +102,8 @@ struct RunResult
     /** Structured form for machine-readable results files. */
     Json toJson() const;
 
-    /** Inverse of toJson(); fatal() on missing/mistyped members. */
+    /** Inverse of toJson(); throws killi::Error on missing/mistyped
+     *  members. */
     static RunResult fromJson(const Json &doc);
 };
 

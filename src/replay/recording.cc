@@ -23,60 +23,51 @@ u64Json(std::uint64_t v)
     return Json::string(std::to_string(v));
 }
 
-bool
-parseU64(const Json &v, std::uint64_t &out, std::string &err,
-         const char *what)
+/** Throw the Error of a malformed recording. */
+[[noreturn]] void
+reject(const std::string &what)
+{
+    throwError("recording: %s", what.c_str());
+}
+
+std::uint64_t
+parseU64(const Json &v, const char *what)
 {
     if (v.kind() == Json::Kind::String) {
         const std::string &s = v.asString();
-        if (s.empty()) {
-            err = std::string(what) + ": empty numeric string";
-            return false;
-        }
+        if (s.empty())
+            reject(std::string(what) + ": empty numeric string");
         errno = 0;
         char *end = nullptr;
         const unsigned long long parsed =
             std::strtoull(s.c_str(), &end, 10);
-        if (errno != 0 || end != s.c_str() + s.size()) {
-            err = std::string(what) + ": bad numeric string '" + s +
-                  "'";
-            return false;
-        }
-        out = parsed;
-        return true;
+        if (errno != 0 || end != s.c_str() + s.size())
+            reject(std::string(what) + ": bad numeric string '" + s +
+                   "'");
+        return parsed;
     }
-    if (v.isNumber()) {
-        const double d = v.asDouble();
-        if (!(d >= 0) || d != std::floor(d) ||
-            d > 9007199254740992.0) {
-            err = std::string(what) +
-                  ": must be a non-negative integer <= 2^53";
-            return false;
-        }
-        out = std::uint64_t(d);
-        return true;
-    }
-    err = std::string(what) + ": expected a number or numeric string";
-    return false;
+    if (!v.isNumber())
+        reject(std::string(what) +
+               ": expected a number or numeric string");
+    const double d = v.asDouble();
+    if (!(d >= 0) || d != std::floor(d) || d > 9007199254740992.0)
+        reject(std::string(what) +
+               ": must be a non-negative integer <= 2^53");
+    return std::uint64_t(d);
 }
 
-bool
-parseStringArray(const Json &v, std::vector<std::string> &out,
-                 std::string &err, const char *what)
+std::vector<std::string>
+parseStringArray(const Json &v, const char *what)
 {
-    if (v.kind() != Json::Kind::Array) {
-        err = std::string(what) + ": expected an array";
-        return false;
-    }
-    out.clear();
+    if (v.kind() != Json::Kind::Array)
+        reject(std::string(what) + ": expected an array");
+    std::vector<std::string> out;
     for (std::size_t i = 0; i < v.size(); ++i) {
-        if (v.at(i).kind() != Json::Kind::String) {
-            err = std::string(what) + ": members must be strings";
-            return false;
-        }
+        if (v.at(i).kind() != Json::Kind::String)
+            reject(std::string(what) + ": members must be strings");
         out.push_back(v.at(i).asString());
     }
-    return true;
+    return out;
 }
 
 std::uint64_t
@@ -279,186 +270,140 @@ Recording::toJson() const
     return doc;
 }
 
-bool
-Recording::tryFromJson(const Json &doc, Recording &out,
-                       std::string *errOut)
+Recording
+Recording::fromJson(const Json &doc)
 {
-    std::string err;
-    const auto fail = [&](const std::string &what) {
-        if (errOut)
-            *errOut = "recording: " + what;
-        return false;
-    };
     if (doc.kind() != Json::Kind::Object)
-        return fail("document must be an object");
+        reject("document must be an object");
     for (const char *key :
          {"format", "tool", "build", "meta", "trace_mask",
           "trace_enabled", "reference_mode", "perturb_decode",
           "streams", "names", "rng", "pops", "trace", "marks",
           "checkpoints", "result_digest"}) {
         if (!doc.contains(key))
-            return fail(std::string("missing member \"") + key +
-                        "\"");
+            reject(std::string("missing member \"") + key + "\"");
     }
     if (doc.at("format").kind() != Json::Kind::String ||
-        doc.at("format").asString() != kRecordingFormat) {
-        return fail(std::string("not a ") + kRecordingFormat +
-                    " document");
-    }
-    out = Recording{};
+        doc.at("format").asString() != kRecordingFormat)
+        reject(std::string("not a ") + kRecordingFormat + " document");
+    Recording out;
     if (doc.at("tool").kind() != Json::Kind::String ||
         doc.at("build").kind() != Json::Kind::String ||
         doc.at("result_digest").kind() != Json::Kind::String)
-        return fail("tool/build/result_digest must be strings");
+        reject("tool/build/result_digest must be strings");
     out.tool = doc.at("tool").asString();
     out.build = doc.at("build").asString();
     out.resultDigest = doc.at("result_digest").asString();
     out.meta = doc.at("meta");
-    std::uint64_t u = 0;
-    if (!parseU64(doc.at("trace_mask"), u, err, "trace_mask"))
-        return fail(err);
-    out.traceMask = std::uint32_t(u);
+    out.traceMask =
+        std::uint32_t(parseU64(doc.at("trace_mask"), "trace_mask"));
     if (doc.at("trace_enabled").kind() != Json::Kind::Bool ||
         doc.at("reference_mode").kind() != Json::Kind::Bool)
-        return fail("trace_enabled/reference_mode must be booleans");
+        reject("trace_enabled/reference_mode must be booleans");
     out.traceEnabled = doc.at("trace_enabled").asBool();
     if (doc.at("reference_mode").asBool())
-        return fail("reference_mode recordings are no longer "
-                    "replayable: the global reference mode was "
-                    "removed");
-    if (!parseU64(doc.at("perturb_decode"), out.perturbDecode, err,
-                  "perturb_decode"))
-        return fail(err);
-    if (!parseStringArray(doc.at("streams"), out.streams, err,
-                          "streams") ||
-        !parseStringArray(doc.at("names"), out.names, err, "names"))
-        return fail(err);
+        reject("reference_mode recordings are no longer replayable: "
+               "the global reference mode was removed");
+    out.perturbDecode =
+        parseU64(doc.at("perturb_decode"), "perturb_decode");
+    out.streams = parseStringArray(doc.at("streams"), "streams");
+    out.names = parseStringArray(doc.at("names"), "names");
 
     const Json &rngArr = doc.at("rng");
     if (rngArr.kind() != Json::Kind::Array)
-        return fail("\"rng\" must be an array");
+        reject("\"rng\" must be an array");
     out.rng.reserve(rngArr.size());
     for (std::size_t i = 0; i < rngArr.size(); ++i) {
         const Json &e = rngArr.at(i);
         if (e.kind() != Json::Kind::Array || e.size() != 4)
-            return fail(
-                "rng entries must be [stream, pop, count, digest]");
+            reject("rng entries must be [stream, pop, count, digest]");
         RngSegment s;
-        std::uint64_t stream = 0;
-        if (!parseU64(e.at(std::size_t(0)), stream, err,
-                      "rng stream") ||
-            !parseU64(e.at(std::size_t(1)), s.pop, err, "rng pop") ||
-            !parseU64(e.at(std::size_t(2)), s.count, err,
-                      "rng count") ||
-            !parseU64(e.at(std::size_t(3)), s.digest, err,
-                      "rng digest"))
-            return fail(err);
+        const std::uint64_t stream =
+            parseU64(e.at(std::size_t(0)), "rng stream");
+        s.pop = parseU64(e.at(std::size_t(1)), "rng pop");
+        s.count = parseU64(e.at(std::size_t(2)), "rng count");
+        s.digest = parseU64(e.at(std::size_t(3)), "rng digest");
         if (stream >= out.streams.size())
-            return fail("rng stream index out of range");
+            reject("rng stream index out of range");
         s.stream = std::uint32_t(stream);
         out.rng.push_back(s);
     }
 
     const Json &popArr = doc.at("pops");
     if (popArr.kind() != Json::Kind::Array)
-        return fail("\"pops\" must be an array");
+        reject("\"pops\" must be an array");
     out.pops.reserve(popArr.size());
     for (std::size_t i = 0; i < popArr.size(); ++i) {
         const Json &e = popArr.at(i);
         if (e.kind() != Json::Kind::Array || e.size() != 3)
-            return fail("pop entries must be [when, 0, seq]");
+            reject("pop entries must be [when, 0, seq]");
         EventPop p;
-        std::uint64_t when = 0;
-        std::uint64_t zero = 0;
-        if (!parseU64(e.at(std::size_t(0)), when, err, "pop when") ||
-            !parseU64(e.at(std::size_t(1)), zero, err, "pop priority") ||
-            !parseU64(e.at(std::size_t(2)), p.seq, err, "pop seq"))
-            return fail(err);
+        p.when = Tick(parseU64(e.at(std::size_t(0)), "pop when"));
+        const std::uint64_t zero =
+            parseU64(e.at(std::size_t(1)), "pop priority");
+        p.seq = parseU64(e.at(std::size_t(2)), "pop seq");
         if (zero != 0)
-            return fail("pop priority: the v1 column must be 0");
-        p.when = Tick(when);
+            reject("pop priority: the v1 column must be 0");
         out.pops.push_back(p);
     }
 
     const Json &traceArr = doc.at("trace");
     if (traceArr.kind() != Json::Kind::Array)
-        return fail("\"trace\" must be an array");
+        reject("\"trace\" must be an array");
     out.trace.reserve(traceArr.size());
     for (std::size_t i = 0; i < traceArr.size(); ++i) {
         const Json &e = traceArr.at(i);
         if (e.kind() != Json::Kind::Array || e.size() != 4)
-            return fail(
-                "trace entries must be [tick, pop, name, digest]");
+            reject("trace entries must be [tick, pop, name, digest]");
         TraceRec t;
-        std::uint64_t tick = 0, name = 0;
-        if (!parseU64(e.at(std::size_t(0)), tick, err,
-                      "trace tick") ||
-            !parseU64(e.at(std::size_t(1)), t.pop, err,
-                      "trace pop") ||
-            !parseU64(e.at(std::size_t(2)), name, err,
-                      "trace name") ||
-            !parseU64(e.at(std::size_t(3)), t.digest, err,
-                      "trace digest"))
-            return fail(err);
+        t.tick = Tick(parseU64(e.at(std::size_t(0)), "trace tick"));
+        t.pop = parseU64(e.at(std::size_t(1)), "trace pop");
+        const std::uint64_t name =
+            parseU64(e.at(std::size_t(2)), "trace name");
+        t.digest = parseU64(e.at(std::size_t(3)), "trace digest");
         if (name >= out.names.size())
-            return fail("trace name index out of range");
-        t.tick = Tick(tick);
+            reject("trace name index out of range");
         t.name = std::uint32_t(name);
         out.trace.push_back(t);
     }
 
     const Json &markArr = doc.at("marks");
     if (markArr.kind() != Json::Kind::Array)
-        return fail("\"marks\" must be an array");
+        reject("\"marks\" must be an array");
     for (std::size_t i = 0; i < markArr.size(); ++i) {
         const Json &e = markArr.at(i);
         if (e.kind() != Json::Kind::Object || !e.contains("name") ||
             e.at("name").kind() != Json::Kind::String)
-            return fail("marks must be objects with a \"name\"");
+            reject("marks must be objects with a \"name\"");
+        if (!e.contains("rng") || !e.contains("pops") ||
+            !e.contains("trace"))
+            reject("mark missing positions");
         Mark m;
         m.name = e.at("name").asString();
-        if (!e.contains("rng") || !e.contains("pops") ||
-            !e.contains("trace") ||
-            !parseU64(e.at("rng"), m.rng, err, "mark rng") ||
-            !parseU64(e.at("pops"), m.pops, err, "mark pops") ||
-            !parseU64(e.at("trace"), m.trace, err, "mark trace"))
-            return fail(err.empty() ? "mark missing positions" : err);
+        m.rng = parseU64(e.at("rng"), "mark rng");
+        m.pops = parseU64(e.at("pops"), "mark pops");
+        m.trace = parseU64(e.at("trace"), "mark trace");
         out.marks.push_back(std::move(m));
     }
 
     const Json &cpArr = doc.at("checkpoints");
     if (cpArr.kind() != Json::Kind::Array)
-        return fail("\"checkpoints\" must be an array");
+        reject("\"checkpoints\" must be an array");
     for (std::size_t i = 0; i < cpArr.size(); ++i) {
         const Json &e = cpArr.at(i);
         if (e.kind() != Json::Kind::Array || e.size() != 6)
-            return fail("checkpoint entries must have 6 members");
+            reject("checkpoint entries must have 6 members");
         Checkpoint cp;
-        if (!parseU64(e.at(std::size_t(0)), cp.rng, err, "cp rng") ||
-            !parseU64(e.at(std::size_t(1)), cp.pops, err,
-                      "cp pops") ||
-            !parseU64(e.at(std::size_t(2)), cp.trace, err,
-                      "cp trace") ||
-            !parseU64(e.at(std::size_t(3)), cp.rngDigest, err,
-                      "cp rng digest") ||
-            !parseU64(e.at(std::size_t(4)), cp.popDigest, err,
-                      "cp pop digest") ||
-            !parseU64(e.at(std::size_t(5)), cp.traceDigest, err,
-                      "cp trace digest"))
-            return fail(err);
+        cp.rng = parseU64(e.at(std::size_t(0)), "cp rng");
+        cp.pops = parseU64(e.at(std::size_t(1)), "cp pops");
+        cp.trace = parseU64(e.at(std::size_t(2)), "cp trace");
+        cp.rngDigest = parseU64(e.at(std::size_t(3)), "cp rng digest");
+        cp.popDigest = parseU64(e.at(std::size_t(4)), "cp pop digest");
+        cp.traceDigest =
+            parseU64(e.at(std::size_t(5)), "cp trace digest");
         out.checkpoints.push_back(cp);
     }
-    return true;
-}
-
-Recording
-Recording::fromJson(const Json &doc)
-{
-    Recording rec;
-    std::string err;
-    if (!tryFromJson(doc, rec, &err))
-        fatal("%s", err.c_str());
-    return rec;
+    return out;
 }
 
 void
@@ -472,17 +417,18 @@ Recording::writeFile(const std::string &path) const
         std::error_code ec;
         std::filesystem::create_directories(fsPath.parent_path(), ec);
         if (ec) {
-            fatal("recording: cannot create directory '%s': %s",
-                  fsPath.parent_path().c_str(), ec.message().c_str());
+            throwError("recording: cannot create directory '%s': %s",
+                       fsPath.parent_path().c_str(),
+                       ec.message().c_str());
         }
     }
     std::ofstream out(path);
     if (!out)
-        fatal("recording: cannot open '%s' for writing",
-              path.c_str());
+        throwError("recording: cannot open '%s' for writing",
+                   path.c_str());
     out << toJson().toString(0) << '\n';
     if (!out)
-        fatal("recording: write to '%s' failed", path.c_str());
+        throwError("recording: write to '%s' failed", path.c_str());
 }
 
 Recording

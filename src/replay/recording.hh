@@ -144,9 +144,8 @@ struct Recording
     void rebuildCheckpoints(std::uint64_t every = 1024);
 
     Json toJson() const;
-    static bool tryFromJson(const Json &doc, Recording &out,
-                            std::string *err);
-    /** Strict load; fatal() on malformed documents. */
+    /** Strict load; throws killi::Error ("recording: ...") on a
+     *  malformed document. */
     static Recording fromJson(const Json &doc);
 
     void writeFile(const std::string &path) const;

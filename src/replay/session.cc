@@ -192,33 +192,32 @@ recordSweep(const SweepOptions &optIn, std::uint64_t perturbDecode)
     return s;
 }
 
-bool
-trySweepOptionsFromMeta(const Recording &rec, SweepOptions &opt,
-                        std::string *err)
+SweepOptions
+sweepOptionsFromMeta(const Recording &rec)
 {
-    std::string why;
     if (rec.tool != "sweep")
-        why = "recording tool is '" + rec.tool + "', not 'sweep'";
-    else if (rec.meta.kind() != Json::Kind::Object ||
-             !rec.meta.contains("options"))
-        why = "sweep recording has no meta.options";
-    else if (decodeSweepOptions(rec.meta.at("options"),
-                                SweepWire::Recording, opt, why))
-        return true;
-    else
-        why = "meta.options: " + why;
-    if (err)
-        *err = why;
-    return false;
+        throwError("recording tool is '%s', not 'sweep'",
+                   rec.tool.c_str());
+    if (rec.meta.kind() != Json::Kind::Object ||
+        !rec.meta.contains("options"))
+        throwError("sweep recording has no meta.options");
+    try {
+        return decodeSweepOptions(rec.meta.at("options"),
+                                  SweepWire::Recording);
+    } catch (const Error &e) {
+        throwError("meta.options: %s", e.what());
+    }
 }
 
 SweepSession
 replaySweep(const Recording &rec, const SweepOptions *embedder)
 {
     SweepSession s;
-    std::string err;
-    if (!trySweepOptionsFromMeta(rec, s.opt, &err))
-        fatal("replay: %s", err.c_str());
+    try {
+        s.opt = sweepOptionsFromMeta(rec);
+    } catch (const Error &e) {
+        throwError("replay: %s", e.what());
+    }
     // Only the embedder's observation hooks pass through. Deliberately
     // NOT warmFaultSource: adopting a warm population skips the
     // sampler's RNG draws, which the recording captured — a
@@ -243,18 +242,19 @@ CheckSession
 replayScenario(const Recording &rec)
 {
     if (rec.tool != "kcheck")
-        fatal("replay: recording tool is '%s', not 'kcheck'",
-              rec.tool.c_str());
+        throwError("replay: recording tool is '%s', not 'kcheck'",
+                   rec.tool.c_str());
     if (rec.meta.kind() != Json::Kind::Object ||
         !rec.meta.contains("scenario") ||
         !rec.meta.contains("max_violations"))
-        fatal("replay: kcheck recording needs meta.scenario and "
-              "meta.max_violations");
+        throwError("replay: kcheck recording needs meta.scenario and "
+                   "meta.max_violations");
     const Json &maxViolations = rec.meta.at("max_violations");
     if (maxViolations.kind() != Json::Kind::Int ||
         maxViolations.asInt() < 1)
-        fatal("replay: meta.max_violations must be an integer >= 1, "
-              "got %s", maxViolations.toString(0).c_str());
+        throwError("replay: meta.max_violations must be an integer "
+                   ">= 1, got %s",
+                   maxViolations.toString(0).c_str());
     CheckSession s;
     s.scenario = check::Scenario::fromJson(rec.meta.at("scenario"));
     recordScenarioInto(s, std::size_t(maxViolations.asInt()),

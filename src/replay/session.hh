@@ -121,18 +121,17 @@ CheckSession recordScenario(const check::Scenario &scenario,
 
 /** Re-run the scenario embedded in @p rec under a Recorder and
  *  bisect the re-run against @p rec. meta.max_violations must be a
- *  JSON integer >= 1; anything else is fatal(). */
+ *  JSON integer >= 1; anything else throws killi::Error. */
 CheckSession replayScenario(const Recording &rec);
 
 /**
  * Reconstruct the SweepOptions a sweep recording ran under, through
- * decodeSweepOptions() (bench/sweep.hh) and its checks. Returns
- * false with @p err for a recording that is not a sweep or whose
- * meta.options does not decode, so embedders (the serving daemon)
- * reject a malformed recording instead of fatal()ing.
+ * decodeSweepOptions() (bench/sweep.hh) and its checks. Throws
+ * killi::Error for a recording that is not a sweep or whose
+ * meta.options does not decode, so the serving daemon rejects a
+ * malformed recording with an error frame.
  */
-bool trySweepOptionsFromMeta(const Recording &rec, SweepOptions &opt,
-                             std::string *err);
+SweepOptions sweepOptionsFromMeta(const Recording &rec);
 
 } // namespace killi::replay
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/build_info.hh"
+#include "common/log.hh"
 #include "replay/session.hh"
 
 namespace killi::serve
@@ -28,53 +29,39 @@ setResolvedMembers(Json &doc, const SweepOptions &sopt)
     doc.set("build", Json::string(buildId()));
 }
 
-} // namespace
-
-bool
-parseSubmit(const Json &req, SubmitRequest &out, std::string &err)
+/** parseSubmit() without the catch: throws killi::Error. */
+SubmitRequest
+decodeSubmit(const Json &req)
 {
-    out = SubmitRequest{};
+    SubmitRequest out;
     const Json *options = nullptr;
+    const Json *replay = nullptr;
     for (const auto &[key, value] : req.members()) {
         if (key == "type")
             continue;
         if (key == "record") {
-            if (value.kind() != Json::Kind::Bool) {
-                err = "\"record\" must be a boolean";
-                return false;
-            }
+            if (value.kind() != Json::Kind::Bool)
+                throwError("\"record\" must be a boolean");
             out.record = value.asBool();
         } else if (key == "replay") {
-            if (value.kind() != Json::Kind::Object) {
-                err = "\"replay\" must be an inline "
-                      "killi-recording-v1 object";
-                return false;
-            }
-            auto rec = std::make_shared<replay::Recording>();
-            std::string rerr;
-            if (!replay::Recording::tryFromJson(value, *rec, &rerr)) {
-                err = "\"replay\": " + rerr;
-                return false;
-            }
-            out.replayRec = std::move(rec);
+            if (value.kind() != Json::Kind::Object)
+                throwError("\"replay\" must be an inline "
+                           "killi-recording-v1 object");
+            replay = &value;
         } else if (key == "priority") {
             const double d = value.isNumber() ? value.asDouble() : NAN;
-            if (!(d >= -1000) || !(d <= 1000) || d != std::floor(d)) {
-                err = "\"priority\" must be an integer in [-1000, 1000]";
-                return false;
-            }
+            if (!(d >= -1000) || !(d <= 1000) || d != std::floor(d))
+                throwError(
+                    "\"priority\" must be an integer in [-1000, 1000]");
             out.priority = int(d);
         } else if (key == "stream") {
-            if (value.kind() != Json::Kind::Bool) {
-                err = "\"stream\" must be a boolean";
-                return false;
-            }
+            if (value.kind() != Json::Kind::Bool)
+                throwError("\"stream\" must be a boolean");
             out.stream = value.asBool();
         } else if (key == "options") {
             options = &value;
         } else {
-            err = "unknown submit member \"" + key + "\"";
-            return false;
+            throwError("unknown submit member \"%s\"", key.c_str());
         }
     }
 
@@ -82,29 +69,42 @@ parseSubmit(const Json &req, SubmitRequest &out, std::string &err)
     // through the same decoder and checks as the options path;
     // options given alongside would be silently ignored, so they are
     // rejected instead (priority/stream stay meaningful).
-    if (out.replayRec) {
-        if (out.record) {
-            err = "\"record\" and \"replay\" are mutually exclusive";
-            return false;
+    if (replay) {
+        if (out.record)
+            throwError("\"record\" and \"replay\" are mutually "
+                       "exclusive");
+        if (options)
+            throwError("\"replay\" jobs take their options from the "
+                       "recording; drop \"options\"");
+        try {
+            out.replayRec = std::make_shared<replay::Recording>(
+                replay::Recording::fromJson(*replay));
+            out.sopt = replay::sweepOptionsFromMeta(*out.replayRec);
+        } catch (const Error &e) {
+            throwError("\"replay\": %s", e.what());
         }
-        if (options) {
-            err = "\"replay\" jobs take their options from the "
-                  "recording; drop \"options\"";
-            return false;
-        }
-        std::string rerr;
-        if (!replay::trySweepOptionsFromMeta(*out.replayRec, out.sopt,
-                                             &rerr)) {
-            err = "\"replay\": " + rerr;
-            return false;
-        }
-        return true;
+        return out;
     }
     // The decoder leaves the execution knobs at their defaults, which
     // is the fixed server-side policy: one worker per job, no file
     // side effects (results travel on the wire, not to disk).
-    return decodeSweepOptions(options ? *options : Json::object(),
-                              SweepWire::Submit, out.sopt, err);
+    out.sopt = decodeSweepOptions(options ? *options : Json::object(),
+                                  SweepWire::Submit);
+    return out;
+}
+
+} // namespace
+
+bool
+parseSubmit(const Json &req, SubmitRequest &out, std::string &err)
+{
+    try {
+        out = decodeSubmit(req);
+        return true;
+    } catch (const Error &e) {
+        err = e.what();
+        return false;
+    }
 }
 
 std::string

@@ -40,9 +40,10 @@ struct SubmitRequest
  * envelope (type, record, replay, priority, stream); the "options"
  * object, or a replay job's recorded meta.options, goes through
  * decodeSweepOptions() (bench/sweep.hh), which applies the ranges,
- * name checks and list expansion. Errors come back through @p err,
- * never fatal(): the daemon answers a bad request with an error
- * frame and keeps serving.
+ * name checks and list expansion. This is the one place a submit's
+ * killi::Error is caught: it comes back as false with its text in
+ * @p err, which the daemon answers with a bad_request error frame
+ * while it keeps serving.
  */
 bool parseSubmit(const Json &req, SubmitRequest &out,
                  std::string &err);

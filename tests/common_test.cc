@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -23,6 +24,7 @@
 #include "common/options.hh"
 #include "common/rng.hh"
 #include "common/table.hh"
+#include "error_text.hh"
 
 using namespace killi;
 
@@ -346,6 +348,37 @@ TEST(JsonTest, FileRoundTripCreatesParentDirs)
     std::remove(path.c_str());
 }
 
+TEST(JsonTest, EveryMisuseThrowsError)
+{
+    const Json num = Json::number(std::int64_t{1});
+    const Json arr = Json::array();
+    const Json obj = Json::object();
+    const std::pair<const char *, std::function<void()>> cases[] = {
+        {"asBool() on a non-bool value", [&] { num.asBool(); }},
+        {"asInt() on a non-integer value",
+         [] { Json::number(1.5).asInt(); }},
+        {"asDouble() on a non-number value",
+         [] { Json::string("1").asDouble(); }},
+        {"asString() on a non-string value", [&] { num.asString(); }},
+        {"push() on a non-array value",
+         [&] { Json o = obj; o.push(num); }},
+        {"size() on a scalar value", [&] { num.size(); }},
+        {"at(index) on a non-array value",
+         [&] { obj.at(std::size_t{0}); }},
+        {"array index 0 out of range (size 0)",
+         [&] { arr.at(std::size_t{0}); }},
+        {"set() on a non-object value",
+         [&] { Json a = arr; a.set("k", num); }},
+        {"at(\"k\") on a non-object value", [&] { arr.at("k"); }},
+        {"object has no member \"k\"", [&] { obj.at("k"); }},
+        {"members() on a non-object value", [&] { arr.members(); }},
+    };
+    for (const auto &[text, misuse] : cases) {
+        SCOPED_TRACE(text);
+        EXPECT_EQ(errorText(misuse), std::string("json: ") + text);
+    }
+}
+
 TEST(TableTest, ToJsonKeysRowsByHeader)
 {
     TextTable t;
@@ -547,6 +580,18 @@ TEST(LogTest, SetLogLevelIsThreadSafe)
     SUCCEED();
 }
 
+TEST(LogDeathTest, UncaughtErrorOnAThreadExitsLikeFatal)
+{
+    // No main needs its own try/catch: an Error nobody catches, even
+    // on a worker thread, ends the process as fatal() does.
+    EXPECT_EXIT(
+        {
+            std::thread t([] { throwError("bad input %d", 7); });
+            t.join();
+        },
+        ::testing::ExitedWithCode(1), "fatal: bad input 7");
+}
+
 // ---------------------------------------------------------------
 // SHA-256 (common/hash.hh) — FIPS 180-4 vectors
 // ---------------------------------------------------------------
@@ -577,17 +622,16 @@ TEST(HashTest, Sha256MultiBlockAndDeterminism)
 }
 
 // ---------------------------------------------------------------
-// tryReadJsonFile — the daemon's non-fatal config/request reader
+// readJsonFile — an unreadable or malformed file throws, so a daemon
+// can answer it with an error reply and a tool reports it as fatal
 // ---------------------------------------------------------------
 
 TEST(JsonFileTest, TryReadMissingFileFailsSoftly)
 {
-    Json out = Json::string("untouched");
-    std::string err;
-    EXPECT_FALSE(
-        tryReadJsonFile("definitely/not/a/file.json", out, &err));
-    EXPECT_FALSE(err.empty());
-    EXPECT_EQ(out.asString(), "untouched"); // out left alone
+    EXPECT_NE(errorText([] {
+                  readJsonFile("definitely/not/a/file.json");
+              }).find("json: cannot open 'definitely/not/a/file.json'"),
+              std::string::npos);
 }
 
 TEST(JsonFileTest, TryReadMalformedFileFailsSoftly)
@@ -599,10 +643,10 @@ TEST(JsonFileTest, TryReadMalformedFileFailsSoftly)
         std::fputs("{\"broken\": ", f);
         std::fclose(f);
     }
-    Json out;
-    std::string err;
-    EXPECT_FALSE(tryReadJsonFile(path, out, &err));
-    EXPECT_FALSE(err.empty());
+    EXPECT_NE(errorText([&] { readJsonFile(path); })
+                  .find("json: parse of 'common_test_malformed.json' "
+                        "failed: "),
+              std::string::npos);
     std::remove(path.c_str());
 }
 
@@ -612,8 +656,6 @@ TEST(JsonFileTest, TryReadRoundTripsAGoodFile)
     Json doc = Json::object();
     doc.set("answer", Json::number(std::int64_t(42)));
     writeJsonFile(path, doc);
-    Json out;
-    ASSERT_TRUE(tryReadJsonFile(path, out));
-    EXPECT_EQ(out.at("answer").asInt(), 42);
+    EXPECT_EQ(readJsonFile(path).at("answer").asInt(), 42);
     std::remove(path.c_str());
 }

@@ -40,6 +40,7 @@
 #include "sim/event_queue.hh"
 
 #include "closure_events.hh"
+#include "error_text.hh"
 
 namespace killi::replay
 {
@@ -364,15 +365,13 @@ TEST(RecordingFormat, FileRoundTripPreservesStreams)
 
 TEST(RecordingFormat, RejectsMalformedDocuments)
 {
-    Recording out;
-    std::string err;
-    EXPECT_FALSE(
-        Recording::tryFromJson(Json::string("nope"), out, &err));
-    EXPECT_FALSE(err.empty());
+    EXPECT_EQ(errorText([] { Recording::fromJson(Json::string("nope")); }),
+              "recording: document must be an object");
     Json doc = recordHarness(0).toJson();
     doc.set("format", Json::string("killi-recording-v2"));
-    EXPECT_FALSE(Recording::tryFromJson(doc, out, &err));
-    EXPECT_NE(err.find(kRecordingFormat), std::string::npos) << err;
+    EXPECT_NE(errorText([&] { Recording::fromJson(doc); })
+                  .find(kRecordingFormat),
+              std::string::npos);
 }
 
 TEST(RecordingFormat, PopsKeepTheV1ZeroColumn)
@@ -386,10 +385,8 @@ TEST(RecordingFormat, PopsKeepTheV1ZeroColumn)
     first.push(Json::number(std::uint64_t(0)));
     ASSERT_EQ(doc.at("pops").size(), std::size_t(kHarnessEvents));
     EXPECT_EQ(doc.at("pops").at(std::size_t(0)), first);
-    Recording back;
-    std::string err;
-    ASSERT_TRUE(Recording::tryFromJson(doc, back, &err)) << err;
-    EXPECT_EQ(back.toJson().toString(0), doc.toString(0));
+    EXPECT_EQ(Recording::fromJson(doc).toJson().toString(0),
+              doc.toString(0));
 
     // Any other middle value is rejected, naming the column.
     Json bad = doc;
@@ -400,8 +397,9 @@ TEST(RecordingFormat, PopsKeepTheV1ZeroColumn)
     Json pops = Json::array();
     pops.push(std::move(pop));
     bad.set("pops", std::move(pops));
-    EXPECT_FALSE(Recording::tryFromJson(bad, back, &err));
-    EXPECT_NE(err.find("pop priority"), std::string::npos) << err;
+    EXPECT_NE(errorText([&] { Recording::fromJson(bad); })
+                  .find("pop priority"),
+              std::string::npos);
 }
 
 // ---------------------------------------------------------------
@@ -646,7 +644,9 @@ TEST(ReplayScenario, MaxViolationsMustBeAPositiveInteger)
         SCOPED_TRACE(bad.toString(0));
         Recording rec = clean;
         rec.meta.set("max_violations", bad);
-        EXPECT_DEATH(replayScenario(rec), "meta\\.max_violations");
+        EXPECT_NE(errorText([&] { replayScenario(rec); })
+                      .find("meta.max_violations"),
+                  std::string::npos);
     }
 }
 
@@ -782,6 +782,8 @@ TEST(ReplayServe, TamperedRecordingsGetErrorFramesAndServerKeepsServing)
     unknownWorkload.push(Json::string("nope"));
     Json unknownScheme = Json::array();
     unknownScheme.push(Json::string("Killi 1:3"));
+    Json arrayParams = Json::object();
+    arrayParams.set("params", Json::array());
     const struct
     {
         const char *key;
@@ -795,6 +797,8 @@ TEST(ReplayServe, TamperedRecordingsGetErrorFramesAndServerKeepsServing)
          "\"warmup\" must be an integer in [0, 16]"},
         {"scale", Json::number(0.0),
          "\"scale\" must be in [0.001, 1000]"},
+        {"scale", Json::string("0.02"), "\"scale\" must be a number"},
+        {"scenario", arrayParams, "scenario: params must be an object"},
         // Recordings of the removed global reference mode.
         {"reference_mode", Json::boolean(true),
          "reference mode was removed", true},

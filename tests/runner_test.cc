@@ -25,6 +25,8 @@
 #include "runner/runner.hh"
 #include "runner/thread_pool.hh"
 
+#include "error_text.hh"
+
 using namespace killi;
 
 namespace
@@ -660,13 +662,28 @@ TEST(EvaluationSweep, ResultsFileIsWellFormedAndConsumable)
 
 TEST(EvaluationSweepDeathTest, UnknownSchemeNameIsFatal)
 {
-    EXPECT_DEATH(
-        {
-            SweepOptions opt = tinySweep(1);
-            opt.schemes = {"NotAScheme"};
-            runEvaluationSweep(opt);
-        },
-        "NotAScheme");
+    // A library error: it throws, so a daemon thread can report it
+    // (an uncaught one still ends a command-line tool as fatal).
+    SweepOptions opt = tinySweep(1);
+    opt.schemes = {"NotAScheme"};
+    EXPECT_NE(errorText([&] { runEvaluationSweep(opt); })
+                  .find("sweep: unknown scheme 'NotAScheme'"),
+              std::string::npos);
+}
+
+TEST(EvaluationSweep, UncreatableTraceDirThrows)
+{
+    // A directory cannot be created under a regular file.
+    const std::string file = "runner_test_not_a_dir";
+    std::ofstream(file) << "x";
+    SweepOptions opt = tinySweep(1);
+    opt.trace = "all";
+    opt.traceDir = file + "/trace";
+    EXPECT_NE(errorText([&] { runEvaluationSweep(opt); })
+                  .find("sweep: cannot create directory "
+                        "'runner_test_not_a_dir/trace'"),
+              std::string::npos);
+    std::remove(file.c_str());
 }
 
 // ---------------------------------------------------------------

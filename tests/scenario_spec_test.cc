@@ -20,6 +20,7 @@
 #include "fault/fault_model.hh"
 #include "fault/scenario_spec.hh"
 #include "fault/voltage_model.hh"
+#include "error_text.hh"
 #include "fault_digest.hh"
 
 namespace killi
@@ -102,19 +103,19 @@ TEST(ScenarioSpec, InlineJsonAndDefaultsParse)
 
 TEST(ScenarioSpec, StrictParseRejectsGarbage)
 {
-    ScenarioSpec out;
-    std::string err;
-    EXPECT_FALSE(ScenarioSpec::tryFromJson(
-        parsed("{\"model\": \"quantum\"}"), out, &err));
-    EXPECT_FALSE(err.empty());
-    EXPECT_FALSE(ScenarioSpec::tryFromJson(
-        parsed("{\"mdoel\": \"iid\"}"), out, &err))
+    const auto rejection = [](const char *text) {
+        return errorText([&] { ScenarioSpec::fromJson(parsed(text)); });
+    };
+    EXPECT_EQ(rejection("{\"model\": \"quantum\"}"),
+              "scenario: model must be one of iid|clustered|burst|droop");
+    EXPECT_EQ(rejection("{\"mdoel\": \"iid\"}"),
+              "scenario: unknown scenario key 'mdoel'")
         << "unknown keys must be rejected, not ignored";
-    EXPECT_FALSE(ScenarioSpec::tryFromJson(
-        parsed("{\"format\": \"killi-scenario-v9\"}"), out,
-        &err));
-    EXPECT_FALSE(ScenarioSpec::tryFromJson(
-        parsed("{\"voltage\": 7.0}"), out, &err));
+    EXPECT_EQ(rejection("{\"format\": \"killi-scenario-v9\"}"),
+              "scenario: unsupported format (expected "
+              "\"killi-scenario-v1\")");
+    EXPECT_EQ(rejection("{\"voltage\": 7.0}"),
+              "scenario: voltage = 7 out of range [0.45, 1]");
 }
 
 /** The population two maps expose must match cell-for-cell. */

@@ -884,6 +884,42 @@ TEST(ServeIntegration, BadRequestGetsErrorAndServerKeepsServing)
     lo.server.stop();
 }
 
+TEST(ServeIntegration, LibraryErrorFailsTheJobAndServerKeepsServing)
+{
+    // A job body that reads an absent member: the Json accessor
+    // throws, so the job ends "failed" and the daemon lives on.
+    ServerOptions so;
+    so.port = 0;
+    so.threads = 1;
+    so.fleetRunner = [](std::uint64_t, const SubmitRequest &,
+                        const CancelToken &, const FleetProgressFn &,
+                        Json *) -> Json {
+        return Json::object().at("workloads");
+    };
+    Server server(so);
+    std::string err;
+    ASSERT_TRUE(server.start(&err)) << err;
+    Client client;
+    ASSERT_TRUE(client.connectTcp(server.boundPort(), &err)) << err;
+    ASSERT_TRUE(client.send(smokeSubmit(false)));
+    Json frame;
+    do {
+        ASSERT_TRUE(client.recvWithin(frame, 30000, &err)) << err;
+    } while (frame.at("type").asString() == "submitted");
+    ASSERT_EQ(frame.at("type").asString(), "result")
+        << frame.toString(0);
+    EXPECT_EQ(frame.at("outcome").asString(), "failed");
+    EXPECT_EQ(frame.at("error").asString(),
+              "json: object has no member \"workloads\"");
+
+    Json ping = Json::object();
+    ping.set("type", Json::string("ping"));
+    ASSERT_TRUE(client.send(ping));
+    ASSERT_TRUE(client.recvWithin(frame, 30000, &err)) << err;
+    EXPECT_EQ(frame.at("type").asString(), "pong");
+    server.stop();
+}
+
 TEST(ServeIntegration, SubmitPriorityMustBeAnIntegerInRange)
 {
     const auto submitWith = [](double priority) {
